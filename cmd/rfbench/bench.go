@@ -45,7 +45,8 @@ func runBench(names []string, opt experiments.Options, benchName string) error {
 }
 
 // runCompare loads two BENCH_*.json records and exits non-zero when any
-// cycle metric regressed past tolerancePct — the CI gate.
+// cycle metric regressed past tolerancePct or any bytes/rows/groups/checksum
+// metric changed — the CI gate.
 func runCompare(oldPath, newPath string, tolerancePct float64) error {
 	base, err := bench.ReadFile(oldPath)
 	if err != nil {
@@ -60,11 +61,11 @@ func runCompare(oldPath, newPath string, tolerancePct float64) error {
 		return err
 	}
 	if len(regs) == 0 {
-		fmt.Printf("compare: OK — no cycle metric regressed more than %.1f%% (%s vs %s)\n",
+		fmt.Printf("compare: OK — no cycle metric regressed more than %.1f%%, no bytes/rows/groups/checksum metric changed (%s vs %s)\n",
 			tolerancePct, oldPath, newPath)
 		return nil
 	}
-	fmt.Fprintf(os.Stderr, "compare: %d cycle regression(s) beyond %.1f%%:\n", len(regs), tolerancePct)
+	fmt.Fprintf(os.Stderr, "compare: %d regression(s) (cycles beyond %.1f%%, or changed bytes/rows/groups/checksums):\n", len(regs), tolerancePct)
 	for _, g := range regs {
 		fmt.Fprintf(os.Stderr, "  %s\n", g)
 	}

@@ -816,18 +816,18 @@ func (db *DB) joinBuildSources(kinds []EngineKind, ts []*dbTable, p *engine.Join
 }
 
 // joinSource builds the Source for one join side and stamps the access path
-// it actually got onto the side's Scan node. Join sides stream through the
-// scalar pipeline's sink hook, so the engines with a ForceScalar knob are
-// pinned to it (the sink drops IDX's batch program). IDX falls back to ROW when the side's selection cannot use
-// the index — a join side is an internal scan, not a user-chosen path.
+// it actually got onto the side's Scan node. Every side streams its rows
+// into the join's build or probe sink on the batch pipeline. IDX falls back
+// to ROW when the side's selection cannot use the index — a join side is an
+// internal scan, not a user-chosen path.
 func (db *DB) joinSource(kind EngineKind, t *dbTable, side *engine.JoinSide, tr *obs.Tracer) (engine.Source, error) {
 	var src engine.Source
 	switch kind {
 	case RM:
-		src = &engine.RMEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr, ForceScalar: true,
+		src = &engine.RMEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr,
 			Cache: db.groupCache(), Offload: db.offloadOn()}
 	case ROW:
-		src = &engine.RowEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr, ForceScalar: true}
+		src = &engine.RowEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr}
 	case "IDX":
 		db.mu.RLock()
 		idx := t.idx
@@ -835,14 +835,14 @@ func (db *DB) joinSource(kind EngineKind, t *dbTable, side *engine.JoinSide, tr 
 		if idx != nil && engine.IndexApplicable(idx, side.Query.Selection) {
 			src = &engine.IndexEngine{Tbl: t.tbl, Sys: db.sys, Idx: idx, Tracer: tr}
 		} else {
-			src = &engine.RowEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr, ForceScalar: true}
+			src = &engine.RowEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr}
 		}
 	case COL:
 		store, err := db.columnarCopy(t)
 		if err != nil {
 			return nil, err
 		}
-		src = &engine.ColEngine{Store: store, Sys: db.sys, Tracer: tr, ForceScalar: true}
+		src = &engine.ColEngine{Store: store, Sys: db.sys, Tracer: tr}
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownEngine, string(kind))
 	}

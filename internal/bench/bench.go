@@ -78,27 +78,46 @@ func flatten(prefix string, v any, out map[string]float64) {
 	}
 }
 
-// Regression is one gated metric that got worse than the tolerance allows.
+// Regression is one gated metric that got worse than the tolerance allows,
+// or an exactly gated metric that changed at all.
 type Regression struct {
 	Key     string  // dotted metric path
 	Old     float64 // baseline value
 	New     float64 // current value
 	Percent float64 // relative growth, e.g. 10.0 for +10%
+	Exact   bool    // the metric is gated for exact equality
 }
 
 func (g Regression) String() string {
-	if g.New < 0 {
+	switch {
+	case g.New < 0:
 		return fmt.Sprintf("%s: %.0f -> metric missing from current record", g.Key, g.Old)
+	case g.Exact:
+		return fmt.Sprintf("%s: %.0f -> %.0f (must not change)", g.Key, g.Old, g.New)
 	}
 	return fmt.Sprintf("%s: %.0f -> %.0f (+%.1f%%)", g.Key, g.Old, g.New, g.Percent)
 }
 
-// Compare gates cur against base: every baseline metric whose path contains
-// "cycles" must not have grown by more than tolerancePct percent, and must
-// still exist. Non-cycle metrics (speedups, checksums, row counts) are
-// carried for context but not gated. Records taken at different scales or
-// seeds measure different workloads, so a Rows/Seed mismatch is an error,
-// not a regression.
+// exactGated reports whether a metric is a logical outcome of the workload
+// — bytes moved, rows, groups, a result checksum — rather than a cost. Any
+// change to one means the run did different work, so it is gated for exact
+// equality at every tolerance.
+func exactGated(key string) bool {
+	for _, w := range []string{"bytes", "rows", "groups", "checksum"} {
+		if strings.Contains(key, w) {
+			return true
+		}
+	}
+	return false
+}
+
+// Compare gates cur against base. Every baseline metric whose path contains
+// "cycles" must not have grown by more than tolerancePct percent; every one
+// whose path contains "bytes", "rows", "groups", or "checksum" must be
+// exactly equal; both kinds must still exist. Other metrics (speedups,
+// ratios) are carried for context but not gated. Records taken at
+// different scales or seeds measure different workloads, so a Rows/Seed
+// mismatch is an error, not a regression.
 func Compare(base, cur *Record, tolerancePct float64) ([]Regression, error) {
 	if base == nil || cur == nil {
 		return nil, fmt.Errorf("bench: compare needs two records")
@@ -109,7 +128,7 @@ func Compare(base, cur *Record, tolerancePct float64) ([]Regression, error) {
 	}
 	keys := make([]string, 0, len(base.Metrics))
 	for k := range base.Metrics {
-		if strings.Contains(k, "cycles") {
+		if strings.Contains(k, "cycles") || exactGated(k) {
 			keys = append(keys, k)
 		}
 	}
@@ -120,6 +139,16 @@ func Compare(base, cur *Record, tolerancePct float64) ([]Regression, error) {
 		now, ok := cur.Metrics[k]
 		if !ok {
 			regs = append(regs, Regression{Key: k, Old: old, New: -1, Percent: 0})
+			continue
+		}
+		if exactGated(k) {
+			if now != old {
+				var pct float64
+				if old != 0 {
+					pct = (now - old) / old * 100
+				}
+				regs = append(regs, Regression{Key: k, Old: old, New: now, Percent: pct, Exact: true})
+			}
 			continue
 		}
 		if old <= 0 {

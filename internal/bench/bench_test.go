@@ -122,6 +122,44 @@ func TestCompareIgnoresImprovementsAndNonCycles(t *testing.T) {
 	}
 }
 
+// TestCompareGatesLogicalMetricsExactly: bytes, rows, groups, and
+// checksums describe what a run did, not what it cost, so a move in either
+// direction fails the gate at any tolerance.
+func TestCompareGatesLogicalMetricsExactly(t *testing.T) {
+	withLogical := func() *Record {
+		r := record(t, 1000)
+		r.Metrics["join.groups"] = 42
+		r.Metrics["par-speedup.points.0.checksum"] = 1234567
+		r.Metrics["abl-offload.points.0.bytes_to_cpu"] = 4096
+		return r
+	}
+	base := withLogical()
+	if regs, err := Compare(base, withLogical(), 0); err != nil || len(regs) != 0 {
+		t.Fatalf("identical records: regs %v, err %v", regs, err)
+	}
+	for _, k := range []string{"fig5.rows", "join.groups", "par-speedup.points.0.checksum", "abl-offload.points.0.bytes_to_cpu"} {
+		for _, delta := range []float64{-1, 1} {
+			cur := withLogical()
+			cur.Metrics[k] += delta
+			regs, err := Compare(base, cur, 1000)
+			if err != nil {
+				t.Fatalf("Compare: %v", err)
+			}
+			if len(regs) != 1 || regs[0].Key != k || !regs[0].Exact {
+				t.Fatalf("%s %+v: got %v, want one exact regression on it", k, delta, regs)
+			}
+			if !strings.Contains(regs[0].String(), "must not change") {
+				t.Errorf("exact-gate message unclear: %q", regs[0])
+			}
+		}
+	}
+	cur := withLogical()
+	delete(cur.Metrics, "join.groups")
+	if regs, _ := Compare(base, cur, 1000); len(regs) != 1 || regs[0].New != -1 {
+		t.Fatalf("missing exact metric not reported: %v", regs)
+	}
+}
+
 func TestCompareMetadataMismatch(t *testing.T) {
 	base := record(t, 1000)
 	other := NewRecord("test", 16000, 1)

@@ -195,14 +195,21 @@ func (l *level) reset() {
 	l.tick = 0
 }
 
+// set returns the line holding addr, the first slot of its set, and the
+// set's tags and recency stamps (both Ways long).
+func (l *level) set(addr int64) (line int64, base int, tags []int64, lru []uint64) {
+	line = addr >> l.lineBits
+	base = int(line&l.setMask) * l.cfg.Ways
+	tags = l.tags[base : base+l.cfg.Ways]
+	return line, base, tags, l.lru[base : base+len(tags)]
+}
+
 // lookup probes for the line containing addr. On hit it refreshes recency
 // and returns (slot, true).
 func (l *level) lookup(addr int64) (int, bool) {
-	line := addr >> l.lineBits
-	set := int(line & l.setMask)
-	base := set * l.cfg.Ways
-	for w := 0; w < l.cfg.Ways; w++ {
-		if l.tags[base+w] == line+1 {
+	line, base, tags, _ := l.set(addr)
+	for w, t := range tags {
+		if t == line+1 {
 			l.tick++
 			l.lru[base+w] = l.tick
 			return base + w, true
@@ -211,33 +218,76 @@ func (l *level) lookup(addr int64) (int, bool) {
 	return -1, false
 }
 
-// insert installs the line containing addr, evicting the LRU way, and
-// returns the slot it used.
+// insert installs the line containing addr, evicting the LRU way (the
+// first of equally old ones), and returns the slot it used.
 func (l *level) insert(addr int64, prefetch bool) int {
-	line := addr >> l.lineBits
-	set := int(line & l.setMask)
-	base := set * l.cfg.Ways
-	victim := base
-	for w := 1; w < l.cfg.Ways; w++ {
-		if l.lru[base+w] < l.lru[victim] {
-			victim = base + w
+	line, base, _, lru := l.set(addr)
+	victim, oldest := 0, lru[0]
+	for w, stamp := range lru {
+		if stamp < oldest {
+			victim, oldest = w, stamp
 		}
 	}
+	l.install(base+victim, line, prefetch)
+	return base + victim
+}
+
+// install places line in slot with the newest recency stamp.
+func (l *level) install(slot int, line int64, prefetch bool) {
 	l.tick++
-	l.tags[victim] = line + 1
-	l.lru[victim] = l.tick
-	l.prefetched[victim] = prefetch
-	l.fabricNew[victim] = false
-	return victim
+	l.tags[slot] = line + 1
+	l.lru[slot] = l.tick
+	l.prefetched[slot] = prefetch
+	l.fabricNew[slot] = false
+}
+
+// insertAbsent installs the line containing addr unless a way already holds
+// it, in one pass over the set that finds either the resident way or the
+// LRU victim, and reports whether it installed. It is contains followed by
+// insert on a miss.
+func (l *level) insertAbsent(addr int64, prefetch bool) bool {
+	line, base, tags, lru := l.set(addr)
+	victim, oldest := 0, lru[0]
+	for w, t := range tags {
+		if t == line+1 {
+			return false
+		}
+		if stamp := lru[w]; stamp < oldest {
+			victim, oldest = w, stamp
+		}
+	}
+	l.install(base+victim, line, prefetch)
+	return true
+}
+
+// fillFabric installs the line containing addr and marks it fabric-new, in
+// one pass over the set. It is insert followed by lookup: insert does not
+// check residency, so a line already held in a lower way than the victim
+// keeps serving lookups, and that way — not the victim — takes the lookup's
+// recency stamp and the fabric-new mark.
+func (l *level) fillFabric(addr int64) {
+	line, base, tags, lru := l.set(addr)
+	victim, oldest, held := 0, lru[0], len(tags)
+	for w, t := range tags {
+		if t == line+1 && w < held {
+			held = w
+		}
+		if stamp := lru[w]; stamp < oldest {
+			victim, oldest = w, stamp
+		}
+	}
+	l.install(base+victim, line, false)
+	slot := base + min(victim, held)
+	l.tick++
+	l.lru[slot] = l.tick
+	l.fabricNew[slot] = true
 }
 
 // contains probes without touching recency (used by tests).
 func (l *level) contains(addr int64) bool {
-	line := addr >> l.lineBits
-	set := int(line & l.setMask)
-	base := set * l.cfg.Ways
-	for w := 0; w < l.cfg.Ways; w++ {
-		if l.tags[base+w] == line+1 {
+	line, _, tags, _ := l.set(addr)
+	for _, t := range tags {
+		if t == line+1 {
 			return true
 		}
 	}
@@ -469,11 +519,10 @@ func (h *Hierarchy) issuePrefetch(line int64, n int) {
 	lb := int64(h.LineBytes())
 	for i := 0; i < n; i++ {
 		addr := (line + int64(i)) * lb
-		if h.l2.contains(addr) {
+		if !h.l2.insertAbsent(addr, true) {
 			continue
 		}
 		h.mem.Access(addr) // occupies DRAM (stats/row-buffer), off demand path
-		h.l2.insert(addr, true)
 		h.stats.PrefetchIssued++
 		h.stats.BytesFromDRAM += uint64(h.LineBytes())
 	}
@@ -486,10 +535,7 @@ func (h *Hierarchy) issuePrefetch(line int64, n int) {
 // charged to the fabric.
 func (h *Hierarchy) FillFromFabric(addr int64) {
 	h.stats.FabricFills++
-	h.l2.insert(addr, false)
-	if slot, ok := h.l2.lookup(addr); ok {
-		h.l2.fabricNew[slot] = true
-	}
+	h.l2.fillFabric(addr)
 }
 
 // ContainsL1 reports whether the line holding addr is resident in L1.

@@ -75,17 +75,6 @@ func (e *ColEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 		visit:       q.consumedColumns(),
 	}
 
-	if !e.ForceScalar && rows <= vecRowLimit {
-		// The column arrays are dense, so every slot decodes at offset 0 of
-		// its own array; predicates run as bitmap passes outside the
-		// program, hence the empty selection.
-		if prog, ok := compileScanProg(q, sch, nil, q.consumedColumns(), func(int) int { return 0 }, colVecCharges); ok {
-			s.attachProg(prog, &e.scratch)
-			s.colVec = &colVecLayout{store: store}
-			return s, nil
-		}
-	}
-
 	s.prepare = func(pr *pipeRun) ([]int, error) {
 		return colBitmapSelect(pr, e.Sys, store, sch, q.Selection), nil
 	}
@@ -97,6 +86,15 @@ func (e *ColEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	s.colAt = func(_ *segment, row, col int) (int64, []byte) {
 		w := sch.Column(col).Width
 		return store.ValueAddr(col, row), store.ColumnData(col)[row*w:]
+	}
+	if !e.ForceScalar && rows <= vecRowLimit {
+		// The column arrays are dense, so every slot decodes at offset 0 of
+		// its own array; predicates run as bitmap passes outside the
+		// program, hence the empty selection.
+		spec := vecSpec{visit: s.visit, offFor: func(int) int { return 0 }, ch: colVecCharges}
+		if s.attachVec(q, spec, &e.scratch) {
+			s.colVec = &colVecLayout{store: store}
+		}
 	}
 	return s, nil
 }

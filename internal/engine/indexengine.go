@@ -165,9 +165,7 @@ func (e *IndexEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	}
 
 	if tbl.NumRows() <= vecRowLimit {
-		if prog, ok := compileScanProg(q, sch, q.Selection, nil, sch.Offset, idxVecCharges); ok {
-			s.attachProg(prog, &e.scratch)
-		}
+		s.attachVec(q, vecSpec{sel: q.Selection, offFor: sch.Offset, ch: idxVecCharges}, &e.scratch)
 	}
 	return s, nil
 }

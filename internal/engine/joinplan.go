@@ -3,7 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -14,17 +14,19 @@ import (
 	"rfabric/internal/obs"
 	"rfabric/internal/plan"
 	"rfabric/internal/table"
+	"rfabric/internal/vec"
 )
 
 // Join execution over the shared pipeline. A plan.Node join tree lowers to
 // a JoinPlan: one probe side plus a list of build stages, each side a full
 // Source-backed subplan with its own selection, snapshot, and needed
-// columns. Execution streams every side through the scalar pipeline's sink
-// hook — build rows into per-stage hash tables, probe rows through a
-// multi-stage probe that folds matched combined rows straight into the
-// consumer — so every build and probe byte flows through Hier.Load, each
-// phase closes its own span, and the run's root span reconciles exactly
-// with the summed Breakdown.TotalCycles.
+// columns. Execution streams every side through the shared pipeline with a
+// sink in place of the consumer (joinsink.go) — build rows into per-stage
+// columnar hash tables, probe rows through a multi-stage probe that folds
+// matched combined rows straight into the consumption — so every build and
+// probe byte flows through Hier.Load, each phase closes its own span, and
+// the run's root span reconciles exactly with the summed
+// Breakdown.TotalCycles.
 
 // JoinSide is one input of a join: the table it reads, the side-local
 // query the pipeline executes over it (projection = every column the join
@@ -107,37 +109,19 @@ func keyFamily(t geometry.ColumnType) int {
 }
 
 // joinKeyTo appends v's canonical join-key encoding, or reports false when
-// the value can never match (NaN, per SQL equality). Integral values encode
-// by value; floats by bits with -0 normalized to +0; CHAR by
-// trailing-NUL-trimmed bytes (embedded NULs are significant).
+// the value can never match (NaN, per SQL equality). The encoding is the
+// one the batch join's vec.JoinTable indexes: integral values by value,
+// floats by bits with -0 normalized to +0, CHAR by trailing-NUL-trimmed
+// bytes (embedded NULs are significant).
 func joinKeyTo(dst []byte, v table.Value) ([]byte, bool) {
 	switch v.Type {
 	case geometry.Float64:
-		f := v.Float
-		if math.IsNaN(f) {
-			return dst, false
-		}
-		if f == 0 {
-			f = 0 // collapse -0 onto +0
-		}
-		bits := math.Float64bits(f)
-		for i := 0; i < 8; i++ {
-			dst = append(dst, byte(bits>>(8*uint(i))))
-		}
+		return vec.AppendJoinKeyF64(dst, v.Float)
 	case geometry.Char:
-		b := v.Bytes
-		end := len(b)
-		for end > 0 && b[end-1] == 0 {
-			end--
-		}
-		dst = append(dst, b[:end]...)
+		return vec.AppendJoinKeyChar(dst, v.Bytes), true
 	default:
-		u := uint64(v.Int)
-		for i := 0; i < 8; i++ {
-			dst = append(dst, byte(u>>(8*uint(i))))
-		}
+		return vec.AppendJoinKeyI64(dst, v.Int), true
 	}
-	return dst, true
 }
 
 // sideChain unpacks one side's [Filter]→Scan chain.
@@ -331,86 +315,25 @@ func (p *JoinPlan) layout() ([]int, []int) {
 	return side, slot
 }
 
-// runSink streams one join side through the scalar pipeline, handing every
-// qualifying row to sink instead of a consumer. The side's span and
-// breakdown close like any scan's, so join phases reconcile side by side.
-// The batch executors have no sink hook, so a compiled batch program is
-// dropped (IDX always compiles one); the charges are identical either way.
-func runSink(src Source, q Query, label string, sink func(pr *pipeRun, fetch func(col int) table.Value)) (*Result, error) {
-	sys, tr := src.sysTracer()
-	sp := tr.Begin(label)
-	sp.SetAttr("engine", src.Name())
-	if t := src.tableLabel(); t != "" {
-		sp.SetAttr("table", t)
-	}
-	defer tr.End()
-	s, err := src.openScan(q, sp)
-	if err != nil {
-		return nil, err
-	}
-	if s.direct != nil {
-		return nil, errors.New("engine: sink scan requires the scalar pipeline (the source computed its result directly)")
-	}
-	s.prog = nil
-	s.name = src.Name()
-	s.sys = sys
-	s.tracer = tr
-	s.sp = sp
-	s.sink = sink
-	return s.runScalar(q)
-}
-
-// copyValue detaches a value from source-owned buffers (fabric chunk data,
-// base-heap rows) so build entries stay valid across chunk resets and
-// concurrent writers.
-func copyValue(v table.Value) table.Value {
-	if v.Type == geometry.Char && v.Bytes != nil {
-		b := make([]byte, len(v.Bytes))
-		copy(b, v.Bytes)
-		v.Bytes = b
-	}
-	return v
-}
-
 // buildJoinTables streams each build side into its stage's hash table,
-// charging HashBuildCycles per inserted row inside the side's measured
-// window. Entries hold the side projection's values in order.
-func buildJoinTables(p *JoinPlan, builds []Source) ([]map[string][][]table.Value, []*Result, error) {
+// charging HashBuildCycles per qualifying row inside the side's measured
+// window.
+func buildJoinTables(p *JoinPlan, builds []Source) ([]*joinBuild, []*Result, error) {
 	if len(builds) != len(p.Stages) {
 		return nil, nil, fmt.Errorf("engine: join plan has %d stages but %d build sources", len(p.Stages), len(builds))
 	}
 	p.layout()
-	tables := make([]map[string][][]table.Value, len(p.Stages))
+	tables := make([]*joinBuild, len(p.Stages))
 	results := make([]*Result, len(p.Stages))
 	for k := range p.Stages {
 		stage := &p.Stages[k]
 		proj := stage.Side.Query.Projection
-		keySlot := -1
-		for i, c := range proj {
-			if c == stage.BuildKey {
-				keySlot = i
-				break
-			}
-		}
+		keySlot := slices.Index(proj, stage.BuildKey)
 		if keySlot < 0 {
 			return nil, nil, fmt.Errorf("engine: stage %d build key %d missing from side projection", k, stage.BuildKey)
 		}
-		tbl := make(map[string][][]table.Value)
-		var keyBuf []byte
-		ks := keySlot
-		res, err := runSink(builds[k], stage.Side.Query, fmt.Sprintf("build[%d]", k), func(pr *pipeRun, fetch func(int) table.Value) {
-			pr.compute += HashBuildCycles
-			entry := make([]table.Value, len(proj))
-			for i, c := range proj {
-				entry[i] = copyValue(fetch(c))
-			}
-			var ok bool
-			keyBuf, ok = joinKeyTo(keyBuf[:0], entry[ks])
-			if !ok {
-				return // NaN keys never match
-			}
-			tbl[string(keyBuf)] = append(tbl[string(keyBuf)], entry)
-		})
+		tbl := newJoinBuild(p.Schema, p.Offsets[k+1], proj, keySlot)
+		res, err := runJoinSide(builds[k], stage.Side.Query, fmt.Sprintf("build[%d]", k), tbl)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -428,60 +351,19 @@ func buildJoinTables(p *JoinPlan, builds []Source) ([]map[string][][]table.Value
 // directly. The filter is populated during the build side's existing
 // HashBuildCycles pass — inserting into a Bloom filter rides the same
 // per-row hashing work, so no extra cycles are charged.
-func probeSemiJoin(p *JoinPlan, tables []map[string][][]table.Value) *fabric.SemiJoin {
+func probeSemiJoin(p *JoinPlan, tables []*joinBuild) *fabric.SemiJoin {
 	if len(p.Stages) == 0 || len(tables) == 0 {
 		return nil
 	}
-	bl := fabric.NewBloom(len(tables[0]))
-	for k := range tables[0] {
-		bl.Add([]byte(k))
+	t := &tables[0].tbl
+	bl := fabric.NewBloom(t.Keys())
+	for i := 0; i < t.Keys(); i++ {
+		bl.Add(t.Key(i))
 	}
 	return &fabric.SemiJoin{
 		Col:    p.Stages[0].ProbeKey,
 		Key:    joinKeyTo,
 		Filter: bl,
-	}
-}
-
-// newJoinProber returns the probe-side sink: for each probe row it walks
-// the stages in order, looking up each stage's hash table by the combined
-// row's probe-key value, and folds every fully matched combined row into
-// cons. Consumer folding cycles land in the probe's measured window.
-func newJoinProber(p *JoinPlan, tables []map[string][][]table.Value, cons *consumer, fold *uint64) func(pr *pipeRun, fetch func(col int) table.Value) {
-	colSide, colSlot := p.layout()
-	current := make([][]table.Value, len(p.Stages))
-	var keyBuf []byte
-	var probeFetch func(int) table.Value
-	var pr *pipeRun
-	combinedFetch := func(col int) table.Value {
-		s := colSide[col]
-		if s == 0 {
-			return probeFetch(colSlot[col])
-		}
-		return current[s-1][colSlot[col]]
-	}
-	var descend func(stage int)
-	descend = func(stage int) {
-		if stage == len(p.Stages) {
-			before := *fold
-			cons.consumeRow(combinedFetch)
-			pr.compute += *fold - before
-			return
-		}
-		pr.compute += HashProbeCycles
-		var ok bool
-		keyBuf, ok = joinKeyTo(keyBuf[:0], combinedFetch(p.Stages[stage].ProbeKey))
-		if !ok {
-			return
-		}
-		for _, entry := range tables[stage][string(keyBuf)] {
-			current[stage] = entry
-			descend(stage + 1)
-		}
-	}
-	return func(run *pipeRun, fetch func(col int) table.Value) {
-		pr, probeFetch = run, fetch
-		descend(0)
 	}
 }
 
@@ -534,14 +416,13 @@ func (e *JoinExec) Execute() (*Result, error) {
 		}
 	}
 
-	var fold uint64
-	cons := newConsumer(p.Consume, p.Schema, &fold)
-	probeRes, err := runSink(e.Probe, p.Probe.Query, "probe", newJoinProber(p, tables, cons, &fold))
+	probe := newJoinProbe(p, tables)
+	probeRes, err := runJoinSide(e.Probe, p.Probe.Query, "probe", probe)
 	if err != nil {
 		return nil, err
 	}
 
-	res := cons.finish(name, probeRes.RowsScanned)
+	res := probe.result(name, probeRes.RowsScanned)
 	res.Breakdown = probeRes.Breakdown
 	res.Offload = probeRes.Offload
 	stampSideAct(p.Probe.Node, probeRes)
@@ -719,7 +600,7 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 // runMorsel probes one probe-table slice on a fresh System clone, folding
 // matches into a morsel-private consumer whose partial the coordinator
 // merges in morsel order.
-func (e *ParallelJoinExec) runMorsel(tables []map[string][][]table.Value, semi *fabric.SemiJoin, i, morselRows, totalRows int, tr *obs.Tracer) (*Result, int64, error) {
+func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin, i, morselRows, totalRows int, tr *obs.Tracer) (*Result, int64, error) {
 	lo := i * morselRows
 	hi := lo + morselRows
 	if hi > totalRows {
@@ -736,14 +617,13 @@ func (e *ParallelJoinExec) runMorsel(tables []map[string][][]table.Value, semi *
 	if err != nil {
 		return nil, 0, err
 	}
-	src := &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, ForceScalar: true, Offload: e.Offload, SemiJoin: semi}
-	var fold uint64
-	cons := newConsumer(e.Plan.Consume, e.Plan.Schema, &fold)
-	probeRes, err := runSink(src, e.Plan.Probe.Query, "probe", newJoinProber(e.Plan, tables, cons, &fold))
+	src := &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, Offload: e.Offload, SemiJoin: semi}
+	probe := newJoinProbe(e.Plan, tables)
+	probeRes, err := runJoinSide(src, e.Plan.Probe.Query, "probe", probe)
 	if err != nil {
 		return nil, 0, err
 	}
-	part := cons.finish("RM", probeRes.RowsScanned)
+	part := probe.result("RM", probeRes.RowsScanned)
 	part.Breakdown = probeRes.Breakdown
 	// The morsel's probe-side survivor count rides back separately: the
 	// partial's RowsPassed is the join output cardinality, not the probe

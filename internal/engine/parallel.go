@@ -11,6 +11,7 @@ import (
 	"rfabric/internal/expr"
 	"rfabric/internal/obs"
 	"rfabric/internal/table"
+	"rfabric/internal/vec"
 )
 
 // DefaultMorselRows is the morsel size when ParallelConfig leaves it zero:
@@ -232,12 +233,16 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 	if scalarAggs {
 		merged = newPartialAggs(q)
 	}
-	type groupAcc struct {
-		key   []table.Value
-		count int64
-		aggs  []*partialAgg
-	}
-	groups := map[string]*groupAcc{}
+	// Merged groups live in flat slices indexed in first-seen order by the
+	// hash index over their encoded keys.
+	na := len(q.Aggregates)
+	var (
+		index  vec.KeyIndex
+		keyBuf []byte
+		keys   [][]table.Value
+		counts []int64
+		aggs   []partialAgg // na per group, group-major
+	)
 
 	partTotals := make([]uint64, len(parts))
 	for i, p := range parts {
@@ -261,15 +266,22 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 			}
 		}
 		for _, g := range p.Groups {
-			k := string(groupMergeKey(g.Key))
-			acc, ok := groups[k]
-			if !ok {
-				acc = &groupAcc{key: g.Key, aggs: newPartialAggs(q)}
-				groups[k] = acc
+			keyBuf = keyBuf[:0]
+			for _, v := range g.Key {
+				keyBuf = appendKey(keyBuf, v)
 			}
-			acc.count += g.Count
+			id, added := index.Lookup(keyBuf, true)
+			gi := int(id)
+			if added {
+				keys = append(keys, g.Key)
+				counts = append(counts, 0)
+				for _, a := range q.Aggregates {
+					aggs = append(aggs, partialAgg{kind: a.Kind})
+				}
+			}
+			counts[gi] += g.Count
 			for j, v := range g.Aggs {
-				acc.aggs[j].fold(v, g.Count)
+				aggs[gi*na+j].fold(v, g.Count)
 			}
 		}
 	}
@@ -282,20 +294,22 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 			out.Aggs[i] = m.result()
 		}
 	}
-	if len(groups) > 0 {
-		for _, acc := range groups {
-			row := GroupRow{Key: acc.key, Count: acc.count, Aggs: make([]table.Value, len(acc.aggs))}
-			for i, m := range acc.aggs {
-				row.Aggs[i] = m.result()
+	if len(keys) > 0 {
+		out.Groups = make([]GroupRow, len(keys))
+		vals := make([]table.Value, len(keys)*na)
+		for gi, key := range keys {
+			row := GroupRow{Key: key, Count: counts[gi], Aggs: vals[gi*na : (gi+1)*na : (gi+1)*na]}
+			for i := range row.Aggs {
+				row.Aggs[i] = aggs[gi*na+i].result()
 			}
-			out.Groups = append(out.Groups, row)
+			out.Groups[gi] = row
 		}
 		sortGroups(out.Groups)
 	}
 	return out, nil
 }
 
-// groupMergeKey serializes a group key for hash-merging partials.
+// groupMergeKey serializes a group key in the group-key encoding.
 func groupMergeKey(vals []table.Value) []byte {
 	var buf []byte
 	for _, v := range vals {

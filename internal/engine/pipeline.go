@@ -189,7 +189,7 @@ func (s *scan) runScalar(q Query) (*Result, error) {
 				fetch(c)
 			}
 			if s.sink != nil {
-				s.sink(pr, fetch)
+				s.sink.row(pr, fetch)
 				rowsSunk++
 			} else {
 				cons.consumeRow(fetch)
@@ -291,4 +291,3 @@ func colBitmapSelect(pr *pipeRun, sys *System, store *colstore.Store, sch *geome
 	}
 	return sel
 }
-

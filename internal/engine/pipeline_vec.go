@@ -90,9 +90,11 @@ func (s *scan) runVec(q Query) (*Result, error) {
 				}
 			}
 			sel = sc.refine(prog, n, sel)
+			extra := sc.sinkBatch(s.sink, prog, sel, n)
 
 			// Charge replay, row-major like the scalar loop: tick, iterator
-			// overhead, MVCC header touch, then the outcome's load program.
+			// overhead, MVCC header touch, then the outcome's load program
+			// and the sink's per-row charge.
 			fail := sc.fail[:n]
 			for i := 0; i < n; i++ {
 				row := sub + i
@@ -122,6 +124,9 @@ func (s *scan) runVec(q Query) (*Result, error) {
 					s.sys.Hier.Load(payloadAddr + off)
 				}
 				pr.compute += prog.charge[idx]
+				if extra != nil {
+					pr.compute += extra[i]
+				}
 			}
 
 			sc.consume(prog, sel, acc)
@@ -226,14 +231,24 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 		pr.compute += uint64(len(sel32) * MaterializeCycles)
 	}
 
-	// Reconstruction: the pass program (index len(preds)==0 here — compile
-	// saw no CPU predicates) is the consumed columns in declared order.
+	// Reconstruction: gather the group's consumed columns, hand them to a
+	// join sink if any, then replay the pass program (index
+	// len(prog.preds)==0 here — compile saw no CPU predicates) and the
+	// sink's per-row charge. The visit list touches every consumed column
+	// before a sink sees the row, so all of a sink's pass outcomes share
+	// this program.
 	loads := prog.loadSlots[len(prog.preds)]
 	passCharge := prog.charge[len(prog.preds)]
 	acc := sc.begin(prog)
 
 	process := func(group []int32) {
-		for _, r := range group {
+		for i := range prog.slots {
+			sl := &prog.slots[i]
+			sc.gatherSlot(sl, store.ColumnData(sl.col), sl.width, group)
+		}
+		sel := sc.iota[:len(group)]
+		extra := sc.sinkBatch(s.sink, prog, sel, len(group))
+		for j, r := range group {
 			if pr.tk.tl != nil {
 				pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
 			}
@@ -242,12 +257,11 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 				s.sys.Hier.Load(store.ValueAddr(sl.col, int(r)))
 			}
 			pr.compute += passCharge
+			if extra != nil {
+				pr.compute += extra[j]
+			}
 		}
-		for i := range prog.slots {
-			sl := &prog.slots[i]
-			sc.gatherSlot(sl, store.ColumnData(sl.col), sl.width, group)
-		}
-		sc.consume(prog, sc.iota[:len(group)], acc)
+		sc.consume(prog, sel, acc)
 	}
 
 	if bitmap == nil {

@@ -279,9 +279,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 			}
 			panic(fmt.Sprintf("engine: column %d not in RM geometry", col))
 		}
-		if prog, ok := compileScanProg(q, sch, cpuSel, nil, offFor, rmVecCharges); ok {
-			s.attachProg(prog, &e.scratch)
-		}
+		s.attachVec(q, vecSpec{sel: cpuSel, offFor: offFor, ch: rmVecCharges}, &e.scratch)
 	}
 	return s, nil
 }

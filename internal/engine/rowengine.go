@@ -101,9 +101,7 @@ func (e *RowEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	}
 
 	if !e.ForceScalar && rows <= vecRowLimit {
-		if prog, ok := compileScanProg(q, sch, q.Selection, nil, sch.Offset, rowVecCharges); ok {
-			s.attachProg(prog, &e.scratch)
-		}
+		s.attachVec(q, vecSpec{sel: q.Selection, offFor: sch.Offset, ch: rowVecCharges}, &e.scratch)
 	}
 	return s, nil
 }

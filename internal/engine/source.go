@@ -153,23 +153,34 @@ type scan struct {
 	// driver's view of the column store (COL only).
 	colVec *colVecLayout
 
+	// spec is the batch compilation input prog was built from (set with
+	// prog by attachVec).
+	spec vecSpec
+
 	// sink, when non-nil, replaces the consumer: every qualifying row is
 	// handed to it instead of being folded into a Result. The join executor
-	// streams each side through the scalar pipeline this way, so every
-	// build/probe byte still flows through Hier.Load and the side's span
-	// and breakdown reconcile like any other scan. Sink scans report
+	// streams each side this way — on the batch pipeline when the side
+	// compiled a program, through the scalar interpreter otherwise — so
+	// every build/probe byte still flows through Hier.Load and the side's
+	// span and breakdown reconcile like any other scan. Sink scans report
 	// RowsPassed (rows delivered) but no checksum/aggregates.
-	sink func(pr *pipeRun, fetch func(col int) table.Value)
+	sink sideSink
 }
 
-// attachProg routes the scan to the batch executor with prog, reusing the
-// engine-owned scratch (created on first use) so steady-state scans
-// allocate nothing per batch.
-func (s *scan) attachProg(prog *scanProg, scratch **scanScratch) {
+// attachVec compiles q's batch program from the source's spec and routes
+// the scan to the batch executor, reusing the engine-owned scratch (created
+// on first use) so steady-state scans allocate nothing per batch. It
+// reports whether the query compiled.
+func (s *scan) attachVec(q Query, spec vecSpec, scratch **scanScratch) bool {
+	prog, ok := compileScanProg(q, s.sch, spec, nil)
+	if !ok {
+		return false
+	}
 	if *scratch == nil {
 		*scratch = &scanScratch{}
 	}
-	s.prog, s.scratch = prog, *scratch
+	s.prog, s.scratch, s.spec = prog, *scratch, spec
+	return true
 }
 
 // offloadProgram converts a query's aggregation shape into a fabric operator

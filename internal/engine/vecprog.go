@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/table"
@@ -103,26 +105,50 @@ type scanProg struct {
 	evalDepth        int // scratch lanes needed by derived scalar evaluation
 }
 
-// compileScanProg builds the batch plan for a query over sch, with sel as
-// the predicates the CPU evaluates (empty when pushed down) and offFor
-// giving each column's byte offset within the scan's addressing unit.
-// consumeVisit, when non-nil, overrides the pass outcome's column visit
-// order (the COL engine explicitly touches every consumed column before
-// consuming; ROW and RM touch lazily in consumption order). A grouped
-// pass touches the key columns first, in GroupBy order, then the aggregate
-// arguments — the order consumer.consumeRow fetches them — and charges
-// HashGroupCycles on top of the per-term constants. ok is false when an
-// aggregate uses a scalar expression form the lane evaluator does not know.
-func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consumeVisit []int, offFor func(col int) int, ch vecCharges) (*scanProg, bool) {
+// vecSpec is a source's batch compilation input: the predicates the CPU
+// evaluates (empty when pushed down), an explicit visit list that overrides
+// the pass outcomes' column order (the COL engine touches every consumed
+// column before consuming; ROW and RM touch lazily in consumption order),
+// each column's byte offset within the scan's addressing unit, and the
+// engine's charge constants. The scan keeps it so a join side can recompile
+// its pass outcomes for the build or probe sink.
+type vecSpec struct {
+	sel    expr.Conjunction
+	visit  []int
+	offFor func(col int) int
+	ch     vecCharges
+}
+
+// passOutcome is one way a row that survives the CPU predicates can finish:
+// the columns it first-touches after the visit list, in order (repeats are
+// free), and the compute it charges on top of its predicate evaluations and
+// column fetches.
+type passOutcome struct {
+	cols   []int
+	charge uint64
+}
+
+// compileScanProg builds the batch plan for a query over sch. With passes
+// nil the pass outcome is the query's own consumption: the projection in
+// order, or — grouped — the key columns first, in GroupBy order, then the
+// aggregate arguments (the order consumer.consumeRow fetches them), plus
+// the consumption charge. A join side passes its sink's outcomes instead
+// and gets no consumption shape. ok is false when an aggregate uses a
+// scalar expression form the lane evaluator does not know.
+func compileScanProg(q Query, sch *geometry.Schema, spec vecSpec, passes []passOutcome) (*scanProg, bool) {
+	ch := spec.ch
 	p := &scanProg{perRow: ch.perRow}
 
-	slotOf := make(map[int]int, sch.NumColumns())
+	slotOf := make([]int, sch.NumColumns())
+	for i := range slotOf {
+		slotOf[i] = -1
+	}
 	addSlot := func(col int) int {
-		if si, ok := slotOf[col]; ok {
+		if si := slotOf[col]; si >= 0 {
 			return si
 		}
 		c := sch.Column(col)
-		s := vecSlot{col: col, typ: c.Type, off: int64(offFor(col)), width: c.Width}
+		s := vecSlot{col: col, typ: c.Type, off: int64(spec.offFor(col)), width: c.Width}
 		switch c.Type {
 		case geometry.Int64:
 			s.kind = slotI64
@@ -146,25 +172,44 @@ func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consum
 		return len(p.slots) - 1
 	}
 
-	// Predicates, with the per-fail-depth load programs built as the scalar
-	// short-circuit would first-touch columns.
-	touched := make(map[int]bool, sch.NumColumns())
-	var slotsSeq []int32
+	if passes == nil {
+		cols, charge := consumeTouches(q)
+		for _, col := range cols {
+			addSlot(col)
+		}
+		if !p.compileConsume(q, addSlot) {
+			return nil, false
+		}
+		passes = []passOutcome{{cols: cols, charge: charge}}
+	}
+	outcomes := len(spec.sel) + len(passes)
+	p.preds = make([]vecPred, 0, len(spec.sel))
+	p.loadSlots = make([][]int32, 0, outcomes)
+	p.loadOffs = make([][]int64, 0, outcomes)
+	p.charge = make([]uint64, 0, outcomes)
+
+	// Each outcome's load program is the scalar first-touch sequence: the
+	// columns the short-circuit evaluated, then the visit list and the
+	// outcome's columns.
+	touched := make([]bool, sch.NumColumns())
+	var seq []int32
 	touch := func(col int) {
 		if !touched[col] {
 			touched[col] = true
-			slotsSeq = append(slotsSeq, int32(addSlot(col)))
+			seq = append(seq, int32(addSlot(col)))
 		}
 	}
-	snap := func() ([]int32, []int64) {
-		s := append([]int32(nil), slotsSeq...)
-		offs := make([]int64, len(s))
-		for i, si := range s {
+	emit := func(charge uint64) {
+		ls := append([]int32(nil), seq...)
+		offs := make([]int64, len(ls))
+		for i, si := range ls {
 			offs[i] = p.slots[si].off
 		}
-		return s, offs
+		p.loadSlots = append(p.loadSlots, ls)
+		p.loadOffs = append(p.loadOffs, offs)
+		p.charge = append(p.charge, charge+uint64(len(ls))*ch.fetch)
 	}
-	for d, pr := range sel {
+	for d, pr := range spec.sel {
 		touch(pr.Col)
 		si := slotOf[pr.Col]
 		vp := vecPred{slot: si, op: pr.Op}
@@ -177,63 +222,78 @@ func compileScanProg(q Query, sch *geometry.Schema, sel expr.Conjunction, consum
 			vp.opB = vec.TrimPad(pr.Operand.Bytes)
 		}
 		p.preds = append(p.preds, vp)
-		ls, lo := snap()
-		p.loadSlots = append(p.loadSlots, ls)
-		p.loadOffs = append(p.loadOffs, lo)
-		p.charge = append(p.charge, uint64(d+1)*ch.predEval+uint64(len(ls))*ch.fetch)
+		emit(uint64(d+1) * ch.predEval)
 	}
 
-	// Pass outcome: consumed columns in scalar visit order, then the
-	// consumption charge. An explicit visit list (COL) touches everything
-	// up front; the shape loops below then find their columns pre-touched.
-	for _, col := range consumeVisit {
-		touch(col)
+	predTouched := append([]bool(nil), touched...)
+	predSeq := len(seq)
+	for _, out := range passes {
+		copy(touched, predTouched)
+		seq = seq[:predSeq]
+		for _, col := range spec.visit {
+			touch(col)
+		}
+		for _, col := range out.cols {
+			touch(col)
+		}
+		emit(uint64(len(spec.sel))*ch.predEval + out.charge)
 	}
-	var consumeCharge uint64
+	return p, true
+}
+
+// compileConsume fills the program's consumption shape for q: projection
+// entries (duplicates included — each entry is charged and folded), or the
+// aggregate terms and GROUP BY key slots. Every consumed column already has
+// a slot.
+func (p *scanProg) compileConsume(q Query, addSlot func(col int) int) bool {
 	if len(q.Aggregates) == 0 {
 		for _, col := range q.Projection {
-			touch(col)
 			p.projCols = append(p.projCols, col)
-			p.projSlot = append(p.projSlot, int32(slotOf[col]))
-			consumeCharge += ChecksumCycles
+			p.projSlot = append(p.projSlot, int32(addSlot(col)))
 		}
-	} else {
-		if len(q.GroupBy) > 0 {
-			for _, col := range q.GroupBy {
-				touch(col)
-				p.keySlots = append(p.keySlots, int32(slotOf[col]))
+		return true
+	}
+	for _, col := range q.GroupBy {
+		p.keySlots = append(p.keySlots, int32(addSlot(col)))
+	}
+	for _, t := range q.Aggregates {
+		a := vecAgg{term: t, simple: -1}
+		if t.Arg != nil {
+			if ref, ok := t.Arg.(expr.ColRef); ok {
+				a.simple = addSlot(ref.Col)
+			} else {
+				d, ok := scalarDepth(t.Arg)
+				if !ok {
+					return false
+				}
+				p.evalDepth = max(p.evalDepth, d)
 			}
-			consumeCharge += HashGroupCycles
 		}
-		for _, t := range q.Aggregates {
-			a := vecAgg{term: t, simple: -1}
-			consumeCharge += AggAddCycles
-			if t.Arg != nil {
-				consumeCharge += uint64(t.Arg.Ops() * ScalarOpCycles)
-				for _, col := range t.Arg.Columns() {
-					touch(col)
-				}
-				if ref, ok := t.Arg.(expr.ColRef); ok {
-					a.simple = slotOf[ref.Col]
-				} else {
-					d, ok := scalarDepth(t.Arg)
-					if !ok {
-						return nil, false
-					}
-					if d > p.evalDepth {
-						p.evalDepth = d
-					}
-				}
-			}
-			p.aggs = append(p.aggs, a)
+		p.aggs = append(p.aggs, a)
+	}
+	return true
+}
+
+// consumeTouches returns the columns consumer.consumeRow fetches for one
+// row, in fetch order (repeats included), and the compute it charges.
+func consumeTouches(q Query) ([]int, uint64) {
+	if len(q.Aggregates) == 0 {
+		return q.Projection, uint64(len(q.Projection)) * ChecksumCycles
+	}
+	var cols []int
+	var charge uint64
+	if len(q.GroupBy) > 0 {
+		cols = append(cols, q.GroupBy...)
+		charge += HashGroupCycles
+	}
+	for _, t := range q.Aggregates {
+		charge += AggAddCycles
+		if t.Arg != nil {
+			charge += uint64(t.Arg.Ops() * ScalarOpCycles)
+			cols = append(cols, t.Arg.Columns()...)
 		}
 	}
-	ls, lo := snap()
-	p.loadSlots = append(p.loadSlots, ls)
-	p.loadOffs = append(p.loadOffs, lo)
-	p.charge = append(p.charge,
-		uint64(len(sel))*ch.predEval+uint64(len(ls))*ch.fetch+consumeCharge)
-	return p, true
+	return cols, charge
 }
 
 // scalarDepth returns the scratch-lane depth a scalar tree needs, and
@@ -262,19 +322,20 @@ func scalarDepth(s expr.Scalar) (int, bool) {
 // lazily and reuse it across executions, so the steady-state batch loop
 // allocates nothing.
 type scanScratch struct {
-	i64  [][]int64
-	f64  [][]float64
-	chr  []charLane  // CHAR slots' fields for the current batch
-	tmp  [][]float64 // derived-scalar evaluation lanes, one per tree level
-	out  []float64   // compacted derived-scalar results
-	pred []int64     // integer decode buffer for COL bitmap passes
-	sel  []int32
-	fail []int16
-	vis  []bool
-	iota []int32 // identity selection for compacted kernels
-	rows []int32 // the current batch's row ids (id-list segments)
-	gids []int32 // group id of each selected row
-	keys []vec.KeyCol
+	i64   [][]int64
+	f64   [][]float64
+	chr   []charLane  // CHAR slots' fields for the current batch
+	tmp   [][]float64 // derived-scalar evaluation lanes, one per tree level
+	out   []float64   // compacted derived-scalar results
+	pred  []int64     // integer decode buffer for COL bitmap passes
+	sel   []int32
+	fail  []int16
+	vis   []bool
+	iota  []int32  // identity selection for compacted kernels
+	rows  []int32  // the current batch's row ids (id-list segments)
+	gids  []int32  // group id of each selected row
+	extra []uint64 // a join sink's per-row compute on top of the outcome's charge
+	keys  []vec.KeyCol
 
 	groups vec.GroupTable
 }
@@ -310,6 +371,7 @@ func (s *scanScratch) ensure(p *scanProg) {
 		s.vis = make([]bool, vecBatchRows)
 		s.rows = make([]int32, vecBatchRows)
 		s.gids = make([]int32, vecBatchRows)
+		s.extra = make([]uint64, vecBatchRows)
 		s.iota = make([]int32, vecBatchRows)
 		for i := range s.iota {
 			s.iota[i] = int32(i)
@@ -360,13 +422,47 @@ func (s *scanScratch) gatherSlot(sl *vecSlot, src []byte, stride int, rows []int
 	case slotF64:
 		vec.GatherF64(s.f64[sl.lane][:m], src, stride, rows)
 	case slotChar:
-		c := &s.chr[sl.lane]
-		if len(c.buf) < vecBatchRows*sl.width {
-			c.buf = make([]byte, vecBatchRows*sl.width)
-		}
-		vec.GatherBytes(c.buf, src, stride, sl.width, rows)
-		c.src, c.off, c.stride = c.buf, 0, sl.width
+		s.gatherChar(sl, src, stride, rows)
 	}
+}
+
+// gatherChar copies a CHAR slot's fields of rows (row r's field at
+// src[r*stride:]) into the lane's buffer, grown on first use.
+func (s *scanScratch) gatherChar(sl *vecSlot, src []byte, stride int, rows []int32) {
+	c := &s.chr[sl.lane]
+	if len(c.buf) < vecBatchRows*sl.width {
+		c.buf = make([]byte, vecBatchRows*sl.width)
+	}
+	vec.GatherBytes(c.buf, src, stride, sl.width, rows)
+	c.src, c.off, c.stride = c.buf, 0, sl.width
+}
+
+// keyCol views a slot's lane for the batch as a hash-key column.
+func (s *scanScratch) keyCol(sl *vecSlot) vec.KeyCol {
+	k := vec.KeyCol{Kind: vec.KeyInt, Width: sl.width}
+	switch sl.kind {
+	case slotI64, slotI32:
+		k.I64 = s.i64[sl.lane]
+	case slotF64:
+		k.Kind, k.F64 = vec.KeyFloat, s.f64[sl.lane]
+	case slotChar:
+		c := &s.chr[sl.lane]
+		k.Kind, k.Src, k.Off, k.Stride = vec.KeyChar, c.src, c.off, c.stride
+	}
+	return k
+}
+
+// sinkBatch hands a batch's surviving selection to a join sink and returns
+// the per-row extra compute it set (nil without a sink). Survivors keep
+// fail -1 (the pass outcome) unless the sink picks another.
+func (s *scanScratch) sinkBatch(sink sideSink, p *scanProg, sel []int32, n int) []uint64 {
+	if sink == nil {
+		return nil
+	}
+	extra := s.extra[:n]
+	clear(extra)
+	sink.batch(s, p, sel)
+	return extra
 }
 
 // refine runs the predicate kernels over a decoded batch of n rows,
@@ -394,13 +490,100 @@ func (s *scanScratch) refine(p *scanProg, n int, sel []int32) []int32 {
 
 // vecAcc is one batch run's output: the projection checksum, the scalar
 // aggregate states, or the detached keys of the groups in the scratch's
-// group table (len(keySlots) values per group, in group-id order).
+// group table (one column per key slot, indexed by group id).
 type vecAcc struct {
 	passed   int64
 	checksum uint64
 	aggs     []vec.AggState
-	keys     []table.Value
-	chars    byteSlab
+	keys     []valueCol
+}
+
+// valueCol is a column of values detached from their source buffers:
+// integer-family values in i64, DOUBLE in f64, CHAR fields back to back in
+// chr. Group keys and join build sides keep their values this way.
+type valueCol struct {
+	typ   geometry.ColumnType
+	width int
+	i64   []int64
+	f64   []float64
+	chr   []byte
+}
+
+func (c *valueCol) append(v table.Value) {
+	switch c.typ {
+	case geometry.Float64:
+		c.f64 = append(c.f64, v.Float)
+	case geometry.Char:
+		c.chr = append(c.chr, v.Bytes[:c.width]...)
+	default:
+		c.i64 = append(c.i64, v.Int)
+	}
+}
+
+// appendRows appends the batch rows' values of a slot with the column's
+// type.
+func (c *valueCol) appendRows(s *scanScratch, sl *vecSlot, rows []int32) {
+	switch sl.kind {
+	case slotI64, slotI32:
+		lane := s.i64[sl.lane]
+		c.i64 = slices.Grow(c.i64, len(rows))
+		for _, r := range rows {
+			c.i64 = append(c.i64, lane[r])
+		}
+	case slotF64:
+		lane := s.f64[sl.lane]
+		c.f64 = slices.Grow(c.f64, len(rows))
+		for _, r := range rows {
+			c.f64 = append(c.f64, lane[r])
+		}
+	case slotChar:
+		cl := &s.chr[sl.lane]
+		c.chr = slices.Grow(c.chr, len(rows)*c.width)
+		for _, r := range rows {
+			o := cl.off + int(r)*cl.stride
+			c.chr = append(c.chr, cl.src[o:o+c.width]...)
+		}
+	}
+}
+
+// value boxes value i the way the scalar fetch decodes it; a CHAR value's
+// bytes are a capacity-capped view of the column.
+func (c *valueCol) value(i int32) table.Value {
+	v := table.Value{Type: c.typ}
+	switch c.typ {
+	case geometry.Float64:
+		v.Float = c.f64[i]
+	case geometry.Char:
+		o := int(i) * c.width
+		v.Bytes = c.chr[o : o+c.width : o+c.width]
+	default:
+		v.Int = c.i64[i]
+	}
+	return v
+}
+
+// keyCol views the column as a hash-key column indexed by value position.
+func (c *valueCol) keyCol() vec.KeyCol {
+	switch c.typ {
+	case geometry.Float64:
+		return vec.KeyCol{Kind: vec.KeyFloat, F64: c.f64}
+	case geometry.Char:
+		return vec.KeyCol{Kind: vec.KeyChar, Src: c.chr, Stride: c.width, Width: c.width}
+	default:
+		return vec.KeyCol{Kind: vec.KeyInt, I64: c.i64}
+	}
+}
+
+// take copies the values at positions idx into a slot's lane.
+func (c *valueCol) take(s *scanScratch, sl *vecSlot, idx []int32) {
+	switch sl.kind {
+	case slotI64, slotI32:
+		vec.TakeI64(s.i64[sl.lane], c.i64, idx)
+	case slotF64:
+		vec.TakeF64(s.f64[sl.lane], c.f64, idx)
+	case slotChar:
+		s.gatherChar(sl, c.chr, c.width, idx)
+	}
 }
 
 // begin resets the scratch's run state and returns the run's accumulator.
@@ -409,6 +592,10 @@ func (s *scanScratch) begin(p *scanProg) *vecAcc {
 	switch {
 	case p.keySlots != nil:
 		s.groups.Reset(len(p.aggs))
+		acc.keys = make([]valueCol, len(p.keySlots))
+		for k, si := range p.keySlots {
+			acc.keys[k] = valueCol{typ: p.slots[si].typ, width: p.slots[si].width}
+		}
 	case len(p.aggs) > 0:
 		acc.aggs = make([]vec.AggState, len(p.aggs))
 	}
@@ -472,40 +659,15 @@ func (s *scanScratch) foldAggs(p *scanProg, sel []int32, aggs []vec.AggState) {
 func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 	keys := s.keys[:0]
 	for _, si := range p.keySlots {
-		sl := &p.slots[si]
-		k := vec.KeyCol{Kind: vec.KeyInt, Width: sl.width}
-		switch sl.kind {
-		case slotI64, slotI32:
-			k.I64 = s.i64[sl.lane]
-		case slotF64:
-			k.Kind, k.F64 = vec.KeyFloat, s.f64[sl.lane]
-		case slotChar:
-			c := &s.chr[sl.lane]
-			k.Kind, k.Src, k.Off, k.Stride = vec.KeyChar, c.src, c.off, c.stride
-		}
-		keys = append(keys, k)
+		keys = append(keys, s.keyCol(&p.slots[si]))
 	}
 	s.keys = keys
 
 	g := &s.groups
 	ids := s.gids[:len(sel)]
 	g.Assign(ids, keys, sel)
-	for _, r := range g.Created() {
-		for _, si := range p.keySlots {
-			sl := &p.slots[si]
-			v := table.Value{Type: sl.typ}
-			switch sl.kind {
-			case slotI64, slotI32:
-				v.Int = s.i64[sl.lane][r]
-			case slotF64:
-				v.Float = s.f64[sl.lane][r]
-			case slotChar:
-				c := &s.chr[sl.lane]
-				o := c.off + int(r)*c.stride
-				v.Bytes = acc.chars.copy(c.src[o : o+sl.width])
-			}
-			acc.keys = append(acc.keys, v)
-		}
+	for k, si := range p.keySlots {
+		acc.keys[k].appendRows(s, &p.slots[si], g.Created())
 	}
 
 	for ti := range p.aggs {
@@ -572,7 +734,7 @@ func (s *scanScratch) result(name string, q Query, p *scanProg, acc *vecAcc, sca
 	r := &Result{Engine: name, RowsScanned: scanned, RowsPassed: acc.passed, Checksum: acc.checksum}
 	switch {
 	case p.keySlots != nil:
-		r.Groups = s.groupRows(q, len(p.keySlots), acc.keys)
+		r.Groups = s.groupRows(q, acc.keys)
 	case len(q.Aggregates) > 0:
 		r.Aggs = make([]table.Value, len(q.Aggregates))
 		for i, st := range acc.aggs {
@@ -583,21 +745,26 @@ func (s *scanScratch) result(name string, q Query, p *scanProg, acc *vecAcc, sca
 }
 
 // groupRows converts the group table into sorted output rows, slab-
-// allocating the rows and their aggregate values.
-func (s *scanScratch) groupRows(q Query, nk int, keys []table.Value) []GroupRow {
+// allocating the rows, their keys, and their aggregate values.
+func (s *scanScratch) groupRows(q Query, keys []valueCol) []GroupRow {
 	g := &s.groups
-	n, na := g.Len(), len(q.Aggregates)
+	n, nk, na := g.Len(), len(keys), len(q.Aggregates)
 	if n == 0 {
 		return nil
 	}
 	rows := make([]GroupRow, n)
+	keyVals := make([]table.Value, n*nk)
 	vals := make([]table.Value, n*na)
 	for gi := range rows {
+		key := keyVals[gi*nk : (gi+1)*nk : (gi+1)*nk]
+		for k := range key {
+			key[k] = keys[k].value(int32(gi))
+		}
 		aggs := vals[gi*na : (gi+1)*na : (gi+1)*na]
 		for ti := range aggs {
 			aggs[ti] = aggResult(q.Aggregates[ti], g.State(gi, ti))
 		}
-		rows[gi] = GroupRow{Key: keys[gi*nk : (gi+1)*nk : (gi+1)*nk], Aggs: aggs, Count: g.Count(gi)}
+		rows[gi] = GroupRow{Key: key, Aggs: aggs, Count: g.Count(gi)}
 	}
 	sortGroups(rows)
 	return rows
@@ -608,18 +775,4 @@ func (s *scanScratch) groupRows(q Query, nk int, keys []table.Value) []GroupRow 
 func aggResult(term AggTerm, st vec.AggState) table.Value {
 	acc := aggAcc{term: term, count: st.Count, sum: st.Sum, min: st.Min, max: st.Max, any: st.Any}
 	return acc.result()
-}
-
-// byteSlab hands out stable, capacity-capped copies of small byte strings
-// from shared chunks, so detached CHAR group keys cost one allocation per
-// chunk rather than one per group.
-type byteSlab struct{ cur []byte }
-
-func (b *byteSlab) copy(src []byte) []byte {
-	if cap(b.cur)-len(b.cur) < len(src) {
-		b.cur = make([]byte, 0, max(4096, len(src)))
-	}
-	n := len(b.cur)
-	b.cur = append(b.cur, src...)
-	return b.cur[n:len(b.cur):len(b.cur)]
 }

@@ -236,10 +236,14 @@ func BenchmarkSequenceWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinQ3Wallclock measures the hash-join pipeline end to end: the
-// Q3-class lineitem ⋈ orders query lowered from SQL, executed serially and
-// under the morsel-parallel executor. Join sides always run scalar (the sink
-// path), so the variants here are the executors, not the kernels.
+// BenchmarkJoinQ3Wallclock measures the hash-join pipeline end to end on
+// RM sources: the Q3-class lineitem ⋈ orders query and the two-stage
+// Q10-class lineitem ⋈ orders ⋈ customer query, lowered from SQL, each
+// executed serially and under the morsel-parallel executor. The scalar/
+// variants pin every side the knob reaches to the tuple-at-a-time sinks;
+// the parallel executor's morsel probes have no knob and always run
+// batched, so parallel/scalar differs from parallel/batched only in its
+// build sides. Run with -benchmem to read the allocation drop.
 func BenchmarkJoinQ3Wallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	li := benchLineitem(b, sys)
@@ -250,65 +254,75 @@ func BenchmarkJoinQ3Wallclock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lookup := func(name string) (*geometry.Schema, error) {
-		if name == "orders" {
-			return ord.Schema(), nil
-		}
-		return li.Schema(), nil
-	}
-	st, err := sql.Parse(tpch.Q3SQL)
+	nCust := tpch.CustomersFor(nOrders)
+	csch := tpch.CustomerSchema()
+	cust, err := tpch.NewCustomer(nCust, 3,
+		table.WithBaseAddr(sys.Arena.Alloc(int64(nCust*csch.RowBytes()))))
 	if err != nil {
 		b.Fatal(err)
 	}
-	root, err := sql.LowerCatalog(st, lookup)
-	if err != nil {
-		b.Fatal(err)
-	}
-	jp, _, err := engine.FromJoinPlan(root, lookup)
-	if err != nil {
-		b.Fatal(err)
-	}
-	builds := func() []engine.Source {
-		out := make([]engine.Source, len(jp.Stages))
-		for i := range jp.Stages {
-			out[i] = &engine.RMEngine{Tbl: ord, Sys: sys, ForceScalar: true}
+	tables := map[string]*table.Table{"lineitem": li, "orders": ord, "customer": cust}
+	lookup := func(name string) (*geometry.Schema, error) { return tables[name].Schema(), nil }
+	for _, q := range []struct{ name, sql string }{{"q3", tpch.Q3SQL}, {"q10", tpch.Q10SQL}} {
+		st, err := sql.Parse(q.sql)
+		if err != nil {
+			b.Fatal(err)
 		}
-		return out
+		root, err := sql.LowerCatalog(st, lookup)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jp, _, err := engine.FromJoinPlan(root, lookup)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name        string
+			forceScalar bool
+		}{{"scalar", true}, {"batched", false}} {
+			builds := func() []engine.Source {
+				out := make([]engine.Source, len(jp.Stages))
+				for i, st := range jp.Stages {
+					out[i] = &engine.RMEngine{Tbl: tables[st.Side.Table], Sys: sys, ForceScalar: mode.forceScalar}
+				}
+				return out
+			}
+			b.Run(q.name+"/serial/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					sys.ResetState()
+					b.StartTimer()
+					ex := &engine.JoinExec{
+						Plan:   jp,
+						Probe:  &engine.RMEngine{Tbl: li, Sys: sys, ForceScalar: mode.forceScalar},
+						Builds: builds(),
+					}
+					if _, err := ex.Execute(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(q.name+"/parallel/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					sys.ResetState()
+					b.StartTimer()
+					ex := &engine.ParallelJoinExec{
+						Plan:     jp,
+						ProbeTbl: li,
+						Sys:      sys,
+						Par:      engine.ParallelConfig{Workers: 8},
+						Builds:   builds(),
+					}
+					if _, err := ex.Execute(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			sys.ResetState()
-			b.StartTimer()
-			ex := &engine.JoinExec{
-				Plan:   jp,
-				Probe:  &engine.RMEngine{Tbl: li, Sys: sys, ForceScalar: true},
-				Builds: builds(),
-			}
-			if _, err := ex.Execute(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			sys.ResetState()
-			b.StartTimer()
-			ex := &engine.ParallelJoinExec{
-				Plan:     jp,
-				ProbeTbl: li,
-				Sys:      sys,
-				Par:      engine.ParallelConfig{Workers: 8},
-				Builds:   builds(),
-			}
-			if _, err := ex.Execute(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

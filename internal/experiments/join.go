@@ -109,10 +109,10 @@ func JoinQ3(opt Options, rows int, workers []int) (*JoinResult, error) {
 	}
 
 	rowSrc := func(t *table.Table) engine.Source {
-		return &engine.RowEngine{Tbl: t, Sys: sys, ForceScalar: true}
+		return &engine.RowEngine{Tbl: t, Sys: sys}
 	}
 	rmSrc := func(t *table.Table) engine.Source {
-		return &engine.RMEngine{Tbl: t, Sys: sys, ForceScalar: true}
+		return &engine.RMEngine{Tbl: t, Sys: sys}
 	}
 	if err := runSerial("row", rowSrc(byName(jp.Probe.Table)), buildSources(jp, byName, rowSrc)); err != nil {
 		return nil, err
@@ -125,7 +125,7 @@ func JoinQ3(opt Options, rows int, workers []int) (*JoinResult, error) {
 		if err != nil {
 			panic(err) // arena exhaustion at experiment scale is a setup bug
 		}
-		return &engine.ColEngine{Store: store, Sys: sys, ForceScalar: true}
+		return &engine.ColEngine{Store: store, Sys: sys}
 	}
 	if err := runSerial("col", colSrc(byName(jp.Probe.Table)), buildSources(jp, byName, colSrc)); err != nil {
 		return nil, err

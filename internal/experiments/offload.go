@@ -286,9 +286,9 @@ func offloadJoinPoints(opt Options, rows int, res *OffloadResult) error {
 		before := sys.Fab.Stats()
 		r, err := (&engine.JoinExec{
 			Plan:  jp,
-			Probe: &engine.RMEngine{Tbl: byName(jp.Probe.Table), Sys: sys, ForceScalar: true, Offload: offload},
+			Probe: &engine.RMEngine{Tbl: byName(jp.Probe.Table), Sys: sys, Offload: offload},
 			Builds: buildSources(jp, byName, func(t *table.Table) engine.Source {
-				return &engine.RMEngine{Tbl: t, Sys: sys, ForceScalar: true}
+				return &engine.RMEngine{Tbl: t, Sys: sys}
 			}),
 		}).Execute()
 		if err != nil {

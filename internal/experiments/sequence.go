@@ -52,9 +52,9 @@ type SequenceResult struct {
 	JoinColdDRAMBytes      uint64 `json:"join_cold_dram_bytes"`
 	JoinWarmDRAMBytes      uint64 `json:"join_warm_dram_bytes"`
 	JoinSources            int    `json:"join_sources"` // probe + build sides
-	GroupHits       uint64         `json:"group_hits"`
-	GroupMisses     uint64         `json:"group_misses"`
-	CachedBytes     uint64         `json:"cached_bytes"`
+	GroupHits              uint64 `json:"group_hits"`
+	GroupMisses            uint64 `json:"group_misses"`
+	CachedBytes            uint64 `json:"cached_bytes"`
 }
 
 // sequenceQuery is the Q6-class scan with its ship-date window slid forward
@@ -159,7 +159,7 @@ func Sequence(opt Options, rows, steps int) (*SequenceResult, error) {
 		return li
 	}
 	cachedSrc := func(t *table.Table) engine.Source {
-		return &engine.RMEngine{Tbl: t, Sys: sys, ForceScalar: true, Cache: cache}
+		return &engine.RMEngine{Tbl: t, Sys: sys, Cache: cache}
 	}
 	res.JoinSources = 1 + len(jp.Stages)
 	runJoin := func() (*engine.Result, error) {

@@ -71,15 +71,12 @@ func (k *KeyCol) appendKey(dst []byte, r int32) []byte {
 	}
 }
 
-// GroupTable is an open-addressing hash table from encoded keys to dense
-// group ids, with each group's row count and aggregate states. The zero
-// value is ready after Reset.
+// GroupTable maps encoded group keys to dense group ids through a KeyIndex
+// and keeps each group's row count and aggregate states. The zero value is
+// ready after Reset.
 type GroupTable struct {
 	nAggs   int
-	slots   []int32 // group id + 1; 0 marks an empty slot
-	hashes  []uint64
-	keyEnd  []int // group g's key is keys[keyEnd[g-1]:keyEnd[g]]
-	keys    []byte
+	idx     KeyIndex
 	counts  []int64
 	states  []AggState // nAggs per group, group-major
 	created []int32
@@ -90,10 +87,7 @@ type GroupTable struct {
 // its storage.
 func (t *GroupTable) Reset(nAggs int) {
 	t.nAggs = nAggs
-	clear(t.slots)
-	t.hashes = t.hashes[:0]
-	t.keyEnd = t.keyEnd[:0]
-	t.keys = t.keys[:0]
+	t.idx.Reset()
 	t.counts = t.counts[:0]
 	t.states = t.states[:0]
 	t.created = t.created[:0]
@@ -109,13 +103,7 @@ func (t *GroupTable) Count(g int) int64 { return t.counts[g] }
 func (t *GroupTable) State(g, term int) AggState { return t.states[g*t.nAggs+term] }
 
 // key returns group g's encoded key.
-func (t *GroupTable) key(g int) []byte {
-	start := 0
-	if g > 0 {
-		start = t.keyEnd[g-1]
-	}
-	return t.keys[start:t.keyEnd[g]]
-}
+func (t *GroupTable) key(g int) []byte { return t.idx.Key(g) }
 
 // Created returns the selection positions whose rows created new groups in
 // the last Assign, in group-id order: the first group Assign created has id
@@ -132,58 +120,94 @@ func (t *GroupTable) Assign(ids []int32, keys []KeyCol, sel []int32) {
 			b = keys[k].appendKey(b, r)
 		}
 		t.buf = b
-		before := len(t.counts)
-		g := t.lookup(b)
-		if len(t.counts) != before {
+		g, added := t.idx.Lookup(b, true)
+		if added {
 			t.created = append(t.created, r)
+			t.counts = append(t.counts, 0)
+			for a := 0; a < t.nAggs; a++ {
+				t.states = append(t.states, AggState{})
+			}
 		}
 		t.counts[g]++
 		ids[j] = g
 	}
 }
 
-// lookup returns the id of the group with encoded key, creating it (with a
-// zero count) when absent.
-func (t *GroupTable) lookup(key []byte) int32 {
-	if 2*(len(t.counts)+1) > len(t.slots) {
-		t.grow()
+// KeyIndex is an open-addressing hash index from encoded keys to dense ids
+// in first-insertion order, shared by the hash-group and hash-join tables.
+// The zero value is an empty index.
+type KeyIndex struct {
+	slots  []int32 // id + 1; 0 marks an empty slot
+	hashes []uint64
+	keyEnd []int // id i's key is keys[keyEnd[i-1]:keyEnd[i]]
+	keys   []byte
+}
+
+// Reset empties the index, keeping its storage.
+func (x *KeyIndex) Reset() {
+	clear(x.slots)
+	x.hashes = x.hashes[:0]
+	x.keyEnd = x.keyEnd[:0]
+	x.keys = x.keys[:0]
+}
+
+// Len returns the number of distinct keys.
+func (x *KeyIndex) Len() int { return len(x.hashes) }
+
+// Key returns id i's encoded key.
+func (x *KeyIndex) Key(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = x.keyEnd[i-1]
+	}
+	return x.keys[start:x.keyEnd[i]]
+}
+
+// Lookup returns the id of key. An absent key gets the next id when create
+// is set (added reports that) and -1 otherwise. Without create, lookup
+// does not write, so concurrent readers may share the index.
+func (x *KeyIndex) Lookup(key []byte, create bool) (id int32, added bool) {
+	if create && 2*(x.Len()+1) > len(x.slots) {
+		x.grow()
+	}
+	if len(x.slots) == 0 {
+		return -1, false
 	}
 	h := hashKey(key)
-	mask := uint64(len(t.slots) - 1)
+	mask := uint64(len(x.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		s := t.slots[i]
+		s := x.slots[i]
 		if s == 0 {
-			g := int32(len(t.counts))
-			t.slots[i] = g + 1
-			t.hashes = append(t.hashes, h)
-			t.keys = append(t.keys, key...)
-			t.keyEnd = append(t.keyEnd, len(t.keys))
-			t.counts = append(t.counts, 0)
-			for a := 0; a < t.nAggs; a++ {
-				t.states = append(t.states, AggState{})
+			if !create {
+				return -1, false
 			}
-			return g
+			id := int32(x.Len())
+			x.slots[i] = id + 1
+			x.hashes = append(x.hashes, h)
+			x.keys = append(x.keys, key...)
+			x.keyEnd = append(x.keyEnd, len(x.keys))
+			return id, true
 		}
-		if g := int(s - 1); t.hashes[g] == h && bytes.Equal(t.key(g), key) {
-			return int32(g)
+		if id := int(s - 1); x.hashes[id] == h && bytes.Equal(x.Key(id), key) {
+			return int32(id), false
 		}
 	}
 }
 
-// grow doubles the slot array (minimum 64) and reinserts every group.
-func (t *GroupTable) grow() {
-	n := 2 * len(t.slots)
+// grow doubles the slot array (minimum 64) and reinserts every key.
+func (x *KeyIndex) grow() {
+	n := 2 * len(x.slots)
 	if n < 64 {
 		n = 64
 	}
-	t.slots = make([]int32, n)
+	x.slots = make([]int32, n)
 	mask := uint64(n - 1)
-	for g, h := range t.hashes {
+	for id, h := range x.hashes {
 		i := h & mask
-		for t.slots[i] != 0 {
+		for x.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		t.slots[i] = int32(g) + 1
+		x.slots[i] = int32(id) + 1
 	}
 }
 
