@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"rfabric/internal/engine"
 	"rfabric/internal/obs"
 	"rfabric/internal/plan"
 	"rfabric/internal/sql"
@@ -209,89 +208,28 @@ func (db *DB) Audit(set []AuditStatement, lineitemRows int, seed int64) (*AuditR
 }
 
 // auditOne replays one statement on one path and extracts the
-// estimated-vs-actual pair the instrumentation stamped.
+// estimated-vs-actual pair the statement context recorded.
 func (db *DB) auditOne(kind EngineKind, text string) AuditRun {
 	run := AuditRun{Engine: string(kind)}
-	fail := func(err error) AuditRun {
+	c := db.beginStatement(text, true)
+	if c == nil {
+		// The attached store is disabled; the pair is still needed here.
+		c = &stmtCtx{}
+	}
+	res, _, err := db.query(kind, text, c.tracer(), nil, c)
+	if err != nil {
 		run.Error = err.Error()
 		return run
-	}
-	st, err := sql.Parse(text)
-	if err != nil {
-		return fail(err)
-	}
-	if len(st.Joins) > 0 {
-		_, jp, sk, err := db.lowerJoin(st)
-		if err != nil {
-			return fail(err)
-		}
-		c := db.beginStatement(text, true)
-		res, err := db.runJoin(kind, jp, sk, c.tracer())
-		if err == nil {
-			c.noteJoin(db, kind, jp, res)
-		}
-		c.finish(db, res, err, nil)
-		if err != nil {
-			return fail(err)
-		}
-		db.fillJoinEstimates(kind, jp)
-		run.Ran = res.Engine
-		run.ActCycles = res.Breakdown.TotalCycles
-		run.Offload = res.Offload
-		total, priced := 0.0, true
-		side := func(n *plan.Node) {
-			if n == nil || n.Est == nil {
-				priced = false
-				return
-			}
-			total += n.Est.Cycles
-		}
-		side(jp.Probe.Node)
-		for k := range jp.Stages {
-			side(jp.Stages[k].Side.Node)
-		}
-		if priced {
-			run.EstCycles = total
-			run.QError = plan.QError(total, float64(run.ActCycles))
-		}
-		if n := jp.Probe.Node; n != nil && n.Est != nil && n.Act != nil && n.Act.RowsScanned > 0 {
-			run.EstSel = n.Est.Selectivity
-			run.ActSel = n.Act.Selectivity()
-		}
-		return run
-	}
-	t, err := db.lookup(st.Table)
-	if err != nil {
-		return fail(err)
-	}
-	root, err := sql.Lower(st, t.tbl.Schema())
-	if err != nil {
-		return fail(err)
-	}
-	q, sk, err := engine.FromPlan(root)
-	if err != nil {
-		return fail(err)
-	}
-	c := db.beginStatement(text, true)
-	res, err := db.run(kind, t, q, sk, c.tracer(), c)
-	if err == nil {
-		c.noteSingle(db, t, q, res)
-	}
-	c.finish(db, res, err, nil)
-	if err != nil {
-		return fail(err)
 	}
 	run.Ran = res.Engine
 	run.ActCycles = res.Breakdown.TotalCycles
 	run.Offload = res.Offload
-	if est := db.estimateFor(t, q, res.Engine); est != nil {
-		run.EstCycles = est.Cycles
-		run.EstSel = est.Selectivity
-		run.QError = plan.QError(est.Cycles, float64(run.ActCycles))
+	if c.est != nil {
+		run.EstCycles = c.est.Cycles
+		run.EstSel = c.est.Selectivity
+		run.QError = plan.QError(c.est.Cycles, float64(run.ActCycles))
 	}
-	if res.RowsScanned > 0 {
-		run.ActSel = float64(res.RowsPassed) / float64(res.RowsScanned)
-	}
+	run.ActSel = c.actSel
 	return run
 }
 
@@ -300,40 +238,16 @@ func (db *DB) auditOne(kind EngineKind, text string) AuditRun {
 // now choose. For joins the probe side is re-priced — it dominates the cost
 // and is where the heuristic's error concentrates.
 func (db *DB) rechoice(text string, observedSel float64) string {
-	st, err := sql.Parse(text)
+	s, err := db.compile(text, nil)
 	if err != nil {
 		return ""
 	}
-	var tableName string
-	var q Query
-	if len(st.Joins) > 0 {
-		_, jp, _, err := db.lowerJoin(st)
-		if err != nil {
-			return ""
-		}
-		tableName, q = jp.Probe.Table, jp.Probe.Query
-	} else {
-		t, err := db.lookup(st.Table)
-		if err != nil {
-			return ""
-		}
-		root, err := sql.Lower(st, t.tbl.Schema())
-		if err != nil {
-			return ""
-		}
-		if q, _, err = engine.FromPlan(root); err != nil {
-			return ""
-		}
-		tableName = st.Table
+	q := s.q
+	if s.jp != nil {
+		q = s.jp.Probe.Query
 	}
-	t, err := db.lookup(tableName)
-	if err != nil {
-		return ""
-	}
-	db.mu.RLock()
-	store, idx := t.col, t.idx
-	db.mu.RUnlock()
-	opt := &engine.Optimizer{Tbl: t.tbl, Sys: db.sys, Store: store, Index: idx, SelOverride: observedSel}
+	opt := db.optimizer(s.t)
+	opt.SelOverride = observedSel
 	p, err := opt.Choose(q)
 	if err != nil {
 		return ""

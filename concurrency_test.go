@@ -422,6 +422,39 @@ func TestConcurrentCreateTableAndColumnarQueries(t *testing.T) {
 	}
 }
 
+// TestConfigureDuringCreateTable configures views over one table while
+// another goroutine grows the catalog: Configure must read the catalog
+// under the lock CreateTable writes it under (run with -race).
+func TestConfigureDuringCreateTable(t *testing.T) {
+	db := itemsDB(t, 200)
+	schema, err := NewSchema(Column{Name: "k", Type: Int64, Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			if _, err := db.CreateTable(fmt.Sprintf("grow_%d", i), schema, 1); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := db.Configure("items", []string{"id", "price"}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Configure("missing", []string{"id"}); !errors.Is(err, ErrNoSuchTable) {
+		t.Errorf("Configure on a missing table: %v, want ErrNoSuchTable", err)
+	}
+}
+
 // itemsDB builds a plain (non-MVCC) items table for the read-only tests.
 // stripScheduleAttrs removes the worker-count-dependent schedule placement
 // from a morsel sub-root so the rest of the subtree can be compared

@@ -349,43 +349,7 @@ func (db *DB) Query(query string) (*Result, error) {
 // attached, the call also records under its normalized fingerprint.
 func (db *DB) QueryOn(kind EngineKind, query string) (*Result, error) {
 	c := db.beginStatement(query, true)
-	res, err := db.queryOn(kind, query, c)
-	c.finish(db, res, err, nil)
-	return res, err
-}
-
-func (db *DB) queryOn(kind EngineKind, query string, c *stmtCtx) (*Result, error) {
-	st, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if len(st.Joins) > 0 {
-		_, jp, sk, err := db.lowerJoin(st)
-		if err != nil {
-			return nil, err
-		}
-		res, err := db.runJoin(kind, jp, sk, c.tracer())
-		if err == nil {
-			c.noteJoin(db, kind, jp, res)
-		}
-		return res, err
-	}
-	t, err := db.lookup(st.Table)
-	if err != nil {
-		return nil, err
-	}
-	root, err := sql.Lower(st, t.tbl.Schema())
-	if err != nil {
-		return nil, err
-	}
-	q, sk, err := engine.FromPlan(root)
-	if err != nil {
-		return nil, err
-	}
-	res, err := db.run(kind, t, q, sk, c.tracer(), c)
-	if err == nil {
-		c.noteSingle(db, t, q, res)
-	}
+	res, _, err := db.query(kind, query, c.tracer(), nil, c)
 	return res, err
 }
 
@@ -395,7 +359,107 @@ func (db *DB) Execute(kind EngineKind, tableName string, q Query) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return db.run(kind, t, q, engine.Sinks{}, nil, nil)
+	res, _, err := db.exec(kind, &statement{t: t, q: q}, nil, nil, nil)
+	return res, err
+}
+
+// statement is the compiled form every façade entry point runs: the lowered
+// plan, the probe (or only) table, and either the pipeline query of a
+// single-table statement or the executable plan of a join, plus the ORDER BY
+// / LIMIT sinks.
+type statement struct {
+	text string
+	root *plan.Node // the lowered plan; nil for a hand-built Execute query
+	t    *dbTable
+	q    Query
+	jp   *engine.JoinPlan // nil for a single-table statement
+	sk   engine.Sinks
+}
+
+// compile parses text and lowers it against the catalog. With a tracer it
+// records the parse and plan.logical spans.
+func (db *DB) compile(text string, tr *obs.Tracer) (*statement, error) {
+	psp := tr.Begin("parse")
+	st, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	psp.SetAttr("table", st.Table)
+	tr.End()
+
+	tr.Begin("plan.logical")
+	root, err := sql.LowerCatalog(st, db.schemaLookup)
+	if err != nil {
+		return nil, err
+	}
+	t, err := db.lookup(st.Table)
+	if err != nil {
+		return nil, err
+	}
+	s := &statement{text: text, root: root, t: t}
+	if len(st.Joins) > 0 {
+		s.jp, s.sk, err = engine.FromJoinPlan(root, db.schemaLookup)
+	} else {
+		s.q, s.sk, err = engine.FromPlan(root)
+	}
+	if err != nil {
+		return nil, err
+	}
+	tr.End()
+	return s, nil
+}
+
+// query compiles text and runs it, then records the statement under c.
+func (db *DB) query(kind EngineKind, text string, tr *obs.Tracer, tl *obs.Timeline, c *stmtCtx) (res *Result, trace *Trace, err error) {
+	s, err := db.compile(text, tr)
+	if err == nil {
+		res, trace, err = db.exec(kind, s, tr, tl, c)
+	}
+	c.finish(db, res, err, trace)
+	return res, trace, err
+}
+
+// exec runs a compiled statement. With a tracer it renders the plan tree
+// under plan.physical before the run, stamps what ran onto that tree after
+// it, and returns the finished Trace; tl, when set, samples hardware state
+// along the run. What ran is priced only when something reads the price: a
+// tracer or a statement context.
+func (db *DB) exec(kind EngineKind, s *statement, tr *obs.Tracer, tl *obs.Timeline, c *stmtCtx) (*Result, *Trace, error) {
+	var tree *plan.Node
+	var pairs []opSpan
+	var wallStart time.Time
+	var allocStart uint64
+	if tr != nil {
+		tree = s.tree()
+		pairs = attachPlanSpans(tr.Root(), tree, s.t.tbl.Schema())
+		if tl != nil {
+			tr.AttachTimeline(tl)
+			db.sys.AttachTimeline(tl)
+			defer db.sys.DetachTimeline()
+		}
+		wallStart, allocStart = time.Now(), obs.HeapAllocBytes()
+	}
+	res, err := db.run(kind, s, tr, c)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr != nil || c != nil {
+		c.note(db.priceRun(kind, s, tree, res, c))
+	}
+	if tr == nil {
+		return res, nil, nil
+	}
+	annotatePlanSpans(pairs, res, s.t.tbl.Schema())
+	tl.Finish(res.Breakdown.TotalCycles)
+	return res, &Trace{
+		Query:       s.text,
+		Engine:      res.Engine,
+		TotalCycles: res.Breakdown.TotalCycles,
+		WallNanos:   time.Since(wallStart).Nanoseconds(),
+		AllocBytes:  obs.HeapAllocBytes() - allocStart,
+		Root:        tr.Root(),
+		Timeline:    tl,
+	}, nil
 }
 
 // winCapture is the real-time side of one run — wall-clock and heap
@@ -466,33 +530,26 @@ func (db *DB) publishGroupCache() {
 
 // run is the measured entry point: it snapshots the simulated hardware
 // counters, dispatches, and publishes the deltas plus per-query series into
-// the observer registry and the sliding windows. AUTO's recursion goes
-// through execute directly, so a query publishes exactly once no matter how
-// it was routed.
-func (db *DB) run(kind EngineKind, t *dbTable, q Query, sk engine.Sinks, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
+// the observer registry and the sliding windows, labeled by the probe (or
+// only) table. AUTO's recursion goes through execute directly, so a query
+// publishes exactly once no matter how it was routed.
+func (db *DB) run(kind EngineKind, s *statement, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
 	regOn := db.reg != nil && !db.reg.Disabled()
 	if !regOn && !db.win.Enabled() {
 		// With no observer — or disabled ones — the query path carries no
 		// observability work at all beyond these checks (two atomic loads).
-		res, err := db.execute(kind, t, q, tr, c)
-		if err == nil {
-			applySinks(res, sk, tr)
-		}
-		return res, err
+		return db.dispatch(kind, s, tr, c)
 	}
 	wc := db.winBegin()
 	memStart := db.sys.Mem.Stats()
 	hierStart := db.sys.Hier.Stats()
 	fabStart := db.sys.Fab.Stats()
-	res, err := db.execute(kind, t, q, tr, c)
-	if err == nil {
-		applySinks(res, sk, tr)
-	}
+	res, err := db.dispatch(kind, s, tr, c)
 	db.winEnd(wc, hierStart, res, err)
 	if !regOn {
 		return res, err
 	}
-	labels := obs.Labels{"engine": string(kind), "table": t.tbl.Name()}
+	labels := obs.Labels{"engine": string(kind), "table": s.t.tbl.Name()}
 	db.reg.Counter("rfabric_queries_total", labels).Add(1)
 	if err != nil {
 		db.reg.Counter("rfabric_query_errors_total", labels).Add(1)
@@ -517,6 +574,41 @@ func (db *DB) run(kind EngineKind, t *dbTable, q Query, sk engine.Sinks, tr *obs
 	return res, err
 }
 
+// dispatch executes the statement on the chosen path and applies its sinks.
+// It is the one place a join and a single-table statement part ways.
+func (db *DB) dispatch(kind EngineKind, s *statement, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
+	var res *Result
+	var err error
+	if s.jp != nil {
+		res, err = db.executeJoin(kind, s.t, s.jp, tr)
+	} else {
+		res, err = db.execute(kind, s.t, s.q, tr, c)
+	}
+	if err == nil {
+		applySinks(res, s.sk, tr)
+	}
+	return res, err
+}
+
+// optimizer returns the constructive optimizer over t's current access
+// paths: its columnar copy and index, read under the lock. Callers add the
+// group cache, offload, and feedback inputs their pricing needs.
+func (db *DB) optimizer(t *dbTable) *engine.Optimizer {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return &engine.Optimizer{Tbl: t.tbl, Sys: db.sys, Store: t.col, Index: t.idx}
+}
+
+// feedbackSel returns the statement's observed selectivity when the
+// feedback loop is armed: the group cache is on and the statement store has
+// history for the statement's fingerprint.
+func (db *DB) feedbackSel(c *stmtCtx) (float64, bool) {
+	if c == nil || db.groupCache() == nil {
+		return 0, false
+	}
+	return db.stats.FeedbackSelectivity(c.fp)
+}
+
 // execute dispatches by selecting a Source for the chosen access path and
 // handing it to the shared pipeline (engine.Run). Only two paths sit outside
 // that shape: AUTO, which prices the physical plan first and recurses with
@@ -526,21 +618,16 @@ func (db *DB) run(kind EngineKind, t *dbTable, q Query, sk engine.Sinks, tr *obs
 func (db *DB) execute(kind EngineKind, t *dbTable, q Query, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
 	switch kind {
 	case AUTO:
-		db.mu.RLock()
-		store, idx := t.col, t.idx
-		db.mu.RUnlock()
-		opt := &engine.Optimizer{Tbl: t.tbl, Sys: db.sys, Store: store, Index: idx,
-			Cache: db.groupCache(), Offload: db.offloadOn()}
+		opt := db.optimizer(t)
+		opt.Cache, opt.Offload = db.groupCache(), db.offloadOn()
 		root := engine.PlanOf(q, t.tbl.Name())
 		sp := tr.Begin("plan")
 		// Feedback: with the group cache on and history for this statement
 		// fingerprint, plan with the observed selectivity instead of the
 		// textbook heuristics — the StatStore half of the replanning loop.
-		if c != nil && opt.Cache != nil {
-			if sel, ok := db.stats.FeedbackSelectivity(c.fp); ok {
-				opt.SelOverride = sel
-				sp.SetAttr("feedback_sel", fmt.Sprintf("%.3f", sel))
-			}
+		if sel, ok := db.feedbackSel(c); ok {
+			opt.SelOverride = sel
+			sp.SetAttr("feedback_sel", fmt.Sprintf("%.3f", sel))
 		}
 		p, err := opt.ChoosePlan(root)
 		if err != nil {
@@ -639,73 +726,13 @@ func (db *DB) schemaLookup(name string) (*Schema, error) {
 	return t.tbl.Schema(), nil
 }
 
-// lowerJoin lowers a join statement against the catalog: the IR root (kept
-// for EXPLAIN spans), the executable join plan, and its sinks.
-func (db *DB) lowerJoin(st *sql.Stmt) (*plan.Node, *engine.JoinPlan, engine.Sinks, error) {
-	root, err := sql.LowerCatalog(st, db.schemaLookup)
-	if err != nil {
-		return nil, nil, engine.Sinks{}, err
-	}
-	jp, sk, err := engine.FromJoinPlan(root, db.schemaLookup)
-	if err != nil {
-		return nil, nil, engine.Sinks{}, err
-	}
-	return root, jp, sk, nil
-}
-
-// runJoin is the measured entry point for join queries, the counterpart of
-// run: counter snapshots around the dispatch, metrics labeled by the probe
-// table.
-func (db *DB) runJoin(kind EngineKind, jp *engine.JoinPlan, sk engine.Sinks, tr *obs.Tracer) (*Result, error) {
-	regOn := db.reg != nil && !db.reg.Disabled()
-	if !regOn && !db.win.Enabled() {
-		res, err := db.executeJoin(kind, jp, tr)
-		if err == nil {
-			applySinks(res, sk, tr)
-		}
-		return res, err
-	}
-	wc := db.winBegin()
-	memStart := db.sys.Mem.Stats()
-	hierStart := db.sys.Hier.Stats()
-	fabStart := db.sys.Fab.Stats()
-	res, err := db.executeJoin(kind, jp, tr)
-	if err == nil {
-		applySinks(res, sk, tr)
-	}
-	db.winEnd(wc, hierStart, res, err)
-	if !regOn {
-		return res, err
-	}
-	labels := obs.Labels{"engine": string(kind), "table": jp.Probe.Table}
-	db.reg.Counter("rfabric_queries_total", labels).Add(1)
-	if err != nil {
-		db.reg.Counter("rfabric_query_errors_total", labels).Add(1)
-	} else {
-		db.reg.Counter("rfabric_query_cycles_total", labels).Add(res.Breakdown.TotalCycles)
-		db.reg.Histogram("rfabric_query_cycles", labels).Observe(float64(res.Breakdown.TotalCycles))
-		db.reg.Counter("rfabric_rows_scanned_total", labels).Add(uint64(res.RowsScanned))
-		db.reg.Counter("rfabric_rows_passed_total", labels).Add(uint64(res.RowsPassed))
-		db.reg.Histogram("rfabric_query_latency_cycles", obs.Labels{"engine": res.Engine}).
-			Observe(float64(res.Breakdown.TotalCycles))
-	}
-	db.sys.Mem.Stats().Delta(memStart).Publish(db.reg, labels)
-	db.sys.Hier.Stats().Delta(hierStart).Publish(db.reg, labels)
-	db.sys.Fab.Stats().Delta(fabStart).Publish(db.reg, labels)
-	db.publishGroupCache()
-	return res, err
-}
-
 // executeJoin dispatches a join plan. Every side is its own Source, so each
 // runs on its own access path: the chosen kind applies to all sides, AUTO
 // prices each side independently, and RM routes the probe to the morsel
 // executor once SetParallel is called (builds run once on the shared System
 // either way).
-func (db *DB) executeJoin(kind EngineKind, p *engine.JoinPlan, tr *obs.Tracer) (*Result, error) {
-	probeT, err := db.lookup(p.Probe.Table)
-	if err != nil {
-		return nil, err
-	}
+func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, tr *obs.Tracer) (*Result, error) {
+	var err error
 	buildTs := make([]*dbTable, len(p.Stages))
 	for k := range p.Stages {
 		if buildTs[k], err = db.lookup(p.Stages[k].Side.Table); err != nil {
@@ -786,11 +813,8 @@ func (db *DB) executeJoin(kind EngineKind, p *engine.JoinPlan, tr *obs.Tracer) (
 // side's own Scan node — the node EXPLAIN ANALYZE renders — so the pricing
 // survives the throwaway tree ChoosePlan stamps it on.
 func (db *DB) priceJoinSide(t *dbTable, side *engine.JoinSide) (EngineKind, error) {
-	db.mu.RLock()
-	store, idx := t.col, t.idx
-	db.mu.RUnlock()
-	opt := &engine.Optimizer{Tbl: t.tbl, Sys: db.sys, Store: store, Index: idx,
-		Cache: db.groupCache(), Offload: db.offloadOn()}
+	opt := db.optimizer(t)
+	opt.Cache, opt.Offload = db.groupCache(), db.offloadOn()
 	priced := engine.PlanOf(side.Query, side.Table)
 	pc, err := opt.ChoosePlan(priced)
 	if err != nil {
@@ -821,30 +845,17 @@ func (db *DB) joinBuildSources(kinds []EngineKind, ts []*dbTable, p *engine.Join
 // to ROW when the side's selection cannot use the index — a join side is an
 // internal scan, not a user-chosen path.
 func (db *DB) joinSource(kind EngineKind, t *dbTable, side *engine.JoinSide, tr *obs.Tracer) (engine.Source, error) {
-	var src engine.Source
-	switch kind {
-	case RM:
-		src = &engine.RMEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr,
-			Cache: db.groupCache(), Offload: db.offloadOn()}
-	case ROW:
-		src = &engine.RowEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr}
-	case "IDX":
+	if kind == "IDX" {
 		db.mu.RLock()
 		idx := t.idx
 		db.mu.RUnlock()
-		if idx != nil && engine.IndexApplicable(idx, side.Query.Selection) {
-			src = &engine.IndexEngine{Tbl: t.tbl, Sys: db.sys, Idx: idx, Tracer: tr}
-		} else {
-			src = &engine.RowEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr}
+		if idx == nil || !engine.IndexApplicable(idx, side.Query.Selection) {
+			kind = ROW
 		}
-	case COL:
-		store, err := db.columnarCopy(t)
-		if err != nil {
-			return nil, err
-		}
-		src = &engine.ColEngine{Store: store, Sys: db.sys, Tracer: tr}
-	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownEngine, string(kind))
+	}
+	src, err := db.source(kind, t, tr)
+	if err != nil {
+		return nil, err
 	}
 	if side.Node != nil {
 		side.Node.Source = src.Name()
@@ -873,9 +884,9 @@ func applySinks(res *Result, sk engine.Sinks, tr *obs.Tracer) {
 // table — the Fig. 3 API surface for callers that want the packed bytes
 // rather than query results.
 func (db *DB) Configure(tableName string, columns []string, opts ...ViewOption) (*Ephemeral, error) {
-	t, ok := db.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, tableName)
+	t, err := db.lookup(tableName)
+	if err != nil {
+		return nil, err
 	}
 	geom, err := NewGeometryByName(t.tbl.Schema(), columns...)
 	if err != nil {

@@ -1,9 +1,8 @@
 package rfabric
 
 import (
-	"fmt"
+	"errors"
 
-	"rfabric/internal/engine"
 	"rfabric/internal/sql"
 )
 
@@ -21,11 +20,8 @@ const CompileCycles = 25_000
 
 // Prepared is a compiled query fragment bound to a table.
 type Prepared struct {
-	db    *DB
-	table string
-	query Query
-	sinks engine.Sinks
-	text  string
+	db   *DB
+	stmt *statement
 	// fp is the statement's normalized fingerprint — the key feedback
 	// eviction matches against. epoch is the catalog epoch the fragment
 	// compiled under; a moved epoch means the catalog changed (DDL or a
@@ -58,10 +54,10 @@ type planCache struct {
 
 // Prepare compiles the statement (or fetches its cached fragment) and
 // returns the reusable Prepared. Safe for concurrent use with queries and
-// catalog growth: cache and catalog are consulted under the DB lock.
+// catalog growth: the cache is consulted under the DB lock, and the
+// catalog is read under it while compiling. Join statements are rejected.
 func (db *DB) Prepare(query string) (*Prepared, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.plans == nil {
 		db.plans = &planCache{frags: map[string]*Prepared{}}
 	}
@@ -69,6 +65,7 @@ func (db *DB) Prepare(query string) (*Prepared, error) {
 	if p, ok := db.plans.frags[query]; ok {
 		if p.epoch == epoch {
 			db.plans.stats.Hits++
+			db.mu.Unlock()
 			return p, nil
 		}
 		// The catalog moved under the fragment (DDL or a write): drop it
@@ -78,28 +75,24 @@ func (db *DB) Prepare(query string) (*Prepared, error) {
 	}
 	db.plans.stats.Misses++
 	db.plans.stats.CompileCyclesSpent += CompileCycles
+	db.mu.Unlock()
 
-	st, err := sql.Parse(query)
+	// A catalog change during compilation leaves the fragment at the older
+	// epoch, so the next Prepare recompiles it.
+	s, err := db.compile(query, nil)
 	if err != nil {
 		return nil, err
 	}
-	t, ok := db.tables[st.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
-	}
-	root, err := sql.Lower(st, t.tbl.Schema())
-	if err != nil {
-		return nil, err
-	}
-	q, sk, err := engine.FromPlan(root)
-	if err != nil {
-		return nil, err
+	if s.jp != nil {
+		// A join plan is stamped per run, so it cannot be shared.
+		return nil, errors.New("rfabric: Prepare does not support JOIN statements")
 	}
 	_, fp := sql.Fingerprint(query)
-	p := &Prepared{db: db, table: st.Table, query: q, sinks: sk, text: query,
-		fp: fp, epoch: epoch}
+	p := &Prepared{db: db, stmt: s, fp: fp, epoch: epoch}
+	db.mu.Lock()
 	db.plans.frags[query] = p
 	db.plans.stats.Resident = len(db.plans.frags)
+	db.mu.Unlock()
 	return p, nil
 }
 
@@ -126,21 +119,14 @@ func (db *DB) evictPlan(fp uint64) {
 // statement store under the fragment's source text, so prepared and ad-hoc
 // executions of the same statement aggregate under one fingerprint.
 func (p *Prepared) Run(kind EngineKind) (*Result, error) {
-	t, err := p.db.lookup(p.table)
-	if err != nil {
-		return nil, fmt.Errorf("%w (dropped since preparation)", err)
-	}
-	c := p.db.beginStatement(p.text, true)
-	res, err := p.db.run(kind, t, p.query, p.sinks, c.tracer(), c)
-	if err == nil {
-		c.noteSingle(p.db, t, p.query, res)
-	}
-	c.finish(p.db, res, err, nil)
+	c := p.db.beginStatement(p.stmt.text, true)
+	res, trace, err := p.db.exec(kind, p.stmt, c.tracer(), nil, c)
+	c.finish(p.db, res, err, trace)
 	return res, err
 }
 
 // Text returns the source text of the fragment.
-func (p *Prepared) Text() string { return p.text }
+func (p *Prepared) Text() string { return p.stmt.text }
 
 // PlanCache returns the fragment-cache statistics.
 func (db *DB) PlanCache() PlanCacheStats {

@@ -3,7 +3,6 @@ package rfabric
 import (
 	"time"
 
-	"rfabric/internal/engine"
 	"rfabric/internal/obs"
 	"rfabric/internal/plan"
 	"rfabric/internal/sql"
@@ -94,54 +93,22 @@ func (c *stmtCtx) tracer() *obs.Tracer {
 	return c.tr
 }
 
-// noteSingle records the estimated-vs-actual pair for a finished
-// single-table run: the optimizer's pricing of the access path that ran,
-// and the observed selectivity.
-func (c *stmtCtx) noteSingle(db *DB, t *dbTable, q Query, res *Result) {
-	if c == nil || !c.record || res == nil {
+// note records a finished run's estimated-vs-actual pair: the pricing of
+// what ran and the observed selectivity of its probe (or only) scan.
+func (c *stmtCtx) note(est *plan.Est, act *plan.Act) {
+	if c == nil {
 		return
 	}
-	c.est = db.estimateObserved(c, t, q, res)
-	if res.RowsScanned > 0 {
-		c.actSel = float64(res.RowsPassed) / float64(res.RowsScanned)
-		c.hasSel = c.est != nil
-	}
-}
-
-// noteJoin records the pair for a finished join run: the estimate is the
-// sum of the per-side pricings (stamped by AUTO during planning, or here
-// for explicit engines), the selectivity comparison is the probe side's.
-func (c *stmtCtx) noteJoin(db *DB, kind EngineKind, jp *engine.JoinPlan, res *Result) {
-	if c == nil || !c.record || res == nil {
-		return
-	}
-	db.fillJoinEstimates(kind, jp)
-	total := 0.0
-	priced := true
-	addSide := func(n *plan.Node) {
-		if n == nil || n.Est == nil {
-			priced = false
-			return
-		}
-		total += n.Est.Cycles
-	}
-	addSide(jp.Probe.Node)
-	for k := range jp.Stages {
-		addSide(jp.Stages[k].Side.Node)
-	}
-	if priced {
-		c.est = &plan.Est{Engine: res.Engine, Cycles: total}
-	}
-	if n := jp.Probe.Node; c.est != nil && n != nil && n.Est != nil && n.Act != nil && n.Act.RowsScanned > 0 {
-		c.est.Selectivity = n.Est.Selectivity
-		c.actSel = n.Act.Selectivity()
-		c.hasSel = true
+	c.est = est
+	if act != nil && act.RowsScanned > 0 {
+		c.actSel = act.Selectivity()
+		c.hasSel = est != nil
 	}
 }
 
 // finish folds the statement into the store and, when it crossed the slow
-// threshold, into the slow log. trace is the caller's trace when it ran one
-// (QueryTraced); otherwise the capture tracer's tree is used.
+// threshold, into the slow log with the run's trace (QueryTraced's own, or
+// the capture tracer's).
 func (c *stmtCtx) finish(db *DB, res *Result, err error, trace *Trace) {
 	if c == nil {
 		return
@@ -203,14 +170,6 @@ func (c *stmtCtx) finish(db *DB, res *Result, err error, trace *Trace) {
 	}
 
 	if isSlow && db.slow != nil {
-		if trace == nil && c.tr != nil {
-			trace = &Trace{
-				Query:       c.query,
-				Engine:      engineName,
-				TotalCycles: cycles,
-				Root:        c.tr.Root(),
-			}
-		}
 		db.slow.Add(obs.SlowEntry{
 			Query:     c.query,
 			Engine:    engineName,

@@ -3,12 +3,10 @@ package rfabric
 import (
 	"strconv"
 	"strings"
-	"time"
 
 	"rfabric/internal/engine"
 	"rfabric/internal/obs"
 	"rfabric/internal/plan"
-	"rfabric/internal/sql"
 )
 
 // Observability surface of the DB façade: a metrics registry every query
@@ -72,59 +70,21 @@ func WithTimeline(everyCycles uint64) TraceOption {
 // The root span's AttributedCycles reconciles exactly with
 // Result.Breakdown.TotalCycles. The trace is also stored for LastTrace.
 func (db *DB) QueryTraced(query string, opts ...TraceOption) (*Result, *Trace, error) {
-	// Traced runs build their own span tree, so the statement context skips
-	// the slow-capture tracer and hands finish the real trace instead.
-	c := db.beginStatement(query, false)
-	res, trace, err := db.queryTraced(query, c, opts...)
-	if err != nil {
-		c.finish(db, nil, err, nil)
-	}
-	return res, trace, err
-}
-
-func (db *DB) queryTraced(query string, c *stmtCtx, opts ...TraceOption) (*Result, *Trace, error) {
 	o := traceOpts{kind: RM}
 	for _, opt := range opts {
 		opt(&o)
 	}
+	// Traced runs build their own span tree, so the statement context skips
+	// the slow-capture tracer and hands finish the real trace instead.
+	c := db.beginStatement(query, false)
 	tr := obs.NewTracer("query")
 	tr.Root().SetAttr("sql", query)
-
-	psp := tr.Begin("parse")
-	st, err := sql.Parse(query)
+	res, trace, err := db.query(o.kind, query, tr, o.timeline(db), c)
 	if err != nil {
 		return nil, nil, err
 	}
-	psp.SetAttr("table", st.Table)
-	tr.End()
-
-	if len(st.Joins) > 0 {
-		tr.Begin("plan.logical")
-		root, jp, sk, err := db.lowerJoin(st)
-		if err != nil {
-			return nil, nil, err
-		}
-		tr.End()
-		return db.runJoinTraced(o, root, jp, sk, query, tr, c)
-	}
-
-	t, err := db.lookup(st.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	tr.Begin("plan.logical")
-	root, err := sql.Lower(st, t.tbl.Schema())
-	if err != nil {
-		return nil, nil, err
-	}
-	q, sk, err := engine.FromPlan(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr.End()
-
-	return db.runTraced(o, t, q, sk, query, tr, c)
+	db.last.Store(trace)
+	return res, trace, nil
 }
 
 // ExecuteTraced is the Execute counterpart of QueryTraced, for callers that
@@ -139,90 +99,71 @@ func (db *DB) ExecuteTraced(kind EngineKind, tableName string, q Query, opts ...
 	for _, opt := range opts {
 		opt(&o)
 	}
-	o.kind = kind
-	tr := obs.NewTracer("query")
-	return db.runTraced(o, t, q, engine.Sinks{}, "", tr, nil)
-}
-
-func (db *DB) runTraced(o traceOpts, t *dbTable, q Query, sk engine.Sinks, text string, tr *obs.Tracer, c *stmtCtx) (*Result, *Trace, error) {
-	chain := planChain(q, t.tbl.Name(), sk)
-	pairs := attachPlanSpans(tr.Root(), chain, t.tbl.Schema())
-	var tl *obs.Timeline
-	if o.sample {
-		tl = obs.NewTimeline(o.interval, db.sys.Cfg.DRAM.Banks)
-		tr.AttachTimeline(tl)
-		db.sys.AttachTimeline(tl)
-		defer db.sys.DetachTimeline()
-	}
-	wallStart, allocStart := time.Now(), obs.HeapAllocBytes()
-	res, err := db.run(o.kind, t, q, sk, tr, c)
+	res, trace, err := db.exec(kind, &statement{t: t, q: q}, obs.NewTracer("query"), o.timeline(db), nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The access path is only known after the run (AUTO prices it, RM may
-	// route to PAR). Stamp the estimate the optimizer would price that path
-	// with and the run's actuals onto the chain's Scan, then annotate every
-	// operator span with its est/act rows — EXPLAIN ANALYZE proper.
-	scan := chain.Scan()
-	scan.Source = res.Engine
-	scan.Offload = res.Offload
-	scan.Est = db.estimateObserved(c, t, q, res)
-	scan.Act = &plan.Act{
+	db.last.Store(trace)
+	return res, trace, nil
+}
+
+// timeline returns the hardware sampler WithTimeline asked for, or nil.
+func (o traceOpts) timeline(db *DB) *obs.Timeline {
+	if !o.sample {
+		return nil
+	}
+	return obs.NewTimeline(o.interval, db.sys.Cfg.DRAM.Banks)
+}
+
+// tree returns the plan tree a traced run renders and stamps. A join's is
+// its lowered plan, compiled for this run (Prepare rejects joins). A
+// single-table chain is rebuilt from the query, because a prepared
+// statement is shared between runs.
+func (s *statement) tree() *plan.Node {
+	if s.jp != nil {
+		return s.root
+	}
+	return planChain(s.q, s.t.tbl.Name(), s.sk)
+}
+
+// priceRun prices what a finished run did, for EXPLAIN ANALYZE and the
+// statement store, and returns the statement's estimate and its probe (or
+// only) scan's actuals. A single-table statement is priced for the access
+// path that ran, under the conditions the run saw, and the pair is stamped
+// onto the traced chain's Scan (tree is nil when untraced). A join's
+// estimate is the sum of its sides' pricings, each stamped on its own Scan;
+// its selectivities are the probe side's.
+func (db *DB) priceRun(kind EngineKind, s *statement, tree *plan.Node, res *Result, c *stmtCtx) (*plan.Est, *plan.Act) {
+	if s.jp != nil {
+		db.fillJoinEstimates(kind, s.jp)
+		probe := s.jp.Probe.Node
+		if probe.Est == nil {
+			return nil, probe.Act
+		}
+		est := &plan.Est{Engine: res.Engine, Cycles: probe.Est.Cycles, Selectivity: probe.Est.Selectivity}
+		for k := range s.jp.Stages {
+			side := s.jp.Stages[k].Side.Node
+			if side.Est == nil {
+				return nil, probe.Act
+			}
+			est.Cycles += side.Est.Cycles
+		}
+		return est, probe.Act
+	}
+	sel, _ := db.feedbackSel(c)
+	est := db.estimateObserved(s.t, s.q, res.Engine, res.CacheWarm, sel)
+	act := &plan.Act{
 		RowsScanned: res.RowsScanned,
 		RowsPassed:  res.RowsPassed,
 		Cycles:      res.Breakdown.TotalCycles,
 	}
-	annotatePlanSpans(pairs, res, t.tbl.Schema())
-	tl.Finish(res.Breakdown.TotalCycles)
-	trace := &Trace{
-		Query:       text,
-		Engine:      res.Engine,
-		TotalCycles: res.Breakdown.TotalCycles,
-		WallNanos:   time.Since(wallStart).Nanoseconds(),
-		AllocBytes:  obs.HeapAllocBytes() - allocStart,
-		Root:        tr.Root(),
-		Timeline:    tl,
+	if tree != nil {
+		// The access path is only known after the run (AUTO prices it, RM
+		// may route to PAR).
+		scan := tree.Scan()
+		scan.Source, scan.Offload, scan.Est, scan.Act = res.Engine, res.Offload, est, act
 	}
-	db.last.Store(trace)
-	c.noteSingle(db, t, q, res)
-	c.finish(db, res, nil, trace)
-	return res, trace, nil
-}
-
-// runJoinTraced is runTraced for join statements: the EXPLAIN spans render
-// the lowered join tree (build chains nested under their join spans), and
-// after the run each side's Scan span is stamped with the access path it
-// actually got.
-func (db *DB) runJoinTraced(o traceOpts, root *plan.Node, jp *engine.JoinPlan, sk engine.Sinks, text string, tr *obs.Tracer, c *stmtCtx) (*Result, *Trace, error) {
-	pairs := attachJoinPlanSpans(tr.Root(), root)
-	var tl *obs.Timeline
-	if o.sample {
-		tl = obs.NewTimeline(o.interval, db.sys.Cfg.DRAM.Banks)
-		tr.AttachTimeline(tl)
-		db.sys.AttachTimeline(tl)
-		defer db.sys.DetachTimeline()
-	}
-	wallStart, allocStart := time.Now(), obs.HeapAllocBytes()
-	res, err := db.runJoin(o.kind, jp, sk, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.fillJoinEstimates(o.kind, jp)
-	annotatePlanSpans(pairs, res, nil)
-	tl.Finish(res.Breakdown.TotalCycles)
-	trace := &Trace{
-		Query:       text,
-		Engine:      res.Engine,
-		TotalCycles: res.Breakdown.TotalCycles,
-		WallNanos:   time.Since(wallStart).Nanoseconds(),
-		AllocBytes:  obs.HeapAllocBytes() - allocStart,
-		Root:        tr.Root(),
-		Timeline:    tl,
-	}
-	db.last.Store(trace)
-	c.noteJoin(db, o.kind, jp, res)
-	c.finish(db, res, nil, trace)
-	return res, trace, nil
+	return est, act
 }
 
 // opSpan pairs an operator span with its plan node, so after the run each
@@ -232,20 +173,18 @@ type opSpan struct {
 	node *plan.Node
 }
 
-// attachJoinPlanSpans renders a join tree under plan.physical: the spine
-// nests Input-wise like the single-table chain, and each op.join span
-// additionally parents its build side's [Filter]→Scan chain. Spans carry no
-// cycles, so the root's reconciliation is untouched.
-func attachJoinPlanSpans(parent *obs.Span, root *plan.Node) []opSpan {
-	if parent == nil {
-		return nil
-	}
-	top := parent.AddChild("plan.physical")
+// attachPlanSpans renders the plan tree under a plan.physical span, one
+// nested span per physical operator, outermost first: the spine nests
+// Input-wise, and each op.join span additionally parents its build side's
+// [Filter]→Scan chain. The spans carry no cycles — they are the EXPLAIN
+// structure; attribution stays on the execution spans — so the root's
+// reconciliation is untouched.
+func attachPlanSpans(parent *obs.Span, root *plan.Node, sch *Schema) []opSpan {
 	var pairs []opSpan
 	var attach func(sp *obs.Span, n *plan.Node)
 	attach = func(sp *obs.Span, n *plan.Node) {
 		cur := sp.AddChild("op." + strings.ToLower(n.Op.String()))
-		cur.SetAttr("expr", n.Describe(nil))
+		cur.SetAttr("expr", n.Describe(sch))
 		pairs = append(pairs, opSpan{cur, n})
 		if n.Build != nil {
 			attach(cur, n.Build)
@@ -254,7 +193,7 @@ func attachJoinPlanSpans(parent *obs.Span, root *plan.Node) []opSpan {
 			attach(cur, n.Input)
 		}
 	}
-	attach(top, root)
+	attach(parent.AddChild("plan.physical"), root)
 	return pairs
 }
 
@@ -312,54 +251,21 @@ func annotatePlanSpans(pairs []opSpan, res *Result, sch *Schema) {
 	}
 }
 
-// estimateFor prices the access path a finished run actually used, so
-// traced runs and the statement store report estimated-vs-actual even when
-// the engine was chosen by the caller rather than the optimizer. Returns
-// nil when the path cannot be priced (e.g. IDX with no usable index).
-func (db *DB) estimateFor(t *dbTable, q Query, eng string) *plan.Est {
-	db.mu.RLock()
-	store, idx := t.col, t.idx
-	db.mu.RUnlock()
-	opt := &engine.Optimizer{Tbl: t.tbl, Sys: db.sys, Store: store, Index: idx}
+// estimateObserved prices access path eng for q on t under the conditions
+// the planner saw. warm consults the group cache; pass it only when the run
+// really replayed a warm group, since pricing after the run would otherwise
+// see the group the run itself just installed, mislabel a cold run as warm,
+// and poison the q-error feedback. A positive sel is the statement's
+// feedback selectivity, so a converged estimate stops paying the
+// heuristics' misprediction. Returns nil when the path cannot be priced
+// (e.g. IDX with no usable index).
+func (db *DB) estimateObserved(t *dbTable, q Query, eng string, warm bool, sel float64) *plan.Est {
+	opt := db.optimizer(t)
+	opt.Offload, opt.SelOverride = db.offloadOn(), sel
+	if warm {
+		opt.Cache = db.groupCache()
+	}
 	e, ok := opt.EstimateFor(eng, q)
-	if !ok {
-		return nil
-	}
-	return &plan.Est{
-		Engine:      e.Engine,
-		Cycles:      e.Cycles,
-		Selectivity: e.Selectivity,
-		Rows:        float64(t.tbl.NumRows()),
-	}
-}
-
-// estimateObserved prices the access path a finished run actually used,
-// under the same conditions the planner saw. Two details separate it from
-// the cold estimateFor: the group cache is consulted only when the run
-// really replayed a warm group — pricing after the run would otherwise see
-// the group the run itself just installed and mislabel a cold run as warm,
-// poisoning the q-error feedback — and the statement's feedback selectivity
-// is applied when the loop is armed, so a converged estimate stops paying
-// the heuristics' misprediction.
-func (db *DB) estimateObserved(c *stmtCtx, t *dbTable, q Query, res *Result) *plan.Est {
-	if res == nil {
-		return nil
-	}
-	db.mu.RLock()
-	store, idx := t.col, t.idx
-	gc := db.gcache
-	db.mu.RUnlock()
-	opt := &engine.Optimizer{Tbl: t.tbl, Sys: db.sys, Store: store, Index: idx,
-		Offload: db.offloadOn()}
-	if res.CacheWarm {
-		opt.Cache = gc
-	}
-	if c != nil && gc != nil {
-		if sel, ok := db.stats.FeedbackSelectivity(c.fp); ok {
-			opt.SelOverride = sel
-		}
-	}
-	e, ok := opt.EstimateFor(res.Engine, q)
 	if !ok {
 		return nil
 	}
@@ -374,8 +280,8 @@ func (db *DB) estimateObserved(c *stmtCtx, t *dbTable, q Query, res *Result) *pl
 }
 
 // fillJoinEstimates prices any join side still missing an estimate after a
-// run (AUTO stamps its own during pricing). Each side is priced for the
-// access path it actually got — its Scan node's stamped Source — so sides
+// run (AUTO stamps its own during pricing), cold and with no feedback. Each
+// side is priced for the access path it actually got — its Scan node's stamped Source — so sides
 // that fell back (IDX without a usable index runs ROW) and paths only
 // priceable after the run (the first COL query materializes the columnar
 // copy it is priced against) still report estimated-vs-actual.
@@ -392,7 +298,7 @@ func (db *DB) fillJoinEstimates(kind EngineKind, jp *engine.JoinPlan) {
 		if eng == "" {
 			eng = string(kind)
 		}
-		side.Node.Est = db.estimateFor(t, side.Query, eng)
+		side.Node.Est = db.estimateObserved(t, side.Query, eng, false, 0)
 	}
 	fill(&jp.Probe)
 	for k := range jp.Stages {
@@ -414,50 +320,23 @@ func planChain(q Query, table string, sk engine.Sinks) *plan.Node {
 	return root
 }
 
-// attachPlanSpans renders the operator chain under a plan.physical span, one
-// nested child span per physical operator, outermost first. The spans carry
-// no cycles — they are the EXPLAIN structure; attribution stays on the
-// execution spans — so the root's reconciliation is untouched.
-func attachPlanSpans(parent *obs.Span, root *plan.Node, sch *Schema) []opSpan {
-	if parent == nil {
-		return nil
-	}
-	top := parent.AddChild("plan.physical")
-	lines := strings.Split(root.Explain(sch), "\n")
-	var pairs []opSpan
-	cur, i := top, 0
-	root.Walk(func(n *plan.Node) {
-		cur = cur.AddChild("op." + strings.ToLower(n.Op.String()))
-		if i < len(lines) {
-			cur.SetAttr("expr", strings.TrimPrefix(strings.TrimLeft(lines[i], " "), "└─ "))
-		}
-		pairs = append(pairs, opSpan{cur, n})
-		i++
-	})
-	return pairs
-}
-
 // ExplainPlan parses and lowers the statement and returns its physical plan
 // chain — EXPLAIN without ANALYZE. The Scan's source renders as "?" until a
 // run prices it (or the caller stamps Scan().Source).
 func (db *DB) ExplainPlan(query string) (*plan.Node, error) {
-	st, err := sql.Parse(query)
+	s, err := db.compile(query, nil)
 	if err != nil {
 		return nil, err
 	}
-	return sql.LowerCatalog(st, db.schemaLookup)
+	return s.root, nil
 }
 
 // Explain renders the physical plan for a statement as an indented operator
 // tree, the same shape QueryTraced attaches under plan.physical.
 func (db *DB) Explain(query string) (string, error) {
-	root, err := db.ExplainPlan(query)
+	s, err := db.compile(query, nil)
 	if err != nil {
 		return "", err
 	}
-	t, err := db.lookup(root.Scan().Table)
-	if err != nil {
-		return "", err
-	}
-	return root.Explain(t.tbl.Schema()), nil
+	return s.root.Explain(s.t.tbl.Schema()), nil
 }

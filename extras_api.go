@@ -1,36 +1,9 @@
 package rfabric
 
 import (
-	"rfabric/internal/colstore"
-	"rfabric/internal/engine"
 	"rfabric/internal/index"
 	"rfabric/internal/shard"
 )
-
-// Joins (§III-B's full query engine over the same base data).
-type (
-	// JoinInput describes one side of an equi-join.
-	JoinInput = engine.JoinInput
-	// JoinResult is a join outcome with its modeled cost.
-	JoinResult = engine.JoinResult
-)
-
-// HashJoinRow joins two row tables tuple-at-a-time (left probes, right
-// builds).
-func HashJoinRow(sys *System, left, right *Table, l, r JoinInput) (*JoinResult, error) {
-	return engine.HashJoinRow(sys, left, right, l, r)
-}
-
-// HashJoinRM joins two tables through ephemeral views: each side's needed
-// columns are packed and shipped by the fabric.
-func HashJoinRM(sys *System, left, right *Table, l, r JoinInput) (*JoinResult, error) {
-	return engine.HashJoinRM(sys, left, right, l, r)
-}
-
-// HashJoinCol joins two columnar copies.
-func HashJoinCol(sys *System, left, right *colstore.Store, l, r JoinInput) (*JoinResult, error) {
-	return engine.HashJoinCol(sys, left, right, l, r)
-}
 
 // Sharding (§III-A: horizontal partitioning composed with the fabric).
 type (

@@ -44,6 +44,12 @@ const (
 	// grouped output (compare, swap amortized). The sink charges
 	// n·⌈log₂n⌉·SortCmpCycles for n groups.
 	SortCmpCycles = 4
+	// HashBuildCycles is charged per build-side row inserted into a join's
+	// hash table.
+	HashBuildCycles = 16
+	// HashProbeCycles is charged per probe-side lookup into a join's hash
+	// table.
+	HashProbeCycles = 10
 	// VectorSize is the batch width of the vectorized engines.
 	VectorSize = 1024
 )

@@ -7,246 +7,12 @@ import (
 	"sync"
 	"testing"
 
-	"rfabric/internal/colstore"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/mvcc"
 	"rfabric/internal/plan"
 	"rfabric/internal/table"
 )
-
-// joinFixture: an orders table and a lineitems table with a foreign key.
-type joinFixture struct {
-	sys              *System
-	orders, items    *table.Table
-	ordersC, itemsC  *colstore.Store
-	expectedMatches  int64
-	expectedPerOrder map[int64]int
-}
-
-func newJoinFixture(t *testing.T, orders, itemsPerOrder int, mvcc bool) *joinFixture {
-	t.Helper()
-	sys := MustSystem(DefaultSystemConfig())
-
-	oSchema := geometry.MustSchema(
-		geometry.Column{Name: "o_id", Type: geometry.Int64, Width: 8},
-		geometry.Column{Name: "o_region", Type: geometry.Int32, Width: 4},
-		geometry.Column{Name: "o_total", Type: geometry.Float64, Width: 8},
-	)
-	iSchema := geometry.MustSchema(
-		geometry.Column{Name: "i_order", Type: geometry.Int64, Width: 8},
-		geometry.Column{Name: "i_qty", Type: geometry.Int32, Width: 4},
-		geometry.Column{Name: "i_price", Type: geometry.Float64, Width: 8},
-	)
-
-	var opts []table.Option
-	if mvcc {
-		opts = append(opts, table.WithMVCC())
-	}
-	f := &joinFixture{sys: sys, expectedPerOrder: map[int64]int{}}
-
-	oStride := oSchema.RowBytes()
-	iStride := iSchema.RowBytes()
-	if mvcc {
-		oStride += table.MVCCHeaderBytes
-		iStride += table.MVCCHeaderBytes
-	}
-	f.orders = table.MustNew("orders", oSchema,
-		append(append([]table.Option{}, opts...), table.WithBaseAddr(sys.Arena.Alloc(int64(orders*oStride))), table.WithCapacity(orders))...)
-	f.items = table.MustNew("items", iSchema,
-		append(append([]table.Option{}, opts...), table.WithBaseAddr(sys.Arena.Alloc(int64(orders*itemsPerOrder*iStride))), table.WithCapacity(orders*itemsPerOrder))...)
-
-	rng := rand.New(rand.NewSource(17))
-	for o := 0; o < orders; o++ {
-		f.orders.MustAppend(1, table.I64(int64(o)), table.I32(int32(o%4)), table.F64(float64(o)))
-		n := rng.Intn(itemsPerOrder + 1)
-		f.expectedPerOrder[int64(o)] = n
-		for k := 0; k < n; k++ {
-			f.items.MustAppend(1, table.I64(int64(o)), table.I32(int32(rng.Intn(10))), table.F64(rng.Float64()*100))
-		}
-	}
-	for _, n := range f.expectedPerOrder {
-		f.expectedMatches += int64(n)
-	}
-
-	var err error
-	f.ordersC, err = colstore.FromTable(f.orders, sys.Arena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.itemsC, err = colstore.FromTable(f.items, sys.Arena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
-func joinInputs() (JoinInput, JoinInput) {
-	left := JoinInput{On: 0, Projection: []int{1, 2}}  // items side probes
-	right := JoinInput{On: 0, Projection: []int{1, 2}} // orders side builds
-	return left, right
-}
-
-func TestHashJoinEnginesAgree(t *testing.T) {
-	f := newJoinFixture(t, 300, 4, false)
-	// Probe with items (left), build on orders (right).
-	left := JoinInput{On: 0, Projection: []int{1, 2}}
-	right := JoinInput{On: 0, Projection: []int{1, 2}}
-
-	f.sys.ResetState()
-	row, err := HashJoinRow(f.sys, f.items, f.orders, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Matches != f.expectedMatches {
-		t.Fatalf("ROW matches = %d, want %d", row.Matches, f.expectedMatches)
-	}
-
-	f.sys.ResetState()
-	col, err := HashJoinCol(f.sys, f.itemsC, f.ordersC, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.sys.ResetState()
-	rm, err := HashJoinRM(f.sys, f.items, f.orders, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*JoinResult{col, rm} {
-		if r.Matches != row.Matches || r.Checksum != row.Checksum {
-			t.Errorf("%s join diverges: matches %d/%d checksum %#x/%#x",
-				r.Engine, r.Matches, row.Matches, r.Checksum, row.Checksum)
-		}
-	}
-}
-
-func TestHashJoinWithSelection(t *testing.T) {
-	f := newJoinFixture(t, 200, 3, false)
-	left := JoinInput{
-		On:         0,
-		Projection: []int{2},
-		Selection:  expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.I32(5)}},
-	}
-	right := JoinInput{
-		On:         0,
-		Projection: []int{2},
-		Selection:  expr.Conjunction{{Col: 1, Op: expr.Eq, Operand: table.I32(2)}},
-	}
-	f.sys.ResetState()
-	row, err := HashJoinRow(f.sys, f.items, f.orders, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Matches == 0 || row.Matches == f.expectedMatches {
-		t.Fatalf("selection not effective: %d of %d", row.Matches, f.expectedMatches)
-	}
-	f.sys.ResetState()
-	rm, err := HashJoinRM(f.sys, f.items, f.orders, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm.Matches != row.Matches || rm.Checksum != row.Checksum {
-		t.Errorf("RM join with selection diverges")
-	}
-}
-
-func TestHashJoinMVCCSnapshot(t *testing.T) {
-	f := newJoinFixture(t, 100, 2, true)
-	// Kill half the items at ts 5.
-	for r := 0; r < f.items.NumRows(); r += 2 {
-		if err := f.items.SetEndTS(r, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts4, ts9 := uint64(4), uint64(9)
-	left, right := joinInputs()
-
-	for _, ts := range []*uint64{&ts4, &ts9} {
-		l, r := left, right
-		l.Snapshot, r.Snapshot = ts, ts
-		f.sys.ResetState()
-		row, err := HashJoinRow(f.sys, f.items, f.orders, l, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.sys.ResetState()
-		rm, err := HashJoinRM(f.sys, f.items, f.orders, l, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rm.Matches != row.Matches || rm.Checksum != row.Checksum {
-			t.Errorf("snapshot %d: RM join diverges (%d vs %d)", *ts, rm.Matches, row.Matches)
-		}
-	}
-	// The later snapshot must see fewer matches.
-	l, r := joinInputs()
-	l.Snapshot, r.Snapshot = &ts9, &ts9
-	f.sys.ResetState()
-	later, _ := HashJoinRow(f.sys, f.items, f.orders, l, r)
-	l.Snapshot, r.Snapshot = &ts4, &ts4
-	f.sys.ResetState()
-	earlier, _ := HashJoinRow(f.sys, f.items, f.orders, l, r)
-	if later.Matches >= earlier.Matches {
-		t.Errorf("snapshot 9 sees %d matches, snapshot 4 sees %d — deletes invisible", later.Matches, earlier.Matches)
-	}
-}
-
-func TestHashJoinValidation(t *testing.T) {
-	f := newJoinFixture(t, 10, 1, false)
-	left, right := joinInputs()
-
-	bad := left
-	bad.On = 99
-	if _, err := HashJoinRow(f.sys, f.items, f.orders, bad, right); err == nil {
-		t.Error("out-of-range join column accepted")
-	}
-	bad = left
-	bad.Projection = nil
-	if _, err := HashJoinRow(f.sys, f.items, f.orders, bad, right); err == nil {
-		t.Error("empty projection accepted")
-	}
-	ts := uint64(1)
-	bad = left
-	bad.Snapshot = &ts
-	if _, err := HashJoinRow(f.sys, f.items, f.orders, bad, right); err == nil {
-		t.Error("snapshot over non-MVCC table accepted")
-	}
-	if _, err := HashJoinCol(f.sys, f.itemsC, f.ordersC, bad, right); err == nil {
-		t.Error("COL join accepted a snapshot")
-	}
-}
-
-func TestHashJoinEmptySides(t *testing.T) {
-	f := newJoinFixture(t, 50, 2, false)
-	left, right := joinInputs()
-	empty := table.MustNew("empty", f.orders.Schema())
-	f.sys.ResetState()
-	r, err := HashJoinRow(f.sys, f.items, empty, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Matches != 0 {
-		t.Errorf("join against empty build side matched %d", r.Matches)
-	}
-}
-
-func TestHashJoinRMShipsLessThanROW(t *testing.T) {
-	f := newJoinFixture(t, 2000, 3, false)
-	left, right := joinInputs()
-	f.sys.ResetState()
-	row, err := HashJoinRow(f.sys, f.items, f.orders, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.sys.ResetState()
-	rm, err := HashJoinRM(f.sys, f.items, f.orders, left, right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm.Breakdown.BytesToCPU >= row.Breakdown.BytesToCPU {
-		t.Errorf("RM join shipped %d bytes, ROW moved %d", rm.Breakdown.BytesToCPU, row.Breakdown.BytesToCPU)
-	}
-}
 
 // --- plan-IR join edge cases -------------------------------------------------
 

@@ -121,3 +121,40 @@ func TestJoinOnParallelDB(t *testing.T) {
 		t.Errorf("PAR join diverges from ROW: %v", err)
 	}
 }
+
+// TestJoinRMShipsLessThanROW runs a Q3-class join on ROW and on RM from the
+// same cold hardware state: the results must agree, and RM — which packs
+// only each side's touched columns — must ship fewer bytes to the CPU than
+// ROW, which moves whole rows.
+func TestJoinRMShipsLessThanROW(t *testing.T) {
+	db := tpchDB(t, 4000)
+	db.System().ResetState()
+	row, err := db.QueryOn(ROW, tpch.Q3SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.System().ResetState()
+	rm, err := db.QueryOn(RM, tpch.Q3SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(row.Groups) == 0 {
+		t.Fatal("ROW produced an empty join result")
+	}
+	if err := row.EquivalentTo(rm, 0); err != nil {
+		t.Errorf("RM join diverges from ROW: %v", err)
+	}
+	if rm.Breakdown.BytesToCPU >= row.Breakdown.BytesToCPU {
+		t.Errorf("RM join shipped %d bytes, ROW moved %d", rm.Breakdown.BytesToCPU, row.Breakdown.BytesToCPU)
+	}
+}
+
+// TestPrepareRejectsJoin pins the façade error for preparing a join: a join
+// plan is stamped per run, so it is never cached as a shared fragment.
+func TestPrepareRejectsJoin(t *testing.T) {
+	db := tpchDB(t, 400)
+	_, err := db.Prepare(tpch.Q3SQL)
+	if err == nil || err.Error() != "rfabric: Prepare does not support JOIN statements" {
+		t.Fatalf("Prepare(join) = %v, want the façade's JOIN error", err)
+	}
+}

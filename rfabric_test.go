@@ -415,12 +415,10 @@ func TestPublicJoinFacade(t *testing.T) {
 		Column{Name: "i_order", Type: Int64, Width: 8},
 		Column{Name: "i_qty", Type: Int32, Width: 4},
 	)
-	orders, err := db.CreateTable("orders", oSchema, 100)
-	if err != nil {
+	if _, err := db.CreateTable("orders", oSchema, 100); err != nil {
 		t.Fatal(err)
 	}
-	items, err := db.CreateTable("items", iSchema, 300)
-	if err != nil {
+	if _, err := db.CreateTable("items", iSchema, 300); err != nil {
 		t.Fatal(err)
 	}
 	for o := 0; o < 100; o++ {
@@ -433,21 +431,22 @@ func TestPublicJoinFacade(t *testing.T) {
 			}
 		}
 	}
-	l := JoinInput{On: 0, Projection: []int{1}}
-	r := JoinInput{On: 0, Projection: []int{1}}
-	row, err := HashJoinRow(db.System(), items, orders, l, r)
+	const q = `SELECT i_qty, o_total FROM items JOIN orders ON i_order = o_id`
+	db.System().ResetState()
+	row, err := db.QueryOn(ROW, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := HashJoinRM(db.System(), items, orders, l, r)
+	db.System().ResetState()
+	rm, err := db.QueryOn(RM, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Matches != rm.Matches || row.Checksum != rm.Checksum {
-		t.Errorf("public join paths disagree: %d vs %d", row.Matches, rm.Matches)
+	if err := row.EquivalentTo(rm, 0); err != nil {
+		t.Errorf("public join paths disagree: %v", err)
 	}
-	if row.Matches != 150 { // sum over o of o%4 = 25*(0+1+2+3)
-		t.Errorf("matches = %d, want 150", row.Matches)
+	if row.RowsPassed != 150 { // sum over o of o%4 = 25*(0+1+2+3)
+		t.Errorf("matches = %d, want 150", row.RowsPassed)
 	}
 }
 

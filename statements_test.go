@@ -233,10 +233,8 @@ func TestSlowQueryLog(t *testing.T) {
 	if plain.Trace == nil || plain.Trace.Root == nil {
 		t.Fatalf("plain query's slow entry has no captured trace: %+v", plain)
 	}
-	if plain.Trace.Root.Find("op.scan") != nil {
-		// The capture tracer records execution spans, not the EXPLAIN chain;
-		// this documents the distinction rather than requiring it.
-		t.Logf("capture trace unexpectedly carries plan spans")
+	if plain.Trace.Root.Find("op.scan") == nil {
+		t.Errorf("plain query's captured trace lacks the plan.physical tree")
 	}
 	if _, ok := plain.Trace.Root.Attr("sql"); !ok {
 		t.Errorf("capture trace lacks the sql attribute: %+v", plain.Trace.Root)
