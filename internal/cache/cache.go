@@ -30,8 +30,8 @@ func (c LevelConfig) Validate() error {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: LineBytes must be a positive power of two, got %d", c.LineBytes)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache: Ways must be positive, got %d", c.Ways)
+	if c.Ways <= 0 || c.Ways > maxWays {
+		return fmt.Errorf("cache: Ways must be in [1, %d], got %d", maxWays, c.Ways)
 	}
 	if c.SizeBytes <= 0 || c.SizeBytes%(c.LineBytes*c.Ways) != 0 {
 		return fmt.Errorf("cache: SizeBytes %d not divisible into %d-way sets of %d-byte lines", c.SizeBytes, c.Ways, c.LineBytes)
@@ -149,13 +149,17 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.DRAMFills) / float64(s.Loads)
 }
 
+// maxWays is the associativity a level's per-set way hint (a uint8) can
+// index.
+const maxWays = 256
+
 // level is one set-associative cache with true-LRU replacement.
 type level struct {
 	cfg      LevelConfig
-	sets     int
+	ways     int // cfg.Ways
 	setMask  int64
 	lineBits uint
-	// tags[set*ways+way] holds the line address (addr >> lineBits) + 1,
+	// tags[set*ways+way] holds the line index (addr >> lineBits) + 1,
 	// zero meaning invalid. lru holds a per-line recency stamp.
 	tags []int64
 	lru  []uint64
@@ -166,18 +170,27 @@ type level struct {
 	// fabricNew marks lines the fabric delivered that have not yet been
 	// demanded; the first demand hit pays FabricHitCycles extra.
 	fabricNew []bool
+	// hint[set] is the way that last served a lookup or took an install in
+	// the set; probes check it before scanning. The shortcut changes no
+	// state because a tag match at hint[set] is always the lowest way
+	// holding that line, the way a full scan returns: scans return the
+	// lowest match, an install places a line no other way holds, and the
+	// one fill that can leave a line in two ways, fillFabric, points the
+	// hint at the lower one.
+	hint []uint8
 }
 
 func newLevel(cfg LevelConfig) *level {
 	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	l := &level{
 		cfg:        cfg,
-		sets:       sets,
+		ways:       cfg.Ways,
 		setMask:    int64(sets - 1),
 		tags:       make([]int64, sets*cfg.Ways),
 		lru:        make([]uint64, sets*cfg.Ways),
 		prefetched: make([]bool, sets*cfg.Ways),
 		fabricNew:  make([]bool, sets*cfg.Ways),
+		hint:       make([]uint8, sets),
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		l.lineBits++
@@ -186,54 +199,49 @@ func newLevel(cfg LevelConfig) *level {
 }
 
 func (l *level) reset() {
-	for i := range l.tags {
-		l.tags[i] = 0
-		l.lru[i] = 0
-		l.prefetched[i] = false
-		l.fabricNew[i] = false
-	}
+	clear(l.tags)
+	clear(l.lru)
+	clear(l.prefetched)
+	clear(l.fabricNew)
+	clear(l.hint)
 	l.tick = 0
 }
 
-// set returns the line holding addr, the first slot of its set, and the
-// set's tags and recency stamps (both Ways long).
-func (l *level) set(addr int64) (line int64, base int, tags []int64, lru []uint64) {
-	line = addr >> l.lineBits
-	base = int(line&l.setMask) * l.cfg.Ways
-	tags = l.tags[base : base+l.cfg.Ways]
-	return line, base, tags, l.lru[base : base+len(tags)]
-}
-
-// lookup probes for the line containing addr. On hit it refreshes recency
-// and returns (slot, true).
-func (l *level) lookup(addr int64) (int, bool) {
-	line, base, tags, _ := l.set(addr)
+// probe looks up line. On a hit it refreshes the way's recency and returns
+// (slot, true). On a miss it touches nothing and returns the slot an
+// install must use — the least recently used way, the first of equally old
+// ones — and false; the caller installs there before anything else touches
+// the level.
+func (l *level) probe(line int64) (int, bool) {
+	set := int(line & l.setMask)
+	base := set * l.ways
+	if slot := base + int(l.hint[set]); l.tags[slot] == line+1 {
+		l.tick++
+		l.lru[slot] = l.tick
+		return slot, true
+	}
+	tags := l.tags[base : base+l.ways]
+	lru := l.lru[base : base+len(tags)]
+	victim, oldest := 0, lru[0]
 	for w, t := range tags {
 		if t == line+1 {
 			l.tick++
-			l.lru[base+w] = l.tick
+			lru[w] = l.tick
+			l.hint[set] = uint8(w)
 			return base + w, true
 		}
-	}
-	return -1, false
-}
-
-// insert installs the line containing addr, evicting the LRU way (the
-// first of equally old ones), and returns the slot it used.
-func (l *level) insert(addr int64, prefetch bool) int {
-	line, base, _, lru := l.set(addr)
-	victim, oldest := 0, lru[0]
-	for w, stamp := range lru {
-		if stamp < oldest {
+		if stamp := lru[w]; stamp < oldest {
 			victim, oldest = w, stamp
 		}
 	}
-	l.install(base+victim, line, prefetch)
-	return base + victim
+	return base + victim, false
 }
 
-// install places line in slot with the newest recency stamp.
+// install places line in slot with the newest recency stamp and points the
+// set's hint at it.
 func (l *level) install(slot int, line int64, prefetch bool) {
+	set := int(line & l.setMask)
+	l.hint[set] = uint8(slot - set*l.ways)
 	l.tick++
 	l.tags[slot] = line + 1
 	l.lru[slot] = l.tick
@@ -241,12 +249,16 @@ func (l *level) install(slot int, line int64, prefetch bool) {
 	l.fabricNew[slot] = false
 }
 
-// insertAbsent installs the line containing addr unless a way already holds
-// it, in one pass over the set that finds either the resident way or the
-// LRU victim, and reports whether it installed. It is contains followed by
-// insert on a miss.
-func (l *level) insertAbsent(addr int64, prefetch bool) bool {
-	line, base, tags, lru := l.set(addr)
+// insertAbsent installs line unless a way already holds it, and reports
+// whether it installed. A resident line keeps its recency stamp.
+func (l *level) insertAbsent(line int64, prefetch bool) bool {
+	set := int(line & l.setMask)
+	base := set * l.ways
+	if l.tags[base+int(l.hint[set])] == line+1 {
+		return false
+	}
+	tags := l.tags[base : base+l.ways]
+	lru := l.lru[base : base+len(tags)]
 	victim, oldest := 0, lru[0]
 	for w, t := range tags {
 		if t == line+1 {
@@ -260,13 +272,16 @@ func (l *level) insertAbsent(addr int64, prefetch bool) bool {
 	return true
 }
 
-// fillFabric installs the line containing addr and marks it fabric-new, in
-// one pass over the set. It is insert followed by lookup: insert does not
-// check residency, so a line already held in a lower way than the victim
-// keeps serving lookups, and that way — not the victim — takes the lookup's
-// recency stamp and the fabric-new mark.
-func (l *level) fillFabric(addr int64) {
-	line, base, tags, lru := l.set(addr)
+// fillFabric installs line and marks it fabric-new, in one pass over the
+// set. It is an install into the LRU victim followed by a lookup: the
+// install does not check residency, so a line already held in a lower way
+// than the victim keeps serving lookups, and that way — not the victim —
+// takes the lookup's recency stamp, the fabric-new mark and the hint.
+func (l *level) fillFabric(line int64) {
+	set := int(line & l.setMask)
+	base := set * l.ways
+	tags := l.tags[base : base+l.ways]
+	lru := l.lru[base : base+len(tags)]
 	victim, oldest, held := 0, lru[0], len(tags)
 	for w, t := range tags {
 		if t == line+1 && w < held {
@@ -277,16 +292,18 @@ func (l *level) fillFabric(addr int64) {
 		}
 	}
 	l.install(base+victim, line, false)
-	slot := base + min(victim, held)
+	way := min(victim, held)
+	l.hint[set] = uint8(way)
 	l.tick++
-	l.lru[slot] = l.tick
-	l.fabricNew[slot] = true
+	l.lru[base+way] = l.tick
+	l.fabricNew[base+way] = true
 }
 
 // contains probes without touching recency (used by tests).
 func (l *level) contains(addr int64) bool {
-	line, _, tags, _ := l.set(addr)
-	for _, t := range tags {
+	line := addr >> l.lineBits
+	base := int(line&l.setMask) * l.ways
+	for _, t := range l.tags[base : base+l.ways] {
 		if t == line+1 {
 			return true
 		}
@@ -397,80 +414,102 @@ func (h *Hierarchy) Reset() {
 // LineBytes returns the line size of the hierarchy.
 func (h *Hierarchy) LineBytes() int { return h.cfg.L1.LineBytes }
 
-// lineOf truncates an address to its line index.
-func (h *Hierarchy) lineOf(addr int64) int64 {
-	return addr >> h.l1.lineBits
-}
-
 // Load charges one demand load of the byte at addr and returns its cycle
 // cost. The load touches a single line; callers issue one Load per distinct
 // line they read (the engine layer handles widths spanning lines).
 func (h *Hierarchy) Load(addr int64) uint64 {
+	if addr>>h.l1.lineBits == h.lastL1Line && h.lastL1Slot >= 0 {
+		return h.loadSameLine()
+	}
+	return h.load(addr)
+}
+
+// LoadAddrs charges one demand load per address, in order, and returns
+// their total cost. It leaves the hierarchy, its DRAM module and any
+// attached timeline exactly as the same sequence of Load calls would; it
+// only saves the per-call overhead of batch replay loops.
+func (h *Hierarchy) LoadAddrs(addrs []int64) uint64 {
+	var total uint64
+	for _, addr := range addrs {
+		if addr>>h.l1.lineBits == h.lastL1Line && h.lastL1Slot >= 0 {
+			total += h.loadSameLine()
+		} else {
+			total += h.load(addr)
+		}
+	}
+	return total
+}
+
+// loadSameLine charges a load to the line of the previous L1 hit or fill.
+// It skips the associative probe but performs a hit's exact state updates
+// (recency stamp, stats, timeline).
+func (h *Hierarchy) loadSameLine() uint64 {
+	cost := uint64(h.cfg.L1.HitCycles)
+	h.stats.Loads++
+	h.loadsSinceMiss++
+	h.l1.tick++
+	h.l1.lru[h.lastL1Slot] = h.l1.tick
+	h.stats.L1Hits++
+	h.stats.Cycles += cost
+	h.tl.CacheLoad(false)
+	return cost
+}
+
+// load charges a load that may miss L1. Each level is probed once: a miss
+// returns the victim slot, and nothing touches that level before the line
+// is installed there.
+func (h *Hierarchy) load(addr int64) uint64 {
 	h.stats.Loads++
 	h.loadsSinceMiss++
 	cost := uint64(h.cfg.L1.HitCycles)
 	line := addr >> h.l1.lineBits
-	if line == h.lastL1Line && h.lastL1Slot >= 0 {
-		// Same line as the previous L1 hit/fill: skip the associative probe
-		// but perform lookup's exact state updates.
-		h.l1.tick++
-		h.l1.lru[h.lastL1Slot] = h.l1.tick
-		h.stats.L1Hits++
-		h.stats.Cycles += cost
-		h.tl.CacheLoad(false)
-		return cost
-	}
-	if slot, ok := h.l1.lookup(addr); ok {
-		h.lastL1Line = line
-		h.lastL1Slot = slot
+	l1Slot, hit := h.l1.probe(line)
+	h.lastL1Line = line
+	h.lastL1Slot = l1Slot
+	if hit {
 		h.stats.L1Hits++
 		h.stats.Cycles += cost
 		h.tl.CacheLoad(false)
 		return cost
 	}
 	cost += uint64(h.cfg.L2.HitCycles)
-	if slot, ok := h.l2.lookup(addr); ok {
+	l2Slot, hit := h.l2.probe(line)
+	if hit {
 		h.stats.L2Hits++
-		if h.l2.prefetched[slot] {
+		if h.l2.prefetched[l2Slot] {
 			h.stats.PrefetchHits++
-			h.l2.prefetched[slot] = false
+			h.l2.prefetched[l2Slot] = false
 		}
-		if h.l2.fabricNew[slot] {
+		if h.l2.fabricNew[l2Slot] {
 			cost += uint64(h.cfg.FabricHitCycles)
-			h.l2.fabricNew[slot] = false
+			h.l2.fabricNew[l2Slot] = false
 		}
-		h.lastL1Line = line
-		h.lastL1Slot = h.l1.insert(addr, false)
-		h.train(addr)
-		h.stats.Cycles += cost
-		h.tl.CacheLoad(false)
-		return cost
-	}
-	// Demand miss to DRAM. The full DRAM time always lands in the module's
-	// occupancy statistics, but the latency exposed to this load shrinks to
-	// OverlapMissCycles when the miss can overlap an immediately preceding
-	// miss to a different bank (memory-level parallelism).
-	dramCost := h.mem.Access(addr)
-	bank := h.mem.BankOf(addr)
-	overlapped := h.cfg.MLPWindow > 0 && h.sawMiss &&
-		h.loadsSinceMiss <= h.cfg.MLPWindow && bank != h.lastMissBank
-	if overlapped {
-		cost += uint64(h.cfg.OverlapMissCycles)
-		h.stats.OverlappedMisses++
 	} else {
-		cost += dramCost
+		// Demand miss to DRAM. The full DRAM time always lands in the
+		// module's occupancy statistics, but the latency exposed to this
+		// load shrinks to OverlapMissCycles when the miss can overlap an
+		// immediately preceding miss to a different bank (memory-level
+		// parallelism).
+		dramCost, bank := h.mem.Access(addr)
+		overlapped := h.cfg.MLPWindow > 0 && h.sawMiss &&
+			h.loadsSinceMiss <= h.cfg.MLPWindow && bank != h.lastMissBank
+		if overlapped {
+			cost += uint64(h.cfg.OverlapMissCycles)
+			h.stats.OverlappedMisses++
+		} else {
+			cost += dramCost
+		}
+		h.sawMiss = true
+		h.lastMissBank = bank
+		h.loadsSinceMiss = 0
+		h.stats.DRAMFills++
+		h.stats.BytesFromDRAM += uint64(h.LineBytes())
+		h.l2.install(l2Slot, line, false)
 	}
-	h.sawMiss = true
-	h.lastMissBank = bank
-	h.loadsSinceMiss = 0
-	h.stats.DRAMFills++
-	h.stats.BytesFromDRAM += uint64(h.LineBytes())
-	h.l2.insert(addr, false)
-	h.lastL1Line = line
-	h.lastL1Slot = h.l1.insert(addr, false)
-	h.train(addr)
+	h.l1.install(l1Slot, line, false)
+	h.train(line)
 	h.stats.Cycles += cost
-	h.tl.CacheLoad(true)
+	h.tl.CacheLoad(!hit)
 	return cost
 }
 
@@ -479,50 +518,51 @@ func (h *Hierarchy) Load(addr int64) uint64 {
 // not charged to the demand path: a stream prefetcher's whole point is to
 // overlap memory time with compute, and the paper's ≤4-column columnar wins
 // exist precisely because of that overlap.
-func (h *Hierarchy) train(addr int64) {
+func (h *Hierarchy) train(line int64) {
 	if len(h.streams) == 0 {
 		return
 	}
-	line := h.lineOf(addr)
 	h.tick++
-	// A stream that expected this line advances and may issue prefetches.
+	// One pass finds the stream that expected this line, the first free
+	// slot, and the least recently used tracked stream (first of ties).
+	victim, free := 0, -1
 	for i := range h.streams {
 		s := &h.streams[i]
-		if !s.valid || s.nextLine != line {
+		if !s.valid {
+			if free < 0 {
+				free = i
+			}
 			continue
 		}
-		s.hits++
-		s.nextLine = line + 1
-		s.lastUse = h.tick
-		if s.hits >= h.cfg.Prefetch.TrainHits {
-			h.issuePrefetch(line+1, h.cfg.Prefetch.Degree)
+		if s.nextLine == line {
+			// The stream advances and may issue prefetches.
+			s.hits++
+			s.nextLine = line + 1
+			s.lastUse = h.tick
+			if s.hits >= h.cfg.Prefetch.TrainHits {
+				h.issuePrefetch(line+1, h.cfg.Prefetch.Degree)
+			}
+			return
 		}
-		return
+		if s.lastUse < h.streams[victim].lastUse {
+			victim = i
+		}
 	}
-	// Otherwise allocate a stream slot (LRU), displacing a tracked stream —
-	// this is the thrash mechanism when more streams exist than slots.
-	victim := 0
-	for i := range h.streams {
-		if !h.streams[i].valid {
-			victim = i
-			break
-		}
-		if h.streams[i].lastUse < h.streams[victim].lastUse {
-			victim = i
-		}
+	// Otherwise allocate a free slot, or displace the LRU stream — this is
+	// the thrash mechanism when more streams exist than slots.
+	if free >= 0 {
+		victim = free
 	}
 	h.streams[victim] = stream{nextLine: line + 1, hits: 1, lastUse: h.tick, valid: true}
 }
 
 // issuePrefetch pulls up to n sequential lines starting at line into L2.
 func (h *Hierarchy) issuePrefetch(line int64, n int) {
-	lb := int64(h.LineBytes())
-	for i := 0; i < n; i++ {
-		addr := (line + int64(i)) * lb
-		if !h.l2.insertAbsent(addr, true) {
+	for l := line; l < line+int64(n); l++ {
+		if !h.l2.insertAbsent(l, true) {
 			continue
 		}
-		h.mem.Access(addr) // occupies DRAM (stats/row-buffer), off demand path
+		h.mem.Access(l << h.l2.lineBits) // occupies DRAM (stats/row-buffer), off demand path
 		h.stats.PrefetchIssued++
 		h.stats.BytesFromDRAM += uint64(h.LineBytes())
 	}
@@ -535,7 +575,7 @@ func (h *Hierarchy) issuePrefetch(line int64, n int) {
 // charged to the fabric.
 func (h *Hierarchy) FillFromFabric(addr int64) {
 	h.stats.FabricFills++
-	h.l2.fillFabric(addr)
+	h.l2.fillFabric(addr >> h.l2.lineBits)
 }
 
 // ContainsL1 reports whether the line holding addr is resident in L1.

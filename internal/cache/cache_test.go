@@ -34,11 +34,18 @@ func TestConfigValidation(t *testing.T) {
 	bad := []HierarchyConfig{
 		{L1: LevelConfig{SizeBytes: 100, Ways: 2, LineBytes: 64, HitCycles: 1}, L2: DefaultHierarchy().L2, Prefetch: DefaultPrefetch()},
 		{L1: DefaultHierarchy().L1, L2: LevelConfig{SizeBytes: 1 << 20, Ways: 16, LineBytes: 128, HitCycles: 12}, Prefetch: DefaultPrefetch()},
+		// More ways than the per-set way hint can index.
+		{L1: DefaultHierarchy().L1, L2: LevelConfig{SizeBytes: 512 * 64, Ways: 512, LineBytes: 64, HitCycles: 12}, Prefetch: DefaultPrefetch()},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	widest := DefaultHierarchy()
+	widest.L2 = LevelConfig{SizeBytes: 256 * 64, Ways: 256, LineBytes: 64, HitCycles: 12}
+	if err := widest.Validate(); err != nil {
+		t.Errorf("fully associative 256-way L2 rejected: %v", err)
 	}
 	cfg := DefaultHierarchy()
 	cfg.MLPWindow = 4

@@ -102,9 +102,9 @@ type Stats struct {
 	BytesRead    uint64
 	GatherBytes  uint64 // subset of BytesRead moved through GatherBatch
 	Cycles       uint64 // total serialized cycles charged
-	BatchCycles  uint64 // cycles charged through AccessBatch (parallel path)
-	BatchedReqs  uint64 // accesses that went through AccessBatch
-	BatchesTotal uint64
+	BatchCycles  uint64 // cycles charged through GatherBatch (parallel path)
+	BatchedReqs  uint64 // requests that went through GatherBatch
+	BatchesTotal uint64 // GatherBatch calls
 }
 
 // Module is a banked DRAM timing model. It is not safe for concurrent use;
@@ -197,66 +197,31 @@ func (m *Module) rowOf(addr int64) int64 {
 }
 
 // Access serves one line-granularity read at addr and returns its cycle
-// cost. The address is truncated to line alignment.
-func (m *Module) Access(addr int64) uint64 {
-	cost := m.accessCost(addr)
-	m.stats.Accesses++
-	m.stats.BytesRead += uint64(m.cfg.LineBytes)
-	m.stats.Cycles += cost
-	return cost
-}
-
-func (m *Module) accessCost(addr int64) uint64 {
-	bank := m.bankOf(addr)
+// cost and the bank that served it. The address is truncated to line
+// alignment. The cache layer uses the bank to model miss overlap: demand
+// misses headed to distinct banks can be in flight simultaneously.
+func (m *Module) Access(addr int64) (cycles uint64, bank int) {
+	bank = m.bankOf(addr)
 	row := m.rowOf(addr)
 	hit := m.openRow[bank] == row
-	var cost uint64
 	if hit {
 		m.stats.RowHits++
-		cost = uint64(m.cfg.RowHitCycles)
+		cycles = uint64(m.cfg.RowHitCycles)
 	} else {
 		m.stats.RowMisses++
 		m.openRow[bank] = row
-		cost = uint64(m.cfg.RowMissCycles)
+		cycles = uint64(m.cfg.RowMissCycles)
 	}
-	cost += uint64(m.cfg.BurstCycles)
-	m.tl.DRAMAccess(bank, cost, hit)
-	return cost
-}
-
-// AccessBatch serves a set of line addresses that a parallel requester (the
-// fabric) issues simultaneously. Requests to distinct banks overlap; requests
-// queued on the same bank serialize. The returned cost is the critical path:
-// the busiest bank's total cycles. This is the mechanism by which the fabric
-// beats a CPU that must serialize its demand misses.
-func (m *Module) AccessBatch(addrs []int64) uint64 {
-	if len(addrs) == 0 {
-		return 0
-	}
-	perBank := make(map[int]uint64, m.cfg.Banks)
-	for _, a := range addrs {
-		c := m.accessCost(a)
-		perBank[m.bankOf(a)] += c
-		m.stats.Accesses++
-		m.stats.BytesRead += uint64(m.cfg.LineBytes)
-	}
-	var critical uint64
-	for _, c := range perBank {
-		if c > critical {
-			critical = c
-		}
-	}
-	m.stats.Cycles += critical
-	m.stats.BatchCycles += critical
-	m.stats.BatchedReqs += uint64(len(addrs))
-	m.stats.BatchesTotal++
-	return critical
+	cycles += uint64(m.cfg.BurstCycles)
+	m.tl.DRAMAccess(bank, cycles, hit)
+	m.stats.Accesses++
+	m.stats.BytesRead += uint64(m.cfg.LineBytes)
+	m.stats.Cycles += cycles
+	return cycles, bank
 }
 
 // LineBytes returns the configured transfer granularity.
 func (m *Module) LineBytes() int { return m.cfg.LineBytes }
 
-// BankOf exposes the address-to-bank mapping so the cache layer can model
-// miss overlap: demand misses headed to distinct banks can be in flight
-// simultaneously.
+// BankOf exposes the address-to-bank mapping, the one Access reports.
 func (m *Module) BankOf(addr int64) int { return m.bankOf(addr) }

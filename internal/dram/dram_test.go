@@ -34,8 +34,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRowBufferLocality(t *testing.T) {
 	m := MustNew(DefaultConfig())
-	first := m.Access(0)
-	second := m.Access(64 * int64(m.Config().Banks)) // same bank, same row
+	first, _ := m.Access(0)
+	second, _ := m.Access(64 * int64(m.Config().Banks)) // same bank, same row
 	if first <= second {
 		t.Errorf("first access (row miss, %d) should cost more than row hit (%d)", first, second)
 	}
@@ -50,37 +50,38 @@ func TestBankInterleaving(t *testing.T) {
 	lb := int64(m.LineBytes())
 	seen := map[int]bool{}
 	for i := int64(0); i < int64(m.Config().Banks); i++ {
-		seen[m.BankOf(i*lb)] = true
+		_, bank := m.Access(i * lb)
+		if bank != m.BankOf(i*lb) {
+			t.Errorf("Access(%d) reports bank %d, BankOf says %d", i*lb, bank, m.BankOf(i*lb))
+		}
+		seen[bank] = true
 	}
 	if len(seen) != m.Config().Banks {
 		t.Errorf("consecutive lines hit %d distinct banks, want %d", len(seen), m.Config().Banks)
 	}
 	// Same line offset maps to the same bank.
-	if m.BankOf(0) != m.BankOf(63) {
+	_, b0 := m.Access(0)
+	_, b63 := m.Access(63)
+	if b0 != b63 {
 		t.Error("addresses within one line map to different banks")
 	}
 }
 
-func TestAccessBatchOverlapsBanks(t *testing.T) {
+func TestGatherBatchOverlapsBanks(t *testing.T) {
 	cfg := DefaultConfig()
-	m := MustNew(cfg)
 	lb := int64(cfg.LineBytes)
-
-	// N accesses all to one bank: serialized.
-	var oneBank []int64
-	for i := 0; i < 8; i++ {
-		oneBank = append(oneBank, int64(i)*lb*int64(cfg.Banks))
+	gather := func(stride int64) uint64 {
+		m := MustNew(cfg)
+		var reqs []GatherReq
+		for i := int64(0); i < 8; i++ {
+			reqs = append(reqs, GatherReq{Addr: i * stride, Bytes: cfg.BurstBytes})
+		}
+		return m.GatherBatch(reqs)
 	}
-	serial := m.AccessBatch(oneBank)
-
-	m2 := MustNew(cfg)
-	// N accesses spread over all banks: overlapped.
-	var spread []int64
-	for i := 0; i < 8; i++ {
-		spread = append(spread, int64(i)*lb)
-	}
-	parallel := m2.AccessBatch(spread)
-
+	// N bursts all to one bank serialize; spread over all banks they
+	// overlap.
+	serial := gather(lb * int64(cfg.Banks))
+	parallel := gather(lb)
 	if parallel >= serial {
 		t.Errorf("bank-parallel batch (%d) not faster than single-bank batch (%d)", parallel, serial)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 
+	"rfabric/internal/cache"
 	"rfabric/internal/colstore"
 	"rfabric/internal/geometry"
 	"rfabric/internal/vec"
@@ -12,15 +13,46 @@ import (
 // It processes vecBatchRows rows per iteration in four stages — visibility,
 // bulk decode, selection refinement, charge replay — then consumes the
 // survivors through typed kernels. The charge-replay stage issues the exact
-// Hier.Load sequence and compute charges of the scalar interpreter (the
-// per-row short-circuit outcome decided by the recorded fail depth selects
-// a precompiled load program), so modeled cycles, Breakdown, spans, and
-// timelines are byte-identical; only wall-clock time and allocations
-// change. Like the scalar pipeline it is written once and parameterized by
-// the opened scan: ROW feeds it one strided segment (with MVCC replay and
-// per-row ticks), RM feeds it fabric chunks with pipeline accounting, IDX
-// feeds it its candidate row ids over the strided heap. COL's decomposed
-// layout has its own driver, runColVec, below.
+// load sequence (in batched Hier.LoadAddrs calls) and compute charges of
+// the scalar interpreter (the per-row short-circuit outcome decided by the
+// recorded fail depth selects a precompiled load program), so modeled
+// cycles, Breakdown, spans, and timelines are byte-identical; only
+// wall-clock time and allocations change. Like the scalar pipeline it is
+// written once and parameterized by the opened scan: ROW feeds it one
+// strided segment (with MVCC replay and per-row ticks), RM feeds it fabric
+// chunks with pipeline accounting, IDX feeds it its candidate row ids over
+// the strided heap. COL's decomposed layout has its own batch scan,
+// runColVec, below.
+
+// loadBuf collects the charge replay's load addresses, in scalar order, and
+// charges them to the hierarchy in LoadAddrs calls of up to len(addrs)
+// loads. It lives inside the scratch, so replay allocates nothing.
+type loadBuf struct {
+	hier  *cache.Hierarchy
+	n     int
+	addrs [256]int64
+}
+
+// loadBuf returns the scratch's load buffer, empty and bound to hier.
+func (s *scanScratch) loadBuf(hier *cache.Hierarchy) *loadBuf {
+	s.loads.hier, s.loads.n = hier, 0
+	return &s.loads
+}
+
+func (b *loadBuf) add(addr int64) {
+	if b.n == len(b.addrs) {
+		b.flush()
+	}
+	b.addrs[b.n] = addr
+	b.n++
+}
+
+// flush charges the pending loads. Callers flush before anything reads the
+// hierarchy's state and at the end of each batch.
+func (b *loadBuf) flush() {
+	b.hier.LoadAddrs(b.addrs[:b.n])
+	b.n = 0
+}
 
 // runVec drives the compiled batch program over the source's segments:
 // dense strided rows (ROW, RM chunks) are decoded in place, explicit row-id
@@ -48,6 +80,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 	var scanned int64
 	var pipeline, producer uint64
 	last := len(prog.preds)
+	loads := sc.loadBuf(s.sys.Hier)
 
 	next := s.segs(pr)
 	for {
@@ -94,20 +127,23 @@ func (s *scan) runVec(q Query) (*Result, error) {
 
 			// Charge replay, row-major like the scalar loop: tick, iterator
 			// overhead, MVCC header touch, then the outcome's load program
-			// and the sink's per-row charge.
+			// and the sink's per-row charge. A per-row tick samples the
+			// hierarchy, so it flushes the loads of the rows before it.
 			fail := sc.fail[:n]
+			tickRows := s.tickPerRow && pr.tk.tl != nil
 			for i := 0; i < n; i++ {
 				row := sub + i
 				if rows != nil {
 					row = int(rows[i])
 				}
 				rowAddr := seg.baseAddr + int64(row)*int64(seg.stride)
-				if s.tickPerRow && pr.tk.tl != nil {
+				if tickRows {
+					loads.flush()
 					pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
 				}
 				pr.compute += s.perRow
 				if s.mvccTbl != nil {
-					s.sys.Hier.Load(rowAddr)
+					loads.add(rowAddr)
 					if snapped {
 						pr.compute += TSCheckSoftwareCycles
 						if !vis[i] {
@@ -121,13 +157,14 @@ func (s *scan) runVec(q Query) (*Result, error) {
 				}
 				payloadAddr := rowAddr + int64(seg.payloadOff)
 				for _, off := range prog.loadOffs[idx] {
-					s.sys.Hier.Load(payloadAddr + off)
+					loads.add(payloadAddr + off)
 				}
 				pr.compute += prog.charge[idx]
 				if extra != nil {
 					pr.compute += extra[i]
 				}
 			}
+			loads.flush()
 
 			sc.consume(prog, sel, acc)
 		}
@@ -167,6 +204,7 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 	store := s.colVec.store
 	sch := s.sch
 	rows := store.NumRows()
+	loads := sc.loadBuf(s.sys.Hier)
 
 	var bitmap []bool
 	var bitmapAddr int64
@@ -194,15 +232,17 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 			addr := valBase + int64(base*w)
 			for i := 0; i < n; i++ {
 				if pr.tk.tl != nil {
+					loads.flush()
 					pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
 				}
-				s.sys.Hier.Load(addr)
+				loads.add(addr)
 				if refinePass {
-					s.sys.Hier.Load(bitmapAddr + int64(base+i))
+					loads.add(bitmapAddr + int64(base+i))
 				}
 				pr.compute += VectorOpCycles + MaterializeCycles
 				addr += int64(w)
 			}
+			loads.flush()
 			dst := bitmap[base : base+n]
 			switch cdef.Type {
 			case geometry.Int64:
@@ -237,7 +277,7 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 	// sink's per-row charge. The visit list touches every consumed column
 	// before a sink sees the row, so all of a sink's pass outcomes share
 	// this program.
-	loads := prog.loadSlots[len(prog.preds)]
+	slotLoads := prog.loadSlots[len(prog.preds)]
 	passCharge := prog.charge[len(prog.preds)]
 	acc := sc.begin(prog)
 
@@ -250,17 +290,19 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 		extra := sc.sinkBatch(s.sink, prog, sel, len(group))
 		for j, r := range group {
 			if pr.tk.tl != nil {
+				loads.flush()
 				pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
 			}
-			for _, si := range loads {
+			for _, si := range slotLoads {
 				sl := &prog.slots[si]
-				s.sys.Hier.Load(store.ValueAddr(sl.col, int(r)))
+				loads.add(store.ValueAddr(sl.col, int(r)))
 			}
 			pr.compute += passCharge
 			if extra != nil {
 				pr.compute += extra[j]
 			}
 		}
+		loads.flush()
 		sc.consume(prog, sel, acc)
 	}
 
