@@ -26,8 +26,9 @@ import (
 // a second layout — but the two baselines stay available for comparison.
 //
 // The catalog is safe for concurrent use: CreateTable, CreateIndex, Prepare,
-// and lookups take the DB's lock, so sessions may grow the schema while
-// another goroutine queries. Query *execution* still follows the System's
+// and lookups take the DB's lock, and Insert waits for queries in flight, so
+// sessions may grow the schema and insert rows while another goroutine
+// queries. Query *execution* still follows the System's
 // ownership rule — one goroutine drives the shared simulated machine at a
 // time, except on the PAR path, which clones it per morsel. Wrap MVCC tables
 // in a TxnManager for concurrent ingest (see the htap example).
@@ -37,6 +38,12 @@ type DB struct {
 	mu     sync.RWMutex // guards tables, each dbTable's col/idx, and plans
 	tables map[string]*dbTable
 	plans  *planCache
+
+	// execMu orders Insert against query execution: a query holds it shared
+	// for its whole run and Insert holds it exclusively, so no query reads
+	// a table while a row is being appended to it. Insert takes it before
+	// mu; a query takes mu only while holding it.
+	execMu sync.RWMutex
 
 	par *engine.ParallelConfig // nil: single-goroutine execution
 
@@ -254,6 +261,8 @@ func (db *DB) TableNames() []string {
 // Insert appends one row, respecting the table's reserved capacity (the
 // simulated address space behind it is fixed at creation).
 func (db *DB) Insert(name string, vals ...Value) error {
+	db.execMu.Lock()
+	defer db.execMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	t, ok := db.tables[name]
@@ -425,6 +434,8 @@ func (db *DB) query(kind EngineKind, text string, tr *obs.Tracer, tl *obs.Timeli
 // along the run. What ran is priced only when something reads the price: a
 // tracer or a statement context.
 func (db *DB) exec(kind EngineKind, s *statement, tr *obs.Tracer, tl *obs.Timeline, c *stmtCtx) (*Result, *Trace, error) {
+	db.execMu.RLock()
+	defer db.execMu.RUnlock()
 	var tree *plan.Node
 	var pairs []opSpan
 	var wallStart time.Time

@@ -360,11 +360,7 @@ func probeSemiJoin(p *JoinPlan, tables []*joinBuild) *fabric.SemiJoin {
 	for i := 0; i < t.Keys(); i++ {
 		bl.Add(t.Key(i))
 	}
-	return &fabric.SemiJoin{
-		Col:    p.Stages[0].ProbeKey,
-		Key:    joinKeyTo,
-		Filter: bl,
-	}
+	return &fabric.SemiJoin{Col: p.Stages[0].ProbeKey, Filter: bl}
 }
 
 func addBreakdown(dst *Breakdown, b Breakdown) {

@@ -1,15 +1,11 @@
 package fabric
 
-import (
-	"rfabric/internal/table"
-)
-
 // Bloom is a fabric-resident Bloom filter over canonical join-key bytes. The
 // engine builds it from a join's build side and hands it to an Ephemeral
 // view so probe rows that cannot possibly match are dropped near memory and
 // never cross to the CPU. False positives only cost shipped bytes that the
 // CPU-side probe rejects anyway; false negatives are impossible because both
-// sides of the join encode keys through the same closure.
+// sides of the join encode keys through the same vec.AppendJoinKey* encoders.
 type Bloom struct {
 	bits []uint64
 	mask uint64
@@ -86,14 +82,13 @@ func (b *Bloom) MayContain(key []byte) bool {
 // Keys returns how many keys were added.
 func (b *Bloom) Keys() int { return b.n }
 
-// SemiJoin pre-filters a view's rows against a build-side Bloom filter: the
-// fabric encodes row Col through Key and drops rows whose key cannot be in
-// the filter. Key returns ok=false for values that can never join (the
-// engine's convention for NaN keys), which also drops the row. The engine
-// supplies Key so the canonical join-key byte encoding lives in exactly one
-// place and the filter can never produce a false negative.
+// SemiJoin pre-filters a view's rows against a build-side Bloom filter. The
+// fabric encodes row Col's join key straight from the raw row bytes with
+// vec.KeyCol.AppendJoinKey — the encoders the engine's hash join uses, so the
+// canonical encoding lives in one place and the filter can never produce a
+// false negative — and drops rows whose key cannot be in the filter. A key
+// that can never join (a NaN DOUBLE) drops its row too.
 type SemiJoin struct {
 	Col    int
-	Key    func(dst []byte, v table.Value) ([]byte, bool)
 	Filter *Bloom
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 
+	"rfabric/internal/compress"
 	"rfabric/internal/dram"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/table"
+	"rfabric/internal/vec"
 )
 
 // ViewOption configures an ephemeral view.
@@ -35,8 +37,8 @@ func WithSelection(preds expr.Conjunction) ViewOption {
 
 // WithSemiJoin pre-filters the view's rows against a build-side Bloom filter
 // so probe rows that cannot join are dropped before they ship (the Farview
-// near-memory semi-join). Rows whose key can never match (sj.Key returns
-// ok=false) are dropped too.
+// near-memory semi-join). Rows whose key can never match (a NaN DOUBLE key)
+// are dropped too.
 func WithSemiJoin(sj *SemiJoin) ViewOption {
 	return func(o *viewOptions) {
 		if sj != nil {
@@ -46,8 +48,9 @@ func WithSemiJoin(sj *SemiJoin) ViewOption {
 }
 
 // WithDictFilter pushes a code-domain predicate over a dictionary-encoded
-// column: rows whose stored code is outside the qualifying set are dropped
-// without decoding. The one-time dictionary translation (Entries decodes at
+// column (integer codes, as compress.EncodeTableDict stores them): rows
+// whose stored code is outside the qualifying set are dropped without
+// decoding. The one-time dictionary translation (Entries decodes at
 // DecodeCycles each) is charged to the view's first chunk, fabric-side.
 func WithDictFilter(f DictFilter) ViewOption {
 	return func(o *viewOptions) { o.dictFilters = append(o.dictFilters, f) }
@@ -72,13 +75,23 @@ type Ephemeral struct {
 	// columns, merged into contiguous runs.
 	gatherStrides []geometry.Stride
 	// shipStrides is the subset of per-row ranges that are packed and
-	// shipped (geometry columns only), in pack order.
+	// shipped (geometry columns only, adjacent ones merged), in pack order.
 	shipStrides []geometry.Stride
 
-	buf    []byte // reusable chunk buffer, BufferBytes capacity
-	reqs   []dram.GatherReq
-	cursor int    // next source row to scan
-	keyBuf []byte // scratch for semi-join key encoding
+	// preds, dicts and semiKey are the pushed filters compiled against the
+	// physical row layout, evaluated block-at-a-time by filterBlock.
+	preds   []blockPred
+	dicts   []blockDict
+	semiKey rowCol
+
+	// buf is the reusable chunk buffer. It is sized on first use to the
+	// chunk being packed — at most BufferBytes, as a chunk holds at most
+	// chunkRows rows — and regrown only if a later chunk is larger because
+	// the table grew.
+	buf     []byte
+	reqs    []dram.GatherReq
+	cursor  int // next source row to scan
+	scratch blockScratch
 
 	// pendingFabricCycles/pendingDecodes hold the one-time dictionary
 	// translation cost from WithDictFilter. They are consumed into the first
@@ -133,8 +146,8 @@ func (e *Engine) Configure(tbl *table.Table, geom *geometry.Geometry, opts ...Vi
 		if sj.Col < 0 || sj.Col >= ncols {
 			return nil, fmt.Errorf("fabric: semi-join column %d out of range", sj.Col)
 		}
-		if sj.Key == nil || sj.Filter == nil {
-			return nil, errors.New("fabric: semi-join needs a key encoder and a Bloom filter")
+		if sj.Filter == nil {
+			return nil, errors.New("fabric: semi-join needs a Bloom filter")
 		}
 	}
 	for _, f := range o.dictFilters {
@@ -143,6 +156,9 @@ func (e *Engine) Configure(tbl *table.Table, geom *geometry.Geometry, opts ...Vi
 		}
 		if f.Codes == nil {
 			return nil, fmt.Errorf("fabric: dictionary filter on column %d has no code set", f.Col)
+		}
+		if !isIntFamily(tbl.Schema().Column(f.Col).Type) {
+			return nil, fmt.Errorf("fabric: dictionary filter column %d does not hold integer codes", f.Col)
 		}
 	}
 
@@ -158,13 +174,13 @@ func (e *Engine) Configure(tbl *table.Table, geom *geometry.Geometry, opts ...Vi
 		ev.pendingDecodes += uint64(f.Entries)
 	}
 	ev.buildStrides()
+	ev.compileFilters()
 
 	ev.chunkRows = e.cfg.BufferBytes / ev.packed
 	if ev.chunkRows < 1 {
 		return nil, fmt.Errorf("fabric: packed row of %d bytes exceeds buffer of %d", ev.packed, e.cfg.BufferBytes)
 	}
 	ev.deliveryBase = e.arena.Alloc(int64(e.cfg.BufferBytes))
-	ev.buf = make([]byte, 0, e.cfg.BufferBytes)
 	return ev, nil
 }
 
@@ -172,19 +188,18 @@ func (e *Engine) Configure(tbl *table.Table, geom *geometry.Geometry, opts ...Vi
 // and the ship program (what it packs, in pack order). Offsets are relative
 // to the row's physical start (including any MVCC header).
 func (ev *Ephemeral) buildStrides() {
-	payloadOff := 0
-	if ev.tbl.HasMVCC() {
-		payloadOff = table.MVCCHeaderBytes
-	}
-
-	// Ship strides: geometry columns in pack order, offset by the header.
-	sch := ev.tbl.Schema()
+	// Ship strides: geometry columns in pack order. Columns adjacent both in
+	// the packed row and in the physical row copy as one range.
 	ev.shipStrides = ev.shipStrides[:0]
 	for _, c := range ev.geom.Columns() {
-		ev.shipStrides = append(ev.shipStrides, geometry.Stride{
-			Offset: payloadOff + sch.Offset(c),
-			Width:  sch.Column(c).Width,
-		})
+		rc := ev.colAt(c)
+		if n := len(ev.shipStrides); n > 0 {
+			if prev := &ev.shipStrides[n-1]; prev.Offset+prev.Width == rc.off {
+				prev.Width += rc.width
+				continue
+			}
+		}
+		ev.shipStrides = append(ev.shipStrides, geometry.Stride{Offset: rc.off, Width: rc.width})
 	}
 
 	// Gather strides: header + geometry + predicate columns, merged.
@@ -206,9 +221,10 @@ func (ev *Ephemeral) buildStrides() {
 	if ev.tbl.HasMVCC() {
 		ranges = append(ranges, rng{0, table.MVCCHeaderBytes})
 	}
-	for c := 0; c < sch.NumColumns(); c++ {
+	for c := 0; c < ev.tbl.Schema().NumColumns(); c++ {
 		if cols[c] {
-			ranges = append(ranges, rng{payloadOff + sch.Offset(c), sch.Column(c).Width})
+			rc := ev.colAt(c)
+			ranges = append(ranges, rng{rc.off, rc.width})
 		}
 	}
 	// ranges are in ascending offset order already (header first, then
@@ -296,7 +312,11 @@ func (ev *Ephemeral) Next() (Chunk, bool) {
 	}
 	flush()
 
-	// Phase 2: visibility + selection + packing, on the real bytes.
+	// Phase 2: visibility, selection, code and semi-join filters, and
+	// packing, block-at-a-time over the raw row bytes.
+	if need := (end - ev.cursor) * ev.packed; cap(ev.buf) < need {
+		ev.buf = make([]byte, 0, need)
+	}
 	ev.buf = ev.buf[:0]
 	var fabricCycles uint64
 	// Consume any one-time dictionary translation cost into this chunk.
@@ -305,43 +325,14 @@ func (ev *Ephemeral) Next() (Chunk, bool) {
 		e.stats.EntriesDecoded += ev.pendingDecodes
 		ev.pendingFabricCycles, ev.pendingDecodes = 0, 0
 	}
-	rowsShipped := 0
 	var semiDropped, codeDropped uint64
-	for r := ev.cursor; r < end; r++ {
-		if ev.tbl.HasMVCC() {
-			fabricCycles += uint64(e.cfg.TSCheckCycles)
-			if ev.opts.hasSnap && !ev.tbl.VisibleAt(r, ev.opts.snapshotTS) {
-				continue
-			}
-		}
-		if len(ev.opts.preds) > 0 {
-			fabricCycles += uint64(len(ev.opts.preds) * e.cfg.PredicateCycles)
-			if !ev.rowQualifies(r) {
-				continue
-			}
-		}
-		if len(ev.opts.dictFilters) > 0 {
-			fabricCycles += uint64(len(ev.opts.dictFilters) * e.cfg.PredicateCycles)
-			if !ev.codesQualify(r) {
-				codeDropped++
-				continue
-			}
-		}
-		if ev.opts.semi != nil {
-			fabricCycles += uint64(e.cfg.PredicateCycles)
-			if !ev.semiQualifies(r) {
-				semiDropped++
-				continue
-			}
-		}
-		rowStart := ev.tbl.RowAddr(r) - ev.tbl.BaseAddr()
-		data := ev.tbl.Data()
-		for _, s := range ev.shipStrides {
-			off := rowStart + int64(s.Offset)
-			ev.buf = append(ev.buf, data[off:off+int64(s.Width)]...)
-		}
-		rowsShipped++
+	for b := ev.cursor; b < end; b += vec.BatchRows {
+		cycles, codes, semi := ev.filterBlock(b, min(vec.BatchRows, end-b))
+		fabricCycles += cycles
+		codeDropped += codes
+		semiDropped += semi
 	}
+	rowsShipped := len(ev.buf) / ev.packed
 
 	// Datapath throughput: the pipeline retires RowsPerCycle row
 	// descriptors or BeatBytes gathered bytes per fabric cycle, whichever
@@ -391,50 +382,6 @@ func (ev *Ephemeral) Next() (Chunk, bool) {
 	}, true
 }
 
-// rowQualifies evaluates the pushed-down conjunction against row r.
-func (ev *Ephemeral) rowQualifies(r int) bool {
-	for _, p := range ev.opts.preds {
-		v, err := ev.tbl.Get(r, p.Col)
-		if err != nil {
-			panic(fmt.Sprintf("fabric: predicate read of validated column failed: %v", err))
-		}
-		if !p.Eval(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// codesQualify tests row r's stored dictionary codes against every pushed
-// code set — pure code-domain comparisons, no decode.
-func (ev *Ephemeral) codesQualify(r int) bool {
-	for _, f := range ev.opts.dictFilters {
-		v, err := ev.tbl.Get(r, f.Col)
-		if err != nil {
-			panic(fmt.Sprintf("fabric: code-filter read of validated column failed: %v", err))
-		}
-		if !f.Codes.Contains(int(v.Int)) {
-			return false
-		}
-	}
-	return true
-}
-
-// semiQualifies tests row r's join key against the build-side Bloom filter.
-func (ev *Ephemeral) semiQualifies(r int) bool {
-	sj := ev.opts.semi
-	v, err := ev.tbl.Get(r, sj.Col)
-	if err != nil {
-		panic(fmt.Sprintf("fabric: semi-join read of validated column failed: %v", err))
-	}
-	key, ok := sj.Key(ev.keyBuf[:0], v)
-	ev.keyBuf = key[:0]
-	if !ok {
-		return false
-	}
-	return sj.Filter.MayContain(key)
-}
-
 // Materialize consumes the whole view and returns every packed row as a
 // contiguous byte slice — the correctness-oriented API used by tests and by
 // callers that want the column group as a plain buffer. It resets the view
@@ -449,4 +396,195 @@ func (ev *Ephemeral) Materialize() []byte {
 		}
 		out = append(out, ch.Data...)
 	}
+}
+
+// rowCol locates one column inside a physical row of the view's table.
+type rowCol struct {
+	typ   geometry.ColumnType
+	off   int // byte offset from the row start, MVCC header included
+	width int
+}
+
+// blockPred is a pushed predicate compiled for filterBlock: its column's
+// location and its operand unboxed by type.
+type blockPred struct {
+	rowCol
+	op  expr.CmpOp
+	opI int64
+	opF float64
+	opB []byte // TrimPad-ed CHAR operand
+}
+
+// blockDict is a dictionary-code filter compiled for filterBlock.
+type blockDict struct {
+	rowCol
+	codes *compress.CodeSet
+}
+
+// blockScratch holds one block's selection vector and decoded lanes.
+type blockScratch struct {
+	sel  []int32
+	fail []int16 // drop depths the vec filter kernels record; unread here
+	vis  []bool
+	i64  []int64
+	f64  []float64
+	key  []byte
+}
+
+func isIntFamily(t geometry.ColumnType) bool {
+	return t == geometry.Int64 || t == geometry.Int32 || t == geometry.Date
+}
+
+// grow returns s resized to n elements, reallocating only when it is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// colAt returns column c's location in a physical row.
+func (ev *Ephemeral) colAt(c int) rowCol {
+	col := ev.tbl.Schema().Column(c)
+	off := ev.tbl.Schema().Offset(c)
+	if ev.tbl.HasMVCC() {
+		off += table.MVCCHeaderBytes
+	}
+	return rowCol{typ: col.Type, off: off, width: col.Width}
+}
+
+// compileFilters locates every pushed filter's column in the physical row
+// and unboxes the predicate operands.
+func (ev *Ephemeral) compileFilters() {
+	for _, p := range ev.opts.preds {
+		bp := blockPred{rowCol: ev.colAt(p.Col), op: p.Op, opI: p.Operand.Int, opF: p.Operand.Float}
+		if bp.typ == geometry.Char {
+			bp.opB = vec.TrimPad(p.Operand.Bytes)
+		}
+		ev.preds = append(ev.preds, bp)
+	}
+	for _, f := range ev.opts.dictFilters {
+		ev.dicts = append(ev.dicts, blockDict{rowCol: ev.colAt(f.Col), codes: f.Codes})
+	}
+	if sj := ev.opts.semi; sj != nil {
+		ev.semiKey = ev.colAt(sj.Col)
+	}
+}
+
+// decode decodes the column's n rows, the first at byte base of data, into
+// the scratch lane of its type: i64 for the integer family, f64 for DOUBLE.
+// CHAR columns are read in place and decode nothing.
+func (c rowCol) decode(s *blockScratch, data []byte, base, stride, n int) {
+	off := base + c.off
+	switch c.typ {
+	case geometry.Int64:
+		s.i64 = grow(s.i64, n)
+		vec.DecodeI64(s.i64, data, off, stride, n)
+	case geometry.Int32, geometry.Date:
+		s.i64 = grow(s.i64, n)
+		vec.DecodeI32(s.i64, data, off, stride, n)
+	case geometry.Float64:
+		s.f64 = grow(s.f64, n)
+		vec.DecodeF64(s.f64, data, off, stride, n)
+	}
+}
+
+// keyCol exposes the column of n rows from byte base as a join-key column.
+func (c rowCol) keyCol(s *blockScratch, data []byte, base, stride, n int) vec.KeyCol {
+	c.decode(s, data, base, stride, n)
+	switch c.typ {
+	case geometry.Float64:
+		return vec.KeyCol{Kind: vec.KeyFloat, F64: s.f64}
+	case geometry.Char:
+		return vec.KeyCol{Kind: vec.KeyChar, Src: data, Off: base + c.off, Stride: stride, Width: c.width}
+	default:
+		return vec.KeyCol{Kind: vec.KeyInt, I64: s.i64}
+	}
+}
+
+// filter narrows sel to the rows of the block at byte base that satisfy p.
+func (p *blockPred) filter(s *blockScratch, data []byte, base, stride, n int, sel []int32) []int32 {
+	p.decode(s, data, base, stride, n)
+	switch p.typ {
+	case geometry.Float64:
+		return vec.FilterF64(s.f64, p.op, p.opF, sel, s.fail, 0)
+	case geometry.Char:
+		return vec.FilterChar(data, base+p.off, stride, p.width, p.op, p.opB, sel, s.fail, 0)
+	default:
+		return vec.FilterI64(s.i64, p.op, p.opI, sel, s.fail, 0)
+	}
+}
+
+// filterBlock runs the view's filters over the n source rows from row b and
+// packs the survivors into ev.buf in row order. The stages run in a row's
+// order — visibility, predicates, code filters, semi-join — and each charges
+// its per-row constant times the rows that reach it, the same sums a
+// row-at-a-time evaluation accumulates.
+func (ev *Ephemeral) filterBlock(b, n int) (cycles, codeDropped, semiDropped uint64) {
+	cfg := &ev.eng.cfg
+	data := ev.tbl.Data()
+	stride := ev.tbl.RowStride()
+	base := b * stride
+	s := &ev.scratch
+	s.sel = grow(s.sel, n)
+	sel := s.sel[:0]
+	if ev.tbl.HasMVCC() {
+		cycles += uint64(n * cfg.TSCheckCycles)
+	}
+	if ev.opts.hasSnap {
+		s.vis = grow(s.vis, n)
+		vec.VisibleMask(s.vis, data, stride, b, ev.opts.snapshotTS)
+		for i, ok := range s.vis {
+			if ok {
+				sel = append(sel, int32(i))
+			}
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			sel = append(sel, int32(i))
+		}
+	}
+	if len(ev.preds) > 0 {
+		cycles += uint64(len(sel) * len(ev.preds) * cfg.PredicateCycles)
+		s.fail = grow(s.fail, n)
+		for i := range ev.preds {
+			sel = ev.preds[i].filter(s, data, base, stride, n, sel)
+		}
+	}
+	if len(ev.dicts) > 0 {
+		cycles += uint64(len(sel) * len(ev.dicts) * cfg.PredicateCycles)
+		passed := len(sel)
+		for _, f := range ev.dicts {
+			f.decode(s, data, base, stride, n)
+			out := sel[:0]
+			for _, r := range sel {
+				if f.codes.Contains(int(s.i64[r])) {
+					out = append(out, r)
+				}
+			}
+			sel = out
+		}
+		codeDropped = uint64(passed - len(sel))
+	}
+	if sj := ev.opts.semi; sj != nil {
+		cycles += uint64(len(sel) * cfg.PredicateCycles)
+		reached := len(sel)
+		key := ev.semiKey.keyCol(s, data, base, stride, n)
+		out, k := sel[:0], s.key
+		for _, r := range sel {
+			var ok bool
+			if k, ok = key.AppendJoinKey(k[:0], r); ok && sj.Filter.MayContain(k) {
+				out = append(out, r)
+			}
+		}
+		sel, s.key = out, k
+		semiDropped = uint64(reached - len(sel))
+	}
+	for _, r := range sel {
+		row := base + int(r)*stride
+		for _, st := range ev.shipStrides {
+			ev.buf = append(ev.buf, data[row+st.Offset:row+st.Offset+st.Width]...)
+		}
+	}
+	return cycles, codeDropped, semiDropped
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -239,7 +240,7 @@ func TestSemiJoinPrefiltersProbeRows(t *testing.T) {
 		buf, _ = i64Key(buf[:0], table.I64(int64(k)))
 		bl.Add(buf)
 	}
-	sj := &SemiJoin{Col: 0, Key: i64Key, Filter: bl}
+	sj := &SemiJoin{Col: 0, Filter: bl}
 	ev, err := f.eng.Configure(f.tbl, geometry.MustGeometry(f.tbl.Schema(), 0, 3), WithSemiJoin(sj))
 	if err != nil {
 		t.Fatal(err)
@@ -260,21 +261,35 @@ func TestSemiJoinPrefiltersProbeRows(t *testing.T) {
 	}
 }
 
+// TestSemiJoinKeyRejectionDropsRow: a NaN DOUBLE key matches nothing under
+// SQL equality, so the fabric drops its row even when the Bloom filter holds
+// the NaN's own bit pattern.
 func TestSemiJoinKeyRejectionDropsRow(t *testing.T) {
-	f := newFixture(t, 16, false)
-	bl := NewBloom(4)
-	sj := &SemiJoin{
-		Col:    0,
-		Key:    func(dst []byte, v table.Value) ([]byte, bool) { return dst, false },
-		Filter: bl,
+	mem := dram.MustNew(dram.DefaultConfig())
+	arena := dram.MustArena(0, 64)
+	eng := MustNew(DefaultConfig(), mem, arena)
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "k", Type: geometry.Float64, Width: 8},
+		geometry.Column{Name: "v", Type: geometry.Int32, Width: 4},
+	)
+	const rows = 16
+	tbl := table.MustNew("t", sch, table.WithCapacity(rows),
+		table.WithBaseAddr(arena.Alloc(int64(rows*sch.RowBytes()))))
+	bl := NewBloom(rows)
+	for r := 0; r < rows; r++ {
+		nan := math.Float64frombits(0x7ff8000000000000 | uint64(r))
+		tbl.MustAppend(0, table.F64(nan), table.I32(int32(r)))
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(nan))
+		bl.Add(b[:])
 	}
-	ev, err := f.eng.Configure(f.tbl, geometry.MustGeometry(f.tbl.Schema(), 0), WithSemiJoin(sj))
+	ev, err := eng.Configure(tbl, geometry.MustGeometry(sch, 0, 1), WithSemiJoin(&SemiJoin{Col: 0, Filter: bl}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev.Materialize()
-	if st := f.eng.Stats(); st.RowsShipped != 0 || st.RowsSemiFiltered != 16 {
-		t.Errorf("shipped/filtered = %d/%d, want 0/16", st.RowsShipped, st.RowsSemiFiltered)
+	if st := eng.Stats(); st.RowsShipped != 0 || st.RowsSemiFiltered != rows {
+		t.Errorf("shipped/filtered = %d/%d, want 0/%d", st.RowsShipped, st.RowsSemiFiltered, rows)
 	}
 }
 
@@ -283,15 +298,11 @@ func TestConfigureFilterValidation(t *testing.T) {
 	geom := geometry.MustGeometry(f.tbl.Schema(), 0)
 	bl := NewBloom(1)
 	if _, err := f.eng.Configure(f.tbl, geom,
-		WithSemiJoin(&SemiJoin{Col: 99, Key: i64Key, Filter: bl})); err == nil {
+		WithSemiJoin(&SemiJoin{Col: 99, Filter: bl})); err == nil {
 		t.Error("out-of-range semi-join column accepted")
 	}
 	if _, err := f.eng.Configure(f.tbl, geom,
-		WithSemiJoin(&SemiJoin{Col: 0, Filter: bl})); err == nil {
-		t.Error("semi-join without key encoder accepted")
-	}
-	if _, err := f.eng.Configure(f.tbl, geom,
-		WithSemiJoin(&SemiJoin{Col: 0, Key: i64Key})); err == nil {
+		WithSemiJoin(&SemiJoin{Col: 0})); err == nil {
 		t.Error("semi-join without filter accepted")
 	}
 	if _, err := f.eng.Configure(f.tbl, geom,
@@ -301,6 +312,12 @@ func TestConfigureFilterValidation(t *testing.T) {
 	if _, err := f.eng.Configure(f.tbl, geom,
 		WithDictFilter(DictFilter{Col: 0})); err == nil {
 		t.Error("dict filter without code set accepted")
+	}
+	for _, col := range []int{2, 3} { // CHAR and DOUBLE hold no integer codes
+		if _, err := f.eng.Configure(f.tbl, geom,
+			WithDictFilter(DictFilter{Col: col, Codes: &compress.CodeSet{}})); err == nil {
+			t.Errorf("dict filter over non-integer column %d accepted", col)
+		}
 	}
 	// WithSemiJoin(nil) is a no-op, not an error.
 	if _, err := f.eng.Configure(f.tbl, geom, WithSemiJoin(nil)); err != nil {
