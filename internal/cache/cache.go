@@ -320,7 +320,9 @@ type stream struct {
 }
 
 // Hierarchy is the simulated L1→L2→DRAM read path. Not safe for concurrent
-// use; each simulated core owns one.
+// use; each simulated core owns one, and one goroutine at a time drives it.
+// Ownership may pass between goroutines only through a synchronizing
+// hand-off, as the batch pipeline's replay channels do.
 type Hierarchy struct {
 	cfg     HierarchyConfig
 	l1, l2  *level

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"rfabric/internal/cache"
 	"rfabric/internal/colstore"
@@ -13,45 +15,160 @@ import (
 // It processes vecBatchRows rows per iteration in four stages — visibility,
 // bulk decode, selection refinement, charge replay — then consumes the
 // survivors through typed kernels. The charge-replay stage issues the exact
-// load sequence (in batched Hier.LoadAddrs calls) and compute charges of
-// the scalar interpreter (the per-row short-circuit outcome decided by the
-// recorded fail depth selects a precompiled load program), so modeled
-// cycles, Breakdown, spans, and timelines are byte-identical; only
-// wall-clock time and allocations change. Like the scalar pipeline it is
-// written once and parameterized by the opened scan: ROW feeds it one
-// strided segment (with MVCC replay and per-row ticks), RM feeds it fabric
-// chunks with pipeline accounting, IDX feeds it its candidate row ids over
-// the strided heap. COL's decomposed layout has its own batch scan,
-// runColVec, below.
+// load sequence and compute charges of the scalar interpreter (the per-row
+// short-circuit outcome decided by the recorded fail depth selects a
+// precompiled load program), so modeled cycles, Breakdown, spans, and
+// timelines are byte-identical; only wall-clock time and allocations
+// change. The loads are charged to the hierarchy by the scan's replay
+// goroutine (see loadBuf), so batch k's cache simulation runs on another
+// core while the pipeline decodes, refines, sinks, and consumes batch k+1.
+// Like the scalar pipeline it is written once and parameterized by the
+// opened scan: ROW feeds it one strided segment (with MVCC replay and
+// per-row ticks), RM feeds it fabric chunks with pipeline accounting, IDX
+// feeds it its candidate row ids over the strided heap. COL's decomposed
+// layout has its own batch scan, runColVec, below.
 
 // loadBuf collects the charge replay's load addresses, in scalar order, and
-// charges them to the hierarchy in LoadAddrs calls of up to len(addrs)
-// loads. It lives inside the scratch, so replay allocates nothing.
+// hands them to the scan's replay goroutine, which charges each submitted
+// buffer to the hierarchy with LoadAddrs, in FIFO order.
+//
+// The hierarchy has one owner at a time. submit passes it to the goroutine
+// along with a buffer; flush takes it back, waiting for the goroutine, and
+// replays the pending remainder inline. Whatever reads hierarchy or DRAM
+// state, or lets another component touch them (Hier.Stats, a timeline
+// tick, the fabric's next chunk, the scan's result), flushes first, and
+// nothing between a submit and the next flush touches the scan's System.
+// The hierarchy thus sees the same addresses in the same order as an
+// inline replay, one goroutine at a time, with every hand-off ordered by a
+// channel operation; LoadAddrs' return value is never read (costs come
+// from Hier.Stats after a flush), so no modeled figure can change. On the
+// demand paths a timeline's per-row ticks flush at every row, so their
+// traced scans keep replaying inline.
 type loadBuf struct {
 	hier  *cache.Hierarchy
-	n     int
-	addrs [256]int64
+	r     *replayer // the running goroutine's hand-off; nil before the first add
+	buf   []int64   // the buffer being filled
+	n     int       // loads pending in buf
+	spare []int64   // the other buffer, unless busy
+	busy  bool      // the other buffer is at the goroutine
 }
 
-// loadBuf returns the scratch's load buffer, empty and bound to hier.
-func (s *scanScratch) loadBuf(hier *cache.Hierarchy) *loadBuf {
-	s.loads.hier, s.loads.n = hier, 0
-	return &s.loads
+// replayBufLoads is each replay buffer's capacity; a batch that issues more
+// loads submits mid-batch.
+const replayBufLoads = 8192
+
+// replaySpin bounds how often a side of the hand-off polls its channel,
+// yielding the processor between polls, before it blocks. A yield costs
+// about 150 ns, so the spin covers a wait of about one batch's replay;
+// past it the side parks, and waking a parked goroutine costs
+// microseconds, on virtual machines tens of them. With one P each yield
+// runs the other side, so the spin cannot deadlock.
+const replaySpin = 1000
+
+// replayer is a replay goroutine's hand-off: its two channels and the two
+// buffers that circulate through them. Pooling it keeps a scan's steady
+// state free of buffer and channel allocations.
+type replayer struct {
+	bufs [2][]int64
+	work chan []int64 // submitted buffers; nil stops the goroutine
+	done chan []int64 // replayed buffers handed back; nil acknowledges the stop
+}
+
+var replayers = sync.Pool{New: func() any {
+	return &replayer{
+		bufs: [2][]int64{make([]int64, replayBufLoads), make([]int64, replayBufLoads)},
+		work: make(chan []int64, 1),
+		done: make(chan []int64, 1),
+	}
+}}
+
+// run is the replay goroutine: it charges each submitted buffer to hier
+// and hands it back, until it receives nil.
+func (r *replayer) run(hier *cache.Hierarchy) {
+	for {
+		buf := recvSpin(r.work)
+		if buf == nil {
+			r.done <- nil
+			return
+		}
+		hier.LoadAddrs(buf)
+		r.done <- buf
+	}
+}
+
+// recvSpin receives from c, polling and yielding up to replaySpin times
+// before it blocks.
+func recvSpin(c chan []int64) []int64 {
+	for range replaySpin {
+		select {
+		case b := <-c:
+			return b
+		default:
+			runtime.Gosched()
+		}
+	}
+	return <-c
 }
 
 func (b *loadBuf) add(addr int64) {
-	if b.n == len(b.addrs) {
-		b.flush()
+	if b.n == len(b.buf) {
+		if b.r == nil {
+			b.start()
+		} else {
+			b.submit()
+		}
 	}
-	b.addrs[b.n] = addr
+	b.buf[b.n] = addr
 	b.n++
 }
 
-// flush charges the pending loads. Callers flush before anything reads the
-// hierarchy's state and at the end of each batch.
-func (b *loadBuf) flush() {
-	b.hier.LoadAddrs(b.addrs[:b.n])
+// start takes a pooled hand-off and starts the replay goroutine; a scan's
+// first load does, so a scan that loads nothing starts none.
+func (b *loadBuf) start() {
+	b.r = replayers.Get().(*replayer)
+	b.buf, b.spare = b.r.bufs[0], b.r.bufs[1]
+	go b.r.run(b.hier)
+}
+
+// submit hands the pending loads to the replay goroutine and takes the
+// other buffer to fill, waiting for it if it is still at the goroutine.
+func (b *loadBuf) submit() {
+	if b.n == 0 {
+		return
+	}
+	if b.busy {
+		b.spare = recvSpin(b.r.done)
+	}
+	b.r.work <- b.buf[:b.n]
+	b.buf, b.spare, b.busy = b.spare[:replayBufLoads], nil, true
 	b.n = 0
+}
+
+// flush takes the hierarchy back and charges the pending loads: it waits
+// for the buffer at the goroutine, then replays the rest inline.
+func (b *loadBuf) flush() {
+	if b.busy {
+		b.spare, b.busy = recvSpin(b.r.done), false
+	}
+	b.hier.LoadAddrs(b.buf[:b.n])
+	b.n = 0
+}
+
+// stop ends the replay goroutine once it has charged what it holds, and
+// returns the buffers to the pool. It does not charge the pending loads
+// (flush does), and it is idempotent, so scans defer it for their error
+// paths and call it when they finish.
+func (b *loadBuf) stop() {
+	if b.r == nil {
+		return
+	}
+	if b.busy {
+		recvSpin(b.r.done)
+	}
+	b.r.work <- nil
+	recvSpin(b.r.done)
+	replayers.Put(b.r)
+	*b = loadBuf{hier: b.hier}
 }
 
 // runVec drives the compiled batch program over the source's segments:
@@ -80,10 +197,14 @@ func (s *scan) runVec(q Query) (*Result, error) {
 	var scanned int64
 	var pipeline, producer uint64
 	last := len(prog.preds)
-	loads := sc.loadBuf(s.sys.Hier)
+	loads := loadBuf{hier: s.sys.Hier}
+	defer loads.stop()
 
 	next := s.segs(pr)
 	for {
+		// The segment's consumer time starts here, and RM's next runs the
+		// fabric over the shared DRAM module: both need the hierarchy back.
+		loads.flush()
 		hierBefore := s.sys.Hier.Stats().Cycles
 		computeBefore := pr.compute
 
@@ -128,7 +249,9 @@ func (s *scan) runVec(q Query) (*Result, error) {
 			// Charge replay, row-major like the scalar loop: tick, iterator
 			// overhead, MVCC header touch, then the outcome's load program
 			// and the sink's per-row charge. A per-row tick samples the
-			// hierarchy, so it flushes the loads of the rows before it.
+			// hierarchy, so it flushes the loads of the rows before it; the
+			// batch's loads go to the replay goroutine, which charges them
+			// while the pipeline consumes this batch and decodes the next.
 			fail := sc.fail[:n]
 			tickRows := s.tickPerRow && pr.tk.tl != nil
 			for i := 0; i < n; i++ {
@@ -164,12 +287,13 @@ func (s *scan) runVec(q Query) (*Result, error) {
 					pr.compute += extra[i]
 				}
 			}
-			loads.flush()
+			loads.submit()
 
 			sc.consume(prog, sel, acc)
 		}
 
 		if s.pipelined {
+			loads.flush()
 			consumer := (s.sys.Hier.Stats().Cycles - hierBefore) + (pr.compute - computeBefore)
 			producer += seg.producer
 			if seg.producer > consumer {
@@ -181,6 +305,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 		}
 	}
 
+	loads.stop() // the loop's last flush charged every load
 	res := sc.result(s.name, q, prog, acc, scanned)
 	return s.finishRun(pr, res, pipeline, producer)
 }
@@ -204,7 +329,8 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 	store := s.colVec.store
 	sch := s.sch
 	rows := store.NumRows()
-	loads := sc.loadBuf(s.sys.Hier)
+	loads := loadBuf{hier: s.sys.Hier}
+	defer loads.stop()
 
 	var bitmap []bool
 	var bitmapAddr int64
@@ -242,7 +368,7 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 				pr.compute += VectorOpCycles + MaterializeCycles
 				addr += int64(w)
 			}
-			loads.flush()
+			loads.submit()
 			dst := bitmap[base : base+n]
 			switch cdef.Type {
 			case geometry.Int64:
@@ -302,7 +428,7 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 				pr.compute += extra[j]
 			}
 		}
-		loads.flush()
+		loads.submit()
 		sc.consume(prog, sel, acc)
 	}
 
@@ -328,6 +454,8 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 		}
 	}
 
+	loads.flush()
+	loads.stop()
 	res := sc.result(s.name, q, prog, acc, int64(rows))
 	return s.finishRun(pr, res, 0, 0)
 }

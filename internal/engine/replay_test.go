@@ -1,0 +1,271 @@
+package engine
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"rfabric/internal/expr"
+	"rfabric/internal/geometry"
+	"rfabric/internal/obs"
+	"rfabric/internal/plan"
+	"rfabric/internal/table"
+)
+
+// The batch pipeline charges its loads to the cache hierarchy from a
+// per-scan replay goroutine (loadBuf). The hand-off must be invisible: every
+// access path, traced or not, must leave the same Result, Breakdown,
+// hierarchy, DRAM and fabric state, span tree and timeline as its scalar
+// twin, which charges every load inline, and no replay goroutine may
+// outlive its scan. Run under -race, the test also checks that nothing
+// touches the hierarchy or DRAM while the goroutine owns them.
+
+// replayCols is the narrow fixture schema: one column of each type.
+var replayCols = []geometry.Column{
+	{Name: "k", Type: geometry.Int64, Width: 8},
+	{Name: "price", Type: geometry.Float64, Width: 8},
+	{Name: "qty", Type: geometry.Int32, Width: 4},
+	{Name: "tag", Type: geometry.Char, Width: 8},
+	{Name: "day", Type: geometry.Date, Width: 4},
+	{Name: "disc", Type: geometry.Float64, Width: 8},
+}
+
+// replayValue is row r's deterministic value for column c. Column 0 is a
+// permutation of 0..rows-1 (an index key); the rest cycle small domains.
+func replayValue(col geometry.Column, r, c, rows int) table.Value {
+	v := r*(7+2*c) + c
+	switch col.Type {
+	case geometry.Int64:
+		if c == 0 {
+			return table.I64(int64(r * 7 % rows))
+		}
+		return table.I64(int64(v % 100))
+	case geometry.Int32:
+		return table.I32(int32(v % 50))
+	case geometry.Float64:
+		return table.F64(float64(v%1000) / 8)
+	case geometry.Char:
+		return table.Str(genWords[v%len(genWords)])
+	default:
+		return table.DateV(int32(v % 365))
+	}
+}
+
+// replayTable builds and fills one table on sys. MVCC rows get begin
+// timestamps 1-3, and every fourth row a later end timestamp.
+func replayTable(t *testing.T, sys *System, name string, sch *geometry.Schema, rows int, mvcc bool) *table.Table {
+	t.Helper()
+	stride := sch.RowBytes()
+	opts := []table.Option{table.WithCapacity(rows)}
+	if mvcc {
+		stride += table.MVCCHeaderBytes
+		opts = append(opts, table.WithMVCC())
+	}
+	opts = append(opts, table.WithBaseAddr(sys.Arena.Alloc(int64(rows*stride))))
+	tbl, err := table.New(name, sch, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]table.Value, sch.NumColumns())
+	for r := 0; r < rows; r++ {
+		for c := range vals {
+			vals[c] = replayValue(sch.Column(c), r, c, rows)
+		}
+		begin := uint64(1 + r%3)
+		idx := tbl.MustAppend(begin, vals...)
+		if mvcc && r%4 == 0 {
+			if err := tbl.SetEndTS(idx, begin+uint64(1+r%2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tbl
+}
+
+// replayTwin builds one fixture: a probe table (and, for joins, an
+// orders-like build table keyed on column 0) with its column stores and
+// index, on a fresh System whose fabric buffer is bufBytes (0 keeps the
+// default).
+func replayTwin(t *testing.T, sch *geometry.Schema, rows int, mvcc bool, buildRows, bufBytes int) *joinTwin {
+	t.Helper()
+	cfg := DefaultSystemConfig()
+	if bufBytes > 0 {
+		cfg.Fabric.BufferBytes = bufBytes
+	}
+	sys := MustSystem(cfg)
+	f := &joinTwin{sys: sys, tables: map[string]*table.Table{}, probe: "probe"}
+	f.tables["probe"] = replayTable(t, sys, "probe", sch, rows, mvcc)
+	if buildRows > 0 {
+		orders := geometry.MustSchema(
+			geometry.Column{Name: "okey", Type: geometry.Int64, Width: 8},
+			geometry.Column{Name: "odate", Type: geometry.Date, Width: 4},
+			geometry.Column{Name: "prio", Type: geometry.Int32, Width: 4},
+		)
+		f.tables["build"] = replayTable(t, sys, "build", orders, buildRows, false)
+	}
+	f.addStructures(t, mvcc)
+	return f
+}
+
+func TestReplayHandOffMatchesInline(t *testing.T) {
+	narrow := geometry.MustSchema(replayCols...)
+	var wideCols []geometry.Column
+	for i := 0; i < 16; i++ {
+		c := replayCols[1+i%(len(replayCols)-1)]
+		if i == 0 {
+			c = replayCols[0]
+		}
+		c.Name = fmt.Sprintf("w%02d", i)
+		wideCols = append(wideCols, c)
+	}
+	wide := geometry.MustSchema(wideCols...)
+	const rows = 5000
+	snap := uint64(2)
+	twoPreds := expr.Conjunction{
+		{Col: 1, Op: expr.Lt, Operand: table.F64(90)},
+		{Col: 2, Op: expr.Ge, Operand: table.I32(10)},
+	}
+	grouped := Query{
+		Selection:  twoPreds,
+		GroupBy:    []int{3},
+		Aggregates: []AggTerm{{Kind: expr.Count}, {Kind: expr.Sum, Arg: expr.ColRef{Col: 5}}},
+	}
+	projected := Query{Selection: twoPreds, Projection: []int{0, 3, 4}}
+	allCols := Query{Projection: make([]int, wide.NumColumns())}
+	for i := range allCols.Projection {
+		allCols.Projection[i] = i
+	}
+
+	// A Q3-class join: filtered probe (lineitem-like) against filtered
+	// build (orders-like) on the key, grouped on build columns, summing
+	// price*(1-disc).
+	q3 := func() *plan.Node {
+		li := plan.NewScan("probe", "", nil).Filter(expr.Conjunction{{Col: 4, Op: expr.Gt, Operand: table.DateV(60)}})
+		ord := plan.NewScan("build", "", nil).Filter(expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.DateV(300)}})
+		revenue := expr.Binary{Op: expr.Mul, L: expr.ColRef{Col: 1},
+			R: expr.Binary{Op: expr.Sub, L: expr.Const{V: 1}, R: expr.ColRef{Col: 5}}}
+		return li.Join(ord, 0, 0).Aggregate([]int{0, 7, 8}, []plan.Agg{{Kind: expr.Sum, Arg: revenue}, {Kind: expr.Count}})
+	}
+
+	type run func(t *testing.T, f *joinTwin, tr *obs.Tracer, scalar bool) (*Result, error)
+	single := func(q Query, mk func(f *joinTwin, tr *obs.Tracer, scalar bool) Executor) run {
+		return func(t *testing.T, f *joinTwin, tr *obs.Tracer, scalar bool) (*Result, error) {
+			return mk(f, tr, scalar).Execute(q)
+		}
+	}
+	cases := []struct {
+		name string
+		fx   func(t *testing.T) *joinTwin
+		run  run
+	}{
+		{"ROW", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
+			single(projected, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			})},
+		{"COL", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
+			single(grouped, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			})},
+		{"RM-chunks", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 24<<10) },
+			single(grouped, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			})},
+		{"IDX", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
+			single(Query{Selection: expr.Conjunction{{Col: 0, Op: expr.Ge, Operand: table.I64(700)}}, Projection: []int{1, 3}},
+				func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+					e := &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
+					if fs {
+						return scalarExec{e}
+					}
+					return e
+				})},
+		{"MVCC", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, true, 0, 0) },
+			single(Query{Selection: twoPreds, Projection: []int{0, 3}, Snapshot: &snap},
+				func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+					return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+				})},
+		{"PAR", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
+			single(grouped, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+				return &ParallelEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs,
+					Par: ParallelConfig{Workers: 2, MorselRows: 1500}}
+			})},
+		{"Q3-join", func(t *testing.T) *joinTwin {
+			f := replayTwin(t, narrow, rows, false, 1200, 32<<10)
+			f.root = q3()
+			return f
+		}, func(t *testing.T, f *joinTwin, tr *obs.Tracer, fs bool) (*Result, error) {
+			jp := f.lower(t, nil)
+			ex := &JoinExec{Plan: jp, Probe: f.source(f.sys, viaRM, jp.Probe.Table, true, fs, tr)}
+			for _, st := range jp.Stages {
+				ex.Builds = append(ex.Builds, f.source(f.sys, viaRM, st.Side.Table, false, fs, tr))
+			}
+			return ex.Execute()
+		}},
+		{"wide", func(t *testing.T) *joinTwin { return replayTwin(t, wide, 3000, false, 0, 0) },
+			single(allCols, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			})},
+	}
+
+	for _, tc := range cases {
+		for _, timeline := range []bool{false, true} {
+			name := tc.name + "/spans"
+			if timeline {
+				name = tc.name + "/timeline"
+			}
+			t.Run(name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				exec := func(scalar bool) (twinRun, *System) {
+					f := tc.fx(t)
+					tr := obs.NewTracer("query")
+					var tl *obs.Timeline
+					if timeline {
+						tl = obs.NewTimeline(997, f.sys.Cfg.DRAM.Banks)
+						tr.AttachTimeline(tl)
+						f.sys.AttachTimeline(tl)
+						defer f.sys.DetachTimeline()
+					}
+					res, err := tc.run(t, f, tr, scalar)
+					if err != nil {
+						t.Fatalf("scalar=%v: %v", scalar, err)
+					}
+					out := twinRun{res: res, spans: mustJSON(t, tr.Root())}
+					if tl != nil {
+						tl.Finish(res.Breakdown.TotalCycles)
+						out.timeline = mustJSON(t, tl)
+					}
+					return out, f.sys
+				}
+				inline, inlineSys := exec(true)
+				handed, handedSys := exec(false)
+				requireTwinMatch(t, name, inline, handed, inlineSys, handedSys)
+				switch tc.name {
+				case "RM-chunks", "Q3-join":
+					if c := handedSys.Fab.Stats().Chunks; c < 3 {
+						t.Fatalf("%s ran %d fabric chunks, want several", name, c)
+					}
+				case "wide":
+					if per := int(handedSys.Hier.Stats().Loads / 3000); per*vecBatchRows <= replayBufLoads {
+						t.Fatalf("%d loads per row do not overflow a replay buffer within a batch", per)
+					}
+				}
+				requireGoroutines(t, before)
+			})
+		}
+	}
+}
+
+// requireGoroutines waits briefly for the goroutine count to settle back to
+// want: a replay goroutine acknowledges its stop just before it returns.
+func requireGoroutines(t *testing.T, want int) {
+	t.Helper()
+	got := runtime.NumGoroutine()
+	for i := 0; got > want && i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	if got > want {
+		t.Fatalf("%d goroutines outlive the scans (started with %d)", got-want, want)
+	}
+}

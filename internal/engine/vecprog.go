@@ -335,7 +335,6 @@ type scanScratch struct {
 	rows  []int32  // the current batch's row ids (id-list segments)
 	gids  []int32  // group id of each selected row
 	extra []uint64 // a join sink's per-row compute on top of the outcome's charge
-	loads loadBuf  // the charge replay's pending loads
 	keys  []vec.KeyCol
 
 	groups vec.GroupTable
