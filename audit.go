@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"rfabric/internal/obs"
 	"rfabric/internal/plan"
@@ -211,12 +212,13 @@ func (db *DB) Audit(set []AuditStatement, lineitemRows int, seed int64) (*AuditR
 // estimated-vs-actual pair the statement context recorded.
 func (db *DB) auditOne(kind EngineKind, text string) AuditRun {
 	run := AuditRun{Engine: string(kind)}
-	c := db.beginStatement(text, true)
+	c := db.observe(text, nil)
 	if c == nil {
 		// The attached store is disabled; the pair is still needed here.
-		c = &stmtCtx{}
+		c = &stmtCtx{text: text, start: time.Now()}
 	}
-	res, _, err := db.query(kind, text, c.tracer(), nil, c)
+	c.price = true
+	res, _, err := db.query(kind, text, c)
 	if err != nil {
 		run.Error = err.Error()
 		return run
@@ -229,7 +231,9 @@ func (db *DB) auditOne(kind EngineKind, text string) AuditRun {
 		run.EstSel = c.est.Selectivity
 		run.QError = plan.QError(c.est.Cycles, float64(run.ActCycles))
 	}
-	run.ActSel = c.actSel
+	if c.act != nil && c.act.RowsScanned > 0 {
+		run.ActSel = c.act.Selectivity()
+	}
 	return run
 }
 

@@ -27,19 +27,12 @@
 //	                AUTO chose the path that actually won (-json for the
 //	                machine-readable report; see EXPERIMENTS.md for its schema)
 //	-serve addr     serve live observability over a demo TPC-H database:
-//	                GET /metrics (Prometheus), /metrics.json, /healthz,
-//	                /readyz, /debug/windows.json, /debug/alerts,
-//	                /debug/trace/last, /debug/trace/last.chrome,
-//	                /debug/statements, /debug/slowlog, /query?q=SQL
+//	                GET /metrics (Prometheus), /metrics.json,
+//	                /debug/windows.json, /debug/trace/last,
+//	                /debug/trace/last.chrome, /debug/statements,
+//	                /debug/slowlog, /query?q=SQL
 //	-slow-cycles N  modeled-cycle threshold arming -serve's slow-query log
 //	                (default 10000000; 0 disables)
-//	-alert RULE     alert rule for -serve, e.g.
-//	                'high_p99: p99_cycles > 5e8 for 10s over 30s severity page';
-//	                repeatable; overrides the built-in default rules
-//	-top URL        live terminal dashboard polling a -serve instance
-//	                (e.g. -top http://localhost:8080)
-//	-top-interval d poll interval for -top (default 1s)
-//	-top-count N    frames to render before exiting -top (0 = run forever)
 //	-bench          record the experiments (default: fig5, par-speedup) into
 //	                BENCH_<name>.json for regression gating
 //	-bench-name s   record name for -bench output (default tier1)
@@ -59,7 +52,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"rfabric/internal/experiments"
 )
@@ -73,14 +65,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
 	serveAddr := flag.String("serve", "", "serve live metrics and traces on this address (e.g. :8080)")
 	slowCycles := flag.Uint64("slow-cycles", 10_000_000, "modeled-cycle threshold arming -serve's slow-query log (0 disables)")
-	var alertRules []string
-	flag.Func("alert", "alert rule for -serve (repeatable; overrides the defaults)", func(s string) error {
-		alertRules = append(alertRules, s)
-		return nil
-	})
-	topURL := flag.String("top", "", "live terminal dashboard polling a -serve instance at this URL")
-	topInterval := flag.Duration("top-interval", time.Second, "poll interval for -top")
-	topCount := flag.Int("top-count", 0, "frames to render before -top exits (0 = forever)")
 	audit := flag.Bool("audit", false, "replay the TPC-H statement set across all engines and report optimizer accuracy")
 	benchOut := flag.Bool("bench", false, "record experiments into BENCH_<name>.json for regression gating")
 	benchName := flag.String("bench-name", "tier1", "record name for -bench output")
@@ -142,15 +126,8 @@ func main() {
 	}
 
 	if *serveAddr != "" {
-		if err := serve(*serveAddr, *rows, *seed, *slowCycles, alertRules); err != nil {
+		if err := serve(*serveAddr, *rows, *seed, *slowCycles); err != nil {
 			fatalf("serve: %v", err)
-		}
-		return
-	}
-
-	if *topURL != "" {
-		if err := runTop(os.Stdout, *topURL, *topInterval, *topCount); err != nil {
-			fatalf("top: %v", err)
 		}
 		return
 	}

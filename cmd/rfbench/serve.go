@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"time"
 
 	"rfabric"
 	"rfabric/internal/obs"
@@ -15,33 +14,19 @@ import (
 )
 
 // serveWindowSeconds is the sliding-window ring the server retains: two
-// minutes of per-second buckets, enough for any burn-rate window the
-// default rules use.
+// minutes of per-second buckets.
 const serveWindowSeconds = 120
-
-// defaultAlertRules are the rules -serve evaluates when no -alert flags
-// override them: a latency SLO on p99 modeled cycles, an error-budget burn
-// on the five-nines error SLO, and a cache-thrash warning.
-var defaultAlertRules = []string{
-	"high_p99: p99_cycles > 5e8 for 10s over 30s severity page",
-	"error_burn: burn error_rate slo 0.99 > 10 for 5s over 60s severity page",
-	"cache_thrash: cache_miss_ratio > 0.9 for 30s over 30s severity warn",
-}
 
 // serve hosts the live observability surface over a demo database: a TPC-H
 // lineitem table on the default simulated platform, with a metrics registry,
-// sliding-window telemetry, statement statistics, a slow-query log, and an
-// SLO alert engine attached, and one traced Q6 already run so every scrape
-// is populated from the start.
+// sliding-window telemetry, statement statistics, and a slow-query log
+// attached, and one traced Q6 already run so every scrape is populated from
+// the start.
 //
 //	GET /metrics                 — Prometheus text exposition
 //	GET /metrics.json            — the same registry as JSON
-//	GET /healthz                 — liveness (version, uptime)
-//	GET /readyz                  — readiness; 503 while warming or when a
-//	                               page-severity alert is firing
 //	GET /debug/windows.json      — rolling-window scoreboard + per-second
 //	                               series (?window=N narrows the merge)
-//	GET /debug/alerts            — alert rules, states, firing history
 //	GET /debug/trace/last        — most recent query trace (span tree) as JSON
 //	GET /debug/trace/last.chrome — same trace as Chrome Trace Event JSON
 //	                               (open it in ui.perfetto.dev)
@@ -50,74 +35,50 @@ var defaultAlertRules = []string{
 //	GET /debug/slowlog           — recent slow queries with full traces
 //	GET /query?q=SQL             — run a traced query; returns result + trace
 //
-// slowCycles arms the slow-query log (0 disables); ruleTexts override the
-// default alert rules. rfbench -top <url> renders this server's windows and
-// alerts as a live terminal dashboard.
-func serve(addr string, rows int, seed int64, slowCycles uint64, ruleTexts []string) error {
-	mux, alerts, err := setupServe(rows, seed, slowCycles, ruleTexts, os.Stderr)
+// slowCycles arms the slow-query log (0 disables).
+func serve(addr string, rows int, seed int64, slowCycles uint64) error {
+	mux, err := setupServe(rows, seed, slowCycles, os.Stderr)
 	if err != nil {
 		return err
 	}
-	alerts.Start(time.Second)
-	defer alerts.Stop()
-	fmt.Fprintf(os.Stderr, "rfbench: serving /metrics, /metrics.json, /healthz, /readyz, /debug/windows.json, /debug/alerts, /debug/trace/last, /debug/statements, /debug/slowlog, /query on %s\n", addr)
+	fmt.Fprintf(os.Stderr, "rfbench: serving /metrics, /metrics.json, /debug/windows.json, /debug/trace/last, /debug/statements, /debug/slowlog, /query on %s\n", addr)
 	return http.ListenAndServe(addr, mux)
 }
 
 // setupServe builds the demo database and the full observability mux —
 // everything serve hosts, minus the listener, so tests drive it through
-// httptest. The returned alert engine is not yet started.
-func setupServe(rows int, seed int64, slowCycles uint64, ruleTexts []string, logw io.Writer) (*http.ServeMux, *rfabric.AlertEngine, error) {
+// httptest.
+func setupServe(rows int, seed int64, slowCycles uint64, logw io.Writer) (*http.ServeMux, error) {
 	db, err := rfabric.Open(rfabric.DefaultConfig())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tbl, err := db.CreateTable("lineitem", tpch.LineitemSchema(), rows)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := tpch.Generate(tbl, rows, seed); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	db.SetGroupCache(rfabric.DefaultGroupCacheConfig())
 	reg := rfabric.NewRegistry()
 	db.SetObserver(reg)
-	obs.PublishBuildInfo(reg, rfabric.Version, rfabric.EngineSet)
 	stats := obs.NewStatStore()
 	db.SetStatements(stats)
 	if slowCycles > 0 {
 		db.SetSlowThreshold(slowCycles)
 	}
-
-	// Rolling-window telemetry plus the SLO alert engine over it.
 	win := rfabric.NewWindows(serveWindowSeconds)
 	db.SetWindows(win)
-	if len(ruleTexts) == 0 {
-		ruleTexts = defaultAlertRules
-	}
-	rules := make([]rfabric.AlertRule, 0, len(ruleTexts))
-	for _, txt := range ruleTexts {
-		r, err := rfabric.ParseAlertRule(txt)
-		if err != nil {
-			return nil, nil, err
-		}
-		rules = append(rules, r)
-	}
-	alerts, err := rfabric.NewAlertEngine(win, rules...)
-	if err != nil {
-		return nil, nil, err
-	}
-	health := rfabric.NewHealth(alerts)
 
 	var last obs.LastTrace
 	var mu sync.Mutex // the DB façade is single-threaded; serialize queries
 
 	res, trace, err := db.ExecuteTraced(rfabric.RM, "lineitem", tpch.Q6(), rfabric.WithTimeline(0))
 	if err != nil {
-		return nil, nil, fmt.Errorf("warmup Q6: %w", err)
+		return nil, fmt.Errorf("warmup Q6: %w", err)
 	}
 	last.Store(trace)
-	health.SetReady(true)
 	fmt.Fprintf(logw, "rfbench: loaded lineitem (%d rows); warmup Q6 took %d modeled cycles\n",
 		rows, res.Breakdown.TotalCycles)
 
@@ -125,8 +86,6 @@ func setupServe(rows int, seed int64, slowCycles uint64, ruleTexts []string, log
 	stats.Handle(mux)
 	db.SlowLog().Handle(mux)
 	win.Handle(mux)
-	alerts.Handle(mux)
-	health.Handle(mux)
 	mux.HandleFunc("/query", func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query().Get("q")
 		if q == "" {
@@ -146,9 +105,5 @@ func setupServe(rows int, seed int64, slowCycles uint64, ruleTexts []string, log
 		enc.SetIndent("", "  ")
 		enc.Encode(map[string]any{"result": res, "trace": trace})
 	})
-
-	for _, r := range rules {
-		fmt.Fprintf(logw, "rfbench: alert rule %s: %s\n", r.Name, r.Expr())
-	}
-	return mux, alerts, nil
+	return mux, nil
 }

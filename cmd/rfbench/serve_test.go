@@ -13,15 +13,13 @@ import (
 )
 
 // End-to-end test of the -serve surface through httptest: every endpoint
-// answers, the health pair gates correctly, and the windows document
-// reflects the warmup query. This is the in-process twin of CI's curl
-// smoke step.
+// answers and the windows document reflects the warmup query. This is the
+// in-process twin of CI's curl smoke step.
 func TestServeEndpoints(t *testing.T) {
-	mux, alerts, err := setupServe(2000, 1, 10_000_000, nil, io.Discard)
+	mux, err := setupServe(2000, 1, 10_000_000, io.Discard)
 	if err != nil {
 		t.Fatalf("setupServe: %v", err)
 	}
-	defer alerts.Stop()
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -36,17 +34,8 @@ func TestServeEndpoints(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
-	// Liveness and readiness: the warmup already ran, nothing fires.
-	code, body := get("/healthz")
-	if code != 200 || !strings.Contains(string(body), `"status": "ok"`) {
-		t.Fatalf("/healthz = %d %s", code, body)
-	}
-	if code, _ := get("/readyz"); code != 200 {
-		t.Fatalf("/readyz = %d, want 200", code)
-	}
-
 	// The windows saw the warmup query.
-	code, body = get("/debug/windows.json")
+	code, body := get("/debug/windows.json")
 	if code != 200 {
 		t.Fatalf("/debug/windows.json = %d", code)
 	}
@@ -58,23 +47,9 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("windows empty after warmup: %+v", win.Window)
 	}
 
-	// The default alert rules are mounted and evaluated lazily (the ticker
-	// is not started in tests; the document still renders).
-	code, body = get("/debug/alerts")
-	if code != 200 {
-		t.Fatalf("/debug/alerts = %d", code)
-	}
-	var al obs.AlertsJSON
-	if err := json.Unmarshal(body, &al); err != nil {
-		t.Fatalf("alerts: %v\n%s", err, body)
-	}
-	if len(al.Rules) != len(defaultAlertRules) {
-		t.Fatalf("%d rules mounted, want %d: %+v", len(al.Rules), len(defaultAlertRules), al.Rules)
-	}
-
-	// Build info flows through /metrics.
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(string(body), "rfabric_build_info") {
-		t.Fatalf("/metrics missing build info: %d\n%s", code, body)
+	// The registry saw the warmup query.
+	if code, body := get("/metrics"); code != 200 || !strings.Contains(string(body), "rfabric_queries_total") {
+		t.Fatalf("/metrics missing the warmup query: %d\n%s", code, body)
 	}
 
 	// A query runs, lands in the statement store, and updates the windows.
@@ -95,33 +70,5 @@ func TestServeEndpoints(t *testing.T) {
 
 	if code, _ := get("/query"); code != http.StatusBadRequest {
 		t.Fatalf("missing q: %d, want 400", code)
-	}
-}
-
-// TestServeCustomRules: -alert flags replace the defaults, and a bad rule
-// fails setup instead of serving with half a config.
-func TestServeCustomRules(t *testing.T) {
-	mux, alerts, err := setupServe(500, 1, 0, []string{"only: qps > 1e9 severity warn"}, io.Discard)
-	if err != nil {
-		t.Fatalf("setupServe with custom rule: %v", err)
-	}
-	defer alerts.Stop()
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/alerts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var al obs.AlertsJSON
-	if err := json.NewDecoder(resp.Body).Decode(&al); err != nil {
-		t.Fatal(err)
-	}
-	if len(al.Rules) != 1 || al.Rules[0].Name != "only" {
-		t.Fatalf("custom rules not honored: %+v", al.Rules)
-	}
-
-	if _, _, err := setupServe(500, 1, 0, []string{"broken rule text"}, io.Discard); err == nil {
-		t.Fatal("bad -alert rule accepted")
 	}
 }

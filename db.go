@@ -6,9 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"rfabric/internal/cache"
 	"rfabric/internal/colstore"
 	"rfabric/internal/engine"
 	"rfabric/internal/fabric"
@@ -47,6 +45,7 @@ type DB struct {
 
 	par *engine.ParallelConfig // nil: single-goroutine execution
 
+	// The observability sinks every statement's event feeds (db_stats.go).
 	reg  *obs.Registry // nil: no metrics publishing
 	win  *obs.Windows  // nil: no sliding-window telemetry
 	last obs.LastTrace // most recent traced query, for /debug/trace/last
@@ -73,7 +72,7 @@ type DB struct {
 	// recompile when it moves — the planCache's invalidation mechanism.
 	catalogEpoch atomic.Uint64
 
-	gcMu   sync.Mutex // serializes group-cache delta publication
+	gcMu   sync.Mutex // serializes the events' group-cache deltas
 	lastGC fabric.GroupCacheStats
 }
 
@@ -357,8 +356,7 @@ func (db *DB) Query(query string) (*Result, error) {
 // runs on the selected Source. When a statement store or slow log is
 // attached, the call also records under its normalized fingerprint.
 func (db *DB) QueryOn(kind EngineKind, query string) (*Result, error) {
-	c := db.beginStatement(query, true)
-	res, _, err := db.query(kind, query, c.tracer(), nil, c)
+	res, _, err := db.query(kind, query, db.observe(query, nil))
 	return res, err
 }
 
@@ -368,7 +366,7 @@ func (db *DB) Execute(kind EngineKind, tableName string, q Query) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := db.exec(kind, &statement{t: t, q: q}, nil, nil, nil)
+	res, _, err := db.exec(kind, &statement{t: t, q: q}, db.observe("", nil))
 	return res, err
 }
 
@@ -418,171 +416,64 @@ func (db *DB) compile(text string, tr *obs.Tracer) (*statement, error) {
 	return s, nil
 }
 
-// query compiles text and runs it, then records the statement under c.
-func (db *DB) query(kind EngineKind, text string, tr *obs.Tracer, tl *obs.Timeline, c *stmtCtx) (res *Result, trace *Trace, err error) {
-	s, err := db.compile(text, tr)
-	if err == nil {
-		res, trace, err = db.exec(kind, s, tr, tl, c)
+// query compiles text and runs it. An observed statement that fails to
+// compile still reports one event.
+func (db *DB) query(kind EngineKind, text string, c *stmtCtx) (*Result, *Trace, error) {
+	s, err := db.compile(text, c.tracer())
+	if err != nil {
+		if c != nil {
+			db.publish(db.seal(c, &queryEvent{kind: kind, err: err}))
+		}
+		return nil, nil, err
 	}
-	c.finish(db, res, err, trace)
-	return res, trace, err
+	return db.exec(kind, s, c)
 }
 
-// exec runs a compiled statement. With a tracer it renders the plan tree
-// under plan.physical before the run, stamps what ran onto that tree after
-// it, and returns the finished Trace; tl, when set, samples hardware state
-// along the run. What ran is priced only when something reads the price: a
-// tracer or a statement context.
-func (db *DB) exec(kind EngineKind, s *statement, tr *obs.Tracer, tl *obs.Timeline, c *stmtCtx) (*Result, *Trace, error) {
+// exec runs a compiled statement and, when something observes it, reports
+// its event. With a tracer it renders the plan tree under plan.physical
+// before the run and stamps what ran onto that tree after it; a timeline
+// samples hardware state along the run. The simulated hardware counters
+// bracket dispatch inside execMu, because Insert moves the hierarchy
+// through index maintenance. What ran is priced only when something reads
+// the price (c.price).
+func (db *DB) exec(kind EngineKind, s *statement, c *stmtCtx) (*Result, *Trace, error) {
 	db.execMu.RLock()
 	defer db.execMu.RUnlock()
+	if c == nil {
+		// Nothing observes the statement: no bracket, no event.
+		res, err := db.dispatch(kind, s, nil, nil)
+		return res, nil, err
+	}
 	var tree *plan.Node
 	var pairs []opSpan
-	var wallStart time.Time
-	var allocStart uint64
-	if tr != nil {
+	if c.tr != nil {
 		tree = s.tree()
-		pairs = attachPlanSpans(tr.Root(), tree, s.t.tbl.Schema())
-		if tl != nil {
-			tr.AttachTimeline(tl)
-			db.sys.AttachTimeline(tl)
+		pairs = attachPlanSpans(c.tr.Root(), tree, s.t.tbl.Schema())
+		if c.tl != nil {
+			c.tr.AttachTimeline(c.tl)
+			db.sys.AttachTimeline(c.tl)
 			defer db.sys.DetachTimeline()
 		}
-		wallStart, allocStart = time.Now(), obs.HeapAllocBytes()
 	}
-	res, err := db.run(kind, s, tr, c)
+	hw0 := db.sys.HW()
+	res, err := db.dispatch(kind, s, c.tr, c)
+	hw := db.sys.HW().Delta(hw0)
+	if err == nil {
+		hw = hw.Add(res.MorselHW)
+		if c.price {
+			c.est, c.act = db.priceRun(kind, s, tree, res, c)
+		}
+		if c.tr != nil {
+			annotatePlanSpans(pairs, res, s.t.tbl.Schema())
+			c.tl.Finish(res.Breakdown.TotalCycles)
+		}
+	}
+	ev := db.seal(c, &queryEvent{kind: kind, table: s.t.tbl.Name(), res: res, err: err, hw: hw})
+	db.publish(ev)
 	if err != nil {
 		return nil, nil, err
 	}
-	if tr != nil || c != nil {
-		c.note(db.priceRun(kind, s, tree, res, c))
-	}
-	if tr == nil {
-		return res, nil, nil
-	}
-	annotatePlanSpans(pairs, res, s.t.tbl.Schema())
-	tl.Finish(res.Breakdown.TotalCycles)
-	return res, &Trace{
-		Query:       s.text,
-		Engine:      res.Engine,
-		TotalCycles: res.Breakdown.TotalCycles,
-		WallNanos:   time.Since(wallStart).Nanoseconds(),
-		AllocBytes:  obs.HeapAllocBytes() - allocStart,
-		Root:        tr.Root(),
-		Timeline:    tl,
-	}, nil
-}
-
-// winCapture is the real-time side of one run — wall-clock and heap
-// allocation marks taken only when sliding-window telemetry is attached, so
-// the disabled path stays free of both.
-type winCapture struct {
-	on         bool
-	wallStart  time.Time
-	allocStart uint64
-	gcStart    fabric.GroupCacheStats
-}
-
-// winBegin marks the start of a run for the windows. Costs nothing when the
-// aggregator is absent or disabled.
-func (db *DB) winBegin() winCapture {
-	if !db.win.Enabled() {
-		return winCapture{}
-	}
-	wc := winCapture{on: true, wallStart: time.Now(), allocStart: obs.HeapAllocBytes()}
-	wc.gcStart = db.groupCache().Stats()
-	return wc
-}
-
-// winEnd folds a finished run into the sliding windows: modeled cycles and
-// bytes from the Breakdown, real wall-clock and allocation deltas from the
-// marks, and the shared hierarchy's load/fill delta for the windowed cache
-// miss ratio (PAR morsels run on clones, so their cache traffic reaches the
-// windows through the merged Breakdown's bytes instead).
-func (db *DB) winEnd(wc winCapture, hierStart cache.Stats, res *Result, err error) {
-	if !wc.on {
-		return
-	}
-	hd := db.sys.Hier.Stats().Delta(hierStart)
-	s := obs.WindowSample{
-		Err:         err != nil,
-		WallNanos:   time.Since(wc.wallStart).Nanoseconds(),
-		AllocBytes:  obs.HeapAllocBytes() - wc.allocStart,
-		CacheLoads:  hd.Loads,
-		CacheMisses: hd.DRAMFills,
-	}
-	if err == nil && res != nil {
-		s.Cycles = res.Breakdown.TotalCycles
-		s.BytesDRAM = res.Breakdown.BytesFromDRAM
-		s.BytesCPU = res.Breakdown.BytesToCPU
-	}
-	if gc := db.groupCache(); gc != nil {
-		gd := gc.Stats().Delta(wc.gcStart)
-		s.GroupHits, s.GroupMisses = gd.Hits, gd.Misses
-	}
-	db.win.Record(s)
-}
-
-// publishGroupCache folds the group cache's counter movement since the last
-// publication into the registry. The delta is serialized under gcMu so
-// concurrent finishing queries never double-count.
-func (db *DB) publishGroupCache() {
-	gc := db.groupCache()
-	if gc == nil {
-		return
-	}
-	db.gcMu.Lock()
-	cur := gc.Stats()
-	d := cur.Delta(db.lastGC)
-	db.lastGC = cur
-	db.gcMu.Unlock()
-	d.Publish(db.reg, nil)
-}
-
-// run is the measured entry point: it snapshots the simulated hardware
-// counters, dispatches, and publishes the deltas plus per-query series into
-// the observer registry and the sliding windows, labeled by the probe (or
-// only) table. AUTO's recursion goes through execute directly, so a query
-// publishes exactly once no matter how it was routed.
-func (db *DB) run(kind EngineKind, s *statement, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
-	regOn := db.reg != nil && !db.reg.Disabled()
-	if !regOn && !db.win.Enabled() {
-		// With no observer — or disabled ones — the query path carries no
-		// observability work at all beyond these checks (two atomic loads).
-		return db.dispatch(kind, s, tr, c)
-	}
-	wc := db.winBegin()
-	memStart := db.sys.Mem.Stats()
-	hierStart := db.sys.Hier.Stats()
-	fabStart := db.sys.Fab.Stats()
-	res, err := db.dispatch(kind, s, tr, c)
-	db.winEnd(wc, hierStart, res, err)
-	if !regOn {
-		return res, err
-	}
-	labels := obs.Labels{"engine": string(kind), "table": s.t.tbl.Name()}
-	db.reg.Counter("rfabric_queries_total", labels).Add(1)
-	if err != nil {
-		db.reg.Counter("rfabric_query_errors_total", labels).Add(1)
-	} else {
-		db.reg.Counter("rfabric_query_cycles_total", labels).Add(res.Breakdown.TotalCycles)
-		db.reg.Histogram("rfabric_query_cycles", labels).Observe(float64(res.Breakdown.TotalCycles))
-		db.reg.Counter("rfabric_rows_scanned_total", labels).Add(uint64(res.RowsScanned))
-		db.reg.Counter("rfabric_rows_passed_total", labels).Add(uint64(res.RowsPassed))
-		// Latency distribution per resolved engine: AUTO and RM-routed-to-PAR
-		// queries land under the engine that actually ran, so the p50/p95/p99
-		// estimates compare execution paths rather than routing labels.
-		db.reg.Histogram("rfabric_query_latency_cycles", obs.Labels{"engine": res.Engine}).
-			Observe(float64(res.Breakdown.TotalCycles))
-	}
-	// Hardware counters move on the DB's shared System. PAR morsels run on
-	// private clones whose traffic shows up in the query-level series via
-	// the merged Breakdown instead.
-	db.sys.Mem.Stats().Delta(memStart).Publish(db.reg, labels)
-	db.sys.Hier.Stats().Delta(hierStart).Publish(db.reg, labels)
-	db.sys.Fab.Stats().Delta(fabStart).Publish(db.reg, labels)
-	db.publishGroupCache()
-	return res, err
+	return res, ev.trace, nil
 }
 
 // dispatch executes the statement on the chosen path and applies its sinks.
@@ -614,7 +505,7 @@ func (db *DB) optimizer(t *dbTable) *engine.Optimizer {
 // feedback loop is armed: the group cache is on and the statement store has
 // history for the statement's fingerprint.
 func (db *DB) feedbackSel(c *stmtCtx) (float64, bool) {
-	if c == nil || db.groupCache() == nil {
+	if c == nil || !c.record || db.groupCache() == nil {
 		return 0, false
 	}
 	return db.stats.FeedbackSelectivity(c.fp)
@@ -656,7 +547,7 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q Query, tr *obs.Tracer, c *s
 		if db.par != nil {
 			cfg = *db.par
 		}
-		e := &engine.ParallelEngine{Tbl: t.tbl, Sys: db.sys, Par: cfg, Tracer: tr, Reg: db.reg}
+		e := &engine.ParallelEngine{Tbl: t.tbl, Sys: db.sys, Par: cfg, Tracer: tr}
 		return e.Execute(q)
 	case RM:
 		if db.par != nil {
@@ -802,7 +693,7 @@ func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, 
 			cfg = *db.par
 		}
 		e := &engine.ParallelJoinExec{Plan: p, ProbeTbl: probeT.tbl, Sys: db.sys,
-			Par: cfg, Builds: builds, Offload: db.offloadOn(), Tracer: tr, Reg: db.reg}
+			Par: cfg, Builds: builds, Offload: db.offloadOn(), Tracer: tr}
 		return e.Execute()
 	}
 

@@ -119,9 +119,7 @@ func (db *DB) evictPlan(fp uint64) {
 // statement store under the fragment's source text, so prepared and ad-hoc
 // executions of the same statement aggregate under one fingerprint.
 func (p *Prepared) Run(kind EngineKind) (*Result, error) {
-	c := p.db.beginStatement(p.stmt.text, true)
-	res, trace, err := p.db.exec(kind, p.stmt, c.tracer(), nil, c)
-	c.finish(p.db, res, err, trace)
+	res, _, err := p.db.exec(kind, p.stmt, p.db.observe(p.stmt.text, nil))
 	return res, err
 }
 

@@ -24,11 +24,11 @@ func (db *DB) SetObserver(reg *Registry) { db.reg = reg }
 func (db *DB) Observer() *Registry { return db.reg }
 
 // SetWindows attaches a sliding-window telemetry aggregator. Every
-// subsequent query execution folds its modeled cycles, bytes moved, cache
+// subsequent statement folds its modeled cycles, bytes moved, cache
 // traffic, real wall-clock, and heap-allocation delta into the current
 // second's bucket — the rolling QPS/error-rate/p99 view /debug/windows.json
-// serves and the SLO alert engine evaluates. Nil detaches; a disabled
-// aggregator costs the query path one atomic load.
+// serves. Nil detaches; a disabled aggregator costs the query path one
+// atomic load.
 func (db *DB) SetWindows(w *obs.Windows) { db.win = w }
 
 // Windows returns the attached sliding-window aggregator (nil when none).
@@ -74,17 +74,7 @@ func (db *DB) QueryTraced(query string, opts ...TraceOption) (*Result, *Trace, e
 	for _, opt := range opts {
 		opt(&o)
 	}
-	// Traced runs build their own span tree, so the statement context skips
-	// the slow-capture tracer and hands finish the real trace instead.
-	c := db.beginStatement(query, false)
-	tr := obs.NewTracer("query")
-	tr.Root().SetAttr("sql", query)
-	res, trace, err := db.query(o.kind, query, tr, o.timeline(db), c)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.last.Store(trace)
-	return res, trace, nil
+	return db.query(o.kind, query, db.observe(query, &o))
 }
 
 // ExecuteTraced is the Execute counterpart of QueryTraced, for callers that
@@ -99,12 +89,7 @@ func (db *DB) ExecuteTraced(kind EngineKind, tableName string, q Query, opts ...
 	for _, opt := range opts {
 		opt(&o)
 	}
-	res, trace, err := db.exec(kind, &statement{t: t, q: q}, obs.NewTracer("query"), o.timeline(db), nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.last.Store(trace)
-	return res, trace, nil
+	return db.exec(kind, &statement{t: t, q: q}, db.observe("", &o))
 }
 
 // timeline returns the hardware sampler WithTimeline asked for, or nil.

@@ -19,21 +19,38 @@ func (s Stats) Delta(prev Stats) Stats {
 	}
 }
 
+// Add returns the component-wise sum of s and o, for folding the counters of
+// several machines (PAR morsel clones) into one.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Loads:            s.Loads + o.Loads,
+		L1Hits:           s.L1Hits + o.L1Hits,
+		L2Hits:           s.L2Hits + o.L2Hits,
+		PrefetchHits:     s.PrefetchHits + o.PrefetchHits,
+		DRAMFills:        s.DRAMFills + o.DRAMFills,
+		OverlappedMisses: s.OverlappedMisses + o.OverlappedMisses,
+		PrefetchIssued:   s.PrefetchIssued + o.PrefetchIssued,
+		FabricFills:      s.FabricFills + o.FabricFills,
+		Cycles:           s.Cycles + o.Cycles,
+		BytesFromDRAM:    s.BytesFromDRAM + o.BytesFromDRAM,
+	}
+}
+
 // Publish adds this stats snapshot (typically a Delta) into the registry as
 // rfabric_cache_* counters plus the derived miss-ratio gauge.
-func (s Stats) Publish(reg *obs.Registry, labels obs.Labels) {
+func (s Stats) Publish(reg *obs.Registry, labels obs.LabelSet) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("rfabric_cache_loads_total", labels).Add(s.Loads)
-	reg.Counter("rfabric_cache_l1_hits_total", labels).Add(s.L1Hits)
-	reg.Counter("rfabric_cache_l2_hits_total", labels).Add(s.L2Hits)
-	reg.Counter("rfabric_cache_prefetch_hits_total", labels).Add(s.PrefetchHits)
-	reg.Counter("rfabric_cache_dram_fills_total", labels).Add(s.DRAMFills)
-	reg.Counter("rfabric_cache_overlapped_misses_total", labels).Add(s.OverlappedMisses)
-	reg.Counter("rfabric_cache_prefetch_issued_total", labels).Add(s.PrefetchIssued)
-	reg.Counter("rfabric_cache_fabric_fills_total", labels).Add(s.FabricFills)
-	reg.Counter("rfabric_cache_cycles_total", labels).Add(s.Cycles)
-	reg.Counter("rfabric_cache_bytes_from_dram_total", labels).Add(s.BytesFromDRAM)
-	reg.Gauge("rfabric_cache_miss_ratio", labels).Set(s.MissRatio())
+	reg.CounterOf("rfabric_cache_loads_total", labels).Add(s.Loads)
+	reg.CounterOf("rfabric_cache_l1_hits_total", labels).Add(s.L1Hits)
+	reg.CounterOf("rfabric_cache_l2_hits_total", labels).Add(s.L2Hits)
+	reg.CounterOf("rfabric_cache_prefetch_hits_total", labels).Add(s.PrefetchHits)
+	reg.CounterOf("rfabric_cache_dram_fills_total", labels).Add(s.DRAMFills)
+	reg.CounterOf("rfabric_cache_overlapped_misses_total", labels).Add(s.OverlappedMisses)
+	reg.CounterOf("rfabric_cache_prefetch_issued_total", labels).Add(s.PrefetchIssued)
+	reg.CounterOf("rfabric_cache_fabric_fills_total", labels).Add(s.FabricFills)
+	reg.CounterOf("rfabric_cache_cycles_total", labels).Add(s.Cycles)
+	reg.CounterOf("rfabric_cache_bytes_from_dram_total", labels).Add(s.BytesFromDRAM)
+	reg.GaugeOf("rfabric_cache_miss_ratio", labels).Set(s.MissRatio())
 }

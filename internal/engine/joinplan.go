@@ -462,7 +462,6 @@ type ParallelJoinExec struct {
 	Offload bool
 
 	Tracer *obs.Tracer
-	Reg    *obs.Registry
 }
 
 // Execute runs the parallel join and returns the merged result.
@@ -583,13 +582,6 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 		}
 		tl.TickThrough(res.Breakdown.TotalCycles)
 	}
-	if e.Reg != nil {
-		labels := obs.Labels{"table": p.Probe.Table}
-		e.Reg.Counter("rfabric_par_queries_total", labels).Add(1)
-		e.Reg.Counter("rfabric_par_morsels_total", labels).Add(uint64(numMorsels))
-		e.Reg.Counter("rfabric_par_makespan_cycles_total", labels).Add(res.Breakdown.TotalCycles)
-		e.Reg.Histogram("rfabric_par_morsel_cycles", labels).Observe(float64(res.Breakdown.TotalCycles) / float64(numMorsels))
-	}
 	return res, nil
 }
 
@@ -621,6 +613,7 @@ func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin,
 	}
 	part := probe.result("RM", probeRes.RowsScanned)
 	part.Breakdown = probeRes.Breakdown
+	part.MorselHW = sys.HW()
 	// The morsel's probe-side survivor count rides back separately: the
 	// partial's RowsPassed is the join output cardinality, not the probe
 	// side's own selectivity, and the coordinator stamps the summed probe

@@ -82,8 +82,6 @@ type ParallelEngine struct {
 	// morsel gets its own private tracer, adopted in morsel order after
 	// the workers join, so tracing never perturbs determinism.
 	Tracer *obs.Tracer
-	// Reg, when set, receives rfabric_par_* series describing the run.
-	Reg *obs.Registry
 }
 
 // Name implements Executor.
@@ -185,13 +183,6 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 		// the coordinator drives the clock across the makespan itself.
 		tl.TickThrough(res.Breakdown.TotalCycles)
 	}
-	if e.Reg != nil {
-		labels := obs.Labels{"table": e.Tbl.Name()}
-		e.Reg.Counter("rfabric_par_queries_total", labels).Add(1)
-		e.Reg.Counter("rfabric_par_morsels_total", labels).Add(uint64(numMorsels))
-		e.Reg.Counter("rfabric_par_makespan_cycles_total", labels).Add(res.Breakdown.TotalCycles)
-		e.Reg.Histogram("rfabric_par_morsel_cycles", labels).Observe(float64(res.Breakdown.TotalCycles) / float64(numMorsels))
-	}
 	return res, nil
 }
 
@@ -218,16 +209,22 @@ func (e *ParallelEngine) runMorsel(q Query, i, morselRows, totalRows int, tr *ob
 		return nil, err
 	}
 	eng := &RMEngine{Tbl: slice, Sys: sys, PushSelection: e.PushSelection, PushAggregation: e.PushAggregation, Tracer: tr, ForceScalar: e.ForceScalar}
-	return eng.Execute(q)
+	res, err := eng.Execute(q)
+	if err != nil {
+		return nil, err
+	}
+	res.MorselHW = sys.HW()
+	return res, nil
 }
 
 // mergePartials folds per-morsel results in morsel order. Row counts and
 // the checksum add commutatively; scalar and per-group aggregates fold
 // through partialAgg (AVG merges weighted by contributing rows); groups
 // hash-merge and re-sort. The modeled time is the makespan of scheduling
-// the morsels on `workers` executors plus a per-partial merge charge.
+// the morsels on `workers` executors plus a per-partial merge charge; the
+// clones' hardware counters sum in morsel order.
 func mergePartials(name string, q Query, parts []*Result, workers int) (*Result, error) {
-	out := &Result{Engine: name}
+	out := &Result{Engine: name, Morsels: len(parts)}
 	scalarAggs := len(q.Aggregates) > 0 && len(q.GroupBy) == 0
 	var merged []*partialAgg
 	if scalarAggs {
@@ -252,6 +249,7 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 		out.RowsScanned += p.RowsScanned
 		out.RowsPassed += p.RowsPassed
 		out.Checksum += p.Checksum
+		out.MorselHW = out.MorselHW.Add(p.MorselHW)
 		b := p.Breakdown
 		out.Breakdown.ComputeCycles += b.ComputeCycles
 		out.Breakdown.MemDemandCycles += b.MemDemandCycles

@@ -70,6 +70,12 @@ type Result struct {
 	// when every operator ran CPU-side. The logical result is identical
 	// either way; only where the work was charged differs.
 	Offload string
+	// Morsels is how many morsels a PAR run split its scan into (zero on
+	// the serial paths), and MorselHW the counters of their private System
+	// clones summed in morsel order: hardware traffic the shared System
+	// never sees. On one morsel's partial, MorselHW is that clone's.
+	Morsels  int
+	MorselHW HWStats
 }
 
 // EquivalentTo reports whether two results agree logically: same pass

@@ -79,6 +79,29 @@ func (s *System) AttachTimeline(tl *obs.Timeline) {
 // DetachTimeline removes the sampler hooks installed by AttachTimeline.
 func (s *System) DetachTimeline() { s.AttachTimeline(nil) }
 
+// HWStats is a simulated machine's counters: DRAM, cache hierarchy, and
+// fabric.
+type HWStats struct {
+	Mem  dram.Stats
+	Hier cache.Stats
+	Fab  fabric.Stats
+}
+
+// HW snapshots the machine's counters.
+func (s *System) HW() HWStats {
+	return HWStats{Mem: s.Mem.Stats(), Hier: s.Hier.Stats(), Fab: s.Fab.Stats()}
+}
+
+// Delta returns the counters accumulated since prev.
+func (h HWStats) Delta(prev HWStats) HWStats {
+	return HWStats{Mem: h.Mem.Delta(prev.Mem), Hier: h.Hier.Delta(prev.Hier), Fab: h.Fab.Delta(prev.Fab)}
+}
+
+// Add returns the component-wise sum of h and o.
+func (h HWStats) Add(o HWStats) HWStats {
+	return HWStats{Mem: h.Mem.Add(o.Mem), Hier: h.Hier.Add(o.Hier), Fab: h.Fab.Add(o.Fab)}
+}
+
 // ResetState flushes caches, DRAM row buffers, and all statistics, keeping
 // allocations. Call it between measured runs on a shared System.
 func (s *System) ResetState() {

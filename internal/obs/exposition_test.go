@@ -236,7 +236,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 	reg.Counter("rfabric_queries_total", Labels{"engine": "RM", "table": "t"}).Add(7)
 	reg.Counter("rfabric_queries_total", Labels{"engine": "ROW", "table": "t"}).Add(3)
 	reg.Counter("rfabric_errors_total", nil).Add(1)
-	PublishBuildInfo(reg, "test", "ROW,RM")
+	reg.Gauge("rfabric_info", Labels{"version": "test", "engines": "ROW,RM", "go": "go1"}).Set(1)
 	h := reg.Histogram("rfabric_cycles", Labels{"engine": "RM"})
 	for _, v := range []float64{100, 5000, 1e6, 1e9} {
 		h.Observe(v)

@@ -19,34 +19,39 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Labels is one metric series' key-value identity (engine kind, table,
 // component). Series with the same name and different labels are distinct.
 type Labels map[string]string
 
-// canonical renders labels in the stable `{k="v",...}` form used both as
-// the registry key and in the Prometheus exposition.
-func (l Labels) canonical() string {
+// LabelSet is a label set rendered once into the stable `{k="v",...}` form
+// used both as the registry key and in the Prometheus exposition. The empty
+// set renders as "".
+type LabelSet string
+
+// Render renders the labels, keys sorted.
+func (l Labels) Render() LabelSet {
 	if len(l) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(l))
+	ks := make([]string, 0, len(l))
 	for k := range l {
-		keys = append(keys, k)
+		ks = append(ks, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
+	sort.Strings(ks)
+	b := make([]byte, 0, 64)
+	b = append(b, '{')
+	for i, k := range ks {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, l[k])
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l[k])
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return LabelSet(b)
 }

@@ -34,6 +34,26 @@ func TestDisabledRegistryPublishesDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestPublishToExistingSeriesDoesNotAllocate pins the registry's lookup
+// path: once a series exists, finding it by name and rendered label set and
+// publishing into it formats, concatenates and allocates nothing.
+func TestPublishToExistingSeriesDoesNotAllocate(t *testing.T) {
+	reg := NewRegistry()
+	ls := Labels{"engine": "RM", "table": "lineitem"}.Render()
+	publish := func() {
+		reg.CounterOf("rfabric_test_total", ls).Add(1)
+		reg.GaugeOf("rfabric_test_gauge", ls).Set(42)
+		reg.HistogramOf("rfabric_test_cycles", ls).Observe(1234)
+	}
+	publish()
+	if n := testing.AllocsPerRun(100, publish); n != 0 {
+		t.Errorf("publishing to existing series allocates %.1f times per run, want 0", n)
+	}
+	if got := reg.Counter("rfabric_test_total", Labels{"table": "lineitem", "engine": "RM"}).Value(); got != 102 {
+		t.Errorf("counter = %d, want 102 (map and rendered lookups must reach one series)", got)
+	}
+}
+
 func TestNilHooksDoNotAllocate(t *testing.T) {
 	var tr *Tracer
 	var tl *Timeline

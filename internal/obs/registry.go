@@ -10,23 +10,31 @@ import (
 // Registry holds named metric series. Handles returned by Counter, Gauge,
 // and Histogram are stable for the registry's lifetime, so hot paths fetch
 // them once and publish through atomics; the registry lock is only taken on
-// first registration and on export. A disabled registry makes every publish
-// a no-op (one atomic load), the opt-out the deterministic experiment
-// harnesses rely on.
+// first registration and on export. Series are keyed by name and rendered
+// label set, so a publisher that renders its labels once (Labels.Render)
+// finds an existing series without formatting or concatenating anything. A
+// disabled registry makes every publish a no-op (one atomic load), the
+// opt-out the deterministic experiment harnesses rely on.
 type Registry struct {
 	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters map[seriesKey]*Counter
+	gauges   map[seriesKey]*Gauge
+	hists    map[seriesKey]*Histogram
 	disabled atomic.Bool
+}
+
+// seriesKey identifies one series: its name and rendered label set.
+type seriesKey struct {
+	name   string
+	labels LabelSet
 }
 
 // NewRegistry returns an empty, enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
+		counters: map[seriesKey]*Counter{},
+		gauges:   map[seriesKey]*Gauge{},
+		hists:    map[seriesKey]*Histogram{},
 	}
 }
 
@@ -37,68 +45,64 @@ func (r *Registry) SetDisabled(d bool) { r.disabled.Store(d) }
 // Disabled reports whether publishing is off.
 func (r *Registry) Disabled() bool { return r.disabled.Load() }
 
-// Counter returns (registering on first use) the counter series name+labels.
-func (r *Registry) Counter(name string, labels Labels) *Counter {
-	key := name + labels.canonical()
+// series returns the entry for k in m, creating it with mk on first use.
+func series[T any](r *Registry, m map[seriesKey]*T, k seriesKey, mk func() *T) *T {
 	r.mu.RLock()
-	c, ok := r.counters[key]
+	v, ok := m[k]
 	r.mu.RUnlock()
 	if ok {
-		return c
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok = r.counters[key]; ok {
-		return c
+	if v, ok = m[k]; !ok {
+		v = mk()
+		m[k] = v
 	}
-	c = &Counter{name: name, labels: labels.canonical(), disabled: &r.disabled}
-	r.counters[key] = c
-	return c
+	return v
+}
+
+// Counter returns (registering on first use) the counter series name+labels.
+func (r *Registry) Counter(name string, labels Labels) *Counter {
+	return r.CounterOf(name, labels.Render())
+}
+
+// CounterOf is Counter over an already rendered label set.
+func (r *Registry) CounterOf(name string, ls LabelSet) *Counter {
+	return series(r, r.counters, seriesKey{name, ls}, func() *Counter {
+		return &Counter{name: name, labels: string(ls), disabled: &r.disabled}
+	})
 }
 
 // Gauge returns (registering on first use) the gauge series name+labels.
 func (r *Registry) Gauge(name string, labels Labels) *Gauge {
-	key := name + labels.canonical()
-	r.mu.RLock()
-	g, ok := r.gauges[key]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[key]; ok {
-		return g
-	}
-	g = &Gauge{name: name, labels: labels.canonical(), disabled: &r.disabled}
-	r.gauges[key] = g
-	return g
+	return r.GaugeOf(name, labels.Render())
+}
+
+// GaugeOf is Gauge over an already rendered label set.
+func (r *Registry) GaugeOf(name string, ls LabelSet) *Gauge {
+	return series(r, r.gauges, seriesKey{name, ls}, func() *Gauge {
+		return &Gauge{name: name, labels: string(ls), disabled: &r.disabled}
+	})
 }
 
 // Histogram returns (registering on first use) the histogram series
 // name+labels, bucketed by DefaultBuckets.
 func (r *Registry) Histogram(name string, labels Labels) *Histogram {
-	key := name + labels.canonical()
-	r.mu.RLock()
-	h, ok := r.hists[key]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[key]; ok {
-		return h
-	}
-	h = &Histogram{
-		name:     name,
-		labels:   labels.canonical(),
-		bounds:   DefaultBuckets(),
-		buckets:  make([]uint64, len(DefaultBuckets())+1),
-		disabled: &r.disabled,
-	}
-	r.hists[key] = h
-	return h
+	return r.HistogramOf(name, labels.Render())
+}
+
+// HistogramOf is Histogram over an already rendered label set.
+func (r *Registry) HistogramOf(name string, ls LabelSet) *Histogram {
+	return series(r, r.hists, seriesKey{name, ls}, func() *Histogram {
+		return &Histogram{
+			name:     name,
+			labels:   string(ls),
+			bounds:   DefaultBuckets(),
+			buckets:  make([]uint64, len(DefaultBuckets())+1),
+			disabled: &r.disabled,
+		}
+	})
 }
 
 // snapshot returns sorted copies of every series for the exporters.

@@ -217,9 +217,10 @@ type Trace struct {
 	// TotalCycles is the run's Breakdown.TotalCycles, the number the root
 	// span's AttributedCycles reconciles against.
 	TotalCycles uint64 `json:"total_cycles"`
-	// WallNanos and AllocBytes are the run's real wall-clock duration and
-	// heap-allocation delta — the host-side cost riding alongside the
-	// modeled cycles (zero on traces captured before these were recorded).
+	// WallNanos and AllocBytes are the statement's real wall-clock
+	// duration and heap-allocation delta, compilation included — the
+	// host-side cost riding alongside the modeled cycles, and the same
+	// figures the statement store and windows record for the statement.
 	WallNanos  int64  `json:"wall_ns,omitempty"`
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
 	Root       *Span  `json:"root"`

@@ -77,7 +77,6 @@ type windowBucket struct {
 	sec         int64 // unix second this bucket holds; 0 = never used
 	queries     uint64
 	errors      uint64
-	slow        uint64 // queries over the SLO cycle threshold
 	cycles      uint64
 	wallNanos   int64
 	allocBytes  uint64
@@ -91,14 +90,11 @@ type windowBucket struct {
 }
 
 // add folds one sample (successful or not) into the bucket.
-func (b *windowBucket) add(s *WindowSample, slo uint64) {
+func (b *windowBucket) add(s *WindowSample) {
 	b.queries++
 	if s.Err {
 		b.errors++
 		return
-	}
-	if slo > 0 && s.Cycles > slo {
-		b.slow++
 	}
 	b.cycles += s.Cycles
 	b.wallNanos += s.WallNanos
@@ -116,7 +112,6 @@ func (b *windowBucket) add(s *WindowSample, slo uint64) {
 func (b *windowBucket) merge(o *windowBucket) {
 	b.queries += o.queries
 	b.errors += o.errors
-	b.slow += o.slow
 	b.cycles += o.cycles
 	b.wallNanos += o.wallNanos
 	b.allocBytes += o.allocBytes
@@ -143,7 +138,6 @@ type windowStripe struct {
 // Snapshot / Series / WriteJSON or the /debug/windows.json handler.
 type Windows struct {
 	disabled atomic.Bool
-	slo      atomic.Uint64 // modeled cycles over which a query counts as slow (0 = off)
 	seconds  int
 	now      func() int64 // nanosecond clock
 	next     atomic.Uint64
@@ -191,17 +185,6 @@ func (w *Windows) Seconds() int {
 	return w.seconds
 }
 
-// SetSLOCycles arms the latency SLO: successful queries whose modeled
-// cycles exceed c count toward the windowed slow_rate metric (the latency
-// analogue of error_rate, the input to latency burn-rate rules). Zero
-// disarms.
-func (w *Windows) SetSLOCycles(c uint64) {
-	if w == nil {
-		return
-	}
-	w.slo.Store(c)
-}
-
 // Record folds one query execution into the current second's bucket.
 // Safe for concurrent use; allocates nothing; a nil or disabled receiver
 // costs one atomic load.
@@ -216,7 +199,7 @@ func (w *Windows) Record(s WindowSample) {
 	if b.sec != sec {
 		*b = windowBucket{sec: sec}
 	}
-	b.add(&s, w.slo.Load())
+	b.add(&s)
 	st.mu.Unlock()
 }
 
@@ -226,13 +209,9 @@ type WindowSnapshot struct {
 	WindowSeconds int    `json:"window_seconds"`
 	Queries       uint64 `json:"queries"`
 	Errors        uint64 `json:"errors"`
-	Slow          uint64 `json:"slow,omitempty"`
 
 	QPS       float64 `json:"qps"`
 	ErrorRate float64 `json:"error_rate"`
-	// SlowRate is the fraction of successful queries over the SLO cycle
-	// threshold (0 when no SLO is armed).
-	SlowRate float64 `json:"slow_rate"`
 
 	P50Cycles  float64 `json:"p50_cycles"`
 	P95Cycles  float64 `json:"p95_cycles"`
@@ -280,7 +259,6 @@ func (w *Windows) Snapshot(windowSeconds int) WindowSnapshot {
 		WindowSeconds: windowSeconds,
 		Queries:       m.queries,
 		Errors:        m.errors,
-		Slow:          m.slow,
 		QPS:           float64(m.queries) / float64(windowSeconds),
 	}
 	if m.queries > 0 {
@@ -288,7 +266,6 @@ func (w *Windows) Snapshot(windowSeconds int) WindowSnapshot {
 	}
 	okQ := m.queries - m.errors
 	if okQ > 0 {
-		snap.SlowRate = float64(m.slow) / float64(okQ)
 		snap.MeanCycles = float64(m.cycles) / float64(okQ)
 		snap.MeanWallNanos = float64(m.wallNanos) / float64(okQ)
 		snap.MeanAllocBytes = float64(m.allocBytes) / float64(okQ)
@@ -318,7 +295,6 @@ type WindowPoint struct {
 	UnixSec     int64   `json:"sec"`
 	Queries     uint64  `json:"queries"`
 	Errors      uint64  `json:"errors,omitempty"`
-	Slow        uint64  `json:"slow,omitempty"`
 	Cycles      uint64  `json:"cycles"`
 	P99Cycles   float64 `json:"p99_cycles"`
 	DRAMBytes   uint64  `json:"dram_bytes"`
@@ -376,7 +352,6 @@ func (w *Windows) Series(windowSeconds int) []WindowPoint {
 			UnixSec:     b.sec,
 			Queries:     b.queries,
 			Errors:      b.errors,
-			Slow:        b.slow,
 			Cycles:      b.cycles,
 			P99Cycles:   bucketQuantile(defaultBounds, b.lat[:], count, 0.99),
 			DRAMBytes:   b.bytesDRAM,

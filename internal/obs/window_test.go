@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// fakeClock is a hand-advanced nanosecond clock shared by Windows and
-// AlertEngine in deterministic tests.
+// fakeClock is a hand-advanced nanosecond clock for deterministic Windows
+// tests.
 type fakeClock struct {
 	mu sync.Mutex
 	ns int64
@@ -33,9 +33,8 @@ func (c *fakeClock) AdvanceSec(s int64) {
 func TestWindowsSnapshotCountsAndRates(t *testing.T) {
 	clk := newFakeClock(1000)
 	w := NewWindowsAt(60, clk.Now)
-	w.SetSLOCycles(1_000_000)
 
-	// Second 1000: 4 ok (one slow), 1 error.
+	// Second 1000: 4 ok, 1 error.
 	for i := 0; i < 3; i++ {
 		w.Record(WindowSample{Cycles: 50_000, WallNanos: 1000, AllocBytes: 64,
 			BytesDRAM: 4096, BytesCPU: 1024, CacheLoads: 100, CacheMisses: 10})
@@ -51,17 +50,14 @@ func TestWindowsSnapshotCountsAndRates(t *testing.T) {
 	if snap.WindowSeconds != 10 {
 		t.Fatalf("WindowSeconds = %d, want 10", snap.WindowSeconds)
 	}
-	if snap.Queries != 6 || snap.Errors != 1 || snap.Slow != 1 {
-		t.Fatalf("queries/errors/slow = %d/%d/%d, want 6/1/1", snap.Queries, snap.Errors, snap.Slow)
+	if snap.Queries != 6 || snap.Errors != 1 {
+		t.Fatalf("queries/errors = %d/%d, want 6/1", snap.Queries, snap.Errors)
 	}
 	if got, want := snap.QPS, 0.6; got != want {
 		t.Fatalf("QPS = %g, want %g", got, want)
 	}
 	if got, want := snap.ErrorRate, 1.0/6; got != want {
 		t.Fatalf("ErrorRate = %g, want %g", got, want)
-	}
-	if got, want := snap.SlowRate, 1.0/5; got != want {
-		t.Fatalf("SlowRate = %g, want %g", got, want)
 	}
 	wantMean := float64(3*50_000+2_000_000+50_000) / 5
 	if snap.MeanCycles != wantMean {
@@ -167,7 +163,6 @@ func TestWindowsDisabledAndNil(t *testing.T) {
 		t.Fatal("nil Windows reports enabled")
 	}
 	nilW.Record(WindowSample{Cycles: 1}) // must not panic
-	nilW.SetSLOCycles(5)
 	nilW.SetDisabled(true)
 	if s := nilW.Snapshot(10); s.Queries != 0 {
 		t.Fatalf("nil snapshot = %+v", s)

@@ -114,8 +114,83 @@ func TestFacadePathParity(t *testing.T) {
 				if want := map[bool]uint64{true: 1, false: 0}[p.sql]; calls != want {
 					t.Errorf("%s: %d statement-store calls, want %d", p.name, calls, want)
 				}
+				// One event, one bracket: every sink reads the same
+				// allocation delta.
+				if p.sql && len(stats.Snapshot()) == 1 {
+					rec := stats.Snapshot()[0]
+					if got := win.Snapshot(60).MeanAllocBytes; got != rec.MeanAlloc {
+						t.Errorf("%s: windows mean alloc %g != statement mean alloc %g", p.name, got, rec.MeanAlloc)
+					}
+					if p.name == "QueryTraced" {
+						if tr := db.LastTrace(); tr == nil || float64(tr.AllocBytes) != rec.MeanAlloc {
+							t.Errorf("%s: trace alloc bytes differ from statement mean alloc %g", p.name, rec.MeanAlloc)
+						}
+					}
+				}
 			}
 		})
+	}
+}
+
+// TestParseFailureReportsOneEvent: a statement that fails to compile still
+// reports exactly one event, which every sink records as one error.
+func TestParseFailureReportsOneEvent(t *testing.T) {
+	db := tpchDB(t, 500)
+	reg, win, stats := NewRegistry(), NewWindows(60), NewStatStore()
+	db.SetObserver(reg)
+	db.SetWindows(win)
+	db.SetStatements(stats)
+	if _, err := db.Query("SELEC l_quantity FROM lineitem"); err == nil {
+		t.Fatal("malformed statement compiled")
+	}
+	if snap := win.Snapshot(60); snap.Queries != 1 || snap.Errors != 1 {
+		t.Errorf("windows queries/errors = %d/%d, want 1/1", snap.Queries, snap.Errors)
+	}
+	recs := stats.Snapshot()
+	if len(recs) != 1 || recs[0].Calls != 1 || recs[0].Errors != 1 {
+		t.Errorf("statement store = %+v, want one call, one error", recs)
+	}
+	if got := reg.Counter("rfabric_query_errors_total", Labels{"engine": "RM", "table": ""}).Value(); got != 1 {
+		t.Errorf("rfabric_query_errors_total = %d, want 1", got)
+	}
+}
+
+// TestParHardwareCountersPublished: a PAR statement's morsels run on private
+// System clones, and their DRAM, cache, and fabric counters reach the
+// registry through the statement's event — the fabric scans as many rows as
+// the serial RM run, and DRAM bytes move.
+func TestParHardwareCountersPublished(t *testing.T) {
+	const scan = `SELECT SUM(l_quantity) FROM lineitem WHERE l_quantity < 24`
+	for _, text := range []string{scan, tpch.Q3SQL} {
+		counters := map[EngineKind]*Registry{}
+		for _, kind := range []EngineKind{RM, PAR} {
+			db := tpchDB(t, 3000)
+			if kind == PAR {
+				db.SetParallel(ParallelConfig{Workers: 2, MorselRows: 1000})
+			}
+			reg := NewRegistry()
+			db.SetObserver(reg)
+			if _, err := db.QueryOn(kind, text); err != nil {
+				t.Fatalf("%s on %s: %v", text, kind, err)
+			}
+			counters[kind] = reg
+		}
+		value := func(kind EngineKind, name string) uint64 {
+			return counters[kind].Counter(name, Labels{"engine": string(kind), "table": "lineitem"}).Value()
+		}
+		rm, par := value(RM, "rfabric_fabric_rows_scanned_total"), value(PAR, "rfabric_fabric_rows_scanned_total")
+		if rm == 0 || par != rm {
+			t.Errorf("%s: PAR fabric rows scanned = %d, RM = %d; want equal and nonzero", text, par, rm)
+		}
+		if got := value(PAR, "rfabric_dram_bytes_read_total"); got == 0 {
+			t.Errorf("%s: PAR published no DRAM bytes", text)
+		}
+		if got := value(PAR, "rfabric_cache_loads_total"); got == 0 {
+			t.Errorf("%s: PAR published no cache loads", text)
+		}
+		if got := counters[PAR].Counter("rfabric_par_morsels_total", Labels{"table": "lineitem"}).Value(); got != 3 {
+			t.Errorf("%s: rfabric_par_morsels_total = %d, want 3", text, got)
+		}
 	}
 }
 

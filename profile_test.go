@@ -306,3 +306,45 @@ func TestDisabledObserverMatchesNilObserver(t *testing.T) {
 		t.Errorf("disabled windows recorded %d queries, want 0", got)
 	}
 }
+
+// TestObservedQueryAllocBudget bounds what the observability sinks cost a
+// query: with a registry, windows, and a statement store attached, a
+// QueryOn(RM) may allocate at most 64 more times than with none. Publishing
+// to existing series renders the event's labels once and allocates nothing
+// per series. Measured like TestDisabledObserverMatchesNilObserver (warm
+// fixtures, lowest of alternating rounds); the comparison is withheld under
+// -race.
+func TestObservedQueryAllocBudget(t *testing.T) {
+	const text = `SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_quantity < 30 GROUP BY l_returnflag`
+	query := func(db *DB) func() {
+		return func() {
+			if _, err := db.QueryOn(RM, text); err != nil {
+				t.Fatalf("query: %v", err)
+			}
+		}
+	}
+	bare := tracedDB(t)
+	observed := tracedDB(t)
+	observed.SetObserver(obs.NewRegistry())
+	observed.SetWindows(obs.NewWindows(10))
+	observed.SetStatements(obs.NewStatStore())
+
+	runBare, runObserved := query(bare), query(observed)
+	for i := 0; i < 5; i++ {
+		runBare()
+		runObserved()
+	}
+	bareAllocs, observedAllocs := math.Inf(1), math.Inf(1)
+	for round := 0; round < 5; round++ {
+		bareAllocs = math.Min(bareAllocs, testing.AllocsPerRun(20, runBare))
+		observedAllocs = math.Min(observedAllocs, testing.AllocsPerRun(20, runObserved))
+	}
+	t.Logf("allocs per query: bare %.0f, observed %.0f", bareAllocs, observedAllocs)
+	if raceEnabled {
+		return
+	}
+	if extra := observedAllocs - bareAllocs; extra > 64 {
+		t.Errorf("observability costs %.0f allocs per query (bare %.0f, observed %.0f), want <= 64",
+			extra, bareAllocs, observedAllocs)
+	}
+}

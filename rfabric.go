@@ -243,23 +243,7 @@ type (
 	// WindowSample is one query's contribution to the rolling window, for
 	// callers feeding a Windows outside the DB facade.
 	WindowSample = obs.WindowSample
-	// AlertRule is one declarative SLO/alert condition over the windows
-	// (threshold or burn-rate form); parse the text syntax with
-	// ParseAlertRule.
-	AlertRule = obs.Rule
-	// AlertEngine evaluates alert rules on a ticker, driving each through
-	// the pending → firing → resolved state machine.
-	AlertEngine = obs.AlertEngine
-	// Health is the /healthz + /readyz liveness/readiness surface.
-	Health = obs.Health
 )
-
-// Version identifies this build in rfabric_build_info and /healthz.
-const Version = "0.8.0"
-
-// EngineSet names the execution paths this build ships, the engine-set
-// label of rfabric_build_info.
-const EngineSet = "ROW,COL,RM,IDX,PAR,AUTO"
 
 // NewRegistry creates an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
@@ -270,21 +254,6 @@ func NewStatStore() *StatStore { return obs.NewStatStore() }
 // NewWindows creates a sliding-window telemetry aggregator retaining the
 // trailing seconds seconds.
 func NewWindows(seconds int) *Windows { return obs.NewWindows(seconds) }
-
-// NewAlertEngine builds an alert engine over a Windows aggregator; start
-// its evaluation ticker with Start and mount /debug/alerts with Handle.
-func NewAlertEngine(win *Windows, rules ...AlertRule) (*AlertEngine, error) {
-	return obs.NewAlertEngine(win, rules...)
-}
-
-// ParseAlertRule parses the one-line alert-rule syntax, e.g.
-// "high_p99: p99_cycles > 5e6 for 10s over 30s severity page".
-func ParseAlertRule(s string) (AlertRule, error) { return obs.ParseRule(s) }
-
-// NewHealth builds the /healthz + /readyz surface (alerts may be nil).
-func NewHealth(alerts *AlertEngine) *Health {
-	return obs.NewHealth(Version, EngineSet, alerts)
-}
 
 // NewTracer starts a trace rooted at a span named name, for callers driving
 // engines directly; DB.QueryTraced does this internally.

@@ -1,7 +1,6 @@
 package rfabric
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -9,14 +8,12 @@ import (
 	"rfabric/internal/tpch"
 )
 
-// DB-level tests of the sliding-window telemetry and the alert lifecycle:
-// the windows see exactly what the query path ran (successes, failures,
-// modeled cycles, real wall-clock and allocation deltas), and an injected
-// latency regression drives an alert rule through pending → firing →
-// resolved on a shared fake clock.
+// DB-level tests of the sliding-window telemetry: the windows see exactly
+// what the query path ran (successes, failures, modeled cycles, real
+// wall-clock and allocation deltas).
 
-// telemetryClock is the hand-advanced nanosecond clock the windows and the
-// alert engine share in these tests.
+// telemetryClock is the hand-advanced nanosecond clock the windows read in
+// these tests.
 type telemetryClock struct {
 	mu sync.Mutex
 	ns int64
@@ -142,144 +139,6 @@ func TestDBWindowedQuantileMatchesHistogram(t *testing.T) {
 		if want := h.Quantile(c.q); c.got != want {
 			t.Fatalf("windowed %s = %g, Histogram.Quantile = %g — must match exactly", c.name, c.got, want)
 		}
-	}
-}
-
-// TestLatencyRegressionAlertLifecycle injects a latency regression into a
-// live DB and proves the full alert state machine: healthy traffic keeps
-// the rule inactive; a sustained regression walks it pending → firing
-// (flipping /readyz through FiringPage); recovery resolves it, with the
-// resolve recorded in the firing history.
-func TestLatencyRegressionAlertLifecycle(t *testing.T) {
-	db := telemetryDB(t, 24_000)
-	clk := &telemetryClock{ns: 5000e9}
-	win := obs.NewWindowsAt(120, clk.Now)
-	db.SetWindows(win)
-
-	// The healthy workload scans a tiny table; the regression is a full scan
-	// of the large one — ~50x the rows, so the p99 cycle jump dominates the
-	// bucket quantile's within-bucket error (one power-of-4 bucket).
-	small, err := db.CreateTable("orders", tpch.OrdersSchema(), 500)
-	if err != nil {
-		t.Fatalf("orders: %v", err)
-	}
-	if err := tpch.GenerateOrders(small, 500, 1); err != nil {
-		t.Fatalf("generate orders: %v", err)
-	}
-	cheap := "SELECT COUNT(*) FROM orders WHERE o_custkey < 100"
-	expensive := "SELECT SUM(l_extendedprice), AVG(l_discount) FROM lineitem WHERE l_quantity < 100"
-	cheapRes, err := db.Query(cheap)
-	if err != nil {
-		t.Fatalf("cheap query: %v", err)
-	}
-	expRes, err := db.Query(expensive)
-	if err != nil {
-		t.Fatalf("expensive query: %v", err)
-	}
-	cheapCyc := float64(cheapRes.Breakdown.TotalCycles)
-	expCyc := float64(expRes.Breakdown.TotalCycles)
-	// The windowed p99 is a bucket estimate: it may read up to 4x the cheap
-	// cost (top of cheap's bucket) and as low as a quarter of the expensive
-	// cost (bottom of its bucket). A 16x gap keeps the threshold separable.
-	if expCyc < 16*cheapCyc {
-		t.Fatalf("regression not expensive enough to alert on: cheap=%g expensive=%g", cheapCyc, expCyc)
-	}
-	threshold := math.Sqrt(cheapCyc * expCyc)
-	clk.AdvanceSec(30) // drain the calibration traffic out of the rule window
-
-	eng, err := obs.NewAlertEngineAt(win, clk.Now, obs.Rule{
-		Name: "latency_regression", Metric: "p99_cycles", Threshold: threshold,
-		ForSeconds: 5, WindowSeconds: 20, Severity: "page",
-	})
-	if err != nil {
-		t.Fatalf("alert engine: %v", err)
-	}
-	health := NewHealth(eng)
-	health.SetReady(true)
-
-	state := func() string { return eng.Snapshot().Rules[0].State }
-
-	// Phase 1 — healthy: cheap queries only.
-	for i := 0; i < 3; i++ {
-		if _, err := db.Query(cheap); err != nil {
-			t.Fatal(err)
-		}
-		clk.AdvanceSec(1)
-	}
-	eng.Evaluate()
-	if got := state(); got != "inactive" {
-		t.Fatalf("healthy traffic: state = %s, want inactive (p99 %g vs threshold %g)",
-			got, win.Snapshot(20).P99Cycles, threshold)
-	}
-	if !health.Ready() {
-		t.Fatal("healthy: not ready")
-	}
-
-	// Phase 2 — regression lands: first breach goes pending, not firing.
-	if _, err := db.Query(expensive); err != nil {
-		t.Fatal(err)
-	}
-	eng.Evaluate()
-	if got := state(); got != "pending" {
-		t.Fatalf("first breach: state = %s, want pending", got)
-	}
-	if !health.Ready() {
-		t.Fatal("pending alert must not flip readiness")
-	}
-
-	// Phase 3 — regression sustained past the hold: firing, readiness off.
-	for i := 0; i < 6; i++ {
-		clk.AdvanceSec(1)
-		if _, err := db.Query(expensive); err != nil {
-			t.Fatal(err)
-		}
-		eng.Evaluate()
-	}
-	if got := state(); got != "firing" {
-		t.Fatalf("sustained regression: state = %s, want firing", got)
-	}
-	if health.Ready() {
-		t.Fatal("firing page alert must flip /readyz off")
-	}
-	if got := eng.Snapshot().Rules[0].FiredTotal; got != 1 {
-		t.Fatalf("fired_total = %d, want 1", got)
-	}
-
-	// Phase 4 — regression fixed: slow samples age out of the 20s window
-	// while cheap traffic continues; the alert resolves and readiness
-	// returns.
-	clk.AdvanceSec(25)
-	for i := 0; i < 3; i++ {
-		if _, err := db.Query(cheap); err != nil {
-			t.Fatal(err)
-		}
-		eng.Evaluate()
-		clk.AdvanceSec(1)
-	}
-	if got := state(); got != "inactive" {
-		t.Fatalf("after recovery: state = %s, want inactive (p99 %g)", got, win.Snapshot(20).P99Cycles)
-	}
-	if !health.Ready() {
-		t.Fatal("recovered: readiness must return")
-	}
-
-	// The history tells the whole story, ending in a resolve.
-	hist := eng.Snapshot().History
-	if len(hist) < 3 {
-		t.Fatalf("history too short: %+v", hist)
-	}
-	last := hist[len(hist)-1]
-	if last.To != "inactive" || !last.Resolve {
-		t.Fatalf("final transition = %+v, want resolved inactive", last)
-	}
-	sawFiring := false
-	for _, tr := range hist {
-		if tr.To == "firing" && tr.Rule == "latency_regression" {
-			sawFiring = true
-		}
-	}
-	if !sawFiring {
-		t.Fatalf("history never fired: %+v", hist)
 	}
 }
 
