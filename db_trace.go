@@ -65,7 +65,7 @@ func WithTimeline(everyCycles uint64) TraceOption {
 // QueryTraced is EXPLAIN ANALYZE: it parses, lowers, and executes the
 // statement like Query, and additionally returns the span tree of the run —
 // parse, plan (with the physical operator chain as one span per operator),
-// engine dispatch, per-shard/per-morsel execution, and merge — with per-node
+// engine dispatch, per-morsel execution, and merge — with per-node
 // modeled cycles, DRAM bytes, cache miss ratios, and row-buffer hit rates.
 // The root span's AttributedCycles reconciles exactly with
 // Result.Breakdown.TotalCycles. The trace is also stored for LastTrace.

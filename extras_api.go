@@ -5,13 +5,10 @@ import (
 	"rfabric/internal/shard"
 )
 
-// Sharding (§III-A: horizontal partitioning composed with the fabric).
-type (
-	// ShardedTable is a range-sharded table over fabric-equipped nodes.
-	ShardedTable = shard.Table
-	// ShardedResult is a merged sharded-query outcome.
-	ShardedResult = shard.Result
-)
+// ShardedTable is a range-sharded table over fabric-equipped nodes
+// (§III-A: horizontal partitioning composed with the fabric); its Execute
+// returns a Result whose Morsels counts the shards touched.
+type ShardedTable = shard.Table
 
 // NewShardedTable creates len(bounds)+1 shards on keyCol, each with its own
 // simulated system.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"rfabric/internal/expr"
 	"rfabric/internal/fabric"
@@ -489,58 +487,18 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 		}
 	}
 
-	rows := e.ProbeTbl.NumRows()
-	numMorsels := (rows + par.MorselRows - 1) / par.MorselRows
-	if numMorsels == 0 {
-		numMorsels = 1
-	}
-	workers := par.Workers
-	if workers > numMorsels {
-		workers = numMorsels
-	}
-
-	parts := make([]*Result, numMorsels)
-	passed := make([]int64, numMorsels) // per-morsel probe rows surviving selection
-	errs := make([]error, numMorsels)
-	var tracers []*obs.Tracer
-	if sp != nil {
-		tracers = make([]*obs.Tracer, numMorsels)
-		for i := range tracers {
-			tracers[i] = obs.NewTracer(morselSpanName(i))
-		}
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= numMorsels {
-					return
-				}
-				var tr *obs.Tracer
-				if tracers != nil {
-					tr = tracers[i]
-				}
-				parts[i], passed[i], errs[i] = e.runMorsel(tables, semi, i, par.MorselRows, rows, tr)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("engine: join morsel %d: %w", i, err)
-		}
-	}
-	res, err := mergePartials("PAR", p.Consume, parts, workers)
+	n, workers := par.split(e.ProbeTbl.NumRows())
+	tracers := newPartTracers(sp, n)
+	passed := make([]int64, n) // per-morsel probe rows surviving selection
+	res, parts, err := Gather("PAR", p.Consume, n, workers, func(i int) (*Result, error) {
+		part, probePassed, err := e.runMorsel(tables, semi, i, par.MorselRows, tracers.at(i))
+		passed[i] = probePassed
+		return part, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) > 0 {
-		res.Offload = parts[0].Offload
-	}
+	res.Offload = parts[0].Offload
 	probeTotal := res.Breakdown.TotalCycles
 	if p.Probe.Node != nil {
 		var probePassed int64
@@ -558,50 +516,15 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 		addBreakdown(&res.Breakdown, br.Breakdown)
 		stampSideAct(p.Stages[k].Side.Node, br)
 	}
-	if sp != nil {
-		mergeCharge := uint64(len(parts)) * MergeCyclesPerPartial
-		sp.Leaf("schedule.makespan", probeTotal-mergeCharge, 0)
-		sp.Leaf("merge", mergeCharge, 0)
-		sp.SetAttr("workers", strconv.Itoa(workers))
-		sp.SetAttr("morsels", strconv.Itoa(numMorsels))
-		sp.SetAttr("morsel_rows", strconv.Itoa(par.MorselRows))
-		detail := sp.AddChild("morsels")
-		detail.Detail = true
-		partTotals := make([]uint64, len(parts))
-		for i, pt := range parts {
-			partTotals[i] = pt.Breakdown.TotalCycles
-		}
-		workerOf, starts, _ := ScheduleAssignments(partTotals, workers)
-		tl := e.Tracer.Timeline()
-		for i, tr := range tracers {
-			root := tr.Root()
-			root.SetAttr("worker", strconv.Itoa(workerOf[i]))
-			root.SetAttr("start_cycles", strconv.FormatUint(starts[i], 10))
-			detail.Adopt(root)
-			tl.AddWorkerSlice(workerOf[i], morselSpanName(i), starts[i], partTotals[i])
-		}
-		tl.TickThrough(res.Breakdown.TotalCycles)
-	}
+	finishParallelSpan(e.Tracer, sp, tracers, parts, workers, par.MorselRows, probeTotal, res.Breakdown.TotalCycles)
 	return res, nil
 }
 
 // runMorsel probes one probe-table slice on a fresh System clone, folding
 // matches into a morsel-private consumer whose partial the coordinator
 // merges in morsel order.
-func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin, i, morselRows, totalRows int, tr *obs.Tracer) (*Result, int64, error) {
-	lo := i * morselRows
-	hi := lo + morselRows
-	if hi > totalRows {
-		hi = totalRows
-	}
-	if lo > totalRows {
-		lo = totalRows
-	}
-	slice, err := e.ProbeTbl.Slice(lo, hi)
-	if err != nil {
-		return nil, 0, err
-	}
-	sys, err := e.Sys.Clone()
+func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin, i, morselRows int, tr *obs.Tracer) (*Result, int64, error) {
+	slice, sys, err := morsel(e.ProbeTbl, e.Sys, i, morselRows)
 	if err != nil {
 		return nil, 0, err
 	}

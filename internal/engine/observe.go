@@ -18,10 +18,12 @@ import (
 //     `dram.bandwidth_stall`;
 //   - the pipeline path (RM) attributes `pipeline` (the per-chunk
 //     producer/consumer maxima) plus the same stall leaf;
-//   - parallel paths (PAR, sharded tables) attribute `schedule.makespan`
-//     and `merge`, and hang the per-morsel/per-shard sub-traces under a
-//     Detail subtree — their cycles overlap the makespan rather than
-//     adding to it, and each sub-root reconciles with its own partial.
+//   - the parallel path (PAR scans and joins) attributes
+//     `schedule.makespan` and `merge`, and hangs the per-morsel sub-traces
+//     under a Detail subtree — their cycles overlap the makespan rather
+//     than adding to it, and each sub-root reconciles with its own partial.
+//     Sharded tables run on the same scatter/gather core but are not
+//     traced.
 
 // finishDemandSpan attaches attribution leaves and cache/DRAM annotations
 // for a demand-path run. Nil-safe on sp.

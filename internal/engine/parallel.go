@@ -20,9 +20,9 @@ import (
 // balances.
 const DefaultMorselRows = 8192
 
-// MergeCyclesPerPartial is the coordinator's modeled cost to fold one
-// morsel's partial result into the final one.
-const MergeCyclesPerPartial = 200
+// mergeCyclesPerPartial is the coordinator's modeled cost to fold one
+// partial result into the final one.
+const mergeCyclesPerPartial = 200
 
 // ParallelConfig parameterizes the morsel-parallel executor. The zero value
 // means "defaults": GOMAXPROCS workers, DefaultMorselRows-row morsels.
@@ -100,31 +100,55 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 	}
 
 	par := e.Par.normalized()
-	rows := e.Tbl.NumRows()
-	numMorsels := (rows + par.MorselRows - 1) / par.MorselRows
-	if numMorsels == 0 {
-		numMorsels = 1 // one empty morsel gives the empty result its shape
-	}
-	workers := par.Workers
-	if workers > numMorsels {
-		workers = numMorsels
-	}
-
+	n, workers := par.split(e.Tbl.NumRows())
 	sp := beginEngineSpan(e.Tracer, e.Name(), e.Tbl.Name())
 	defer e.Tracer.End()
+	tracers := newPartTracers(sp, n)
 
-	parts := make([]*Result, numMorsels)
-	errs := make([]error, numMorsels)
-	// Per-morsel tracers: each worker writes only its own slot, and the
-	// sub-roots are adopted in morsel order after the join, keeping the
-	// span tree deterministic under any scheduling.
-	var tracers []*obs.Tracer
-	if sp != nil {
-		tracers = make([]*obs.Tracer, numMorsels)
-		for i := range tracers {
-			tracers[i] = obs.NewTracer(morselSpanName(i))
+	res, parts, err := Gather(e.Name(), q, n, workers, func(i int) (*Result, error) {
+		slice, sys, err := morsel(e.Tbl, e.Sys, i, par.MorselRows)
+		if err != nil {
+			return nil, err
 		}
+		eng := &RMEngine{Tbl: slice, Sys: sys, PushSelection: e.PushSelection, PushAggregation: e.PushAggregation, Tracer: tracers.at(i), ForceScalar: e.ForceScalar}
+		res, err := eng.Execute(q)
+		if err != nil {
+			return nil, err
+		}
+		res.MorselHW = sys.HW()
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	finishParallelSpan(e.Tracer, sp, tracers, parts, workers, par.MorselRows, res.Breakdown.TotalCycles, res.Breakdown.TotalCycles)
+	return res, nil
+}
+
+// split returns how many morsels a rows-row table splits into (at least
+// one: an empty morsel gives the empty result its shape) and how many
+// workers that many morsels can keep busy.
+func (c ParallelConfig) split(rows int) (morsels, workers int) {
+	morsels = max((rows+c.MorselRows-1)/c.MorselRows, 1)
+	return morsels, min(c.Workers, morsels)
+}
+
+// Gather is the scatter/gather core of every partitioned executor: PAR
+// scans and joins over morsels, and sharded tables over the shards a query
+// touches. Workers pull partition indexes 0..n-1 off a shared counter and
+// call run on each; workers of zero or less means runtime.GOMAXPROCS(0).
+// run(i) must drive only partition i's own state (a System clone or a
+// shard's node), which is what keeps the pool race-clean. The partials then
+// fold in partition order through mergePartials, so the merged result and
+// its modeled Breakdown are identical for any worker count. Gather returns
+// the merged result and the partials.
+func Gather(name string, q Query, n, workers int, run func(i int) (*Result, error)) (*Result, []*Result, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	parts := make([]*Result, n)
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -133,88 +157,106 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= numMorsels {
+				if i >= n {
 					return
 				}
-				var tr *obs.Tracer
-				if tracers != nil {
-					tr = tracers[i]
-				}
-				parts[i], errs[i] = e.runMorsel(q, i, par.MorselRows, rows, tr)
+				parts[i], errs[i] = run(i)
 			}
 		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("engine: morsel %d: %w", i, err)
+			return nil, nil, fmt.Errorf("engine: partition %d: %w", i, err)
 		}
 	}
-	res, err := mergePartials(e.Name(), q, parts, workers)
+	res, err := mergePartials(name, q, parts, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if sp != nil {
-		mergeCharge := uint64(len(parts)) * MergeCyclesPerPartial
-		sp.Leaf("schedule.makespan", res.Breakdown.TotalCycles-mergeCharge, 0)
-		sp.Leaf("merge", mergeCharge, 0)
-		sp.SetAttr("workers", strconv.Itoa(workers))
-		sp.SetAttr("morsels", strconv.Itoa(numMorsels))
-		sp.SetAttr("morsel_rows", strconv.Itoa(par.MorselRows))
-		detail := sp.AddChild("morsels")
-		detail.Detail = true
-		// Replay the deterministic list schedule to place each morsel on a
-		// worker lane; the placement feeds the Chrome-trace worker lanes and
-		// the timeline's busy-worker series.
-		partTotals := make([]uint64, len(parts))
-		for i, p := range parts {
-			partTotals[i] = p.Breakdown.TotalCycles
-		}
-		workerOf, starts, _ := ScheduleAssignments(partTotals, workers)
-		tl := e.Tracer.Timeline()
-		for i, tr := range tracers {
-			root := tr.Root()
-			root.SetAttr("worker", strconv.Itoa(workerOf[i]))
-			root.SetAttr("start_cycles", strconv.FormatUint(starts[i], 10))
-			detail.Adopt(root)
-			tl.AddWorkerSlice(workerOf[i], morselSpanName(i), starts[i], partTotals[i])
-		}
-		// Morsels ran on System clones, which the timeline does not hook, so
-		// the coordinator drives the clock across the makespan itself.
-		tl.TickThrough(res.Breakdown.TotalCycles)
-	}
-	return res, nil
+	return res, parts, nil
 }
 
-// runMorsel executes one morsel on a fresh System clone. Cloning per morsel
-// (not per worker) keeps the partial independent of which worker ran it and
-// how many morsels that worker had already run, which the determinism
-// guarantee needs: arena allocations for delivery windows would otherwise
-// drift with scheduling.
-func (e *ParallelEngine) runMorsel(q Query, i, morselRows, totalRows int, tr *obs.Tracer) (*Result, error) {
-	lo := i * morselRows
-	hi := lo + morselRows
-	if hi > totalRows {
-		hi = totalRows
-	}
-	if lo > totalRows {
-		lo = totalRows
-	}
-	slice, err := e.Tbl.Slice(lo, hi)
+// morsel returns morsel i of tbl, rows [i*morselRows, (i+1)*morselRows)
+// clamped to the table, and a fresh clone of sys to run it on. Cloning per
+// morsel (not per worker) keeps the partial independent of which worker ran
+// it and how many morsels that worker had already run, which the
+// determinism guarantee needs: arena allocations for delivery windows would
+// otherwise drift with scheduling.
+func morsel(tbl *table.Table, sys *System, i, morselRows int) (*table.Table, *System, error) {
+	rows := tbl.NumRows()
+	slice, err := tbl.Slice(min(i*morselRows, rows), min((i+1)*morselRows, rows))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sys, err := e.Sys.Clone()
+	clone, err := sys.Clone()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	eng := &RMEngine{Tbl: slice, Sys: sys, PushSelection: e.PushSelection, PushAggregation: e.PushAggregation, Tracer: tr, ForceScalar: e.ForceScalar}
-	res, err := eng.Execute(q)
-	if err != nil {
-		return nil, err
+	return slice, clone, nil
+}
+
+// partTracers holds one private tracer per morsel of a traced parallel run;
+// it is nil when the run is untraced. Each worker writes only its own
+// morsel's tracer, and finishParallelSpan adopts the sub-roots in morsel
+// order after the workers join, so tracing never perturbs determinism.
+type partTracers []*obs.Tracer
+
+func newPartTracers(sp *obs.Span, n int) partTracers {
+	if sp == nil {
+		return nil
 	}
-	res.MorselHW = sys.HW()
-	return res, nil
+	ts := make(partTracers, n)
+	for i := range ts {
+		ts[i] = obs.NewTracer(morselSpanName(i))
+	}
+	return ts
+}
+
+// at returns morsel i's tracer, nil when the run is untraced.
+func (ts partTracers) at(i int) *obs.Tracer {
+	if ts == nil {
+		return nil
+	}
+	return ts[i]
+}
+
+// finishParallelSpan lays out a traced parallel run under sp: the
+// schedule.makespan and merge leaves, which reconcile with total (the
+// morsels' merged TotalCycles), the worker and morsel attributes, and a
+// Detail subtree adopting each morsel's sub-trace in morsel order; the
+// sub-traces' modeled time overlaps the makespan rather than adding to it.
+// Replaying the deterministic list schedule places each morsel on a worker
+// lane, which feeds the Chrome-trace worker lanes and the timeline's
+// busy-worker series. Morsels ran on System clones, which the timeline does
+// not hook, so the coordinator then drives the clock through `through`
+// itself. Nil-safe on sp.
+func finishParallelSpan(tr *obs.Tracer, sp *obs.Span, tracers partTracers, parts []*Result, workers, morselRows int, total, through uint64) {
+	if sp == nil {
+		return
+	}
+	mergeCharge := uint64(len(parts)) * mergeCyclesPerPartial
+	sp.Leaf("schedule.makespan", total-mergeCharge, 0)
+	sp.Leaf("merge", mergeCharge, 0)
+	sp.SetAttr("workers", strconv.Itoa(workers))
+	sp.SetAttr("morsels", strconv.Itoa(len(parts)))
+	sp.SetAttr("morsel_rows", strconv.Itoa(morselRows))
+	detail := sp.AddChild("morsels")
+	detail.Detail = true
+	partTotals := make([]uint64, len(parts))
+	for i, p := range parts {
+		partTotals[i] = p.Breakdown.TotalCycles
+	}
+	workerOf, starts, _ := scheduleAssignments(partTotals, workers)
+	tl := tr.Timeline()
+	for i, t := range tracers {
+		root := t.Root()
+		root.SetAttr("worker", strconv.Itoa(workerOf[i]))
+		root.SetAttr("start_cycles", strconv.FormatUint(starts[i], 10))
+		detail.Adopt(root)
+		tl.AddWorkerSlice(workerOf[i], morselSpanName(i), starts[i], partTotals[i])
+	}
+	tl.TickThrough(through)
 }
 
 // mergePartials folds per-morsel results in morsel order. Row counts and
@@ -244,7 +286,7 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 	partTotals := make([]uint64, len(parts))
 	for i, p := range parts {
 		if p == nil {
-			return nil, fmt.Errorf("engine: missing partial result for morsel %d", i)
+			return nil, fmt.Errorf("engine: missing partial result for partition %d", i)
 		}
 		out.RowsScanned += p.RowsScanned
 		out.RowsPassed += p.RowsPassed
@@ -283,8 +325,8 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 			}
 		}
 	}
-	out.Breakdown.TotalCycles = ScheduleCycles(partTotals, workers) +
-		uint64(len(parts))*MergeCyclesPerPartial
+	out.Breakdown.TotalCycles = scheduleCycles(partTotals, workers) +
+		uint64(len(parts))*mergeCyclesPerPartial
 
 	if scalarAggs {
 		out.Aggs = make([]table.Value, len(merged))
@@ -388,24 +430,24 @@ func (m *partialAgg) result() table.Value {
 	}
 }
 
-// ScheduleCycles models running parts on `workers` parallel executors with
+// scheduleCycles models running parts on `workers` parallel executors with
 // greedy list scheduling: each part, in submission order, goes to the
 // least-loaded worker, and the result is the makespan (the busiest worker's
 // total). With one worker it degenerates to the sum; with workers >= parts
 // it is the largest part. This is how the cost model rewards parallelism:
 // deterministic in the parts and worker count, independent of actual
 // goroutine interleaving.
-func ScheduleCycles(parts []uint64, workers int) uint64 {
-	_, _, makespan := ScheduleAssignments(parts, workers)
+func scheduleCycles(parts []uint64, workers int) uint64 {
+	_, _, makespan := scheduleAssignments(parts, workers)
 	return makespan
 }
 
-// ScheduleAssignments runs the same greedy list schedule as ScheduleCycles
+// scheduleAssignments runs the same greedy list schedule as scheduleCycles
 // and additionally reports the placement: workerOf[i] is the worker part i
 // ran on and starts[i] its start offset on that worker's lane. The timeline
 // sampler and the Chrome-trace exporter use the placement to reconstruct
 // per-worker busy/idle state deterministically.
-func ScheduleAssignments(parts []uint64, workers int) (workerOf []int, starts []uint64, makespan uint64) {
+func scheduleAssignments(parts []uint64, workers int) (workerOf []int, starts []uint64, makespan uint64) {
 	if len(parts) == 0 {
 		return nil, nil, 0
 	}

@@ -170,8 +170,8 @@ func TestScheduleCycles(t *testing.T) {
 		{[]uint64{5, 5, 5, 5, 5, 5, 5, 5}, 0, 40}, // workers<1 clamps to 1
 	}
 	for i, c := range cases {
-		if got := ScheduleCycles(c.parts, c.workers); got != c.want {
-			t.Errorf("case %d: ScheduleCycles(%v, %d) = %d, want %d", i, c.parts, c.workers, got, c.want)
+		if got := scheduleCycles(c.parts, c.workers); got != c.want {
+			t.Errorf("case %d: scheduleCycles(%v, %d) = %d, want %d", i, c.parts, c.workers, got, c.want)
 		}
 	}
 }

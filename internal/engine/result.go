@@ -71,9 +71,10 @@ type Result struct {
 	// either way; only where the work was charged differs.
 	Offload string
 	// Morsels is how many morsels a PAR run split its scan into (zero on
-	// the serial paths), and MorselHW the counters of their private System
-	// clones summed in morsel order: hardware traffic the shared System
-	// never sees. On one morsel's partial, MorselHW is that clone's.
+	// the serial paths; a sharded table's run counts the shards it
+	// touched), and MorselHW the counters of PAR's private System clones
+	// summed in morsel order: hardware traffic the shared System never
+	// sees. On one morsel's partial, MorselHW is that clone's.
 	Morsels  int
 	MorselHW HWStats
 }

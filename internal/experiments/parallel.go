@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"rfabric/internal/engine"
 	"rfabric/internal/shard"
 	"rfabric/internal/table"
 	"rfabric/internal/tpch"
@@ -70,7 +71,7 @@ func ParallelSpeedup(opt Options, shards, rows int, workers []int) (*ParallelRes
 
 	q := tpch.Q6()
 	res := &ParallelResult{Shards: shards, Rows: rows}
-	var base *shard.Result
+	var base *engine.Result
 	for _, w := range workers {
 		st.Workers = w
 		start := time.Now()
@@ -87,11 +88,11 @@ func ParallelSpeedup(opt Options, shards, rows int, workers []int) (*ParallelRes
 		}
 		res.Points = append(res.Points, ParallelPoint{
 			Workers:    w,
-			Cycles:     r.Cycles,
+			Cycles:     r.Breakdown.TotalCycles,
 			WallNanos:  wall.Nanoseconds(),
 			RowsPassed: r.RowsPassed,
 			Checksum:   r.Checksum,
-			Speedup:    float64(base.Cycles) / float64(r.Cycles),
+			Speedup:    float64(base.Breakdown.TotalCycles) / float64(r.Breakdown.TotalCycles),
 		})
 	}
 	return res, nil

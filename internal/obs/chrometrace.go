@@ -19,7 +19,7 @@ import (
 //     starts where its elder siblings' attributed cycles end, so the root
 //     slice's duration equals Root.AttributedCycles — which reconciles
 //     exactly with Breakdown.TotalCycles;
-//   - detail subtrees (per-morsel, per-shard executions that overlap the
+//   - detail subtrees (per-morsel executions that overlap the
 //     makespan) render on per-worker lanes at the starts the deterministic
 //     list schedule assigned, when their roots carry the worker/start_cycles
 //     attributes, and on a shared detail lane otherwise;

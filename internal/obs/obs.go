@@ -1,6 +1,6 @@
 // Package obs is the unified observability layer of the reproduction: a
 // lock-cheap metrics registry the simulated components (DRAM, caches,
-// fabric, engines, shards) publish into, per-query trace spans that carry
+// fabric, engines) publish into, per-query trace spans that carry
 // modeled-cycle and byte attributions, and machine-readable exporters
 // (Prometheus text and JSON) plus an HTTP surface for live inspection.
 //

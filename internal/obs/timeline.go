@@ -43,14 +43,14 @@ type TimelineSample struct {
 	FabricOccupancy float64 `json:"fabric_occupancy"`
 	FabricStall     float64 `json:"fabric_stall"`
 
-	// WorkersBusy is the average number of parallel workers (PAR morsels,
-	// shard scatters) executing during the window, reconstructed from the
+	// WorkersBusy is the average number of parallel workers (PAR morsels)
+	// executing during the window, reconstructed from the
 	// deterministic schedule. 0 for single-goroutine paths.
 	WorkersBusy float64 `json:"workers_busy"`
 }
 
 // WorkerSlice is one scheduled execution slice on a parallel worker lane: a
-// morsel or shard run placed at its deterministic list-scheduling start.
+// morsel run placed at its deterministic list-scheduling start.
 type WorkerSlice struct {
 	Worker int    `json:"worker"`
 	Name   string `json:"name"`
@@ -148,8 +148,8 @@ func (t *Timeline) FabricChunk(busy, stall uint64) {
 	t.winFabStall += stall
 }
 
-// AddWorkerSlice records one scheduled parallel execution (a morsel or a
-// shard) for the worker lanes. Nil-safe.
+// AddWorkerSlice records one scheduled parallel execution (a morsel) for
+// the worker lanes. Nil-safe.
 func (t *Timeline) AddWorkerSlice(worker int, name string, start, cycles uint64) {
 	if t == nil {
 		return
@@ -170,8 +170,8 @@ func (t *Timeline) Tick(delta uint64) {
 }
 
 // TickThrough advances the clock from its current position to total in
-// interval-sized steps. Coordinator paths (PAR morsels, sharded scatters)
-// use it because their workers run on unhooked System clones: stepping the
+// interval-sized steps. Coordinator paths (PAR scans and joins) use
+// it because their workers run on unhooked System clones: stepping the
 // clock keeps the worker-occupancy series resolved across the makespan
 // instead of collapsing it into one trailing window. Nil-safe.
 func (t *Timeline) TickThrough(total uint64) {

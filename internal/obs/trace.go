@@ -16,8 +16,8 @@ type Attr struct {
 // Span is one node of a query's trace tree. Cycles carries the modeled
 // cycles attributed directly to this span; attribution leaves are laid out
 // so that a root's AttributedCycles reconciles exactly with the run's
-// Breakdown.TotalCycles. Detail subtrees (per-morsel, per-shard executions
-// that overlap in modeled time) are excluded from that sum — their own
+// Breakdown.TotalCycles. Detail subtrees (per-morsel executions that
+// overlap in modeled time) are excluded from that sum — their own
 // roots reconcile against their own partial breakdowns instead.
 type Span struct {
 	Name string `json:"name"`
@@ -27,7 +27,7 @@ type Span struct {
 	// Bytes is the byte attribution of this span itself.
 	Bytes uint64 `json:"bytes,omitempty"`
 	// Detail marks an informational subtree whose cycles overlap the
-	// attributed time (parallel morsels/shards) rather than adding to it.
+	// attributed time (parallel morsels) rather than adding to it.
 	Detail   bool    `json:"detail,omitempty"`
 	Attrs    []Attr  `json:"attrs,omitempty"`
 	Children []*Span `json:"children,omitempty"`
@@ -53,8 +53,8 @@ func (s *Span) Leaf(name string, cycles, bytes uint64) *Span {
 	return c
 }
 
-// Adopt attaches an independently built subtree (a per-morsel or per-shard
-// trace) under s. Nil-safe in both directions.
+// Adopt attaches an independently built subtree (a per-morsel trace)
+// under s. Nil-safe in both directions.
 func (s *Span) Adopt(child *Span) {
 	if s == nil || child == nil {
 		return

@@ -42,6 +42,20 @@ func newSharded(t *testing.T, rows int) *Table {
 	return st
 }
 
+// unsharded builds the single-table reference holding newSharded's rows.
+func unsharded(t *testing.T, rows int) (*table.Table, *engine.System) {
+	t.Helper()
+	sys := engine.MustSystem(engine.DefaultSystemConfig())
+	ref := table.MustNew("ref", testSchema(),
+		table.WithCapacity(rows), table.WithBaseAddr(sys.Arena.Alloc(int64(rows*testSchema().RowBytes()))))
+	rng := rand.New(rand.NewSource(23))
+	tags := []string{"a", "b"}
+	for i := 0; i < rows; i++ {
+		ref.MustAppend(1, table.I64(int64(i%1000)), table.I32(int32(i%7)), table.F64(float64(i)), table.Str(tags[rng.Intn(2)]))
+	}
+	return ref, sys
+}
+
 func TestRoutingSpreadsRows(t *testing.T) {
 	st := newSharded(t, 2000)
 	rows := st.ShardRows()
@@ -84,15 +98,7 @@ func TestScanMatchesUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Unsharded reference: one table with all the rows.
-	sys := engine.MustSystem(engine.DefaultSystemConfig())
-	ref := table.MustNew("ref", testSchema(),
-		table.WithCapacity(1200), table.WithBaseAddr(sys.Arena.Alloc(int64(1200*testSchema().RowBytes()))))
-	rng := rand.New(rand.NewSource(23))
-	tags := []string{"a", "b"}
-	for i := 0; i < 1200; i++ {
-		ref.MustAppend(1, table.I64(int64(i%1000)), table.I32(int32(i%7)), table.F64(float64(i)), table.Str(tags[rng.Intn(2)]))
-	}
+	ref, sys := unsharded(t, 1200)
 	want, err := (&engine.RMEngine{Tbl: ref, Sys: sys, PushSelection: true}).Execute(q)
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +107,8 @@ func TestScanMatchesUnsharded(t *testing.T) {
 		t.Errorf("sharded scan diverges: %d/%#x vs %d/%#x",
 			got.RowsPassed, got.Checksum, want.RowsPassed, want.Checksum)
 	}
-	if got.ShardsTouched != 4 {
-		t.Errorf("unpruned scan touched %d shards", got.ShardsTouched)
+	if got.Morsels != 4 {
+		t.Errorf("unpruned scan touched %d shards", got.Morsels)
 	}
 }
 
@@ -119,8 +125,8 @@ func TestPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardsTouched != 1 {
-		t.Errorf("key range [300,400) touched %d shards, want 1", res.ShardsTouched)
+	if res.Morsels != 1 {
+		t.Errorf("key range [300,400) touched %d shards, want 1", res.Morsels)
 	}
 	if res.RowsPassed == 0 {
 		t.Error("pruned query found nothing")
@@ -130,8 +136,8 @@ func TestPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles >= full.Cycles {
-		t.Errorf("pruned query (%d cycles) not cheaper than full scan (%d)", res.Cycles, full.Cycles)
+	if res.Breakdown.TotalCycles >= full.Breakdown.TotalCycles {
+		t.Errorf("pruned query (%d cycles) not cheaper than full scan (%d)", res.Breakdown.TotalCycles, full.Breakdown.TotalCycles)
 	}
 }
 
@@ -148,7 +154,7 @@ func TestPruneToNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardsTouched != 0 || res.RowsPassed != 0 {
+	if res.Morsels != 0 || res.RowsPassed != 0 {
 		t.Errorf("contradictory range executed: %+v", res)
 	}
 }
@@ -204,11 +210,77 @@ func TestShardedGroupBy(t *testing.T) {
 	}
 }
 
-func TestAvgRejected(t *testing.T) {
-	st := newSharded(t, 10)
-	q := engine.Query{Aggregates: []engine.AggTerm{{Kind: expr.Avg, Arg: expr.ColRef{Col: 2}}}}
-	if _, err := st.Execute(q); err == nil {
-		t.Error("AVG accepted; it cannot merge from per-shard finals")
+// TestAvgMatchesUnsharded: AVG merges across shards weighted by each
+// shard's contributing rows, so scalar AVG, grouped AVG, and AVG over a key
+// range that prunes every shard all equal the single-table RM run.
+func TestAvgMatchesUnsharded(t *testing.T) {
+	const rows = 1000
+	st := newSharded(t, rows)
+	ref, sys := unsharded(t, rows)
+	avg := []engine.AggTerm{{Kind: expr.Avg, Arg: expr.ColRef{Col: 2}}, {Kind: expr.Count}}
+	for name, q := range map[string]engine.Query{
+		"scalar":  {Aggregates: avg, Selection: expr.Conjunction{{Col: 0, Op: expr.Ge, Operand: table.I64(100)}}},
+		"grouped": {GroupBy: []int{1, 3}, Aggregates: avg},
+		"pruned": {Aggregates: avg, Selection: expr.Conjunction{
+			{Col: 0, Op: expr.Gt, Operand: table.I64(500)},
+			{Col: 0, Op: expr.Lt, Operand: table.I64(400)},
+		}},
+	} {
+		got, err := st.Execute(q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sys.ResetState()
+		want, err := (&engine.RMEngine{Tbl: ref, Sys: sys, PushSelection: true}).Execute(q)
+		if err != nil {
+			t.Fatalf("%s ref: %v", name, err)
+		}
+		if err := got.EquivalentTo(want, 1e-9); err != nil {
+			t.Errorf("%s AVG: sharded vs unsharded: %v", name, err)
+		}
+	}
+}
+
+// TestGroupKeysWithNULBytes: group keys merge across shards by their typed
+// encoding, so CHAR keys whose bytes contain NUL stay distinct groups even
+// when their concatenations coincide.
+func TestGroupKeysWithNULBytes(t *testing.T) {
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "id", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "a", Type: geometry.Char, Width: 3},
+		geometry.Column{Name: "b", Type: geometry.Char, Width: 3},
+	)
+	rows := [][]table.Value{
+		{table.I64(1), table.Str("a\x00b"), table.Str("c")},
+		{table.I64(2), table.Str("a"), table.Str("b\x00c")},
+	}
+	st, err := New("t", sch, 0, []int64{2}, len(rows), engine.DefaultSystemConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := engine.MustSystem(engine.DefaultSystemConfig())
+	ref := table.MustNew("ref", sch,
+		table.WithCapacity(len(rows)), table.WithBaseAddr(sys.Arena.Alloc(int64(len(rows)*sch.RowBytes()))))
+	for _, r := range rows {
+		if err := st.Insert(r...); err != nil {
+			t.Fatal(err)
+		}
+		ref.MustAppend(1, r...)
+	}
+	if got := st.ShardRows(); got[0] != 1 || got[1] != 1 {
+		t.Fatalf("rows not split across both shards: %v", got)
+	}
+	q := engine.Query{GroupBy: []int{1, 2}, Aggregates: []engine.AggTerm{{Kind: expr.Count}}}
+	got, err := st.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&engine.RMEngine{Tbl: ref, Sys: sys, PushSelection: true}).Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.EquivalentTo(want, 0); err != nil {
+		t.Errorf("sharded GROUP BY over NUL-bearing CHAR keys diverges from unsharded: %v", err)
 	}
 }
 
@@ -244,14 +316,7 @@ func TestNewValidation(t *testing.T) {
 func TestShardedEqualsUnshardedProperty(t *testing.T) {
 	const rows = 600
 	st := newSharded(t, rows)
-	sys := engine.MustSystem(engine.DefaultSystemConfig())
-	ref := table.MustNew("ref", testSchema(),
-		table.WithCapacity(rows), table.WithBaseAddr(sys.Arena.Alloc(int64(rows*testSchema().RowBytes()))))
-	rng := rand.New(rand.NewSource(23))
-	tags := []string{"a", "b"}
-	for i := 0; i < rows; i++ {
-		ref.MustAppend(1, table.I64(int64(i%1000)), table.I32(int32(i%7)), table.F64(float64(i)), table.Str(tags[rng.Intn(2)]))
-	}
+	ref, sys := unsharded(t, rows)
 
 	qrng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
@@ -342,8 +407,8 @@ func TestMinMaxSkipEmptyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardsTouched != 4 {
-		t.Fatalf("touched %d shards, want all 4 (no key predicate)", res.ShardsTouched)
+	if res.Morsels != 4 {
+		t.Fatalf("touched %d shards, want all 4 (no key predicate)", res.Morsels)
 	}
 	if res.Aggs[0].Float != 500 {
 		t.Errorf("MIN = %s, want 500 (zero-row shard must not contribute 0)", res.Aggs[0])
@@ -401,19 +466,11 @@ func TestAggregatesOnFullyPrunedRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardsTouched != 0 {
-		t.Fatalf("contradictory range touched %d shards", res.ShardsTouched)
+	if res.Morsels != 0 {
+		t.Fatalf("contradictory range touched %d shards", res.Morsels)
 	}
 
-	// Single-node reference: same query over the same rows in one table.
-	sys := engine.MustSystem(engine.DefaultSystemConfig())
-	ref := table.MustNew("ref", testSchema(),
-		table.WithCapacity(200), table.WithBaseAddr(sys.Arena.Alloc(int64(200*testSchema().RowBytes()))))
-	rng := rand.New(rand.NewSource(23))
-	tags := []string{"a", "b"}
-	for i := 0; i < 200; i++ {
-		ref.MustAppend(1, table.I64(int64(i%1000)), table.I32(int32(i%7)), table.F64(float64(i)), table.Str(tags[rng.Intn(2)]))
-	}
+	ref, sys := unsharded(t, 200)
 	want, err := (&engine.RMEngine{Tbl: ref, Sys: sys, PushSelection: true}).Execute(q)
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +500,7 @@ func TestWorkerCountEquivalence(t *testing.T) {
 		{GroupBy: []int{1}, Aggregates: []engine.AggTerm{{Kind: expr.Count}}},
 	}
 	for qi, q := range queries {
-		var base *Result
+		var base *engine.Result
 		var prevCycles uint64
 		for _, workers := range []int{1, 2, 4, 8} {
 			st.Workers = workers
@@ -452,32 +509,23 @@ func TestWorkerCountEquivalence(t *testing.T) {
 				t.Fatalf("query %d workers %d: %v", qi, workers, err)
 			}
 			if base == nil {
-				base, prevCycles = res, res.Cycles
+				base, prevCycles = res, res.Breakdown.TotalCycles
 				continue
 			}
-			if res.RowsPassed != base.RowsPassed || res.Checksum != base.Checksum {
-				t.Fatalf("query %d: workers=%d changed rows/checksum: %d/%#x vs %d/%#x",
-					qi, workers, res.RowsPassed, res.Checksum, base.RowsPassed, base.Checksum)
+			if err := res.EquivalentTo(base, 0); err != nil {
+				t.Fatalf("query %d: workers=%d changed the result: %v", qi, workers, err)
 			}
-			for i := range base.Aggs {
-				if !res.Aggs[i].Equal(base.Aggs[i]) {
-					t.Fatalf("query %d: workers=%d changed aggregate %d: %s vs %s",
-						qi, workers, i, res.Aggs[i], base.Aggs[i])
-				}
+			a, b := base.Breakdown, res.Breakdown
+			a.TotalCycles, b.TotalCycles = 0, 0
+			if a != b {
+				t.Fatalf("query %d: workers=%d changed the breakdown:\n  %+v\nvs %+v",
+					qi, workers, base.Breakdown, res.Breakdown)
 			}
-			if len(res.Groups) != len(base.Groups) {
-				t.Fatalf("query %d: workers=%d changed group count", qi, workers)
-			}
-			for g := range base.Groups {
-				if res.Groups[g].Count != base.Groups[g].Count || !res.Groups[g].Key[0].Equal(base.Groups[g].Key[0]) {
-					t.Fatalf("query %d: workers=%d changed group %d", qi, workers, g)
-				}
-			}
-			if res.Cycles > prevCycles {
+			if res.Breakdown.TotalCycles > prevCycles {
 				t.Fatalf("query %d: modeled cycles grew from %d to %d at workers=%d",
-					qi, prevCycles, res.Cycles, workers)
+					qi, prevCycles, res.Breakdown.TotalCycles, workers)
 			}
-			prevCycles = res.Cycles
+			prevCycles = res.Breakdown.TotalCycles
 		}
 		st.Workers = 0
 	}

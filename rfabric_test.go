@@ -468,8 +468,8 @@ func TestPublicShardFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShardsTouched != 1 || res.RowsPassed != 100 {
-		t.Errorf("sharded query: touched=%d rows=%d", res.ShardsTouched, res.RowsPassed)
+	if res.Morsels != 1 || res.RowsPassed != 100 {
+		t.Errorf("sharded query: touched=%d rows=%d", res.Morsels, res.RowsPassed)
 	}
 }
 
