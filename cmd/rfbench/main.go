@@ -33,8 +33,9 @@
 //	                /debug/slowlog, /query?q=SQL
 //	-slow-cycles N  modeled-cycle threshold arming -serve's slow-query log
 //	                (default 10000000; 0 disables)
-//	-bench          record the experiments (default: fig5, par-speedup) into
-//	                BENCH_<name>.json for regression gating
+//	-bench          record the experiments (default: fig5, par-speedup, join,
+//	                sequence, abl-offload) into BENCH_<name>.json for
+//	                regression gating
 //	-bench-name s   record name for -bench output (default tier1)
 //	-compare        gate new.json against old.json; exits non-zero when any
 //	                cycle metric grew past -tolerance percent
@@ -57,11 +58,7 @@ import (
 )
 
 func main() {
-	rows := flag.Int("rows", 96_000, "micro-benchmark rows for fig5/fig6")
-	sizes := flag.String("sizes", "2,4,8,16", "comma-separated target-column MiB for fig7")
-	workers := flag.String("workers", "1,2,4,8", "comma-separated worker-pool sizes for par-speedup")
-	paperScale := flag.Bool("paper-scale", false, "run fig7 at the paper's 2..128 MiB targets")
-	seed := flag.Int64("seed", 1, "generator seed")
+	run := newRunFlags(flag.CommandLine)
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
 	serveAddr := flag.String("serve", "", "serve live metrics and traces on this address (e.g. :8080)")
 	slowCycles := flag.Uint64("slow-cycles", 10_000_000, "modeled-cycle threshold arming -serve's slow-query log (0 disables)")
@@ -97,43 +94,20 @@ func main() {
 		}()
 	}
 
-	opt := experiments.DefaultOptions()
-	opt.MicroRows = *rows
-	opt.Seed = *seed
-	if *paperScale {
-		opt = experiments.PaperScaleOptions()
-		opt.Seed = *seed
-	} else if trimmed := strings.TrimSpace(*sizes); trimmed != "" {
-		opt.Fig7TargetMB = nil
-		for _, part := range strings.Split(trimmed, ",") {
-			mb, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || mb <= 0 {
-				fatalf("bad -sizes entry %q", part)
-			}
-			opt.Fig7TargetMB = append(opt.Fig7TargetMB, mb)
-		}
-	}
-
-	if trimmed := strings.TrimSpace(*workers); trimmed != "" {
-		opt.ParWorkers = nil
-		for _, part := range strings.Split(trimmed, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || w <= 0 {
-				fatalf("bad -workers entry %q", part)
-			}
-			opt.ParWorkers = append(opt.ParWorkers, w)
-		}
+	opt, err := run.options()
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if *serveAddr != "" {
-		if err := serve(*serveAddr, *rows, *seed, *slowCycles); err != nil {
+		if err := serve(*serveAddr, *run.rows, *run.seed, *slowCycles); err != nil {
 			fatalf("serve: %v", err)
 		}
 		return
 	}
 
 	if *audit {
-		if err := runAudit(*rows, *seed, *jsonOut); err != nil {
+		if err := runAudit(*run.rows, *run.seed, *jsonOut); err != nil {
 			fatalf("audit: %v", err)
 		}
 		return
@@ -162,29 +136,101 @@ func main() {
 		os.Exit(2)
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = []string{"fig5", "fig6a", "fig6b", "fig7a", "fig7b", "par-speedup", "join", "sequence",
-			"abl-prefetch", "abl-buffer", "abl-clock", "abl-banks",
-			"abl-mvcc", "abl-pushdown", "abl-index", "abl-rmc", "abl-compress", "abl-storage",
-			"abl-offload"}
+		args = allExperiments
 	}
 
 	if *jsonOut {
 		runJSON(args, opt)
 		return
 	}
-	for i, name := range args {
+	if err := writeText(os.Stdout, args, opt); err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// allExperiments is every experiment, in the order "all" runs them.
+var allExperiments = []string{"fig5", "fig6a", "fig6b", "fig7a", "fig7b", "par-speedup", "join", "sequence",
+	"abl-prefetch", "abl-buffer", "abl-clock", "abl-banks",
+	"abl-mvcc", "abl-pushdown", "abl-index", "abl-rmc", "abl-compress", "abl-storage",
+	"abl-offload"}
+
+// runFlags are the flags that size and seed an experiment run.
+type runFlags struct {
+	rows       *int
+	sizes      *string
+	workers    *string
+	paperScale *bool
+	seed       *int64
+}
+
+func newRunFlags(fs *flag.FlagSet) *runFlags {
+	return &runFlags{
+		rows:       fs.Int("rows", 96_000, "micro-benchmark rows for fig5/fig6"),
+		sizes:      fs.String("sizes", "2,4,8,16", "comma-separated target-column MiB for fig7"),
+		workers:    fs.String("workers", "1,2,4,8", "comma-separated worker-pool sizes for par-speedup"),
+		paperScale: fs.Bool("paper-scale", false, "run fig7 at the paper's 2..128 MiB targets"),
+		seed:       fs.Int64("seed", 1, "generator seed"),
+	}
+}
+
+// options turns the parsed flags into experiment options.
+func (f *runFlags) options() (experiments.Options, error) {
+	opt := experiments.DefaultOptions()
+	opt.MicroRows = *f.rows
+	if *f.paperScale {
+		opt = experiments.PaperScaleOptions()
+	} else if trimmed := strings.TrimSpace(*f.sizes); trimmed != "" {
+		mb, err := positiveInts("sizes", trimmed)
+		if err != nil {
+			return opt, err
+		}
+		opt.Fig7TargetMB = mb
+	}
+	opt.Seed = *f.seed
+	if trimmed := strings.TrimSpace(*f.workers); trimmed != "" {
+		w, err := positiveInts("workers", trimmed)
+		if err != nil {
+			return opt, err
+		}
+		opt.ParWorkers = w
+	}
+	return opt, nil
+}
+
+// positiveInts parses a comma-separated list flag of positive integers.
+func positiveInts(flagName, list string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad -%s entry %q", flagName, part)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// writeText runs the named experiments and writes each one's table, then
+// its shape verdict when it checks one.
+func writeText(w io.Writer, names []string, opt experiments.Options) error {
+	for i, name := range names {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		result, violations, err := runExperiment(name, opt)
 		if err != nil {
-			fatalf("%s: %v", name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		result.(tableWriter).WriteTable(os.Stdout)
+		tw, ok := result.(tableWriter)
+		if !ok {
+			return fmt.Errorf("%s: %T has no WriteTable(io.Writer)", name, result)
+		}
+		tw.WriteTable(w)
 		if _, checked := result.(shapeChecker); checked {
-			report(violations)
+			report(w, violations)
 		}
 	}
+	return nil
 }
 
 // tableWriter is the human-readable face every experiment result has.
@@ -276,13 +322,13 @@ func runExperiment(name string, opt experiments.Options) (any, []string, error) 
 	return result, nil, nil
 }
 
-func report(violations []string) {
+func report(w io.Writer, violations []string) {
 	if len(violations) == 0 {
-		fmt.Println("  shape: OK (matches the paper's qualitative claims)")
+		fmt.Fprintln(w, "  shape: OK (matches the paper's qualitative claims)")
 		return
 	}
 	for _, v := range violations {
-		fmt.Println("  shape VIOLATION: " + v)
+		fmt.Fprintln(w, "  shape VIOLATION: "+v)
 	}
 }
 

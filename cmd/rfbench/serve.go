@@ -74,7 +74,7 @@ func setupServe(rows int, seed int64, slowCycles uint64, logw io.Writer) (*http.
 	var last obs.LastTrace
 	var mu sync.Mutex // the DB façade is single-threaded; serialize queries
 
-	res, trace, err := db.ExecuteTraced(rfabric.RM, "lineitem", tpch.Q6(), rfabric.WithTimeline(0))
+	res, trace, err := db.QueryTraced(tpch.Q6SQL, rfabric.OnEngine(rfabric.RM), rfabric.WithTimeline(0))
 	if err != nil {
 		return nil, fmt.Errorf("warmup Q6: %w", err)
 	}

@@ -26,16 +26,9 @@ import (
 
 var demoQueries = []string{
 	"SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity < 5",
-	"SELECT SUM(l_extendedprice * l_discount) FROM lineitem " +
-		"WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' " +
-		"AND l_discount BETWEEN 0.049 AND 0.071 AND l_quantity < 24",
-	"SELECT l_returnflag, l_linestatus, SUM(l_quantity), SUM(l_extendedprice), " +
-		"SUM(l_extendedprice * (1 - l_discount)), COUNT(*) FROM lineitem " +
-		"WHERE l_shipdate <= DATE '1998-09-02' GROUP BY l_returnflag, l_linestatus",
-	"SELECT l_returnflag, l_linestatus, SUM(l_quantity), SUM(l_extendedprice), " +
-		"SUM(l_extendedprice * (1 - l_discount)), COUNT(*) FROM lineitem " +
-		"WHERE l_shipdate <= DATE '1998-09-02' GROUP BY l_returnflag, l_linestatus " +
-		"ORDER BY 3 DESC, l_returnflag LIMIT 4",
+	tpch.Q6SQL,
+	tpch.Q1SQL,
+	tpch.Q1SQL + "\nORDER BY 3 DESC, l_returnflag LIMIT 4",
 }
 
 func main() {

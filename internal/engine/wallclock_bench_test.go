@@ -22,9 +22,19 @@ import (
 // Each sub-benchmark reports scalar/ and vectorized/ variants of the same
 // engine and query, so the speedup and the allocation reduction read directly
 // off the output. The benchmarks live in package engine_test so they can use
-// the TPC-H generator (which itself imports engine for the query builders).
+// the TPC-H generator and the SQL front end, which both import engine.
 
 const benchRows = 64 * 1024
+
+// compileBench lowers one of the TPC-H query texts against lineitem.
+func compileBench(b *testing.B, text string) engine.Query {
+	b.Helper()
+	q, err := sql.Compile(text, tpch.LineitemSchema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return q
+}
 
 func benchLineitem(b *testing.B, sys *engine.System) *table.Table {
 	b.Helper()
@@ -98,7 +108,7 @@ func BenchmarkQ6Wallclock(b *testing.B) {
 			sys := engine.MustSystem(engine.DefaultSystemConfig())
 			tbl := benchLineitem(b, sys)
 			eng := &engine.RowEngine{Tbl: tbl, Sys: sys, ForceScalar: mode.forceScalar}
-			q := tpch.Q6()
+			q := compileBench(b, tpch.Q6SQL)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -154,7 +164,7 @@ func BenchmarkGroupByWallclock(b *testing.B) {
 		name  string
 		q     engine.Query
 		sinks engine.Sinks
-	}{{"q1", tpch.Q1(), engine.Sinks{}}, {"top-n", topN, topNSinks}}
+	}{{"q1", compileBench(b, tpch.Q1SQL), engine.Sinks{}}, {"top-n", topN, topNSinks}}
 	engines := []struct {
 		name  string
 		build func(forceScalar bool) engine.Executor
@@ -198,7 +208,7 @@ func BenchmarkSequenceCold(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
 	eng := &engine.RMEngine{Tbl: tbl, Sys: sys}
-	q := tpch.Q6()
+	q := compileBench(b, tpch.Q6SQL)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -216,7 +226,7 @@ func BenchmarkSequenceWarm(b *testing.B) {
 	tbl := benchLineitem(b, sys)
 	cache := fabric.NewGroupCache(64<<20, sys.Arena)
 	eng := &engine.RMEngine{Tbl: tbl, Sys: sys, Cache: cache}
-	q := tpch.Q6()
+	q := compileBench(b, tpch.Q6SQL)
 	if _, err := eng.Execute(q); err != nil { // prime the group
 		b.Fatal(err)
 	}

@@ -5,8 +5,7 @@ import (
 	"io"
 
 	"rfabric/internal/engine"
-	"rfabric/internal/expr"
-	"rfabric/internal/geometry"
+	"rfabric/internal/plan"
 	"rfabric/internal/table"
 	"rfabric/internal/tpch"
 )
@@ -43,30 +42,49 @@ func (r *AblationResult) WriteTable(w io.Writer) {
 	}
 }
 
+// microSweep runs one projection of the 16-column micro table on a fresh
+// system per setting: on ROW, COL and RM, or on RM alone when rmOnly.
+func microSweep(res *AblationResult, opt Options, cols []int, rmOnly bool,
+	settings []int, label func(int) string, apply func(*engine.SystemConfig, int)) error {
+	for _, v := range settings {
+		cfg := opt.System
+		apply(&cfg, v)
+		l, err := microLab(cfg, 16, opt.MicroRows, opt.Seed)
+		if err != nil {
+			return err
+		}
+		root, err := l.lower(microSQL(cols, nil))
+		if err != nil {
+			return err
+		}
+		var cycles map[string]uint64
+		if rmOnly {
+			r, err := l.run(root, l.rm)
+			if err != nil {
+				return fmt.Errorf("%s: %w", label(v), err)
+			}
+			cycles = map[string]uint64{"RM": r.Breakdown.TotalCycles}
+		} else {
+			all, err := l.runAll(root)
+			if err != nil {
+				return fmt.Errorf("%s: %w", label(v), err)
+			}
+			cycles = cyclesOf(all)
+		}
+		res.Points = append(res.Points, AblationPoint{Setting: label(v), Cycles: cycles})
+	}
+	return nil
+}
+
 // AblationPrefetchStreams sweeps the prefetcher's stream budget, the
 // mechanism behind COL's ≤4-column advantage in Figure 5. The query touches
 // 8 columns; with generous stream budgets COL recovers, with 1 stream it
 // collapses.
 func AblationPrefetchStreams(opt Options, streams []int) (*AblationResult, error) {
 	res := &AblationResult{Name: "ABL-PREFETCH", Knob: "prefetcher stream budget"}
-	q := engine.Query{Projection: seq(0, 8)}
-	for _, n := range streams {
-		o := opt
-		o.System.Cache.Prefetch.Streams = n
-		f, err := newMicroFixture(o, 16, o.MicroRows)
-		if err != nil {
-			return nil, err
-		}
-		all, err := f.runAll(q)
-		if err != nil {
-			return nil, fmt.Errorf("streams=%d: %w", n, err)
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Setting: fmt.Sprintf("streams=%d", n),
-			Cycles:  cyclesOf(all),
-		})
-	}
-	return res, nil
+	return res, microSweep(res, opt, seq(0, 8), false, streams,
+		func(n int) string { return fmt.Sprintf("streams=%d", n) },
+		func(c *engine.SystemConfig, n int) { c.Cache.Prefetch.Streams = n })
 }
 
 // AblationFabricBuffer sweeps the on-fabric data memory (the paper's
@@ -74,119 +92,59 @@ func AblationPrefetchStreams(opt Options, streams []int) (*AblationResult, error
 func AblationFabricBuffer(opt Options, bufferBytes []int) (*AblationResult, error) {
 	res := &AblationResult{Name: "ABL-BUFFER", Knob: "fabric buffer bytes"}
 	// A wide geometry so realistic buffer sizes need multiple refills.
-	q := engine.Query{Projection: seq(0, 12)}
-	for _, b := range bufferBytes {
-		o := opt
-		o.System.Fabric.BufferBytes = b
-		f, err := newMicroFixture(o, 16, o.MicroRows)
-		if err != nil {
-			return nil, err
-		}
-		f.sys.ResetState()
-		rm := &engine.RMEngine{Tbl: f.tbl, Sys: f.sys}
-		r, err := rm.Execute(q)
-		if err != nil {
-			return nil, fmt.Errorf("buffer=%d: %w", b, err)
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Setting: fmt.Sprintf("buffer=%dKiB", b>>10),
-			Cycles:  map[string]uint64{"RM": r.Breakdown.TotalCycles},
-		})
-	}
-	return res, nil
+	return res, microSweep(res, opt, seq(0, 12), true, bufferBytes,
+		func(b int) string { return fmt.Sprintf("buffer=%dKiB", b>>10) },
+		func(c *engine.SystemConfig, b int) { c.Fabric.BufferBytes = b })
 }
 
 // AblationFabricClock sweeps the CPU:fabric clock ratio (the prototype runs
 // the programmable logic at 100 MHz against 1.5 GHz cores, ratio 15).
 func AblationFabricClock(opt Options, ratios []int) (*AblationResult, error) {
 	res := &AblationResult{Name: "ABL-CLOCK", Knob: "CPU cycles per fabric cycle"}
-	q := engine.Query{Projection: seq(0, 2)}
-	for _, cr := range ratios {
-		o := opt
-		o.System.Fabric.ClockRatio = cr
-		f, err := newMicroFixture(o, 16, o.MicroRows)
-		if err != nil {
-			return nil, err
-		}
-		f.sys.ResetState()
-		rm := &engine.RMEngine{Tbl: f.tbl, Sys: f.sys}
-		r, err := rm.Execute(q)
-		if err != nil {
-			return nil, fmt.Errorf("ratio=%d: %w", cr, err)
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Setting: fmt.Sprintf("ratio=1:%d", cr),
-			Cycles:  map[string]uint64{"RM": r.Breakdown.TotalCycles},
-		})
-	}
-	return res, nil
+	return res, microSweep(res, opt, seq(0, 2), true, ratios,
+		func(cr int) string { return fmt.Sprintf("ratio=1:%d", cr) },
+		func(c *engine.SystemConfig, cr int) { c.Fabric.ClockRatio = cr })
 }
 
 // AblationDRAMBanks sweeps bank-level parallelism, which bounds how well the
 // fabric overlaps its gathers.
 func AblationDRAMBanks(opt Options, banks []int) (*AblationResult, error) {
 	res := &AblationResult{Name: "ABL-BANKS", Knob: "DRAM banks"}
-	q := engine.Query{Projection: seq(0, 6)}
-	for _, b := range banks {
-		o := opt
-		o.System.DRAM.Banks = b
-		f, err := newMicroFixture(o, 16, o.MicroRows)
-		if err != nil {
-			return nil, err
-		}
-		all, err := f.runAll(q)
-		if err != nil {
-			return nil, fmt.Errorf("banks=%d: %w", b, err)
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Setting: fmt.Sprintf("banks=%d", b),
-			Cycles:  cyclesOf(all),
-		})
-	}
-	return res, nil
+	return res, microSweep(res, opt, seq(0, 6), false, banks,
+		func(b int) string { return fmt.Sprintf("banks=%d", b) },
+		func(c *engine.SystemConfig, b int) { c.DRAM.Banks = b })
 }
 
 // AblationMVCC compares hardware timestamp filtering (in the fabric,
 // §III-C) against the software visibility check the row engine performs,
 // over a versioned table where a third of the versions are dead.
 func AblationMVCC(opt Options, rows int) (*AblationResult, error) {
-	sys, err := engine.NewSystem(opt.System)
+	l, err := newLab(opt.System)
 	if err != nil {
 		return nil, err
 	}
-	sch := wide16Schema()
-	base := sys.Arena.Alloc(int64(rows * (sch.RowBytes() + table.MVCCHeaderBytes)))
-	tbl, err := table.New("versions", sch, table.WithMVCC(), table.WithCapacity(rows), table.WithBaseAddr(base))
+	tbl, err := l.place("micro", microSchema(16), rows, genMicro, opt.Seed, table.WithMVCC())
 	if err != nil {
 		return nil, err
-	}
-	rng := newRand(opt.Seed)
-	vals := make([]table.Value, sch.NumColumns())
-	for r := 0; r < rows; r++ {
-		for c := range vals {
-			vals[c] = table.I32(int32(rng.Intn(1000)))
-		}
-		if _, err := tbl.Append(1, vals...); err != nil {
-			return nil, err
-		}
 	}
 	for r := 0; r < rows; r += 3 {
 		if err := tbl.SetEndTS(r, 5); err != nil {
 			return nil, err
 		}
 	}
-
-	snap := uint64(7)
-	q := engine.Query{Projection: []int{0, 4, 8}, Snapshot: &snap}
-
-	res := &AblationResult{Name: "ABL-MVCC", Knob: "visibility filtering location"}
-	sys.ResetState()
-	row, err := (&engine.RowEngine{Tbl: tbl, Sys: sys}).Execute(q)
+	root, err := l.lower(microSQL([]int{0, 4, 8}, nil))
 	if err != nil {
 		return nil, err
 	}
-	sys.ResetState()
-	rm, err := (&engine.RMEngine{Tbl: tbl, Sys: sys}).Execute(q)
+	snap := uint64(7)
+	root.Scan().Snapshot = &snap
+
+	res := &AblationResult{Name: "ABL-MVCC", Knob: "visibility filtering location"}
+	row, err := l.run(root, l.row)
+	if err != nil {
+		return nil, err
+	}
+	rm, err := l.run(root, l.rm)
 	if err != nil {
 		return nil, err
 	}
@@ -205,50 +163,47 @@ func AblationMVCC(opt Options, rows int) (*AblationResult, error) {
 // selection+aggregation pushdown (§IV-B). Aggregation pushdown is measured
 // on the plain-column sum the hardware supports.
 func AblationPushdown(opt Options, rows int) (*AblationResult, error) {
-	sys, err := engine.NewSystem(opt.System)
+	l, err := newLab(opt.System)
 	if err != nil {
 		return nil, err
 	}
-	sch := tpch.LineitemSchema()
-	base := sys.Arena.Alloc(int64(rows * sch.RowBytes()))
-	tbl, err := table.New("lineitem", sch, table.WithCapacity(rows), table.WithBaseAddr(base))
+	if _, err := l.place("lineitem", tpch.LineitemSchema(), rows, tpch.Generate, opt.Seed); err != nil {
+		return nil, err
+	}
+	q6, err := l.lower(tpch.Q6SQL)
 	if err != nil {
 		return nil, err
 	}
-	if err := tpch.Generate(tbl, rows, opt.Seed); err != nil {
-		return nil, err
-	}
-	q := tpch.Q6()
 	// The plain-column variant sums l_extendedprice so the fabric can fold
 	// it without arithmetic.
-	qPlain := q
-	qPlain.Aggregates = []engine.AggTerm{
-		{Kind: expr.Count},
-		{Kind: expr.Sum, Arg: expr.ColRef{Col: tpch.LExtendedPrice}},
+	plain, err := l.lower("SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE " + tpch.Q6Where)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &AblationResult{Name: "ABL-PUSHDOWN", Knob: "fabric operator pushdown"}
-	run := func(label string, e *engine.RMEngine, query engine.Query) error {
-		sys.ResetState()
-		r, err := e.Execute(query)
+	for _, p := range []struct {
+		label string
+		root  *plan.Node
+		path  access
+	}{
+		{"projection-only", q6, l.rm},
+		{"+selection", q6, func(t *table.Table) engine.Source {
+			return &engine.RMEngine{Tbl: t, Sys: l.sys, PushSelection: true}
+		}},
+		{"+aggregation", plain, func(t *table.Table) engine.Source {
+			return &engine.RMEngine{Tbl: t, Sys: l.sys, PushSelection: true, PushAggregation: true}
+		}},
+	} {
+		r, err := l.run(p.root, p.path)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res.Points = append(res.Points, AblationPoint{
-			Setting:    label,
+			Setting:    p.label,
 			Cycles:     map[string]uint64{"RM": r.Breakdown.TotalCycles},
 			BytesToCPU: r.Breakdown.BytesToCPU,
 		})
-		return nil
-	}
-	if err := run("projection-only", &engine.RMEngine{Tbl: tbl, Sys: sys}, q); err != nil {
-		return nil, err
-	}
-	if err := run("+selection", &engine.RMEngine{Tbl: tbl, Sys: sys, PushSelection: true}, q); err != nil {
-		return nil, err
-	}
-	if err := run("+aggregation", &engine.RMEngine{Tbl: tbl, Sys: sys, PushSelection: true, PushAggregation: true}, qPlain); err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -259,12 +214,4 @@ func cyclesOf(all map[string]*engine.Result) map[string]uint64 {
 		out[name] = r.Breakdown.TotalCycles
 	}
 	return out
-}
-
-func wide16Schema() *geometry.Schema {
-	defs := make([]geometry.Column, 16)
-	for i := range defs {
-		defs[i] = geometry.Column{Name: fmt.Sprintf("c%02d", i), Type: geometry.Int32, Width: 4}
-	}
-	return geometry.MustSchema(defs...)
 }

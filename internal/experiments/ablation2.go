@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"rfabric/internal/compress"
 	"rfabric/internal/engine"
@@ -32,7 +33,11 @@ type CompressionResult struct {
 // friendly), and comment column (text: huffman/LZ friendly) with every
 // codec that applies.
 func AblationCompression(opt Options, rows int) (*CompressionResult, error) {
-	tbl, err := tpch.NewLineitem(rows, opt.Seed)
+	l, err := newLab(opt.System)
+	if err != nil {
+		return nil, err
+	}
+	tbl, err := l.place("lineitem", tpch.LineitemSchema(), rows, tpch.Generate, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -102,19 +107,8 @@ func AblationCompression(opt Options, rows int) (*CompressionResult, error) {
 	// dictionary-encoded copy and compare shipped bytes against the raw
 	// table — §III-D's claim that encodings "benefit any groups of columns
 	// requested by ephemeral columns".
-	sys, err := engine.NewSystem(opt.System)
-	if err != nil {
-		return nil, err
-	}
-	base := sys.Arena.Alloc(int64(rows * sch.RowBytes()))
-	placed, err := table.New("lineitem", sch, table.WithCapacity(rows), table.WithBaseAddr(base))
-	if err != nil {
-		return nil, err
-	}
-	if err := tpch.Generate(placed, rows, opt.Seed); err != nil {
-		return nil, err
-	}
-	encoded, err := compress.EncodeTableDict(placed, []int{tpch.LShipInstruct, tpch.LShipMode},
+	sys := l.sys
+	encoded, err := compress.EncodeTableDict(tbl, []int{tpch.LShipInstruct, tpch.LShipMode},
 		sys.Arena.Alloc(int64(rows*sch.RowBytes())))
 	if err != nil {
 		return nil, err
@@ -132,7 +126,7 @@ func AblationCompression(opt Options, rows int) (*CompressionResult, error) {
 		ev.Materialize()
 		return int(sys.Fab.Stats().BytesShipped - before), nil
 	}
-	rawBytes, err := ship(placed, tpch.LShipInstruct, tpch.LShipMode)
+	rawBytes, err := ship(tbl, tpch.LShipInstruct, tpch.LShipMode)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +141,7 @@ func AblationCompression(opt Options, rows int) (*CompressionResult, error) {
 }
 
 // WriteTable renders the codec study.
-func (r *CompressionResult) WriteTable(w interface{ Write([]byte) (int, error) }) {
+func (r *CompressionResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Ablation ABL-COMPRESS — codecs over lineitem columns (§III-D)\n")
 	fmt.Fprintf(w, "  %-24s %12s %12s %8s %s\n", "codec(column)", "raw", "encoded", "ratio", "fabric-compatible")
 	for _, p := range r.Points {
@@ -173,12 +167,23 @@ type StorageResult struct {
 // stored on the flash model, raw and page-compressed, near-storage and on
 // the host.
 func AblationStorage(opt Options, rows int) (*StorageResult, error) {
-	tbl, err := tpch.NewLineitem(rows, opt.Seed)
+	l, err := newLab(opt.System)
 	if err != nil {
 		return nil, err
 	}
-	q := tpch.Q6()
-	geom, err := geometry.NewGeometry(tbl.Schema(), q.NeededColumns()...)
+	tbl, err := l.place("lineitem", tpch.LineitemSchema(), rows, tpch.Generate, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	root, err := l.lower(tpch.Q6SQL)
+	if err != nil {
+		return nil, err
+	}
+	q, _, err := engine.FromPlan(root)
+	if err != nil {
+		return nil, err
+	}
+	geom, err := geometry.NewGeometry(tbl.Schema(), root.Scan().Cols...)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +227,7 @@ func AblationStorage(opt Options, rows int) (*StorageResult, error) {
 }
 
 // WriteTable renders the storage study.
-func (r *StorageResult) WriteTable(w interface{ Write([]byte) (int, error) }) {
+func (r *StorageResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "Ablation ABL-STORAGE — Relational Storage vs host-side scan (Q6 pattern, §IV-D)\n")
 	fmt.Fprintf(w, "  %-24s %14s %14s\n", "setting", "cycles", "bytes-to-host")
 	for _, p := range r.Points {

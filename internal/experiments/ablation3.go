@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rfabric/internal/engine"
-	"rfabric/internal/expr"
 	"rfabric/internal/index"
 	"rfabric/internal/table"
 )
@@ -16,39 +15,32 @@ import (
 // re-arms its gather window without a PL handshake. The sweep reports the
 // same Q6-style scan on both design points.
 func AblationRMC(opt Options, rows int) (*AblationResult, error) {
-	q := engine.Query{Projection: seq(0, 4)}
 	res := &AblationResult{Name: "ABL-RMC", Knob: "discrete RM vs memory-controller integration"}
-
-	run := func(label string, cfg engine.SystemConfig) error {
-		o := opt
-		o.System = cfg
-		f, err := newMicroFixture(o, 16, rows)
-		if err != nil {
-			return err
-		}
-		f.sys.ResetState()
-		r, err := (&engine.RMEngine{Tbl: f.tbl, Sys: f.sys}).Execute(q)
-		if err != nil {
-			return err
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Setting:    label,
-			Cycles:     map[string]uint64{"RM": r.Breakdown.TotalCycles},
-			BytesToCPU: r.Breakdown.BytesToCPU,
-		})
-		return nil
-	}
-
-	discrete := opt.System
-	if err := run("discrete-RM(PL)", discrete); err != nil {
-		return nil, err
-	}
 	rmc := opt.System
 	rmc.Fabric.ClockRatio = 3   // controller clock domain, not 100 MHz PL
 	rmc.Fabric.RefillCycles = 0 // window re-arms in the controller
 	rmc.Cache.FabricHitCycles = 0
-	if err := run("RMC(integrated)", rmc); err != nil {
-		return nil, err
+	for _, c := range []struct {
+		label string
+		cfg   engine.SystemConfig
+	}{{"discrete-RM(PL)", opt.System}, {"RMC(integrated)", rmc}} {
+		l, err := microLab(c.cfg, 16, rows, opt.Seed)
+		if err != nil {
+			return nil, err
+		}
+		root, err := l.lower(microSQL(seq(0, 4), nil))
+		if err != nil {
+			return nil, err
+		}
+		r, err := l.run(root, l.rm)
+		if err != nil {
+			return nil, err
+		}
+		res.Points = append(res.Points, AblationPoint{
+			Setting:    c.label,
+			Cycles:     map[string]uint64{"RM": r.Breakdown.TotalCycles},
+			BytesToCPU: r.Breakdown.BytesToCPU,
+		})
 	}
 	return res, nil
 }
@@ -58,47 +50,38 @@ func AblationRMC(opt Options, rows int) (*AblationResult, error) {
 // scan and a row scan, and a range query where the fabric scan competes
 // with the index.
 func AblationIndex(opt Options, rows int) (*AblationResult, error) {
-	sys, err := engine.NewSystem(opt.System)
+	l, err := newLab(opt.System)
 	if err != nil {
 		return nil, err
 	}
-	sch := wide16Schema()
-	base := sys.Arena.Alloc(int64(rows * sch.RowBytes()))
-	tbl, err := table.New("t", sch, table.WithCapacity(rows), table.WithBaseAddr(base))
-	if err != nil {
-		return nil, err
-	}
-	rng := newRand(opt.Seed)
 	// The key column is a random permutation: a secondary (unclustered)
 	// index, so range lookups fetch scattered rows — the honest case.
-	perm := rng.Perm(rows)
-	vals := make([]table.Value, sch.NumColumns())
-	for r := 0; r < rows; r++ {
-		vals[0] = table.I32(int32(perm[r]))
-		for c := 1; c < len(vals); c++ {
-			vals[c] = table.I32(int32(rng.Intn(1000)))
-		}
-		if _, err := tbl.Append(1, vals...); err != nil {
-			return nil, err
-		}
+	tbl, err := l.place("micro", microSchema(16), rows, genKeyed, opt.Seed)
+	if err != nil {
+		return nil, err
 	}
+	sys := l.sys
 	idx, err := index.Build(tbl, 0, sys.Arena)
 	if err != nil {
 		return nil, err
 	}
 
+	// viaIndex runs an index probe from cold state, then fetches c05 and
+	// c09 of every row it returns.
+	viaIndex := func(probe func() []int) ([]int, uint64) {
+		sys.ResetState()
+		start := sys.Hier.Stats().Cycles
+		matches := probe()
+		for _, r := range matches {
+			sys.Hier.Load(tbl.ColumnAddr(r, 5))
+			sys.Hier.Load(tbl.ColumnAddr(r, 9))
+		}
+		return matches, sys.Hier.Stats().Cycles - start
+	}
+
 	res := &AblationResult{Name: "ABL-INDEX", Knob: "point/range access path"}
 	probe := int32(rows / 2)
-
-	// Point query via the index: traverse, then fetch the row's columns.
-	sys.ResetState()
-	hierStart := sys.Hier.Stats()
-	matches := idx.Lookup(sys.Hier, int64(probe))
-	for _, r := range matches {
-		sys.Hier.Load(tbl.ColumnAddr(r, 5))
-		sys.Hier.Load(tbl.ColumnAddr(r, 9))
-	}
-	idxCycles := sys.Hier.Stats().Cycles - hierStart.Cycles
+	matches, idxCycles := viaIndex(func() []int { return idx.Lookup(sys.Hier, int64(probe)) })
 	if len(matches) != 1 {
 		return nil, fmt.Errorf("index point lookup found %d rows, want 1", len(matches))
 	}
@@ -108,25 +91,21 @@ func AblationIndex(opt Options, rows int) (*AblationResult, error) {
 	})
 
 	// The same point query as scans.
-	pointQ := engine.Query{
-		Projection: []int{5, 9},
-		Selection:  expr.Conjunction{{Col: 0, Op: expr.Eq, Operand: table.I32(probe)}},
+	pointQ, err := l.lower(fmt.Sprintf("SELECT c05, c09 FROM micro WHERE c00 = %d", probe))
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range []engine.Executor{
-		&engine.RowEngine{Tbl: tbl, Sys: sys},
-		&engine.RMEngine{Tbl: tbl, Sys: sys},
-	} {
-		sys.ResetState()
-		r, err := e.Execute(pointQ)
+	for _, path := range []access{l.row, l.rm} {
+		r, err := l.run(pointQ, path)
 		if err != nil {
 			return nil, err
 		}
 		if r.RowsPassed != 1 {
-			return nil, fmt.Errorf("%s point query matched %d rows", e.Name(), r.RowsPassed)
+			return nil, fmt.Errorf("%s point query matched %d rows", r.Engine, r.RowsPassed)
 		}
 		res.Points = append(res.Points, AblationPoint{
-			Setting: "point/" + e.Name(),
-			Cycles:  map[string]uint64{e.Name(): r.Breakdown.TotalCycles},
+			Setting: "point/" + r.Engine,
+			Cycles:  map[string]uint64{r.Engine: r.Breakdown.TotalCycles},
 		})
 	}
 
@@ -134,29 +113,22 @@ func AblationIndex(opt Options, rows int) (*AblationResult, error) {
 	// fetches scattered rows; the fabric's cost is a flat scan. Somewhere
 	// between a few percent and a few tens of percent the fabric takes
 	// over — §III-A's division of labour, measured.
+	pushSel := func(t *table.Table) engine.Source {
+		return &engine.RMEngine{Tbl: t, Sys: sys, PushSelection: true}
+	}
 	for _, pct := range []int{1, 10, 30} {
 		lo := int32(rows / 4)
 		hi := lo + int32(rows*pct/100) - 1
-		sys.ResetState()
-		hierStart = sys.Hier.Stats()
-		rangeRows := idx.Range(sys.Hier, int64(lo), int64(hi))
-		for _, r := range rangeRows {
-			sys.Hier.Load(tbl.ColumnAddr(r, 5))
-			sys.Hier.Load(tbl.ColumnAddr(r, 9))
-		}
+		rangeRows, rangeCycles := viaIndex(func() []int { return idx.Range(sys.Hier, int64(lo), int64(hi)) })
 		res.Points = append(res.Points, AblationPoint{
 			Setting: fmt.Sprintf("range%d%%/index", pct),
-			Cycles:  map[string]uint64{"IDX": sys.Hier.Stats().Cycles - hierStart.Cycles},
+			Cycles:  map[string]uint64{"IDX": rangeCycles},
 		})
-		rangeQ := engine.Query{
-			Projection: []int{5, 9},
-			Selection: expr.Conjunction{
-				{Col: 0, Op: expr.Ge, Operand: table.I32(lo)},
-				{Col: 0, Op: expr.Le, Operand: table.I32(hi)},
-			},
+		rangeQ, err := l.lower(fmt.Sprintf("SELECT c05, c09 FROM micro WHERE c00 >= %d AND c00 <= %d", lo, hi))
+		if err != nil {
+			return nil, err
 		}
-		sys.ResetState()
-		rm, err := (&engine.RMEngine{Tbl: tbl, Sys: sys, PushSelection: true}).Execute(rangeQ)
+		rm, err := l.run(rangeQ, pushSel)
 		if err != nil {
 			return nil, err
 		}

@@ -1,18 +1,13 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (ICDE 2023, §V): Figure 5 (projectivity sweep), Figures 6a/6b
 // (projection×selection speedup heatmaps), and Figures 7a/7b (TPC-H Q1 and
-// Q6 across data sizes), plus the ablation sweeps DESIGN.md calls out. The
-// same entry points back both the testing.B benchmarks and the rfbench CLI.
+// Q6 across data sizes), plus the ablation sweeps DESIGN.md calls out. Each
+// experiment states its queries once, as SQL text, and runs them on a lab
+// (lab.go). The same entry points back both the testing.B benchmarks and
+// the rfbench CLI.
 package experiments
 
-import (
-	"fmt"
-
-	"rfabric/internal/colstore"
-	"rfabric/internal/engine"
-	"rfabric/internal/geometry"
-	"rfabric/internal/table"
-)
+import "rfabric/internal/engine"
 
 // Options parameterizes a figure run. The zero value is not usable; start
 // from DefaultOptions.
@@ -53,86 +48,4 @@ func PaperScaleOptions() Options {
 	o.MicroRows = 1 << 20
 	o.Fig7TargetMB = []int{2, 4, 8, 16, 32, 64, 128}
 	return o
-}
-
-// fixture is one placed dataset: a row table in simulated memory plus its
-// columnar copy for the COL baseline.
-type fixture struct {
-	sys   *engine.System
-	tbl   *table.Table
-	store *colstore.Store
-}
-
-// newMicroFixture builds the Figure 5/6 style table: cols int32 columns of
-// uniform values in [0,1000), placed at the bottom of a fresh system's
-// address space.
-func newMicroFixture(opt Options, cols, rows int) (*fixture, error) {
-	sys, err := engine.NewSystem(opt.System)
-	if err != nil {
-		return nil, err
-	}
-	defs := make([]geometry.Column, cols)
-	for i := range defs {
-		defs[i] = geometry.Column{Name: fmt.Sprintf("c%02d", i), Type: geometry.Int32, Width: 4}
-	}
-	sch, err := geometry.NewSchema(defs...)
-	if err != nil {
-		return nil, err
-	}
-	base := sys.Arena.Alloc(int64(rows * sch.RowBytes()))
-	tbl, err := table.New("micro", sch, table.WithCapacity(rows), table.WithBaseAddr(base))
-	if err != nil {
-		return nil, err
-	}
-	rng := newRand(opt.Seed)
-	buf := make([]byte, sch.RowBytes())
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			putUint32(buf[c*4:], uint32(rng.Intn(1000)))
-		}
-		if _, err := tbl.AppendRaw(1, buf); err != nil {
-			return nil, err
-		}
-	}
-	store, err := colstore.FromTable(tbl, sys.Arena)
-	if err != nil {
-		return nil, err
-	}
-	return &fixture{sys: sys, tbl: tbl, store: store}, nil
-}
-
-func putUint32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-// enginesFor returns the three paper engines over a fixture.
-func (f *fixture) engines() (*engine.RowEngine, *engine.ColEngine, *engine.RMEngine) {
-	return &engine.RowEngine{Tbl: f.tbl, Sys: f.sys},
-		&engine.ColEngine{Store: f.store, Sys: f.sys},
-		&engine.RMEngine{Tbl: f.tbl, Sys: f.sys}
-}
-
-// runAll executes q on ROW, COL, and RM with cold caches each, verifies the
-// results agree, and returns the three results keyed by engine name.
-func (f *fixture) runAll(q engine.Query) (map[string]*engine.Result, error) {
-	row, col, rm := f.engines()
-	out := make(map[string]*engine.Result, 3)
-	var ref *engine.Result
-	for _, e := range []engine.Executor{row, col, rm} {
-		f.sys.ResetState()
-		r, err := e.Execute(q)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name(), err)
-		}
-		if ref == nil {
-			ref = r
-		} else if err := r.EquivalentTo(ref, 1e-9); err != nil {
-			return nil, fmt.Errorf("%s result diverged from %s: %w", r.Engine, ref.Engine, err)
-		}
-		out[e.Name()] = r
-	}
-	return out, nil
 }

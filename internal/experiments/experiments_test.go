@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"testing"
+
+	"rfabric/internal/plan"
+	"rfabric/internal/sql"
+	"rfabric/internal/tpch"
 )
 
 // quickOptions shrinks the sweeps so the shape tests run in seconds while
@@ -113,5 +117,28 @@ func TestAblationOffloadShape(t *testing.T) {
 	}
 	if len(r.Points) != 8 {
 		t.Errorf("got %d grid points, want 8", len(r.Points))
+	}
+}
+
+func TestTargetColumnSizing(t *testing.T) {
+	lower := func(text string) *plan.Node {
+		root, err := sql.CompilePlan(text, tpch.LineitemSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root
+	}
+	q6 := lower(tpch.Q6SQL)
+	// Q6 touches shipdate(4) + discount(8) + quantity(8) + extendedprice(8).
+	if got := TargetColumnBytes(q6); got != 28 {
+		t.Errorf("Q6 target bytes = %d, want 28", got)
+	}
+	rows := RowsForTargetBytes(q6, 28_000)
+	if rows != 1000 {
+		t.Errorf("RowsForTargetBytes = %d, want 1000", rows)
+	}
+	q1 := lower(tpch.Q1SQL)
+	if got := TargetColumnBytes(q1); got != 4+1+1+8+8+8+8 {
+		t.Errorf("Q1 target bytes = %d", got)
 	}
 }

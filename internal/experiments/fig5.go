@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"rfabric/internal/engine"
 )
 
 // Fig5Point is one projectivity level of Figure 5.
@@ -38,15 +36,18 @@ func fig5Columns(p, total int) []int {
 // vs RM (§V "RM Shines for Queries with High Projectivity").
 func Figure5(opt Options) (*Fig5Result, error) {
 	const totalCols = 16
-	f, err := newMicroFixture(opt, totalCols, opt.MicroRows)
+	l, err := microLab(opt.System, totalCols, opt.MicroRows, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig5Result{Rows: opt.MicroRows}
 	for p := 1; p <= 11; p++ {
 		cols := fig5Columns(p, totalCols)
-		q := engine.Query{Projection: cols}
-		all, err := f.runAll(q)
+		root, err := l.lower(microSQL(cols, nil))
+		if err != nil {
+			return nil, err
+		}
+		all, err := l.runAll(root)
 		if err != nil {
 			return nil, fmt.Errorf("figure 5 projectivity %d: %w", p, err)
 		}

@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"rfabric/internal/engine"
-	"rfabric/internal/expr"
-	"rfabric/internal/table"
 )
 
 // fig6Cols is the schema width of the Figure 6 microbenchmark: wide enough
@@ -32,18 +28,18 @@ type Fig6Result struct {
 // the grid measures access-path cost as a function of how many columns a
 // query touches, not selectivity.
 func Figure6(opt Options) (*Fig6Result, error) {
-	f, err := newMicroFixture(opt, fig6Cols, opt.MicroRows)
+	l, err := microLab(opt.System, fig6Cols, opt.MicroRows, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig6Result{Rows: opt.MicroRows}
 	for s := 1; s <= 10; s++ {
 		for p := 1; p <= 10; p++ {
-			q := engine.Query{
-				Projection: seq(0, p),
-				Selection:  alwaysTrue(seq(10, s)),
+			root, err := l.lower(microSQL(seq(0, p), seq(10, s)))
+			if err != nil {
+				return nil, err
 			}
-			all, err := f.runAll(q)
+			all, err := l.runAll(root)
 			if err != nil {
 				return nil, fmt.Errorf("figure 6 p=%d s=%d: %w", p, s, err)
 			}
@@ -57,25 +53,6 @@ func Figure6(opt Options) (*Fig6Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// seq returns [start, start+n) column indices.
-func seq(start, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = start + i
-	}
-	return out
-}
-
-// alwaysTrue builds one pass-everything predicate per column: values are in
-// [0,1000), compared >= 0.
-func alwaysTrue(cols []int) expr.Conjunction {
-	preds := make(expr.Conjunction, len(cols))
-	for i, c := range cols {
-		preds[i] = expr.Predicate{Col: c, Op: expr.Ge, Operand: table.I32(0)}
-	}
-	return preds
 }
 
 // WriteTable renders both heatmaps in the paper's orientation (selection

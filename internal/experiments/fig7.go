@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"rfabric/internal/colstore"
-	"rfabric/internal/engine"
-	"rfabric/internal/table"
+	"rfabric/internal/plan"
 	"rfabric/internal/tpch"
 )
 
@@ -27,12 +25,12 @@ func (q TPCHQuery) String() string {
 	return "Q6"
 }
 
-// Query returns the engine-level query definition.
-func (q TPCHQuery) Query() engine.Query {
+// SQL returns the query text.
+func (q TPCHQuery) SQL() string {
 	if q == Q1 {
-		return tpch.Q1()
+		return tpch.Q1SQL
 	}
-	return tpch.Q6()
+	return tpch.Q6SQL
 }
 
 // Fig7Point is one data size of the Figure 7 sweep.
@@ -54,12 +52,23 @@ type Fig7Result struct {
 // Performance for Practical Queries"): TPC-H Q1 or Q6 over lineitem tables
 // sized so the query's target columns occupy each entry of opt.Fig7TargetMB.
 func Figure7(opt Options, which TPCHQuery) (*Fig7Result, error) {
-	q := which.Query()
+	// The query's scanned columns size every point, so lower it once
+	// against an empty lineitem.
+	sizing, err := newLab(opt.System)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sizing.place("lineitem", tpch.LineitemSchema(), 0, tpch.Generate, opt.Seed); err != nil {
+		return nil, err
+	}
+	root, err := sizing.lower(which.SQL())
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig7Result{Query: which}
 	for _, mb := range opt.Fig7TargetMB {
 		target := mb << 20
-		rows := tpch.RowsForTargetBytes(q, target)
-		pt, err := runFig7Point(opt, q, rows, target)
+		pt, err := runFig7Point(opt, root, RowsForTargetBytes(root, target), target)
 		if err != nil {
 			return nil, fmt.Errorf("figure 7 %s target %d MiB: %w", which, mb, err)
 		}
@@ -68,40 +77,50 @@ func Figure7(opt Options, which TPCHQuery) (*Fig7Result, error) {
 	return res, nil
 }
 
-func runFig7Point(opt Options, q engine.Query, rows, target int) (*Fig7Point, error) {
-	sys, err := engine.NewSystem(opt.System)
-	if err != nil {
-		return nil, err
-	}
+// TargetColumnBytes returns the bytes per lineitem row the query scans —
+// the paper's x-axis unit in Figure 7 ("target column size").
+func TargetColumnBytes(root *plan.Node) int {
 	sch := tpch.LineitemSchema()
-	base := sys.Arena.Alloc(int64(rows * sch.RowBytes()))
-	tbl, err := table.New("lineitem", sch, table.WithCapacity(rows), table.WithBaseAddr(base))
+	total := 0
+	for _, c := range root.Scan().Cols {
+		total += sch.Column(c).Width
+	}
+	return total
+}
+
+// RowsForTargetBytes returns the row count that makes the query's target
+// columns occupy targetBytes.
+func RowsForTargetBytes(root *plan.Node, targetBytes int) int {
+	per := TargetColumnBytes(root)
+	if per == 0 {
+		return 0
+	}
+	return targetBytes / per
+}
+
+func runFig7Point(opt Options, root *plan.Node, rows, target int) (*Fig7Point, error) {
+	l, err := newLab(opt.System)
 	if err != nil {
 		return nil, err
 	}
-	if err := tpch.Generate(tbl, rows, opt.Seed); err != nil {
-		return nil, err
-	}
-	store, err := colstore.FromTable(tbl, sys.Arena)
+	tbl, err := l.place("lineitem", tpch.LineitemSchema(), rows, tpch.Generate, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
-	f := &fixture{sys: sys, tbl: tbl, store: store}
-	all, err := f.runAll(q)
+	if err := l.columnar(); err != nil {
+		return nil, err
+	}
+	all, err := l.runAll(root)
 	if err != nil {
 		return nil, err
 	}
-	pt := &Fig7Point{
+	return &Fig7Point{
 		TargetBytes: target,
 		TableBytes:  tbl.SizeBytes(),
 		Rows:        rows,
-		Cycles:      map[string]uint64{},
+		Cycles:      cyclesOf(all),
 		RowsPassed:  all["RM"].RowsPassed,
-	}
-	for name, r := range all {
-		pt.Cycles[name] = r.Breakdown.TotalCycles
-	}
-	return pt, nil
+	}, nil
 }
 
 // WriteTable renders the sweep like the paper's series.

@@ -5,11 +5,7 @@ import (
 	"io"
 	"time"
 
-	"rfabric/internal/colstore"
 	"rfabric/internal/engine"
-	"rfabric/internal/geometry"
-	"rfabric/internal/sql"
-	"rfabric/internal/table"
 	"rfabric/internal/tpch"
 )
 
@@ -39,62 +35,19 @@ type JoinResult struct {
 // with ROW, RM, and COL sources serially and RM sources under the
 // morsel-parallel executor for each entry of workers.
 func JoinQ3(opt Options, rows int, workers []int) (*JoinResult, error) {
-	sys, err := engine.NewSystem(opt.System)
+	l, err := tpchLab(opt, rows)
 	if err != nil {
 		return nil, err
 	}
-	mk := func(name string, sch *geometry.Schema, n int, gen func(*table.Table, int, int64) error, seed int64) (*table.Table, error) {
-		tbl, err := table.New(name, sch,
-			table.WithCapacity(n),
-			table.WithBaseAddr(sys.Arena.Alloc(int64(n*sch.RowBytes()))))
-		if err != nil {
-			return nil, err
-		}
-		return tbl, gen(tbl, n, seed)
-	}
-	li, err := mk("lineitem", tpch.LineitemSchema(), rows, tpch.Generate, opt.Seed)
+	root, err := l.lower(tpch.Q3SQL)
 	if err != nil {
 		return nil, err
-	}
-	nOrders := tpch.OrdersFor(rows)
-	ord, err := mk("orders", tpch.OrdersSchema(), nOrders, tpch.GenerateOrders, opt.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	lookup := func(name string) (*geometry.Schema, error) {
-		switch name {
-		case "lineitem":
-			return li.Schema(), nil
-		case "orders":
-			return ord.Schema(), nil
-		}
-		return nil, fmt.Errorf("join experiment: unknown table %q", name)
 	}
 
-	st, err := sql.Parse(tpch.Q3SQL)
-	if err != nil {
-		return nil, err
-	}
-	root, err := sql.LowerCatalog(st, lookup)
-	if err != nil {
-		return nil, err
-	}
-	jp, _, err := engine.FromJoinPlan(root, lookup)
-	if err != nil {
-		return nil, err
-	}
-	byName := func(name string) *table.Table {
-		if name == "orders" {
-			return ord
-		}
-		return li
-	}
-
-	res := &JoinResult{Rows: rows, OrdersRows: nOrders, Cycles: map[string]uint64{}}
+	res := &JoinResult{Rows: rows, OrdersRows: tpch.OrdersFor(rows), Cycles: map[string]uint64{}}
 	var baseline *engine.Result
-	runSerial := func(label string, probe engine.Source, builds []engine.Source) error {
-		sys.ResetState()
-		r, err := (&engine.JoinExec{Plan: jp, Probe: probe, Builds: builds}).Execute()
+	serial := func(label string, path access) error {
+		r, err := l.run(root, path)
 		if err != nil {
 			return fmt.Errorf("join %s: %w", label, err)
 		}
@@ -107,40 +60,35 @@ func JoinQ3(opt Options, rows int, workers []int) (*JoinResult, error) {
 		res.Cycles[label] = r.Breakdown.TotalCycles
 		return nil
 	}
-
-	rowSrc := func(t *table.Table) engine.Source {
-		return &engine.RowEngine{Tbl: t, Sys: sys}
-	}
-	rmSrc := func(t *table.Table) engine.Source {
-		return &engine.RMEngine{Tbl: t, Sys: sys}
-	}
-	if err := runSerial("row", rowSrc(byName(jp.Probe.Table)), buildSources(jp, byName, rowSrc)); err != nil {
+	if err := serial("row", l.row); err != nil {
 		return nil, err
 	}
-	if err := runSerial("rm", rmSrc(byName(jp.Probe.Table)), buildSources(jp, byName, rmSrc)); err != nil {
+	if err := serial("rm", l.rm); err != nil {
 		return nil, err
 	}
-	colSrc := func(t *table.Table) engine.Source {
-		store, err := colstore.FromTable(t, sys.Arena)
-		if err != nil {
-			panic(err) // arena exhaustion at experiment scale is a setup bug
-		}
-		return &engine.ColEngine{Store: store, Sys: sys}
+	// The columnar copies go in the arena after the ROW and RM runs'
+	// delivery windows; the modeled cycles depend on that order.
+	if err := l.columnar(); err != nil {
+		return nil, err
 	}
-	if err := runSerial("col", colSrc(byName(jp.Probe.Table)), buildSources(jp, byName, colSrc)); err != nil {
+	if err := serial("col", l.col); err != nil {
 		return nil, err
 	}
 
+	jp, _, err := engine.FromJoinPlan(root, l.schema)
+	if err != nil {
+		return nil, err
+	}
 	var base uint64
 	for _, w := range workers {
-		sys.ResetState()
+		l.sys.ResetState()
 		start := time.Now()
 		r, err := (&engine.ParallelJoinExec{
 			Plan:     jp,
-			ProbeTbl: byName(jp.Probe.Table),
-			Sys:      sys,
+			ProbeTbl: l.table(jp.Probe.Table),
+			Sys:      l.sys,
 			Par:      engine.ParallelConfig{Workers: w},
-			Builds:   buildSources(jp, byName, rmSrc),
+			Builds:   l.builds(jp, l.rm),
 		}).Execute()
 		if err != nil {
 			return nil, fmt.Errorf("join par %d workers: %w", w, err)
@@ -162,13 +110,19 @@ func JoinQ3(opt Options, rows int, workers []int) (*JoinResult, error) {
 	return res, nil
 }
 
-// buildSources makes one source per join stage, in stage order.
-func buildSources(jp *engine.JoinPlan, byName func(string) *table.Table, mk func(*table.Table) engine.Source) []engine.Source {
-	out := make([]engine.Source, len(jp.Stages))
-	for i, stg := range jp.Stages {
-		out[i] = mk(byName(stg.Side.Table))
+// tpchLab places lineitem and its orders on a fresh system.
+func tpchLab(opt Options, rows int) (*lab, error) {
+	l, err := newLab(opt.System)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	if _, err := l.place("lineitem", tpch.LineitemSchema(), rows, tpch.Generate, opt.Seed); err != nil {
+		return nil, err
+	}
+	if _, err := l.place("orders", tpch.OrdersSchema(), tpch.OrdersFor(rows), tpch.GenerateOrders, opt.Seed+1); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // WriteTable renders the experiment.

@@ -6,10 +6,9 @@ import (
 
 	"rfabric/internal/compress"
 	"rfabric/internal/engine"
-	"rfabric/internal/expr"
 	"rfabric/internal/fabric"
 	"rfabric/internal/geometry"
-	"rfabric/internal/sql"
+	"rfabric/internal/plan"
 	"rfabric/internal/table"
 	"rfabric/internal/tpch"
 )
@@ -74,10 +73,10 @@ func AblationOffload(opt Options, rows int) (*OffloadResult, error) {
 	return res, nil
 }
 
-// offloadFixture builds (k INT64, mode CHAR(8), qty INT32, price FLOAT64)
+// offloadLab places (k INT64, mode CHAR(8), qty INT32, price FLOAT64)
 // with a low-cardinality mode column, plus its dictionary-encoded twin.
-func offloadFixture(opt Options, rows int) (*engine.System, *table.Table, *compress.EncodedTable, error) {
-	sys, err := engine.NewSystem(opt.System)
+func offloadLab(opt Options, rows int) (*lab, *table.Table, *compress.EncodedTable, error) {
+	l, err := newLab(opt.System)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -87,13 +86,21 @@ func offloadFixture(opt Options, rows int) (*engine.System, *table.Table, *compr
 		geometry.Column{Name: "qty", Type: geometry.Int32, Width: 4},
 		geometry.Column{Name: "price", Type: geometry.Float64, Width: 8},
 	)
-	tbl, err := table.New("offload", sch, table.WithCapacity(rows),
-		table.WithBaseAddr(sys.Arena.Alloc(int64(rows*sch.RowBytes()))))
+	tbl, err := l.place("offload", sch, rows, genOffload, opt.Seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	enc, err := compress.EncodeTableDict(tbl, []int{1},
+		l.sys.Arena.Alloc(int64(rows*sch.RowBytes())))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return l, tbl, enc, nil
+}
+
+func genOffload(tbl *table.Table, rows int, seed int64) error {
 	modes := []string{"AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", "REG"}
-	rng := newRand(opt.Seed)
+	rng := newRand(seed)
 	for r := 0; r < rows; r++ {
 		if _, err := tbl.Append(1,
 			table.I64(int64(r)),
@@ -101,41 +108,33 @@ func offloadFixture(opt Options, rows int) (*engine.System, *table.Table, *compr
 			table.I32(int32(rng.Intn(100))),
 			table.F64(float64(rng.Intn(10_000))/100),
 		); err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 	}
-	enc, err := compress.EncodeTableDict(tbl, []int{1},
-		sys.Arena.Alloc(int64(rows*sch.RowBytes())))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return sys, tbl, enc, nil
+	return nil
 }
 
-// runOffloadPoint executes q on one engine configuration with cold state and
-// records a grid cell, returning the result for equivalence checks.
-func runOffloadPoint(res *OffloadResult, sys *engine.System, rm *engine.RMEngine,
-	q engine.Query, query, setting string) (*engine.Result, error) {
-	sys.ResetState()
-	before := sys.Fab.Stats()
-	r, err := rm.Execute(q)
+// runOffloadPoint runs root with cold state through path and records a
+// grid cell, returning the result for equivalence checks.
+func runOffloadPoint(res *OffloadResult, l *lab, root *plan.Node, path access,
+	query, setting string) (*engine.Result, error) {
+	r, err := l.run(root, path)
 	if err != nil {
 		return nil, fmt.Errorf("offload %s/%s: %w", query, setting, err)
 	}
-	after := sys.Fab.Stats()
+	st := l.sys.Fab.Stats() // reset by the run's cold start
 	groups := len(r.Groups)
 	if groups == 0 {
 		groups = len(r.Aggs)
 	}
 	res.Points = append(res.Points, OffloadPoint{
-		Query:       query,
-		Setting:     setting,
-		Program:     r.Offload,
-		TotalCycles: r.Breakdown.TotalCycles,
-		BytesToCPU:  r.Breakdown.BytesToCPU,
-		Groups:      groups,
-		RowsFiltered: (after.RowsSemiFiltered - before.RowsSemiFiltered) +
-			(after.RowsCodeFiltered - before.RowsCodeFiltered),
+		Query:        query,
+		Setting:      setting,
+		Program:      r.Offload,
+		TotalCycles:  r.Breakdown.TotalCycles,
+		BytesToCPU:   r.Breakdown.BytesToCPU,
+		Groups:       groups,
+		RowsFiltered: st.RowsSemiFiltered + st.RowsCodeFiltered,
 	})
 	return r, nil
 }
@@ -146,28 +145,27 @@ func runOffloadPoint(res *OffloadResult, sys *engine.System, rm *engine.RMEngine
 // offloaded runs must be bit-identical to their CPU counterparts — the
 // fabric's fold mirrors the consumer's accumulator exactly.
 func offloadAggPoints(opt Options, rows int, res *OffloadResult) error {
-	sys, tbl, enc, err := offloadFixture(opt, rows)
+	l, tbl, enc, err := offloadLab(opt, rows)
 	if err != nil {
 		return err
 	}
-	q := engine.Query{
-		Selection:  expr.Conjunction{{Col: 2, Op: expr.Lt, Operand: table.I32(70)}},
-		GroupBy:    []int{1},
-		Aggregates: []engine.AggTerm{{Kind: expr.Sum, Arg: expr.ColRef{Col: 3}}, {Kind: expr.Count}},
+	root, err := l.lower("SELECT mode, SUM(price), COUNT(*) FROM offload WHERE qty < 70 GROUP BY mode")
+	if err != nil {
+		return err
 	}
 	for _, c := range []struct {
 		storage string
 		tbl     *table.Table
 	}{{"raw", tbl}, {"dict", enc.Table}} {
-		cpu, err := runOffloadPoint(res, sys,
-			&engine.RMEngine{Tbl: c.tbl, Sys: sys, PushSelection: true},
-			q, "group-agg", "cpu/"+c.storage)
+		cpu, err := runOffloadPoint(res, l, root, func(*table.Table) engine.Source {
+			return &engine.RMEngine{Tbl: c.tbl, Sys: l.sys, PushSelection: true}
+		}, "group-agg", "cpu/"+c.storage)
 		if err != nil {
 			return err
 		}
-		off, err := runOffloadPoint(res, sys,
-			&engine.RMEngine{Tbl: c.tbl, Sys: sys, Offload: true},
-			q, "group-agg", "offload/"+c.storage)
+		off, err := runOffloadPoint(res, l, root, func(*table.Table) engine.Source {
+			return &engine.RMEngine{Tbl: c.tbl, Sys: l.sys, Offload: true}
+		}, "group-agg", "offload/"+c.storage)
 		if err != nil {
 			return err
 		}
@@ -184,7 +182,7 @@ func offloadAggPoints(opt Options, rows int, res *OffloadResult) error {
 // is translated once against the dictionary; rows are filtered by stored
 // code without decompression).
 func offloadDictScanPoints(opt Options, rows int, res *OffloadResult) error {
-	sys, tbl, enc, err := offloadFixture(opt, rows)
+	l, _, enc, err := offloadLab(opt, rows)
 	if err != nil {
 		return err
 	}
@@ -193,29 +191,31 @@ func offloadDictScanPoints(opt Options, rows int, res *OffloadResult) error {
 	// the same fabric gather cost and the comparison measures noise. qty is
 	// stored identically in both tables, so the grouped results must match
 	// bit for bit even though one scan filtered in the code domain.
-	match := func(v table.Value) bool { return v.String() != "AIR" }
-	q := engine.Query{
-		GroupBy:    []int{2},
-		Aggregates: []engine.AggTerm{{Kind: expr.Sum, Arg: expr.ColRef{Col: 3}}, {Kind: expr.Count}},
+	const scan = "SELECT qty, SUM(price), COUNT(*) FROM offload"
+	filtered, err := l.lower(scan + " WHERE mode <> 'AIR' GROUP BY qty")
+	if err != nil {
+		return err
 	}
-
-	qCPU := q
-	qCPU.Selection = expr.Conjunction{{Col: 1, Op: expr.Ne, Operand: table.Str("AIR")}}
-	cpu, err := runOffloadPoint(res, sys,
-		&engine.RMEngine{Tbl: tbl, Sys: sys, PushSelection: true},
-		qCPU, "dict-scan", "cpu/raw")
+	cpu, err := runOffloadPoint(res, l, filtered, func(t *table.Table) engine.Source {
+		return &engine.RMEngine{Tbl: t, Sys: l.sys, PushSelection: true}
+	}, "dict-scan", "cpu/raw")
 	if err != nil {
 		return err
 	}
 
-	codes, entries, err := enc.MatchCodes(1, match)
+	// The offloaded cell carries the predicate as dictionary codes instead.
+	codes, entries, err := enc.MatchCodes(1, func(v table.Value) bool { return v.String() != "AIR" })
 	if err != nil {
 		return err
 	}
-	off, err := runOffloadPoint(res, sys,
-		&engine.RMEngine{Tbl: enc.Table, Sys: sys, Offload: true,
-			DictFilters: []fabric.DictFilter{{Col: 1, Codes: codes, Entries: entries}}},
-		q, "dict-scan", "offload/dict")
+	unfiltered, err := l.lower(scan + " GROUP BY qty")
+	if err != nil {
+		return err
+	}
+	off, err := runOffloadPoint(res, l, unfiltered, func(*table.Table) engine.Source {
+		return &engine.RMEngine{Tbl: enc.Table, Sys: l.sys, Offload: true,
+			DictFilters: []fabric.DictFilter{{Col: 1, Codes: codes, Entries: entries}}}
+	}, "dict-scan", "offload/dict")
 	if err != nil {
 		return err
 	}
@@ -232,79 +232,19 @@ func offloadDictScanPoints(opt Options, rows int, res *OffloadResult) error {
 // semi-join filter: fabric-rejected probe rows never ship, false positives
 // are re-checked CPU-side, and the grouped result is unchanged.
 func offloadJoinPoints(opt Options, rows int, res *OffloadResult) error {
-	sys, err := engine.NewSystem(opt.System)
+	l, err := tpchLab(opt, rows)
 	if err != nil {
 		return err
 	}
-	mk := func(name string, sch *geometry.Schema, n int,
-		gen func(*table.Table, int, int64) error, seed int64) (*table.Table, error) {
-		t, err := table.New(name, sch, table.WithCapacity(n),
-			table.WithBaseAddr(sys.Arena.Alloc(int64(n*sch.RowBytes()))))
-		if err != nil {
-			return nil, err
-		}
-		return t, gen(t, n, seed)
-	}
-	li, err := mk("lineitem", tpch.LineitemSchema(), rows, tpch.Generate, opt.Seed)
+	root, err := l.lower(tpch.Q3SQL)
 	if err != nil {
 		return err
 	}
-	ord, err := mk("orders", tpch.OrdersSchema(), tpch.OrdersFor(rows), tpch.GenerateOrders, opt.Seed+1)
-	if err != nil {
-		return err
-	}
-	lookup := func(name string) (*geometry.Schema, error) {
-		switch name {
-		case "lineitem":
-			return li.Schema(), nil
-		case "orders":
-			return ord.Schema(), nil
-		}
-		return nil, fmt.Errorf("offload join: unknown table %q", name)
-	}
-	st, err := sql.Parse(tpch.Q3SQL)
-	if err != nil {
-		return err
-	}
-	root, err := sql.LowerCatalog(st, lookup)
-	if err != nil {
-		return err
-	}
-	jp, _, err := engine.FromJoinPlan(root, lookup)
-	if err != nil {
-		return err
-	}
-	byName := func(name string) *table.Table {
-		if name == "orders" {
-			return ord
-		}
-		return li
-	}
-
 	runJoin := func(setting string, offload bool) (*engine.Result, error) {
-		sys.ResetState()
-		before := sys.Fab.Stats()
-		r, err := (&engine.JoinExec{
-			Plan:  jp,
-			Probe: &engine.RMEngine{Tbl: byName(jp.Probe.Table), Sys: sys, Offload: offload},
-			Builds: buildSources(jp, byName, func(t *table.Table) engine.Source {
-				return &engine.RMEngine{Tbl: t, Sys: sys}
-			}),
-		}).Execute()
-		if err != nil {
-			return nil, fmt.Errorf("offload join/%s: %w", setting, err)
-		}
-		after := sys.Fab.Stats()
-		res.Points = append(res.Points, OffloadPoint{
-			Query:        "join",
-			Setting:      setting,
-			Program:      r.Offload,
-			TotalCycles:  r.Breakdown.TotalCycles,
-			BytesToCPU:   r.Breakdown.BytesToCPU,
-			Groups:       len(r.Groups),
-			RowsFiltered: after.RowsSemiFiltered - before.RowsSemiFiltered,
-		})
-		return r, nil
+		return runOffloadPoint(res, l, root, func(t *table.Table) engine.Source {
+			// Only the lineitem probe offloads; the build side arms its filter.
+			return &engine.RMEngine{Tbl: t, Sys: l.sys, Offload: offload && t.Name() == "lineitem"}
+		}, "join", setting)
 	}
 	plain, err := runJoin("cpu/raw", false)
 	if err != nil {

@@ -41,7 +41,19 @@ func ParallelSpeedup(opt Options, shards, rows int, workers []int) (*ParallelRes
 	}
 	// Reference rows come from the standard generator; the sharded table
 	// routes them by key range. Keys run 1..rows/4+1 (four lines per order).
-	ref, err := tpch.NewLineitem(rows, opt.Seed)
+	l, err := newLab(opt.System)
+	if err != nil {
+		return nil, err
+	}
+	ref, err := l.place("lineitem", tpch.LineitemSchema(), rows, tpch.Generate, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	root, err := l.lower(tpch.Q6SQL)
+	if err != nil {
+		return nil, err
+	}
+	q, _, err := engine.FromPlan(root)
 	if err != nil {
 		return nil, err
 	}
@@ -54,22 +66,16 @@ func ParallelSpeedup(opt Options, shards, rows int, workers []int) (*ParallelRes
 	if err != nil {
 		return nil, err
 	}
-	cols := ref.Schema().NumColumns()
-	row := make([]table.Value, cols)
-	for r := 0; r < ref.NumRows(); r++ {
-		for c := 0; c < cols; c++ {
-			v, err := ref.Get(r, c)
-			if err != nil {
-				return nil, err
-			}
-			row[c] = v
+	for r := 0; r < rows; r++ {
+		row, err := table.DecodeRow(ref.Schema(), ref.RowPayload(r))
+		if err != nil {
+			return nil, err
 		}
 		if err := st.Insert(row...); err != nil {
 			return nil, err
 		}
 	}
 
-	q := tpch.Q6()
 	res := &ParallelResult{Shards: shards, Rows: rows}
 	var base *engine.Result
 	for _, w := range workers {

@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"rfabric/internal/engine"
-	"rfabric/internal/expr"
 	"rfabric/internal/fabric"
-	"rfabric/internal/geometry"
 	"rfabric/internal/sql"
 	"rfabric/internal/table"
 	"rfabric/internal/tpch"
@@ -57,24 +56,14 @@ type SequenceResult struct {
 	CachedBytes            uint64 `json:"cached_bytes"`
 }
 
-// sequenceQuery is the Q6-class scan with its ship-date window slid forward
-// by step months. The needed columns never change, so every step addresses
-// the same column group; only the CPU-evaluated constants move.
-func sequenceQuery(step int) engine.Query {
-	lo := int32(tpch.Date1994 + step*30)
-	hi := lo + 365
-	return engine.Query{
-		Selection: expr.Conjunction{
-			{Col: tpch.LShipDate, Op: expr.Ge, Operand: table.DateV(lo)},
-			{Col: tpch.LShipDate, Op: expr.Lt, Operand: table.DateV(hi)},
-			{Col: tpch.LDiscount, Op: expr.Ge, Operand: table.F64(0.049)},
-			{Col: tpch.LDiscount, Op: expr.Le, Operand: table.F64(0.071)},
-			{Col: tpch.LQuantity, Op: expr.Lt, Operand: table.F64(24)},
-		},
-		Aggregates: []engine.AggTerm{
-			{Kind: expr.Sum, Arg: expr.Binary{Op: expr.Mul, L: expr.ColRef{Col: tpch.LExtendedPrice}, R: expr.ColRef{Col: tpch.LDiscount}}},
-		},
-	}
+// sequenceSQL is Q6 with its one-year ship-date window opening on day lo.
+// The needed columns never change, so every step addresses the same column
+// group; only the CPU-evaluated constants move.
+func sequenceSQL(lo int32) string {
+	return strings.NewReplacer(
+		"'1994-01-01'", "'"+sql.FormatDate(lo)+"'",
+		"'1995-01-01'", "'"+sql.FormatDate(lo+365)+"'",
+	).Replace(tpch.Q6SQL)
 }
 
 // Sequence runs the sequence-aware caching experiment: steps same-shaped
@@ -85,54 +74,33 @@ func Sequence(opt Options, rows, steps int) (*SequenceResult, error) {
 	if steps < 2 {
 		steps = 2
 	}
-	sys, err := engine.NewSystem(opt.System)
+	l, err := tpchLab(opt, rows)
 	if err != nil {
 		return nil, err
 	}
-	mk := func(name string, n int, gen func(*table.Table, int, int64) error, seed int64) (*table.Table, error) {
-		var sch = tpch.LineitemSchema()
-		if name == "orders" {
-			sch = tpch.OrdersSchema()
-		}
-		tbl, err := table.New(name, sch,
-			table.WithCapacity(n),
-			table.WithBaseAddr(sys.Arena.Alloc(int64(n*sch.RowBytes()))))
+	cache := fabric.NewGroupCache(sequenceCacheBytes, l.sys.Arena)
+	cached := func(t *table.Table) engine.Source {
+		return &engine.RMEngine{Tbl: t, Sys: l.sys, Cache: cache}
+	}
+
+	res := &SequenceResult{Rows: rows, OrdersRows: tpch.OrdersFor(rows)}
+	for k := 0; k < steps; k++ {
+		lo := int32(tpch.Date1994 + k*30) // slid forward a month per step
+		root, err := l.lower(sequenceSQL(lo))
 		if err != nil {
 			return nil, err
 		}
-		return tbl, gen(tbl, n, seed)
-	}
-	li, err := mk("lineitem", rows, tpch.Generate, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	nOrders := tpch.OrdersFor(rows)
-	ord, err := mk("orders", nOrders, tpch.GenerateOrders, opt.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-
-	cache := fabric.NewGroupCache(sequenceCacheBytes, sys.Arena)
-	cold := &engine.RMEngine{Tbl: li, Sys: sys}
-	warm := &engine.RMEngine{Tbl: li, Sys: sys, Cache: cache}
-
-	res := &SequenceResult{Rows: rows, OrdersRows: nOrders}
-	for k := 0; k < steps; k++ {
-		q := sequenceQuery(k)
-		sys.ResetState()
-		cr, err := cold.Execute(q)
+		cr, err := l.run(root, l.rm)
 		if err != nil {
 			return nil, fmt.Errorf("sequence step %d cold: %w", k, err)
 		}
-		sys.ResetState()
-		wr, err := warm.Execute(q)
+		wr, err := l.run(root, cached)
 		if err != nil {
 			return nil, fmt.Errorf("sequence step %d warm: %w", k, err)
 		}
 		if err := wr.EquivalentTo(cr, 1e-9); err != nil {
 			return nil, fmt.Errorf("sequence step %d warm diverged from cold: %w", k, err)
 		}
-		lo := tpch.Date1994 + k*30
 		res.Steps = append(res.Steps, SequenceStep{
 			Step:       k,
 			Window:     fmt.Sprintf("[%d,%d)", lo, lo+365),
@@ -148,33 +116,16 @@ func Sequence(opt Options, rows, steps int) (*SequenceResult, error) {
 	// Q3-class join: the first cached run installs both sides' groups (its
 	// modeled cost equals the uncached run — recording charges nothing), the
 	// second replays them warm.
-	jp, err := sequenceJoinPlan(li, ord)
+	root, err := l.lower(tpch.Q3SQL)
 	if err != nil {
 		return nil, err
 	}
-	byName := func(name string) *table.Table {
-		if name == "orders" {
-			return ord
-		}
-		return li
-	}
-	cachedSrc := func(t *table.Table) engine.Source {
-		return &engine.RMEngine{Tbl: t, Sys: sys, Cache: cache}
-	}
-	res.JoinSources = 1 + len(jp.Stages)
-	runJoin := func() (*engine.Result, error) {
-		sys.ResetState()
-		return (&engine.JoinExec{
-			Plan:   jp,
-			Probe:  cachedSrc(byName(jp.Probe.Table)),
-			Builds: buildSources(jp, byName, cachedSrc),
-		}).Execute()
-	}
-	jc, err := runJoin()
+	res.JoinSources = 1 + len(root.Joins())
+	jc, err := l.run(root, cached)
 	if err != nil {
 		return nil, fmt.Errorf("sequence join cold: %w", err)
 	}
-	jw, err := runJoin()
+	jw, err := l.run(root, cached)
 	if err != nil {
 		return nil, fmt.Errorf("sequence join warm: %w", err)
 	}
@@ -193,32 +144,6 @@ func Sequence(opt Options, rows, steps int) (*SequenceResult, error) {
 	res.GroupMisses = st.Misses
 	res.CachedBytes = st.BytesCached
 	return res, nil
-}
-
-// sequenceJoinPlan lowers tpch.Q3SQL against the two placed tables.
-func sequenceJoinPlan(li, ord *table.Table) (*engine.JoinPlan, error) {
-	lookup := func(name string) (*geometry.Schema, error) {
-		switch name {
-		case "lineitem":
-			return li.Schema(), nil
-		case "orders":
-			return ord.Schema(), nil
-		}
-		return nil, fmt.Errorf("sequence experiment: unknown table %q", name)
-	}
-	st, err := sql.Parse(tpch.Q3SQL)
-	if err != nil {
-		return nil, err
-	}
-	root, err := sql.LowerCatalog(st, lookup)
-	if err != nil {
-		return nil, err
-	}
-	jp, _, err := engine.FromJoinPlan(root, lookup)
-	if err != nil {
-		return nil, err
-	}
-	return jp, nil
 }
 
 // WriteTable renders the sequence.

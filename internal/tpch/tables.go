@@ -131,7 +131,6 @@ func GenerateOrders(tbl *table.Table, n int, seed int64) error {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	nCust := CustomersFor(n)
-	buf := make([]byte, sch.RowBytes())
 	vals := make([]table.Value, ordersColumns)
 	for i := 0; i < n; i++ {
 		date := int32(orderDateLo + rng.Intn(orderDateHi-orderDateLo+1))
@@ -147,11 +146,7 @@ func GenerateOrders(tbl *table.Table, n int, seed int64) error {
 		vals[OOrderPriority] = table.Str(orderPriorities[rng.Intn(len(orderPriorities))])
 		vals[OShipPriority] = table.I32(0)
 
-		row, err := encodeInto(buf, sch, vals)
-		if err != nil {
-			return err
-		}
-		if _, err := tbl.AppendRaw(1, row); err != nil {
+		if _, err := tbl.Append(1, vals...); err != nil {
 			return err
 		}
 	}
@@ -166,7 +161,6 @@ func GenerateCustomer(tbl *table.Table, n int, seed int64) error {
 		return fmt.Errorf("tpch: customer table has %d columns, want %d", sch.NumColumns(), customerColumns)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	buf := make([]byte, sch.RowBytes())
 	vals := make([]table.Value, customerColumns)
 	for i := 0; i < n; i++ {
 		vals[CCustKey] = table.I64(int64(i + 1))
@@ -175,11 +169,7 @@ func GenerateCustomer(tbl *table.Table, n int, seed int64) error {
 		vals[CAcctBal] = table.F64(float64(rng.Intn(1100000))/100 - 1000)
 		vals[CMktSegment] = table.Str(mktSegments[rng.Intn(len(mktSegments))])
 
-		row, err := encodeInto(buf, sch, vals)
-		if err != nil {
-			return err
-		}
-		if _, err := tbl.AppendRaw(1, row); err != nil {
+		if _, err := tbl.Append(1, vals...); err != nil {
 			return err
 		}
 	}
@@ -194,7 +184,6 @@ func GeneratePart(tbl *table.Table, n int, seed int64) error {
 		return fmt.Errorf("tpch: part table has %d columns, want %d", sch.NumColumns(), partColumns)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	buf := make([]byte, sch.RowBytes())
 	vals := make([]table.Value, partColumns)
 	for i := 0; i < n; i++ {
 		vals[PPartKey] = table.I64(int64(i + 1))
@@ -203,11 +192,7 @@ func GeneratePart(tbl *table.Table, n int, seed int64) error {
 		vals[PSize] = table.I32(int32(rng.Intn(50) + 1))
 		vals[PRetailPrice] = table.F64(900 + float64((i+1)%2000)*10)
 
-		row, err := encodeInto(buf, sch, vals)
-		if err != nil {
-			return err
-		}
-		if _, err := tbl.AppendRaw(1, row); err != nil {
+		if _, err := tbl.Append(1, vals...); err != nil {
 			return err
 		}
 	}

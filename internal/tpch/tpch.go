@@ -1,18 +1,16 @@
 // Package tpch provides the workload behind the paper's practical-query
 // experiments (ICDE 2023, §V, Figure 7): a deterministic TPC-H-style
-// lineitem generator and the Q1 and Q6 query definitions for the three
-// engines. The generator reproduces the value distributions that drive the
-// figures — Q6's ≈1.9 % selectivity and Q1's ≈98 % pass rate over four main
-// (returnflag, linestatus) groups — without requiring the official dbgen
-// tool or its data files.
+// lineitem generator and the Q1 and Q6 query texts. The generator
+// reproduces the value distributions that drive the figures — Q6's ≈1.9 %
+// selectivity and Q1's ≈98 % pass rate over four main (returnflag,
+// linestatus) groups — without requiring the official dbgen tool or its
+// data files.
 package tpch
 
 import (
 	"fmt"
 	"math/rand"
 
-	"rfabric/internal/engine"
-	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/table"
 )
@@ -47,14 +45,8 @@ const (
 	shipDateHi = 10561 // 1998-12-01
 )
 
-// Date1994 and Date1995 bound Q6's ship-date year.
-const (
-	Date1994 = 8766 // 1994-01-01
-	Date1995 = 9131 // 1995-01-01
-)
-
-// Q1CutoffDate is 1998-12-01 minus 90 days (1998-09-02).
-const Q1CutoffDate = 10471
+// Date1994 (1994-01-01) opens Q6's ship-date year.
+const Date1994 = 8766
 
 // LineitemSchema returns the fixed-width lineitem layout (136-byte rows).
 func LineitemSchema() *geometry.Schema {
@@ -92,7 +84,6 @@ func Generate(tbl *table.Table, n int, seed int64) error {
 		return fmt.Errorf("tpch: table has %d columns, want %d", sch.NumColumns(), lineitemColumns)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	buf := make([]byte, sch.RowBytes())
 	vals := make([]table.Value, lineitemColumns)
 	for i := 0; i < n; i++ {
 		orderKey := int64(i/4 + 1)
@@ -147,24 +138,11 @@ func Generate(tbl *table.Table, n int, seed int64) error {
 		vals[LShipMode] = table.Str(shipModes[rng.Intn(len(shipModes))])
 		vals[LComment] = table.Str(commentWords[rng.Intn(len(commentWords))] + " " + commentWords[rng.Intn(len(commentWords))])
 
-		row, err := encodeInto(buf, sch, vals)
-		if err != nil {
-			return err
-		}
-		if _, err := tbl.AppendRaw(1, row); err != nil {
+		if _, err := tbl.Append(1, vals...); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func encodeInto(buf []byte, sch *geometry.Schema, vals []table.Value) ([]byte, error) {
-	row, err := table.EncodeRow(sch, vals...)
-	if err != nil {
-		return nil, err
-	}
-	copy(buf, row)
-	return buf, nil
 }
 
 // NewLineitem creates and populates a lineitem table of n rows.
@@ -180,88 +158,26 @@ func NewLineitem(n int, seed int64, opts ...table.Option) (*table.Table, error) 
 	return tbl, nil
 }
 
-// Q1 returns TPC-H query 1, the pricing summary report:
-//
-//	SELECT l_returnflag, l_linestatus,
-//	       SUM(l_quantity), SUM(l_extendedprice),
-//	       SUM(l_extendedprice*(1-l_discount)),
-//	       SUM(l_extendedprice*(1-l_discount)*(1+l_tax)),
-//	       AVG(l_quantity), AVG(l_extendedprice), AVG(l_discount), COUNT(*)
-//	FROM lineitem WHERE l_shipdate <= DATE '1998-12-01' - 90 days
-//	GROUP BY l_returnflag, l_linestatus
-//
-// Its per-row arithmetic makes it CPU-bound — the layout-insensitive case
-// of Figure 7a.
-func Q1() engine.Query {
-	discPrice := expr.Binary{
-		Op: expr.Mul,
-		L:  expr.ColRef{Col: LExtendedPrice},
-		R:  expr.Binary{Op: expr.Sub, L: expr.Const{V: 1}, R: expr.ColRef{Col: LDiscount}},
-	}
-	charge := expr.Binary{
-		Op: expr.Mul,
-		L:  discPrice,
-		R:  expr.Binary{Op: expr.Add, L: expr.Const{V: 1}, R: expr.ColRef{Col: LTax}},
-	}
-	return engine.Query{
-		Selection: expr.Conjunction{
-			{Col: LShipDate, Op: expr.Le, Operand: table.DateV(Q1CutoffDate)},
-		},
-		GroupBy: []int{LReturnFlag, LLineStatus},
-		Aggregates: []engine.AggTerm{
-			{Kind: expr.Sum, Arg: expr.ColRef{Col: LQuantity}},
-			{Kind: expr.Sum, Arg: expr.ColRef{Col: LExtendedPrice}},
-			{Kind: expr.Sum, Arg: discPrice},
-			{Kind: expr.Sum, Arg: charge},
-			{Kind: expr.Avg, Arg: expr.ColRef{Col: LQuantity}},
-			{Kind: expr.Avg, Arg: expr.ColRef{Col: LExtendedPrice}},
-			{Kind: expr.Avg, Arg: expr.ColRef{Col: LDiscount}},
-			{Kind: expr.Count},
-		},
-	}
-}
+// Q1SQL is TPC-H query 1, the pricing summary report. The ship-date
+// cutoff is 1998-12-01 minus 90 days. Its per-row arithmetic makes it
+// CPU-bound — the layout-insensitive case of Figure 7a.
+const Q1SQL = `SELECT l_returnflag, l_linestatus,
+       SUM(l_quantity), SUM(l_extendedprice),
+       SUM(l_extendedprice * (1 - l_discount)),
+       SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)),
+       AVG(l_quantity), AVG(l_extendedprice), AVG(l_discount), COUNT(*)
+FROM lineitem
+WHERE l_shipdate <= DATE '1998-09-02'
+GROUP BY l_returnflag, l_linestatus`
 
-// Q6 returns TPC-H query 6, the forecasting revenue change query:
-//
-//	SELECT SUM(l_extendedprice * l_discount)
-//	FROM lineitem
-//	WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
-//	  AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
-//
-// Its ≈1.9 % selectivity and trivial arithmetic make it data-movement
-// bound — the case where Relational Memory shines (Figure 7b).
-func Q6() engine.Query {
-	return engine.Query{
-		Selection: expr.Conjunction{
-			{Col: LShipDate, Op: expr.Ge, Operand: table.DateV(Date1994)},
-			{Col: LShipDate, Op: expr.Lt, Operand: table.DateV(Date1995)},
-			{Col: LDiscount, Op: expr.Ge, Operand: table.F64(0.049)},
-			{Col: LDiscount, Op: expr.Le, Operand: table.F64(0.071)},
-			{Col: LQuantity, Op: expr.Lt, Operand: table.F64(24)},
-		},
-		Aggregates: []engine.AggTerm{
-			{Kind: expr.Sum, Arg: expr.Binary{Op: expr.Mul, L: expr.ColRef{Col: LExtendedPrice}, R: expr.ColRef{Col: LDiscount}}},
-		},
-	}
-}
+// Q6Where is TPC-H query 6's predicate: one ship-date year, discounts
+// within 0.06 ± 0.01, and quantities under 24.
+const Q6Where = `l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
+  AND l_discount BETWEEN 0.049 AND 0.071 AND l_quantity < 24`
 
-// TargetColumnBytes returns the bytes per row the query's needed columns
-// occupy — the paper's x-axis unit in Figure 7 ("target column size").
-func TargetColumnBytes(q engine.Query) int {
-	sch := LineitemSchema()
-	total := 0
-	for _, c := range q.NeededColumns() {
-		total += sch.Column(c).Width
-	}
-	return total
-}
-
-// RowsForTargetBytes returns the row count that makes the query's target
-// columns occupy targetBytes.
-func RowsForTargetBytes(q engine.Query, targetBytes int) int {
-	per := TargetColumnBytes(q)
-	if per == 0 {
-		return 0
-	}
-	return targetBytes / per
-}
+// Q6SQL is TPC-H query 6, the forecasting revenue change query. Its ≈1.9 %
+// selectivity and trivial arithmetic make it data-movement bound — the
+// case where Relational Memory shines (Figure 7b).
+const Q6SQL = `SELECT SUM(l_extendedprice * l_discount)
+FROM lineitem
+WHERE ` + Q6Where

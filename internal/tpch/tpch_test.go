@@ -6,8 +6,19 @@ import (
 	"rfabric/internal/colstore"
 	"rfabric/internal/engine"
 	"rfabric/internal/geometry"
+	"rfabric/internal/sql"
 	"rfabric/internal/table"
 )
+
+// compile lowers one of the package's query texts against lineitem.
+func compile(t *testing.T, text string) engine.Query {
+	t.Helper()
+	q, err := sql.Compile(text, LineitemSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
 
 func TestSchemaShape(t *testing.T) {
 	sch := LineitemSchema()
@@ -112,7 +123,7 @@ func TestQ6Selectivity(t *testing.T) {
 	if err := Generate(tbl, rows, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&engine.RowEngine{Tbl: tbl, Sys: sys}).Execute(Q6())
+	res, err := (&engine.RowEngine{Tbl: tbl, Sys: sys}).Execute(compile(t, Q6SQL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +150,7 @@ func TestQ1AllEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Q1()
+	q := compile(t, Q1SQL)
 	ref, err := (&engine.RowEngine{Tbl: tbl, Sys: sys}).Execute(q)
 	if err != nil {
 		t.Fatal(err)
@@ -164,22 +175,6 @@ func TestQ1AllEnginesAgree(t *testing.T) {
 		if err := got.EquivalentTo(ref, 1e-9); err != nil {
 			t.Errorf("%s disagrees on Q1: %v", e.Name(), err)
 		}
-	}
-}
-
-func TestTargetColumnSizing(t *testing.T) {
-	q6 := Q6()
-	// Q6 touches shipdate(4) + discount(8) + quantity(8) + extendedprice(8).
-	if got := TargetColumnBytes(q6); got != 28 {
-		t.Errorf("Q6 target bytes = %d, want 28", got)
-	}
-	rows := RowsForTargetBytes(q6, 28_000)
-	if rows != 1000 {
-		t.Errorf("RowsForTargetBytes = %d, want 1000", rows)
-	}
-	q1 := Q1()
-	if got := TargetColumnBytes(q1); got != 4+1+1+8+8+8+8 {
-		t.Errorf("Q1 target bytes = %d", got)
 	}
 }
 

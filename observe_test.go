@@ -34,7 +34,7 @@ func lineitemDB(t *testing.T, rows int) *DB {
 // with Breakdown.TotalCycles, with the pipeline and stall leaves in place.
 func TestTracedQ6Reconciles(t *testing.T) {
 	db := lineitemDB(t, 20_000)
-	res, trace, err := db.ExecuteTraced(RM, "lineitem", tpch.Q6())
+	res, trace, err := db.ExecuteTraced(RM, "lineitem", q6(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestObserverMetricsServe(t *testing.T) {
 	reg := NewRegistry()
 	db.SetObserver(reg)
 
-	_, trace, err := db.ExecuteTraced(RM, "lineitem", tpch.Q6())
+	_, trace, err := db.ExecuteTraced(RM, "lineitem", q6(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rfabric/internal/obs"
+	"rfabric/internal/sql"
 	"rfabric/internal/tpch"
 )
 
@@ -35,6 +36,16 @@ func tracedDB(t *testing.T) *DB {
 	return db
 }
 
+// q6 compiles TPC-H Q6 for the tests that drive Execute/ExecuteTraced.
+func q6(t testing.TB) Query {
+	t.Helper()
+	q, err := sql.Compile(tpch.Q6SQL, tpch.LineitemSchema())
+	if err != nil {
+		t.Fatalf("compile Q6: %v", err)
+	}
+	return q
+}
+
 // chromeDoc is the subset of the Chrome Trace Event Format the assertions
 // read back.
 type chromeDoc struct {
@@ -53,7 +64,7 @@ type chromeDoc struct {
 
 func TestTracedQ6ChromeExportReconciles(t *testing.T) {
 	db := tracedDB(t)
-	res, trace, err := db.ExecuteTraced(RM, "lineitem", tpch.Q6(), WithTimeline(0))
+	res, trace, err := db.ExecuteTraced(RM, "lineitem", q6(t), WithTimeline(0))
 	if err != nil {
 		t.Fatalf("traced Q6: %v", err)
 	}
@@ -127,7 +138,7 @@ func TestTracedQ6ChromeExportReconciles(t *testing.T) {
 // chromeAndTimelineJSON renders both artifacts of one traced run.
 func chromeAndTimelineJSON(t *testing.T, db *DB, kind EngineKind) (chrome, timeline []byte) {
 	t.Helper()
-	_, trace, err := db.ExecuteTraced(kind, "lineitem", tpch.Q6(), WithTimeline(0))
+	_, trace, err := db.ExecuteTraced(kind, "lineitem", q6(t), WithTimeline(0))
 	if err != nil {
 		t.Fatalf("traced Q6 on %s: %v", kind, err)
 	}
@@ -172,7 +183,7 @@ func TestTimelineDeterminism(t *testing.T) {
 func TestParTimelineHasWorkerLanes(t *testing.T) {
 	db := tracedDB(t)
 	db.SetParallel(ParallelConfig{Workers: 4, MorselRows: 512})
-	_, trace, err := db.ExecuteTraced(PAR, "lineitem", tpch.Q6(), WithTimeline(0))
+	_, trace, err := db.ExecuteTraced(PAR, "lineitem", q6(t), WithTimeline(0))
 	if err != nil {
 		t.Fatalf("traced PAR Q6: %v", err)
 	}
@@ -266,7 +277,7 @@ func TestQuantileAccuracy(t *testing.T) {
 // GC cycle's buffers, another goroutine) can only add to a round, never
 // remove from it, so the minimum is the query's own integer cost.
 func TestDisabledObserverMatchesNilObserver(t *testing.T) {
-	q := tpch.Q6()
+	q := q6(t)
 	query := func(db *DB) func() {
 		return func() {
 			if _, err := db.Execute(RM, "lineitem", q); err != nil {

@@ -60,7 +60,7 @@ func TestDBWindowsCaptureQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	if _, err := db.Execute("BOGUS", "lineitem", tpch.Q6()); err == nil {
+	if _, err := db.Execute("BOGUS", "lineitem", q6(t)); err == nil {
 		t.Fatal("bogus engine kind succeeded")
 	}
 
