@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-wallclock vet lint
+.PHONY: all build test race fuzz bench bench-wallclock examples vet lint
 
 all: lint build test
 
@@ -24,6 +24,14 @@ bench:
 # plus the warm/cold group-cache pair.
 bench-wallclock:
 	$(GO) test ./internal/engine -run '^$$' -bench 'Wallclock|Sequence' -benchmem
+
+# Run every example program. Each checks itself: htap exits through
+# log.Fatal when a snapshot's fabric-folded balance breaks its invariant.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -213,9 +213,9 @@ func sumBalances(sys *rfabric.System, tbl *rfabric.Table, ts uint64) (int64, err
 	if err != nil {
 		return 0, err
 	}
-	agg, err := ev.Aggregate([]rfabric.AggSpec{{Kind: rfabric.Sum, Col: 2}})
+	agg, err := ev.RunOffload(&rfabric.Offload{Aggs: []rfabric.AggSpec{{Kind: rfabric.Sum, Col: 2}}})
 	if err != nil {
 		return 0, err
 	}
-	return agg.Values[0].Int, nil
+	return int64(agg.Values[0].Float), nil
 }

@@ -161,7 +161,7 @@ func TestEnginesAgreeOnAggregation(t *testing.T) {
 	}
 	refPlain := mustExec(t, &RowEngine{Tbl: f.tbl, Sys: f.sys}, qPlain)
 	f.sys.ResetState()
-	push := mustExec(t, &RMEngine{Tbl: f.tbl, Sys: f.sys, PushSelection: true, PushAggregation: true}, qPlain)
+	push := mustExec(t, &RMEngine{Tbl: f.tbl, Sys: f.sys, Offload: true}, qPlain)
 	if err := push.EquivalentTo(refPlain, 1e-9); err != nil {
 		t.Errorf("pushed aggregation disagrees with ROW: %v", err)
 	}

@@ -74,17 +74,14 @@ func equivalenceTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 		t.Fatalf("generated query invalid: %v\nquery: %+v", err, q)
 	}
 
-	push := rng.Intn(2) == 1
-	pushAgg := rng.Intn(2) == 1
 	engines := []Executor{
 		&RowEngine{Tbl: tbl, Sys: sys},
 		&RMEngine{Tbl: tbl, Sys: sys},
-		&RMEngine{Tbl: tbl, Sys: sys, PushSelection: true, PushAggregation: pushAgg},
+		&RMEngine{Tbl: tbl, Sys: sys, PushSelection: true},
 		&RMEngine{Tbl: tbl, Sys: sys, Offload: true},
 		&ParallelEngine{
 			Tbl: tbl, Sys: sys,
-			Par:           ParallelConfig{Workers: 1 + rng.Intn(8), MorselRows: 16 + rng.Intn(96)},
-			PushSelection: push,
+			Par: ParallelConfig{Workers: 1 + rng.Intn(8), MorselRows: 16 + rng.Intn(96)},
 		},
 	}
 	if !mvcc {

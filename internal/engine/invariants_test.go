@@ -73,7 +73,7 @@ func invariantTrial(t *testing.T, rng *rand.Rand) {
 			return (&RMEngine{Tbl: tbl, Sys: sys, Tracer: tr}).Execute(q)
 		}},
 		{"RM+push", false, func(tr *obs.Tracer) (*Result, error) {
-			return (&RMEngine{Tbl: tbl, Sys: sys, PushSelection: true, PushAggregation: true, Tracer: tr}).Execute(q)
+			return (&RMEngine{Tbl: tbl, Sys: sys, PushSelection: true, Tracer: tr}).Execute(q)
 		}},
 		{"RM+offload", false, func(tr *obs.Tracer) (*Result, error) {
 			return (&RMEngine{Tbl: tbl, Sys: sys, Offload: true, Tracer: tr}).Execute(q)

@@ -51,6 +51,50 @@ func TestOffloadReducesBytesToCPU(t *testing.T) {
 	}
 }
 
+// TestOffloadSumBeyond2Pow53MatchesRow pins the offload fold to ROW's
+// float64 fold where an exact integer sum would differ: BIGINT rows
+// [2^53, 1, 1] sum to 2^53 in row order (each +1 rounds away). The fabric
+// must return exactly ROW's SUM and AVG, grouped and ungrouped.
+func TestOffloadSumBeyond2Pow53MatchesRow(t *testing.T) {
+	sys := MustSystem(DefaultSystemConfig())
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "k", Type: geometry.Int32, Width: 4},
+		geometry.Column{Name: "v", Type: geometry.Int64, Width: 8},
+	)
+	tbl := table.MustNew("big", sch, table.WithCapacity(3),
+		table.WithBaseAddr(sys.Arena.Alloc(int64(3*sch.RowBytes()))))
+	for _, v := range []int64{1 << 53, 1, 1} {
+		tbl.MustAppend(1, table.I32(7), table.I64(v))
+	}
+	aggs := []AggTerm{{Kind: expr.Sum, Arg: expr.ColRef{Col: 1}}, {Kind: expr.Avg, Arg: expr.ColRef{Col: 1}}}
+	for _, q := range []Query{{Aggregates: aggs}, {GroupBy: []int{0}, Aggregates: aggs}} {
+		sys.ResetState()
+		row, err := (&RowEngine{Tbl: tbl, Sys: sys}).Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.ResetState()
+		off, err := (&RMEngine{Tbl: tbl, Sys: sys, Offload: true}).Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off.Offload == "" {
+			t.Fatalf("group by %v did not offload", q.GroupBy)
+		}
+		if err := off.EquivalentTo(row, 0); err != nil {
+			t.Errorf("group by %v: offload differs from ROW: %v", q.GroupBy, err)
+		}
+	}
+	sys.ResetState()
+	row, err := (&RowEngine{Tbl: tbl, Sys: sys}).Execute(Query{Aggregates: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := row.Aggs[0].Float; got != 1<<53 {
+		t.Fatalf("ROW SUM = %v, want 2^53 (the float64 row-order fold)", got)
+	}
+}
+
 // TestOffloadedScanSpanReconciliation pins the trace contract on the offload
 // path: every modeled cycle of an offloaded grouped aggregation is
 // attributed to a span, so the root reconciles exactly with the breakdown.

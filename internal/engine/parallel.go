@@ -67,11 +67,6 @@ type ParallelEngine struct {
 	Sys *System
 	Par ParallelConfig
 
-	// PushSelection and PushAggregation configure the per-morsel RM engines
-	// exactly like RMEngine's fields.
-	PushSelection   bool
-	PushAggregation bool
-
 	// ForceScalar pins the per-morsel consumers to the tuple-at-a-time
 	// interpreter, like RMEngine's field.
 	ForceScalar bool
@@ -110,7 +105,7 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := &RMEngine{Tbl: slice, Sys: sys, PushSelection: e.PushSelection, PushAggregation: e.PushAggregation, Tracer: tracers.at(i), ForceScalar: e.ForceScalar}
+		eng := &RMEngine{Tbl: slice, Sys: sys, Tracer: tracers.at(i), ForceScalar: e.ForceScalar}
 		res, err := eng.Execute(q)
 		if err != nil {
 			return nil, err

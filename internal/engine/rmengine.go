@@ -27,14 +27,12 @@ type RMEngine struct {
 	// run vectorized on the CPU over packed data, matching the paper's
 	// projection-only prototype (§V).
 	PushSelection bool
-	// PushAggregation computes plain-column aggregates inside the fabric
-	// and ships only the results (§IV-B). Derived aggregate expressions
-	// always run on the CPU.
-	PushAggregation bool
 	// Offload enables the full operator-offload layer: selection,
-	// projection, grouped aggregation, and any attached semi-join or
-	// dictionary filters all run fabric-side. It implies PushSelection and
-	// PushAggregation.
+	// projection, grouped or ungrouped aggregation over plain columns, and
+	// any attached semi-join or dictionary filters all run fabric-side, and
+	// an offloaded aggregation ships only its results (§IV-B). Derived
+	// aggregate expressions always run on the CPU. It implies
+	// PushSelection.
 	Offload bool
 
 	// SemiJoin, when set, pre-filters the scan's rows against a build-side
@@ -103,13 +101,12 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	}
 
 	pushSel := e.PushSelection || e.Offload
-	pushAgg := e.PushAggregation || e.Offload
 
 	// A whole-query offload ships only reduced results — there is no column
 	// group to cache or replay, so it bypasses the group cache. Grouped and
 	// ungrouped aggregations both qualify; the program descriptor decides.
 	var off *fabric.Offload
-	if pushAgg && pushSel {
+	if e.Offload {
 		off, _ = offloadProgram(q)
 	}
 
@@ -199,7 +196,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		if off != nil {
 			sp.SetAttr("pushdown", "aggregation")
 			s.direct = func() (*Result, error) {
-				return runOffload(e.Sys, e.Tracer, sp, e.Name(), q, ev, off)
+				return runOffload(e.Sys, e.Tracer, sp, e.Name(), ev, off)
 			}
 			return s, nil
 		}

@@ -193,18 +193,8 @@ func offloadProgram(q Query) (*fabric.Offload, bool) {
 	if len(q.Aggregates) == 0 {
 		return nil, false
 	}
-	specs, ok := pushableAggs(q.Aggregates)
-	if !ok {
-		return nil, false
-	}
-	return &fabric.Offload{GroupBy: q.GroupBy, Aggs: specs}, true
-}
-
-// pushableAggs converts aggregate terms to fabric specs when every term is
-// COUNT(*) or a plain-column aggregate.
-func pushableAggs(terms []AggTerm) ([]expr.AggSpec, bool) {
-	specs := make([]expr.AggSpec, len(terms))
-	for i, t := range terms {
+	specs := make([]expr.AggSpec, len(q.Aggregates))
+	for i, t := range q.Aggregates {
 		if t.Arg == nil {
 			specs[i] = expr.AggSpec{Kind: expr.Count}
 			continue
@@ -215,28 +205,16 @@ func pushableAggs(terms []AggTerm) ([]expr.AggSpec, bool) {
 		}
 		specs[i] = expr.AggSpec{Kind: t.Kind, Col: ref.Col}
 	}
-	return specs, true
-}
-
-// normalizeAggValue converts fabric integer aggregates to the float64
-// convention the software engines report, keeping COUNT integral.
-func normalizeAggValue(kind expr.AggKind, v table.Value) table.Value {
-	if kind == expr.Count {
-		return v
-	}
-	if v.Type == geometry.Float64 {
-		return v
-	}
-	return table.F64(float64(v.Int))
+	return &fabric.Offload{GroupBy: q.GroupBy, Aggs: specs}, true
 }
 
 // runOffload is the direct mode behind an offloaded aggregation: the fabric
 // runs the whole program (selection, projection, grouping, folding) and
 // ships only the reduced result, so there is no pipeline to drive — just
-// the producer's time and the result bytes. Grouped fold states convert
-// through the same accumulator logic the CPU consumer uses, so the Result
-// is bit-identical to a CPU-side execution of the same query.
-func runOffload(sys *System, tracer *obs.Tracer, sp *obs.Span, name string, q Query, ev *fabric.Ephemeral, off *fabric.Offload) (*Result, error) {
+// the producer's time and the result bytes. The fabric folds with the batch
+// consumer's kernels and finalizes through vec.AggState.Result, so the
+// Result is bit-identical to a CPU-side execution of the same query.
+func runOffload(sys *System, tracer *obs.Tracer, sp *obs.Span, name string, ev *fabric.Ephemeral, off *fabric.Offload) (*Result, error) {
 	memStart := sys.Mem.Stats()
 	hierStart := sys.Hier.Stats()
 	or, err := ev.RunOffload(off)
@@ -252,26 +230,11 @@ func runOffload(sys *System, tracer *obs.Tracer, sp *obs.Span, name string, q Qu
 		Offload:     off.Describe(),
 	}
 	if !off.Grouped() {
-		res.Aggs = make([]table.Value, len(or.Values))
-		for i, v := range or.Values {
-			res.Aggs[i] = normalizeAggValue(q.Aggregates[i].Kind, v)
-		}
+		res.Aggs = or.Values
 	} else {
 		res.Groups = make([]GroupRow, len(or.Groups))
 		for i, g := range or.Groups {
-			row := GroupRow{Key: g.Key, Count: g.Rows, Aggs: make([]table.Value, len(g.Accs))}
-			for j, st := range g.Accs {
-				acc := aggAcc{
-					term:  q.Aggregates[j],
-					count: st.Count,
-					sum:   st.Sum,
-					min:   st.Min,
-					max:   st.Max,
-					any:   st.Any,
-				}
-				row.Aggs[j] = acc.result()
-			}
-			res.Groups[i] = row
+			res.Groups[i] = GroupRow{Key: g.Key, Count: g.Rows, Aggs: g.Aggs}
 		}
 		sortGroups(res.Groups)
 	}

@@ -738,7 +738,7 @@ func (s *scanScratch) result(name string, q Query, p *scanProg, acc *vecAcc, sca
 	case len(q.Aggregates) > 0:
 		r.Aggs = make([]table.Value, len(q.Aggregates))
 		for i, st := range acc.aggs {
-			r.Aggs[i] = aggResult(q.Aggregates[i], st)
+			r.Aggs[i] = st.Result(q.Aggregates[i].Kind)
 		}
 	}
 	return r
@@ -762,17 +762,10 @@ func (s *scanScratch) groupRows(q Query, keys []valueCol) []GroupRow {
 		}
 		aggs := vals[gi*na : (gi+1)*na : (gi+1)*na]
 		for ti := range aggs {
-			aggs[ti] = aggResult(q.Aggregates[ti], g.State(gi, ti))
+			aggs[ti] = g.State(gi, ti).Result(q.Aggregates[ti].Kind)
 		}
 		rows[gi] = GroupRow{Key: key, Aggs: aggs, Count: g.Count(gi)}
 	}
 	sortGroups(rows)
 	return rows
-}
-
-// aggResult finalizes one batch aggregate state through the scalar
-// accumulator's conventions.
-func aggResult(term AggTerm, st vec.AggState) table.Value {
-	acc := aggAcc{term: term, count: st.Count, sum: st.Sum, min: st.Min, max: st.Max, any: st.Any}
-	return acc.result()
 }

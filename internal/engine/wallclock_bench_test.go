@@ -128,8 +128,7 @@ func BenchmarkParScanWallclock(b *testing.B) {
 	tbl := benchLineitem(b, sys)
 	runWallclock(b, func(fs bool) engine.Executor {
 		return &engine.ParallelEngine{Tbl: tbl, Sys: sys,
-			Par:           engine.ParallelConfig{Workers: 8},
-			PushSelection: true, ForceScalar: fs}
+			Par: engine.ParallelConfig{Workers: 8}, ForceScalar: fs}
 	}, sys.ResetState)
 }
 

@@ -160,8 +160,9 @@ func AblationMVCC(opt Options, rows int) (*AblationResult, error) {
 
 // AblationPushdown compares the three RM operating points on TPC-H Q6:
 // projection-only (the paper's prototype), selection pushdown, and
-// selection+aggregation pushdown (§IV-B). Aggregation pushdown is measured
-// on the plain-column sum the hardware supports.
+// selection+aggregation pushdown (§IV-B), the last being the fabric's
+// offload program. Aggregation pushdown is measured on the plain-column sum
+// the hardware supports.
 func AblationPushdown(opt Options, rows int) (*AblationResult, error) {
 	l, err := newLab(opt.System)
 	if err != nil {
@@ -192,7 +193,7 @@ func AblationPushdown(opt Options, rows int) (*AblationResult, error) {
 			return &engine.RMEngine{Tbl: t, Sys: l.sys, PushSelection: true}
 		}},
 		{"+aggregation", plain, func(t *table.Table) engine.Source {
-			return &engine.RMEngine{Tbl: t, Sys: l.sys, PushSelection: true, PushAggregation: true}
+			return &engine.RMEngine{Tbl: t, Sys: l.sys, Offload: true}
 		}},
 	} {
 		r, err := l.run(p.root, p.path)

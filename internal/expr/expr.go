@@ -167,7 +167,10 @@ func (k AggKind) String() string {
 	}
 }
 
-// AggSpec is one aggregate over a column (Col ignored for COUNT).
+// AggSpec is one aggregate over a numeric column (Col ignored for COUNT).
+// The folds that take AggSpecs — the fabric's offload program and the
+// storage controller — keep float64 state, so CHAR columns are rejected for
+// every kind, as the engines reject CHAR aggregate arguments.
 type AggSpec struct {
 	Kind AggKind
 	Col  int
@@ -181,117 +184,8 @@ func (a AggSpec) Validate(s *geometry.Schema) error {
 	if a.Col < 0 || a.Col >= s.NumColumns() {
 		return fmt.Errorf("expr: aggregate column %d out of range [0,%d)", a.Col, s.NumColumns())
 	}
-	switch s.Column(a.Col).Type {
-	case geometry.Char:
-		if a.Kind == Sum || a.Kind == Avg {
-			return fmt.Errorf("expr: %s over CHAR column %q", a.Kind, s.Column(a.Col).Name)
-		}
+	if s.Column(a.Col).Type == geometry.Char {
+		return fmt.Errorf("expr: %s over CHAR column %q", a.Kind, s.Column(a.Col).Name)
 	}
 	return nil
-}
-
-// Accumulator folds values for one AggSpec. The zero value is not ready;
-// use NewAccumulator.
-type Accumulator struct {
-	spec    AggSpec
-	count   int64
-	sumI    int64
-	sumF    float64
-	minV    table.Value
-	maxV    table.Value
-	sawAny  bool
-	isFloat bool
-}
-
-// NewAccumulator prepares an accumulator for spec over schema s.
-func NewAccumulator(spec AggSpec, s *geometry.Schema) (*Accumulator, error) {
-	if err := spec.Validate(s); err != nil {
-		return nil, err
-	}
-	acc := &Accumulator{spec: spec}
-	if spec.Kind != Count {
-		acc.isFloat = s.Column(spec.Col).Type == geometry.Float64
-	}
-	return acc, nil
-}
-
-// AddCount registers n qualifying rows for COUNT accumulators.
-func (a *Accumulator) AddCount(n int64) { a.count += n }
-
-// Add folds one column value.
-func (a *Accumulator) Add(v table.Value) {
-	a.count++
-	switch a.spec.Kind {
-	case Count:
-		return
-	case Sum, Avg:
-		if a.isFloat {
-			a.sumF += v.Float
-		} else {
-			a.sumI += v.Int
-		}
-	case Min:
-		if !a.sawAny || v.Compare(a.minV) < 0 {
-			a.minV = v
-		}
-	case Max:
-		if !a.sawAny || v.Compare(a.maxV) > 0 {
-			a.maxV = v
-		}
-	}
-	a.sawAny = true
-}
-
-// Merge folds another accumulator of the same spec into a.
-func (a *Accumulator) Merge(o *Accumulator) {
-	if a.spec != o.spec {
-		panic("expr: merging accumulators of different specs")
-	}
-	a.count += o.count
-	a.sumI += o.sumI
-	a.sumF += o.sumF
-	if o.sawAny {
-		if !a.sawAny {
-			a.minV, a.maxV, a.sawAny = o.minV, o.maxV, true
-		} else {
-			if o.minV.Compare(a.minV) < 0 {
-				a.minV = o.minV
-			}
-			if o.maxV.Compare(a.maxV) > 0 {
-				a.maxV = o.maxV
-			}
-		}
-	}
-}
-
-// Count returns the number of folded values.
-func (a *Accumulator) Count() int64 { return a.count }
-
-// Result returns the aggregate value. COUNT yields Int64; SUM/AVG yield
-// Float64 for float columns and Int64 otherwise; MIN/MAX yield the column
-// type. An empty MIN/MAX yields a zero Value.
-func (a *Accumulator) Result() table.Value {
-	switch a.spec.Kind {
-	case Count:
-		return table.I64(a.count)
-	case Sum:
-		if a.isFloat {
-			return table.F64(a.sumF)
-		}
-		return table.I64(a.sumI)
-	case Avg:
-		if a.count == 0 {
-			return table.F64(0)
-		}
-		if a.isFloat {
-			return table.F64(a.sumF / float64(a.count))
-		}
-		return table.F64(float64(a.sumI) / float64(a.count))
-	case Min:
-		return a.minV
-	case Max:
-		return a.maxV
-	default:
-		panic(fmt.Sprintf("expr: unknown aggregate %d", uint8(a.spec.Kind)))
-	}
 }

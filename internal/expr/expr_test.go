@@ -85,70 +85,13 @@ func TestConjunction(t *testing.T) {
 	}
 }
 
-func TestAccumulators(t *testing.T) {
-	s := testSchema(t)
-	type want struct {
-		kind AggKind
-		col  int
-		res  table.Value
-	}
-	vals := []int64{5, -3, 12, 0}
-	cases := []want{
-		{Count, 0, table.I64(4)},
-		{Sum, 0, table.I64(14)},
-		{Min, 0, table.I64(-3)},
-		{Max, 0, table.I64(12)},
-		{Avg, 0, table.F64(3.5)},
-	}
-	for _, c := range cases {
-		acc, err := NewAccumulator(AggSpec{Kind: c.kind, Col: c.col}, s)
-		if err != nil {
-			t.Fatalf("%s: %v", c.kind, err)
-		}
-		for _, v := range vals {
-			acc.Add(table.I64(v))
-		}
-		if got := acc.Result(); !got.Equal(c.res) {
-			t.Errorf("%s = %s, want %s", c.kind, got, c.res)
-		}
-	}
-}
-
-func TestAccumulatorFloat(t *testing.T) {
-	s := testSchema(t)
-	acc, err := NewAccumulator(AggSpec{Kind: Sum, Col: 1}, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc.Add(table.F64(1.5))
-	acc.Add(table.F64(2.25))
-	if got := acc.Result(); got.Float != 3.75 {
-		t.Errorf("float SUM = %s", got)
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	s := testSchema(t)
-	a, _ := NewAccumulator(AggSpec{Kind: Min, Col: 0}, s)
-	b, _ := NewAccumulator(AggSpec{Kind: Min, Col: 0}, s)
-	a.Add(table.I64(5))
-	b.Add(table.I64(2))
-	a.Merge(b)
-	if got := a.Result(); got.Int != 2 {
-		t.Errorf("merged MIN = %s, want 2", got)
-	}
-	if a.Count() != 2 {
-		t.Errorf("merged count = %d", a.Count())
-	}
-}
-
 func TestAggSpecValidation(t *testing.T) {
 	s := testSchema(t)
 	if err := (AggSpec{Kind: Sum, Col: 2}).Validate(s); err == nil {
 		t.Error("SUM over CHAR accepted")
 	}
-	if err := (AggSpec{Kind: Min, Col: 2}).Validate(s); err != nil {
-		t.Errorf("MIN over CHAR rejected: %v", err)
+	if err := (AggSpec{Kind: Min, Col: 2}).Validate(s); err == nil {
+		t.Error("MIN over CHAR accepted")
 	}
 	if err := (AggSpec{Kind: Sum, Col: 99}).Validate(s); err == nil {
 		t.Error("out-of-range column accepted")
@@ -223,30 +166,6 @@ func TestPredicatePartitionProperty(t *testing.T) {
 			mk(Le) == (lt || eq) &&
 			mk(Ge) == (gt || eq) &&
 			mk(Ne) == !eq
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSumMergeProperty: merging two accumulators equals accumulating the
-// concatenation.
-func TestSumMergeProperty(t *testing.T) {
-	s := testSchema(t)
-	check := func(xs, ys []int32) bool {
-		a, _ := NewAccumulator(AggSpec{Kind: Sum, Col: 0}, s)
-		b, _ := NewAccumulator(AggSpec{Kind: Sum, Col: 0}, s)
-		all, _ := NewAccumulator(AggSpec{Kind: Sum, Col: 0}, s)
-		for _, x := range xs {
-			a.Add(table.I64(int64(x)))
-			all.Add(table.I64(int64(x)))
-		}
-		for _, y := range ys {
-			b.Add(table.I64(int64(y)))
-			all.Add(table.I64(int64(y)))
-		}
-		a.Merge(b)
-		return a.Result().Equal(all.Result()) && a.Count() == all.Count()
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)

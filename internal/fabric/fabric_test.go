@@ -250,59 +250,103 @@ func TestGatherStrideCoalescing(t *testing.T) {
 	}
 }
 
+// TestAggregationPushdownMatchesSoftware pins the ungrouped offload fold
+// against a row-at-a-time software reference and against the charge
+// formula: the chunks' ProducerCycles plus AggregateCycles × ClockRatio per
+// aggregate, no bytes shipped, 8 result bytes per aggregate, and otherwise
+// the same fabric Stats as draining the view with Next.
 func TestAggregationPushdownMatchesSoftware(t *testing.T) {
-	f := newFixture(t, 300, false)
-	geom := geometry.MustGeometry(f.tbl.Schema(), 1, 3)
-	preds := expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.I32(70)}}
-	ev, err := f.eng.Configure(f.tbl, geom, WithSelection(preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ev.Aggregate([]expr.AggSpec{
+	specs := []expr.AggSpec{
 		{Kind: expr.Count},
 		{Kind: expr.Sum, Col: 1},
 		{Kind: expr.Min, Col: 3},
 		{Kind: expr.Max, Col: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
+		{Kind: expr.Avg, Col: 0},
 	}
+	small := DefaultConfig()
+	small.BufferBytes = 512
+	cases := []struct {
+		name  string
+		mvcc  bool
+		cfg   Config
+		bound int64 // rows qualify when b < bound
+		snap  bool
+	}{
+		{"selection", false, DefaultConfig(), 70, false},
+		{"small-buffer", false, small, 70, false},
+		{"zero-rows", false, DefaultConfig(), 0, false},
+		{"snapshot", true, small, 100, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const ts = 3
+			mk := func() (*fixture, *Ephemeral) {
+				f := newFixture(t, 3000, c.mvcc, c.cfg)
+				opts := []ViewOption{WithSelection(expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.I32(int32(c.bound))}})}
+				if c.snap {
+					for r := 0; r < f.tbl.NumRows(); r += 3 {
+						if err := f.tbl.SetEndTS(r, ts); err != nil {
+							t.Fatal(err)
+						}
+					}
+					opts = append(opts, WithSnapshot(ts))
+				}
+				ev, err := f.eng.Configure(f.tbl, geometry.MustGeometry(f.tbl.Schema(), 3, 1, 0), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f, ev
+			}
+			f, ev := mk()
+			got, err := ev.RunOffload(&Offload{Aggs: specs})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Software reference.
-	var count, sum int64
-	var minD, maxD float64
-	first := true
-	for r := 0; r < f.tbl.NumRows(); r++ {
-		b, _ := f.tbl.Get(r, 1)
-		if !(b.Int < 70) {
-			continue
-		}
-		d, _ := f.tbl.Get(r, 3)
-		count++
-		sum += b.Int
-		if first || d.Float < minD {
-			minD = d.Float
-		}
-		if first || d.Float > maxD {
-			maxD = d.Float
-		}
-		first = false
-	}
-	if res.Values[0].Int != count {
-		t.Errorf("COUNT = %s, want %d", res.Values[0], count)
-	}
-	if res.Values[1].Int != sum {
-		t.Errorf("SUM = %s, want %d", res.Values[1], sum)
-	}
-	if res.Values[2].Float != minD || res.Values[3].Float != maxD {
-		t.Errorf("MIN/MAX = %s/%s, want %v/%v", res.Values[2], res.Values[3], minD, maxD)
-	}
-	if res.RowsQualified != int(count) {
-		t.Errorf("RowsQualified = %d, want %d", res.RowsQualified, count)
-	}
-	// Nothing shipped.
-	if got := f.eng.Stats().BytesShipped; got != 0 {
-		t.Errorf("aggregation pushdown shipped %d bytes", got)
+			// Software reference: the same float64 adds in row order.
+			var count int64
+			var sum, minD, maxD, sumA float64
+			for r := 0; r < f.tbl.NumRows(); r++ {
+				if c.snap && !f.tbl.VisibleAt(r, ts) {
+					continue
+				}
+				a, b, d := f.tbl.MustGet(r, 0), f.tbl.MustGet(r, 1), f.tbl.MustGet(r, 3)
+				if b.Int >= c.bound {
+					continue
+				}
+				if count == 0 || d.Float < minD {
+					minD = d.Float
+				}
+				if count == 0 || d.Float > maxD {
+					maxD = d.Float
+				}
+				count++
+				sum += float64(b.Int)
+				sumA += float64(a.Int)
+			}
+			avg := 0.0
+			if count > 0 {
+				avg = sumA / float64(count)
+			}
+			want := []table.Value{table.I64(count), table.F64(sum), table.F64(minD), table.F64(maxD), table.F64(avg)}
+			if got.Groups != nil || len(got.Values) != len(want) {
+				t.Fatalf("ungrouped offload returned %d values and %d groups", len(got.Values), len(got.Groups))
+			}
+			for i := range want {
+				if !got.Values[i].Equal(want[i]) {
+					t.Errorf("%s = %s, want %s", specs[i].Kind, got.Values[i], want[i])
+				}
+			}
+			if got.RowsScanned != f.tbl.NumRows() || got.RowsQualified != int(count) {
+				t.Errorf("scan counts %d/%d, want %d/%d", got.RowsScanned, got.RowsQualified, f.tbl.NumRows(), count)
+			}
+			if got.ResultBytes != 8*len(specs) {
+				t.Errorf("ResultBytes = %d, want %d", got.ResultBytes, 8*len(specs))
+			}
+
+			twin, tev := mk()
+			checkFoldCharges(t, got, f.eng, twin.eng, tev, false, 1, len(specs))
+		})
 	}
 }
 
@@ -312,10 +356,10 @@ func TestAggregateRequiresGeometryColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Aggregate([]expr.AggSpec{{Kind: expr.Sum, Col: 3}}); err == nil {
+	if _, err := ev.RunOffload(&Offload{Aggs: []expr.AggSpec{{Kind: expr.Sum, Col: 3}}}); err == nil {
 		t.Error("aggregate over a column outside the configured geometry accepted")
 	}
-	if _, err := ev.Aggregate(nil); err == nil {
+	if _, err := ev.RunOffload(&Offload{}); err == nil {
 		t.Error("empty spec list accepted")
 	}
 }

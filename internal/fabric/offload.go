@@ -1,13 +1,14 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"rfabric/internal/compress"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/table"
+	"rfabric/internal/vec"
 )
 
 // Offload is a first-class operator program a Source can push into the
@@ -43,32 +44,6 @@ type DictFilter struct {
 	Entries int
 }
 
-// AggState is the fabric-side fold state for one aggregate of one group. It
-// mirrors the CPU consumer's accumulator field-for-field — same float64
-// adds in the same row order — so an offloaded group-by reproduces the
-// CPU-side result bit-for-bit.
-type AggState struct {
-	Kind  expr.AggKind
-	Count int64
-	Sum   float64
-	Min   float64
-	Max   float64
-	Any   bool
-}
-
-// Add folds one value, mirroring the consumer accumulator exactly.
-func (a *AggState) Add(x float64) {
-	a.Count++
-	a.Sum += x
-	if !a.Any || x < a.Min {
-		a.Min = x
-	}
-	if !a.Any || x > a.Max {
-		a.Max = x
-	}
-	a.Any = true
-}
-
 // OffloadGroup is one group's reduced output.
 type OffloadGroup struct {
 	// Key holds the decoded group-by values, in GroupBy order. Char bytes
@@ -76,15 +51,15 @@ type OffloadGroup struct {
 	Key []table.Value
 	// Rows is how many qualifying rows fell into the group.
 	Rows int64
-	// Accs holds one fold state per AggSpec, in order.
-	Accs []AggState
+	// Aggs holds one finalized value per AggSpec, in order.
+	Aggs []table.Value
 }
 
 // OffloadResult is the outcome of running an Offload program on a view.
 type OffloadResult struct {
 	// Values holds the ungrouped results (one per spec); nil when grouped.
 	Values []table.Value
-	// Groups holds per-group fold states in first-seen order; nil when
+	// Groups holds the per-group results in first-seen order; nil when
 	// ungrouped.
 	Groups []OffloadGroup
 	// RowsScanned and RowsQualified describe the scan behind the result.
@@ -98,92 +73,33 @@ type OffloadResult struct {
 	ResultBytes int
 }
 
-// offloadKey appends v's canonical group-key encoding, byte-identical to the
-// CPU consumer's so group identity cannot diverge between the two paths.
-func offloadKey(dst []byte, v table.Value) []byte {
-	switch v.Type {
-	case geometry.Float64:
-		bits := math.Float64bits(v.Float)
-		for i := 0; i < 8; i++ {
-			dst = append(dst, byte(bits>>(8*uint(i))))
-		}
-	case geometry.Char:
-		b := v.Bytes
-		end := len(b)
-		for end > 0 && b[end-1] == 0 {
-			end--
-		}
-		dst = append(dst, b[:end]...)
-		dst = append(dst, 0xff)
-	default:
-		u := uint64(v.Int)
-		for i := 0; i < 8; i++ {
-			dst = append(dst, byte(u>>(8*uint(i))))
-		}
-	}
-	return dst
-}
-
 // RunOffload executes the program over the view's selection and snapshot.
-// The base data never crosses toward the CPU: the fabric scans, filters,
-// groups, and folds chunk-at-a-time, and ships only the reduced result.
+// The base data never crosses toward the CPU: the fabric scans, filters and
+// packs each chunk as Next does, then folds the packed rows block by block
+// with the same vec kernels as the CPU batch consumer — vec.GroupTable when
+// grouped, one vec.AggState per aggregate when not — and ships only the
+// finalized result (vec.AggState.Result). An ungrouped program is one group
+// that exists even when no row qualifies.
+//
+// Charges: each chunk's ProducerCycles; a grouped program's key hashing and
+// routing at AggregateCycles per qualifying row on the fabric clock; and
+// AggregateCycles per (group, aggregate) for the final fold. ResultBytes is
+// the encoded group keys plus 8 bytes per (group, aggregate).
 func (ev *Ephemeral) RunOffload(off *Offload) (*OffloadResult, error) {
 	if off == nil || len(off.Aggs) == 0 {
-		return nil, fmt.Errorf("fabric: offload program has no aggregates")
+		return nil, errors.New("fabric: offload program has no aggregates")
 	}
-	if !off.Grouped() {
-		ar, err := ev.Aggregate(off.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		return &OffloadResult{
-			Values:         ar.Values,
-			RowsScanned:    ar.RowsScanned,
-			RowsQualified:  ar.RowsQualified,
-			ProducerCycles: ar.ProducerCycles,
-			ResultBytes:    len(ar.Values) * 8,
-		}, nil
-	}
-
-	sch := ev.tbl.Schema()
-	type colPlan struct {
-		col    int
-		offset int
-		width  int
-	}
-	keyPlans := make([]colPlan, len(off.GroupBy))
-	for i, c := range off.GroupBy {
-		if !ev.geom.Contains(c) {
-			return nil, fmt.Errorf("fabric: group-by column %q not in configured geometry %s",
-				sch.Column(c).Name, ev.geom)
-		}
-		pos := ev.geom.Position(c)
-		keyPlans[i] = colPlan{col: c, offset: ev.geom.PackedOffset(pos), width: sch.Column(c).Width}
-	}
-	aggPlans := make([]colPlan, len(off.Aggs))
-	for i, sp := range off.Aggs {
-		if sp.Kind == expr.Count {
-			aggPlans[i] = colPlan{col: -1}
-			continue
-		}
-		if !ev.geom.Contains(sp.Col) {
-			return nil, fmt.Errorf("fabric: aggregate over column %q not in configured geometry %s",
-				sch.Column(sp.Col).Name, ev.geom)
-		}
-		pos := ev.geom.Position(sp.Col)
-		aggPlans[i] = colPlan{col: sp.Col, offset: ev.geom.PackedOffset(pos), width: sch.Column(sp.Col).Width}
+	f, err := ev.compileFold(off)
+	if err != nil {
+		return nil, err
 	}
 
 	e := ev.eng
-	ev.Reset()
+	grouped := off.Grouped()
 	var producer uint64
 	scanned, qualified := 0, 0
-	groups := make(map[string]*OffloadGroup)
-	var order []*OffloadGroup
-	var keyBuf []byte
-	keyBytes := 0
-
-	for ev.cursor < ev.tbl.NumRows() {
+	ev.Reset()
+	for {
 		ch, ok := ev.Next()
 		if !ok {
 			break
@@ -192,68 +108,168 @@ func (ev *Ephemeral) RunOffload(off *Offload) (*OffloadResult, error) {
 		// fabric for an offloaded aggregation.
 		e.stats.BytesShipped -= uint64(len(ch.Data))
 		e.stats.LinesShipped -= uint64((len(ch.Data) + e.mem.LineBytes() - 1) / e.mem.LineBytes())
-
 		scanned += ch.SourceRows
 		qualified += ch.Rows
+		producer += ch.ProducerCycles
 
-		for r := 0; r < ch.Rows; r++ {
-			row := ch.Data[r*ev.packed : (r+1)*ev.packed]
-			keyBuf = keyBuf[:0]
-			var keyVals []table.Value
-			for _, kp := range keyPlans {
-				v := table.DecodeColumn(sch.Column(kp.col), row[kp.offset:kp.offset+kp.width])
-				keyVals = append(keyVals, v)
-				keyBuf = offloadKey(keyBuf, v)
-			}
-			g, ok := groups[string(keyBuf)]
-			if !ok {
-				g = &OffloadGroup{Key: keyVals, Accs: make([]AggState, len(off.Aggs))}
-				for i := range g.Accs {
-					g.Accs[i].Kind = off.Aggs[i].Kind
-				}
-				groups[string(keyBuf)] = g
-				order = append(order, g)
-				keyBytes += len(keyBuf)
-			}
-			g.Rows++
-			for i := range aggPlans {
-				st := &g.Accs[i]
-				if st.Kind == expr.Count {
-					st.Count++
-					continue
-				}
-				v := table.DecodeColumn(sch.Column(aggPlans[i].col), row[aggPlans[i].offset:aggPlans[i].offset+aggPlans[i].width])
-				x := v.Float
-				if v.Type != geometry.Float64 {
-					x = float64(v.Int)
-				}
-				st.Add(x)
-			}
+		for b := 0; b < ch.Rows; b += vec.BatchRows {
+			f.block(ch.Data, b*ev.packed, ev.packed, min(vec.BatchRows, ch.Rows-b))
 		}
-
-		// The grouping datapath hashes each qualifying row's key and routes
-		// it to its fold lane — unlike the global fold, this serializes at
-		// AggregateCycles per row on the fabric clock.
-		groupCPU := e.computeCPUCycles(uint64(ch.Rows) * uint64(e.cfg.AggregateCycles))
-		e.stats.ComputeCycles += groupCPU
-		producer += ch.ProducerCycles + groupCPU
+		if grouped {
+			// The grouping datapath hashes each qualifying row's key and
+			// routes it to its fold lane — unlike the global fold, this
+			// serializes at AggregateCycles per row on the fabric clock.
+			groupCPU := e.computeCPUCycles(uint64(ch.Rows) * uint64(e.cfg.AggregateCycles))
+			e.stats.ComputeCycles += groupCPU
+			producer += groupCPU
+		}
 	}
 
-	// Result assembly: one fold per (group, spec) shipped at the end.
-	finalFold := e.computeCPUCycles(uint64(len(order)*len(off.Aggs)) * uint64(e.cfg.AggregateCycles))
+	groups, keyBytes := 1, 0
+	if grouped {
+		groups = f.groups.Len()
+		for g := 0; g < groups; g++ {
+			keyBytes += len(f.groups.Key(g))
+		}
+	}
+	// Result assembly: one fold per (group, aggregate) shipped at the end.
+	results := groups * len(off.Aggs)
+	finalFold := e.computeCPUCycles(uint64(results) * uint64(e.cfg.AggregateCycles))
 	e.stats.ComputeCycles += finalFold
-	producer += finalFold
-	e.stats.Aggregates += uint64(len(order) * len(off.Aggs))
+	e.stats.Aggregates += uint64(results)
 
 	out := &OffloadResult{
-		Groups:         make([]OffloadGroup, len(order)),
 		RowsScanned:    scanned,
 		RowsQualified:  qualified,
-		ProducerCycles: producer,
-		ResultBytes:    keyBytes + len(order)*len(off.Aggs)*8,
+		ProducerCycles: producer + finalFold,
+		ResultBytes:    keyBytes + results*8,
 	}
-	for i, g := range order {
-		out.Groups[i] = *g
+	if !grouped {
+		out.Values = make([]table.Value, len(off.Aggs))
+		for t, sp := range off.Aggs {
+			out.Values[t] = f.states[t].Result(sp.Kind)
+		}
+		return out, nil
+	}
+	nk := len(f.keys)
+	out.Groups = make([]OffloadGroup, groups)
+	for g := range out.Groups {
+		aggs := make([]table.Value, len(off.Aggs))
+		for t, sp := range off.Aggs {
+			aggs[t] = f.groups.State(g, t).Result(sp.Kind)
+		}
+		out.Groups[g] = OffloadGroup{Key: f.keyVals[g*nk : (g+1)*nk : (g+1)*nk], Rows: f.groups.Count(g), Aggs: aggs}
 	}
 	return out, nil
+}
+
+// foldCol is one group-by or aggregate-argument column of the packed rows
+// with its own decode lane.
+type foldCol struct {
+	rowCol
+	lane blockScratch
+}
+
+// offloadFold is an Offload program compiled against the view's packed rows,
+// with its running state.
+type offloadFold struct {
+	specs   []expr.AggSpec
+	keys    []foldCol
+	aggs    []foldCol      // aligned with specs; COUNT terms read no column
+	groups  vec.GroupTable // grouped programs
+	states  []vec.AggState // ungrouped programs, one per aggregate
+	keyVals []table.Value  // len(keys) decoded key values per group, in id order
+	kcols   []vec.KeyCol
+	sel     []int32 // the identity selection 0..BatchRows-1
+	ids     []int32
+}
+
+// compileFold validates the program against the view and locates its
+// columns in the packed row. Every column is range-checked before an error
+// message names it.
+func (ev *Ephemeral) compileFold(off *Offload) (*offloadFold, error) {
+	sch := ev.tbl.Schema()
+	packed := func(c int, what string) (foldCol, error) {
+		if c < 0 || c >= sch.NumColumns() {
+			return foldCol{}, fmt.Errorf("fabric: %s column %d out of range [0,%d)", what, c, sch.NumColumns())
+		}
+		col := sch.Column(c)
+		if !ev.geom.Contains(c) {
+			return foldCol{}, fmt.Errorf("fabric: %s column %q not in configured geometry %s", what, col.Name, ev.geom)
+		}
+		return foldCol{rowCol: rowCol{typ: col.Type, off: ev.geom.PackedOffset(ev.geom.Position(c)), width: col.Width}}, nil
+	}
+	f := &offloadFold{
+		specs:  off.Aggs,
+		aggs:   make([]foldCol, len(off.Aggs)),
+		states: make([]vec.AggState, len(off.Aggs)),
+		sel:    make([]int32, vec.BatchRows),
+		ids:    make([]int32, vec.BatchRows),
+	}
+	f.groups.Reset(len(off.Aggs))
+	for i := range f.sel {
+		f.sel[i] = int32(i)
+	}
+	for _, c := range off.GroupBy {
+		k, err := packed(c, "group-by")
+		if err != nil {
+			return nil, err
+		}
+		f.keys = append(f.keys, k)
+	}
+	for t, sp := range off.Aggs {
+		if err := sp.Validate(sch); err != nil {
+			return nil, err
+		}
+		if sp.Kind == expr.Count {
+			continue
+		}
+		a, err := packed(sp.Col, "aggregate")
+		if err != nil {
+			return nil, err
+		}
+		f.aggs[t] = a
+	}
+	return f, nil
+}
+
+// block folds the n packed rows from byte base of data, one per stride.
+func (f *offloadFold) block(data []byte, base, stride, n int) {
+	sel, ids := f.sel[:n], f.ids[:n]
+	if f.keys != nil {
+		f.kcols = f.kcols[:0]
+		for i := range f.keys {
+			k := &f.keys[i]
+			f.kcols = append(f.kcols, k.keyCol(&k.lane, data, base, stride, n))
+		}
+		f.groups.Assign(ids, f.kcols, sel)
+		for _, r := range f.groups.Created() {
+			row := data[base+int(r)*stride:]
+			for _, k := range f.keys {
+				f.keyVals = append(f.keyVals, table.DecodeColumn(geometry.Column{Type: k.typ, Width: k.width}, row[k.off:]))
+			}
+		}
+	}
+	for t, sp := range f.specs {
+		a := &f.aggs[t]
+		if sp.Kind == expr.Count {
+			if f.keys != nil {
+				f.groups.FoldCount(t, ids)
+			} else {
+				f.states[t].AddCount(int64(n))
+			}
+			continue
+		}
+		a.decode(&a.lane, data, base, stride, n)
+		switch {
+		case a.typ == geometry.Float64 && f.keys != nil:
+			f.groups.FoldF64(t, ids, a.lane.f64, sel)
+		case a.typ == geometry.Float64:
+			vec.AddF64(&f.states[t], a.lane.f64, sel)
+		case f.keys != nil:
+			f.groups.FoldI64(t, ids, a.lane.i64, sel)
+		default:
+			vec.AddI64(&f.states[t], a.lane.i64, sel)
+		}
+	}
 }

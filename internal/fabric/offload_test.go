@@ -60,60 +60,6 @@ func TestBloomEmptyRejectsEverything(t *testing.T) {
 	}
 }
 
-func TestRunOffloadUngroupedMatchesAggregate(t *testing.T) {
-	preds := expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.I32(70)}}
-	specs := []expr.AggSpec{
-		{Kind: expr.Count},
-		{Kind: expr.Sum, Col: 1},
-		{Kind: expr.Min, Col: 3},
-		{Kind: expr.Max, Col: 3},
-	}
-	geomOf := func(f *fixture) *geometry.Geometry {
-		return geometry.MustGeometry(f.tbl.Schema(), 1, 3)
-	}
-
-	f1 := newFixture(t, 400, false)
-	ev1, err := f1.eng.Configure(f1.tbl, geomOf(f1), WithSelection(preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ev1.Aggregate(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	f2 := newFixture(t, 400, false)
-	ev2, err := f2.eng.Configure(f2.tbl, geomOf(f2), WithSelection(preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ev2.RunOffload(&Offload{Aggs: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Groups != nil {
-		t.Error("ungrouped offload produced groups")
-	}
-	for i := range specs {
-		if !got.Values[i].Equal(want.Values[i]) {
-			t.Errorf("value %d = %s, want %s", i, got.Values[i], want.Values[i])
-		}
-	}
-	if got.RowsScanned != want.RowsScanned || got.RowsQualified != want.RowsQualified {
-		t.Errorf("scan counts %d/%d, want %d/%d",
-			got.RowsScanned, got.RowsQualified, want.RowsScanned, want.RowsQualified)
-	}
-	if got.ProducerCycles != want.ProducerCycles {
-		t.Errorf("ProducerCycles = %d, want %d", got.ProducerCycles, want.ProducerCycles)
-	}
-	if got.ResultBytes != len(specs)*8 {
-		t.Errorf("ResultBytes = %d, want %d", got.ResultBytes, len(specs)*8)
-	}
-	if shipped := f2.eng.Stats().BytesShipped; shipped != 0 {
-		t.Errorf("offloaded aggregation shipped %d bytes", shipped)
-	}
-}
-
 func TestRunOffloadGroupedMatchesSoftware(t *testing.T) {
 	f := newFixture(t, 500, false)
 	geom := geometry.MustGeometry(f.tbl.Schema(), 2, 1, 3)
@@ -139,9 +85,10 @@ func TestRunOffloadGroupedMatchesSoftware(t *testing.T) {
 	// Software reference in the same first-seen order with the same float64
 	// fold sequence.
 	type ref struct {
-		key  string
-		rows int64
-		acc  [4]AggState
+		key      string
+		rows     int64
+		sum      float64
+		min, max float64
 	}
 	refs := map[string]*ref{}
 	var order []*ref
@@ -158,15 +105,14 @@ func TestRunOffloadGroupedMatchesSoftware(t *testing.T) {
 		k := c.String()
 		g, ok := refs[k]
 		if !ok {
-			g = &ref{key: k}
+			g = &ref{key: k, min: d.Float, max: d.Float}
 			refs[k] = g
 			order = append(order, g)
 		}
 		g.rows++
-		g.acc[0].Count++
-		g.acc[1].Add(float64(b.Int))
-		g.acc[2].Add(d.Float)
-		g.acc[3].Add(d.Float)
+		g.sum += float64(b.Int)
+		g.min = math.Min(g.min, d.Float)
+		g.max = math.Max(g.max, d.Float)
 	}
 
 	if got.RowsScanned != scanned || got.RowsQualified != qualified {
@@ -175,23 +121,21 @@ func TestRunOffloadGroupedMatchesSoftware(t *testing.T) {
 	if len(got.Groups) != len(order) {
 		t.Fatalf("%d groups, want %d", len(got.Groups), len(order))
 	}
+	keyBytes := 0
 	for i, g := range got.Groups {
 		want := order[i]
 		if g.Key[0].String() != want.key {
 			t.Fatalf("group %d key %q, want %q (first-seen order broken)", i, g.Key[0], want.key)
 		}
+		keyBytes += len(want.key) + 1 // CHAR key encoding: trimmed bytes + 0xff
 		if g.Rows != want.rows {
 			t.Errorf("group %q rows %d, want %d", want.key, g.Rows, want.rows)
 		}
-		if g.Accs[0].Count != want.acc[0].Count {
-			t.Errorf("group %q count %d, want %d", want.key, g.Accs[0].Count, want.acc[0].Count)
-		}
-		if g.Accs[1].Sum != want.acc[1].Sum {
-			t.Errorf("group %q sum %v, want %v", want.key, g.Accs[1].Sum, want.acc[1].Sum)
-		}
-		if g.Accs[2].Min != want.acc[2].Min || g.Accs[3].Max != want.acc[3].Max {
-			t.Errorf("group %q min/max %v/%v, want %v/%v",
-				want.key, g.Accs[2].Min, g.Accs[3].Max, want.acc[2].Min, want.acc[3].Max)
+		wantAggs := []table.Value{table.I64(want.rows), table.F64(want.sum), table.F64(want.min), table.F64(want.max)}
+		for j := range wantAggs {
+			if !g.Aggs[j].Equal(wantAggs[j]) {
+				t.Errorf("group %q %s = %s, want %s", want.key, off.Aggs[j].Kind, g.Aggs[j], wantAggs[j])
+			}
 		}
 	}
 	// Reduced results only: nothing shipped, and the bytes-to-CPU bill is the
@@ -199,35 +143,78 @@ func TestRunOffloadGroupedMatchesSoftware(t *testing.T) {
 	if shipped := f.eng.Stats().BytesShipped; shipped != 0 {
 		t.Errorf("grouped offload shipped %d bytes", shipped)
 	}
-	if got.ResultBytes <= 0 || got.ResultBytes >= qualified*geom.PackedWidth() {
-		t.Errorf("ResultBytes = %d — expected a reduction below %d shipped-row bytes",
-			got.ResultBytes, qualified*geom.PackedWidth())
+	if want := keyBytes + 8*len(order)*len(off.Aggs); got.ResultBytes != want {
+		t.Errorf("ResultBytes = %d, want %d", got.ResultBytes, want)
 	}
-	if got.ProducerCycles == 0 {
-		t.Error("grouped offload charged zero producer cycles")
+	twin := newFixture(t, 500, false)
+	tev, err := twin.eng.Configure(twin.tbl, geometry.MustGeometry(twin.tbl.Schema(), 2, 1, 3), WithSelection(preds))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if aggs := f.eng.Stats().Aggregates; aggs != uint64(len(order)*len(off.Aggs)) {
-		t.Errorf("Aggregates = %d, want %d", aggs, len(order)*len(off.Aggs))
+	checkFoldCharges(t, got, f.eng, twin.eng, tev, true, len(order), len(off.Aggs))
+}
+
+// checkFoldCharges pins an offload run's charges against a twin view of the
+// same program drained with Next: the chunks' ProducerCycles, plus
+// AggregateCycles × ClockRatio per qualifying row when grouped and per
+// (group, aggregate) for the final fold; no bytes or lines shipped; every
+// other fabric counter as Next leaves it.
+func checkFoldCharges(t *testing.T, got *OffloadResult, eng, twin *Engine, tev *Ephemeral, grouped bool, groups, aggs int) {
+	t.Helper()
+	var producer uint64
+	var rows int
+	for {
+		ch, ok := tev.Next()
+		if !ok {
+			break
+		}
+		producer += ch.ProducerCycles
+		rows += ch.Rows
+	}
+	cfg := eng.Config()
+	perFold := uint64(cfg.AggregateCycles) * uint64(cfg.ClockRatio)
+	fold := uint64(groups*aggs) * perFold
+	if grouped {
+		fold += uint64(rows) * perFold
+	}
+	if got.ProducerCycles != producer+fold {
+		t.Errorf("ProducerCycles = %d, want chunks %d + fold %d", got.ProducerCycles, producer, fold)
+	}
+	want := twin.Stats()
+	want.BytesShipped, want.LinesShipped = 0, 0
+	want.ComputeCycles += fold
+	want.Aggregates = uint64(groups * aggs)
+	if st := eng.Stats(); st != want {
+		t.Errorf("fabric Stats = %+v, want %+v", st, want)
 	}
 }
 
 func TestRunOffloadValidation(t *testing.T) {
 	f := newFixture(t, 10, false)
-	ev, err := f.eng.Configure(f.tbl, geometry.MustGeometry(f.tbl.Schema(), 1))
+	ev, err := f.eng.Configure(f.tbl, geometry.MustGeometry(f.tbl.Schema(), 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.RunOffload(nil); err == nil {
-		t.Error("nil program accepted")
-	}
-	if _, err := ev.RunOffload(&Offload{GroupBy: []int{1}}); err == nil {
-		t.Error("program with no aggregates accepted")
-	}
-	if _, err := ev.RunOffload(&Offload{GroupBy: []int{2}, Aggs: []expr.AggSpec{{Kind: expr.Count}}}); err == nil {
-		t.Error("group-by column outside geometry accepted")
-	}
-	if _, err := ev.RunOffload(&Offload{GroupBy: []int{1}, Aggs: []expr.AggSpec{{Kind: expr.Sum, Col: 3}}}); err == nil {
-		t.Error("aggregate column outside geometry accepted")
+	count := []expr.AggSpec{{Kind: expr.Count}}
+	for _, c := range []struct {
+		name string
+		off  *Offload
+	}{
+		{"nil program", nil},
+		{"no aggregates", &Offload{GroupBy: []int{1}}},
+		{"group-by column outside geometry", &Offload{GroupBy: []int{3}, Aggs: count}},
+		{"group-by column out of range", &Offload{GroupBy: []int{99}, Aggs: count}},
+		{"negative group-by column", &Offload{GroupBy: []int{-1}, Aggs: count}},
+		{"aggregate column outside geometry", &Offload{GroupBy: []int{1}, Aggs: []expr.AggSpec{{Kind: expr.Sum, Col: 3}}}},
+		{"aggregate column out of range", &Offload{Aggs: []expr.AggSpec{{Kind: expr.Sum, Col: 99}}}},
+		{"grouped aggregate column out of range", &Offload{GroupBy: []int{1}, Aggs: []expr.AggSpec{{Kind: expr.Max, Col: 99}}}},
+		{"SUM over CHAR", &Offload{Aggs: []expr.AggSpec{{Kind: expr.Sum, Col: 2}}}},
+		{"grouped SUM over CHAR", &Offload{GroupBy: []int{1}, Aggs: []expr.AggSpec{{Kind: expr.Sum, Col: 2}}}},
+		{"MIN over CHAR", &Offload{GroupBy: []int{1}, Aggs: []expr.AggSpec{{Kind: expr.Min, Col: 2}}}},
+	} {
+		if _, err := ev.RunOffload(c.off); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/table"
+	"rfabric/internal/vec"
 )
 
 // PageStore lays a row table out on a Device: rows are packed back to back
@@ -235,6 +236,8 @@ func (ps *PageStore) ScanHost(geom *geometry.Geometry, preds expr.Conjunction) (
 
 // AggregateResult is the outcome of an in-storage aggregation.
 type AggregateResult struct {
+	// Values holds one result per spec, finalized like every other fold
+	// (vec.AggState.Result): COUNT is BIGINT, the rest DOUBLE.
 	Values        []table.Value
 	RowsQualified int
 	// Cycles is flash critical path plus controller processing; only the
@@ -254,18 +257,16 @@ func (ps *PageStore) AggregateNearStorage(geom *geometry.Geometry, preds expr.Co
 	if len(specs) == 0 {
 		return nil, errors.New("storage: no aggregate specs")
 	}
-	accs := make([]*expr.Accumulator, len(specs))
-	for i, sp := range specs {
+	for _, sp := range specs {
+		if err := sp.Validate(ps.schema); err != nil {
+			return nil, err
+		}
 		if sp.Kind != expr.Count && !geom.Contains(sp.Col) {
 			return nil, fmt.Errorf("storage: aggregate over column %q outside the configured geometry",
 				ps.schema.Column(sp.Col).Name)
 		}
-		a, err := expr.NewAccumulator(sp, ps.schema)
-		if err != nil {
-			return nil, err
-		}
-		accs[i] = a
 	}
+	states := make([]vec.AggState, len(specs))
 
 	dev := ps.dev
 	flashCycles, err := dev.readPages(ps.pageNos)
@@ -288,10 +289,15 @@ func (ps *PageStore) AggregateNearStorage(geom *geometry.Geometry, preds expr.Co
 			qualified++
 			for j, sp := range specs {
 				if sp.Kind == expr.Count {
-					accs[j].AddCount(1)
+					states[j].AddCount(1)
 					continue
 				}
-				accs[j].Add(table.DecodeColumn(ps.schema.Column(sp.Col), row[ps.schema.Offset(sp.Col):]))
+				v := table.DecodeColumn(ps.schema.Column(sp.Col), row[ps.schema.Offset(sp.Col):])
+				if v.Type == geometry.Float64 {
+					states[j].Add(v.Float)
+				} else {
+					states[j].Add(float64(v.Int))
+				}
 			}
 		}
 	}
@@ -304,8 +310,8 @@ func (ps *PageStore) AggregateNearStorage(geom *geometry.Geometry, preds expr.Co
 		Cycles:        flashCycles + controlCycles + transferCycles,
 		BytesToHost:   uint64(len(specs) * 8),
 	}
-	for i, a := range accs {
-		out.Values[i] = a.Result()
+	for i, st := range states {
+		out.Values[i] = st.Result(specs[i].Kind)
 	}
 	return out, nil
 }

@@ -327,4 +327,17 @@ func TestAggregateNearStorageValidation(t *testing.T) {
 	if _, err := ps.AggregateNearStorage(geom, nil, []expr.AggSpec{{Kind: expr.Sum, Col: 2}}); err == nil {
 		t.Error("aggregate over column outside the geometry accepted")
 	}
+	if _, err := ps.AggregateNearStorage(geom, nil, []expr.AggSpec{{Kind: expr.Sum, Col: 99}}); err == nil {
+		t.Error("aggregate column out of range accepted")
+	}
+	if _, err := ps.AggregateNearStorage(geom, nil, []expr.AggSpec{{Kind: expr.Min, Col: -1}}); err == nil {
+		t.Error("negative aggregate column accepted")
+	}
+	notes := geometry.MustGeometry(tbl.Schema(), 0, 3)
+	if _, err := ps.AggregateNearStorage(notes, nil, []expr.AggSpec{{Kind: expr.Sum, Col: 3}}); err == nil {
+		t.Error("SUM over CHAR accepted")
+	}
+	if _, err := ps.AggregateNearStorage(notes, nil, []expr.AggSpec{{Kind: expr.Max, Col: 3}}); err == nil {
+		t.Error("MAX over CHAR accepted")
+	}
 }

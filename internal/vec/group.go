@@ -102,8 +102,8 @@ func (t *GroupTable) Count(g int) int64 { return t.counts[g] }
 // State returns group g's state for aggregate term.
 func (t *GroupTable) State(g, term int) AggState { return t.states[g*t.nAggs+term] }
 
-// key returns group g's encoded key.
-func (t *GroupTable) key(g int) []byte { return t.idx.Key(g) }
+// Key returns group g's encoded key.
+func (t *GroupTable) Key(g int) []byte { return t.idx.Key(g) }
 
 // Created returns the selection positions whose rows created new groups in
 // the last Assign, in group-id order: the first group Assign created has id

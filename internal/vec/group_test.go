@@ -76,7 +76,7 @@ func TestGroupTableMatchesSequentialFold(t *testing.T) {
 		g.Assign(ids, b.keys(), b.sel)
 		firstNew := g.Len() - len(g.Created())
 		for i, r := range g.Created() {
-			if got, want := string(g.key(firstNew+i)), b.encode(r); got != want {
+			if got, want := string(g.Key(firstNew+i)), b.encode(r); got != want {
 				t.Fatalf("batch %d: created group %d has key %q, its row encodes %q", batch, firstNew+i, got, want)
 			}
 		}
@@ -110,8 +110,8 @@ func TestGroupTableMatchesSequentialFold(t *testing.T) {
 	}
 	for gi, k := range order {
 		e := refs[k]
-		if string(g.key(gi)) != k || g.Count(gi) != e.count {
-			t.Fatalf("group %d: key %q count %d, want %q %d", gi, g.key(gi), g.Count(gi), k, e.count)
+		if string(g.Key(gi)) != k || g.Count(gi) != e.count {
+			t.Fatalf("group %d: key %q count %d, want %q %d", gi, g.Key(gi), g.Count(gi), k, e.count)
 		}
 		if !same(g.State(gi, 0), e.sum) || !same(g.State(gi, 1), e.count2) {
 			t.Fatalf("group %d states %+v %+v, want %+v %+v", gi, g.State(gi, 0), g.State(gi, 1), e.sum, e.count2)

@@ -19,7 +19,11 @@ package vec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+
+	"rfabric/internal/expr"
+	"rfabric/internal/table"
 )
 
 // BatchRows is the batch width of the vectorized scan paths. 1024 rows keeps
@@ -126,6 +130,31 @@ func (a *AggState) Add(x float64) {
 		a.Max = x
 	}
 	a.Any = true
+}
+
+// Result finalizes the state as an aggregate of kind. COUNT yields BIGINT,
+// every other kind DOUBLE; over zero rows SUM, AVG, MIN and MAX are 0. The
+// engines' batch consumers, the fabric's offload fold and the storage
+// controller's fold all finalize through it, so a result cannot depend on
+// where it was folded.
+func (a AggState) Result(kind expr.AggKind) table.Value {
+	switch kind {
+	case expr.Count:
+		return table.I64(a.Count)
+	case expr.Sum:
+		return table.F64(a.Sum)
+	case expr.Avg:
+		if a.Count == 0 {
+			return table.F64(0)
+		}
+		return table.F64(a.Sum / float64(a.Count))
+	case expr.Min:
+		return table.F64(a.Min)
+	case expr.Max:
+		return table.F64(a.Max)
+	default:
+		panic(fmt.Sprintf("vec: unknown aggregate kind %d", uint8(kind)))
+	}
 }
 
 // AddCount registers n qualifying rows for COUNT(*) terms.

@@ -151,8 +151,9 @@ type (
 	CmpOp = expr.CmpOp
 	// AggKind names an aggregate function.
 	AggKind = expr.AggKind
-	// AggSpec is a plain-column aggregate, the shape the fabric's
-	// aggregation pushdown supports.
+	// AggSpec is a plain-column aggregate over a numeric column (or
+	// COUNT(*)), the shape the fabric's offload program folds near memory
+	// and Relational Storage folds in the controller.
 	AggSpec = expr.AggSpec
 	// Scalar is a per-row arithmetic expression.
 	Scalar = expr.Scalar
@@ -188,6 +189,9 @@ type (
 	FabricEngine = fabric.Engine
 	// ViewOption configures an ephemeral view.
 	ViewOption = fabric.ViewOption
+	// Offload is an aggregation program an ephemeral view runs near memory
+	// (Ephemeral.RunOffload), shipping only its results.
+	Offload = fabric.Offload
 )
 
 // WithSnapshot pins an ephemeral view to an MVCC snapshot.
