@@ -4,8 +4,12 @@ GO ?= go
 
 all: lint build test
 
+# hostbench/ is its own module (replace rfabric => ../), so ./... skips it;
+# build (binary discarded) and vet it too, since it imports internal
+# packages. Both only read the module.
 build:
 	$(GO) build ./...
+	cd hostbench && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -13,9 +17,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke of the SQL front end; CI runs the same target.
+# Short fuzz smokes of the SQL front end and of execution through the
+# façade on every access path; CI runs the same targets.
 fuzz:
 	$(GO) test ./internal/sql -fuzz FuzzParseSQL -fuzztime=20s
+	$(GO) test . -run '^$$' -fuzz FuzzQuery -fuzztime=20s
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -35,6 +41,7 @@ examples:
 
 vet:
 	$(GO) vet ./...
+	cd hostbench && $(GO) vet ./...
 
 # Static analysis: staticcheck when installed (go install
 # honnef.co/go/tools/cmd/staticcheck@latest), always go vet.

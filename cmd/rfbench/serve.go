@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sync"
 
 	"rfabric"
 	"rfabric/internal/obs"
@@ -71,18 +70,14 @@ func setupServe(rows int, seed int64, slowCycles uint64, logw io.Writer) (*http.
 	win := rfabric.NewWindows(serveWindowSeconds)
 	db.SetWindows(win)
 
-	var last obs.LastTrace
-	var mu sync.Mutex // the DB façade is single-threaded; serialize queries
-
-	res, trace, err := db.QueryTraced(tpch.Q6SQL, rfabric.OnEngine(rfabric.RM), rfabric.WithTimeline(0))
+	res, _, err := db.QueryTraced(tpch.Q6SQL, rfabric.OnEngine(rfabric.RM), rfabric.WithTimeline(0))
 	if err != nil {
 		return nil, fmt.Errorf("warmup Q6: %w", err)
 	}
-	last.Store(trace)
 	fmt.Fprintf(logw, "rfbench: loaded lineitem (%d rows); warmup Q6 took %d modeled cycles\n",
 		rows, res.Breakdown.TotalCycles)
 
-	mux := obs.NewMux(reg, &last)
+	mux := obs.NewMux(reg, db.LastTrace)
 	stats.Handle(mux)
 	db.SlowLog().Handle(mux)
 	win.Handle(mux)
@@ -92,14 +87,11 @@ func setupServe(rows int, seed int64, slowCycles uint64, logw io.Writer) (*http.
 			http.Error(w, `{"error":"missing q parameter"}`, http.StatusBadRequest)
 			return
 		}
-		mu.Lock()
 		res, trace, err := db.QueryTraced(q, rfabric.WithTimeline(0))
-		mu.Unlock()
 		if err != nil {
 			http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 			return
 		}
-		last.Store(trace)
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -163,15 +163,7 @@ func TestHTAPParallelStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < sweeps; i++ {
 				err := mgr.ReadView(func(ts uint64) error {
-					snap := ts
-					q := Query{
-						Aggregates: []AggTerm{
-							{Kind: Count, Arg: ColRef{Col: 2}},
-							{Kind: Sum, Arg: ColRef{Col: 2}},
-						},
-						Snapshot: &snap,
-					}
-					res, err := db.Execute(RM, "accounts", q)
+					res, err := db.QueryOn(RM, fmt.Sprintf("SELECT COUNT(balance), SUM(balance) FROM accounts AS OF %d", ts))
 					if err != nil {
 						return err
 					}
@@ -496,4 +488,58 @@ func itemsDB(t *testing.T, rows int) *DB {
 		}
 	}
 	return db
+}
+
+// TestConcurrentQueryOnSerializes runs statements on ROW, RM, COL and AUTO
+// from four goroutines at once over one DB. Statements serialize on the
+// DB's execution lock, so no two goroutines drive the shared System
+// together — under `go test -race` an unserialized façade reports the
+// fabric's gathers racing the cache's prefetches — and every concurrent
+// result equals the serial one.
+func TestConcurrentQueryOnSerializes(t *testing.T) {
+	db := demoDB(t, 2000)
+	stmts := []string{
+		"SELECT id, price FROM items WHERE grp < 3 AND tag = 'red'",
+		"SELECT grp, COUNT(*), SUM(price), MIN(day) FROM items WHERE day >= DATE '1992-01-16' GROUP BY grp",
+		"SELECT COUNT(price), AVG(price) FROM items WHERE id < 700",
+	}
+	kinds := []EngineKind{ROW, RM, COL, AUTO}
+	want := map[EngineKind][]*Result{}
+	for _, kind := range kinds {
+		for _, text := range stmts {
+			res, err := db.QueryOn(kind, text)
+			if err != nil {
+				t.Fatalf("serial %s %q: %v", kind, text, err)
+			}
+			want[kind] = append(want[kind], res)
+		}
+	}
+
+	const rounds = 8
+	errc := make(chan error, len(kinds))
+	var wg sync.WaitGroup
+	for _, kind := range kinds {
+		wg.Add(1)
+		go func(kind EngineKind) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for j, text := range stmts {
+					res, err := db.QueryOn(kind, text)
+					if err != nil {
+						errc <- fmt.Errorf("%s %q: %w", kind, text, err)
+						return
+					}
+					if err := res.EquivalentTo(want[kind][j], 0); err != nil {
+						errc <- fmt.Errorf("%s %q differs from its serial result: %w", kind, text, err)
+						return
+					}
+				}
+			}
+		}(kind)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
 }

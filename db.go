@@ -23,13 +23,14 @@ import (
 // paper's thesis is that with the fabric present there is no reason to keep
 // a second layout — but the two baselines stay available for comparison.
 //
-// The catalog is safe for concurrent use: CreateTable, CreateIndex, Prepare,
-// and lookups take the DB's lock, and Insert waits for queries in flight, so
-// sessions may grow the schema and insert rows while another goroutine
-// queries. Query *execution* still follows the System's
-// ownership rule — one goroutine drives the shared simulated machine at a
-// time, except on the PAR path, which clones it per morsel. Wrap MVCC tables
-// in a TxnManager for concurrent ingest (see the htap example).
+// The catalog and its statements are safe for concurrent use. CreateTable,
+// CreateIndex, Prepare, and lookups take the DB's catalog lock. Statements
+// serialize: each query and each Insert holds the DB's execution lock for
+// its whole run, so one statement at a time drives the shared simulated
+// machine. PAR (SetParallel) parallelizes within a statement, on private
+// System clones. Wrap MVCC tables in a TxnManager for concurrent ingest
+// (see the htap example): its writers do not wait for queries, and a query
+// reads a consistent snapshot with AS OF.
 type DB struct {
 	sys *System
 
@@ -37,11 +38,11 @@ type DB struct {
 	tables map[string]*dbTable
 	plans  *planCache
 
-	// execMu orders Insert against query execution: a query holds it shared
-	// for its whole run and Insert holds it exclusively, so no query reads
-	// a table while a row is being appended to it. Insert takes it before
-	// mu; a query takes mu only while holding it.
-	execMu sync.RWMutex
+	// execMu admits one statement at a time: a query holds it for its whole
+	// run and so does Insert, so no two goroutines drive the shared System
+	// together and no query reads a table while a row is appended to it.
+	// Insert takes it before mu; a query takes mu only while holding it.
+	execMu sync.Mutex
 
 	par *engine.ParallelConfig // nil: single-goroutine execution
 
@@ -337,12 +338,8 @@ const (
 // default for Query) run on the PAR executor with this configuration. Zero
 // fields mean defaults (GOMAXPROCS workers, DefaultMorselRows morsels).
 // Results are identical to single-goroutine RM execution up to float
-// summation order, and identical across worker counts.
-//
-// Because PAR clones the simulated machine per worker rather than driving
-// the DB's shared System, parallel queries may also run concurrently with
-// each other — and, for MVCC tables, concurrently with writers when every
-// query executes under TxnManager.ReadView and carries a Snapshot.
+// summation order, and identical across worker counts. PAR parallelizes
+// within a statement; statements still run one at a time.
 func (db *DB) SetParallel(cfg ParallelConfig) { db.par = &cfg }
 
 // Query parses, plans, and executes the statement on the RM path.
@@ -360,25 +357,15 @@ func (db *DB) QueryOn(kind EngineKind, query string) (*Result, error) {
 	return res, err
 }
 
-// Execute runs an already-built logical query on the chosen path.
-func (db *DB) Execute(kind EngineKind, tableName string, q Query) (*Result, error) {
-	t, err := db.lookup(tableName)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := db.exec(kind, &statement{t: t, q: q}, db.observe("", nil))
-	return res, err
-}
-
-// statement is the compiled form every façade entry point runs: the lowered
-// plan, the probe (or only) table, and either the pipeline query of a
-// single-table statement or the executable plan of a join, plus the ORDER BY
-// / LIMIT sinks.
+// statement is the compiled form every façade entry point runs: the SQL
+// text, its lowered plan, the probe (or only) table, and either the
+// pipeline query of a single-table statement or the executable plan of a
+// join, plus the ORDER BY / LIMIT sinks.
 type statement struct {
 	text string
-	root *plan.Node // the lowered plan; nil for a hand-built Execute query
+	root *plan.Node
 	t    *dbTable
-	q    Query
+	q    engine.Query
 	jp   *engine.JoinPlan // nil for a single-table statement
 	sk   engine.Sinks
 }
@@ -437,8 +424,8 @@ func (db *DB) query(kind EngineKind, text string, c *stmtCtx) (*Result, *Trace, 
 // through index maintenance. What ran is priced only when something reads
 // the price (c.price).
 func (db *DB) exec(kind EngineKind, s *statement, c *stmtCtx) (*Result, *Trace, error) {
-	db.execMu.RLock()
-	defer db.execMu.RUnlock()
+	db.execMu.Lock()
+	defer db.execMu.Unlock()
 	if c == nil {
 		// Nothing observes the statement: no bracket, no event.
 		res, err := db.dispatch(kind, s, nil, nil)
@@ -517,7 +504,7 @@ func (db *DB) feedbackSel(c *stmtCtx) (float64, bool) {
 // the chosen source stamped in, and PAR, the morsel executor that runs the
 // RM source on private System clones. The statement context, when present,
 // carries the fingerprint the feedback loop keys observed selectivities on.
-func (db *DB) execute(kind EngineKind, t *dbTable, q Query, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
+func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
 	switch kind {
 	case AUTO:
 		opt := db.optimizer(t)
@@ -795,12 +782,6 @@ func (db *DB) Configure(tableName string, columns []string, opts ...ViewOption) 
 		return nil, err
 	}
 	return db.sys.Fab.Configure(t.tbl, geom, opts...)
-}
-
-// CompileSQL exposes the parser/planner for callers driving engines
-// directly.
-func CompileSQL(query string, schema *Schema) (Query, error) {
-	return sql.Compile(query, schema)
 }
 
 // ParseDate converts 'YYYY-MM-DD' into the day number DATE columns store.

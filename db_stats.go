@@ -48,11 +48,11 @@ func (db *DB) SlowLog() *obs.SlowLog { return db.slow }
 // and the tracer its run threads through. A nil *stmtCtx means nothing
 // observes the statement.
 type stmtCtx struct {
-	text   string // SQL text; "" for a hand-built Execute query
+	text   string
 	norm   string
 	fp     uint64
-	record bool   // statement store enabled at entry (SQL statements only)
-	slow   uint64 // armed slow threshold at entry (SQL statements only)
+	record bool   // statement store enabled at entry
+	slow   uint64 // armed slow threshold at entry
 	keep   bool   // the caller asked for the trace: LastTrace stores it
 	price  bool   // something reads the run's pricing: a tracer or the store
 
@@ -72,11 +72,7 @@ type stmtCtx struct {
 // (nil when untraced). Returns nil — the fast path — when the caller does
 // not trace and no enabled sink would record the statement.
 func (db *DB) observe(text string, o *traceOpts) *stmtCtx {
-	var record bool
-	var slow uint64
-	if text != "" {
-		record, slow = !db.stats.Disabled(), db.slowThreshold.Load()
-	}
+	record, slow := !db.stats.Disabled(), db.slowThreshold.Load()
 	if o == nil && !record && slow == 0 && (db.reg == nil || db.reg.Disabled()) && !db.win.Enabled() {
 		return nil
 	}
@@ -86,9 +82,7 @@ func (db *DB) observe(text string, o *traceOpts) *stmtCtx {
 	}
 	if o != nil || slow > 0 {
 		c.tr = obs.NewTracer("query")
-		if text != "" {
-			c.tr.Root().SetAttr("sql", text)
-		}
+		c.tr.Root().SetAttr("sql", text)
 	}
 	if o != nil {
 		c.tl = o.timeline(db)

@@ -77,21 +77,6 @@ func (db *DB) QueryTraced(query string, opts ...TraceOption) (*Result, *Trace, e
 	return db.query(o.kind, query, db.observe(query, &o))
 }
 
-// ExecuteTraced is the Execute counterpart of QueryTraced, for callers that
-// build logical queries directly. The kind argument overrides any OnEngine
-// option.
-func (db *DB) ExecuteTraced(kind EngineKind, tableName string, q Query, opts ...TraceOption) (*Result, *Trace, error) {
-	t, err := db.lookup(tableName)
-	if err != nil {
-		return nil, nil, err
-	}
-	o := traceOpts{}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return db.exec(kind, &statement{t: t, q: q}, db.observe("", &o))
-}
-
 // timeline returns the hardware sampler WithTimeline asked for, or nil.
 func (o traceOpts) timeline(db *DB) *obs.Timeline {
 	if !o.sample {
@@ -244,7 +229,7 @@ func annotatePlanSpans(pairs []opSpan, res *Result, sch *Schema) {
 // feedback selectivity, so a converged estimate stops paying the
 // heuristics' misprediction. Returns nil when the path cannot be priced
 // (e.g. IDX with no usable index).
-func (db *DB) estimateObserved(t *dbTable, q Query, eng string, warm bool, sel float64) *plan.Est {
+func (db *DB) estimateObserved(t *dbTable, q engine.Query, eng string, warm bool, sel float64) *plan.Est {
 	opt := db.optimizer(t)
 	opt.Offload, opt.SelOverride = db.offloadOn(), sel
 	if warm {
@@ -254,14 +239,7 @@ func (db *DB) estimateObserved(t *dbTable, q Query, eng string, warm bool, sel f
 	if !ok {
 		return nil
 	}
-	return &plan.Est{
-		Engine:      e.Engine,
-		Cycles:      e.Cycles,
-		Selectivity: e.Selectivity,
-		Rows:        float64(t.tbl.NumRows()),
-		Warm:        e.Warm,
-		Offloaded:   e.Offloaded,
-	}
+	return &e
 }
 
 // fillJoinEstimates prices any join side still missing an estimate after a
@@ -291,10 +269,10 @@ func (db *DB) fillJoinEstimates(kind EngineKind, jp *engine.JoinPlan) {
 	}
 }
 
-// planChain rebuilds the physical plan the run executes: the pipeline query
-// plus its sinks. For QueryTraced this reproduces the lowered statement; for
-// ExecuteTraced it derives the chain from the hand-built query.
-func planChain(q Query, table string, sk engine.Sinks) *plan.Node {
+// planChain rebuilds the physical plan the run executes from the pipeline
+// query plus its sinks: a fresh copy of the lowered statement for the run to
+// stamp.
+func planChain(q engine.Query, table string, sk engine.Sinks) *plan.Node {
 	root := engine.PlanOf(q, table)
 	if len(sk.Keys) > 0 {
 		root = root.OrderBy(sk.Keys)

@@ -8,6 +8,7 @@ import (
 	"rfabric/internal/expr"
 	"rfabric/internal/index"
 	"rfabric/internal/obs"
+	"rfabric/internal/plan"
 	"rfabric/internal/table"
 )
 
@@ -172,12 +173,12 @@ func (e *IndexEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 
 // estimateIDX prices the index path for the optimizer: tree descent plus a
 // scattered fetch per candidate row.
-func (o *Optimizer) estimateIDX(q Query) Estimate {
+func (o *Optimizer) estimateIDX(q Query) plan.Est {
 	if o.Index == nil {
-		return Estimate{Engine: "IDX", Available: false, Reason: "no index exists on this table"}
+		return plan.Est{Engine: "IDX", Available: false, Reason: "no index exists on this table"}
 	}
 	if _, _, ok := indexBounds(q.Selection, o.Index.Column()); !ok {
-		return Estimate{Engine: "IDX", Available: false,
+		return plan.Est{Engine: "IDX", Available: false,
 			Reason: "selection does not constrain the indexed column"}
 	}
 	cfg := o.Sys.Cfg
@@ -220,7 +221,7 @@ func (o *Optimizer) estimateIDX(q Query) Estimate {
 	perRow += float64(len(q.consumedColumns())+len(q.Selection)) * (ExtractCycles + PredEvalCycles)
 	cost += candidates * perRow
 	cost += candidates * consumeCostPerRow(q)
-	return Estimate{Engine: "IDX", Cycles: cost, Selectivity: sel, Available: true}
+	return plan.Est{Engine: "IDX", Cycles: cost, Selectivity: sel, Available: true}
 }
 
 func maxi(a, b int) int {

@@ -10,6 +10,7 @@ import (
 	"rfabric/internal/fabric"
 	"rfabric/internal/geometry"
 	"rfabric/internal/index"
+	"rfabric/internal/plan"
 	"rfabric/internal/table"
 )
 
@@ -21,33 +22,10 @@ import (
 // file implements that constructive optimizer: closed-form cost formulas
 // derived from the performance model, evaluated without executing anything.
 
-// Estimate is one access path's predicted cost.
-type Estimate struct {
-	Engine string
-	// Cycles is the predicted modeled execution time.
-	Cycles float64
-	// Selectivity is the fraction of rows assumed to survive selection.
-	Selectivity float64
-	// Available reports whether the path can run (e.g. COL needs an
-	// existing columnar copy; it is the layout duplication the fabric
-	// removes, so the optimizer never asks for one to be built).
-	Available bool
-	// Reason explains unavailability.
-	Reason string
-	// Warm marks an RM estimate priced against a resident column group in
-	// the fabric group cache: buffer replay instead of DRAM gathers.
-	Warm bool
-	// Offloaded marks an RM estimate priced for a fabric operator offload:
-	// the aggregation folds near memory and only the reduced result ships,
-	// so the consumer term collapses and bytes-to-CPU dominates the
-	// comparison against CPU-side paths.
-	Offloaded bool
-}
-
 // Plan is the optimizer's decision.
 type Plan struct {
 	Chosen    string
-	Estimates []Estimate // sorted by predicted cycles, available paths first
+	Estimates []plan.Est // sorted by predicted cycles, available paths first
 }
 
 // estimateSelectivity applies the classic textbook heuristics: equality
@@ -131,11 +109,9 @@ func (o *Optimizer) Choose(q Query) (*Plan, error) {
 	if err := q.Validate(o.Tbl.Schema()); err != nil {
 		return nil, err
 	}
-	ests := []Estimate{
-		o.estimateROW(q),
-		o.estimateCOL(q),
-		o.estimateRM(q),
-		o.estimateIDX(q),
+	ests := make([]plan.Est, 0, 4)
+	for _, path := range [...]string{"ROW", "COL", "RM", "IDX"} {
+		ests = append(ests, o.estimate(path, q))
 	}
 	sort.Slice(ests, func(i, j int) bool {
 		if ests[i].Available != ests[j].Available {
@@ -157,39 +133,46 @@ func (o *Optimizer) Choose(q Query) (*Plan, error) {
 // parallel schedule, so PAR's q-error exposes exactly the speedup the
 // morsel executor achieves over the single-stream model. AUTO returns the
 // cheapest path, as Choose would.
-func (o *Optimizer) EstimateFor(engine string, q Query) (Estimate, bool) {
+func (o *Optimizer) EstimateFor(engine string, q Query) (plan.Est, bool) {
 	if o.Tbl == nil || o.Sys == nil {
-		return Estimate{}, false
+		return plan.Est{}, false
 	}
 	if err := q.Validate(o.Tbl.Schema()); err != nil {
-		return Estimate{}, false
+		return plan.Est{}, false
 	}
-	var e Estimate
+	if engine == "AUTO" {
+		p, err := o.Choose(q)
+		if err != nil {
+			return plan.Est{}, false
+		}
+		return p.Estimates[0], true
+	}
+	e := o.estimate(engine, q)
+	return e, e.Available
+}
+
+// estimate prices one access path for q and records the input cardinality
+// the pricing saw. PAR prices as RM under its own name.
+func (o *Optimizer) estimate(engine string, q Query) plan.Est {
+	var e plan.Est
 	switch engine {
 	case "ROW":
 		e = o.estimateROW(q)
 	case "COL":
 		e = o.estimateCOL(q)
-	case "RM":
+	case "RM", "PAR":
 		e = o.estimateRM(q)
-	case "PAR":
-		e = o.estimateRM(q)
-		e.Engine = "PAR"
+		e.Engine = engine
 	case "IDX":
 		e = o.estimateIDX(q)
-	case "AUTO":
-		p, err := o.Choose(q)
-		if err != nil {
-			return Estimate{}, false
-		}
-		return p.Estimates[0], true
 	default:
-		return Estimate{}, false
+		return plan.Est{Engine: engine, Reason: "the optimizer does not price this path"}
 	}
-	return e, e.Available
+	e.Rows = float64(o.Tbl.NumRows())
+	return e
 }
 
-func (o *Optimizer) estimateROW(q Query) Estimate {
+func (o *Optimizer) estimateROW(q Query) plan.Est {
 	cfg := o.Sys.Cfg
 	n := float64(o.Tbl.NumRows())
 	sel := o.selectivity(q)
@@ -213,16 +196,16 @@ func (o *Optimizer) estimateROW(q Query) Estimate {
 	mem := n * linesPerRow * float64(cfg.Cache.L2.HitCycles)
 
 	floor := n * rowStride / cfg.DRAM.BandwidthBytesPerCycle
-	return Estimate{Engine: "ROW", Cycles: maxf(cpu+mem, floor), Selectivity: sel, Available: true}
+	return plan.Est{Engine: "ROW", Cycles: maxf(cpu+mem, floor), Selectivity: sel, Available: true}
 }
 
-func (o *Optimizer) estimateCOL(q Query) Estimate {
+func (o *Optimizer) estimateCOL(q Query) plan.Est {
 	if o.Store == nil {
-		return Estimate{Engine: "COL", Available: false,
+		return plan.Est{Engine: "COL", Available: false,
 			Reason: "no columnar copy exists (the duplication Relational Fabric removes)"}
 	}
 	if q.Snapshot != nil {
-		return Estimate{Engine: "COL", Available: false, Reason: "columnar copy has no version history"}
+		return plan.Est{Engine: "COL", Available: false, Reason: "columnar copy has no version history"}
 	}
 	sch := o.Store.Schema()
 	cfg := o.Sys.Cfg
@@ -259,10 +242,10 @@ func (o *Optimizer) estimateCOL(q Query) Estimate {
 	cpu += n * sel * consumeCostPerRow(q)
 
 	floor := bytesTouched / cfg.DRAM.BandwidthBytesPerCycle
-	return Estimate{Engine: "COL", Cycles: maxf(cpu, floor), Selectivity: sel, Available: true}
+	return plan.Est{Engine: "COL", Cycles: maxf(cpu, floor), Selectivity: sel, Available: true}
 }
 
-func (o *Optimizer) estimateRM(q Query) Estimate {
+func (o *Optimizer) estimateRM(q Query) plan.Est {
 	sch := o.Tbl.Schema()
 	cfg := o.Sys.Cfg
 	n := float64(o.Tbl.NumRows())
@@ -271,7 +254,7 @@ func (o *Optimizer) estimateRM(q Query) Estimate {
 
 	geom, err := geometry.NewGeometry(sch, q.NeededColumns()...)
 	if err != nil {
-		return Estimate{Engine: "RM", Available: false, Reason: err.Error()}
+		return plan.Est{Engine: "RM", Available: false, Reason: err.Error()}
 	}
 	gatherPerRow := estimateGatherBytes(o.Tbl, geom, cfg.DRAM.BurstBytes)
 
@@ -332,7 +315,7 @@ func (o *Optimizer) estimateRM(q Query) Estimate {
 	}
 
 	cycles := maxf(maxf(producer, consumer), fabricFloor)
-	return Estimate{Engine: "RM", Cycles: cycles, Selectivity: sel, Available: true, Warm: warm, Offloaded: offloaded}
+	return plan.Est{Engine: "RM", Cycles: cycles, Selectivity: sel, Available: true, Warm: warm, Offloaded: offloaded}
 }
 
 // estimateGatherBytes mirrors the fabric's stride coalescing to predict

@@ -97,14 +97,7 @@ func (o *Optimizer) ChoosePlan(root *plan.Node) (*Plan, error) {
 	scan := root.Scan()
 	scan.Source = p.Chosen
 	chosen := p.Estimates[0]
-	scan.Est = &plan.Est{
-		Engine:      chosen.Engine,
-		Cycles:      chosen.Cycles,
-		Selectivity: chosen.Selectivity,
-		Rows:        float64(o.Tbl.NumRows()),
-		Warm:        chosen.Warm,
-		Offloaded:   chosen.Offloaded,
-	}
+	scan.Est = &chosen
 	if chosen.Offloaded {
 		if off, ok := offloadProgram(q); ok {
 			scan.Offload = off.Describe()

@@ -29,7 +29,11 @@ const benchRows = 64 * 1024
 // compileBench lowers one of the TPC-H query texts against lineitem.
 func compileBench(b *testing.B, text string) engine.Query {
 	b.Helper()
-	q, err := sql.Compile(text, tpch.LineitemSchema())
+	root, err := sql.Compile(text, tpch.LineitemSchema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, _, err := engine.FromPlan(root)
 	if err != nil {
 		b.Fatal(err)
 	}

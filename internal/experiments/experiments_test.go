@@ -122,7 +122,7 @@ func TestAblationOffloadShape(t *testing.T) {
 
 func TestTargetColumnSizing(t *testing.T) {
 	lower := func(text string) *plan.Node {
-		root, err := sql.CompilePlan(text, tpch.LineitemSchema())
+		root, err := sql.Compile(text, tpch.LineitemSchema())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,14 +49,6 @@ func ParallelSpeedup(opt Options, shards, rows int, workers []int) (*ParallelRes
 	if err != nil {
 		return nil, err
 	}
-	root, err := l.lower(tpch.Q6SQL)
-	if err != nil {
-		return nil, err
-	}
-	q, _, err := engine.FromPlan(root)
-	if err != nil {
-		return nil, err
-	}
 	maxKey := int64(rows/4 + 1)
 	bounds := make([]int64, shards-1)
 	for i := range bounds {
@@ -81,7 +73,7 @@ func ParallelSpeedup(opt Options, shards, rows int, workers []int) (*ParallelRes
 	for _, w := range workers {
 		st.Workers = w
 		start := time.Now()
-		r, err := st.Execute(q)
+		r, err := st.Execute(tpch.Q6SQL)
 		if err != nil {
 			return nil, fmt.Errorf("parallel speedup: %d workers: %w", w, err)
 		}

@@ -243,7 +243,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 	}
 
 	var last LastTrace
-	srv := httptest.NewServer(NewMux(reg, &last))
+	srv := httptest.NewServer(NewMux(reg, last.Load))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

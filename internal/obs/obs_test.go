@@ -188,7 +188,7 @@ func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("rfabric_served_total", nil).Add(9)
 	last := &LastTrace{}
-	mux := NewMux(reg, last)
+	mux := NewMux(reg, last.Load)
 
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

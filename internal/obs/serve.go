@@ -13,9 +13,11 @@ import (
 //	GET /debug/trace/last.chrome  — same trace in Chrome Trace Event
 //	                                Format (open in ui.perfetto.dev)
 //
-// Both rfbench -serve and embedding applications mount it; tests drive it
-// through net/http/httptest.
-func NewMux(reg *Registry, last *LastTrace) *http.ServeMux {
+// last returns the most recent trace (nil before the first), e.g. a
+// LastTrace slot's Load or the DB façade's LastTrace. Both rfbench -serve
+// and embedding applications mount it; tests drive it through
+// net/http/httptest.
+func NewMux(reg *Registry, last func() *Trace) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -26,7 +28,7 @@ func NewMux(reg *Registry, last *LastTrace) *http.ServeMux {
 		reg.WriteJSON(w)
 	})
 	mux.HandleFunc("/debug/trace/last", func(w http.ResponseWriter, req *http.Request) {
-		t := last.Load()
+		t := last()
 		if t == nil {
 			http.Error(w, `{"error":"no trace recorded yet"}`, http.StatusNotFound)
 			return
@@ -37,7 +39,7 @@ func NewMux(reg *Registry, last *LastTrace) *http.ServeMux {
 		enc.Encode(t)
 	})
 	mux.HandleFunc("/debug/trace/last.chrome", func(w http.ResponseWriter, req *http.Request) {
-		t := last.Load()
+		t := last()
 		if t == nil {
 			http.Error(w, `{"error":"no trace recorded yet"}`, http.StatusNotFound)
 			return

@@ -152,7 +152,7 @@ type Node struct {
 }
 
 // Est is the optimizer's priced prediction for one access path: the engine
-// it chose, the modeled cycles it predicted, the selectivity it assumed, and
+// it prices, the modeled cycles it predicted, the selectivity it assumed, and
 // the input cardinality the pricing saw. EXPLAIN renders it as the pricing
 // block; est_rows for operators above the Scan derive from Rows×Selectivity.
 type Est struct {
@@ -160,6 +160,12 @@ type Est struct {
 	Cycles      float64
 	Selectivity float64
 	Rows        float64
+	// Available reports whether the path can run (e.g. COL needs an
+	// existing columnar copy; it is the layout duplication the fabric
+	// removes, so the optimizer never asks for one to be built). Reason
+	// explains an unavailable path.
+	Available bool
+	Reason    string
 	// Warm marks an RM estimate priced against a resident fabric group-
 	// cache entry (buffer replay) rather than a cold DRAM gather.
 	Warm bool
@@ -288,13 +294,6 @@ func (n *Node) Aggregation() *Node {
 	return nil
 }
 
-// Walk visits the chain outermost-first.
-func (n *Node) Walk(f func(*Node)) {
-	for cur := n; cur != nil; cur = cur.Input {
-		f(cur)
-	}
-}
-
 // Validate checks the tree's structure: operators in pipeline order, one
 // consumption shape (Project or Aggregate), sinks only above an Aggregate,
 // sort keys referencing its output. Join trees follow the join grammar
@@ -305,8 +304,11 @@ func (n *Node) Validate() error {
 	}
 	// Collect outermost-first, then check the order against the grammar
 	// Scan [Filter] (Project|Aggregate) [OrderBy] [Limit].
-	var ops []*Node
-	n.Walk(func(c *Node) { ops = append(ops, c) })
+	var buf [6]*Node
+	ops := buf[:0]
+	for c := n; c != nil; c = c.Input {
+		ops = append(ops, c)
+	}
 	i := len(ops) - 1
 	if ops[i].Op != OpScan {
 		return fmt.Errorf("plan: chain must start at a Scan, found %s", ops[i].Op)

@@ -22,6 +22,7 @@ import (
 	"rfabric/internal/engine"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
+	"rfabric/internal/sql"
 	"rfabric/internal/table"
 )
 
@@ -169,14 +170,42 @@ func (t *Table) prune(lo, hi int64) []int {
 	return out
 }
 
-// Execute runs the query on the RM path of every shard the selection cannot
+// Execute compiles a single-table SQL statement over the sharded table and
+// runs it (see execute). JOIN statements and ORDER BY / LIMIT sinks are
+// rejected: the coordinator merges partial scans and aggregates only.
+func (t *Table) Execute(text string) (*engine.Result, error) {
+	st, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	if len(st.Joins) > 0 {
+		return nil, errors.New("shard: JOIN statements are not supported")
+	}
+	if st.Table != t.name {
+		return nil, fmt.Errorf("shard: statement reads table %q, not %q", st.Table, t.name)
+	}
+	root, err := sql.Lower(st, t.schema)
+	if err != nil {
+		return nil, err
+	}
+	q, sk, err := engine.FromPlan(root)
+	if err != nil {
+		return nil, err
+	}
+	if !sk.Empty() {
+		return nil, errors.New("shard: ORDER BY and LIMIT are not supported")
+	}
+	return t.execute(q)
+}
+
+// execute runs the query on the RM path of every shard the selection cannot
 // rule out and merges the partials through engine.Gather. The result's
 // Morsels counts the shards touched, and Breakdown.TotalCycles is the
 // modeled time: the makespan of scheduling the touched shards' executions
 // onto the worker pool plus a per-shard merge charge. With at least as many
 // workers as touched shards this is the slowest shard (the nodes run fully
 // in parallel); with one worker it degenerates to the sum of shards.
-func (t *Table) Execute(q engine.Query) (*engine.Result, error) {
+func (t *Table) execute(q engine.Query) (*engine.Result, error) {
 	if err := q.Validate(t.schema); err != nil {
 		return nil, err
 	}

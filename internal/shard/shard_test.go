@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rfabric/internal/engine"
@@ -93,7 +94,7 @@ func TestScanMatchesUnsharded(t *testing.T) {
 		Projection: []int{0, 2},
 		Selection:  expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.I32(4)}},
 	}
-	got, err := st.Execute(q)
+	got, err := st.execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestPruning(t *testing.T) {
 			{Col: 0, Op: expr.Lt, Operand: table.I64(400)},
 		},
 	}
-	res, err := st.Execute(q)
+	res, err := st.execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestPruning(t *testing.T) {
 		t.Error("pruned query found nothing")
 	}
 
-	full, err := st.Execute(engine.Query{Projection: []int{0}})
+	full, err := st.execute(engine.Query{Projection: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestPruneToNothing(t *testing.T) {
 			{Col: 0, Op: expr.Lt, Operand: table.I64(400)},
 		},
 	}
-	res, err := st.Execute(q)
+	res, err := st.execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestShardedAggregation(t *testing.T) {
 			{Kind: expr.Max, Arg: expr.ColRef{Col: 2}},
 		},
 	}
-	res, err := st.Execute(q)
+	res, err := st.execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestShardedGroupBy(t *testing.T) {
 		GroupBy:    []int{1},
 		Aggregates: []engine.AggTerm{{Kind: expr.Count}},
 	}
-	res, err := st.Execute(q)
+	res, err := st.execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestAvgMatchesUnsharded(t *testing.T) {
 			{Col: 0, Op: expr.Lt, Operand: table.I64(400)},
 		}},
 	} {
-		got, err := st.Execute(q)
+		got, err := st.execute(q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -271,7 +272,7 @@ func TestGroupKeysWithNULBytes(t *testing.T) {
 		t.Fatalf("rows not split across both shards: %v", got)
 	}
 	q := engine.Query{GroupBy: []int{1, 2}, Aggregates: []engine.AggTerm{{Kind: expr.Count}}}
-	got, err := st.Execute(q)
+	got, err := st.execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestShardedEqualsUnshardedProperty(t *testing.T) {
 				Col: col, Op: expr.CmpOp(qrng.Intn(6)), Operand: operand,
 			})
 		}
-		got, err := st.Execute(q)
+		got, err := st.execute(q)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -403,7 +404,7 @@ func TestMinMaxSkipEmptyShards(t *testing.T) {
 			{Kind: expr.Max, Arg: expr.ColRef{Col: 2}},
 		},
 	}
-	res, err := st.Execute(q)
+	res, err := st.execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestMinMaxSkipEmptyShards(t *testing.T) {
 		Selection:  expr.Conjunction{{Col: 2, Op: expr.Lt, Operand: table.F64(0)}},
 		Aggregates: []engine.AggTerm{{Kind: expr.Max, Arg: expr.ColRef{Col: 2}}},
 	}
-	res2, err := st2.Execute(q2)
+	res2, err := st2.execute(q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +463,7 @@ func TestAggregatesOnFullyPrunedRange(t *testing.T) {
 			{Kind: expr.Max, Arg: expr.ColRef{Col: 2}},
 		},
 	}
-	res, err := st.Execute(q)
+	res, err := st.execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +505,7 @@ func TestWorkerCountEquivalence(t *testing.T) {
 		var prevCycles uint64
 		for _, workers := range []int{1, 2, 4, 8} {
 			st.Workers = workers
-			res, err := st.Execute(q)
+			res, err := st.execute(q)
 			if err != nil {
 				t.Fatalf("query %d workers %d: %v", qi, workers, err)
 			}
@@ -528,5 +529,44 @@ func TestWorkerCountEquivalence(t *testing.T) {
 			prevCycles = res.Breakdown.TotalCycles
 		}
 		st.Workers = 0
+	}
+}
+
+// TestExecuteSQL: the exported entry compiles SQL text to the same query
+// the unexported one runs, and rejects what the coordinator cannot merge.
+func TestExecuteSQL(t *testing.T) {
+	st := newSharded(t, 2000)
+	got, err := st.Execute("SELECT grp, COUNT(*), SUM(amount) FROM t WHERE id >= 300 AND id < 400 GROUP BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := st.execute(engine.Query{
+		GroupBy:    []int{1},
+		Aggregates: []engine.AggTerm{{Kind: expr.Count}, {Kind: expr.Sum, Arg: expr.ColRef{Col: 2}}},
+		Selection: expr.Conjunction{
+			{Col: 0, Op: expr.Ge, Operand: table.I64(300)},
+			{Col: 0, Op: expr.Lt, Operand: table.I64(400)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.EquivalentTo(want, 0); err != nil {
+		t.Errorf("SQL entry diverges from the query entry: %v", err)
+	}
+	if got.Morsels != 1 {
+		t.Errorf("key range [300,400) touched %d shards, want 1", got.Morsels)
+	}
+	for _, c := range []struct{ query, wantErr string }{
+		{"SELECT id FROM t JOIN u ON id = uid", "JOIN"},
+		{"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp", "ORDER BY"},
+		{"SELECT grp, COUNT(*) FROM t GROUP BY grp LIMIT 2", "LIMIT"},
+		{"SELECT id FROM other", `"other"`},
+		{"SELECT nope FROM t", "unknown column"},
+		{"SELECT id FROM", "expected table name"},
+	} {
+		if _, err := st.Execute(c.query); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("Execute(%q) error = %v, want substring %q", c.query, err, c.wantErr)
+		}
 	}
 }

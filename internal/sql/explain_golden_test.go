@@ -41,7 +41,7 @@ func TestExplainGolden(t *testing.T) {
 
 	for _, qc := range queries {
 		t.Run(qc.name, func(t *testing.T) {
-			root, err := CompilePlan(qc.sql, sch)
+			root, err := Compile(qc.sql, sch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestExplainOffloadGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, c := range cases {
-		root, err := CompilePlan(c.sql, sch)
+		root, err := Compile(c.sql, sch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestExplainOffloadGolden(t *testing.T) {
 // the golden is deterministic.
 func TestExplainAnalyzedGolden(t *testing.T) {
 	sch := tpch.LineitemSchema()
-	root, err := CompilePlan(
+	root, err := Compile(
 		"SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity < 5", sch)
 	if err != nil {
 		t.Fatal(err)

@@ -16,6 +16,9 @@ func TestFingerprintStripsLiterals(t *testing.T) {
 		// Whitespace and keyword/identifier case are normalization noise.
 		{"select   l_orderkey from LINEITEM where l_quantity < 5",
 			"SELECT l_orderkey FROM lineitem WHERE l_quantity < 99"},
+		// An AS OF timestamp is a literal like any other.
+		{"SELECT SUM(balance) FROM accounts AS OF 12 WHERE branch = 3",
+			"SELECT SUM(balance) FROM accounts AS OF 90210 WHERE branch = 4"},
 	}
 	for _, c := range cases {
 		n1, h1 := Fingerprint(c[0])
@@ -30,6 +33,7 @@ func TestFingerprintStripsLiterals(t *testing.T) {
 func TestFingerprintKeepsStructureApart(t *testing.T) {
 	distinct := []string{
 		"SELECT l_orderkey FROM lineitem WHERE l_quantity < 5",
+		"SELECT l_orderkey FROM lineitem AS OF 5 WHERE l_quantity < 5",
 		"SELECT l_orderkey FROM lineitem WHERE l_quantity > 5",
 		"SELECT l_orderkey FROM lineitem WHERE l_discount < 5",
 		"SELECT l_orderkey, l_partkey FROM lineitem WHERE l_quantity < 5",

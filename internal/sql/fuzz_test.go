@@ -128,15 +128,8 @@ func FuzzParseSQL(f *testing.F) {
 			_ = root.Explain(nil)
 			return
 		}
-		if q, err := Plan(st, schema); err == nil {
-			// A planned query must be internally consistent or explicitly
-			// rejected by its own validator — never something in between
-			// that would crash an engine downstream.
-			_ = q.Validate(schema)
-		}
-		// The IR path must hold the same contract, including statements
-		// with ORDER BY / LIMIT sinks that Plan refuses: a lowered chain
-		// validates and renders without panicking.
+		// A lowered chain, sinks included, validates and renders without
+		// panicking.
 		root, err := Lower(st, schema)
 		if err != nil {
 			return // rejection is fine; only a panic is a bug

@@ -1,17 +1,18 @@
 // Package sql implements the small SQL dialect the paper's API sketch uses
 // to configure ephemeral variables (Fig. 3: configure(the_table, QUERY)):
 //
-//	SELECT <columns and aggregates> FROM <table>
+//	SELECT <columns and aggregates> FROM <table> [AS OF <timestamp>]
 //	  [JOIN <table> ON <col> = <col>]*
 //	  [WHERE <col op literal> [AND ...]] [GROUP BY <columns>]
 //	  [ORDER BY <column or ordinal> [ASC|DESC] [, ...]] [LIMIT <n>]
 //
 // Aggregates are COUNT(*), SUM/AVG/MIN/MAX over +,-,* arithmetic of numeric
-// columns; ORDER BY and LIMIT apply to grouped output only. Column
-// references may be qualified ("table.column") and must be when a bare name
-// is ambiguous across joined tables. The planner lowers a parsed statement
-// onto the physical plan IR (internal/plan), from which the engines derive
-// the data geometry they ask the fabric for.
+// columns; ORDER BY and LIMIT apply to grouped output only. AS OF reads an
+// MVCC table at a snapshot timestamp, in single-table statements only.
+// Column references may be qualified ("table.column") and must be when a
+// bare name is ambiguous across joined tables. The planner lowers a parsed
+// statement onto the physical plan IR (internal/plan), from which the
+// engines derive the data geometry they ask the fabric for.
 package sql
 
 import (
@@ -42,7 +43,7 @@ var keywords = map[string]bool{
 	"GROUP": true, "BY": true, "COUNT": true, "SUM": true,
 	"AVG": true, "MIN": true, "MAX": true, "DATE": true,
 	"BETWEEN": true, "AS": true, "ORDER": true, "LIMIT": true,
-	"ASC": true, "DESC": true, "JOIN": true, "ON": true,
+	"ASC": true, "DESC": true, "JOIN": true, "ON": true, "OF": true,
 }
 
 // lex splits the input into tokens.

@@ -1,7 +1,9 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"rfabric/internal/engine"
@@ -10,44 +12,23 @@ import (
 	"rfabric/internal/plan"
 )
 
-// Lower lowers a parsed statement to the physical plan IR: the logical
-// query becomes the Scan→Filter→(Project|Aggregate) chain, and ORDER BY /
-// LIMIT become sink operators above it. The Scan's source is left blank for
-// the optimizer (or explicit dispatch) to stamp.
+// Lower lowers a single-table statement against its table's schema; see
+// LowerCatalog, which it enters with a one-table catalog.
 func Lower(st *Stmt, schema *geometry.Schema) (*plan.Node, error) {
-	q, err := planQuery(st, schema)
-	if err != nil {
-		return nil, err
+	if len(st.Joins) > 0 {
+		return nil, errors.New("sql: statement joins tables; lower it with LowerCatalog")
 	}
-	root := engine.PlanOf(q, st.Table)
-	if len(st.OrderBy) > 0 {
-		keys, err := resolveSortKeys(st, q, tableResolver(st.Table, schema))
-		if err != nil {
-			return nil, err
-		}
-		root = root.OrderBy(keys)
-	}
-	if st.HasLimit {
-		root = root.Limit(st.Limit)
-	}
-	if err := root.Validate(); err != nil {
-		return nil, err
-	}
-	return root, nil
+	return LowerCatalog(st, func(string) (*geometry.Schema, error) { return schema, nil })
 }
 
 // resolveSortKeys maps the statement's ORDER BY items onto the aggregate's
 // output: a named key must be one of the GROUP BY columns; a 1-based
 // ordinal names a select-list position (an aggregate item sorts by that
 // aggregate, a bare column by its group key).
-func resolveSortKeys(st *Stmt, q engine.Query, res *colResolver) ([]plan.SortKey, error) {
+func resolveSortKeys(st *Stmt, groupBy []int, res *colResolver) ([]plan.SortKey, error) {
 	groupKeyOf := func(col int) (int, bool) {
-		for i, g := range q.GroupBy {
-			if g == col {
-				return i, true
-			}
-		}
-		return 0, false
+		i := slices.Index(groupBy, col)
+		return i, i >= 0
 	}
 	keys := make([]plan.SortKey, len(st.OrderBy))
 	for i, it := range st.OrderBy {
@@ -131,27 +112,27 @@ func joinResolver(tables []string, schemas []*geometry.Schema, offsets []int, co
 	}}
 }
 
-// LowerCatalog lowers a statement against a catalog, handling joins. For a
-// single-table statement it delegates to Lower. For joins it builds the
-// left-deep IR tree: the FROM table is the probe side, each JOIN clause a
-// build side, WHERE conjuncts route to the side that owns their column, and
-// the consumption (and any ORDER BY/LIMIT sinks) runs over the combined
-// namespace.
+// LowerCatalog lowers a statement against a catalog to the physical plan
+// IR. It is the one lowering routine; a single-table statement is the case
+// with zero JOIN clauses. The FROM table is the probe (or only) side and
+// each JOIN clause a build side; every WHERE conjunct routes to the side
+// that owns its column, and the consumption and any ORDER BY / LIMIT sinks
+// run over the combined namespace:
+//
+//	Scan → [Filter] → [Join]* → (Project | Aggregate) → [OrderBy] → [Limit]
+//
+// AS OF lands on the Scan of a single-table statement. The Scans' sources
+// are left blank for the optimizer (or explicit dispatch) to stamp.
 func LowerCatalog(st *Stmt, lookup SchemaLookup) (*plan.Node, error) {
-	if len(st.Joins) == 0 {
-		sch, err := lookup(st.Table)
-		if err != nil {
-			return nil, err
-		}
-		return Lower(st, sch)
+	join := len(st.Joins) > 0
+	if join && st.Snapshot != nil {
+		return nil, errors.New("sql: AS OF applies to single-table statements, not joins")
 	}
-
-	tables := []string{st.Table}
+	tables := make([]string, 1, 1+len(st.Joins))
+	tables[0] = st.Table
 	for _, jc := range st.Joins {
-		for _, seen := range tables {
-			if seen == jc.Table {
-				return nil, fmt.Errorf("sql: table %q joined twice", jc.Table)
-			}
+		if slices.Contains(tables, jc.Table) {
+			return nil, fmt.Errorf("sql: table %q joined twice", jc.Table)
 		}
 		tables = append(tables, jc.Table)
 	}
@@ -163,45 +144,56 @@ func LowerCatalog(st *Stmt, lookup SchemaLookup) (*plan.Node, error) {
 		}
 		schemas[i] = sch
 	}
-	combined, offsets, err := engine.JoinSchema(tables, schemas)
-	if err != nil {
-		return nil, err
+	combined, offsets := schemas[0], []int{0}
+	res := tableResolver(st.Table, combined)
+	if join {
+		var err error
+		if combined, offsets, err = engine.JoinSchema(tables, schemas); err != nil {
+			return nil, err
+		}
+		res = joinResolver(tables, schemas, offsets, combined)
 	}
-	res := joinResolver(tables, schemas, offsets, combined)
 
-	q, err := planConsume(st, res)
+	proj, groupBy, aggs, err := planConsume(st, res)
 	if err != nil {
 		return nil, err
 	}
 
 	// Route each WHERE conjunct to the side that owns its column, localized
 	// to that side's schema.
-	sideOf := func(c int) int {
-		s := 0
-		for i := 1; i < len(offsets); i++ {
-			if c >= offsets[i] {
-				s = i
-			}
-		}
-		return s
-	}
 	sideSel := make([]expr.Conjunction, len(tables))
 	for _, cmp := range st.Where {
 		p, err := planComparison(cmp, res)
 		if err != nil {
 			return nil, err
 		}
-		s := sideOf(p.Col)
+		s := 0
+		for i := 1; i < len(offsets); i++ {
+			if p.Col >= offsets[i] {
+				s = i
+			}
+		}
 		p.Col -= offsets[s]
 		sideSel[s] = append(sideSel[s], p)
 	}
 
-	// Resolve each ON clause: one side must name a column of the newly
-	// joined table (the build key), the other a column of an earlier table
-	// (the probe key, in combined coordinates).
-	probeKeys := make([]int, len(st.Joins))
-	buildKeys := make([]int, len(st.Joins))
+	// Assemble the IR. Side nodes carry their table schema; nodes above the
+	// sides carry the combined namespace, so Explain renders both correctly.
+	side := func(i int) *plan.Node {
+		n := plan.NewScan(tables[i], "", nil)
+		n.Sch = schemas[i]
+		if len(sideSel[i]) > 0 {
+			n = n.Filter(sideSel[i])
+			n.Sch = schemas[i]
+		}
+		return n
+	}
+	root := side(0)
+	root.Scan().Snapshot = st.Snapshot
 	for k, jc := range st.Joins {
+		// One side of ON must name a column of the newly joined table (the
+		// build key), the other a column of an earlier table (the probe
+		// key, in combined coordinates).
 		l, err := res.resolve(jc.LeftCol)
 		if err != nil {
 			return nil, err
@@ -212,47 +204,27 @@ func LowerCatalog(st *Stmt, lookup SchemaLookup) (*plan.Node, error) {
 		}
 		start, end := offsets[k+1], offsets[k+1]+schemas[k+1].NumColumns()
 		inNew := func(c int) bool { return c >= start && c < end }
+		var probeKey, buildKey int
 		switch {
 		case inNew(l) && !inNew(r) && r < start:
-			buildKeys[k], probeKeys[k] = l-start, r
+			buildKey, probeKey = l-start, r
 		case inNew(r) && !inNew(l) && l < start:
-			buildKeys[k], probeKeys[k] = r-start, l
+			buildKey, probeKey = r-start, l
 		default:
 			return nil, fmt.Errorf("sql: JOIN %s ON %s = %s must compare a column of %q with a column of an earlier table",
 				jc.Table, jc.LeftCol, jc.RightCol, jc.Table)
 		}
-	}
-
-	// Assemble the IR. Side nodes carry their table schema; nodes above the
-	// joins carry the combined namespace, so Explain renders both correctly.
-	mkChain := func(i int) *plan.Node {
-		scan := plan.NewScan(tables[i], "", nil)
-		scan.Snapshot = nil
-		scan.Sch = schemas[i]
-		n := scan
-		if len(sideSel[i]) > 0 {
-			n = n.Filter(sideSel[i])
-			n.Sch = schemas[i]
-		}
-		return n
-	}
-	root := mkChain(0)
-	for k := range st.Joins {
-		root = root.Join(mkChain(k+1), probeKeys[k], buildKeys[k])
+		root = root.Join(side(k+1), probeKey, buildKey)
 		root.Sch = combined
 	}
-	if len(q.Aggregates) > 0 {
-		aggs := make([]plan.Agg, len(q.Aggregates))
-		for i, a := range q.Aggregates {
-			aggs[i] = plan.Agg{Kind: a.Kind, Arg: a.Arg}
-		}
-		root = root.Aggregate(q.GroupBy, aggs)
+	if len(aggs) > 0 {
+		root = root.Aggregate(groupBy, aggs)
 	} else {
-		root = root.Project(q.Projection)
+		root = root.Project(proj)
 	}
 	root.Sch = combined
 	if len(st.OrderBy) > 0 {
-		keys, err := resolveSortKeys(st, q, res)
+		keys, err := resolveSortKeys(st, groupBy, res)
 		if err != nil {
 			return nil, err
 		}
@@ -264,19 +236,22 @@ func LowerCatalog(st *Stmt, lookup SchemaLookup) (*plan.Node, error) {
 		root.Sch = combined
 	}
 
-	// Validate through the engine lowering; it also stamps each side Scan's
-	// needed columns.
-	if _, _, err := engine.FromJoinPlan(root, func(t string) (*geometry.Schema, error) { return lookup(t) }); err != nil {
-		return nil, err
+	// Validate through the engine lowering, which also stamps the columns
+	// each Scan must deliver: a join through its executable plan, a single
+	// table through the query its pipeline runs.
+	if join {
+		if _, _, err := engine.FromJoinPlan(root, lookup); err != nil {
+			return nil, err
+		}
+		return root, nil
 	}
-	return root, nil
-}
-
-// CompilePlan is the one-call convenience for the IR path: parse then lower.
-func CompilePlan(query string, schema *geometry.Schema) (*plan.Node, error) {
-	st, err := Parse(query)
+	q, _, err := engine.FromPlan(root)
 	if err != nil {
 		return nil, err
 	}
-	return Lower(st, schema)
+	if err := q.Validate(combined); err != nil {
+		return nil, err
+	}
+	root.Scan().Cols = q.NeededColumns()
+	return root, nil
 }

@@ -12,6 +12,7 @@ import (
 type Stmt struct {
 	Items    []SelectItem
 	Table    string
+	Snapshot *uint64 // AS OF timestamp; nil reads the latest versions
 	Joins    []JoinClause
 	Where    []Comparison
 	GroupBy  []string
@@ -162,6 +163,19 @@ func (p *parser) parseSelect() (*Stmt, error) {
 		p.pos++
 	} else {
 		return nil, p.errf("expected table name, got %q", p.cur().text)
+	}
+	if t := p.cur(); t.kind == tokKeyword && t.text == "AS" {
+		p.pos++
+		if err := p.expectKeyword("OF"); err != nil {
+			return nil, err
+		}
+		ts := p.cur()
+		n, err := strconv.ParseUint(ts.text, 10, 64)
+		if ts.kind != tokNumber || err != nil {
+			return nil, p.errf("expected snapshot timestamp after AS OF, got %q", ts.text)
+		}
+		p.pos++
+		st.Snapshot = &n
 	}
 	for {
 		t := p.cur()

@@ -3,12 +3,13 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"rfabric/internal/engine"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
+	"rfabric/internal/plan"
 	"rfabric/internal/table"
 )
 
@@ -36,49 +37,10 @@ func tableResolver(tableName string, sch *geometry.Schema) *colResolver {
 	}}
 }
 
-// Plan lowers a statement onto an engine.Query against the given schema.
-// The statement's table name is the caller's concern (the catalog in
-// rfquery resolves it before planning). Statements carrying sink operators
-// (ORDER BY, LIMIT) do not fit in a bare Query; lower them with Lower.
-func Plan(st *Stmt, schema *geometry.Schema) (engine.Query, error) {
-	if len(st.OrderBy) > 0 || st.HasLimit {
-		return engine.Query{}, errors.New("sql: statement has ORDER BY/LIMIT sinks; lower it with Lower")
-	}
-	return planQuery(st, schema)
-}
-
-func planQuery(st *Stmt, schema *geometry.Schema) (engine.Query, error) {
-	if len(st.Joins) > 0 {
-		return engine.Query{}, errors.New("sql: statement joins tables; lower it with LowerCatalog")
-	}
-	res := tableResolver(st.Table, schema)
-	q, err := planConsume(st, res)
-	if err != nil {
-		return q, err
-	}
-
-	for _, cmp := range st.Where {
-		p, err := planComparison(cmp, res)
-		if err != nil {
-			return q, err
-		}
-		q.Selection = append(q.Selection, p)
-	}
-
-	if err := q.Validate(schema); err != nil {
-		return q, err
-	}
-	return q, nil
-}
-
-// planConsume plans the consumption shape — projection, aggregates, group
-// keys — against a resolver, leaving selection to the caller (single-table
-// plans keep it in the same query; join plans route conjuncts per side).
-func planConsume(st *Stmt, res *colResolver) (engine.Query, error) {
-	var q engine.Query
-
-	lookup := res.resolve
-
+// planConsume plans the consumption shape — the projection, or the group
+// keys and aggregate terms — against a resolver. Selection is the caller's:
+// the lowering routes each conjunct to the side that owns its column.
+func planConsume(st *Stmt, res *colResolver) (proj, groupBy []int, aggs []plan.Agg, err error) {
 	hasAgg := false
 	for _, item := range st.Items {
 		if item.Agg != nil {
@@ -90,68 +52,62 @@ func planConsume(st *Stmt, res *colResolver) (engine.Query, error) {
 	for _, item := range st.Items {
 		switch {
 		case item.Agg != nil:
-			term, err := planAgg(item.Agg, res)
+			a, err := planAgg(item.Agg, res)
 			if err != nil {
-				return q, err
+				return nil, nil, nil, err
 			}
-			q.Aggregates = append(q.Aggregates, term)
+			aggs = append(aggs, a)
 		case hasAgg:
 			// A bare column alongside aggregates must be a group key; SQL
-			// requires it to appear in GROUP BY, checked below.
-			c, err := lookup(item.Column)
-			if err != nil {
-				return q, err
+			// requires it to appear in GROUP BY.
+			if _, err := res.resolve(item.Column); err != nil {
+				return nil, nil, nil, err
 			}
-			found := false
-			for _, g := range st.GroupBy {
-				if g == item.Column {
-					found = true
-					break
-				}
+			if !slices.Contains(st.GroupBy, item.Column) {
+				return nil, nil, nil, fmt.Errorf("sql: column %q must appear in GROUP BY", item.Column)
 			}
-			if !found {
-				return q, fmt.Errorf("sql: column %q must appear in GROUP BY", item.Column)
-			}
-			_ = c
 		default:
-			c, err := lookup(item.Column)
+			c, err := res.resolve(item.Column)
 			if err != nil {
-				return q, err
+				return nil, nil, nil, err
 			}
-			q.Projection = append(q.Projection, c)
+			proj = append(proj, c)
 		}
 	}
 
 	for _, g := range st.GroupBy {
-		c, err := lookup(g)
+		c, err := res.resolve(g)
 		if err != nil {
-			return q, err
+			return nil, nil, nil, err
 		}
-		q.GroupBy = append(q.GroupBy, c)
+		groupBy = append(groupBy, c)
 	}
-	return q, nil
+	if len(groupBy) > 0 && !hasAgg {
+		return nil, nil, nil, errors.New("sql: GROUP BY without aggregates")
+	}
+	return proj, groupBy, aggs, nil
 }
 
-func planAgg(call *AggCall, res *colResolver) (engine.AggTerm, error) {
+func planAgg(call *AggCall, res *colResolver) (plan.Agg, error) {
 	kinds := map[string]expr.AggKind{
 		"COUNT": expr.Count, "SUM": expr.Sum, "AVG": expr.Avg,
 		"MIN": expr.Min, "MAX": expr.Max,
 	}
 	kind, ok := kinds[call.Func]
 	if !ok {
-		return engine.AggTerm{}, fmt.Errorf("sql: unknown aggregate %q", call.Func)
+		return plan.Agg{}, fmt.Errorf("sql: unknown aggregate %q", call.Func)
 	}
 	if call.Star {
 		if kind != expr.Count {
-			return engine.AggTerm{}, fmt.Errorf("sql: %s(*) is not valid", call.Func)
+			return plan.Agg{}, fmt.Errorf("sql: %s(*) is not valid", call.Func)
 		}
-		return engine.AggTerm{Kind: expr.Count}, nil
+		return plan.Agg{Kind: expr.Count}, nil
 	}
 	arg, err := planArith(call.Arg, res)
 	if err != nil {
-		return engine.AggTerm{}, err
+		return plan.Agg{}, err
 	}
-	return engine.AggTerm{Kind: kind, Arg: arg}, nil
+	return plan.Agg{Kind: kind, Arg: arg}, nil
 }
 
 func planArith(a Arith, res *colResolver) (expr.Scalar, error) {
@@ -260,11 +216,12 @@ func FormatDate(day int32) string {
 	return time.Unix(int64(day)*86400, 0).UTC().Format("2006-01-02")
 }
 
-// Compile is the one-call convenience: parse then plan.
-func Compile(query string, schema *geometry.Schema) (engine.Query, error) {
+// Compile parses a single-table statement and lowers it against its
+// table's schema.
+func Compile(query string, schema *geometry.Schema) (*plan.Node, error) {
 	st, err := Parse(query)
 	if err != nil {
-		return engine.Query{}, err
+		return nil, err
 	}
-	return Plan(st, schema)
+	return Lower(st, schema)
 }

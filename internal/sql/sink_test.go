@@ -101,7 +101,7 @@ func TestParseErrorMessages(t *testing.T) {
 
 func TestLowerOrderByAndLimit(t *testing.T) {
 	sch := testSchema(t)
-	root, err := CompilePlan(
+	root, err := Compile(
 		"SELECT flag, COUNT(*), SUM(qty) FROM t GROUP BY flag ORDER BY 3 DESC, flag LIMIT 5", sch)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestLowerOrderByAndLimit(t *testing.T) {
 
 func TestLowerOrdinalResolvesGroupKey(t *testing.T) {
 	sch := testSchema(t)
-	root, err := CompilePlan("SELECT flag, COUNT(*) FROM t GROUP BY flag ORDER BY 1", sch)
+	root, err := Compile("SELECT flag, COUNT(*) FROM t GROUP BY flag ORDER BY 1", sch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLowerOrdinalResolvesGroupKey(t *testing.T) {
 
 func TestLowerLimitZero(t *testing.T) {
 	sch := testSchema(t)
-	root, err := CompilePlan("SELECT flag, COUNT(*) FROM t GROUP BY flag LIMIT 0", sch)
+	root, err := Compile("SELECT flag, COUNT(*) FROM t GROUP BY flag LIMIT 0", sch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,23 +170,13 @@ func TestLowerSinkErrors(t *testing.T) {
 		{"SELECT flag, COUNT(*) FROM t GROUP BY flag ORDER BY qty", `ORDER BY column "qty" is not a group key`},
 	}
 	for _, c := range cases {
-		_, err := CompilePlan(c.query, sch)
+		_, err := Compile(c.query, sch)
 		if err == nil {
-			t.Errorf("CompilePlan(%q) accepted", c.query)
+			t.Errorf("Compile(%q) accepted", c.query)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("CompilePlan(%q) error = %q, want substring %q", c.query, err, c.wantErr)
+			t.Errorf("Compile(%q) error = %q, want substring %q", c.query, err, c.wantErr)
 		}
-	}
-}
-
-func TestPlanRejectsSinkStatements(t *testing.T) {
-	st, err := Parse("SELECT flag, COUNT(*) FROM t GROUP BY flag ORDER BY flag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Plan(st, testSchema(t)); err == nil {
-		t.Error("Plan accepted a statement with sinks")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rfabric/internal/engine"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 )
@@ -132,9 +133,20 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// compileQuery compiles a single-table statement and returns the pipeline
+// query its plan runs.
+func compileQuery(text string, s *geometry.Schema) (engine.Query, error) {
+	root, err := Compile(text, s)
+	if err != nil {
+		return engine.Query{}, err
+	}
+	q, _, err := engine.FromPlan(root)
+	return q, err
+}
+
 func TestPlanProjectionScan(t *testing.T) {
 	s := testSchema(t)
-	q, err := Compile("SELECT id, price FROM t WHERE qty < 5", s)
+	q, err := compileQuery("SELECT id, price FROM t WHERE qty < 5", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +163,7 @@ func TestPlanProjectionScan(t *testing.T) {
 
 func TestPlanLiteralCoercion(t *testing.T) {
 	s := testSchema(t)
-	q, err := Compile("SELECT id FROM t WHERE id = 7 AND cnt < 3 AND flag = 'R' AND shipdate < DATE '1994-01-01'", s)
+	q, err := compileQuery("SELECT id FROM t WHERE id = 7 AND cnt < 3 AND flag = 'R' AND shipdate < DATE '1994-01-01'", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +183,7 @@ func TestPlanLiteralCoercion(t *testing.T) {
 
 func TestPlanAggregates(t *testing.T) {
 	s := testSchema(t)
-	q, err := Compile("SELECT flag, COUNT(*), SUM(price * (1 - qty)) FROM t GROUP BY flag", s)
+	q, err := compileQuery("SELECT flag, COUNT(*), SUM(price * (1 - qty)) FROM t GROUP BY flag", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +275,7 @@ func TestParserNeverPanicsProperty(t *testing.T) {
 
 func TestNegativeNumericLiteral(t *testing.T) {
 	s := testSchema(t)
-	q, err := Compile("SELECT id FROM t WHERE price > -2.5", s)
+	q, err := compileQuery("SELECT id FROM t WHERE price > -2.5", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +286,87 @@ func TestNegativeNumericLiteral(t *testing.T) {
 
 func TestGroupByMultipleColumns(t *testing.T) {
 	s := testSchema(t)
-	q, err := Compile("SELECT flag, cnt, COUNT(*) FROM t GROUP BY flag, cnt", s)
+	q, err := compileQuery("SELECT flag, cnt, COUNT(*) FROM t GROUP BY flag, cnt", s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(q.GroupBy) != 2 || q.GroupBy[0] != 3 || q.GroupBy[1] != 5 {
 		t.Errorf("group by = %v", q.GroupBy)
+	}
+}
+
+// TestAsOfLowersToScanSnapshot: AS OF parses to the statement's snapshot,
+// lowers onto the Scan (and from there into the pipeline query), and
+// renders on the EXPLAIN line.
+func TestAsOfLowersToScanSnapshot(t *testing.T) {
+	s := testSchema(t)
+	root, err := Compile("SELECT id FROM t AS OF 42 WHERE qty < 5", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := root.Scan()
+	if scan.Snapshot == nil || *scan.Snapshot != 42 {
+		t.Fatalf("scan snapshot = %v, want 42", scan.Snapshot)
+	}
+	if !strings.Contains(root.Explain(s), "@snapshot=42") {
+		t.Errorf("EXPLAIN does not show the snapshot:\n%s", root.Explain(s))
+	}
+	q, err := compileQuery("select id from t as of 7", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Snapshot == nil || *q.Snapshot != 7 {
+		t.Errorf("query snapshot = %v, want 7", q.Snapshot)
+	}
+	plain, err := Compile("SELECT id FROM t", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Scan().Snapshot != nil {
+		t.Errorf("statement without AS OF has snapshot %d", *plain.Scan().Snapshot)
+	}
+}
+
+func TestAsOfErrors(t *testing.T) {
+	s := testSchema(t)
+	for _, c := range []struct{ query, wantErr string }{
+		{"SELECT id FROM t AS 42", "expected OF"},
+		{"SELECT id FROM t AS OF", "expected snapshot timestamp"},
+		{"SELECT id FROM t AS OF 1.5", "expected snapshot timestamp"},
+		{"SELECT id FROM t AS OF 'x'", "expected snapshot timestamp"},
+		{"SELECT id FROM t AS OF -1", "expected snapshot timestamp"},
+		{"SELECT id FROM t AS OF 99999999999999999999", "expected snapshot timestamp"},
+		{"SELECT id FROM t WHERE id = 1 AS OF 3", "trailing input"},
+	} {
+		_, err := Compile(c.query, s)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("Compile(%q) error = %v, want substring %q", c.query, err, c.wantErr)
+		}
+	}
+	// A join reads every side at the latest versions; AS OF is rejected at
+	// lowering.
+	st, err := Parse("SELECT l_orderkey FROM lineitem AS OF 3 JOIN orders ON l_orderkey = o_orderkey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LowerCatalog(st, tpchLookup); err == nil || !strings.Contains(err.Error(), "AS OF") {
+		t.Errorf("LowerCatalog accepted AS OF on a join: %v", err)
+	}
+}
+
+// TestGroupByWithoutAggregatesRejected: a GROUP BY needs an aggregate in
+// the select list, on single-table statements and joins alike.
+func TestGroupByWithoutAggregatesRejected(t *testing.T) {
+	if _, err := Compile("SELECT flag FROM t GROUP BY flag", testSchema(t)); err == nil ||
+		!strings.Contains(err.Error(), "GROUP BY without aggregates") {
+		t.Errorf("single-table: error = %v", err)
+	}
+	st, err := Parse("SELECT o_orderdate FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderdate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LowerCatalog(st, tpchLookup); err == nil ||
+		!strings.Contains(err.Error(), "GROUP BY without aggregates") {
+		t.Errorf("join: error = %v", err)
 	}
 }

@@ -13,7 +13,11 @@ import (
 // compile lowers one of the package's query texts against lineitem.
 func compile(t *testing.T, text string) engine.Query {
 	t.Helper()
-	q, err := sql.Compile(text, LineitemSchema())
+	root, err := sql.Compile(text, LineitemSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _, err := engine.FromPlan(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func lineitemDB(t *testing.T, rows int) *DB {
 // with Breakdown.TotalCycles, with the pipeline and stall leaves in place.
 func TestTracedQ6Reconciles(t *testing.T) {
 	db := lineitemDB(t, 20_000)
-	res, trace, err := db.ExecuteTraced(RM, "lineitem", q6(t))
+	res, trace, err := db.QueryTraced(tpch.Q6SQL, OnEngine(RM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +167,14 @@ func TestObserverMetricsServe(t *testing.T) {
 	reg := NewRegistry()
 	db.SetObserver(reg)
 
-	_, trace, err := db.ExecuteTraced(RM, "lineitem", q6(t))
+	_, trace, err := db.QueryTraced(tpch.Q6SQL, OnEngine(RM))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last obs.LastTrace
-	last.Store(trace)
-
-	srv := httptest.NewServer(obs.NewMux(reg, &last))
+	if db.LastTrace() != trace {
+		t.Fatal("LastTrace does not hold the traced query")
+	}
+	srv := httptest.NewServer(obs.NewMux(reg, db.LastTrace))
 	defer srv.Close()
 
 	body := get(t, srv.URL+"/metrics")
@@ -233,8 +233,8 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := db.CreateIndex("ghost", "x"); !errors.Is(err, ErrNoSuchTable) {
 		t.Errorf("CreateIndex: got %v, want ErrNoSuchTable", err)
 	}
-	if _, err := db.Execute("BOGUS", "ghost", Query{}); !errors.Is(err, ErrNoSuchTable) {
-		t.Errorf("Execute on missing table: got %v, want ErrNoSuchTable", err)
+	if _, err := db.QueryOn("BOGUS", "SELECT x FROM ghost"); !errors.Is(err, ErrNoSuchTable) {
+		t.Errorf("QueryOn on missing table: got %v, want ErrNoSuchTable", err)
 	}
 	if _, _, err := db.QueryTraced("SELECT x FROM ghost"); !errors.Is(err, ErrNoSuchTable) {
 		t.Errorf("QueryTraced: got %v, want ErrNoSuchTable", err)
@@ -250,11 +250,11 @@ func TestSentinelErrors(t *testing.T) {
 	if err := db.Insert("t", I64(1)); err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Projection: []int{0}}
-	if _, err := db.Execute("BOGUS", "t", q); !errors.Is(err, ErrUnknownEngine) {
-		t.Errorf("Execute on bogus engine: got %v, want ErrUnknownEngine", err)
+	const q = "SELECT x FROM t"
+	if _, err := db.QueryOn("BOGUS", q); !errors.Is(err, ErrUnknownEngine) {
+		t.Errorf("QueryOn on bogus engine: got %v, want ErrUnknownEngine", err)
 	}
-	if _, err := db.Execute(RM, "t", q); err != nil {
-		t.Errorf("Execute on RM: %v", err)
+	if _, err := db.QueryOn(RM, q); err != nil {
+		t.Errorf("QueryOn on RM: %v", err)
 	}
 }

@@ -15,32 +15,23 @@ import (
 // every façade entry point that accepts it, each on a fresh database with a
 // metrics registry, sliding windows, and a statement store attached. Every
 // path must return the same Result (TotalCycles included), publish the same
-// rfabric_* series, and record exactly one window sample. SQL entry points
-// record exactly one statement-store call; Execute carries no SQL text, so
-// it records none.
+// rfabric_* series, and record exactly one window sample and exactly one
+// statement-store call.
 func TestFacadePathParity(t *testing.T) {
 	const single = `SELECT l_returnflag, SUM(l_quantity), COUNT(*) FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' GROUP BY l_returnflag`
 
 	type path struct {
 		name string
-		sql  bool // records into the statement store
 		run  func(db *DB) (*Result, error)
 	}
 	queryOn := func(text string) path {
-		return path{"QueryOn", true, func(db *DB) (*Result, error) { return db.QueryOn(RM, text) }}
+		return path{"QueryOn", func(db *DB) (*Result, error) { return db.QueryOn(RM, text) }}
 	}
 	queryTraced := func(text string) path {
-		return path{"QueryTraced", true, func(db *DB) (*Result, error) {
+		return path{"QueryTraced", func(db *DB) (*Result, error) {
 			res, _, err := db.QueryTraced(text, OnEngine(RM))
 			return res, err
 		}}
-	}
-	compiled := func(db *DB) (Query, error) {
-		li, err := db.Table("lineitem")
-		if err != nil {
-			return Query{}, err
-		}
-		return CompileSQL(single, li.Schema())
 	}
 	cases := []struct {
 		name  string
@@ -49,27 +40,12 @@ func TestFacadePathParity(t *testing.T) {
 		{"single-table", []path{
 			queryOn(single),
 			queryTraced(single),
-			{"Prepared.Run", true, func(db *DB) (*Result, error) {
+			{"Prepared.Run", func(db *DB) (*Result, error) {
 				p, err := db.Prepare(single)
 				if err != nil {
 					return nil, err
 				}
 				return p.Run(RM)
-			}},
-			{"Execute", false, func(db *DB) (*Result, error) {
-				q, err := compiled(db)
-				if err != nil {
-					return nil, err
-				}
-				return db.Execute(RM, "lineitem", q)
-			}},
-			{"ExecuteTraced", false, func(db *DB) (*Result, error) {
-				q, err := compiled(db)
-				if err != nil {
-					return nil, err
-				}
-				res, _, err := db.ExecuteTraced(RM, "lineitem", q)
-				return res, err
 			}},
 		}},
 		{"join", []path{queryOn(tpch.Q3SQL), queryTraced(tpch.Q3SQL)}},
@@ -111,12 +87,12 @@ func TestFacadePathParity(t *testing.T) {
 				for _, r := range stats.Snapshot() {
 					calls += r.Calls
 				}
-				if want := map[bool]uint64{true: 1, false: 0}[p.sql]; calls != want {
-					t.Errorf("%s: %d statement-store calls, want %d", p.name, calls, want)
+				if calls != 1 {
+					t.Errorf("%s: %d statement-store calls, want 1", p.name, calls)
 				}
 				// One event, one bracket: every sink reads the same
 				// allocation delta.
-				if p.sql && len(stats.Snapshot()) == 1 {
+				if len(stats.Snapshot()) == 1 {
 					rec := stats.Snapshot()[0]
 					if got := win.Snapshot(60).MeanAllocBytes; got != rec.MeanAlloc {
 						t.Errorf("%s: windows mean alloc %g != statement mean alloc %g", p.name, got, rec.MeanAlloc)

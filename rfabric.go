@@ -109,36 +109,15 @@ func DefaultConfig() Config { return engine.DefaultSystemConfig() }
 // NewSystem builds a simulated machine.
 func NewSystem(cfg Config) (*System, error) { return engine.NewSystem(cfg) }
 
-// Queries and execution.
+// Query results.
 type (
-	// Query is the logical query all engines execute.
-	Query = engine.Query
-	// AggTerm is one output aggregate.
-	AggTerm = engine.AggTerm
 	// Result is a query outcome with its modeled cost.
 	Result = engine.Result
 	// Breakdown is the modeled cost of one execution.
 	Breakdown = engine.Breakdown
-	// Executor is the common face of the ROW, COL, and RM paths.
-	Executor = engine.Executor
-	// RowEngine is the volcano-style tuple-at-a-time baseline.
-	RowEngine = engine.RowEngine
-	// ColEngine is the column-at-a-time baseline over a columnar copy.
-	ColEngine = engine.ColEngine
-	// RMEngine executes over Relational Memory's ephemeral views.
-	RMEngine = engine.RMEngine
-	// ParallelEngine is the morsel-parallel executor over worker-private
-	// System clones.
-	ParallelEngine = engine.ParallelEngine
 	// ParallelConfig parameterizes morsel-parallel execution (worker count,
 	// morsel size); see DB.SetParallel.
 	ParallelConfig = engine.ParallelConfig
-	// Optimizer is the constructive access-path chooser of §III-B.
-	Optimizer = engine.Optimizer
-	// OptimizerPlan is the optimizer's priced decision.
-	OptimizerPlan = engine.Plan
-	// Estimate is one access path's predicted cost.
-	Estimate = engine.Estimate
 )
 
 // Predicates and aggregates.
@@ -208,9 +187,6 @@ type (
 	Registry = obs.Registry
 	// Labels key one metric series (engine kind, table, component).
 	Labels = obs.Labels
-	// Tracer builds one query's span tree; engines accept one through
-	// their Tracer field. Nil means zero tracing overhead.
-	Tracer = obs.Tracer
 	// Span is one node of a trace tree with modeled cycle and byte
 	// attributions.
 	Span = obs.Span
@@ -258,10 +234,6 @@ func NewStatStore() *StatStore { return obs.NewStatStore() }
 // NewWindows creates a sliding-window telemetry aggregator retaining the
 // trailing seconds seconds.
 func NewWindows(seconds int) *Windows { return obs.NewWindows(seconds) }
-
-// NewTracer starts a trace rooted at a span named name, for callers driving
-// engines directly; DB.QueryTraced does this internally.
-func NewTracer(name string) *Tracer { return obs.NewTracer(name) }
 
 // Transactions.
 type (

@@ -1,11 +1,12 @@
 package rfabric
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-func demoSchema(t *testing.T) *Schema {
+func demoSchema(t testing.TB) *Schema {
 	t.Helper()
 	s, err := NewSchema(
 		Column{Name: "id", Type: Int64, Width: 8},
@@ -226,18 +227,19 @@ func TestDBSQLErrorsSurface(t *testing.T) {
 	}
 }
 
-func TestCompileSQLAndExecute(t *testing.T) {
+// TestQueryOnDatePredicate: a DATE literal in WHERE coerces to the column's
+// day number on every path. demoDB's days run 8000..8099 for 100 rows, and
+// 1992-01-16 is day 8050.
+func TestQueryOnDatePredicate(t *testing.T) {
 	db := demoDB(t, 100)
-	q, err := CompileSQL("SELECT id FROM items WHERE day >= DATE '1991-11-27'", demoSchema(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Execute(RM, "items", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RowsPassed == 0 {
-		t.Error("date predicate matched nothing")
+	for _, kind := range []EngineKind{RM, ROW, COL, PAR, AUTO} {
+		res, err := db.QueryOn(kind, "SELECT id FROM items WHERE day >= DATE '1992-01-16'")
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if res.RowsPassed != 50 {
+			t.Errorf("%s: date predicate passed %d rows, want 50", kind, res.RowsPassed)
+		}
 	}
 }
 
@@ -331,8 +333,7 @@ func TestTxnManagerFacade(t *testing.T) {
 	}
 	// RM query at the fresh snapshot sees the row.
 	snap := mgr.Now()
-	q := Query{Projection: []int{0}, Snapshot: &snap}
-	res, err := db.Execute(RM, "acct", q)
+	res, err := db.QueryOn(RM, fmt.Sprintf("SELECT id FROM acct AS OF %d", snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,10 +462,7 @@ func TestPublicShardFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := st.Execute(Query{
-		Projection: []int{0},
-		Selection:  Conjunction{{Col: 0, Op: Lt, Operand: I64(100)}},
-	})
+	res, err := st.Execute("SELECT id FROM s WHERE id < 100")
 	if err != nil {
 		t.Fatal(err)
 	}
