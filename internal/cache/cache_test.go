@@ -34,7 +34,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []HierarchyConfig{
 		{L1: LevelConfig{SizeBytes: 100, Ways: 2, LineBytes: 64, HitCycles: 1}, L2: DefaultHierarchy().L2, Prefetch: DefaultPrefetch()},
 		{L1: DefaultHierarchy().L1, L2: LevelConfig{SizeBytes: 1 << 20, Ways: 16, LineBytes: 128, HitCycles: 12}, Prefetch: DefaultPrefetch()},
-		// More ways than the per-set way hint can index.
+		// More ways than a set record's recency order can rank.
 		{L1: DefaultHierarchy().L1, L2: LevelConfig{SizeBytes: 512 * 64, Ways: 512, LineBytes: 64, HitCycles: 12}, Prefetch: DefaultPrefetch()},
 	}
 	for i, cfg := range bad {
@@ -267,11 +267,4 @@ func TestCostMonotonicProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

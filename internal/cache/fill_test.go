@@ -1,26 +1,65 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
-	"slices"
+	"reflect"
+	"sort"
 	"testing"
 
 	"rfabric/internal/dram"
+	"rfabric/internal/obs"
 )
 
-// The fast paths of the simulator — the per-set way hint, the one-pass
-// probe that hands its miss victim to the install, the one-pass stream
-// search, and the batched LoadAddrs entry — must leave it in exactly the
-// state the plain two-pass logic did. The reference below is a copy of that
-// logic (full set scans, lookup then insert, two prefetcher loops, one Load
-// per address), driven side by side with the real hierarchy over random
-// traces.
+// The simulator's fast paths — set records with a recency list, the
+// most-recent-way check, one probe per level on the miss path, remembered
+// prefetch ways, near-line stays and coalesced run steps in LoadRuns — must
+// leave it in exactly the state the plain logic does. refHier below is that
+// logic with its own state: per level, parallel arrays of tags, recency
+// stamps and marks, full set scans, lookup then insert, two prefetcher
+// loops, and one load per address. The tests drive it side by side with the
+// real hierarchy over random traces.
 
-func (l *level) refLookup(addr int64) (int, bool) {
+// refLevel is one plain set-associative level with true-LRU stamps.
+type refLevel struct {
+	ways       int
+	setMask    int64
+	lineBits   uint
+	tags       []int64 // line+1, zero invalid
+	lru        []uint64
+	prefetched []bool
+	fabricNew  []bool
+	tick       uint64
+}
+
+func newRefLevel(cfg LevelConfig) *refLevel {
+	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	l := &refLevel{
+		ways:       cfg.Ways,
+		setMask:    int64(sets - 1),
+		tags:       make([]int64, sets*cfg.Ways),
+		lru:        make([]uint64, sets*cfg.Ways),
+		prefetched: make([]bool, sets*cfg.Ways),
+		fabricNew:  make([]bool, sets*cfg.Ways),
+	}
+	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
+		l.lineBits++
+	}
+	return l
+}
+
+func (l *refLevel) reset() {
+	clear(l.tags)
+	clear(l.lru)
+	clear(l.prefetched)
+	clear(l.fabricNew)
+	l.tick = 0
+}
+
+func (l *refLevel) lookup(addr int64) (int, bool) {
 	line := addr >> l.lineBits
-	set := int(line & l.setMask)
-	base := set * l.cfg.Ways
-	for w := 0; w < l.cfg.Ways; w++ {
+	base := int(line&l.setMask) * l.ways
+	for w := 0; w < l.ways; w++ {
 		if l.tags[base+w] == line+1 {
 			l.tick++
 			l.lru[base+w] = l.tick
@@ -30,12 +69,11 @@ func (l *level) refLookup(addr int64) (int, bool) {
 	return -1, false
 }
 
-func (l *level) refInsert(addr int64, prefetch bool) int {
+func (l *refLevel) insert(addr int64, prefetch bool) int {
 	line := addr >> l.lineBits
-	set := int(line & l.setMask)
-	base := set * l.cfg.Ways
+	base := int(line&l.setMask) * l.ways
 	victim := base
-	for w := 1; w < l.cfg.Ways; w++ {
+	for w := 1; w < l.ways; w++ {
 		if l.lru[base+w] < l.lru[victim] {
 			victim = base + w
 		}
@@ -48,11 +86,10 @@ func (l *level) refInsert(addr int64, prefetch bool) int {
 	return victim
 }
 
-func (l *level) refContains(addr int64) bool {
+func (l *refLevel) contains(addr int64) bool {
 	line := addr >> l.lineBits
-	set := int(line & l.setMask)
-	base := set * l.cfg.Ways
-	for w := 0; w < l.cfg.Ways; w++ {
+	base := int(line&l.setMask) * l.ways
+	for w := 0; w < l.ways; w++ {
 		if l.tags[base+w] == line+1 {
 			return true
 		}
@@ -60,27 +97,54 @@ func (l *level) refContains(addr int64) bool {
 	return false
 }
 
-func (h *Hierarchy) refLoad(addr int64) uint64 {
+// refStream is one plain prefetcher stream, with its last-use stamp.
+type refStream struct {
+	nextLine int64
+	hits     int
+	lastUse  uint64
+	valid    bool
+}
+
+// refHier is the plain hierarchy over two refLevels.
+type refHier struct {
+	cfg            HierarchyConfig
+	l1, l2         *refLevel
+	mem            *dram.Module
+	streams        []refStream
+	tick           uint64
+	stats          Stats
+	tl             *obs.Timeline
+	loadsSinceMiss int
+	lastMissBank   int
+	sawMiss        bool
+}
+
+func newRefHier(cfg HierarchyConfig, mem *dram.Module) *refHier {
+	return &refHier{cfg: cfg, l1: newRefLevel(cfg.L1), l2: newRefLevel(cfg.L2), mem: mem,
+		streams: make([]refStream, cfg.Prefetch.Streams)}
+}
+
+func (h *refHier) reset() {
+	h.l1.reset()
+	h.l2.reset()
+	clear(h.streams)
+	h.stats = Stats{}
+	h.tick = 0
+	h.loadsSinceMiss, h.lastMissBank, h.sawMiss = 0, 0, false
+}
+
+func (h *refHier) load(addr int64) uint64 {
 	h.stats.Loads++
 	h.loadsSinceMiss++
 	cost := uint64(h.cfg.L1.HitCycles)
-	line := addr >> h.l1.lineBits
-	if line == h.lastL1Line && h.lastL1Slot >= 0 {
-		h.l1.tick++
-		h.l1.lru[h.lastL1Slot] = h.l1.tick
+	if _, ok := h.l1.lookup(addr); ok {
 		h.stats.L1Hits++
 		h.stats.Cycles += cost
-		return cost
-	}
-	if slot, ok := h.l1.refLookup(addr); ok {
-		h.lastL1Line = line
-		h.lastL1Slot = slot
-		h.stats.L1Hits++
-		h.stats.Cycles += cost
+		h.tl.CacheLoad(false)
 		return cost
 	}
 	cost += uint64(h.cfg.L2.HitCycles)
-	if slot, ok := h.l2.refLookup(addr); ok {
+	if slot, ok := h.l2.lookup(addr); ok {
 		h.stats.L2Hits++
 		if h.l2.prefetched[slot] {
 			h.stats.PrefetchHits++
@@ -90,10 +154,10 @@ func (h *Hierarchy) refLoad(addr int64) uint64 {
 			cost += uint64(h.cfg.FabricHitCycles)
 			h.l2.fabricNew[slot] = false
 		}
-		h.lastL1Line = line
-		h.lastL1Slot = h.l1.refInsert(addr, false)
-		h.refTrain(addr)
+		h.l1.insert(addr, false)
+		h.train(addr)
 		h.stats.Cycles += cost
+		h.tl.CacheLoad(false)
 		return cost
 	}
 	dramCost, bank := h.mem.Access(addr)
@@ -109,16 +173,16 @@ func (h *Hierarchy) refLoad(addr int64) uint64 {
 	h.lastMissBank = bank
 	h.loadsSinceMiss = 0
 	h.stats.DRAMFills++
-	h.stats.BytesFromDRAM += uint64(h.LineBytes())
-	h.l2.refInsert(addr, false)
-	h.lastL1Line = line
-	h.lastL1Slot = h.l1.refInsert(addr, false)
-	h.refTrain(addr)
+	h.stats.BytesFromDRAM += uint64(h.cfg.L1.LineBytes)
+	h.l2.insert(addr, false)
+	h.l1.insert(addr, false)
+	h.train(addr)
 	h.stats.Cycles += cost
+	h.tl.CacheLoad(true)
 	return cost
 }
 
-func (h *Hierarchy) refTrain(addr int64) {
+func (h *refHier) train(addr int64) {
 	if len(h.streams) == 0 {
 		return
 	}
@@ -133,7 +197,7 @@ func (h *Hierarchy) refTrain(addr int64) {
 		s.nextLine = line + 1
 		s.lastUse = h.tick
 		if s.hits >= h.cfg.Prefetch.TrainHits {
-			h.refIssuePrefetch(line+1, h.cfg.Prefetch.Degree)
+			h.issuePrefetch(line+1, h.cfg.Prefetch.Degree)
 		}
 		return
 	}
@@ -147,65 +211,183 @@ func (h *Hierarchy) refTrain(addr int64) {
 			victim = i
 		}
 	}
-	h.streams[victim] = stream{nextLine: line + 1, hits: 1, lastUse: h.tick, valid: true}
+	h.streams[victim] = refStream{nextLine: line + 1, hits: 1, lastUse: h.tick, valid: true}
 }
 
-func (h *Hierarchy) refIssuePrefetch(line int64, n int) {
-	lb := int64(h.LineBytes())
+func (h *refHier) issuePrefetch(line int64, n int) {
+	lb := int64(h.cfg.L1.LineBytes)
 	for i := 0; i < n; i++ {
 		addr := (line + int64(i)) * lb
-		if h.l2.refContains(addr) {
+		if h.l2.contains(addr) {
 			continue
 		}
 		h.mem.Access(addr)
-		h.l2.refInsert(addr, true)
+		h.l2.insert(addr, true)
 		h.stats.PrefetchIssued++
-		h.stats.BytesFromDRAM += uint64(h.LineBytes())
+		h.stats.BytesFromDRAM += uint64(h.cfg.L1.LineBytes)
 	}
 }
 
-func (h *Hierarchy) refFillFromFabric(addr int64) {
+func (h *refHier) fillFromFabric(addr int64) {
 	h.stats.FabricFills++
-	h.l2.refInsert(addr, false)
-	if slot, ok := h.l2.refLookup(addr); ok {
+	h.l2.insert(addr, false)
+	if slot, ok := h.l2.lookup(addr); ok {
 		h.l2.fabricNew[slot] = true
 	}
 }
 
-func (h *Hierarchy) refLoadAddrs(addrs []int64) uint64 {
+func (h *refHier) loadRuns(runs []Run, streams []Stream) uint64 {
 	var total uint64
-	for _, a := range addrs {
-		total += h.refLoad(a)
+	for _, r := range runs {
+		ss := streams[:r.Streams]
+		streams = streams[r.Streams:]
+		for i := int64(0); i < int64(r.Count); i++ {
+			for _, st := range ss {
+				total += h.load(st.Base + i*st.Stride)
+			}
+		}
 	}
 	return total
 }
 
-// sameLevel reports whether two levels hold identical state.
-func sameLevel(a, b *level) bool {
-	return a.tick == b.tick && slices.Equal(a.tags, b.tags) && slices.Equal(a.lru, b.lru) &&
-		slices.Equal(a.prefetched, b.prefetched) && slices.Equal(a.fabricNew, b.fabricNew)
+// wayState is one way as the comparison sees it.
+type wayState struct {
+	way                   int
+	tag                   int64
+	prefetched, fabricNew bool
+}
+
+// setOrder lists set s of l from the most to the least recently used way.
+func (l *level) setOrder(s int) []wayState {
+	r := l.record(s * l.rec)
+	out := make([]wayState, 0, l.ways)
+	for p := range l.ways {
+		if w := int(getByte(l.order(r), p)); w < l.ways {
+			out = append(out, l.wayState(r, w))
+		}
+	}
+	return out
+}
+
+func (l *level) wayState(r []uint64, w int) wayState {
+	b := l.lane(r, w)
+	return wayState{w, int64(r[l.tags+w]), b&prefetchedMark != 0, b&fabricNewMark != 0}
+}
+
+// setOrder lists set s of the reference level from the most to the least
+// recently used way. Stamps tie only at zero, on ways never filled, which
+// an LRU victim search takes lowest first, so the lower of those counts as
+// older.
+func (l *refLevel) setOrder(s int) []wayState {
+	out := make([]wayState, l.ways)
+	for w := range out {
+		i := s*l.ways + w
+		out[w] = wayState{w, l.tags[i], l.prefetched[i], l.fabricNew[i]}
+	}
+	stamps := l.lru[s*l.ways : (s+1)*l.ways]
+	sort.Slice(out, func(a, b int) bool {
+		sa, sb := stamps[out[a].way], stamps[out[b].way]
+		if sa != sb {
+			return sa > sb
+		}
+		return out[a].way > out[b].way
+	})
+	return out
+}
+
+// sameOrder reports the first set of two levels whose ways differ in
+// recency order, tags or marks, or -1. a's order must list every way once,
+// along b's stamps: of two adjacent ways, the more recent one has the
+// larger stamp, or the equal stamp (never filled) and the higher index.
+func sameOrder(a *level, b *refLevel) (int, []wayState, []wayState) {
+	for s := 0; s <= int(a.setMask); s++ {
+		r := a.record(s * a.rec)
+		order := a.order(r)
+		stamps := b.lru[s*b.ways : (s+1)*b.ways]
+		var seen [maxOrder]bool
+		ok := true
+		for p := 0; p < a.words*8 && ok; p++ {
+			w := int(getByte(order, p))
+			if p >= a.ways {
+				ok = w == 0xff
+				continue
+			}
+			i := s*b.ways + w
+			ok = w < a.ways && !seen[w] &&
+				a.wayState(r, w) == wayState{w, b.tags[i], b.prefetched[i], b.fabricNew[i]}
+			if ok && p > 0 {
+				newer := int(getByte(order, p-1))
+				ok = stamps[newer] > stamps[w] || stamps[newer] == stamps[w] && newer > w
+			}
+			if ok {
+				seen[w] = true
+			}
+		}
+		if !ok {
+			return s, a.setOrder(s), b.setOrder(s)
+		}
+	}
+	return -1, nil, nil
+}
+
+// sameStreams reports whether the prefetcher streams agree and h's stream
+// order lists every stream once, along ref's last-use stamps, never-used
+// slots (stamp 0) lowest index last, as the victim search takes them.
+func sameStreams(h *Hierarchy, ref *refHier) bool {
+	var seen [maxOrder]bool
+	prev := -1
+	for p := 0; p < len(h.streamOrder)*8; p++ {
+		i := int(getByte(h.streamOrder, p))
+		if p >= len(h.streams) {
+			if i != 0xff {
+				return false
+			}
+			continue
+		}
+		if i >= len(h.streams) || seen[i] {
+			return false
+		}
+		s, r := h.streams[i], ref.streams[i]
+		if s.nextLine != r.nextLine || s.hits != r.hits || s.valid != r.valid {
+			return false
+		}
+		if prev >= 0 {
+			a, b := ref.streams[prev].lastUse, r.lastUse
+			if a < b || a == b && prev < i {
+				return false
+			}
+		}
+		seen[i], prev = true, i
+	}
+	return true
 }
 
 // checkSame fails the test unless h and the reference agree on statistics,
-// DRAM statistics, the prefetcher, the MLP tracker, the residency of addr, and
-// the full state of both levels.
-func checkSame(t *testing.T, step int, op string, h, ref *Hierarchy, addr int64) {
+// DRAM statistics, the prefetcher, the MLP tracker, and every set of both
+// levels: the ways in recency order with their tags and marks. Recency
+// order is all an LRU level's behaviour reads of its stamps: a victim is
+// the oldest way, and stamps tie only on never-filled ways, which the order
+// ranks by index as the victim search does.
+func checkSame(t *testing.T, where string, h *Hierarchy, ref *refHier) {
 	t.Helper()
-	if h.Stats() != ref.Stats() {
-		t.Fatalf("step %d %s: stats\n got  %+v\n want %+v", step, op, h.Stats(), ref.Stats())
+	if h.Stats() != ref.stats {
+		t.Fatalf("%s: stats\n got  %+v\n want %+v", where, h.Stats(), ref.stats)
 	}
 	if h.mem.Stats() != ref.mem.Stats() {
-		t.Fatalf("step %d %s: DRAM stats differ", step, op)
+		t.Fatalf("%s: DRAM stats\n got  %+v\n want %+v", where, h.mem.Stats(), ref.mem.Stats())
 	}
-	if h.tick != ref.tick || !slices.Equal(h.streams, ref.streams) ||
+	if !sameStreams(h, ref) ||
 		h.loadsSinceMiss != ref.loadsSinceMiss || h.lastMissBank != ref.lastMissBank || h.sawMiss != ref.sawMiss {
-		t.Fatalf("step %d %s: prefetcher or MLP state differs", step, op)
+		t.Fatalf("%s: prefetcher or MLP state differs", where)
 	}
-	if h.ContainsL1(addr) != ref.l1.refContains(addr) || h.ContainsL2(addr) != ref.l2.refContains(addr) {
-		t.Fatalf("step %d %s: residency of %d differs", step, op, addr)
-	}
-	if !sameLevel(h.l1, ref.l1) || !sameLevel(h.l2, ref.l2) {
-		t.Fatalf("step %d %s: level state differs after op on %d", step, op, addr)
+	for _, lv := range []struct {
+		name string
+		a    *level
+		b    *refLevel
+	}{{"L1", h.l1, ref.l1}, {"L2", h.l2, ref.l2}} {
+		if s, got, want := sameOrder(lv.a, lv.b); s >= 0 {
+			t.Fatalf("%s: %s set %d\n got  %v\n want %v", where, lv.name, s, got, want)
+		}
 	}
 }
 
@@ -219,6 +401,7 @@ type traceGen struct {
 	rng       *rand.Rand
 	lineBytes int64
 	sets      int64 // L2 set count
+	l1Span    int64 // bytes between lines that share an L1 set
 	hot       int   // sets drawn from
 	depth     int   // candidate lines per set
 	seqLines  int64 // length of the sequential domain
@@ -232,6 +415,7 @@ func newTraceGen(seed int64, cfg HierarchyConfig) *traceGen {
 		rng:       rand.New(rand.NewSource(seed)),
 		lineBytes: int64(cfg.L2.LineBytes),
 		sets:      int64(cfg.L2.SizeBytes / (cfg.L2.LineBytes * cfg.L2.Ways)),
+		l1Span:    int64(cfg.L1.SizeBytes / cfg.L1.Ways),
 		hot:       4,
 		depth:     cfg.L2.Ways + cfg.L2.Ways/2,
 		seqLines:  96,
@@ -255,85 +439,185 @@ func (g *traceGen) addr() int64 {
 	return a
 }
 
-// batch returns a base address and offsets from it that mix repeats of the
-// previous line, recent lines, and fresh draws.
-func (g *traceGen) batch() (int64, []int64) {
-	base := g.addr()
-	offs := make([]int64, g.rng.Intn(24))
-	prev := int64(0)
-	for i := range offs {
-		switch g.rng.Intn(3) {
-		case 0:
-			offs[i] = prev + int64(g.rng.Intn(8)) // usually the same line
-		default:
-			offs[i] = g.addr() - base
-		}
-		prev = offs[i]
-	}
-	return base, offs
+// runStrides are the strides runs draw from: zero, below, at and above the
+// line size, an L1 and an L2 set apart, past a 4 KiB page and past a DRAM
+// row stripe (the default module's 8 banks of 2 KiB rows), and backwards.
+func (g *traceGen) stride() int64 {
+	lb := g.lineBytes
+	choices := []int64{0, 1, 4, 8, 12, 24, lb - 1, lb, lb + 1, 136, 192,
+		g.l1Span, g.sets * lb, 4096 + 8, 16384 + lb, -8, -lb}
+	return choices[g.rng.Intn(len(choices))]
 }
 
-// TestOnePassSetOpsMatchTwoPass drives random traces of Load, LoadAddrs,
-// FillFromFabric and Reset through the hierarchy and the reference copy of
-// the two-pass logic, on a small low-associativity geometry and on the
-// default one (16-way L2, 4 streams of degree 4). Fabric fills of resident
-// lines make an older way keep serving lookups of a line also held in a
-// newer way. Costs, stats, residency and the full simulator state must agree
-// after every call.
-func TestOnePassSetOpsMatchTwoPass(t *testing.T) {
-	geometries := []struct {
-		name         string
-		cfg          HierarchyConfig
-		seeds, steps int
-	}{
-		{"small", HierarchyConfig{
-			L1:                LevelConfig{SizeBytes: 512, Ways: 2, LineBytes: 64, HitCycles: 1},
-			L2:                LevelConfig{SizeBytes: 2 << 10, Ways: 4, LineBytes: 64, HitCycles: 12},
-			Prefetch:          PrefetchConfig{Streams: 2, Degree: 3, TrainHits: 2},
-			MLPWindow:         8,
-			OverlapMissCycles: 24,
-			FabricHitCycles:   8,
-		}, 20, 4000},
-		{"default", DefaultHierarchy(), 4, 3000},
+// runs draws one LoadRuns call: up to four runs of one to five streams.
+// Streams start at fresh or recent addresses, a few bytes after the
+// previous stream (two streams on one line), or one L1 set span after it
+// (two lines competing for one L1 set), and step by a shared or their own
+// stride.
+func (g *traceGen) runs() ([]Run, []Stream) {
+	var runs []Run
+	var streams []Stream
+	for range 1 + g.rng.Intn(4) {
+		k := 1 + g.rng.Intn(5)
+		count := 1 + g.rng.Intn(48)
+		if g.rng.Intn(4) == 0 {
+			count = 1
+		}
+		shared := g.stride()
+		var prev int64
+		for j := 0; j < k; j++ {
+			base := g.addr()
+			if j > 0 {
+				switch g.rng.Intn(3) {
+				case 0:
+					base = prev + int64(g.rng.Intn(16))
+				case 1:
+					base = prev + g.l1Span*int64(1+g.rng.Intn(2))
+				}
+			}
+			stride := shared
+			if g.rng.Intn(3) == 0 {
+				stride = g.stride()
+			}
+			if stride < 0 {
+				base += int64(count) * -stride // keep addresses non-negative
+			}
+			prev = base
+			streams = append(streams, Stream{Base: base, Stride: stride})
+		}
+		runs = append(runs, Run{Count: int32(count), Streams: int32(k)})
 	}
-	for _, geo := range geometries {
+	return runs, streams
+}
+
+// differentialGeometries are the hierarchies the differential tests run: a
+// direct-mapped L1 over a 2-way L2 with one stream, a small
+// low-associativity one (2-way L1, where three streams on one L1 set evict
+// each other within a step) and the default (16-way L2, 4 streams of
+// degree 4).
+var differentialGeometries = []struct {
+	name         string
+	cfg          HierarchyConfig
+	seeds, steps int
+}{
+	{"direct", HierarchyConfig{
+		L1:                LevelConfig{SizeBytes: 256, Ways: 1, LineBytes: 64, HitCycles: 1},
+		L2:                LevelConfig{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, HitCycles: 12},
+		Prefetch:          PrefetchConfig{Streams: 1, Degree: 1, TrainHits: 1},
+		MLPWindow:         8,
+		OverlapMissCycles: 24,
+		FabricHitCycles:   8,
+	}, 10, 2000},
+	{"small", HierarchyConfig{
+		L1:                LevelConfig{SizeBytes: 512, Ways: 2, LineBytes: 64, HitCycles: 1},
+		L2:                LevelConfig{SizeBytes: 2 << 10, Ways: 4, LineBytes: 64, HitCycles: 12},
+		Prefetch:          PrefetchConfig{Streams: 2, Degree: 3, TrainHits: 2},
+		MLPWindow:         8,
+		OverlapMissCycles: 24,
+		FabricHitCycles:   8,
+	}, 20, 3000},
+	{"default", DefaultHierarchy(), 4, 2000},
+}
+
+// TestOnePassSetOpsMatchTwoPass drives random traces of Load,
+// FillFromFabric and Reset through the hierarchy and the reference. Fabric
+// fills of resident lines make an older way keep serving lookups of a line
+// also held in a newer way. Costs, stats and the full simulator state must
+// agree after every call.
+func TestOnePassSetOpsMatchTwoPass(t *testing.T) {
+	for _, geo := range differentialGeometries {
 		t.Run(geo.name, func(t *testing.T) {
 			for seed := int64(1); seed <= int64(geo.seeds); seed++ {
 				g := newTraceGen(seed, geo.cfg)
 				h := MustHierarchy(geo.cfg, dram.MustNew(dram.DefaultConfig()))
-				ref := MustHierarchy(geo.cfg, dram.MustNew(dram.DefaultConfig()))
+				ref := newRefHier(geo.cfg, dram.MustNew(dram.DefaultConfig()))
 				for step := 0; step < geo.steps; step++ {
-					var addr int64
 					var op string
 					switch r := g.rng.Intn(500); {
 					case r == 0:
 						op = "Reset"
 						h.Reset()
-						ref.Reset()
+						ref.reset()
 					case r < 90:
-						op = "FillFromFabric"
-						addr = g.addr()
+						addr := g.addr()
+						op = fmt.Sprintf("FillFromFabric(%d)", addr)
 						h.FillFromFabric(addr)
-						ref.refFillFromFabric(addr)
-					case r < 180:
-						op = "LoadAddrs"
-						base, offs := g.batch()
-						addrs := make([]int64, len(offs))
-						for i, off := range offs {
-							addrs[i] = base + off
-						}
-						if got, want := h.LoadAddrs(addrs), ref.refLoadAddrs(addrs); got != want {
-							t.Fatalf("seed %d step %d: LoadAddrs(%v) cost %d, reference %d", seed, step, addrs, got, want)
-						}
-						addr = base
+						ref.fillFromFabric(addr)
 					default:
-						op = "Load"
-						addr = g.addr()
-						if got, want := h.Load(addr), ref.refLoad(addr); got != want {
-							t.Fatalf("seed %d step %d: Load(%d) cost %d, reference %d", seed, step, addr, got, want)
+						addr := g.addr()
+						op = fmt.Sprintf("Load(%d)", addr)
+						if got, want := h.Load(addr), ref.load(addr); got != want {
+							t.Fatalf("seed %d step %d: %s cost %d, reference %d", seed, step, op, got, want)
 						}
 					}
-					checkSame(t, step, op, h, ref, addr)
+					checkSame(t, fmt.Sprintf("seed %d step %d %s", seed, step, op), h, ref)
+				}
+			}
+		})
+	}
+}
+
+// TestRunsMatchPerAddress drives random traces of LoadRuns — interleaved
+// one- to five-stream runs whose strides fall below, at and above the line
+// size and cross sets, pages and DRAM rows — mixed with Load,
+// FillFromFabric, Reset and timeline ticks, through the hierarchy and the
+// reference, which loads each run's addresses one by one. Both carry a
+// timeline on the hierarchy and the DRAM module. Costs, stats, the full
+// simulator state and the timeline's samples must agree after every call.
+func TestRunsMatchPerAddress(t *testing.T) {
+	for _, geo := range differentialGeometries {
+		t.Run(geo.name, func(t *testing.T) {
+			for seed := int64(1); seed <= int64(geo.seeds); seed++ {
+				g := newTraceGen(seed, geo.cfg)
+				h := MustHierarchy(geo.cfg, dram.MustNew(dram.DefaultConfig()))
+				ref := newRefHier(geo.cfg, dram.MustNew(dram.DefaultConfig()))
+				banks := dram.DefaultConfig().Banks
+				tl, refTL := obs.NewTimeline(200, banks), obs.NewTimeline(200, banks)
+				h.SetTimeline(tl)
+				h.mem.SetTimeline(tl)
+				ref.tl = refTL
+				ref.mem.SetTimeline(refTL)
+				for step := 0; step < geo.steps; step++ {
+					var op string
+					switch r := g.rng.Intn(500); {
+					case r == 0:
+						op = "Reset"
+						h.Reset()
+						ref.reset()
+					case r < 40:
+						addr := g.addr()
+						op = fmt.Sprintf("FillFromFabric(%d)", addr)
+						h.FillFromFabric(addr)
+						ref.fillFromFabric(addr)
+					case r < 80:
+						addr := g.addr()
+						op = fmt.Sprintf("Load(%d)", addr)
+						if got, want := h.Load(addr), ref.load(addr); got != want {
+							t.Fatalf("seed %d step %d: %s cost %d, reference %d", seed, step, op, got, want)
+						}
+					case r < 120:
+						d := uint64(g.rng.Intn(400))
+						op = fmt.Sprintf("Tick(%d)", d)
+						tl.Tick(d)
+						refTL.Tick(d)
+					default:
+						runs, streams := g.runs()
+						op = fmt.Sprintf("LoadRuns(%v, %v)", runs, streams)
+						if got, want := h.LoadRuns(runs, streams), ref.loadRuns(runs, streams); got != want {
+							t.Fatalf("seed %d step %d: %s cost %d, reference %d", seed, step, op, got, want)
+						}
+					}
+					where := fmt.Sprintf("seed %d step %d %s", seed, step, op)
+					checkSame(t, where, h, ref)
+					if got, want := tl.Samples(), refTL.Samples(); len(got) != len(want) ||
+						len(got) > 0 && !reflect.DeepEqual(got[len(got)-1], want[len(want)-1]) {
+						t.Fatalf("%s: timeline samples differ", where)
+					}
+				}
+				tl.Finish(h.Stats().Cycles)
+				refTL.Finish(ref.stats.Cycles)
+				if !reflect.DeepEqual(tl.Samples(), refTL.Samples()) {
+					t.Fatalf("seed %d: finished timelines differ", seed)
 				}
 			}
 		})

@@ -206,11 +206,6 @@ func genQuery(rng *rand.Rand, sch *geometry.Schema, snapshot *uint64) Query {
 		}
 		q.Aggregates = genAggs(rng, numeric)
 	}
-	if len(q.NeededColumns()) == 0 {
-		// A bare COUNT(*) touches no columns, and the RM path cannot
-		// configure an empty column group; give the count an argument.
-		q.Aggregates[0] = AggTerm{Kind: expr.Count, Arg: expr.ColRef{Col: numeric[0]}}
-	}
 	return q
 }
 

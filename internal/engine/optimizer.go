@@ -252,7 +252,12 @@ func (o *Optimizer) estimateRM(q Query) plan.Est {
 	sel := o.selectivity(q)
 	lineBytes := float64(cfg.Cache.L1.LineBytes)
 
-	geom, err := geometry.NewGeometry(sch, q.NeededColumns()...)
+	cols := q.NeededColumns()
+	if len(cols) == 0 {
+		q = countOverNarrowest(q, sch)
+		cols = q.NeededColumns()
+	}
+	geom, err := geometry.NewGeometry(sch, cols...)
 	if err != nil {
 		return plan.Est{Engine: "RM", Available: false, Reason: err.Error()}
 	}

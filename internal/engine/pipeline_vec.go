@@ -3,10 +3,10 @@ package engine
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"rfabric/internal/cache"
 	"rfabric/internal/colstore"
+	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/vec"
 )
@@ -19,18 +19,25 @@ import (
 // short-circuit outcome decided by the recorded fail depth selects a
 // precompiled load program), so modeled cycles, Breakdown, spans, and
 // timelines are byte-identical; only wall-clock time and allocations
-// change. The loads are charged to the hierarchy by the scan's replay
-// goroutine (see loadBuf), so batch k's cache simulation runs on another
-// core while the pipeline decodes, refines, sinks, and consumes batch k+1.
+// change. The loads are recorded as strided runs and charged to the
+// hierarchy by the scan's replay goroutine (see loadBuf), so batch k's
+// cache simulation runs on another core while the pipeline decodes,
+// refines, sinks, and consumes batch k+1.
 // Like the scalar pipeline it is written once and parameterized by the
 // opened scan: ROW feeds it one strided segment (with MVCC replay and
 // per-row ticks), RM feeds it fabric chunks with pipeline accounting, IDX
 // feeds it its candidate row ids over the strided heap. COL's decomposed
 // layout has its own batch scan, runColVec, below.
 
-// loadBuf collects the charge replay's load addresses, in scalar order, and
-// hands them to the scan's replay goroutine, which charges each submitted
-// buffer to the hierarchy with LoadAddrs, in FIFO order.
+// loadBuf collects the charge replay's loads as strided runs, in scalar
+// order, and hands them to the scan's replay goroutine, which charges each
+// submitted buffer to the hierarchy with LoadRuns, in FIFO order. The
+// replay records a row's loads as one step of a load program: a list of
+// (base, stride) streams, one per load, from which the row's index selects
+// the addresses. Rows that run the same program at successive indices —
+// the rows of a segment that share an outcome, a COL selection pass, COL's
+// reconstruction of adjacent rows — extend one run, so the hierarchy sees
+// the strides and walks them.
 //
 // The hierarchy has one owner at a time. submit passes it to the goroutine
 // along with a buffer; flush takes it back, waiting for the goroutine, and
@@ -40,65 +47,112 @@ import (
 // nothing between a submit and the next flush touches the scan's System.
 // The hierarchy thus sees the same addresses in the same order as an
 // inline replay, one goroutine at a time, with every hand-off ordered by a
-// channel operation; LoadAddrs' return value is never read (costs come
+// channel operation; LoadRuns' return value is never read (costs come
 // from Hier.Stats after a flush), so no modeled figure can change. On the
 // demand paths a timeline's per-row ticks flush at every row, so their
 // traced scans keep replaying inline.
 type loadBuf struct {
-	hier  *cache.Hierarchy
-	r     *replayer // the running goroutine's hand-off; nil before the first add
-	buf   []int64   // the buffer being filled
-	n     int       // loads pending in buf
-	spare []int64   // the other buffer, unless busy
-	busy  bool      // the other buffer is at the goroutine
+	sys     *System
+	hier    *cache.Hierarchy
+	r       *replayer // the scan's hand-off; nil until first needed
+	running bool      // r's goroutine is started
+	buf     *runBuf   // the buffer being filled
+	spare   *runBuf   // the other buffer, unless busy
+	busy    bool      // the other buffer is at the goroutine
+	// open is the first stream of the program buf's last run was opened
+	// with, while a step at index next may extend that run; nil when none
+	// may.
+	open *cache.Stream
+	next int64
 }
 
-// replayBufLoads is each replay buffer's capacity; a batch that issues more
-// loads submits mid-batch.
-const replayBufLoads = 8192
+// runBuf is one hand-off: runs over streams (see cache.LoadRuns) that hold
+// loads loads.
+type runBuf struct {
+	runs    []cache.Run
+	streams []cache.Stream
+	loads   int
+}
+
+func (rb *runBuf) reset() {
+	rb.runs, rb.streams, rb.loads = rb.runs[:0], rb.streams[:0], 0
+}
+
+// replayBufLoads caps the loads of one hand-off; a batch that issues more
+// submits mid-batch. At 8192 loads a hand-off covers a batch of up to
+// eight loads a row, and the pipeline then runs a whole batch ahead of the
+// replay: a mid-batch submit waits for the other buffer, and when a cap of
+// 3072 streams cut IDX batches in two, IDX projections over lineitem ran
+// about a third slower on a 2-vCPU Xeon. A buffer holds replayBufRuns
+// runs, since each batch ends with a submit and each of its rows opens at
+// most one run, and it grows its streams on demand up to replayBufLoads,
+// since every stream of a run loads at least once: rows that share a
+// program need few, and only scattered row ids (IDX in index order), which
+// give every row its own run, need one per load.
+const (
+	replayBufLoads = 8192
+	replayBufRuns  = vecBatchRows
+)
 
 // replaySpin bounds how often a side of the hand-off polls its channel,
 // yielding the processor between polls, before it blocks. A yield costs
 // about 150 ns, so the spin covers a wait of about one batch's replay;
 // past it the side parks, and waking a parked goroutine costs
-// microseconds, on virtual machines tens of them. With one P each yield
-// runs the other side, so the spin cannot deadlock.
+// microseconds, on virtual machines tens of them. With runs a batch
+// replays faster, so the replay goroutine idles longer between batches,
+// but parking it sooner does not pay: with 100 polls on its side a scan
+// round of the scan workload's statements ran 4.5% slower on a 2-vCPU
+// Xeon, the late wake-ups landing on the critical path of replay-bound
+// scans. With one P each yield runs the other side, so the spin cannot
+// deadlock.
 const replaySpin = 1000
 
 // replayer is a replay goroutine's hand-off: its two channels and the two
-// buffers that circulate through them. Pooling it keeps a scan's steady
-// state free of buffer and channel allocations.
+// buffers that circulate through them, plus the storage of the scan's load
+// programs. Each System keeps one between its scans, which run one at a
+// time, so a scan's steady state allocates no buffers or channels.
 type replayer struct {
-	bufs [2][]int64
-	work chan []int64 // submitted buffers; nil stops the goroutine
-	done chan []int64 // replayed buffers handed back; nil acknowledges the stop
+	bufs [2]runBuf
+	work chan *runBuf // submitted buffers; nil stops the goroutine
+	done chan *runBuf // replayed buffers handed back; nil acknowledges the stop
+
+	progs   [][]cache.Stream
+	streams []cache.Stream
+
+	runArr     [2][replayBufRuns]cache.Run
+	progArr    [16][]cache.Stream
+	progStream [64]cache.Stream
 }
 
-var replayers = sync.Pool{New: func() any {
-	return &replayer{
-		bufs: [2][]int64{make([]int64, replayBufLoads), make([]int64, replayBufLoads)},
-		work: make(chan []int64, 1),
-		done: make(chan []int64, 1),
+func newReplayer() *replayer {
+	r := &replayer{
+		work: make(chan *runBuf, 1),
+		done: make(chan *runBuf, 1),
 	}
-}}
+	for i := range r.bufs {
+		r.bufs[i] = runBuf{runs: r.runArr[i][:0], streams: make([]cache.Stream, 0, replayBufRuns)}
+	}
+	r.progs, r.streams = r.progArr[:0], r.progStream[:0]
+	return r
+}
 
 // run is the replay goroutine: it charges each submitted buffer to hier
 // and hands it back, until it receives nil.
 func (r *replayer) run(hier *cache.Hierarchy) {
 	for {
-		buf := recvSpin(r.work)
-		if buf == nil {
+		rb := recvSpin(r.work)
+		if rb == nil {
 			r.done <- nil
 			return
 		}
-		hier.LoadAddrs(buf)
-		r.done <- buf
+		hier.LoadRuns(rb.runs, rb.streams)
+		r.done <- rb
 	}
 }
 
 // recvSpin receives from c, polling and yielding up to replaySpin times
 // before it blocks.
-func recvSpin(c chan []int64) []int64 {
+func recvSpin(c chan *runBuf) *runBuf {
 	for range replaySpin {
 		select {
 		case b := <-c:
@@ -110,65 +164,176 @@ func recvSpin(c chan []int64) []int64 {
 	return <-c
 }
 
-func (b *loadBuf) add(addr int64) {
-	if b.n == len(b.buf) {
-		if b.r == nil {
-			b.start()
-		} else {
-			b.submit()
-		}
+// step records one step of prog at index i: a load of prog[j].Base +
+// i*prog[j].Stride for each stream j, in order.
+func (b *loadBuf) step(prog []cache.Stream, i int64) { b.steps(prog, i, 1) }
+
+// steps records n steps of prog from index i on. Steps of the program the
+// last run was opened with, continuing its indices, extend that run.
+func (b *loadBuf) steps(prog []cache.Stream, i, n int64) {
+	k := len(prog)
+	if k == 0 {
+		return
 	}
-	b.buf[b.n] = addr
-	b.n++
+	if !b.running {
+		b.start()
+	}
+	for n > 0 {
+		rb := b.buf
+		c := min(n, int64((replayBufLoads-rb.loads)/k))
+		if i != b.next || b.open != &prog[0] || c == 0 {
+			if rb.loads > 0 && (c == 0 || len(rb.runs) == cap(rb.runs)) {
+				b.submit()
+				continue
+			}
+			c = max(c, 1)
+			rb.runs = append(rb.runs, cache.Run{Streams: int32(k)})
+			for _, st := range prog {
+				rb.streams = append(rb.streams, cache.Stream{Base: st.Base + i*st.Stride, Stride: st.Stride})
+			}
+			b.open = &prog[0]
+		}
+		rb.runs[len(rb.runs)-1].Count += int32(c)
+		rb.loads += int(c) * k
+		i += c
+		n -= c
+		b.next = i
+	}
 }
 
-// start takes a pooled hand-off and starts the replay goroutine; a scan's
-// first load does, so a scan that loads nothing starts none.
+// lease takes the System's hand-off for the scan, or a new one, if the
+// scan has none yet.
+func (b *loadBuf) lease() *replayer {
+	if b.r == nil {
+		b.r, b.sys.replay = b.sys.replay, nil
+		if b.r == nil {
+			b.r = newReplayer()
+		}
+		b.buf, b.spare = &b.r.bufs[0], &b.r.bufs[1]
+	}
+	return b.r
+}
+
+// start starts the replay goroutine; a scan's first load does, so a scan
+// that loads nothing starts none.
 func (b *loadBuf) start() {
-	b.r = replayers.Get().(*replayer)
-	b.buf, b.spare = b.r.bufs[0], b.r.bufs[1]
+	b.lease()
+	b.running = true
 	go b.r.run(b.hier)
 }
 
 // submit hands the pending loads to the replay goroutine and takes the
 // other buffer to fill, waiting for it if it is still at the goroutine.
 func (b *loadBuf) submit() {
-	if b.n == 0 {
+	if !b.running || b.buf.loads == 0 {
 		return
 	}
 	if b.busy {
 		b.spare = recvSpin(b.r.done)
 	}
-	b.r.work <- b.buf[:b.n]
-	b.buf, b.spare, b.busy = b.spare[:replayBufLoads], nil, true
-	b.n = 0
+	b.r.work <- b.buf
+	b.buf, b.spare, b.busy = b.spare, nil, true
+	b.buf.reset()
+	b.open = nil
 }
 
 // flush takes the hierarchy back and charges the pending loads: it waits
 // for the buffer at the goroutine, then replays the rest inline.
 func (b *loadBuf) flush() {
+	b.open = nil
+	if !b.running {
+		return
+	}
 	if b.busy {
 		b.spare, b.busy = recvSpin(b.r.done), false
 	}
-	b.hier.LoadAddrs(b.buf[:b.n])
-	b.n = 0
+	b.hier.LoadRuns(b.buf.runs, b.buf.streams)
+	b.buf.reset()
 }
 
 // stop ends the replay goroutine once it has charged what it holds, and
-// returns the buffers to the pool. It does not charge the pending loads
+// returns the hand-off to the System. It does not charge the pending loads
 // (flush does), and it is idempotent, so scans defer it for their error
 // paths and call it when they finish.
 func (b *loadBuf) stop() {
 	if b.r == nil {
 		return
 	}
-	if b.busy {
+	if b.running {
+		if b.busy {
+			recvSpin(b.r.done)
+		}
+		b.r.work <- nil
 		recvSpin(b.r.done)
 	}
-	b.r.work <- nil
-	recvSpin(b.r.done)
-	replayers.Put(b.r)
-	*b = loadBuf{hier: b.hier}
+	for i := range b.r.bufs {
+		b.r.bufs[i].reset()
+	}
+	b.sys.replay = b.r
+	*b = loadBuf{sys: b.sys, hier: b.hier}
+}
+
+// programs returns the hand-off's program storage, emptied, with room for
+// n streams so the programs carved from it never move. Rewriting programs
+// ends the open run, whose first stream the new ones may reuse.
+func (b *loadBuf) programs(n int) ([][]cache.Stream, []cache.Stream) {
+	r := b.lease()
+	if cap(r.streams) < n {
+		r.streams = make([]cache.Stream, 0, n)
+	}
+	b.open = nil
+	return r.progs[:0], r.streams[:0]
+}
+
+// rowPrograms lays out the load program of each outcome of prog over seg
+// as streams indexed by row: with hdr, the row's MVCC header, then the
+// outcome's columns. hidden is the header-only program of a row a snapshot
+// does not see. The programs live until the next call.
+func (b *loadBuf) rowPrograms(prog *scanProg, seg *segment, hdr bool) (progs [][]cache.Stream, hidden []cache.Stream) {
+	stride := int64(seg.stride)
+	header := cache.Stream{Base: seg.baseAddr, Stride: stride}
+	payload := seg.baseAddr + int64(seg.payloadOff)
+	need := 1
+	for _, offs := range prog.loadOffs {
+		need += 1 + len(offs)
+	}
+	progs, buf := b.programs(need)
+	for _, offs := range prog.loadOffs {
+		start := len(buf)
+		if hdr {
+			buf = append(buf, header)
+		}
+		for _, off := range offs {
+			buf = append(buf, cache.Stream{Base: payload + off, Stride: stride})
+		}
+		progs = append(progs, buf[start:len(buf):len(buf)])
+	}
+	b.r.progs = progs
+	buf = append(buf, header)
+	return progs, buf[len(buf)-1:]
+}
+
+// colPrograms lays out COL's load programs as streams indexed by row: each
+// selection pass's value column, with the bitmap after it on refine passes,
+// and the reconstruction's consumed columns.
+func (b *loadBuf) colPrograms(sel expr.Conjunction, prog *scanProg, sch *geometry.Schema, store *colstore.Store, bitmapAddr int64) (passes [][]cache.Stream, slots []cache.Stream) {
+	slotLoads := prog.loadSlots[len(prog.preds)]
+	passes, buf := b.programs(2*len(sel) + len(slotLoads))
+	for pi, p := range sel {
+		start := len(buf)
+		buf = append(buf, cache.Stream{Base: store.ColumnAddr(p.Col), Stride: int64(sch.Column(p.Col).Width)})
+		if pi > 0 {
+			buf = append(buf, cache.Stream{Base: bitmapAddr, Stride: 1})
+		}
+		passes = append(passes, buf[start:len(buf):len(buf)])
+	}
+	b.r.progs = passes
+	start := len(buf)
+	for _, si := range slotLoads {
+		sl := &prog.slots[si]
+		buf = append(buf, cache.Stream{Base: store.ColumnAddr(sl.col), Stride: int64(sl.width)})
+	}
+	return passes, buf[start:]
 }
 
 // runVec drives the compiled batch program over the source's segments:
@@ -197,7 +362,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 	var scanned int64
 	var pipeline, producer uint64
 	last := len(prog.preds)
-	loads := loadBuf{hier: s.sys.Hier}
+	loads := loadBuf{sys: s.sys, hier: s.sys.Hier}
 	defer loads.stop()
 
 	next := s.segs(pr)
@@ -212,6 +377,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 		if !ok {
 			break
 		}
+		progs, hidden := loads.rowPrograms(prog, &seg, s.mvccTbl != nil)
 		scanned += seg.sourceRows
 		total := seg.rows
 		if seg.ids != nil {
@@ -247,45 +413,56 @@ func (s *scan) runVec(q Query) (*Result, error) {
 			extra := sc.sinkBatch(s.sink, prog, sel, n)
 
 			// Charge replay, row-major like the scalar loop: tick, iterator
-			// overhead, MVCC header touch, then the outcome's load program
-			// and the sink's per-row charge. A per-row tick samples the
-			// hierarchy, so it flushes the loads of the rows before it; the
-			// batch's loads go to the replay goroutine, which charges them
-			// while the pipeline consumes this batch and decodes the next.
+			// overhead, then the outcome's load program (MVCC header touch
+			// first) and the sink's per-row charge. A per-row tick samples
+			// the hierarchy, so it flushes the loads of the rows before it.
+			// Otherwise the charges are summed and the loads recorded a
+			// stretch of rows at a time, rows that run one program at
+			// successive indices; the batch's loads go to the replay
+			// goroutine, which charges them while the pipeline consumes
+			// this batch and decodes the next.
 			fail := sc.fail[:n]
+			rowAt := func(i int) int64 {
+				if rows != nil {
+					return int64(rows[i])
+				}
+				return int64(sub + i)
+			}
+			program := func(o int) []cache.Stream {
+				if o < 0 {
+					return hidden
+				}
+				return progs[o]
+			}
 			tickRows := s.tickPerRow && pr.tk.tl != nil
 			for i := 0; i < n; i++ {
-				row := sub + i
-				if rows != nil {
-					row = int(rows[i])
-				}
-				rowAddr := seg.baseAddr + int64(row)*int64(seg.stride)
 				if tickRows {
 					loads.flush()
 					pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
 				}
 				pr.compute += s.perRow
-				if s.mvccTbl != nil {
-					loads.add(rowAddr)
-					if snapped {
-						pr.compute += TSCheckSoftwareCycles
-						if !vis[i] {
-							continue
-						}
+				if snapped {
+					pr.compute += TSCheckSoftwareCycles
+				}
+				o := rowOutcome(fail, vis, snapped, last, i)
+				if o >= 0 {
+					pr.compute += prog.charge[o]
+					if extra != nil {
+						pr.compute += extra[i]
 					}
 				}
-				idx := last
-				if fail[i] >= 0 {
-					idx = int(fail[i])
+				if tickRows {
+					loads.step(program(o), rowAt(i))
 				}
-				payloadAddr := rowAddr + int64(seg.payloadOff)
-				for _, off := range prog.loadOffs[idx] {
-					loads.add(payloadAddr + off)
+			}
+			for i := 0; i < n && !tickRows; {
+				o, r := rowOutcome(fail, vis, snapped, last, i), rowAt(i)
+				j := i + 1
+				for j < n && rowOutcome(fail, vis, snapped, last, j) == o && rowAt(j) == r+int64(j-i) {
+					j++
 				}
-				pr.compute += prog.charge[idx]
-				if extra != nil {
-					pr.compute += extra[i]
-				}
+				loads.steps(program(o), r, int64(j-i))
+				i = j
 			}
 			loads.submit()
 
@@ -329,7 +506,7 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 	store := s.colVec.store
 	sch := s.sch
 	rows := store.NumRows()
-	loads := loadBuf{hier: s.sys.Hier}
+	loads := loadBuf{sys: s.sys, hier: s.sys.Hier}
 	defer loads.stop()
 
 	var bitmap []bool
@@ -338,11 +515,11 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 		bitmapAddr = s.sys.Arena.Alloc(int64(rows))
 		bitmap = make([]bool, rows)
 	}
+	passProgs, slotProg := loads.colPrograms(q.Selection, prog, sch, store, bitmapAddr)
 	for pi, p := range q.Selection {
 		cdef := sch.Column(p.Col)
 		w := cdef.Width
 		data := store.ColumnData(p.Col)
-		valBase := store.ColumnAddr(p.Col)
 		refinePass := pi > 0
 		var opB []byte
 		if cdef.Type == geometry.Char {
@@ -355,18 +532,16 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 			}
 			// Exact scalar pass order per row: tick, value load, bitmap
 			// load (later passes), charge.
-			addr := valBase + int64(base*w)
-			for i := 0; i < n; i++ {
-				if pr.tk.tl != nil {
+			if pr.tk.tl != nil {
+				for i := 0; i < n; i++ {
 					loads.flush()
 					pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
+					loads.step(passProgs[pi], int64(base+i))
+					pr.compute += VectorOpCycles + MaterializeCycles
 				}
-				loads.add(addr)
-				if refinePass {
-					loads.add(bitmapAddr + int64(base+i))
-				}
-				pr.compute += VectorOpCycles + MaterializeCycles
-				addr += int64(w)
+			} else {
+				loads.steps(passProgs[pi], int64(base), int64(n))
+				pr.compute += uint64(n) * (VectorOpCycles + MaterializeCycles)
 			}
 			loads.submit()
 			dst := bitmap[base : base+n]
@@ -403,7 +578,6 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 	// sink's per-row charge. The visit list touches every consumed column
 	// before a sink sees the row, so all of a sink's pass outcomes share
 	// this program.
-	slotLoads := prog.loadSlots[len(prog.preds)]
 	passCharge := prog.charge[len(prog.preds)]
 	acc := sc.begin(prog)
 
@@ -418,15 +592,21 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 			if pr.tk.tl != nil {
 				loads.flush()
 				pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
-			}
-			for _, si := range slotLoads {
-				sl := &prog.slots[si]
-				loads.add(store.ValueAddr(sl.col, int(r)))
+				loads.step(slotProg, int64(r))
 			}
 			pr.compute += passCharge
 			if extra != nil {
 				pr.compute += extra[j]
 			}
+		}
+		// Without per-row ticks, adjacent row ids load as one stretch.
+		for j := 0; j < len(group) && pr.tk.tl == nil; {
+			k := j + 1
+			for k < len(group) && group[k] == group[k-1]+1 {
+				k++
+			}
+			loads.steps(slotProg, int64(group[j]), int64(k-j))
+			j = k
 		}
 		loads.submit()
 		sc.consume(prog, sel, acc)
@@ -458,6 +638,19 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 	loads.stop()
 	res := sc.result(s.name, q, prog, acc, int64(rows))
 	return s.finishRun(pr, res, 0, 0)
+}
+
+// rowOutcome is the load program of batch row i: the index of its
+// short-circuit outcome, last when it passes, or -1 when the snapshot
+// hides it.
+func rowOutcome(fail []int16, vis []bool, snapped bool, last, i int) int {
+	switch {
+	case snapped && !vis[i]:
+		return -1
+	case fail[i] >= 0:
+		return int(fail[i])
+	}
+	return last
 }
 
 // vecRowLimit guards the int32 selection representation; tables past it use

@@ -132,6 +132,8 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 		Aggregates: []AggTerm{{Kind: expr.Count}, {Kind: expr.Sum, Arg: expr.ColRef{Col: 5}}},
 	}
 	projected := Query{Selection: twoPreds, Projection: []int{0, 3, 4}}
+	threePreds := append(append(expr.Conjunction(nil), twoPreds...), expr.Predicate{Col: 4, Op: expr.Lt, Operand: table.DateV(200)})
+	dense := Query{GroupBy: []int{2}, Aggregates: []AggTerm{{Kind: expr.Count}, {Kind: expr.Sum, Arg: expr.ColRef{Col: 1}}}}
 	allCols := Query{Projection: make([]int, wide.NumColumns())}
 	for i := range allCols.Projection {
 		allCols.Projection[i] = i
@@ -171,8 +173,36 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 			single(grouped, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
 				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
 			})},
+		// Three bitmap passes over the column store: a first pass, then
+		// two refine passes that interleave the value and bitmap streams,
+		// then reconstruction of the scattered qualifying rows.
+		{"COL-refine", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
+			single(Query{Selection: threePreds, Projection: []int{0, 3, 5}}, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			})},
+		// No selection: reconstruction visits every row, one run per batch.
+		{"COL-dense", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
+			single(dense, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			})},
+		// A bare COUNT(*) reads no column: RM counts over the narrowest.
+		{"RM-count", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 24<<10) },
+			single(Query{Aggregates: []AggTerm{{Kind: expr.Count}}}, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			})},
 		{"IDX", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
 			single(Query{Selection: expr.Conjunction{{Col: 0, Op: expr.Ge, Operand: table.I64(700)}}, Projection: []int{1, 3}},
+				func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
+					e := &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
+					if fs {
+						return scalarExec{e}
+					}
+					return e
+				})},
+		// Index order scatters the row ids, so every row opens a run of
+		// five streams.
+		{"IDX-scatter", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
+			single(Query{Selection: expr.Conjunction{{Col: 0, Op: expr.Ge, Operand: table.I64(10)}}, Projection: []int{1, 2, 4, 5}},
 				func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
 					e := &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
 					if fs {

@@ -95,7 +95,13 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		return nil, fmt.Errorf("engine: snapshot query over table %q without MVCC", e.Tbl.Name())
 	}
 
-	geom, err := geometry.NewGeometry(sch, q.NeededColumns()...)
+	cols := q.NeededColumns()
+	rewritten := len(cols) == 0
+	if rewritten {
+		q = countOverNarrowest(q, sch)
+		cols = q.NeededColumns()
+	}
+	geom, err := geometry.NewGeometry(sch, cols...)
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +127,9 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	filtered := e.SemiJoin != nil || len(e.DictFilters) > 0
 
 	s := &scan{sch: sch}
+	if rewritten {
+		s.rewritten = &q
+	}
 	lineBytes := int64(e.Sys.Hier.LineBytes())
 
 	var entry *fabric.GroupEntry
@@ -279,6 +288,30 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		s.attachVec(q, vecSpec{sel: cpuSel, offFor: offFor, ch: rmVecCharges}, &e.scratch)
 	}
 	return s, nil
+}
+
+// countOverNarrowest returns q, a statement that reads no column, as the
+// fabric runs it. A column group needs a column, so a bare COUNT(*), with
+// or without a snapshot, counts the table's narrowest column instead (the
+// first of equally narrow ones): the fabric walks every row, checking
+// visibility under a snapshot, and the count is priced exactly like
+// COUNT(<that column>). Columns hold no NULLs, so the counts agree.
+func countOverNarrowest(q Query, sch *geometry.Schema) Query {
+	narrow := 0
+	for c := 1; c < sch.NumColumns(); c++ {
+		if sch.Column(c).Width < sch.Column(narrow).Width {
+			narrow = c
+		}
+	}
+	aggs := make([]AggTerm, len(q.Aggregates))
+	for i, a := range q.Aggregates {
+		if a.Kind == expr.Count && a.Arg == nil {
+			a.Arg = expr.ColRef{Col: narrow}
+		}
+		aggs[i] = a
+	}
+	q.Aggregates = aggs
+	return q
 }
 
 // offloadLabel names the filter programs attached to a pipelined scan (the

@@ -53,6 +53,9 @@ func Run(src Source, q Query) (*Result, error) {
 	s.sys = sys
 	s.tracer = tr
 	s.sp = sp
+	if s.rewritten != nil {
+		q = *s.rewritten
+	}
 	return s.run(q)
 }
 
@@ -102,6 +105,10 @@ type scan struct {
 	sp     *obs.Span
 
 	sch *geometry.Schema
+
+	// rewritten, when set, is the query the pipeline runs in place of the
+	// one the source was opened with (see countOverNarrowest).
+	rewritten *Query
 
 	// direct bypasses the pipeline: the source produces the Result under
 	// its own accounting (it still runs inside the measured window).

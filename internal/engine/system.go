@@ -35,6 +35,10 @@ type System struct {
 	Hier  *cache.Hierarchy
 	Fab   *fabric.Engine
 	Arena *dram.Arena
+
+	// replay is the batch pipeline's replay hand-off, kept between the
+	// System's scans (see loadBuf.lease); nil while a scan holds it.
+	replay *replayer
 }
 
 // NewSystem builds a machine from cfg.

@@ -56,8 +56,11 @@ type vecPred struct {
 	opB  []byte // TrimPad-ed CHAR operand
 }
 
-// vecAgg is one aggregate term. simple >= 0 folds straight from that slot's
-// lane; otherwise the term's scalar tree is evaluated over compacted lanes.
+// vecAgg is one aggregate term. A COUNT counts the selected rows (columns
+// hold no NULLs, so its argument, loaded and charged like any other, never
+// changes the count); otherwise simple >= 0 folds straight from that
+// slot's lane, and else the term's scalar tree is evaluated over compacted
+// lanes.
 type vecAgg struct {
 	term   AggTerm
 	simple int
@@ -636,7 +639,7 @@ func (s *scanScratch) foldAggs(p *scanProg, sel []int32, aggs []vec.AggState) {
 		a := &p.aggs[ti]
 		st := &aggs[ti]
 		switch {
-		case a.term.Arg == nil:
+		case a.term.Kind == expr.Count:
 			st.AddCount(int64(len(sel)))
 		case a.simple >= 0:
 			sl := &p.slots[a.simple]
@@ -673,7 +676,7 @@ func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 	for ti := range p.aggs {
 		a := &p.aggs[ti]
 		switch {
-		case a.term.Arg == nil:
+		case a.term.Kind == expr.Count:
 			g.FoldCount(ti, ids)
 		case a.simple >= 0:
 			sl := &p.slots[a.simple]

@@ -137,6 +137,14 @@ func (t *Timeline) CacheLoad(fill bool) {
 	}
 }
 
+// CacheHits records n demand loads that hit. Nil-safe.
+func (t *Timeline) CacheHits(n uint64) {
+	if t == nil {
+		return
+	}
+	t.winLoads += n
+}
+
 // FabricChunk records one buffer refill: busy cycles the datapath spent
 // packing and stall cycles it waited on DRAM gathers or the refill
 // handshake. Nil-safe.
