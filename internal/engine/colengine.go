@@ -50,7 +50,8 @@ func (e *ColEngine) Execute(q Query) (*Result, error) { return Run(e, q) }
 
 // openScan implements Source: selection happens up front as full-column
 // bitmap passes (the prepare hook), leaving the pipeline an explicit row-id
-// list whose reconstruction touches each consumed column per row.
+// list (or, without a selection, every row) whose reconstruction touches
+// each consumed column per row.
 func (e *ColEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	if e.Store == nil || e.Sys == nil {
 		return nil, errors.New("engine: ColEngine needs a column store and a system")
@@ -75,26 +76,28 @@ func (e *ColEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 		visit:       q.consumedColumns(),
 	}
 
-	s.prepare = func(pr *pipeRun) ([]int, error) {
+	// The passes run on the scan's pipeline: as kernels when it runs a batch
+	// program, value by value when it does not.
+	s.prepare = func(pr *pipeRun) ([]int32, error) {
+		if s.prog != nil {
+			return colBitmapPasses(pr, e.Sys, s.scratch, store, sch, q.Selection), nil
+		}
 		return colBitmapSelect(pr, e.Sys, store, sch, q.Selection), nil
 	}
-	// One segment: the qualifying row ids; every source row was scanned by
+	// One segment over the dense column arrays: the qualifying row ids, or
+	// every row when nothing is selected; every source row was scanned by
 	// the selection passes.
-	s.segs = func(pr *pipeRun) segIter {
-		return oneShotIter(segment{ids: pr.ids, sourceRows: int64(rows)})
+	cols := make([]region, sch.NumColumns())
+	for c := range cols {
+		cols[c] = region{data: store.ColumnData(c), addr: store.ColumnAddr(c), stride: sch.Column(c).Width}
 	}
-	s.colAt = func(_ *segment, row, col int) (int64, []byte) {
-		w := sch.Column(col).Width
-		return store.ValueAddr(col, row), store.ColumnData(col)[row*w:]
+	s.segs = func(pr *pipeRun) segIter {
+		return oneShotIter(segment{cols: cols, rows: rows, ids: pr.ids, sourceRows: int64(rows)})
 	}
 	if !e.ForceScalar && rows <= vecRowLimit {
-		// The column arrays are dense, so every slot decodes at offset 0 of
-		// its own array; predicates run as bitmap passes outside the
-		// program, hence the empty selection.
-		spec := vecSpec{visit: s.visit, offFor: func(int) int { return 0 }, ch: colVecCharges}
-		if s.attachVec(q, spec, &e.scratch) {
-			s.colVec = &colVecLayout{store: store}
-		}
+		// Predicates run as bitmap passes outside the program, hence the
+		// empty selection.
+		s.attachVec(q, vecSpec{visit: s.visit, ch: colVecCharges}, &e.scratch)
 	}
 	return s, nil
 }

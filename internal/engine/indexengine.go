@@ -143,30 +143,21 @@ func (e *IndexEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 		s.mvccTbl = e.Tbl
 	}
 
-	s.prepare = func(*pipeRun) ([]int, error) {
-		return e.Idx.Range(e.Sys.Hier, lo, hi), nil
+	s.prepare = func(*pipeRun) ([]int32, error) {
+		cand := e.Idx.Range(e.Sys.Hier, lo, hi)
+		ids := make([]int32, len(cand))
+		for i, r := range cand {
+			ids[i] = int32(r)
+		}
+		return ids, nil
 	}
 	tbl := e.Tbl
-	payloadOff := 0
-	if tbl.HasMVCC() {
-		payloadOff = table.MVCCHeaderBytes
-	}
 	s.segs = func(pr *pipeRun) segIter {
-		return oneShotIter(segment{
-			data:       tbl.Data(),
-			baseAddr:   tbl.BaseAddr(),
-			stride:     tbl.RowStride(),
-			payloadOff: payloadOff,
-			ids:        pr.ids,
-			sourceRows: int64(len(pr.ids)),
-		})
-	}
-	s.colAt = func(_ *segment, row, col int) (int64, []byte) {
-		return tbl.ColumnAddr(row, col), tbl.RowPayload(row)[sch.Offset(col):]
+		return oneShotIter(segment{cols: heapRegions(tbl), ids: pr.ids, sourceRows: int64(len(pr.ids))})
 	}
 
 	if tbl.NumRows() <= vecRowLimit {
-		s.attachVec(q, vecSpec{sel: q.Selection, offFor: sch.Offset, ch: idxVecCharges}, &e.scratch)
+		s.attachVec(q, vecSpec{sel: q.Selection, ch: idxVecCharges}, &e.scratch)
 	}
 	return s, nil
 }
@@ -188,13 +179,8 @@ func (o *Optimizer) estimateIDX(q Query) plan.Est {
 	// the generic heuristics: equality hits entries/distinct rows; a range
 	// hits its fraction of the key span.
 	lo, hi, _ := indexBounds(q.Selection, o.Index.Column())
-	min, max := o.Index.KeyRange()
-	if lo < min {
-		lo = min
-	}
-	if hi > max {
-		hi = max
-	}
+	keyLo, keyHi := o.Index.KeyRange()
+	lo, hi = max(lo, keyLo), min(hi, keyHi)
 	var candidates float64
 	switch {
 	case o.SelOverride > 0:
@@ -204,12 +190,12 @@ func (o *Optimizer) estimateIDX(q Query) plan.Est {
 	case lo > hi:
 		candidates = 0
 	case lo == hi:
-		candidates = float64(o.Index.Entries()) / float64(maxi(o.Index.DistinctKeys(), 1))
+		candidates = float64(o.Index.Entries()) / float64(max(o.Index.DistinctKeys(), 1))
 	default:
-		span := float64(max-min) + 1
+		span := float64(keyHi-keyLo) + 1
 		candidates = float64(o.Index.Entries()) * (float64(hi-lo) + 1) / span
 	}
-	sel := candidates / maxf(n, 1)
+	sel := candidates / max(n, 1)
 
 	// Descent: height * ~3 node lines, mostly L2-resident after warmup;
 	// price them as L2 hits.
@@ -222,11 +208,4 @@ func (o *Optimizer) estimateIDX(q Query) plan.Est {
 	cost += candidates * perRow
 	cost += candidates * consumeCostPerRow(q)
 	return plan.Est{Engine: "IDX", Cycles: cost, Selectivity: sel, Available: true}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

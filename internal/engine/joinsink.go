@@ -208,7 +208,7 @@ func newJoinProbe(p *JoinPlan, builds []*joinBuild) *joinProbe {
 	j := &joinProbe{p: p, builds: builds, colSide: colSide, colSlot: colSlot, cur: make([]int32, len(p.Stages))}
 	j.cons = newConsumer(p.Consume, p.Schema, &j.fold)
 	j.combined = j.combinedValue
-	if cprog, ok := compileScanProg(p.Consume, p.Schema, vecSpec{offFor: func(int) int { return 0 }}, nil); ok {
+	if cprog, ok := compileScanProg(p.Consume, p.Schema, vecSpec{}, nil); ok {
 		j.cprog = cprog
 		_, j.foldCharge = consumeTouches(p.Consume)
 		for _, sl := range cprog.slots {

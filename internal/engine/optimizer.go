@@ -196,7 +196,7 @@ func (o *Optimizer) estimateROW(q Query) plan.Est {
 	mem := n * linesPerRow * float64(cfg.Cache.L2.HitCycles)
 
 	floor := n * rowStride / cfg.DRAM.BandwidthBytesPerCycle
-	return plan.Est{Engine: "ROW", Cycles: maxf(cpu+mem, floor), Selectivity: sel, Available: true}
+	return plan.Est{Engine: "ROW", Cycles: max(cpu+mem, floor), Selectivity: sel, Available: true}
 }
 
 func (o *Optimizer) estimateCOL(q Query) plan.Est {
@@ -242,7 +242,7 @@ func (o *Optimizer) estimateCOL(q Query) plan.Est {
 	cpu += n * sel * consumeCostPerRow(q)
 
 	floor := bytesTouched / cfg.DRAM.BandwidthBytesPerCycle
-	return plan.Est{Engine: "COL", Cycles: maxf(cpu, floor), Selectivity: sel, Available: true}
+	return plan.Est{Engine: "COL", Cycles: max(cpu, floor), Selectivity: sel, Available: true}
 }
 
 func (o *Optimizer) estimateRM(q Query) plan.Est {
@@ -268,7 +268,7 @@ func (o *Optimizer) estimateRM(q Query) plan.Est {
 	ratio := float64(cfg.Fabric.ClockRatio)
 	rowRate := n / float64(cfg.Fabric.RowsPerCycle) * ratio
 	beatRate := n * gatherPerRow / float64(cfg.Fabric.BeatBytes) * ratio
-	producer := maxf(rowRate, beatRate)
+	producer := max(rowRate, beatRate)
 	packed := float64(geom.PackedWidth())
 	chunks := n * packed / float64(cfg.Fabric.BufferBytes)
 	producer += (chunks + 1) * float64(cfg.Fabric.RefillCycles)
@@ -319,7 +319,7 @@ func (o *Optimizer) estimateRM(q Query) plan.Est {
 		consumer = float64(len(q.GroupBy)+len(q.Aggregates)) * float64(cfg.Cache.L1.HitCycles)
 	}
 
-	cycles := maxf(maxf(producer, consumer), fabricFloor)
+	cycles := max(producer, consumer, fabricFloor)
 	return plan.Est{Engine: "RM", Cycles: cycles, Selectivity: sel, Available: true, Warm: warm, Offloaded: offloaded}
 }
 
@@ -356,13 +356,6 @@ func estimateGatherBytes(tbl *table.Table, geom *geometry.Geometry, burst int) f
 		total += last - first + burst
 	}
 	return float64(total)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String renders the plan for diagnostics.

@@ -22,14 +22,16 @@ import (
 
 // pipeRun is one execution's measured window: the hardware-counter
 // baselines plus the running compute charge and timeline ticker. Sources'
-// prepare hooks charge through it (index descent, COL bitmap passes).
+// prepare hooks charge through it (index descent, COL bitmap passes); on
+// the batch pipeline they record their loads in loads.
 type pipeRun struct {
 	memStart  dram.Stats
 	hierStart cache.Stats
 	fabStart  fabric.Stats
 	compute   uint64
 	tk        ticker
-	ids       []int // prepare's explicit row-id list, if any
+	ids       []int32 // prepare's explicit row-id list, if any
+	loads     loadBuf // the batch pipeline's charge replay (unused by runScalar)
 }
 
 // run dispatches an opened scan to its execution mode.
@@ -38,9 +40,6 @@ func (s *scan) run(q Query) (*Result, error) {
 		return s.direct()
 	}
 	if s.prog != nil {
-		if s.colVec != nil {
-			return s.runColVec(q)
-		}
 		return s.runVec(q)
 	}
 	return s.runScalar(q)
@@ -69,8 +68,10 @@ func (s *scan) finishRun(pr *pipeRun, res *Result, pipeline, producer uint64) (*
 		fabD := s.sys.Fab.Stats().Delta(pr.fabStart)
 		res.Breakdown = pipelineBreakdown(s.sys, pr.memStart, pr.hierStart, pr.compute, pipeline, producer, fabD.BytesShipped)
 		finishPipelineSpan(s.sp, s.sys, pr.memStart, pr.hierStart, res)
-		s.sp.SetAttr("fabric_chunks", fmt.Sprint(fabD.Chunks))
-		s.sp.SetAttr("fabric_bytes_gathered", fmt.Sprint(fabD.BytesGathered))
+		if s.sp != nil { // an untraced scan formats no attributes
+			s.sp.SetAttr("fabric_chunks", fmt.Sprint(fabD.Chunks))
+			s.sp.SetAttr("fabric_bytes_gathered", fmt.Sprint(fabD.BytesGathered))
+		}
 		return res, nil
 	}
 	pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
@@ -112,7 +113,7 @@ func (s *scan) runScalar(q Query) (*Result, error) {
 		if fetchedAt[col] == epoch {
 			return vals[col]
 		}
-		addr, src := s.colAt(&seg, row, col)
+		src, addr := seg.cols[col].at(row)
 		s.sys.Hier.Load(addr)
 		pr.compute += s.fetchCycles
 		v := table.DecodeColumn(colDef[col], src)
@@ -150,7 +151,7 @@ func (s *scan) runScalar(q Query) (*Result, error) {
 		for i := 0; i < n; i++ {
 			r := i
 			if seg.ids != nil {
-				r = seg.ids[i]
+				r = int(seg.ids[i])
 			}
 			if s.tickPerRow && pr.tk.tl != nil {
 				pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
@@ -236,16 +237,17 @@ func oneShotIter(seg segment) segIter {
 // which the next pass ANDs into. This is the materialized-intermediate
 // discipline of true column-at-a-time processing; it trades extra value
 // touches for perfectly sequential access. The returned row-id list is the
-// qualifying set in row order.
-func colBitmapSelect(pr *pipeRun, sys *System, store *colstore.Store, sch *geometry.Schema, selection expr.Conjunction) []int {
+// qualifying set in row order, nil when there is no selection (every row
+// qualifies). colBitmapPasses is its batch twin.
+func colBitmapSelect(pr *pipeRun, sys *System, store *colstore.Store, sch *geometry.Schema, selection expr.Conjunction) []int32 {
+	if len(selection) == 0 {
+		return nil
+	}
 	rows := store.NumRows()
 	var bitmap []bool
-	var bitmapAddr int64
-	if len(selection) > 0 {
-		// The match bitmap is itself a memory-resident intermediate; every
-		// pass streams it alongside the predicate column.
-		bitmapAddr = sys.Arena.Alloc(int64(rows))
-	}
+	// The match bitmap is itself a memory-resident intermediate; every
+	// pass streams it alongside the predicate column.
+	bitmapAddr := sys.Arena.Alloc(int64(rows))
 	for pi, p := range selection {
 		col := p.Col
 		w := sch.Column(col).Width
@@ -276,18 +278,18 @@ func colBitmapSelect(pr *pipeRun, sys *System, store *colstore.Store, sch *geome
 			}
 		}
 	}
-	sel := make([]int, 0, rows)
-	if bitmap == nil {
-		for r := 0; r < rows; r++ {
-			sel = append(sel, r)
+	return bitmapIDs(pr, bitmap)
+}
+
+// bitmapIDs materializes the qualifying row ids of a selection bitmap,
+// charging each one.
+func bitmapIDs(pr *pipeRun, bitmap []bool) []int32 {
+	ids := make([]int32, 0, len(bitmap))
+	for r, ok := range bitmap {
+		if ok {
+			ids = append(ids, int32(r))
 		}
-	} else {
-		for r, ok := range bitmap {
-			if ok {
-				sel = append(sel, r)
-			}
-		}
-		pr.compute += uint64(len(sel) * MaterializeCycles)
 	}
-	return sel
+	pr.compute += uint64(len(ids) * MaterializeCycles)
+	return ids
 }

@@ -8,6 +8,7 @@ import (
 	"rfabric/internal/colstore"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
+	"rfabric/internal/table"
 	"rfabric/internal/vec"
 )
 
@@ -26,8 +27,11 @@ import (
 // Like the scalar pipeline it is written once and parameterized by the
 // opened scan: ROW feeds it one strided segment (with MVCC replay and
 // per-row ticks), RM feeds it fabric chunks with pipeline accounting, IDX
-// feeds it its candidate row ids over the strided heap. COL's decomposed
-// layout has its own batch scan, runColVec, below.
+// feeds it its candidate row ids over the strided heap, and COL feeds it
+// the qualifying row ids of its bitmap selection passes (its prepare hook,
+// colBitmapPasses) over the column arrays, or every row when nothing is
+// selected. Each segment states where its columns live (segment.cols), so
+// decode, gather and load programs read one layout whatever the source.
 
 // loadBuf collects the charge replay's loads as strided runs, in scalar
 // order, and hands them to the scan's replay goroutine, which charges each
@@ -287,24 +291,26 @@ func (b *loadBuf) programs(n int) ([][]cache.Stream, []cache.Stream) {
 
 // rowPrograms lays out the load program of each outcome of prog over seg
 // as streams indexed by row: with hdr, the row's MVCC header, then the
-// outcome's columns. hidden is the header-only program of a row a snapshot
-// does not see. The programs live until the next call.
-func (b *loadBuf) rowPrograms(prog *scanProg, seg *segment, hdr bool) (progs [][]cache.Stream, hidden []cache.Stream) {
-	stride := int64(seg.stride)
-	header := cache.Stream{Base: seg.baseAddr, Stride: stride}
-	payload := seg.baseAddr + int64(seg.payloadOff)
+// outcome's columns where seg's layout puts them. hidden is the header-only
+// program of a row a snapshot does not see. The programs live until the
+// next call.
+func (b *loadBuf) rowPrograms(prog *scanProg, seg *segment, hdr *table.Table) (progs [][]cache.Stream, hidden []cache.Stream) {
+	var header cache.Stream
+	if hdr != nil {
+		header = cache.Stream{Base: hdr.BaseAddr(), Stride: int64(hdr.RowStride())}
+	}
 	need := 1
-	for _, offs := range prog.loadOffs {
-		need += 1 + len(offs)
+	for _, slots := range prog.loadSlots {
+		need += 1 + len(slots)
 	}
 	progs, buf := b.programs(need)
-	for _, offs := range prog.loadOffs {
+	for _, slots := range prog.loadSlots {
 		start := len(buf)
-		if hdr {
+		if hdr != nil {
 			buf = append(buf, header)
 		}
-		for _, off := range offs {
-			buf = append(buf, cache.Stream{Base: payload + off, Stride: stride})
+		for _, si := range slots {
+			buf = append(buf, seg.cols[prog.slots[si].col].stream())
 		}
 		progs = append(progs, buf[start:len(buf):len(buf)])
 	}
@@ -313,12 +319,11 @@ func (b *loadBuf) rowPrograms(prog *scanProg, seg *segment, hdr bool) (progs [][
 	return progs, buf[len(buf)-1:]
 }
 
-// colPrograms lays out COL's load programs as streams indexed by row: each
-// selection pass's value column, with the bitmap after it on refine passes,
-// and the reconstruction's consumed columns.
-func (b *loadBuf) colPrograms(sel expr.Conjunction, prog *scanProg, sch *geometry.Schema, store *colstore.Store, bitmapAddr int64) (passes [][]cache.Stream, slots []cache.Stream) {
-	slotLoads := prog.loadSlots[len(prog.preds)]
-	passes, buf := b.programs(2*len(sel) + len(slotLoads))
+// colPrograms lays out the load programs of COL's selection passes as
+// streams indexed by row: each pass's value column, with the bitmap after
+// it on refine passes.
+func (b *loadBuf) colPrograms(sel expr.Conjunction, sch *geometry.Schema, store *colstore.Store, bitmapAddr int64) [][]cache.Stream {
+	passes, buf := b.programs(2 * len(sel))
 	for pi, p := range sel {
 		start := len(buf)
 		buf = append(buf, cache.Stream{Base: store.ColumnAddr(p.Col), Stride: int64(sch.Column(p.Col).Width)})
@@ -328,22 +333,22 @@ func (b *loadBuf) colPrograms(sel expr.Conjunction, prog *scanProg, sch *geometr
 		passes = append(passes, buf[start:len(buf):len(buf)])
 	}
 	b.r.progs = passes
-	start := len(buf)
-	for _, si := range slotLoads {
-		sl := &prog.slots[si]
-		buf = append(buf, cache.Stream{Base: store.ColumnAddr(sl.col), Stride: int64(sl.width)})
-	}
-	return passes, buf[start:]
+	return passes
 }
 
 // runVec drives the compiled batch program over the source's segments:
-// dense strided rows (ROW, RM chunks) are decoded in place, explicit row-id
-// lists (IDX candidates) are gathered batch by batch from the strided heap.
+// dense rows (ROW's heap, RM chunks, COL's columns without a selection) are
+// decoded in place, explicit row-id lists (IDX candidates, COL's qualifying
+// rows) are gathered batch by batch, each column from where the segment
+// says it lives.
 func (s *scan) runVec(q Query) (*Result, error) {
 	pr := s.begin()
 	prog := s.prog
 	sc := s.scratch
 	sc.ensure(prog)
+	pr.loads = loadBuf{sys: s.sys, hier: s.sys.Hier}
+	loads := &pr.loads
+	defer loads.stop()
 	if s.prepare != nil {
 		ids, err := s.prepare(pr)
 		if err != nil {
@@ -352,7 +357,8 @@ func (s *scan) runVec(q Query) (*Result, error) {
 		pr.ids = ids
 	}
 
-	snapped := s.mvccTbl != nil && q.Snapshot != nil
+	hdr := s.mvccTbl
+	snapped := hdr != nil && q.Snapshot != nil
 	var snapTS uint64
 	if snapped {
 		snapTS = *q.Snapshot
@@ -362,8 +368,6 @@ func (s *scan) runVec(q Query) (*Result, error) {
 	var scanned int64
 	var pipeline, producer uint64
 	last := len(prog.preds)
-	loads := loadBuf{sys: s.sys, hier: s.sys.Hier}
-	defer loads.stop()
 
 	next := s.segs(pr)
 	for {
@@ -377,7 +381,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 		if !ok {
 			break
 		}
-		progs, hidden := loads.rowPrograms(prog, &seg, s.mvccTbl != nil)
+		progs, hidden := loads.rowPrograms(prog, &seg, hdr)
 		scanned += seg.sourceRows
 		total := seg.rows
 		if seg.ids != nil {
@@ -389,19 +393,16 @@ func (s *scan) runVec(q Query) (*Result, error) {
 			vis := sc.vis[:n]
 			var rows []int32
 			if seg.ids != nil {
-				rows = sc.rows[:n]
-				for i := range rows {
-					rows[i] = int32(seg.ids[sub+i])
-				}
+				rows = seg.ids[sub : sub+n]
 				if snapped {
-					vec.VisibleRows(vis, seg.data, seg.stride, rows, snapTS)
+					vec.VisibleRows(vis, hdr.Data(), hdr.RowStride(), rows, snapTS)
 				}
-				sc.gatherSlots(prog, seg.data, seg.payloadOff, seg.stride, rows)
+				sc.gatherSlots(prog, seg.cols, rows)
 			} else {
 				if snapped {
-					vec.VisibleMask(vis, seg.data, seg.stride, sub, snapTS)
+					vec.VisibleMask(vis, hdr.Data(), hdr.RowStride(), sub, snapTS)
 				}
-				sc.decodeSlots(prog, seg.data, sub*seg.stride+seg.payloadOff, seg.stride, n)
+				sc.decodeSlots(prog, seg.cols, sub, n)
 			}
 			sel := sc.sel[:0]
 			for i := 0; i < n; i++ {
@@ -487,36 +488,22 @@ func (s *scan) runVec(q Query) (*Result, error) {
 	return s.finishRun(pr, res, pipeline, producer)
 }
 
-// colVecLayout is the decomposed-layout batch driver's view of the column
-// store: dense per-column arrays addressed by (column, row) rather than a
-// strided row region, so selection runs as bitmap passes and reconstruction
-// as gathers.
-type colVecLayout struct {
-	store *colstore.Store
-}
-
-// runColVec is the decomposed layout's batch scan: bitmap selection passes
-// over dense columns, then batched tuple reconstruction over the qualifying
-// row ids.
-func (s *scan) runColVec(q Query) (*Result, error) {
-	pr := s.begin()
-	prog := s.prog
-	sc := s.scratch
-	sc.ensure(prog)
-	store := s.colVec.store
-	sch := s.sch
-	rows := store.NumRows()
-	loads := loadBuf{sys: s.sys, hier: s.sys.Hier}
-	defer loads.stop()
-
-	var bitmap []bool
-	var bitmapAddr int64
-	if len(q.Selection) > 0 {
-		bitmapAddr = s.sys.Arena.Alloc(int64(rows))
-		bitmap = make([]bool, rows)
+// colBitmapPasses is COL's batch prepare hook: colBitmapSelect's passes,
+// charges and load order, with each batch of a pass recorded as one run
+// (row by row under a timeline, whose per-row ticks flush) and compared by
+// bitmap kernels. Like colBitmapSelect it returns the qualifying row ids,
+// or nil when there is no selection, so reconstruction decodes dense
+// batches.
+func colBitmapPasses(pr *pipeRun, sys *System, sc *scanScratch, store *colstore.Store, sch *geometry.Schema, selection expr.Conjunction) []int32 {
+	if len(selection) == 0 {
+		return nil
 	}
-	passProgs, slotProg := loads.colPrograms(q.Selection, prog, sch, store, bitmapAddr)
-	for pi, p := range q.Selection {
+	rows := store.NumRows()
+	bitmapAddr := sys.Arena.Alloc(int64(rows))
+	bitmap := make([]bool, rows)
+	loads := &pr.loads
+	passes := loads.colPrograms(selection, sch, store, bitmapAddr)
+	for pi, p := range selection {
 		cdef := sch.Column(p.Col)
 		w := cdef.Width
 		data := store.ColumnData(p.Col)
@@ -526,21 +513,18 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 			opB = vec.TrimPad(p.Operand.Bytes)
 		}
 		for base := 0; base < rows; base += vecBatchRows {
-			n := rows - base
-			if n > vecBatchRows {
-				n = vecBatchRows
-			}
+			n := min(rows-base, vecBatchRows)
 			// Exact scalar pass order per row: tick, value load, bitmap
 			// load (later passes), charge.
 			if pr.tk.tl != nil {
 				for i := 0; i < n; i++ {
 					loads.flush()
-					pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
-					loads.step(passProgs[pi], int64(base+i))
+					pr.tk.advance(sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
+					loads.step(passes[pi], int64(base+i))
 					pr.compute += VectorOpCycles + MaterializeCycles
 				}
 			} else {
-				loads.steps(passProgs[pi], int64(base), int64(n))
+				loads.steps(passes[pi], int64(base), int64(n))
 				pr.compute += uint64(n) * (VectorOpCycles + MaterializeCycles)
 			}
 			loads.submit()
@@ -560,84 +544,7 @@ func (s *scan) runColVec(q Query) (*Result, error) {
 			}
 		}
 	}
-
-	var sel32 []int32
-	if bitmap != nil {
-		sel32 = make([]int32, 0, rows)
-		for r, ok := range bitmap {
-			if ok {
-				sel32 = append(sel32, int32(r))
-			}
-		}
-		pr.compute += uint64(len(sel32) * MaterializeCycles)
-	}
-
-	// Reconstruction: gather the group's consumed columns, hand them to a
-	// join sink if any, then replay the pass program (index
-	// len(prog.preds)==0 here — compile saw no CPU predicates) and the
-	// sink's per-row charge. The visit list touches every consumed column
-	// before a sink sees the row, so all of a sink's pass outcomes share
-	// this program.
-	passCharge := prog.charge[len(prog.preds)]
-	acc := sc.begin(prog)
-
-	process := func(group []int32) {
-		for i := range prog.slots {
-			sl := &prog.slots[i]
-			sc.gatherSlot(sl, store.ColumnData(sl.col), sl.width, group)
-		}
-		sel := sc.iota[:len(group)]
-		extra := sc.sinkBatch(s.sink, prog, sel, len(group))
-		for j, r := range group {
-			if pr.tk.tl != nil {
-				loads.flush()
-				pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
-				loads.step(slotProg, int64(r))
-			}
-			pr.compute += passCharge
-			if extra != nil {
-				pr.compute += extra[j]
-			}
-		}
-		// Without per-row ticks, adjacent row ids load as one stretch.
-		for j := 0; j < len(group) && pr.tk.tl == nil; {
-			k := j + 1
-			for k < len(group) && group[k] == group[k-1]+1 {
-				k++
-			}
-			loads.steps(slotProg, int64(group[j]), int64(k-j))
-			j = k
-		}
-		loads.submit()
-		sc.consume(prog, sel, acc)
-	}
-
-	if bitmap == nil {
-		for base := 0; base < rows; base += vecBatchRows {
-			n := rows - base
-			if n > vecBatchRows {
-				n = vecBatchRows
-			}
-			group := sc.sel[:0]
-			for i := 0; i < n; i++ {
-				group = append(group, int32(base+i))
-			}
-			process(group)
-		}
-	} else {
-		for s0 := 0; s0 < len(sel32); s0 += vecBatchRows {
-			s1 := s0 + vecBatchRows
-			if s1 > len(sel32) {
-				s1 = len(sel32)
-			}
-			process(sel32[s0:s1])
-		}
-	}
-
-	loads.flush()
-	loads.stop()
-	res := sc.result(s.name, q, prog, acc, int64(rows))
-	return s.finishRun(pr, res, 0, 0)
+	return bitmapIDs(pr, bitmap)
 }
 
 // rowOutcome is the load program of batch row i: the index of its
@@ -653,6 +560,8 @@ func rowOutcome(fail []int16, vis []bool, snapped bool, last, i int) int {
 	return last
 }
 
-// vecRowLimit guards the int32 selection representation; tables past it use
-// the scalar paths (none of the reproduction's workloads come close).
+// vecRowLimit guards the int32 selection representation; ROW and RM tables
+// past it use the scalar paths. Segment id lists are int32 on both paths,
+// so COL and IDX assume tables below it (none of the reproduction's
+// workloads come close).
 const vecRowLimit = math.MaxInt32

@@ -139,18 +139,34 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 		allCols.Projection[i] = i
 	}
 
-	// A Q3-class join: filtered probe (lineitem-like) against filtered
-	// build (orders-like) on the key, grouped on build columns, summing
-	// price*(1-disc).
-	q3 := func() *plan.Node {
-		li := plan.NewScan("probe", "", nil).Filter(expr.Conjunction{{Col: 4, Op: expr.Gt, Operand: table.DateV(60)}})
-		ord := plan.NewScan("build", "", nil).Filter(expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.DateV(300)}})
+	type run func(t *testing.T, f *joinTwin, tr *obs.Tracer, scalar bool) (*Result, error)
+
+	// A Q3-class join: probe (lineitem-like) against build (orders-like)
+	// on the key, each side filtered by its selection when it has one,
+	// grouped on build columns, summing price*(1-disc).
+	q3 := func(probeSel, buildSel expr.Conjunction) *plan.Node {
+		li, ord := plan.NewScan("probe", "", nil), plan.NewScan("build", "", nil)
+		if probeSel != nil {
+			li = li.Filter(probeSel)
+		}
+		if buildSel != nil {
+			ord = ord.Filter(buildSel)
+		}
 		revenue := expr.Binary{Op: expr.Mul, L: expr.ColRef{Col: 1},
 			R: expr.Binary{Op: expr.Sub, L: expr.Const{V: 1}, R: expr.ColRef{Col: 5}}}
 		return li.Join(ord, 0, 0).Aggregate([]int{0, 7, 8}, []plan.Agg{{Kind: expr.Sum, Arg: revenue}, {Kind: expr.Count}})
 	}
+	q3Join := func(v joinVariant) run {
+		return func(t *testing.T, f *joinTwin, tr *obs.Tracer, fs bool) (*Result, error) {
+			jp := f.lower(t, nil)
+			ex := &JoinExec{Plan: jp, Probe: f.source(f.sys, v, jp.Probe.Table, true, fs, tr)}
+			for _, st := range jp.Stages {
+				ex.Builds = append(ex.Builds, f.source(f.sys, v, st.Side.Table, false, fs, tr))
+			}
+			return ex.Execute()
+		}
+	}
 
-	type run func(t *testing.T, f *joinTwin, tr *obs.Tracer, scalar bool) (*Result, error)
 	single := func(q Query, mk func(f *joinTwin, tr *obs.Tracer, scalar bool) Executor) run {
 		return func(t *testing.T, f *joinTwin, tr *obs.Tracer, scalar bool) (*Result, error) {
 			return mk(f, tr, scalar).Execute(q)
@@ -222,16 +238,21 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 			})},
 		{"Q3-join", func(t *testing.T) *joinTwin {
 			f := replayTwin(t, narrow, rows, false, 1200, 32<<10)
-			f.root = q3()
+			f.root = q3(expr.Conjunction{{Col: 4, Op: expr.Gt, Operand: table.DateV(60)}},
+				expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.DateV(300)}})
 			return f
-		}, func(t *testing.T, f *joinTwin, tr *obs.Tracer, fs bool) (*Result, error) {
-			jp := f.lower(t, nil)
-			ex := &JoinExec{Plan: jp, Probe: f.source(f.sys, viaRM, jp.Probe.Table, true, fs, tr)}
-			for _, st := range jp.Stages {
-				ex.Builds = append(ex.Builds, f.source(f.sys, viaRM, st.Side.Table, false, fs, tr))
-			}
-			return ex.Execute()
-		}},
+		}, q3Join(viaRM)},
+		// Both sides on COL: the probe's two predicates run as a first and
+		// a refine bitmap pass before its sink reads the qualifying rows;
+		// the unfiltered build side's sink reads a dense columnar decode.
+		{"Q3-join-COL", func(t *testing.T) *joinTwin {
+			f := replayTwin(t, narrow, rows, false, 1200, 0)
+			f.root = q3(expr.Conjunction{
+				{Col: 4, Op: expr.Gt, Operand: table.DateV(60)},
+				{Col: 2, Op: expr.Ge, Operand: table.I32(10)},
+			}, nil)
+			return f
+		}, q3Join(viaCOL)},
 		{"wide", func(t *testing.T) *joinTwin { return replayTwin(t, wide, 3000, false, 0, 0) },
 			single(allCols, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
 				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}

@@ -137,6 +137,11 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		entry, _ = e.Cache.Acquire(e.Tbl, geom, q.Snapshot, pushedPreds)
 	}
 
+	// Packed-layout addressing: packed rows are accessed exactly like Fig.
+	// 3's cg[i].field, row-wise over a dense single stream. Every chunk
+	// restates the geometry's columns into this one layout (the rest are
+	// never fetched).
+	var layout []region
 	var packed int
 	if entry != nil {
 		// Warm path: the group is resident — no ephemeral view, no DRAM
@@ -166,14 +171,13 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 				i++
 				producer := e.Sys.Fab.ReplayChunk(ch.Rows, ch.Len)
 				addr := base + int64(ch.Off)
+				layout = packedRegions(layout, geom, data[ch.Off:ch.Off+ch.Len], addr, packed)
 				lines := (ch.Len + int(lineBytes) - 1) / int(lineBytes)
 				for l := 0; l < lines; l++ {
 					e.Sys.Hier.FillFromFabric(addr + int64(l)*lineBytes)
 				}
 				return segment{
-					data:       data[ch.Off : ch.Off+ch.Len],
-					baseAddr:   addr,
-					stride:     packed,
+					cols:       layout,
 					rows:       ch.Rows,
 					sourceRows: int64(ch.SourceRows),
 					producer:   producer,
@@ -232,14 +236,13 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 					return segment{}, false
 				}
 				rec.Add(ch.Data, ch.Rows, ch.SourceRows)
+				layout = packedRegions(layout, geom, ch.Data, ch.BaseAddr, packed)
 				lines := (len(ch.Data) + int(lineBytes) - 1) / int(lineBytes)
 				for i := 0; i < lines; i++ {
 					e.Sys.Hier.FillFromFabric(ch.BaseAddr + int64(i)*lineBytes)
 				}
 				return segment{
-					data:       ch.Data,
-					baseAddr:   ch.BaseAddr,
-					stride:     packed,
+					cols:       layout,
 					rows:       ch.Rows,
 					sourceRows: int64(ch.SourceRows),
 					producer:   ch.ProducerCycles,
@@ -263,31 +266,25 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	s.fetchCycles = VectorOpCycles
 	s.pipelined = true
 
-	// Packed-layout addressing, hoisted into a flat array indexed by schema
-	// column (only the geometry's columns are ever fetched) — packed rows
-	// are accessed exactly like Fig. 3's cg[i].field: row-wise over a dense
-	// single stream.
-	offs := make([]int, sch.NumColumns())
-	for i, c := range geom.Columns() {
-		offs[c] = geom.PackedOffset(i)
-	}
-	s.colAt = func(seg *segment, row, col int) (int64, []byte) {
-		off := row*packed + offs[col]
-		return seg.baseAddr + int64(off), seg.data[off:]
-	}
-
 	if !e.ForceScalar {
-		offFor := func(col int) int {
-			for i, c := range geom.Columns() {
-				if c == col {
-					return geom.PackedOffset(i)
-				}
-			}
-			panic(fmt.Sprintf("engine: column %d not in RM geometry", col))
-		}
-		s.attachVec(q, vecSpec{sel: cpuSel, offFor: offFor, ch: rmVecCharges}, &e.scratch)
+		s.attachVec(q, vecSpec{sel: cpuSel, ch: rmVecCharges}, &e.scratch)
 	}
 	return s, nil
+}
+
+// packedRegions restates cols, indexed by schema column (allocated on the
+// first chunk), as the layout of a packed chunk whose first row starts at
+// data[0], simulated address addr: each of geom's columns at its packed
+// offset, rows width bytes apart.
+func packedRegions(cols []region, geom *geometry.Geometry, data []byte, addr int64, width int) []region {
+	if cols == nil {
+		cols = make([]region, geom.Schema().NumColumns())
+	}
+	for i, c := range geom.Columns() {
+		off := geom.PackedOffset(i)
+		cols[c] = region{data: data, off: off, addr: addr + int64(off), stride: width}
+	}
+	return cols
 }
 
 // countOverNarrowest returns q, a statement that reads no column, as the

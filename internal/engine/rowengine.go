@@ -77,31 +77,11 @@ func (e *RowEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	}
 
 	rows := e.Tbl.NumRows()
-	payloadOff := 0
-	if e.Tbl.HasMVCC() {
-		payloadOff = table.MVCCHeaderBytes
-	}
-	seg := segment{
-		data:       e.Tbl.Data(),
-		baseAddr:   e.Tbl.BaseAddr(),
-		stride:     e.Tbl.RowStride(),
-		payloadOff: payloadOff,
-		rows:       rows,
-		sourceRows: int64(rows),
-	}
+	seg := segment{cols: heapRegions(e.Tbl), rows: rows, sourceRows: int64(rows)}
 	s.segs = func(*pipeRun) segIter { return oneShotIter(seg) }
 
-	tbl := e.Tbl
-	colOff := make([]int, sch.NumColumns())
-	for i := range colOff {
-		colOff[i] = sch.Offset(i)
-	}
-	s.colAt = func(_ *segment, row, col int) (int64, []byte) {
-		return tbl.ColumnAddr(row, col), tbl.RowPayload(row)[colOff[col]:]
-	}
-
 	if !e.ForceScalar && rows <= vecRowLimit {
-		s.attachVec(q, vecSpec{sel: q.Selection, offFor: sch.Offset, ch: rowVecCharges}, &e.scratch)
+		s.attachVec(q, vecSpec{sel: q.Selection, ch: rowVecCharges}, &e.scratch)
 	}
 	return s, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"rfabric/internal/cache"
 	"rfabric/internal/expr"
 	"rfabric/internal/fabric"
 	"rfabric/internal/geometry"
@@ -23,9 +24,10 @@ import (
 //     compilation) before returning — the pipeline captures the hardware
 //     counters only after open succeeds;
 //   - describe every modeled charge declaratively: perRow / predCycles /
-//     fetchCycles constants, the segment iterator, the colAt addressing
-//     function, and (for work that must run inside the measured window,
-//     like index descent or COL's bitmap passes) a prepare hook.
+//     fetchCycles constants, the segment iterator, whose segments state
+//     once where each column lives (segment.cols), and (for work that must
+//     run inside the measured window, like index descent or COL's bitmap
+//     passes) a prepare hook.
 type Source interface {
 	// Name is the access path's short label (ROW, COL, RM, IDX).
 	Name() string
@@ -63,22 +65,16 @@ func Run(src Source, q Query) (*Result, error) {
 // heap (ROW), the column store's row range (COL), one fabric chunk (RM), or
 // an index candidate list (IDX).
 type segment struct {
-	// data/baseAddr/stride describe a dense row-major region: data holds
-	// the encoded rows, baseAddr is the simulated address of data[0], and
-	// each row occupies stride bytes. payloadOff is the byte offset of the
-	// column payload within a row (the MVCC header size on ROW heaps).
-	// Sources with non-strided layouts (COL, IDX) leave these zero and
-	// address through the scan's colAt hook instead.
-	data       []byte
-	baseAddr   int64
-	stride     int
-	payloadOff int
+	// cols is the segment's physical layout, indexed by schema column:
+	// where each column the scan touches lives. It is the one description
+	// the scalar fetch, the batch decode and the charge replay all read.
+	cols []region
 
 	// rows is the dense row count; ids, when non-nil, is the explicit
 	// visit list (index candidates, COL's qualifying row ids) and takes
 	// precedence over rows.
 	rows int
-	ids  []int
+	ids  []int32
 
 	// sourceRows is how many source rows this segment accounts for in
 	// Result.RowsScanned.
@@ -86,6 +82,45 @@ type segment struct {
 	// producer is the fabric-side production time of this segment
 	// (pipelined sources only).
 	producer uint64
+}
+
+// region locates one column's values: row r's value starts at byte
+// off+r*stride of data, at simulated address addr+r*stride. A row-major
+// heap gives every column the row stride, the column store each column its
+// own dense array, and a fabric chunk the packed width.
+type region struct {
+	data   []byte
+	off    int
+	addr   int64
+	stride int
+}
+
+// at returns row r's value bytes and their simulated address.
+func (g *region) at(r int) ([]byte, int64) {
+	o := r * g.stride
+	return g.data[g.off+o:], g.addr + int64(o)
+}
+
+// stream is the region's addresses as a load stream indexed by row.
+func (g *region) stream() cache.Stream {
+	return cache.Stream{Base: g.addr, Stride: int64(g.stride)}
+}
+
+// heapRegions describes a row-major heap: column c of row r sits past the
+// row's MVCC header (on versioned tables) at the column's schema offset.
+// The header itself stays the table's row-major stream (Table.RowAddr).
+func heapRegions(tbl *table.Table) []region {
+	sch := tbl.Schema()
+	payload := 0
+	if tbl.HasMVCC() {
+		payload = table.MVCCHeaderBytes
+	}
+	regs := make([]region, sch.NumColumns())
+	for c := range regs {
+		off := payload + sch.Offset(c)
+		regs[c] = region{data: tbl.Data(), off: off, addr: tbl.BaseAddr() + int64(off), stride: tbl.RowStride()}
+	}
+	return regs
 }
 
 // segIter yields segments; it is created inside the measured window so
@@ -114,9 +149,7 @@ type scan struct {
 	// its own accounting (it still runs inside the measured window).
 	direct func() (*Result, error)
 
-	// prog, when non-nil, routes execution to the batch path. colStore
-	// marks the decomposed-layout variant (bitmap selection passes over
-	// dense column arrays instead of strided decode).
+	// prog, when non-nil, routes execution to the batch path.
 	prog    *scanProg
 	scratch *scanScratch
 
@@ -145,20 +178,11 @@ type scan struct {
 	// prepare runs inside the measured window before iteration and may
 	// return an explicit row-id list for the (single) segment: index
 	// descent, COL's full-column bitmap selection passes.
-	prepare func(pr *pipeRun) ([]int, error)
+	prepare func(pr *pipeRun) ([]int32, error)
 
 	// segs builds the segment iterator (called inside the measured
 	// window; RM resets the ephemeral view here).
 	segs func(pr *pipeRun) segIter
-
-	// colAt resolves (segment, row, column) to the value's simulated
-	// address and its encoded bytes — the one place a source's physical
-	// layout meets the pipeline's fetch path.
-	colAt func(seg *segment, row, col int) (int64, []byte)
-
-	// colVec, when non-nil alongside prog, is the decomposed-layout batch
-	// driver's view of the column store (COL only).
-	colVec *colVecLayout
 
 	// spec is the batch compilation input prog was built from (set with
 	// prog by attachVec).

@@ -42,7 +42,6 @@ type vecSlot struct {
 	col   int
 	typ   geometry.ColumnType
 	kind  slotKind
-	off   int64 // byte offset within the addressing unit (payload / packed row)
 	width int
 	lane  int // index into the scratch lane pool of the slot's kind
 }
@@ -85,13 +84,12 @@ type scanProg struct {
 	slots []vecSlot
 	preds []vecPred
 
-	// loadSlots[d] / loadOffs[d] is the ordered first-touch load program of
-	// a row that fails at predicate d (d < len(preds)) or passes
-	// (d == len(preds)): slot indices and their byte offsets within the
-	// addressing unit. charge[d] is the matching constant compute charge
-	// (predicate evals + column fetches + consumption for the pass case).
+	// loadSlots[d] is the ordered first-touch load program of a row that
+	// fails at predicate d (d < len(preds)) or passes (d >= len(preds)):
+	// slot indices, which the segment's layout turns into addresses.
+	// charge[d] is the matching constant compute charge (predicate evals +
+	// column fetches + consumption for the pass case).
 	loadSlots [][]int32
-	loadOffs  [][]int64
 	charge    []uint64
 	perRow    uint64
 
@@ -112,14 +110,12 @@ type scanProg struct {
 // evaluates (empty when pushed down), an explicit visit list that overrides
 // the pass outcomes' column order (the COL engine touches every consumed
 // column before consuming; ROW and RM touch lazily in consumption order),
-// each column's byte offset within the scan's addressing unit, and the
-// engine's charge constants. The scan keeps it so a join side can recompile
-// its pass outcomes for the build or probe sink.
+// and the engine's charge constants. The scan keeps it so a join side can
+// recompile its pass outcomes for the build or probe sink.
 type vecSpec struct {
-	sel    expr.Conjunction
-	visit  []int
-	offFor func(col int) int
-	ch     vecCharges
+	sel   expr.Conjunction
+	visit []int
+	ch    vecCharges
 }
 
 // passOutcome is one way a row that survives the CPU predicates can finish:
@@ -151,7 +147,7 @@ func compileScanProg(q Query, sch *geometry.Schema, spec vecSpec, passes []passO
 			return si
 		}
 		c := sch.Column(col)
-		s := vecSlot{col: col, typ: c.Type, off: int64(spec.offFor(col)), width: c.Width}
+		s := vecSlot{col: col, typ: c.Type, width: c.Width}
 		switch c.Type {
 		case geometry.Int64:
 			s.kind = slotI64
@@ -188,7 +184,6 @@ func compileScanProg(q Query, sch *geometry.Schema, spec vecSpec, passes []passO
 	outcomes := len(spec.sel) + len(passes)
 	p.preds = make([]vecPred, 0, len(spec.sel))
 	p.loadSlots = make([][]int32, 0, outcomes)
-	p.loadOffs = make([][]int64, 0, outcomes)
 	p.charge = make([]uint64, 0, outcomes)
 
 	// Each outcome's load program is the scalar first-touch sequence: the
@@ -204,12 +199,7 @@ func compileScanProg(q Query, sch *geometry.Schema, spec vecSpec, passes []passO
 	}
 	emit := func(charge uint64) {
 		ls := append([]int32(nil), seq...)
-		offs := make([]int64, len(ls))
-		for i, si := range ls {
-			offs[i] = p.slots[si].off
-		}
 		p.loadSlots = append(p.loadSlots, ls)
-		p.loadOffs = append(p.loadOffs, offs)
 		p.charge = append(p.charge, charge+uint64(len(ls))*ch.fetch)
 	}
 	for d, pr := range spec.sel {
@@ -335,7 +325,6 @@ type scanScratch struct {
 	fail  []int16
 	vis   []bool
 	iota  []int32  // identity selection for compacted kernels
-	rows  []int32  // the current batch's row ids (id-list segments)
 	gids  []int32  // group id of each selected row
 	extra []uint64 // a join sink's per-row compute on top of the outcome's charge
 	keys  []vec.KeyCol
@@ -372,7 +361,6 @@ func (s *scanScratch) ensure(p *scanProg) {
 		s.sel = make([]int32, 0, vecBatchRows)
 		s.fail = make([]int16, vecBatchRows)
 		s.vis = make([]bool, vecBatchRows)
-		s.rows = make([]int32, vecBatchRows)
 		s.gids = make([]int32, vecBatchRows)
 		s.extra = make([]uint64, vecBatchRows)
 		s.iota = make([]int32, vecBatchRows)
@@ -382,33 +370,35 @@ func (s *scanScratch) ensure(p *scanProg) {
 	}
 }
 
-// decodeSlots bulk-decodes every numeric slot's lane for a batch of n rows
-// whose addressing unit starts at byte base of src and advances by stride;
-// CHAR slots are read in place.
-func (s *scanScratch) decodeSlots(p *scanProg, src []byte, base, stride, n int) {
+// decodeSlots bulk-decodes every numeric slot's lane for the n dense rows
+// from row first on, each column from its region in cols; CHAR slots are
+// read in place.
+func (s *scanScratch) decodeSlots(p *scanProg, cols []region, first, n int) {
 	for i := range p.slots {
 		sl := &p.slots[i]
-		off := base + int(sl.off)
+		g := &cols[sl.col]
+		off := g.off + first*g.stride
 		switch sl.kind {
 		case slotI64:
-			vec.DecodeI64(s.i64[sl.lane][:n], src, off, stride, n)
+			vec.DecodeI64(s.i64[sl.lane][:n], g.data, off, g.stride, n)
 		case slotI32:
-			vec.DecodeI32(s.i64[sl.lane][:n], src, off, stride, n)
+			vec.DecodeI32(s.i64[sl.lane][:n], g.data, off, g.stride, n)
 		case slotF64:
-			vec.DecodeF64(s.f64[sl.lane][:n], src, off, stride, n)
+			vec.DecodeF64(s.f64[sl.lane][:n], g.data, off, g.stride, n)
 		case slotChar:
 			c := &s.chr[sl.lane]
-			c.src, c.off, c.stride = src, off, stride
+			c.src, c.off, c.stride = g.data, off, g.stride
 		}
 	}
 }
 
 // gatherSlots decodes every slot for the scattered rows of an id-list
-// batch: row r's addressing unit starts at byte base+r*stride of src.
-func (s *scanScratch) gatherSlots(p *scanProg, src []byte, base, stride int, rows []int32) {
+// batch, each column from its region in cols.
+func (s *scanScratch) gatherSlots(p *scanProg, cols []region, rows []int32) {
 	for i := range p.slots {
 		sl := &p.slots[i]
-		s.gatherSlot(sl, src[base+int(sl.off):], stride, rows)
+		g := &cols[sl.col]
+		s.gatherSlot(sl, g.data[g.off:], g.stride, rows)
 	}
 }
 

@@ -407,11 +407,16 @@ func TestVectorizedBoundaryValues(t *testing.T) {
 // TestVectorizedScanAllocsConstant pins the zero-alloc batch property: once
 // the engine's scratch is warm, the allocations of a full-table scan do not
 // grow with the row count — i.e. the per-batch steady state allocates
-// nothing (a 16k-row table runs 4x the batches of a 4k-row one).
+// nothing (a 16k-row table runs 4x the batches of a 4k-row one). RM runs
+// over a small fabric buffer, so its per-chunk layout fill repeats many
+// times; COL runs its bitmap passes and reconstruction, and a dense
+// reconstruction with no selection.
 func TestVectorizedScanAllocsConstant(t *testing.T) {
 	build := func(rows int) (*System, *table.Table) {
 		rng := rand.New(rand.NewSource(7))
-		sys := MustSystem(DefaultSystemConfig())
+		cfg := DefaultSystemConfig()
+		cfg.Fabric.BufferBytes = 24 << 10
+		sys := MustSystem(cfg)
 		sch := genSchema(rng)
 		base := sys.Arena.Alloc(int64(rows * sch.RowBytes()))
 		tbl := table.MustNew("alloc", sch, table.WithCapacity(rows), table.WithBaseAddr(base))
@@ -424,28 +429,50 @@ func TestVectorizedScanAllocsConstant(t *testing.T) {
 		}
 		return sys, tbl
 	}
-	q := Query{
-		Projection: []int{0},
-		Selection:  expr.Conjunction{{Col: 0, Op: expr.Lt, Operand: table.I64(50)}},
-	}
-
-	measure := func(rows int) float64 {
-		sys, tbl := build(rows)
-		eng := &RowEngine{Tbl: tbl, Sys: sys}
-		if _, err := eng.Execute(q); err != nil { // warm the scratch
+	sel := expr.Conjunction{{Col: 0, Op: expr.Lt, Operand: table.I64(50)}}
+	twoPreds := append(sel[:1:1], expr.Predicate{Col: 0, Op: expr.Ge, Operand: table.I64(10)})
+	col := func(t *testing.T, sys *System, tbl *table.Table) Executor {
+		store, err := colstore.FromTable(tbl, sys.Arena)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() {
-			sys.ResetState()
-			if _, err := eng.Execute(q); err != nil {
-				t.Fatal(err)
+		return &ColEngine{Store: store, Sys: sys}
+	}
+	cases := []struct {
+		name string
+		q    Query
+		mk   func(t *testing.T, sys *System, tbl *table.Table) Executor
+	}{
+		{"ROW", Query{Projection: []int{0}, Selection: sel}, func(_ *testing.T, sys *System, tbl *table.Table) Executor {
+			return &RowEngine{Tbl: tbl, Sys: sys}
+		}},
+		{"RM", Query{Projection: []int{0, 1}, Selection: sel}, func(_ *testing.T, sys *System, tbl *table.Table) Executor {
+			return &RMEngine{Tbl: tbl, Sys: sys}
+		}},
+		{"COL", Query{Projection: []int{0, 1}, Selection: twoPreds}, col},
+		{"COL-dense", Query{Projection: []int{0, 1}}, col},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			measure := func(rows int) float64 {
+				sys, tbl := build(rows)
+				eng := tc.mk(t, sys, tbl)
+				if _, err := eng.Execute(tc.q); err != nil { // warm the scratch
+					t.Fatal(err)
+				}
+				return testing.AllocsPerRun(5, func() {
+					sys.ResetState()
+					if _, err := eng.Execute(tc.q); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+
+			small := measure(4 * 1024)
+			large := measure(16 * 1024)
+			if large > small {
+				t.Fatalf("vectorized scan allocations grow with rows: %.1f allocs at 4k rows, %.1f at 16k", small, large)
 			}
 		})
-	}
-
-	small := measure(4 * 1024)
-	large := measure(16 * 1024)
-	if large > small {
-		t.Fatalf("vectorized scan allocations grow with rows: %.1f allocs at 4k rows, %.1f at 16k", small, large)
 	}
 }

@@ -64,7 +64,7 @@ func scanQuery() engine.Query {
 	return engine.Query{Projection: proj}
 }
 
-func runWallclock(b *testing.B, build func(forceScalar bool) engine.Executor, reset func()) {
+func runWallclock(b *testing.B, q engine.Query, build func(forceScalar bool) engine.Executor, reset func()) {
 	b.Helper()
 	for _, mode := range []struct {
 		name        string
@@ -72,7 +72,6 @@ func runWallclock(b *testing.B, build func(forceScalar bool) engine.Executor, re
 	}{{"scalar", true}, {"vectorized", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := build(mode.forceScalar)
-			q := scanQuery()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -90,15 +89,33 @@ func runWallclock(b *testing.B, build func(forceScalar bool) engine.Executor, re
 func BenchmarkRowScanWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
-	runWallclock(b, func(fs bool) engine.Executor {
+	runWallclock(b, scanQuery(), func(fs bool) engine.Executor {
 		return &engine.RowEngine{Tbl: tbl, Sys: sys, ForceScalar: fs}
+	}, sys.ResetState)
+}
+
+// colScanSQL is a two-predicate projection: on COL, a first and a refine
+// bitmap pass over the column arrays, then reconstruction of the
+// qualifying rows' three columns.
+const colScanSQL = `SELECT l_orderkey, l_extendedprice, l_shipdate FROM lineitem
+WHERE l_quantity < 24 AND l_discount >= 0.05`
+
+func BenchmarkColScanWallclock(b *testing.B) {
+	sys := engine.MustSystem(engine.DefaultSystemConfig())
+	tbl := benchLineitem(b, sys)
+	store, err := colstore.FromTable(tbl, sys.Arena)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runWallclock(b, compileBench(b, colScanSQL), func(fs bool) engine.Executor {
+		return &engine.ColEngine{Store: store, Sys: sys, ForceScalar: fs}
 	}, sys.ResetState)
 }
 
 func BenchmarkRMScanWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
-	runWallclock(b, func(fs bool) engine.Executor {
+	runWallclock(b, scanQuery(), func(fs bool) engine.Executor {
 		return &engine.RMEngine{Tbl: tbl, Sys: sys, PushSelection: true, ForceScalar: fs}
 	}, sys.ResetState)
 }
@@ -130,7 +147,7 @@ func BenchmarkQ6Wallclock(b *testing.B) {
 func BenchmarkParScanWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
-	runWallclock(b, func(fs bool) engine.Executor {
+	runWallclock(b, scanQuery(), func(fs bool) engine.Executor {
 		return &engine.ParallelEngine{Tbl: tbl, Sys: sys,
 			Par: engine.ParallelConfig{Workers: 8}, ForceScalar: fs}
 	}, sys.ResetState)
