@@ -463,15 +463,17 @@ func (db *DB) exec(kind EngineKind, s *statement, c *stmtCtx) (*Result, *Trace, 
 	return res, ev.trace, nil
 }
 
-// dispatch executes the statement on the chosen path and applies its sinks.
+// dispatch executes the statement on the chosen path and applies its sinks:
+// the batch pipeline finishes ORDER BY / LIMIT on its group table, and
+// applySinks charges the sort (and finishes what it did not).
 // It is the one place a join and a single-table statement part ways.
 func (db *DB) dispatch(kind EngineKind, s *statement, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
 	var res *Result
 	var err error
 	if s.jp != nil {
-		res, err = db.executeJoin(kind, s.t, s.jp, tr)
+		res, err = db.executeJoin(kind, s.t, s.jp, s.sk, tr)
 	} else {
-		res, err = db.execute(kind, s.t, s.q, tr, c)
+		res, err = db.execute(kind, s.t, s.q, s.sk, tr, c)
 	}
 	if err == nil {
 		applySinks(res, s.sk, tr)
@@ -504,7 +506,8 @@ func (db *DB) feedbackSel(c *stmtCtx) (float64, bool) {
 // the chosen source stamped in, and PAR, the morsel executor that runs the
 // RM source on private System clones. The statement context, when present,
 // carries the fingerprint the feedback loop keys observed selectivities on.
-func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
+// The sinks ride along to the batch pipeline, which finishes them.
+func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, sk engine.Sinks, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
 	switch kind {
 	case AUTO:
 		opt := db.optimizer(t)
@@ -528,7 +531,7 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Trace
 			sp.SetAttr("warm", "true")
 		}
 		tr.End()
-		return db.execute(EngineKind(p.Chosen), t, q, tr, c)
+		return db.execute(EngineKind(p.Chosen), t, q, sk, tr, c)
 	case PAR:
 		var cfg engine.ParallelConfig
 		if db.par != nil {
@@ -538,14 +541,14 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Trace
 		return e.Execute(q)
 	case RM:
 		if db.par != nil {
-			return db.execute(PAR, t, q, tr, c)
+			return db.execute(PAR, t, q, sk, tr, c)
 		}
 	}
 	src, err := db.source(kind, t, tr)
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(src, q)
+	return engine.RunSinks(src, q, sk)
 }
 
 // source builds the engine Source for one access path. Each engine struct is
@@ -620,7 +623,7 @@ func (db *DB) schemaLookup(name string) (*Schema, error) {
 // prices each side independently, and RM routes the probe to the morsel
 // executor once SetParallel is called (builds run once on the shared System
 // either way).
-func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, tr *obs.Tracer) (*Result, error) {
+func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, sk engine.Sinks, tr *obs.Tracer) (*Result, error) {
 	var err error
 	buildTs := make([]*dbTable, len(p.Stages))
 	for k := range p.Stages {
@@ -692,7 +695,7 @@ func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, 
 	if err != nil {
 		return nil, err
 	}
-	e := &engine.JoinExec{Plan: p, Probe: probe, Builds: builds}
+	e := &engine.JoinExec{Plan: p, Probe: probe, Builds: builds, Sinks: sk}
 	return e.Execute()
 }
 
@@ -752,9 +755,10 @@ func (db *DB) joinSource(kind EngineKind, t *dbTable, side *engine.JoinSide, tr 
 	return src, nil
 }
 
-// applySinks runs the plan's ORDER BY / LIMIT sinks over a finished result
-// and, when the run is traced, attributes the modeled sort cycles to a sink
-// span so the root still reconciles with Breakdown.TotalCycles.
+// applySinks charges the plan's ORDER BY / LIMIT sinks to a finished result
+// (running them too where the batch pipeline did not) and, when the run is
+// traced, attributes the modeled sort cycles to a sink span so the root
+// still reconciles with Breakdown.TotalCycles.
 func applySinks(res *Result, sk engine.Sinks, tr *obs.Tracer) {
 	if sk.Empty() {
 		return

@@ -47,7 +47,22 @@ var fuzzSeeds = []string{
 	"SELECT l_orderkey FROM lineitem AS OF 3 JOIN orders ON l_orderkey = o_orderkey",
 	"SELECT a FROM t GROUP BY",
 	"SELECT id FROM t AS OF 1.5",
+	"SELECT grp, COUNT(*) FROM items GROUP BY grp ORDER BY 2 LIMIT 4",
+	"SELECT cnt, flag, COUNT(*) FROM t GROUP BY cnt, flag ORDER BY 3 DESC LIMIT 4",
+	"SELECT flag, cnt, SUM(qty) FROM t GROUP BY flag, cnt ORDER BY 3, flag DESC LIMIT 6",
+	nanSortSeed,
 }
+
+// nanSortSeed orders groups by a sum that is NaN in some of them:
+// price^25 * 3e282 stays finite for price <= 10.25 and overflows to +Inf
+// from 11.25 on, where Inf - Inf is NaN. The finite groups come first in
+// canonical (price) order, and a NaN compares equal to everything, so the
+// stable sort leaves the NaN groups behind them and LIMIT 5 returns only
+// finite rows.
+var nanSortSeed = func() string {
+	pow := strings.Repeat("price * ", 25) + "3" + strings.Repeat("0", 282)
+	return "SELECT price, SUM(" + pow + " - " + pow + " + qty) FROM t GROUP BY price ORDER BY 2 DESC LIMIT 5"
+}()
 
 // fuzzDB builds the catalog FuzzQuery runs on: small TPC-H tables, items
 // (demoDB's table, indexed on id), t (the SQL front end's test schema), and

@@ -144,12 +144,7 @@ func (e *IndexEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	}
 
 	s.prepare = func(*pipeRun) ([]int32, error) {
-		cand := e.Idx.Range(e.Sys.Hier, lo, hi)
-		ids := make([]int32, len(cand))
-		for i, r := range cand {
-			ids[i] = int32(r)
-		}
-		return ids, nil
+		return e.Idx.Range(e.Sys.Hier, lo, hi), nil
 	}
 	tbl := e.Tbl
 	s.segs = func(pr *pipeRun) segIter {

@@ -380,6 +380,11 @@ type JoinExec struct {
 	Plan   *JoinPlan
 	Probe  Source
 	Builds []Source // one per stage, in stage order
+
+	// Sinks, when set, are the statement's ORDER BY / LIMIT: a batch probe
+	// orders and cuts its groups before boxing them, and ApplySinks with
+	// the same sinks then only charges the sort.
+	Sinks Sinks
 }
 
 // Execute runs the join and returns the consumed result; RowsPassed is the
@@ -416,7 +421,7 @@ func (e *JoinExec) Execute() (*Result, error) {
 		return nil, err
 	}
 
-	res := probe.result(name, probeRes.RowsScanned)
+	res := probe.result(name, probeRes.RowsScanned, e.Sinks)
 	res.Breakdown = probeRes.Breakdown
 	res.Offload = probeRes.Offload
 	stampSideAct(p.Probe.Node, probeRes)
@@ -534,7 +539,7 @@ func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin,
 	if err != nil {
 		return nil, 0, err
 	}
-	part := probe.result("RM", probeRes.RowsScanned)
+	part := probe.result("RM", probeRes.RowsScanned, Sinks{})
 	part.Breakdown = probeRes.Breakdown
 	part.MorselHW = sys.HW()
 	// The morsel's probe-side survivor count rides back separately: the

@@ -392,10 +392,11 @@ func (j *joinProbe) flush() {
 	}
 }
 
-// result is the join's consumed result — from whichever driver ran.
-func (j *joinProbe) result(name string, scanned int64) *Result {
+// result is the join's consumed result — from whichever driver ran. The
+// batch driver finishes its groups under sk (see scanScratch.result).
+func (j *joinProbe) result(name string, scanned int64, sk Sinks) *Result {
 	if j.prog != nil {
-		return j.csc.result(name, j.p.Consume, j.cprog, j.acc, scanned)
+		return j.csc.result(name, j.p.Consume, j.cprog, j.acc, scanned, sk)
 	}
 	return j.cons.finish(name, scanned)
 }

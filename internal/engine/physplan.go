@@ -1,13 +1,9 @@
 package engine
 
 import (
-	"math"
 	"math/bits"
-	"slices"
 
-	"rfabric/internal/geometry"
 	"rfabric/internal/plan"
-	"rfabric/internal/table"
 )
 
 // This file bridges the engine to the physical plan IR in internal/plan:
@@ -107,132 +103,31 @@ func (o *Optimizer) ChoosePlan(root *plan.Node) (*Plan, error) {
 }
 
 // ApplySinks runs the sink operators over a grouped result in place: a
-// stable sort by the plan's keys (ties keep the pipeline's deterministic
-// key order, so output order is reproducible across engines), then the
-// limit. When the limit cuts the output, only the first Limit rows of that
-// stable order are selected (a bounded top-k); the rows and their order
-// are the same as sorting everything. A NaN sort key compares equal to
-// everything, which leaves the order to the sort algorithm, so then the
-// full stable sort runs instead. It charges n·⌈log₂n⌉·SortCmpCycles
-// of modeled compute for the sort either way, adds it to the result's
-// breakdown, and returns the charge so traced runs can attribute it.
+// stable sort by the plan's keys (ties keep the pipeline's canonical group
+// order, so output order is reproducible across engines), then the limit
+// (see outputOrder). A result the batch pipeline already finished under the
+// same sinks (RunSinks, JoinExec.Sinks) keeps its rows. Either way it
+// charges n·⌈log₂n⌉·SortCmpCycles of modeled compute for the sort over the
+// n groups before the limit, adds it to the result's breakdown, and returns
+// the charge so traced runs can attribute it.
 func ApplySinks(res *Result, sk Sinks) uint64 {
 	if sk.Empty() {
 		return 0
 	}
+	if res.sunk == 0 && len(res.Groups) > 0 {
+		res.sunk = len(res.Groups)
+		order := outputOrder(rowSet(res.Groups), len(res.Groups), sk, nil)
+		out := make([]GroupRow, len(order))
+		for i, g := range order {
+			out[i] = res.Groups[g]
+		}
+		res.Groups = out
+	}
 	var cycles uint64
-	if len(sk.Keys) > 0 {
-		n := len(res.Groups)
-		cmp := func(a, b *GroupRow) int {
-			for _, k := range sk.Keys {
-				var c int
-				if k.Key >= 0 {
-					c = a.Key[k.Key].Compare(b.Key[k.Key])
-				} else {
-					c = a.Aggs[k.Agg].Compare(b.Aggs[k.Agg])
-				}
-				if k.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c
-				}
-			}
-			return 0
-		}
-		if sk.HasLimit && sk.Limit >= 0 && sk.Limit < int64(n) && !sortKeysHaveNaN(res.Groups, sk.Keys) {
-			res.Groups = stableTopK(res.Groups, int(sk.Limit), cmp)
-		} else {
-			slices.SortStableFunc(res.Groups, func(a, b GroupRow) int { return cmp(&a, &b) })
-		}
-		if n > 1 {
-			cycles = uint64(n) * uint64(bits.Len(uint(n-1))) * SortCmpCycles
-		}
+	if n := res.sunk; len(sk.Keys) > 0 && n > 1 {
+		cycles = uint64(n) * uint64(bits.Len(uint(n-1))) * SortCmpCycles
 		res.Breakdown.ComputeCycles += cycles
 		res.Breakdown.TotalCycles += cycles
 	}
-	if sk.HasLimit && int64(len(res.Groups)) > sk.Limit {
-		res.Groups = res.Groups[:sk.Limit]
-	}
 	return cycles
-}
-
-// sortKeysHaveNaN reports whether any row has a NaN in a sort key.
-func sortKeysHaveNaN(rows []GroupRow, keys []plan.SortKey) bool {
-	for i := range rows {
-		for _, k := range keys {
-			var v table.Value
-			if k.Key >= 0 {
-				v = rows[i].Key[k.Key]
-			} else {
-				v = rows[i].Aggs[k.Agg]
-			}
-			if v.Type == geometry.Float64 && math.IsNaN(v.Float) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// stableTopK returns the first k rows of the stable sort of rows by cmp,
-// in order, through a bounded max-heap over (cmp, input index): the heap's
-// root is the kept row that sorts last, and a later row replaces it only
-// when it sorts strictly earlier.
-func stableTopK(rows []GroupRow, k int, cmp func(a, b *GroupRow) int) []GroupRow {
-	// after reports whether row i sorts after row j in the stable order.
-	after := func(i, j int32) bool {
-		if c := cmp(&rows[i], &rows[j]); c != 0 {
-			return c > 0
-		}
-		return i > j
-	}
-	heap := make([]int32, 0, k)
-	for i := range rows {
-		r := int32(i)
-		if len(heap) < k {
-			heap = append(heap, r)
-			for c := len(heap) - 1; c > 0; {
-				p := (c - 1) / 2
-				if !after(heap[c], heap[p]) {
-					break
-				}
-				heap[c], heap[p] = heap[p], heap[c]
-				c = p
-			}
-			continue
-		}
-		if k == 0 || !after(heap[0], r) {
-			continue
-		}
-		heap[0] = r
-		for p := 0; ; {
-			c := 2*p + 1
-			if c >= k {
-				break
-			}
-			if c+1 < k && after(heap[c+1], heap[c]) {
-				c++
-			}
-			if !after(heap[c], heap[p]) {
-				break
-			}
-			heap[c], heap[p] = heap[p], heap[c]
-			p = c
-		}
-	}
-	slices.SortFunc(heap, func(a, b int32) int {
-		switch {
-		case a == b:
-			return 0
-		case after(a, b):
-			return 1
-		}
-		return -1
-	})
-	out := make([]GroupRow, len(heap))
-	for i, r := range heap {
-		out[i] = rows[r]
-	}
-	return out
 }

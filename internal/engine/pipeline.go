@@ -282,9 +282,16 @@ func colBitmapSelect(pr *pipeRun, sys *System, store *colstore.Store, sch *geome
 }
 
 // bitmapIDs materializes the qualifying row ids of a selection bitmap,
-// charging each one.
+// charging each one. The list is sized by the bitmap's set count (and is
+// non-nil even when empty: nil means no selection).
 func bitmapIDs(pr *pipeRun, bitmap []bool) []int32 {
-	ids := make([]int32, 0, len(bitmap))
+	n := 0
+	for _, ok := range bitmap {
+		if ok {
+			n++
+		}
+	}
+	ids := make([]int32, 0, n)
 	for r, ok := range bitmap {
 		if ok {
 			ids = append(ids, int32(r))

@@ -484,7 +484,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 	}
 
 	loads.stop() // the loop's last flush charged every load
-	res := sc.result(s.name, q, prog, acc, scanned)
+	res := sc.result(s.name, q, prog, acc, scanned, s.sinks)
 	return s.finishRun(pr, res, pipeline, producer)
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"rfabric/internal/geometry"
+	"rfabric/internal/plan"
 	"rfabric/internal/table"
 )
 
@@ -77,6 +78,11 @@ type Result struct {
 	// sees. On one morsel's partial, MorselHW is that clone's.
 	Morsels  int
 	MorselHW HWStats
+
+	// sunk is the group count before the limit once the statement's sinks
+	// have ordered and cut Groups (by ApplySinks, or by the batch
+	// pipeline's finisher), and 0 before.
+	sunk int
 }
 
 // EquivalentTo reports whether two results agree logically: same pass
@@ -157,25 +163,167 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// sortGroups orders grouped output by key so every engine emits the same
-// order, whatever order the groups were produced in. Value.Compare calls
-// -0 and +0 equal and NaN equal to anything, yet those keys are distinct
-// groups, so DOUBLE keys compare by cmp.Compare (NaN first, consistently)
-// and ties fall back to the group-key encoding: a strict total order.
+// The canonical group order is the order every engine emits grouped output
+// in, whatever order the groups were produced in: key columns compared in
+// turn by keyCmp, and keys equal column by column compared by their group-key
+// encodings. keyCmp calls -0 and +0 equal and every NaN equal to every other,
+// yet those keys are distinct groups, so the encoding tie-break makes the
+// order strict and total.
+
+// keyCmp is the canonical order's rule for one key column: DOUBLE by
+// cmp.Compare (NaN first, -0 == +0), every other type by Value.Compare
+// (integers by value, CHAR by its TrimPad-ed bytes).
+func keyCmp(x, y table.Value) int {
+	if x.Type == geometry.Float64 {
+		return cmp.Compare(x.Float, y.Float)
+	}
+	return x.Compare(y)
+}
+
+// sortGroups puts boxed grouped output in the canonical group order.
 func sortGroups(groups []GroupRow) {
 	slices.SortFunc(groups, func(a, b GroupRow) int {
 		for k := range a.Key {
-			x, y := a.Key[k], b.Key[k]
-			c := 0
-			if x.Type == geometry.Float64 {
-				c = cmp.Compare(x.Float, y.Float)
-			} else {
-				c = x.Compare(y)
-			}
-			if c != 0 {
+			if c := keyCmp(a.Key[k], b.Key[k]); c != 0 {
 				return c
 			}
 		}
 		return bytes.Compare(groupMergeKey(a.Key), groupMergeKey(b.Key))
 	})
+}
+
+// groupSet reads a finished group set by group position: boxed rows
+// (rowSet) or the batch pipeline's group table with its typed key lanes
+// (laneSet).
+type groupSet interface {
+	key(g int32, k int) table.Value
+	agg(g int32, t int) table.Value
+}
+
+// rowSet is boxed grouped output.
+type rowSet []GroupRow
+
+func (r rowSet) key(g int32, k int) table.Value { return r[g].Key[k] }
+func (r rowSet) agg(g int32, t int) table.Value { return r[g].Aggs[t] }
+
+// outputOrder returns the positions of a group set's n groups in output
+// order: sorted by the sinks' keys with Value.Compare (negated for DESC),
+// ties broken by canon, then cut at the limit. canon is a strict total
+// order over positions; nil means the positions already run in canonical
+// order, so a tie keeps the earlier position. When the limit cuts and no
+// sort key is NaN, a bounded top-k picks the kept positions without sorting
+// the rest. A NaN sort key compares equal to everything, which leaves the
+// order to the sort algorithm, so then the positions are put in canonical
+// order and stably sorted by the keys alone, exactly as a stable sort of
+// canonically ordered rows would.
+func outputOrder(gs groupSet, n int, sk Sinks, canon func(a, b int32) int) []int32 {
+	if canon == nil {
+		canon = cmp.Compare[int32]
+	}
+	limit := n
+	if sk.HasLimit && sk.Limit < int64(n) {
+		limit = int(sk.Limit)
+	}
+	byKeys := func(a, b int32) int {
+		for _, k := range sk.Keys {
+			var c int
+			if k.Key >= 0 {
+				c = gs.key(a, k.Key).Compare(gs.key(b, k.Key))
+			} else {
+				c = gs.agg(a, k.Agg).Compare(gs.agg(b, k.Agg))
+			}
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	total := func(a, b int32) int {
+		if c := byKeys(a, b); c != 0 {
+			return c
+		}
+		return canon(a, b)
+	}
+	nan := sortKeysHaveNaN(gs, n, sk.Keys)
+	if limit < n && !nan {
+		return topK(n, limit, total)
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if nan {
+		slices.SortFunc(order, canon)
+		slices.SortStableFunc(order, byKeys)
+	} else {
+		slices.SortFunc(order, total)
+	}
+	return order[:limit]
+}
+
+// sortKeysHaveNaN reports whether any group has a NaN in a sort key.
+func sortKeysHaveNaN(gs groupSet, n int, keys []plan.SortKey) bool {
+	for _, k := range keys {
+		for g := int32(0); g < int32(n); g++ {
+			var v table.Value
+			if k.Key >= 0 {
+				v = gs.key(g, k.Key)
+			} else {
+				v = gs.agg(g, k.Agg)
+			}
+			if v.Type != geometry.Float64 {
+				break
+			}
+			if math.IsNaN(v.Float) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// topK returns the first k of the positions 0..n-1 in the order of cmp, a
+// strict total order, through a bounded max-heap: the heap's root is the
+// kept position that sorts last, and a later position replaces it only
+// when it sorts earlier.
+func topK(n, k int, cmp func(a, b int32) int) []int32 {
+	heap := make([]int32, 0, k)
+	for i := 0; i < n && k > 0; i++ {
+		r := int32(i)
+		if len(heap) < k {
+			heap = append(heap, r)
+			for c := len(heap) - 1; c > 0; {
+				p := (c - 1) / 2
+				if cmp(heap[c], heap[p]) < 0 {
+					break
+				}
+				heap[c], heap[p] = heap[p], heap[c]
+				c = p
+			}
+			continue
+		}
+		if cmp(r, heap[0]) > 0 {
+			continue
+		}
+		heap[0] = r
+		for p := 0; ; {
+			c := 2*p + 1
+			if c >= k {
+				break
+			}
+			if c+1 < k && cmp(heap[c+1], heap[c]) > 0 {
+				c++
+			}
+			if cmp(heap[c], heap[p]) < 0 {
+				break
+			}
+			heap[c], heap[p] = heap[p], heap[c]
+			p = c
+		}
+	}
+	slices.SortFunc(heap, cmp)
+	return heap
 }

@@ -151,8 +151,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		// the logical result) is byte-identical.
 		packed = entry.PackedWidth()
 		sp.SetAttr("group_cache", "hit")
-		sp.SetAttr("columns", fmt.Sprint(geom.Columns()))
-		sp.SetAttr("packed_width", fmt.Sprint(packed))
+		setGroupAttrs(sp, geom, packed)
 		s.warm = true
 		cache, data, base := e.Cache, entry.Data(), entry.BaseAddr()
 		chunks := entry.Chunks()
@@ -203,8 +202,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.SetAttr("columns", fmt.Sprint(geom.Columns()))
-		cfg.SetAttr("packed_width", fmt.Sprint(ev.PackedWidth()))
+		setGroupAttrs(cfg, geom, ev.PackedWidth())
 
 		if off != nil {
 			sp.SetAttr("pushdown", "aggregation")
@@ -326,4 +324,14 @@ func (e *RMEngine) offloadLabel() string {
 		}
 	}
 	return label
+}
+
+// setGroupAttrs records a column group's columns and packed width on a
+// traced span; an untraced scan (nil span) formats nothing.
+func setGroupAttrs(sp *obs.Span, geom *geometry.Geometry, packed int) {
+	if sp == nil {
+		return
+	}
+	sp.SetAttr("columns", fmt.Sprint(geom.Columns()))
+	sp.SetAttr("packed_width", fmt.Sprint(packed))
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -178,5 +179,55 @@ func TestApplySinksMatchesStableSortReference(t *testing.T) {
 		if cycles != wantCycles || res.Breakdown.TotalCycles != wantCycles {
 			t.Fatalf("trial %d: charged %d (total %d), want %d", trial, cycles, res.Breakdown.TotalCycles, wantCycles)
 		}
+	}
+}
+
+// TestTopNBoxesOnlyReturnedRows: on a warm engine, a LIMIT 10 top-N over
+// 12,000 groups finishes on the group table and boxes ten rows, so it
+// allocates less than a quarter of the bytes the same statement without
+// LIMIT allocates. The comparison is withheld under -race.
+func TestTopNBoxesOnlyReturnedRows(t *testing.T) {
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "k", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "v", Type: geometry.Float64, Width: 8},
+	)
+	const rows, groups = 24000, 12000
+	sys := MustSystem(DefaultSystemConfig())
+	tbl := table.MustNew("s", sch, table.WithCapacity(rows),
+		table.WithBaseAddr(sys.Arena.Alloc(int64(rows*sch.RowBytes()))))
+	for i := 0; i < rows; i++ {
+		tbl.MustAppend(0, table.I64(int64(i%groups)), table.F64(float64(i%977)))
+	}
+	q := Query{GroupBy: []int{0}, Aggregates: []AggTerm{{Kind: expr.Sum, Arg: expr.ColRef{Col: 1}}}}
+	all := Sinks{Keys: []plan.SortKey{{Key: -1, Agg: 0, Desc: true}}}
+	top := all
+	top.Limit, top.HasLimit = 10, true
+
+	eng := &RowEngine{Tbl: tbl, Sys: sys}
+	bytesPerQuery := func(sk Sinks) uint64 {
+		run := func() {
+			res, err := RunSinks(eng, q, sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ApplySinks(res, sk)
+		}
+		run() // warm the scratch
+		const runs = 5
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	full, limited := bytesPerQuery(all), bytesPerQuery(top)
+	t.Logf("bytes per query: %d without LIMIT, %d with LIMIT 10", full, limited)
+	if raceEnabled {
+		return
+	}
+	if 4*limited >= full {
+		t.Errorf("LIMIT 10 allocates %d bytes per query, not under a quarter of the %d without LIMIT", limited, full)
 	}
 }

@@ -43,7 +43,14 @@ type Source interface {
 // Run executes q by opening the source's scan and driving it through the
 // shared pipeline. This is the single execution entry point behind every
 // engine's Execute method and the DB façade's dispatch.
-func Run(src Source, q Query) (*Result, error) {
+func Run(src Source, q Query) (*Result, error) { return RunSinks(src, q, Sinks{}) }
+
+// RunSinks is Run for a statement with ORDER BY / LIMIT sinks: the batch
+// pipeline orders and cuts its groups on the group table, boxing only the
+// rows the statement returns. The caller still calls ApplySinks with the
+// same sinks, which charges the sort and finishes any result the batch
+// pipeline did not (scalar scans, the fabric's offload fold).
+func RunSinks(src Source, q Query, sk Sinks) (*Result, error) {
 	sys, tr := src.sysTracer()
 	sp := beginEngineSpan(tr, src.Name(), src.tableLabel())
 	defer tr.End()
@@ -55,6 +62,7 @@ func Run(src Source, q Query) (*Result, error) {
 	s.sys = sys
 	s.tracer = tr
 	s.sp = sp
+	s.sinks = sk
 	if s.rewritten != nil {
 		q = *s.rewritten
 	}
@@ -140,6 +148,10 @@ type scan struct {
 	sp     *obs.Span
 
 	sch *geometry.Schema
+
+	// sinks are the statement's ORDER BY / LIMIT, finished by the batch
+	// pipeline's result (empty when the caller applies them).
+	sinks Sinks
 
 	// rewritten, when set, is the query the pipeline runs in place of the
 	// one the source was opened with (see countOverNarrowest).

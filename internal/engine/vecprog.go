@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"slices"
 
 	"rfabric/internal/expr"
@@ -722,12 +723,18 @@ func (p *scanProg) slotIndex(col int) int32 {
 	panic("engine: vectorized scan references an uncompiled column")
 }
 
-// result builds the Result the scalar consumer would have built.
-func (s *scanScratch) result(name string, q Query, p *scanProg, acc *vecAcc, scanned int64) *Result {
+// result builds the Result the scalar consumer would have built. Grouped
+// output is finished on the group table under the statement's sinks (empty
+// when the caller applies them): only the rows it returns are boxed.
+func (s *scanScratch) result(name string, q Query, p *scanProg, acc *vecAcc, scanned int64, sk Sinks) *Result {
 	r := &Result{Engine: name, RowsScanned: scanned, RowsPassed: acc.passed, Checksum: acc.checksum}
 	switch {
 	case p.keySlots != nil:
-		r.Groups = s.groupRows(q, acc.keys)
+		ls := &laneSet{g: &s.groups, keys: acc.keys, aggs: q.Aggregates}
+		r.Groups = ls.rows(outputOrder(ls, s.groups.Len(), sk, ls.canon))
+		if !sk.Empty() {
+			r.sunk = s.groups.Len()
+		}
 	case len(q.Aggregates) > 0:
 		r.Aggs = make([]table.Value, len(q.Aggregates))
 		for i, st := range acc.aggs {
@@ -737,28 +744,51 @@ func (s *scanScratch) result(name string, q Query, p *scanProg, acc *vecAcc, sca
 	return r
 }
 
-// groupRows converts the group table into sorted output rows, slab-
-// allocating the rows, their keys, and their aggregate values.
-func (s *scanScratch) groupRows(q Query, keys []valueCol) []GroupRow {
-	g := &s.groups
-	n, nk, na := g.Len(), len(keys), len(q.Aggregates)
+// laneSet is the batch pipeline's finished group set: the group table's
+// counts, states and encoded keys, with the keys' values in typed lanes.
+type laneSet struct {
+	g    *vec.GroupTable
+	keys []valueCol
+	aggs []AggTerm
+}
+
+func (s *laneSet) key(g int32, k int) table.Value { return s.keys[k].value(g) }
+
+func (s *laneSet) agg(g int32, t int) table.Value {
+	return s.g.State(int(g), t).Result(s.aggs[t].Kind)
+}
+
+// canon is the canonical group order over group ids; the group table keeps
+// each group's key encoding, so a tie costs no re-encoding.
+func (s *laneSet) canon(a, b int32) int {
+	for k := range s.keys {
+		if c := keyCmp(s.keys[k].value(a), s.keys[k].value(b)); c != 0 {
+			return c
+		}
+	}
+	return bytes.Compare(s.g.Key(int(a)), s.g.Key(int(b)))
+}
+
+// rows boxes the groups at order's ids, in that order, slab-allocating the
+// rows, their keys, and their aggregate values.
+func (s *laneSet) rows(order []int32) []GroupRow {
+	n, nk, na := len(order), len(s.keys), len(s.aggs)
 	if n == 0 {
 		return nil
 	}
 	rows := make([]GroupRow, n)
 	keyVals := make([]table.Value, n*nk)
 	vals := make([]table.Value, n*na)
-	for gi := range rows {
-		key := keyVals[gi*nk : (gi+1)*nk : (gi+1)*nk]
+	for i, gi := range order {
+		key := keyVals[i*nk : (i+1)*nk : (i+1)*nk]
 		for k := range key {
-			key[k] = keys[k].value(int32(gi))
+			key[k] = s.key(gi, k)
 		}
-		aggs := vals[gi*na : (gi+1)*na : (gi+1)*na]
-		for ti := range aggs {
-			aggs[ti] = g.State(gi, ti).Result(q.Aggregates[ti].Kind)
+		aggs := vals[i*na : (i+1)*na : (i+1)*na]
+		for t := range aggs {
+			aggs[t] = s.agg(gi, t)
 		}
-		rows[gi] = GroupRow{Key: key, Aggs: aggs, Count: g.Count(gi)}
+		rows[i] = GroupRow{Key: key, Aggs: aggs, Count: s.g.Count(int(gi))}
 	}
-	sortGroups(rows)
 	return rows
 }

@@ -476,3 +476,48 @@ func TestVectorizedScanAllocsConstant(t *testing.T) {
 		})
 	}
 }
+
+// TestUntracedRMScanAllocs pins what an untraced RM scan allocates once
+// the engine's scratch is warm, on the cold path (a fresh ephemeral view)
+// and the warm path (a group cache hit): span attributes are formatted
+// only under a tracer, so an untraced scan pays for no strings. The budget
+// is withheld under -race, whose runtime perturbs allocation counts.
+func TestUntracedRMScanAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sys := MustSystem(DefaultSystemConfig())
+	sch := genSchema(rng)
+	const rows = 2048
+	tbl := table.MustNew("alloc", sch, table.WithCapacity(rows),
+		table.WithBaseAddr(sys.Arena.Alloc(int64(rows*sch.RowBytes()))))
+	for r := 0; r < rows; r++ {
+		vals := make([]table.Value, sch.NumColumns())
+		for c := range vals {
+			vals[c] = genValue(rng, sch.Column(c))
+		}
+		tbl.MustAppend(0, vals...)
+	}
+	q := Query{Projection: []int{0, 1}}
+	for _, tc := range []struct {
+		name   string
+		cache  *fabric.GroupCache
+		budget float64
+	}{
+		{"cold", nil, 44},
+		{"warm", fabric.NewGroupCache(16<<20, sys.Arena), 35},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := &RMEngine{Tbl: tbl, Sys: sys, Cache: tc.cache}
+			if _, err := eng.Execute(q); err != nil { // warm the scratch and the cache
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := eng.Execute(q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !raceEnabled && allocs > tc.budget {
+				t.Errorf("untraced RM scan allocates %.0f times, want <= %.0f", allocs, tc.budget)
+			}
+		})
+	}
+}

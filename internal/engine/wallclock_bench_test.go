@@ -160,7 +160,10 @@ WHERE l_shipdate >= DATE '1996-06-01' GROUP BY l_suppkey ORDER BY 2 DESC LIMIT 1
 
 // BenchmarkGroupByWallclock measures hash GROUP BY on the scalar and batch
 // pipelines: the Q1-class query (4 groups, derived aggregates) and the
-// top-N query (~10k groups, sort and limit sinks), on ROW, RM, and COL.
+// top-N query (~10k groups, sort and limit sinks), on ROW, RM, and COL. The
+// sinks run as the façade runs them: the batch pipeline finishes them on
+// its group table, the scalar pipeline's boxed groups go through
+// ApplySinks.
 func BenchmarkGroupByWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
@@ -187,11 +190,11 @@ func BenchmarkGroupByWallclock(b *testing.B) {
 	}{{"q1", compileBench(b, tpch.Q1SQL), engine.Sinks{}}, {"top-n", topN, topNSinks}}
 	engines := []struct {
 		name  string
-		build func(forceScalar bool) engine.Executor
+		build func(forceScalar bool) engine.Source
 	}{
-		{"ROW", func(fs bool) engine.Executor { return &engine.RowEngine{Tbl: tbl, Sys: sys, ForceScalar: fs} }},
-		{"RM", func(fs bool) engine.Executor { return &engine.RMEngine{Tbl: tbl, Sys: sys, ForceScalar: fs} }},
-		{"COL", func(fs bool) engine.Executor { return &engine.ColEngine{Store: store, Sys: sys, ForceScalar: fs} }},
+		{"ROW", func(fs bool) engine.Source { return &engine.RowEngine{Tbl: tbl, Sys: sys, ForceScalar: fs} }},
+		{"RM", func(fs bool) engine.Source { return &engine.RMEngine{Tbl: tbl, Sys: sys, ForceScalar: fs} }},
+		{"COL", func(fs bool) engine.Source { return &engine.ColEngine{Store: store, Sys: sys, ForceScalar: fs} }},
 	}
 	for _, qc := range queries {
 		for _, ec := range engines {
@@ -207,7 +210,7 @@ func BenchmarkGroupByWallclock(b *testing.B) {
 						b.StopTimer()
 						sys.ResetState()
 						b.StartTimer()
-						res, err := eng.Execute(qc.q)
+						res, err := engine.RunSinks(eng, qc.q, qc.sinks)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -68,20 +68,26 @@ func AblationIndex(opt Options, rows int) (*AblationResult, error) {
 
 	// viaIndex runs an index probe from cold state, then fetches c05 and
 	// c09 of every row it returns.
-	viaIndex := func(probe func() []int) ([]int, uint64) {
+	viaIndex := func(probe func() []int32) ([]int32, uint64) {
 		sys.ResetState()
 		start := sys.Hier.Stats().Cycles
 		matches := probe()
 		for _, r := range matches {
-			sys.Hier.Load(tbl.ColumnAddr(r, 5))
-			sys.Hier.Load(tbl.ColumnAddr(r, 9))
+			sys.Hier.Load(tbl.ColumnAddr(int(r), 5))
+			sys.Hier.Load(tbl.ColumnAddr(int(r), 9))
 		}
 		return matches, sys.Hier.Stats().Cycles - start
 	}
 
 	res := &AblationResult{Name: "ABL-INDEX", Knob: "point/range access path"}
 	probe := int32(rows / 2)
-	matches, idxCycles := viaIndex(func() []int { return idx.Lookup(sys.Hier, int64(probe)) })
+	matches, idxCycles := viaIndex(func() []int32 {
+		var ids []int32
+		for _, r := range idx.Lookup(sys.Hier, int64(probe)) {
+			ids = append(ids, int32(r))
+		}
+		return ids
+	})
 	if len(matches) != 1 {
 		return nil, fmt.Errorf("index point lookup found %d rows, want 1", len(matches))
 	}
@@ -119,7 +125,7 @@ func AblationIndex(opt Options, rows int) (*AblationResult, error) {
 	for _, pct := range []int{1, 10, 30} {
 		lo := int32(rows / 4)
 		hi := lo + int32(rows*pct/100) - 1
-		rangeRows, rangeCycles := viaIndex(func() []int { return idx.Range(sys.Hier, int64(lo), int64(hi)) })
+		rangeRows, rangeCycles := viaIndex(func() []int32 { return idx.Range(sys.Hier, int64(lo), int64(hi)) })
 		res.Points = append(res.Points, AblationPoint{
 			Setting: fmt.Sprintf("range%d%%/index", pct),
 			Cycles:  map[string]uint64{"IDX": rangeCycles},

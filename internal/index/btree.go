@@ -257,27 +257,41 @@ func (t *BTree) Lookup(h *cache.Hierarchy, key int64) []int {
 	return out
 }
 
-// Range returns the row indices with lo <= key <= hi in key order.
-func (t *BTree) Range(h *cache.Hierarchy, lo, hi int64) []int {
+// Range returns the row indices with lo <= key <= hi in key order (nil
+// when there are none), allocated at their final length: a first leaf walk
+// that charges nothing counts them, then the filling walk charges the
+// descent and every leaf it reaches to h.
+func (t *BTree) Range(h *cache.Hierarchy, lo, hi int64) []int32 {
 	if lo > hi {
 		return nil
 	}
+	n := 0
+	t.rangeWalk(nil, lo, hi, func(int) { n++ })
+	var out []int32
+	if n > 0 {
+		out = make([]int32, 0, n)
+	}
+	t.rangeWalk(h, lo, hi, func(r int) { out = append(out, int32(r)) })
+	return out
+}
+
+// rangeWalk visits the rows with lo <= key <= hi in key order, charging the
+// descent and each leaf it moves to against h.
+func (t *BTree) rangeWalk(h *cache.Hierarchy, lo, hi int64, visit func(row int)) {
 	n := t.descend(h, lo)
-	var out []int
 	for n != nil {
 		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
 		for ; i < len(n.keys); i++ {
 			if n.keys[i] > hi {
-				return out
+				return
 			}
-			out = append(out, n.rows[i])
+			visit(n.rows[i])
 		}
 		n = n.next
 		if n != nil {
 			touch(h, n)
 		}
 	}
-	return out
 }
 
 // Insert adds one (key, row) entry. Nodes split top-down on the way back

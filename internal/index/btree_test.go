@@ -2,7 +2,7 @@ package index
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,18 +65,21 @@ func TestRangeMatchesScan(t *testing.T) {
 	idx, _, h := buildFixture(t, keys)
 	lo, hi := int64(500), int64(800)
 	got := idx.Range(h, lo, hi)
-	var want []int
+	var want []int32
 	for r, k := range keys {
 		if k >= lo && k <= hi {
-			want = append(want, r)
+			want = append(want, int32(r))
 		}
 	}
 	if len(got) != len(want) {
 		t.Fatalf("Range = %d rows, want %d", len(got), len(want))
 	}
+	if cap(got) != len(got) {
+		t.Errorf("Range allocated %d slots for %d rows", cap(got), len(got))
+	}
 	// Range returns key order; compare as sets.
-	sort.Ints(got)
-	sort.Ints(want)
+	slices.Sort(got)
+	slices.Sort(want)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("Range row set differs at %d: %d vs %d", i, got[i], want[i])
