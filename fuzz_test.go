@@ -50,6 +50,9 @@ var fuzzSeeds = []string{
 	"SELECT grp, COUNT(*) FROM items GROUP BY grp ORDER BY 2 LIMIT 4",
 	"SELECT cnt, flag, COUNT(*) FROM t GROUP BY cnt, flag ORDER BY 3 DESC LIMIT 4",
 	"SELECT flag, cnt, SUM(qty) FROM t GROUP BY flag, cnt ORDER BY 3, flag DESC LIMIT 6",
+	"SELECT COUNT(0) FROM lineitem",
+	"SELECT SUM(1) FROM lineitem",
+	"SELECT COUNT(0) FROM items",
 	nanSortSeed,
 }
 
@@ -188,10 +191,11 @@ func FuzzQuery(f *testing.F) {
 	})
 }
 
-// TestBareCountOnEveryPath pins the fabric's bare COUNT(*): a statement that
-// reads no column configures a column group on the table's narrowest
-// column, so RM, PAR and AUTO count what ROW counts, with and without a
-// snapshot that hides deleted and not yet committed versions.
+// TestBareCountOnEveryPath pins the fabric's bare COUNT(*) and aggregates
+// over constants: a statement that reads no column configures a column
+// group on the table's narrowest column, so RM, PAR and AUTO count (and
+// sum) what ROW does, with and without a snapshot that hides deleted and
+// not yet committed versions.
 func TestBareCountOnEveryPath(t *testing.T) {
 	db := fuzzDB(t)
 	stmts := []string{
@@ -200,6 +204,9 @@ func TestBareCountOnEveryPath(t *testing.T) {
 		"SELECT COUNT(*) FROM acct AS OF 1",
 		"SELECT COUNT(*) FROM acct AS OF 2",
 		"SELECT COUNT(*) FROM acct AS OF 3",
+		"SELECT COUNT(0) FROM lineitem",
+		"SELECT SUM(1) FROM lineitem",
+		"SELECT COUNT(0) FROM items",
 	}
 	for _, text := range stmts {
 		ref, err := db.QueryOn(ROW, text)

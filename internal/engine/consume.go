@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
-	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/table"
 	"rfabric/internal/vec"
@@ -25,81 +22,36 @@ func hashValue(col int, v table.Value) uint64 {
 	}
 }
 
-// aggAcc folds rows for one AggTerm. Numeric results are kept in float64 so
-// every engine (and the fabric pushdown) reports comparable values.
-type aggAcc struct {
-	term  AggTerm
-	count int64
-	sum   float64
-	min   float64
-	max   float64
-	any   bool
-}
-
-func (a *aggAcc) add(x float64) {
-	a.count++
-	a.sum += x
-	if !a.any || x < a.min {
-		a.min = x
-	}
-	if !a.any || x > a.max {
-		a.max = x
-	}
-	a.any = true
-}
-
-func (a *aggAcc) result() table.Value {
-	switch a.term.Kind {
-	case expr.Count:
-		return table.I64(a.count)
-	case expr.Sum:
-		return table.F64(a.sum)
-	case expr.Avg:
-		if a.count == 0 {
-			return table.F64(0)
-		}
-		return table.F64(a.sum / float64(a.count))
-	case expr.Min:
-		return table.F64(a.min)
-	case expr.Max:
-		return table.F64(a.max)
-	default:
-		panic(fmt.Sprintf("engine: unknown aggregate kind %d", uint8(a.term.Kind)))
-	}
-}
-
-type groupState struct {
-	key   []table.Value
-	accs  []aggAcc
-	count int64
-}
-
 // consumer folds qualifying rows into the query's output shape and charges
-// consumption CPU cycles to the engine's compute counter.
+// consumption CPU cycles to the engine's compute counter. It folds into the
+// batch pipeline's state: one vec.AggState per term, or a group table with
+// each group's key values in typed lanes.
 type consumer struct {
 	q       Query
-	schema  *geometry.Schema
 	compute *uint64
 
 	rowsPassed int64
 	checksum   uint64
-	accs       []aggAcc
-	groups     map[string]*groupState
+	out        aggOut
 	keyBuf     []byte
-	keyVals    []table.Value // the current row's group key, copied on group creation
+	keyVals    []table.Value // the current row's group key
 }
 
 func newConsumer(q Query, schema *geometry.Schema, compute *uint64) *consumer {
-	c := &consumer{q: q, schema: schema, compute: compute}
-	if len(q.Aggregates) > 0 && len(q.GroupBy) == 0 {
-		c.accs = make([]aggAcc, len(q.Aggregates))
-		for i := range c.accs {
-			c.accs[i].term = q.Aggregates[i]
+	c := &consumer{q: q, compute: compute}
+	switch {
+	case len(q.Aggregates) == 0:
+	case len(q.GroupBy) > 0:
+		c.out.groups = new(vec.GroupTable)
+		c.out.groups.Reset(len(q.Aggregates))
+		c.out.keys = make([]valueCol, len(q.GroupBy))
+		for i, col := range q.GroupBy {
+			cd := schema.Column(col)
+			c.out.keys[i] = valueCol{typ: cd.Type, width: cd.Width}
 		}
-	}
-	if len(q.GroupBy) > 0 {
-		c.groups = make(map[string]*groupState)
 		c.keyVals = make([]table.Value, len(q.GroupBy))
+	default:
+		c.out.states = make([]vec.AggState, len(q.Aggregates))
 	}
 	return c
 }
@@ -117,10 +69,8 @@ func (c *consumer) consumeRow(fetch func(col int) table.Value) {
 		return
 	}
 
-	var accs []aggAcc
-	if c.groups == nil {
-		accs = c.accs
-	} else {
+	states := c.out.states
+	if g := c.out.groups; g != nil {
 		c.keyBuf = c.keyBuf[:0]
 		for i, col := range c.q.GroupBy {
 			v := fetch(col)
@@ -128,28 +78,23 @@ func (c *consumer) consumeRow(fetch func(col int) table.Value) {
 			c.keyBuf = appendKey(c.keyBuf, v)
 		}
 		*c.compute += HashGroupCycles
-		g, ok := c.groups[string(c.keyBuf)]
-		if !ok {
-			key := append([]table.Value(nil), c.keyVals...)
-			g = &groupState{key: key, accs: make([]aggAcc, len(c.q.Aggregates))}
-			for i := range g.accs {
-				g.accs[i].term = c.q.Aggregates[i]
+		id, added := g.AssignKey(c.keyBuf)
+		if added {
+			for i := range c.out.keys {
+				c.out.keys[i].append(c.keyVals[i])
 			}
-			c.groups[string(c.keyBuf)] = g
 		}
-		g.count++
-		accs = g.accs
+		states = g.States(int(id))
 	}
 
-	for i := range accs {
-		t := &accs[i]
+	for i, t := range c.q.Aggregates {
 		*c.compute += AggAddCycles
-		if t.term.Arg == nil {
-			t.count++
+		if t.Arg == nil {
+			states[i].Count++
 			continue
 		}
-		*c.compute += uint64(t.term.Arg.Ops() * ScalarOpCycles)
-		t.add(t.term.Arg.EvalF(fetch))
+		*c.compute += uint64(t.Arg.Ops() * ScalarOpCycles)
+		states[i].Add(t.Arg.EvalF(fetch))
 	}
 }
 
@@ -169,29 +114,16 @@ func appendKey(dst []byte, v table.Value) []byte {
 	}
 }
 
-// finish assembles the result shape (without the cost breakdown).
-func (c *consumer) finish(engineName string, rowsScanned int64) *Result {
+// finish assembles the result shape (without the cost breakdown),
+// finishing the fold under sk or keeping it for a partition's merge (see
+// finishAggs).
+func (c *consumer) finish(engineName string, rowsScanned int64, sk Sinks, part bool) *Result {
 	r := &Result{
 		Engine:      engineName,
 		RowsScanned: rowsScanned,
 		RowsPassed:  c.rowsPassed,
 		Checksum:    c.checksum,
 	}
-	if c.accs != nil {
-		r.Aggs = make([]table.Value, len(c.accs))
-		for i := range c.accs {
-			r.Aggs[i] = c.accs[i].result()
-		}
-	}
-	if c.groups != nil {
-		for _, g := range c.groups {
-			row := GroupRow{Key: g.key, Count: g.count, Aggs: make([]table.Value, len(g.accs))}
-			for i := range g.accs {
-				row.Aggs[i] = g.accs[i].result()
-			}
-			r.Groups = append(r.Groups, row)
-		}
-		sortGroups(r.Groups)
-	}
+	r.finishAggs(c.out, c.q.Aggregates, sk, part)
 	return r
 }

@@ -421,7 +421,7 @@ func (e *JoinExec) Execute() (*Result, error) {
 		return nil, err
 	}
 
-	res := probe.result(name, probeRes.RowsScanned, e.Sinks)
+	res := probe.result(name, probeRes.RowsScanned, e.Sinks, false)
 	res.Breakdown = probeRes.Breakdown
 	res.Offload = probeRes.Offload
 	stampSideAct(p.Probe.Node, probeRes)
@@ -526,8 +526,8 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 }
 
 // runMorsel probes one probe-table slice on a fresh System clone, folding
-// matches into a morsel-private consumer whose partial the coordinator
-// merges in morsel order.
+// matches into a morsel-private consumer whose unfinished fold the
+// coordinator merges in morsel order.
 func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin, i, morselRows int, tr *obs.Tracer) (*Result, int64, error) {
 	slice, sys, err := morsel(e.ProbeTbl, e.Sys, i, morselRows)
 	if err != nil {
@@ -539,7 +539,7 @@ func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin,
 	if err != nil {
 		return nil, 0, err
 	}
-	part := probe.result("RM", probeRes.RowsScanned, Sinks{})
+	part := probe.result("RM", probeRes.RowsScanned, Sinks{}, true)
 	part.Breakdown = probeRes.Breakdown
 	part.MorselHW = sys.HW()
 	// The morsel's probe-side survivor count rides back separately: the

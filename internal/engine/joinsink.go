@@ -392,11 +392,12 @@ func (j *joinProbe) flush() {
 	}
 }
 
-// result is the join's consumed result — from whichever driver ran. The
-// batch driver finishes its groups under sk (see scanScratch.result).
-func (j *joinProbe) result(name string, scanned int64, sk Sinks) *Result {
+// result is the join's consumed result — from whichever driver ran —
+// finished under sk, or kept unfinished for a partition's merge (see
+// finishAggs).
+func (j *joinProbe) result(name string, scanned int64, sk Sinks, part bool) *Result {
 	if j.prog != nil {
-		return j.csc.result(name, j.p.Consume, j.cprog, j.acc, scanned, sk)
+		return j.csc.result(name, j.p.Consume, j.acc, scanned, sk, part)
 	}
-	return j.cons.finish(name, scanned)
+	return j.cons.finish(name, scanned, sk, part)
 }

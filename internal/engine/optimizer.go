@@ -254,8 +254,7 @@ func (o *Optimizer) estimateRM(q Query) plan.Est {
 
 	cols := q.NeededColumns()
 	if len(cols) == 0 {
-		q = countOverNarrowest(q, sch)
-		cols = q.NeededColumns()
+		q, cols = countOverNarrowest(q, sch)
 	}
 	geom, err := geometry.NewGeometry(sch, cols...)
 	if err != nil {

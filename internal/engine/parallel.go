@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rfabric/internal/expr"
 	"rfabric/internal/obs"
 	"rfabric/internal/table"
 	"rfabric/internal/vec"
@@ -106,7 +105,7 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 			return nil, err
 		}
 		eng := &RMEngine{Tbl: slice, Sys: sys, Tracer: tracers.at(i), ForceScalar: e.ForceScalar}
-		res, err := eng.Execute(q)
+		res, err := RunPartial(eng, q)
 		if err != nil {
 			return nil, err
 		}
@@ -133,10 +132,11 @@ func (c ParallelConfig) split(rows int) (morsels, workers int) {
 // touches. Workers pull partition indexes 0..n-1 off a shared counter and
 // call run on each; workers of zero or less means runtime.GOMAXPROCS(0).
 // run(i) must drive only partition i's own state (a System clone or a
-// shard's node), which is what keeps the pool race-clean. The partials then
-// fold in partition order through mergePartials, so the merged result and
-// its modeled Breakdown are identical for any worker count. Gather returns
-// the merged result and the partials.
+// shard's node), which is what keeps the pool race-clean, and return a
+// partial: a RunPartial result, whose aggregation is left unfinished. The
+// partials then fold in partition order through mergePartials, so the
+// merged result and its modeled Breakdown are identical for any worker
+// count. Gather returns the merged result and the partials.
 func Gather(name string, q Query, n, workers int, run func(i int) (*Result, error)) (*Result, []*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -254,29 +254,26 @@ func finishParallelSpan(tr *obs.Tracer, sp *obs.Span, tracers partTracers, parts
 	tl.TickThrough(through)
 }
 
-// mergePartials folds per-morsel results in morsel order. Row counts and
-// the checksum add commutatively; scalar and per-group aggregates fold
-// through partialAgg (AVG merges weighted by contributing rows); groups
-// hash-merge and re-sort. The modeled time is the makespan of scheduling
-// the morsels on `workers` executors plus a per-partial merge charge; the
-// clones' hardware counters sum in morsel order.
+// mergePartials folds the partitions' results in partition order. Row
+// counts and the checksum add commutatively. Aggregates merge as the states
+// the partitions' folds left (Result.part), never as finished values: per
+// term when ungrouped (vec.AggState.Merge), else on one group table that
+// finds each partition's groups by their own key encodings. The merged
+// states then finish once, groups in canonical order. The modeled time is
+// the makespan of scheduling the partitions on `workers` executors plus a
+// per-partial merge charge; the clones' hardware counters sum in partition
+// order.
 func mergePartials(name string, q Query, parts []*Result, workers int) (*Result, error) {
 	out := &Result{Engine: name, Morsels: len(parts)}
-	scalarAggs := len(q.Aggregates) > 0 && len(q.GroupBy) == 0
-	var merged []*partialAgg
-	if scalarAggs {
-		merged = newPartialAggs(q)
+	var m aggOut
+	switch {
+	case len(q.Aggregates) == 0:
+	case len(q.GroupBy) > 0:
+		m.groups = new(vec.GroupTable)
+		m.groups.Reset(len(q.Aggregates))
+	default:
+		m.states = make([]vec.AggState, len(q.Aggregates))
 	}
-	// Merged groups live in flat slices indexed in first-seen order by the
-	// hash index over their encoded keys.
-	na := len(q.Aggregates)
-	var (
-		index  vec.KeyIndex
-		keyBuf []byte
-		keys   [][]table.Value
-		counts []int64
-		aggs   []partialAgg // na per group, group-major
-	)
 
 	partTotals := make([]uint64, len(parts))
 	for i, p := range parts {
@@ -295,134 +292,18 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 		out.Breakdown.BytesToCPU += b.BytesToCPU
 		out.Breakdown.PipelineCycles += b.PipelineCycles
 		partTotals[i] = b.TotalCycles
-		if scalarAggs {
-			for j, v := range p.Aggs {
-				merged[j].fold(v, p.RowsPassed)
-			}
+		if len(q.Aggregates) == 0 {
+			continue
 		}
-		for _, g := range p.Groups {
-			keyBuf = keyBuf[:0]
-			for _, v := range g.Key {
-				keyBuf = appendKey(keyBuf, v)
-			}
-			id, added := index.Lookup(keyBuf, true)
-			gi := int(id)
-			if added {
-				keys = append(keys, g.Key)
-				counts = append(counts, 0)
-				for _, a := range q.Aggregates {
-					aggs = append(aggs, partialAgg{kind: a.Kind})
-				}
-			}
-			counts[gi] += g.Count
-			for j, v := range g.Aggs {
-				aggs[gi*na+j].fold(v, g.Count)
-			}
+		if p.part == nil {
+			return nil, fmt.Errorf("engine: partition %d returned no aggregate state (run it with RunPartial)", i)
 		}
+		m.merge(p.part)
 	}
 	out.Breakdown.TotalCycles = scheduleCycles(partTotals, workers) +
 		uint64(len(parts))*mergeCyclesPerPartial
-
-	if scalarAggs {
-		out.Aggs = make([]table.Value, len(merged))
-		for i, m := range merged {
-			out.Aggs[i] = m.result()
-		}
-	}
-	if len(keys) > 0 {
-		out.Groups = make([]GroupRow, len(keys))
-		vals := make([]table.Value, len(keys)*na)
-		for gi, key := range keys {
-			row := GroupRow{Key: key, Count: counts[gi], Aggs: vals[gi*na : (gi+1)*na : (gi+1)*na]}
-			for i := range row.Aggs {
-				row.Aggs[i] = aggs[gi*na+i].result()
-			}
-			out.Groups[gi] = row
-		}
-		sortGroups(out.Groups)
-	}
+	out.finishAggs(m, q.Aggregates, Sinks{}, false)
 	return out, nil
-}
-
-// groupMergeKey serializes a group key in the group-key encoding.
-func groupMergeKey(vals []table.Value) []byte {
-	var buf []byte
-	for _, v := range vals {
-		buf = appendKey(buf, v)
-	}
-	return buf
-}
-
-// partialAgg folds per-partial final aggregate values. Engine partials
-// follow the aggAcc convention: COUNT is integral, everything else is
-// float64; MIN/MAX/AVG over zero rows are F64(0), so zero-row partials must
-// be skipped (MIN/MAX) or weighted zero (AVG) rather than folded.
-type partialAgg struct {
-	kind expr.AggKind
-	sumI int64
-	sumF float64
-	n    int64 // AVG weight: rows that contributed
-	minV float64
-	maxV float64
-	any  bool
-}
-
-func newPartialAggs(q Query) []*partialAgg {
-	out := make([]*partialAgg, len(q.Aggregates))
-	for i, a := range q.Aggregates {
-		out[i] = &partialAgg{kind: a.Kind}
-	}
-	return out
-}
-
-// fold merges one partial value; rows is how many rows contributed to it.
-func (m *partialAgg) fold(v table.Value, rows int64) {
-	switch m.kind {
-	case expr.Count:
-		m.sumI += v.Int
-	case expr.Sum:
-		m.sumF += v.Float
-	case expr.Avg:
-		m.sumF += v.Float * float64(rows)
-		m.n += rows
-	case expr.Min:
-		if rows == 0 {
-			return
-		}
-		if !m.any || v.Float < m.minV {
-			m.minV = v.Float
-		}
-		m.any = true
-	case expr.Max:
-		if rows == 0 {
-			return
-		}
-		if !m.any || v.Float > m.maxV {
-			m.maxV = v.Float
-		}
-		m.any = true
-	}
-}
-
-// result matches aggAcc.result's conventions, including the zero-row cases.
-func (m *partialAgg) result() table.Value {
-	switch m.kind {
-	case expr.Count:
-		return table.I64(m.sumI)
-	case expr.Sum:
-		return table.F64(m.sumF)
-	case expr.Avg:
-		if m.n == 0 {
-			return table.F64(0)
-		}
-		return table.F64(m.sumF / float64(m.n))
-	case expr.Min:
-		return table.F64(m.minV)
-	case expr.Max:
-		return table.F64(m.maxV)
-	default:
-		return table.Value{}
-	}
 }
 
 // scheduleCycles models running parts on `workers` parallel executors with

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -11,6 +10,7 @@ import (
 	"rfabric/internal/geometry"
 	"rfabric/internal/plan"
 	"rfabric/internal/table"
+	"rfabric/internal/vec"
 )
 
 // Breakdown is the modeled cost of one query execution.
@@ -80,9 +80,12 @@ type Result struct {
 	MorselHW HWStats
 
 	// sunk is the group count before the limit once the statement's sinks
-	// have ordered and cut Groups (by ApplySinks, or by the batch
-	// pipeline's finisher), and 0 before.
+	// have ordered and cut Groups (by ApplySinks, or by finishAggs), and 0
+	// before.
 	sunk int
+	// part is a partition's unfinished aggregate output (see RunPartial),
+	// which Gather's merge reads in place of Aggs and Groups.
+	part *aggOut
 }
 
 // EquivalentTo reports whether two results agree logically: same pass
@@ -133,9 +136,6 @@ func valuesClose(a, b table.Value, eps float64) error {
 		return nil
 	case eps > 0:
 		av, bv := a.Float, b.Float
-		if a.Type != b.Type {
-			return fmt.Errorf("type %s vs %s", a.Type, b.Type)
-		}
 		if av == 0 && bv == 0 {
 			return nil
 		}
@@ -180,21 +180,8 @@ func keyCmp(x, y table.Value) int {
 	return x.Compare(y)
 }
 
-// sortGroups puts boxed grouped output in the canonical group order.
-func sortGroups(groups []GroupRow) {
-	slices.SortFunc(groups, func(a, b GroupRow) int {
-		for k := range a.Key {
-			if c := keyCmp(a.Key[k], b.Key[k]); c != 0 {
-				return c
-			}
-		}
-		return bytes.Compare(groupMergeKey(a.Key), groupMergeKey(b.Key))
-	})
-}
-
 // groupSet reads a finished group set by group position: boxed rows
-// (rowSet) or the batch pipeline's group table with its typed key lanes
-// (laneSet).
+// (rowSet) or a fold's group table with its typed key lanes (laneSet).
 type groupSet interface {
 	key(g int32, k int) table.Value
 	agg(g int32, t int) table.Value
@@ -205,6 +192,65 @@ type rowSet []GroupRow
 
 func (r rowSet) key(g int32, k int) table.Value { return r[g].Key[k] }
 func (r rowSet) agg(g int32, t int) table.Value { return r[g].Aggs[t] }
+
+// aggOut is an aggregation's unfinished output, the state its fold leaves:
+// one state per term when the statement is ungrouped; else the group table
+// its rows were assigned and folded on, with each group's key values in
+// typed lanes by group id. Every fold leaves one — the batch pipeline, the
+// scalar consumer, the fabric's offload fold, Gather's merge — and
+// finishAggs is the one place it is finalized and boxed.
+type aggOut struct {
+	states []vec.AggState
+	groups *vec.GroupTable
+	keys   []valueCol
+}
+
+// finishAggs finishes a fold's output into r. A partition of a gathered
+// run keeps it unfinished for mergePartials. Otherwise ungrouped states
+// finalize into Aggs, and groups are ordered and cut under sk on their
+// table, so only the rows r returns are boxed.
+func (r *Result) finishAggs(out aggOut, terms []AggTerm, sk Sinks, part bool) {
+	switch {
+	case part:
+		r.part = new(aggOut)
+		*r.part = out
+	case out.groups != nil:
+		ls := &laneSet{g: out.groups, keys: out.keys, aggs: terms}
+		n := out.groups.Len()
+		r.Groups = ls.rows(outputOrder(ls, n, sk, ls.canon))
+		if !sk.Empty() {
+			r.sunk = n
+		}
+	case out.states != nil:
+		r.Aggs = make([]table.Value, len(out.states))
+		for i, st := range out.states {
+			r.Aggs[i] = st.Result(terms[i].Kind)
+		}
+	}
+}
+
+// merge folds a partition's output, the next in partition order, into m:
+// per term when ungrouped; else group by group on m's table, found by the
+// partition's own key encodings, with the key values of the groups it
+// creates copied from the partition's lanes.
+func (m *aggOut) merge(p *aggOut) {
+	for t := range m.states {
+		m.states[t].Merge(p.states[t])
+	}
+	if m.groups == nil {
+		return
+	}
+	m.groups.Merge(p.groups)
+	if m.keys == nil {
+		m.keys = make([]valueCol, len(p.keys))
+		for k, c := range p.keys {
+			m.keys[k] = valueCol{typ: c.typ, width: c.width}
+		}
+	}
+	for k := range m.keys {
+		m.keys[k].appendAt(&p.keys[k], m.groups.Created())
+	}
+}
 
 // outputOrder returns the positions of a group set's n groups in output
 // order: sorted by the sinks' keys with Value.Compare (negated for DESC),

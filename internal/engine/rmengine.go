@@ -98,8 +98,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	cols := q.NeededColumns()
 	rewritten := len(cols) == 0
 	if rewritten {
-		q = countOverNarrowest(q, sch)
-		cols = q.NeededColumns()
+		q, cols = countOverNarrowest(q, sch)
 	}
 	geom, err := geometry.NewGeometry(sch, cols...)
 	if err != nil {
@@ -207,7 +206,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		if off != nil {
 			sp.SetAttr("pushdown", "aggregation")
 			s.direct = func() (*Result, error) {
-				return runOffload(e.Sys, e.Tracer, sp, e.Name(), ev, off)
+				return s.runOffload(ev, off, q.Aggregates)
 			}
 			return s, nil
 		}
@@ -286,12 +285,14 @@ func packedRegions(cols []region, geom *geometry.Geometry, data []byte, addr int
 }
 
 // countOverNarrowest returns q, a statement that reads no column, as the
-// fabric runs it. A column group needs a column, so a bare COUNT(*), with
-// or without a snapshot, counts the table's narrowest column instead (the
-// first of equally narrow ones): the fabric walks every row, checking
-// visibility under a snapshot, and the count is priced exactly like
-// COUNT(<that column>). Columns hold no NULLs, so the counts agree.
-func countOverNarrowest(q Query, sch *geometry.Schema) Query {
+// fabric runs it, and the column group it scans. A column group needs a
+// column, so the scan takes the table's narrowest column (the first of
+// equally narrow ones): the fabric walks every row, checking visibility
+// under a snapshot. A bare COUNT(*), with or without a snapshot, counts
+// that column instead, priced exactly like COUNT(<that column>); columns
+// hold no NULLs, so the counts agree. Aggregates over constants
+// (COUNT(0), SUM(1)) are left as they are and read no column of the group.
+func countOverNarrowest(q Query, sch *geometry.Schema) (Query, []int) {
 	narrow := 0
 	for c := 1; c < sch.NumColumns(); c++ {
 		if sch.Column(c).Width < sch.Column(narrow).Width {
@@ -306,7 +307,7 @@ func countOverNarrowest(q Query, sch *geometry.Schema) Query {
 		aggs[i] = a
 	}
 	q.Aggregates = aggs
-	return q
+	return q, []int{narrow}
 }
 
 // offloadLabel names the filter programs attached to a pipelined scan (the

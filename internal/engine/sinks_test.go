@@ -17,55 +17,55 @@ import (
 
 // TestSortGroupsDeterministicOnTiedKeys is the regression test for grouped
 // output order: -0 and +0, and NaN payloads, compare equal under
-// Value.Compare but are distinct groups. The scalar consumer produces its
-// groups in map-iteration order, so before the encoding tie-break their
-// output order changed from run to run.
+// Value.Compare but are distinct groups, and so are CHAR keys that differ
+// only by an embedded NUL. Before the encoding tie-break their output order
+// changed from run to run. Partitions merged in any first-seen order must
+// land in ROW's order too.
 func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 	sch, err := geometry.NewSchema(
 		geometry.Column{Name: "f", Type: geometry.Float64, Width: 8},
 		geometry.Column{Name: "i", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "c", Type: geometry.Char, Width: 3},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := []float64{0, math.Copysign(0, -1), math.NaN(),
 		math.Float64frombits(0x7ff8000000000002), math.Float64frombits(0xfff8000000000000), 1}
+	// "ab\x00" is "ab" padded: one group; the embedded NULs are not.
+	chars := []string{"ab", "ab\x00", "a\x00b", "", "\x00a", "b"}
 	sys := MustSystem(DefaultSystemConfig())
 	tbl := table.MustNew("ties", sch, table.WithBaseAddr(sys.Arena.Alloc(int64(4*len(keys)*sch.RowBytes()))))
 	for rep := 0; rep < 4; rep++ {
 		for i, k := range keys {
-			tbl.MustAppend(0, table.F64(k), table.I64(int64(i%2)))
+			tbl.MustAppend(0, table.F64(k), table.I64(int64(i%2)), table.Str(chars[(i+rep)%len(chars)]))
 		}
+	}
+	all := make([]int, tbl.NumRows())
+	for r := range all {
+		all[r] = r
 	}
 	q := Query{GroupBy: []int{0, 1}, Aggregates: []AggTerm{{Kind: expr.Count}}}
 
 	order := func(r *Result) string {
 		s := ""
 		for _, g := range r.Groups {
-			s += fmt.Sprintf("%x/%d ", math.Float64bits(g.Key[0].Float), g.Key[1].Int)
+			for _, v := range g.Key {
+				switch v.Type {
+				case geometry.Float64:
+					s += fmt.Sprintf("%x", math.Float64bits(v.Float))
+				case geometry.Char:
+					s += fmt.Sprintf("%q", v.Bytes)
+				default:
+					s += fmt.Sprint(v.Int)
+				}
+				s += "/"
+			}
+			s += fmt.Sprintf("%d ", g.Count)
 		}
 		return s
 	}
-	// sortGroups alone, over shuffled inputs.
-	rng := rand.New(rand.NewSource(9))
-	var rows []GroupRow
-	for _, k := range keys {
-		for i := int64(0); i < 2; i++ {
-			rows = append(rows, GroupRow{Key: []table.Value{table.F64(k), table.I64(i)}})
-		}
-	}
 	var want string
-	for run := 0; run < 200; run++ {
-		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-		sortGroups(rows)
-		if got := order(&Result{Groups: rows}); run == 0 {
-			want = got
-		} else if got != want {
-			t.Fatalf("shuffle %d: group order\n%s\nwant\n%s", run, got, want)
-		}
-	}
-
-	want = ""
 	for run := 0; run < 50; run++ {
 		res, err := (&RowEngine{Tbl: tbl, Sys: sys, ForceScalar: run%2 == 0}).Execute(q)
 		if err != nil {
@@ -79,6 +79,47 @@ func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 			want = got
 		} else if got != want {
 			t.Fatalf("run %d group order\n%s\nwant\n%s", run, got, want)
+		}
+	}
+
+	// The merge: the same rows spread over one to four partitions (some
+	// empty) in shuffled order, so each run's partitions see the groups
+	// first in a different order, on the scalar consumer's fold.
+	qc := Query{GroupBy: []int{2, 0}, Aggregates: []AggTerm{{Kind: expr.Count}}}
+	ref, err := (&RowEngine{Tbl: tbl, Sys: sys}).Execute(qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = order(ref)
+	rng := rand.New(rand.NewSource(9))
+	for run := 0; run < 200; run++ {
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		parts := make([]*Result, 1+rng.Intn(4))
+		cuts := []int{0, len(all)}
+		for range len(parts) - 1 {
+			cuts = append(cuts, rng.Intn(len(all)+1))
+		}
+		sort.Ints(cuts)
+		for p := range parts {
+			var fold uint64
+			cons := newConsumer(qc, sch, &fold)
+			for _, r := range all[cuts[p]:cuts[p+1]] {
+				cons.consumeRow(func(c int) table.Value {
+					v, err := tbl.Get(r, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return v
+				})
+			}
+			parts[p] = cons.finish("P", 0, Sinks{}, true)
+		}
+		res, err := mergePartials("PAR", qc, parts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := order(res); got != want {
+			t.Fatalf("shuffle %d over %d partitions: merged order\n%s\nwant ROW's\n%s", run, len(parts), got, want)
 		}
 	}
 }
@@ -230,4 +271,148 @@ func TestTopNBoxesOnlyReturnedRows(t *testing.T) {
 	if 4*limited >= full {
 		t.Errorf("LIMIT 10 allocates %d bytes per query, not under a quarter of the %d without LIMIT", limited, full)
 	}
+}
+
+// TestScalarAndOffloadSinksMatchApplySinks holds the scalar consumer and
+// the fabric's offload fold to the finisher the batch pipeline uses: with
+// the statement's sinks handed to the run, it boxes no more rows than the
+// limit keeps, and rows, their order, the Breakdown and the sort charge
+// equal a run without sinks followed by ApplySinks over the full group
+// list. The table's keys are -0/+0 and two
+// NaN payloads, CHAR keys with trailing and embedded NULs, and tied counts;
+// w's sums are NaN in a few groups. A Q3-class join with scalar sides
+// covers the scalar probe.
+func TestScalarAndOffloadSinksMatchApplySinks(t *testing.T) {
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "id", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "k", Type: geometry.Int32, Width: 4},
+		geometry.Column{Name: "d", Type: geometry.Float64, Width: 8},
+		geometry.Column{Name: "c", Type: geometry.Char, Width: 4},
+		geometry.Column{Name: "v", Type: geometry.Float64, Width: 8},
+		geometry.Column{Name: "w", Type: geometry.Float64, Width: 8},
+	)
+	const rows = 700
+	sys := MustSystem(DefaultSystemConfig())
+	tbl := table.MustNew("g", sch, table.WithCapacity(rows),
+		table.WithBaseAddr(sys.Arena.Alloc(int64(rows*sch.RowBytes()))))
+	ds := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002), 1.5, -2.25, 3}
+	cs := []string{"ab", "ab\x00", "a\x00b", "", "zz", "\x00a"}
+	for i := 0; i < rows; i++ {
+		v := float64((i*13)%29) * 0.5
+		w := v
+		if i%97 == 0 {
+			w = math.NaN()
+		}
+		tbl.MustAppend(0, table.I64(int64(i)), table.I32(int32((i*7)%53)), table.F64(ds[i%len(ds)]),
+			table.Str(cs[i%len(cs)]), table.F64(v), table.F64(w))
+	}
+	col := func(c int) expr.Scalar { return expr.ColRef{Col: c} }
+	key := func(k int, desc bool) plan.SortKey { return plan.SortKey{Key: k, Agg: -1, Desc: desc} }
+	agg := func(a int, desc bool) plan.SortKey { return plan.SortKey{Key: -1, Agg: a, Desc: desc} }
+	limit := func(n int64, keys ...plan.SortKey) Sinks { return Sinks{Keys: keys, Limit: n, HasLimit: true} }
+	count, sum := AggTerm{Kind: expr.Count}, func(c int) AggTerm { return AggTerm{Kind: expr.Sum, Arg: col(c)} }
+	cases := []struct {
+		q  Query
+		sk Sinks
+	}{
+		{Query{GroupBy: []int{1}, Aggregates: []AggTerm{count, sum(4)}}, limit(5, key(0, false))},
+		{Query{GroupBy: []int{1}, Aggregates: []AggTerm{sum(4)}}, limit(7, agg(0, true))},
+		{Query{GroupBy: []int{1}, Aggregates: []AggTerm{sum(4)}}, limit(0, agg(0, false))},
+		{Query{GroupBy: []int{1}, Aggregates: []AggTerm{sum(4)}}, Sinks{Keys: []plan.SortKey{agg(0, true)}}},
+		{Query{GroupBy: []int{2}, Aggregates: []AggTerm{count}}, limit(3, agg(0, false))},
+		{Query{GroupBy: []int{2, 1}, Aggregates: []AggTerm{count}}, limit(10, agg(0, true), key(1, false))},
+		{Query{GroupBy: []int{2}, Aggregates: []AggTerm{count}}, Sinks{Keys: []plan.SortKey{key(0, false)}}},
+		{Query{GroupBy: []int{1}, Aggregates: []AggTerm{sum(5)}}, limit(5, agg(0, true))},
+		{Query{GroupBy: []int{3}, Aggregates: []AggTerm{count, sum(4)}}, limit(3, key(0, true))},
+		{Query{GroupBy: []int{3, 2}, Aggregates: []AggTerm{count}}, limit(8, agg(0, false))},
+		{Query{GroupBy: []int{3, 2}, Aggregates: []AggTerm{count}}, Sinks{Limit: 4, HasLimit: true}},
+		{Query{GroupBy: []int{1}, Aggregates: []AggTerm{{Kind: expr.Min, Arg: col(4)}, {Kind: expr.Max, Arg: col(5)}, {Kind: expr.Avg, Arg: col(4)}}},
+			limit(6, agg(1, true), agg(2, false))},
+	}
+	sources := map[string]func() Source{
+		"ROW scalar": func() Source { return &RowEngine{Tbl: tbl, Sys: sys, ForceScalar: true} },
+		"RM scalar":  func() Source { return &RMEngine{Tbl: tbl, Sys: sys, ForceScalar: true} },
+		"RM offload": func() Source { return &RMEngine{Tbl: tbl, Sys: sys, Offload: true} },
+	}
+	for name, mk := range sources {
+		for i, c := range cases {
+			run := func(pushed Sinks) (*Result, uint64) {
+				sys.ResetState()
+				res, err := RunSinks(mk(), c.q, pushed)
+				if err != nil {
+					t.Fatalf("%s case %d: %v", name, i, err)
+				}
+				if pushed.HasLimit && int64(len(res.Groups)) > pushed.Limit {
+					t.Errorf("%s case %d boxed %d rows under LIMIT %d", name, i, len(res.Groups), pushed.Limit)
+				}
+				return res, ApplySinks(res, c.sk)
+			}
+			got, gotCycles := run(c.sk)
+			want, wantCycles := run(Sinks{})
+			if err := sameSunk(got, want, gotCycles, wantCycles); err != nil {
+				t.Errorf("%s case %d (%+v): %v", name, i, c.sk, err)
+			}
+			if name == "RM offload" && got.Offload != "group-agg" {
+				t.Errorf("%s case %d ran offload %q, want group-agg", name, i, got.Offload)
+			}
+		}
+	}
+
+	f := newJoinPlanFixture(t, 2000, 60, 7)
+	p := q3ClassPlan(f, t)
+	for i, sk := range []Sinks{limit(5, agg(0, true)), limit(0, key(0, false)), Sinks{Keys: []plan.SortKey{agg(1, false)}}} {
+		run := func(pushed Sinks) (*Result, uint64) {
+			f.sys.ResetState()
+			ex := &JoinExec{Plan: p, Sinks: pushed,
+				Probe:  &RowEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true},
+				Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}}}
+			res, err := ex.Execute()
+			if err != nil {
+				t.Fatalf("join case %d: %v", i, err)
+			}
+			if pushed.HasLimit && int64(len(res.Groups)) > pushed.Limit {
+				t.Errorf("scalar join case %d boxed %d rows under LIMIT %d", i, len(res.Groups), pushed.Limit)
+			}
+			return res, ApplySinks(res, sk)
+		}
+		got, gotCycles := run(sk)
+		want, wantCycles := run(Sinks{})
+		if err := sameSunk(got, want, gotCycles, wantCycles); err != nil {
+			t.Errorf("scalar join case %d (%+v): %v", i, sk, err)
+		}
+	}
+}
+
+// sameSunk compares two sunk results: counts, Breakdown, sort charge, and
+// grouped rows in order, values bit for bit.
+func sameSunk(a, b *Result, aCycles, bCycles uint64) error {
+	if a.RowsScanned != b.RowsScanned || a.RowsPassed != b.RowsPassed || a.Breakdown != b.Breakdown {
+		return fmt.Errorf("run %d/%d %+v, want %d/%d %+v", a.RowsScanned, a.RowsPassed, a.Breakdown,
+			b.RowsScanned, b.RowsPassed, b.Breakdown)
+	}
+	if aCycles != bCycles {
+		return fmt.Errorf("sort charge %d, want %d", aCycles, bCycles)
+	}
+	if len(a.Groups) != len(b.Groups) {
+		return fmt.Errorf("%d groups, want %d", len(a.Groups), len(b.Groups))
+	}
+	same := func(x, y []table.Value) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if x[i].Type != y[i].Type || x[i].Int != y[i].Int ||
+				math.Float64bits(x[i].Float) != math.Float64bits(y[i].Float) || string(x[i].Bytes) != string(y[i].Bytes) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := range a.Groups {
+		x, y := a.Groups[i], b.Groups[i]
+		if x.Count != y.Count || !same(x.Key, y.Key) || !same(x.Aggs, y.Aggs) {
+			return fmt.Errorf("row %d: %v %v %d, want %v %v %d", i, x.Key, x.Aggs, x.Count, y.Key, y.Aggs, y.Count)
+		}
+	}
+	return nil
 }

@@ -45,12 +45,20 @@ type Source interface {
 // engine's Execute method and the DB façade's dispatch.
 func Run(src Source, q Query) (*Result, error) { return RunSinks(src, q, Sinks{}) }
 
-// RunSinks is Run for a statement with ORDER BY / LIMIT sinks: the batch
-// pipeline orders and cuts its groups on the group table, boxing only the
-// rows the statement returns. The caller still calls ApplySinks with the
-// same sinks, which charges the sort and finishes any result the batch
-// pipeline did not (scalar scans, the fabric's offload fold).
-func RunSinks(src Source, q Query, sk Sinks) (*Result, error) {
+// RunSinks is Run for a statement with ORDER BY / LIMIT sinks: the scan
+// orders and cuts its groups on its group table, boxing only the rows the
+// statement returns. The caller still calls ApplySinks with the same sinks,
+// which charges the sort.
+func RunSinks(src Source, q Query, sk Sinks) (*Result, error) { return runScan(src, q, sk, false) }
+
+// RunPartial runs q on src as one partition of a gathered run (see
+// Gather): the result carries its fold's unfinished aggregate state in
+// place of Aggs and Groups, which only Gather's merge reads and finishes.
+// The state may live in src's reusable batch scratch, so it holds until
+// src runs again; every partition runs on a source of its own.
+func RunPartial(src Source, q Query) (*Result, error) { return runScan(src, q, Sinks{}, true) }
+
+func runScan(src Source, q Query, sk Sinks, part bool) (*Result, error) {
 	sys, tr := src.sysTracer()
 	sp := beginEngineSpan(tr, src.Name(), src.tableLabel())
 	defer tr.End()
@@ -63,6 +71,7 @@ func RunSinks(src Source, q Query, sk Sinks) (*Result, error) {
 	s.tracer = tr
 	s.sp = sp
 	s.sinks = sk
+	s.part = part
 	if s.rewritten != nil {
 		q = *s.rewritten
 	}
@@ -149,9 +158,11 @@ type scan struct {
 
 	sch *geometry.Schema
 
-	// sinks are the statement's ORDER BY / LIMIT, finished by the batch
-	// pipeline's result (empty when the caller applies them).
+	// sinks are the statement's ORDER BY / LIMIT, finished on the scan's
+	// group table (empty when the caller applies them); part keeps the
+	// fold unfinished instead, for a partition's merge (RunPartial).
 	sinks Sinks
+	part  bool
 
 	// rewritten, when set, is the query the pipeline runs in place of the
 	// one the source was opened with (see countOverNarrowest).
@@ -255,19 +266,22 @@ func offloadProgram(q Query) (*fabric.Offload, bool) {
 // runs the whole program (selection, projection, grouping, folding) and
 // ships only the reduced result, so there is no pipeline to drive — just
 // the producer's time and the result bytes. The fabric folds with the batch
-// consumer's kernels and finalizes through vec.AggState.Result, so the
-// Result is bit-identical to a CPU-side execution of the same query.
-func runOffload(sys *System, tracer *obs.Tracer, sp *obs.Span, name string, ev *fabric.Ephemeral, off *fabric.Offload) (*Result, error) {
+// consumer's kernels, and its group table is finished like the pipeline's
+// (finishAggs), so the Result is bit-identical to a CPU-side execution of
+// the same query. It leaves no partial state: the fabric finalizes an
+// ungrouped program itself, so an offloaded scan is never a partition.
+func (s *scan) runOffload(ev *fabric.Ephemeral, off *fabric.Offload, terms []AggTerm) (*Result, error) {
+	sys, sp := s.sys, s.sp
 	memStart := sys.Mem.Stats()
 	hierStart := sys.Hier.Stats()
 	or, err := ev.RunOffload(off)
 	if err != nil {
 		return nil, err
 	}
-	tk := newTicker(tracer)
+	tk := newTicker(s.tracer)
 	tk.advance(or.ProducerCycles)
 	res := &Result{
-		Engine:      name,
+		Engine:      s.name,
 		RowsScanned: int64(or.RowsScanned),
 		RowsPassed:  int64(or.RowsQualified),
 		Offload:     off.Describe(),
@@ -275,11 +289,15 @@ func runOffload(sys *System, tracer *obs.Tracer, sp *obs.Span, name string, ev *
 	if !off.Grouped() {
 		res.Aggs = or.Values
 	} else {
-		res.Groups = make([]GroupRow, len(or.Groups))
-		for i, g := range or.Groups {
-			res.Groups[i] = GroupRow{Key: g.Key, Count: g.Rows, Aggs: g.Aggs}
+		keys := make([]valueCol, len(off.GroupBy))
+		for k, c := range off.GroupBy {
+			cd := s.sch.Column(c)
+			keys[k] = valueCol{typ: cd.Type, width: cd.Width}
 		}
-		sortGroups(res.Groups)
+		for i, v := range or.Keys {
+			keys[i%len(keys)].append(v)
+		}
+		res.finishAggs(aggOut{groups: or.Groups, keys: keys}, terms, s.sinks, false)
 	}
 	sp.SetAttr("offload", off.Describe())
 	res.Breakdown = pipelineBreakdown(sys, memStart, hierStart, 0, or.ProducerCycles, or.ProducerCycles, uint64(or.ResultBytes))

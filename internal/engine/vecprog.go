@@ -482,14 +482,14 @@ func (s *scanScratch) refine(p *scanProg, n int, sel []int32) []int32 {
 	return sel
 }
 
-// vecAcc is one batch run's output: the projection checksum, the scalar
-// aggregate states, or the detached keys of the groups in the scratch's
-// group table (one column per key slot, indexed by group id).
+// vecAcc is one batch run's output: the projection checksum, or the
+// aggregation's fold — the scalar aggregate states, or the scratch's group
+// table with the detached keys of its groups (one column per key slot,
+// indexed by group id).
 type vecAcc struct {
 	passed   int64
 	checksum uint64
-	aggs     []vec.AggState
-	keys     []valueCol
+	out      aggOut
 }
 
 // valueCol is a column of values detached from their source buffers:
@@ -540,6 +540,21 @@ func (c *valueCol) appendRows(s *scanScratch, sl *vecSlot, rows []int32) {
 	}
 }
 
+// appendAt appends src's values at positions idx.
+func (c *valueCol) appendAt(src *valueCol, idx []int32) {
+	for _, i := range idx {
+		switch c.typ {
+		case geometry.Float64:
+			c.f64 = append(c.f64, src.f64[i])
+		case geometry.Char:
+			o := int(i) * c.width
+			c.chr = append(c.chr, src.chr[o:o+c.width]...)
+		default:
+			c.i64 = append(c.i64, src.i64[i])
+		}
+	}
+}
+
 // value boxes value i the way the scalar fetch decodes it; a CHAR value's
 // bytes are a capacity-capped view of the column.
 func (c *valueCol) value(i int32) table.Value {
@@ -586,12 +601,13 @@ func (s *scanScratch) begin(p *scanProg) *vecAcc {
 	switch {
 	case p.keySlots != nil:
 		s.groups.Reset(len(p.aggs))
-		acc.keys = make([]valueCol, len(p.keySlots))
+		acc.out.groups = &s.groups
+		acc.out.keys = make([]valueCol, len(p.keySlots))
 		for k, si := range p.keySlots {
-			acc.keys[k] = valueCol{typ: p.slots[si].typ, width: p.slots[si].width}
+			acc.out.keys[k] = valueCol{typ: p.slots[si].typ, width: p.slots[si].width}
 		}
 	case len(p.aggs) > 0:
-		acc.aggs = make([]vec.AggState, len(p.aggs))
+		acc.out.states = make([]vec.AggState, len(p.aggs))
 	}
 	return acc
 }
@@ -618,7 +634,7 @@ func (s *scanScratch) consume(p *scanProg, sel []int32, acc *vecAcc) {
 			}
 		}
 	case p.keySlots == nil:
-		s.foldAggs(p, sel, acc.aggs)
+		s.foldAggs(p, sel, acc.out.states)
 	default:
 		s.foldGroups(p, sel, acc)
 	}
@@ -661,7 +677,7 @@ func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 	ids := s.gids[:len(sel)]
 	g.Assign(ids, keys, sel)
 	for k, si := range p.keySlots {
-		acc.keys[k].appendRows(s, &p.slots[si], g.Created())
+		acc.out.keys[k].appendRows(s, &p.slots[si], g.Created())
 	}
 
 	for ti := range p.aggs {
@@ -723,29 +739,16 @@ func (p *scanProg) slotIndex(col int) int32 {
 	panic("engine: vectorized scan references an uncompiled column")
 }
 
-// result builds the Result the scalar consumer would have built. Grouped
-// output is finished on the group table under the statement's sinks (empty
-// when the caller applies them): only the rows it returns are boxed.
-func (s *scanScratch) result(name string, q Query, p *scanProg, acc *vecAcc, scanned int64, sk Sinks) *Result {
+// result builds the run's Result, finishing its fold (finishAggs) under the
+// statement's sinks, or keeping it for a partition's merge.
+func (s *scanScratch) result(name string, q Query, acc *vecAcc, scanned int64, sk Sinks, part bool) *Result {
 	r := &Result{Engine: name, RowsScanned: scanned, RowsPassed: acc.passed, Checksum: acc.checksum}
-	switch {
-	case p.keySlots != nil:
-		ls := &laneSet{g: &s.groups, keys: acc.keys, aggs: q.Aggregates}
-		r.Groups = ls.rows(outputOrder(ls, s.groups.Len(), sk, ls.canon))
-		if !sk.Empty() {
-			r.sunk = s.groups.Len()
-		}
-	case len(q.Aggregates) > 0:
-		r.Aggs = make([]table.Value, len(q.Aggregates))
-		for i, st := range acc.aggs {
-			r.Aggs[i] = st.Result(q.Aggregates[i].Kind)
-		}
-	}
+	r.finishAggs(acc.out, q.Aggregates, sk, part)
 	return r
 }
 
-// laneSet is the batch pipeline's finished group set: the group table's
-// counts, states and encoded keys, with the keys' values in typed lanes.
+// laneSet is a fold's finished group set: the group table's counts, states
+// and encoded keys, with the keys' values in typed lanes.
 type laneSet struct {
 	g    *vec.GroupTable
 	keys []valueCol

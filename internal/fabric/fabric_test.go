@@ -330,7 +330,7 @@ func TestAggregationPushdownMatchesSoftware(t *testing.T) {
 			}
 			want := []table.Value{table.I64(count), table.F64(sum), table.F64(minD), table.F64(maxD), table.F64(avg)}
 			if got.Groups != nil || len(got.Values) != len(want) {
-				t.Fatalf("ungrouped offload returned %d values and %d groups", len(got.Values), len(got.Groups))
+				t.Fatalf("ungrouped offload returned %d values and group table %v", len(got.Values), got.Groups)
 			}
 			for i := range want {
 				if !got.Values[i].Equal(want[i]) {

@@ -44,24 +44,18 @@ type DictFilter struct {
 	Entries int
 }
 
-// OffloadGroup is one group's reduced output.
-type OffloadGroup struct {
-	// Key holds the decoded group-by values, in GroupBy order. Char bytes
-	// are copies, safe to retain after the view's buffer rotates.
-	Key []table.Value
-	// Rows is how many qualifying rows fell into the group.
-	Rows int64
-	// Aggs holds one finalized value per AggSpec, in order.
-	Aggs []table.Value
-}
-
 // OffloadResult is the outcome of running an Offload program on a view.
 type OffloadResult struct {
 	// Values holds the ungrouped results (one per spec); nil when grouped.
 	Values []table.Value
-	// Groups holds the per-group results in first-seen order; nil when
-	// ungrouped.
-	Groups []OffloadGroup
+	// Groups is the grouped fold's table: each group's encoded key, row
+	// count and one vec.AggState per AggSpec, in first-seen order; nil when
+	// ungrouped. The receiver finalizes the states (vec.AggState.Result).
+	Groups *vec.GroupTable
+	// Keys holds the groups' decoded group-by values, len(GroupBy) per
+	// group in GroupBy order, groups in table order. Char bytes are
+	// copies, safe to retain after the view's buffer rotates.
+	Keys []table.Value
 	// RowsScanned and RowsQualified describe the scan behind the result.
 	RowsScanned   int
 	RowsQualified int
@@ -78,8 +72,9 @@ type OffloadResult struct {
 // packs each chunk as Next does, then folds the packed rows block by block
 // with the same vec kernels as the CPU batch consumer — vec.GroupTable when
 // grouped, one vec.AggState per aggregate when not — and ships only the
-// finalized result (vec.AggState.Result). An ungrouped program is one group
-// that exists even when no row qualifies.
+// reduced result: the finalized values (vec.AggState.Result) of an
+// ungrouped program, or a grouped program's table with its key values. An
+// ungrouped program is one group that exists even when no row qualifies.
 //
 // Charges: each chunk's ProducerCycles; a grouped program's key hashing and
 // routing at AggregateCycles per qualifying row on the fabric clock; and
@@ -151,15 +146,7 @@ func (ev *Ephemeral) RunOffload(off *Offload) (*OffloadResult, error) {
 		}
 		return out, nil
 	}
-	nk := len(f.keys)
-	out.Groups = make([]OffloadGroup, groups)
-	for g := range out.Groups {
-		aggs := make([]table.Value, len(off.Aggs))
-		for t, sp := range off.Aggs {
-			aggs[t] = f.groups.State(g, t).Result(sp.Kind)
-		}
-		out.Groups[g] = OffloadGroup{Key: f.keyVals[g*nk : (g+1)*nk : (g+1)*nk], Rows: f.groups.Count(g), Aggs: aggs}
-	}
+	out.Groups, out.Keys = &f.groups, f.keyVals
 	return out, nil
 }
 

@@ -118,23 +118,22 @@ func TestRunOffloadGroupedMatchesSoftware(t *testing.T) {
 	if got.RowsScanned != scanned || got.RowsQualified != qualified {
 		t.Fatalf("scan counts %d/%d, want %d/%d", got.RowsScanned, got.RowsQualified, scanned, qualified)
 	}
-	if len(got.Groups) != len(order) {
-		t.Fatalf("%d groups, want %d", len(got.Groups), len(order))
+	if got.Groups.Len() != len(order) || len(got.Keys) != len(order) {
+		t.Fatalf("%d groups and %d keys, want %d", got.Groups.Len(), len(got.Keys), len(order))
 	}
 	keyBytes := 0
-	for i, g := range got.Groups {
-		want := order[i]
-		if g.Key[0].String() != want.key {
-			t.Fatalf("group %d key %q, want %q (first-seen order broken)", i, g.Key[0], want.key)
+	for i, want := range order {
+		if got.Keys[i].String() != want.key {
+			t.Fatalf("group %d key %q, want %q (first-seen order broken)", i, got.Keys[i], want.key)
 		}
 		keyBytes += len(want.key) + 1 // CHAR key encoding: trimmed bytes + 0xff
-		if g.Rows != want.rows {
-			t.Errorf("group %q rows %d, want %d", want.key, g.Rows, want.rows)
+		if rows := got.Groups.Count(i); rows != want.rows {
+			t.Errorf("group %q rows %d, want %d", want.key, rows, want.rows)
 		}
 		wantAggs := []table.Value{table.I64(want.rows), table.F64(want.sum), table.F64(want.min), table.F64(want.max)}
 		for j := range wantAggs {
-			if !g.Aggs[j].Equal(wantAggs[j]) {
-				t.Errorf("group %q %s = %s, want %s", want.key, off.Aggs[j].Kind, g.Aggs[j], wantAggs[j])
+			if v := got.Groups.State(i, j).Result(off.Aggs[j].Kind); !v.Equal(wantAggs[j]) {
+				t.Errorf("group %q %s = %s, want %s", want.key, off.Aggs[j].Kind, v, wantAggs[j])
 			}
 		}
 	}

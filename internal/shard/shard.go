@@ -215,7 +215,7 @@ func (t *Table) execute(q engine.Query) (*engine.Result, error) {
 	res, _, err := engine.Gather("SHARD", q, len(touched), t.Workers, func(i int) (*engine.Result, error) {
 		n := t.nodes[touched[i]]
 		n.sys.ResetState()
-		return (&engine.RMEngine{Tbl: n.tbl, Sys: n.sys, PushSelection: true}).Execute(q)
+		return engine.RunPartial(&engine.RMEngine{Tbl: n.tbl, Sys: n.sys, PushSelection: true}, q)
 	})
 	return res, err
 }

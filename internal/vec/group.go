@@ -105,8 +105,15 @@ func (t *GroupTable) State(g, term int) AggState { return t.states[g*t.nAggs+ter
 // Key returns group g's encoded key.
 func (t *GroupTable) Key(g int) []byte { return t.idx.Key(g) }
 
-// Created returns the selection positions whose rows created new groups in
-// the last Assign, in group-id order: the first group Assign created has id
+// States returns group g's states, one per aggregate term, for folding in
+// place.
+func (t *GroupTable) States(g int) []AggState {
+	return t.states[g*t.nAggs : (g+1)*t.nAggs : (g+1)*t.nAggs]
+}
+
+// Created returns what created new groups in the last Assign or Merge, in
+// group-id order: the selection positions of Assign's rows, or the ids in
+// Merge's source of its groups. The first group created has id
 // Len()-len(Created()).
 func (t *GroupTable) Created() []int32 { return t.created }
 
@@ -120,16 +127,49 @@ func (t *GroupTable) Assign(ids []int32, keys []KeyCol, sel []int32) {
 			b = keys[k].appendKey(b, r)
 		}
 		t.buf = b
-		g, added := t.idx.Lookup(b, true)
+		g, added := t.AssignKey(b)
 		if added {
 			t.created = append(t.created, r)
-			t.counts = append(t.counts, 0)
-			for a := 0; a < t.nAggs; a++ {
-				t.states = append(t.states, AggState{})
-			}
 		}
-		t.counts[g]++
 		ids[j] = g
+	}
+}
+
+// AssignKey is Assign for one row given its encoded key: it returns the
+// row's group, reporting whether the key created it, and counts the row.
+func (t *GroupTable) AssignKey(key []byte) (g int32, added bool) {
+	g, added = t.group(key)
+	t.counts[g]++
+	return g, added
+}
+
+// group returns the group of an encoded key, creating it when new.
+func (t *GroupTable) group(key []byte) (int32, bool) {
+	g, added := t.idx.Lookup(key, true)
+	if added {
+		t.counts = append(t.counts, 0)
+		t.states = append(t.states, make([]AggState, t.nAggs)...)
+	}
+	return g, added
+}
+
+// Merge folds src, a table of the same aggregate terms, into t in src's
+// group order: each group is found by its encoded key, created when new,
+// and its row count and states merged into t's (AggState.Merge). Merging
+// partitions' tables in partition order leaves the groups in first-seen
+// order over all their rows.
+func (t *GroupTable) Merge(src *GroupTable) {
+	t.created = t.created[:0]
+	for sg := range src.counts {
+		g, added := t.group(src.Key(sg))
+		if added {
+			t.created = append(t.created, int32(sg))
+		}
+		t.counts[g] += src.counts[sg]
+		dst := t.States(int(g))
+		for a, st := range src.States(sg) {
+			dst[a].Merge(st)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@
 // comparisons follow table.Value.Compare (three-way compare, then
 // expr.CmpOp.Holds; CHAR compares with trailing-NUL padding stripped),
 // checksums follow the engine's FNV-1a value hash (CHAR hashes bytes up to
-// the first NUL), and aggregation follows the engine accumulator's exact
-// update order so float results stay bit-identical.
+// the first NUL), and aggregation folds every value in row order through
+// one AggState so float results stay bit-identical.
 package vec
 
 import (
@@ -108,35 +108,72 @@ func CmpChar(field, operand []byte) int {
 	return bytes.Compare(TrimPad(field), operand)
 }
 
-// AggState mirrors the engine aggregate accumulator field for field so folds
-// produce bit-identical float results. Add replicates the accumulator's
-// update order exactly (including its NaN behavior: `!any || x < min`).
+// AggState is one aggregate term's running state, the only aggregate fold
+// there is: the engines' batch and scalar consumers, the fabric's offload
+// fold and the storage controller's fold all add to it, and partitioned
+// runs merge their partitions' states (Merge) before finalizing once
+// (Result). MIN and MAX follow a sequential fold's rule, `x < Min` and
+// `x > Max` over the values in order, so the first of equal values (-0 and
+// +0) is kept and a NaN never displaces a number; a NaN that comes first
+// makes both NaN. Min and Max therefore track only the numbers (Any reports
+// one was folded), and NaNFirst records a leading NaN, which lets two
+// states merge exactly.
 type AggState struct {
-	Count int64
-	Sum   float64
-	Min   float64
-	Max   float64
-	Any   bool
+	Count    int64
+	Sum      float64
+	Min      float64
+	Max      float64
+	Any      bool
+	NaNFirst bool
 }
 
-// Add folds one value, replicating the scalar accumulator's exact semantics.
+// Add folds one value.
 func (a *AggState) Add(x float64) {
 	a.Count++
 	a.Sum += x
-	if !a.Any || x < a.Min {
-		a.Min = x
+	switch {
+	case a.Any:
+		if x < a.Min {
+			a.Min = x
+		}
+		if x > a.Max {
+			a.Max = x
+		}
+	case x == x:
+		a.Min, a.Max, a.Any = x, x, true
+	case a.Count == 1:
+		a.NaNFirst = true
 	}
-	if !a.Any || x > a.Max {
-		a.Max = x
+}
+
+// Merge folds o, the state of the rows that follow a's, into a: counts and
+// sums add, and o's Min and Max fold in by Add's rule (`!Any || x < Min`).
+// An empty o changes nothing. Count, Min and Max then equal one sequential
+// fold of both row sequences; Sum is a's sum plus o's.
+func (a *AggState) Merge(o AggState) {
+	if o.Count == 0 {
+		return
 	}
-	a.Any = true
+	if a.Count == 0 {
+		a.NaNFirst = o.NaNFirst
+	}
+	a.Count += o.Count
+	a.Sum += o.Sum
+	if o.Any {
+		if !a.Any || o.Min < a.Min {
+			a.Min = o.Min
+		}
+		if !a.Any || o.Max > a.Max {
+			a.Max = o.Max
+		}
+		a.Any = true
+	}
 }
 
 // Result finalizes the state as an aggregate of kind. COUNT yields BIGINT,
-// every other kind DOUBLE; over zero rows SUM, AVG, MIN and MAX are 0. The
-// engines' batch consumers, the fabric's offload fold and the storage
-// controller's fold all finalize through it, so a result cannot depend on
-// where it was folded.
+// every other kind DOUBLE; over zero rows SUM, AVG, MIN and MAX are 0. Every
+// fold finalizes through it, so a result cannot depend on where it was
+// folded.
 func (a AggState) Result(kind expr.AggKind) table.Value {
 	switch kind {
 	case expr.Count:
@@ -149,8 +186,14 @@ func (a AggState) Result(kind expr.AggKind) table.Value {
 		}
 		return table.F64(a.Sum / float64(a.Count))
 	case expr.Min:
+		if a.NaNFirst {
+			return table.F64(math.NaN())
+		}
 		return table.F64(a.Min)
 	case expr.Max:
+		if a.NaNFirst {
+			return table.F64(math.NaN())
+		}
 		return table.F64(a.Max)
 	default:
 		panic(fmt.Sprintf("vec: unknown aggregate kind %d", uint8(kind)))

@@ -88,33 +88,40 @@ var sinkStatements = []string{
 // ApplySinks over the full group list. Two databases run the statements in
 // lockstep, so each run starts from the same simulated machine state. The
 // single-table statements sum exact values, so every path must also return
-// ROW's rows bit for bit — PAR among them, whose merge orders boxed groups,
-// so the canonical order on the group table is checked against sortGroups.
+// ROW's rows bit for bit — PAR among them, whose merge finishes the
+// partitions' merged group table, and, with the offload layer on, RM's
+// fabric fold and PAR's Bloom-filtered joins.
 func TestPipelineSinksMatchApplySinks(t *testing.T) {
 	got, ref := sinkDB(t), sinkDB(t)
 	rowGroups := map[string][]engine.GroupRow{}
-	for _, kind := range []EngineKind{ROW, COL, RM, "IDX", AUTO, PAR} {
+	for _, path := range []string{"ROW", "COL", "RM", "IDX", "AUTO", "PAR", "RM+offload", "PAR+offload"} {
+		kind, offload := EngineKind(strings.TrimSuffix(path, "+offload")), strings.HasSuffix(path, "+offload")
+		got.SetOffload(offload)
+		ref.SetOffload(offload)
 		for _, text := range sinkStatements {
 			res, tr, err := got.QueryTraced(text, OnEngine(kind))
 			if err != nil {
-				t.Fatalf("%s %q: %v", kind, text, err)
+				t.Fatalf("%s %q: %v", path, text, err)
 			}
 			want, cycles, err := unpushedSinks(ref, kind, text)
 			if err != nil {
-				t.Fatalf("%s %q reference: %v", kind, text, err)
+				t.Fatalf("%s %q reference: %v", path, text, err)
+			}
+			if path == "RM+offload" && !strings.Contains(text, "JOIN") && res.Offload != "group-agg" {
+				t.Errorf("%s %q ran offload %q, want group-agg", path, text, res.Offload)
 			}
 			if err := sameResult(res, want); err != nil {
-				t.Errorf("%s %q: %v", kind, text, err)
+				t.Errorf("%s %q: %v", path, text, err)
 			}
 			if !strings.Contains(text, "JOIN") {
 				if kind == ROW {
 					rowGroups[text] = res.Groups
 				} else if err := sameGroups(res.Groups, rowGroups[text]); err != nil {
-					t.Errorf("%s %q differs from ROW: %v", kind, text, err)
+					t.Errorf("%s %q differs from ROW: %v", path, text, err)
 				}
 			}
 			if sp := tr.Root.Find("sink"); sp == nil || sp.Cycles != cycles {
-				t.Errorf("%s %q: sink span %+v, want %d cycles", kind, text, sp, cycles)
+				t.Errorf("%s %q: sink span %+v, want %d cycles", path, text, sp, cycles)
 			}
 		}
 	}
