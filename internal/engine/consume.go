@@ -24,8 +24,7 @@ func hashValue(col int, v table.Value) uint64 {
 
 // consumer folds qualifying rows into the query's output shape and charges
 // consumption CPU cycles to the engine's compute counter. It folds into the
-// batch pipeline's state: one vec.AggState per term, or a group table with
-// each group's key values in typed lanes.
+// batch pipeline's state: one vec.AggState per term, or a group table.
 type consumer struct {
 	q       Query
 	compute *uint64
@@ -33,8 +32,7 @@ type consumer struct {
 	rowsPassed int64
 	checksum   uint64
 	out        aggOut
-	keyBuf     []byte
-	keyVals    []table.Value // the current row's group key
+	keyBuf     []byte // the current row's group key
 }
 
 func newConsumer(q Query, schema *geometry.Schema, compute *uint64) *consumer {
@@ -42,14 +40,13 @@ func newConsumer(q Query, schema *geometry.Schema, compute *uint64) *consumer {
 	switch {
 	case len(q.Aggregates) == 0:
 	case len(q.GroupBy) > 0:
-		c.out.groups = new(vec.GroupTable)
-		c.out.groups.Reset(len(q.Aggregates))
-		c.out.keys = make([]valueCol, len(q.GroupBy))
+		keys := make([]geometry.Column, len(q.GroupBy))
 		for i, col := range q.GroupBy {
-			cd := schema.Column(col)
-			c.out.keys[i] = valueCol{typ: cd.Type, width: cd.Width}
+			keys[i] = schema.Column(col)
 		}
-		c.keyVals = make([]table.Value, len(q.GroupBy))
+		c.out.groups = new(vec.GroupTable)
+		c.out.groups.Reset(len(q.Aggregates), keys)
+		c.keyBuf = make([]byte, c.out.groups.KeyLen())
 	default:
 		c.out.states = make([]vec.AggState, len(q.Aggregates))
 	}
@@ -71,19 +68,11 @@ func (c *consumer) consumeRow(fetch func(col int) table.Value) {
 
 	states := c.out.states
 	if g := c.out.groups; g != nil {
-		c.keyBuf = c.keyBuf[:0]
 		for i, col := range c.q.GroupBy {
-			v := fetch(col)
-			c.keyVals[i] = v
-			c.keyBuf = appendKey(c.keyBuf, v)
+			g.PutKey(c.keyBuf, i, fetch(col))
 		}
 		*c.compute += HashGroupCycles
-		id, added := g.AssignKey(c.keyBuf)
-		if added {
-			for i := range c.out.keys {
-				c.out.keys[i].append(c.keyVals[i])
-			}
-		}
+		id, _ := g.AssignKey(c.keyBuf)
 		states = g.States(int(id))
 	}
 
@@ -95,22 +84,6 @@ func (c *consumer) consumeRow(fetch func(col int) table.Value) {
 		}
 		*c.compute += uint64(t.Arg.Ops() * ScalarOpCycles)
 		states[i].Add(t.Arg.EvalF(fetch))
-	}
-}
-
-// appendKey appends v's group-key encoding, the one the batch hash-group
-// kernel uses: float bits (so -0/+0 and NaN payloads stay distinct), CHAR
-// with trailing NUL padding trimmed (embedded NULs are significant,
-// matching table.Value equality) plus a 0xff separator, integers as 8
-// little-endian bytes.
-func appendKey(dst []byte, v table.Value) []byte {
-	switch v.Type {
-	case geometry.Float64:
-		return vec.AppendKeyF64(dst, v.Float)
-	case geometry.Char:
-		return vec.AppendKeyChar(dst, v.Bytes)
-	default:
-		return vec.AppendKeyI64(dst, v.Int)
 	}
 }
 

@@ -260,7 +260,8 @@ func (o *Optimizer) estimateRM(q Query) plan.Est {
 	if err != nil {
 		return plan.Est{Engine: "RM", Available: false, Reason: err.Error()}
 	}
-	gatherPerRow := estimateGatherBytes(o.Tbl, geom, cfg.DRAM.BurstBytes)
+	_, gatherBytes := fabric.GatherProgram(o.Tbl, geom.Columns(), cfg.DRAM.BurstBytes)
+	gatherPerRow := float64(gatherBytes)
 
 	// Producer: datapath row/beat rate plus refill handshakes, floored by
 	// fabric-port bandwidth.
@@ -320,41 +321,6 @@ func (o *Optimizer) estimateRM(q Query) plan.Est {
 
 	cycles := max(producer, consumer, fabricFloor)
 	return plan.Est{Engine: "RM", Cycles: cycles, Selectivity: sel, Available: true, Warm: warm, Offloaded: offloaded}
-}
-
-// estimateGatherBytes mirrors the fabric's stride coalescing to predict
-// burst-rounded bytes per row.
-func estimateGatherBytes(tbl *table.Table, geom *geometry.Geometry, burst int) float64 {
-	payloadOff := 0
-	if tbl.HasMVCC() {
-		payloadOff = table.MVCCHeaderBytes
-	}
-	sch := tbl.Schema()
-	type rng struct{ off, w int }
-	var ranges []rng
-	if tbl.HasMVCC() {
-		ranges = append(ranges, rng{0, table.MVCCHeaderBytes})
-	}
-	cols := append([]int(nil), geom.Columns()...)
-	sort.Ints(cols)
-	for _, c := range cols {
-		ranges = append(ranges, rng{payloadOff + sch.Offset(c), sch.Column(c).Width})
-	}
-	var merged []rng
-	for _, r := range ranges {
-		if n := len(merged); n > 0 && r.off-(merged[n-1].off+merged[n-1].w) < burst {
-			merged[n-1].w = r.off + r.w - merged[n-1].off
-			continue
-		}
-		merged = append(merged, r)
-	}
-	total := 0
-	for _, r := range merged {
-		first := r.off &^ (burst - 1)
-		last := (r.off + r.w - 1) &^ (burst - 1)
-		total += last - first + burst
-	}
-	return float64(total)
 }
 
 // String renders the plan for diagnostics.

@@ -270,7 +270,7 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 	case len(q.Aggregates) == 0:
 	case len(q.GroupBy) > 0:
 		m.groups = new(vec.GroupTable)
-		m.groups.Reset(len(q.Aggregates))
+		m.groups.Reset(len(q.Aggregates), nil) // Merge takes the partitions' key columns
 	default:
 		m.states = make([]vec.AggState, len(q.Aggregates))
 	}

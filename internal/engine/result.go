@@ -164,24 +164,14 @@ func (r *Result) String() string {
 }
 
 // The canonical group order is the order every engine emits grouped output
-// in, whatever order the groups were produced in: key columns compared in
-// turn by keyCmp, and keys equal column by column compared by their group-key
-// encodings. keyCmp calls -0 and +0 equal and every NaN equal to every other,
-// yet those keys are distinct groups, so the encoding tie-break makes the
-// order strict and total.
-
-// keyCmp is the canonical order's rule for one key column: DOUBLE by
-// cmp.Compare (NaN first, -0 == +0), every other type by Value.Compare
-// (integers by value, CHAR by its TrimPad-ed bytes).
-func keyCmp(x, y table.Value) int {
-	if x.Type == geometry.Float64 {
-		return cmp.Compare(x.Float, y.Float)
-	}
-	return x.Compare(y)
-}
+// in, whatever order the groups were produced in: bytes.Compare on the
+// groups' keys in the group table's format (vec.GroupTable), which orders
+// key columns in turn by value and, among keys whose values compare equal
+// (-0 and +0, NaN payloads), by their raw DOUBLE bits, so the order is
+// strict and total.
 
 // groupSet reads a finished group set by group position: boxed rows
-// (rowSet) or a fold's group table with its typed key lanes (laneSet).
+// (rowSet) or a fold's group table (tableSet).
 type groupSet interface {
 	key(g int32, k int) table.Value
 	agg(g int32, t int) table.Value
@@ -195,14 +185,13 @@ func (r rowSet) agg(g int32, t int) table.Value { return r[g].Aggs[t] }
 
 // aggOut is an aggregation's unfinished output, the state its fold leaves:
 // one state per term when the statement is ungrouped; else the group table
-// its rows were assigned and folded on, with each group's key values in
-// typed lanes by group id. Every fold leaves one — the batch pipeline, the
-// scalar consumer, the fabric's offload fold, Gather's merge — and
-// finishAggs is the one place it is finalized and boxed.
+// its rows were assigned and folded on, whose keys hold the groups' values.
+// Every fold leaves one — the batch pipeline, the scalar consumer, the
+// fabric's offload fold, Gather's merge — and finishAggs is the one place
+// it is finalized and boxed.
 type aggOut struct {
 	states []vec.AggState
 	groups *vec.GroupTable
-	keys   []valueCol
 }
 
 // finishAggs finishes a fold's output into r. A partition of a gathered
@@ -215,9 +204,9 @@ func (r *Result) finishAggs(out aggOut, terms []AggTerm, sk Sinks, part bool) {
 		r.part = new(aggOut)
 		*r.part = out
 	case out.groups != nil:
-		ls := &laneSet{g: out.groups, keys: out.keys, aggs: terms}
+		ts := &tableSet{g: out.groups, aggs: terms}
 		n := out.groups.Len()
-		r.Groups = ls.rows(outputOrder(ls, n, sk, ls.canon))
+		r.Groups = ts.rows(outputOrder(ts, n, sk, ts.canon))
 		if !sk.Empty() {
 			r.sunk = n
 		}
@@ -231,24 +220,13 @@ func (r *Result) finishAggs(out aggOut, terms []AggTerm, sk Sinks, part bool) {
 
 // merge folds a partition's output, the next in partition order, into m:
 // per term when ungrouped; else group by group on m's table, found by the
-// partition's own key encodings, with the key values of the groups it
-// creates copied from the partition's lanes.
+// partition's keys.
 func (m *aggOut) merge(p *aggOut) {
 	for t := range m.states {
 		m.states[t].Merge(p.states[t])
 	}
-	if m.groups == nil {
-		return
-	}
-	m.groups.Merge(p.groups)
-	if m.keys == nil {
-		m.keys = make([]valueCol, len(p.keys))
-		for k, c := range p.keys {
-			m.keys[k] = valueCol{typ: c.typ, width: c.width}
-		}
-	}
-	for k := range m.keys {
-		m.keys[k].appendAt(&p.keys[k], m.groups.Created())
+	if m.groups != nil {
+		m.groups.Merge(p.groups)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"rfabric/internal/cache"
 	"rfabric/internal/expr"
 	"rfabric/internal/fabric"
 	"rfabric/internal/geometry"
@@ -136,21 +137,16 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		entry, _ = e.Cache.Acquire(e.Tbl, geom, q.Snapshot, pushedPreds)
 	}
 
-	// Packed-layout addressing: packed rows are accessed exactly like Fig.
-	// 3's cg[i].field, row-wise over a dense single stream. Every chunk
-	// restates the geometry's columns into this one layout (the rest are
-	// never fetched).
-	var layout []region
-	var packed int
+	d := &delivery{hier: e.Sys.Hier, geom: geom, lineBytes: lineBytes}
 	if entry != nil {
 		// Warm path: the group is resident — no ephemeral view, no DRAM
 		// gathers. Chunks replay out of the persistent delivery buffer at
 		// datapath beat rate, filling hierarchy lines from the fabric side
 		// exactly like a cold delivery so the consumer's accounting (and
 		// the logical result) is byte-identical.
-		packed = entry.PackedWidth()
+		d.packed = entry.PackedWidth()
 		sp.SetAttr("group_cache", "hit")
-		setGroupAttrs(sp, geom, packed)
+		setGroupAttrs(sp, geom, d.packed)
 		s.warm = true
 		cache, data, base := e.Cache, entry.Data(), entry.BaseAddr()
 		chunks := entry.Chunks()
@@ -168,18 +164,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 				ch := chunks[i]
 				i++
 				producer := e.Sys.Fab.ReplayChunk(ch.Rows, ch.Len)
-				addr := base + int64(ch.Off)
-				layout = packedRegions(layout, geom, data[ch.Off:ch.Off+ch.Len], addr, packed)
-				lines := (ch.Len + int(lineBytes) - 1) / int(lineBytes)
-				for l := 0; l < lines; l++ {
-					e.Sys.Hier.FillFromFabric(addr + int64(l)*lineBytes)
-				}
-				return segment{
-					cols:       layout,
-					rows:       ch.Rows,
-					sourceRows: int64(ch.SourceRows),
-					producer:   producer,
-				}, true
+				return d.segment(data[ch.Off:ch.Off+ch.Len], base+int64(ch.Off), ch.Rows, ch.SourceRows, producer), true
 			}
 		}
 	} else {
@@ -212,18 +197,16 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		}
 		s.offload = e.offloadLabel()
 
-		packed = ev.PackedWidth()
+		d.packed = ev.PackedWidth()
 		var rec *fabric.GroupRecorder
 		if e.Cache != nil && !filtered {
 			sp.SetAttr("group_cache", "miss")
-			rec = e.Cache.NewRecorder(e.Tbl, geom, q.Snapshot, pushedPreds, packed, int(lineBytes))
+			rec = e.Cache.NewRecorder(e.Tbl, geom, q.Snapshot, pushedPreds, d.packed, int(lineBytes))
 		}
 
-		// Each fabric chunk is one pipeline segment; delivering it fills
-		// the hierarchy's lines from the fabric side and carries the
-		// producer's cycles for the max(producer, consumer) pipeline
-		// accounting. Chunk data overlays one rotating delivery window, so
-		// the recorder copies each chunk before the next overwrites it.
+		// Each fabric chunk is one pipeline segment. Chunk data overlays
+		// one rotating delivery window, so the recorder copies each chunk
+		// before the next overwrites it.
 		s.segs = func(*pipeRun) segIter {
 			ev.Reset()
 			return func() (segment, bool) {
@@ -233,17 +216,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 					return segment{}, false
 				}
 				rec.Add(ch.Data, ch.Rows, ch.SourceRows)
-				layout = packedRegions(layout, geom, ch.Data, ch.BaseAddr, packed)
-				lines := (len(ch.Data) + int(lineBytes) - 1) / int(lineBytes)
-				for i := 0; i < lines; i++ {
-					e.Sys.Hier.FillFromFabric(ch.BaseAddr + int64(i)*lineBytes)
-				}
-				return segment{
-					cols:       layout,
-					rows:       ch.Rows,
-					sourceRows: int64(ch.SourceRows),
-					producer:   ch.ProducerCycles,
-				}, true
+				return d.segment(ch.Data, ch.BaseAddr, ch.Rows, ch.SourceRows, ch.ProducerCycles), true
 			}
 		}
 	}
@@ -269,19 +242,35 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	return s, nil
 }
 
-// packedRegions restates cols, indexed by schema column (allocated on the
-// first chunk), as the layout of a packed chunk whose first row starts at
-// data[0], simulated address addr: each of geom's columns at its packed
-// offset, rows width bytes apart.
-func packedRegions(cols []region, geom *geometry.Geometry, data []byte, addr int64, width int) []region {
-	if cols == nil {
-		cols = make([]region, geom.Schema().NumColumns())
+// delivery turns a column group's packed chunks, warm replays and cold
+// fabric chunks alike, into pipeline segments. Packed rows are accessed
+// like Fig. 3's cg[i].field, row-wise over one dense stream, so each chunk
+// restates the geometry's columns into one layout indexed by schema column
+// (the rest are never fetched).
+type delivery struct {
+	hier      *cache.Hierarchy
+	geom      *geometry.Geometry
+	packed    int // bytes per packed row
+	lineBytes int64
+	layout    []region
+}
+
+// segment delivers the packed chunk at data, simulated address addr: its
+// lines fill the hierarchy from the fabric side, and the segment carries
+// the producer's cycles for the max(producer, consumer) accounting.
+func (d *delivery) segment(data []byte, addr int64, rows, sourceRows int, producer uint64) segment {
+	if d.layout == nil {
+		d.layout = make([]region, d.geom.Schema().NumColumns())
 	}
-	for i, c := range geom.Columns() {
-		off := geom.PackedOffset(i)
-		cols[c] = region{data: data, off: off, addr: addr + int64(off), stride: width}
+	for i, c := range d.geom.Columns() {
+		off := d.geom.PackedOffset(i)
+		d.layout[c] = region{data: data, off: off, addr: addr + int64(off), stride: d.packed}
 	}
-	return cols
+	lines := (int64(len(data)) + d.lineBytes - 1) / d.lineBytes
+	for l := int64(0); l < lines; l++ {
+		d.hier.FillFromFabric(addr + l*d.lineBytes)
+	}
+	return segment{cols: d.layout, rows: rows, sourceRows: int64(sourceRows), producer: producer}
 }
 
 // countOverNarrowest returns q, a statement that reads no column, as the

@@ -416,3 +416,50 @@ func sameSunk(a, b *Result, aCycles, bCycles uint64) error {
 	}
 	return nil
 }
+
+// TestGroupKeysOutliveTheReusedTable: an engine reuses its group table
+// across statements and grouped rows decode their keys from it, so a
+// result's CHAR keys must be copies. A CHAR+DOUBLE GROUP BY runs on one
+// engine, then another over other rows with the key columns swapped, and
+// the first result's keys must be as they were.
+func TestGroupKeysOutliveTheReusedTable(t *testing.T) {
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "c", Type: geometry.Char, Width: 4},
+		geometry.Column{Name: "d", Type: geometry.Float64, Width: 8},
+		geometry.Column{Name: "v", Type: geometry.Int64, Width: 8},
+	)
+	const rows = 600
+	sys := MustSystem(DefaultSystemConfig())
+	tbl := table.MustNew("k", sch, table.WithCapacity(rows),
+		table.WithBaseAddr(sys.Arena.Alloc(int64(rows*sch.RowBytes()))))
+	cs := []string{"ab", "ab\x00c", "zz", "\x00a", "qrst", ""}
+	ds := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -7}
+	for i := 0; i < rows; i++ {
+		tbl.MustAppend(0, table.Str(cs[i%len(cs)]), table.F64(ds[(i/7)%len(ds)]), table.I64(int64(i)))
+	}
+	first := Query{GroupBy: []int{0, 1}, Aggregates: []AggTerm{{Kind: expr.Count}}}
+	second := Query{GroupBy: []int{1, 0}, Aggregates: []AggTerm{{Kind: expr.Count}},
+		Selection: expr.Conjunction{{Col: 2, Op: expr.Ge, Operand: table.I64(rows / 2)}}}
+	top := Sinks{Keys: []plan.SortKey{{Key: -1, Agg: 0, Desc: true}}, Limit: 5, HasLimit: true}
+	for _, eng := range []Source{&RowEngine{Tbl: tbl, Sys: sys}, &RMEngine{Tbl: tbl, Sys: sys}} {
+		for _, sk := range []Sinks{{}, top} {
+			res, err := RunSinks(eng, first, sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][2]string, len(res.Groups))
+			for i, g := range res.Groups {
+				want[i] = [2]string{fmt.Sprintf("%q", g.Key[0].Bytes), fmt.Sprintf("%#x", math.Float64bits(g.Key[1].Float))}
+			}
+			if _, err := RunSinks(eng, second, sk); err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range res.Groups {
+				got := [2]string{fmt.Sprintf("%q", g.Key[0].Bytes), fmt.Sprintf("%#x", math.Float64bits(g.Key[1].Float))}
+				if got != want[i] {
+					t.Fatalf("%s %+v: group %d key changed from %v to %v by the next statement", eng.Name(), sk, i, want[i], got)
+				}
+			}
+		}
+	}
+}

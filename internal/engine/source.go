@@ -289,15 +289,7 @@ func (s *scan) runOffload(ev *fabric.Ephemeral, off *fabric.Offload, terms []Agg
 	if !off.Grouped() {
 		res.Aggs = or.Values
 	} else {
-		keys := make([]valueCol, len(off.GroupBy))
-		for k, c := range off.GroupBy {
-			cd := s.sch.Column(c)
-			keys[k] = valueCol{typ: cd.Type, width: cd.Width}
-		}
-		for i, v := range or.Keys {
-			keys[i%len(keys)].append(v)
-		}
-		res.finishAggs(aggOut{groups: or.Groups, keys: keys}, terms, s.sinks, false)
+		res.finishAggs(aggOut{groups: or.Groups}, terms, s.sinks, false)
 	}
 	sp.SetAttr("offload", off.Describe())
 	res.Breakdown = pipelineBreakdown(sys, memStart, hierStart, 0, or.ProducerCycles, or.ProducerCycles, uint64(or.ResultBytes))

@@ -97,11 +97,12 @@ type scanProg struct {
 	// Consumption shape: projCols/projSlot enumerate projection entries
 	// (duplicates included — each entry is charged and folded); aggs hold
 	// aggregate terms; keySlots, when set, are the GROUP BY columns' slots
-	// in GroupBy order.
+	// in GroupBy order, and keyCols their columns.
 	projCols []int
 	projSlot []int32
 	aggs     []vecAgg
 	keySlots []int32
+	keyCols  []geometry.Column
 
 	nI64, nF64, nChr int // lane counts by type
 	evalDepth        int // scratch lanes needed by derived scalar evaluation
@@ -248,7 +249,9 @@ func (p *scanProg) compileConsume(q Query, addSlot func(col int) int) bool {
 		return true
 	}
 	for _, col := range q.GroupBy {
-		p.keySlots = append(p.keySlots, int32(addSlot(col)))
+		si := addSlot(col)
+		p.keySlots = append(p.keySlots, int32(si))
+		p.keyCols = append(p.keyCols, geometry.Column{Type: p.slots[si].typ, Width: p.slots[si].width})
 	}
 	for _, t := range q.Aggregates {
 		a := vecAgg{term: t, simple: -1}
@@ -484,8 +487,7 @@ func (s *scanScratch) refine(p *scanProg, n int, sel []int32) []int32 {
 
 // vecAcc is one batch run's output: the projection checksum, or the
 // aggregation's fold — the scalar aggregate states, or the scratch's group
-// table with the detached keys of its groups (one column per key slot,
-// indexed by group id).
+// table.
 type vecAcc struct {
 	passed   int64
 	checksum uint64
@@ -494,7 +496,7 @@ type vecAcc struct {
 
 // valueCol is a column of values detached from their source buffers:
 // integer-family values in i64, DOUBLE in f64, CHAR fields back to back in
-// chr. Group keys and join build sides keep their values this way.
+// chr. Join build sides keep their values this way.
 type valueCol struct {
 	typ   geometry.ColumnType
 	width int
@@ -536,21 +538,6 @@ func (c *valueCol) appendRows(s *scanScratch, sl *vecSlot, rows []int32) {
 		for _, r := range rows {
 			o := cl.off + int(r)*cl.stride
 			c.chr = append(c.chr, cl.src[o:o+c.width]...)
-		}
-	}
-}
-
-// appendAt appends src's values at positions idx.
-func (c *valueCol) appendAt(src *valueCol, idx []int32) {
-	for _, i := range idx {
-		switch c.typ {
-		case geometry.Float64:
-			c.f64 = append(c.f64, src.f64[i])
-		case geometry.Char:
-			o := int(i) * c.width
-			c.chr = append(c.chr, src.chr[o:o+c.width]...)
-		default:
-			c.i64 = append(c.i64, src.i64[i])
 		}
 	}
 }
@@ -600,12 +587,8 @@ func (s *scanScratch) begin(p *scanProg) *vecAcc {
 	acc := &vecAcc{}
 	switch {
 	case p.keySlots != nil:
-		s.groups.Reset(len(p.aggs))
+		s.groups.Reset(len(p.aggs), p.keyCols)
 		acc.out.groups = &s.groups
-		acc.out.keys = make([]valueCol, len(p.keySlots))
-		for k, si := range p.keySlots {
-			acc.out.keys[k] = valueCol{typ: p.slots[si].typ, width: p.slots[si].width}
-		}
 	case len(p.aggs) > 0:
 		acc.out.states = make([]vec.AggState, len(p.aggs))
 	}
@@ -663,9 +646,8 @@ func (s *scanScratch) foldAggs(p *scanProg, sel []int32, aggs []vec.AggState) {
 	}
 }
 
-// foldGroups maps sel to group ids through the hash-group kernel, detaches
-// the keys of groups the batch created, and folds every term into the
-// selected rows' group states.
+// foldGroups maps sel to group ids through the hash-group kernel and folds
+// every term into the selected rows' group states.
 func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 	keys := s.keys[:0]
 	for _, si := range p.keySlots {
@@ -676,9 +658,6 @@ func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 	g := &s.groups
 	ids := s.gids[:len(sel)]
 	g.Assign(ids, keys, sel)
-	for k, si := range p.keySlots {
-		acc.out.keys[k].appendRows(s, &p.slots[si], g.Created())
-	}
 
 	for ti := range p.aggs {
 		a := &p.aggs[ti]
@@ -747,46 +726,37 @@ func (s *scanScratch) result(name string, q Query, acc *vecAcc, scanned int64, s
 	return r
 }
 
-// laneSet is a fold's finished group set: the group table's counts, states
-// and encoded keys, with the keys' values in typed lanes.
-type laneSet struct {
+// tableSet is a fold's finished group set: its group table's keys, counts
+// and states.
+type tableSet struct {
 	g    *vec.GroupTable
-	keys []valueCol
 	aggs []AggTerm
 }
 
-func (s *laneSet) key(g int32, k int) table.Value { return s.keys[k].value(g) }
+func (s *tableSet) key(g int32, k int) table.Value { return s.g.KeyValue(int(g), k) }
 
-func (s *laneSet) agg(g int32, t int) table.Value {
+func (s *tableSet) agg(g int32, t int) table.Value {
 	return s.g.State(int(g), t).Result(s.aggs[t].Kind)
 }
 
-// canon is the canonical group order over group ids; the group table keeps
-// each group's key encoding, so a tie costs no re-encoding.
-func (s *laneSet) canon(a, b int32) int {
-	for k := range s.keys {
-		if c := keyCmp(s.keys[k].value(a), s.keys[k].value(b)); c != 0 {
-			return c
-		}
-	}
+// canon is the canonical group order over group ids.
+func (s *tableSet) canon(a, b int32) int {
 	return bytes.Compare(s.g.Key(int(a)), s.g.Key(int(b)))
 }
 
 // rows boxes the groups at order's ids, in that order, slab-allocating the
 // rows, their keys, and their aggregate values.
-func (s *laneSet) rows(order []int32) []GroupRow {
-	n, nk, na := len(order), len(s.keys), len(s.aggs)
+func (s *tableSet) rows(order []int32) []GroupRow {
+	n, nk, na := len(order), len(s.g.KeyColumns()), len(s.aggs)
 	if n == 0 {
 		return nil
 	}
 	rows := make([]GroupRow, n)
 	keyVals := make([]table.Value, n*nk)
+	s.g.KeyValues(keyVals, order)
 	vals := make([]table.Value, n*na)
 	for i, gi := range order {
 		key := keyVals[i*nk : (i+1)*nk : (i+1)*nk]
-		for k := range key {
-			key[k] = s.key(gi, k)
-		}
 		aggs := vals[i*na : (i+1)*na : (i+1)*na]
 		for t := range aggs {
 			aggs[t] = s.agg(gi, t)

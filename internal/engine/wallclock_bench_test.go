@@ -222,6 +222,50 @@ func BenchmarkGroupByWallclock(b *testing.B) {
 	}
 }
 
+// groupFinishSQL groups the whole table on l_suppkey: about 10,000 groups
+// at benchRows.
+const groupFinishSQL = `SELECT l_suppkey, SUM(l_extendedprice), COUNT(*) FROM lineitem
+GROUP BY l_suppkey ORDER BY 2 DESC`
+
+// BenchmarkGroupFinishWallclock times the grouped-result finisher alone.
+// One RM fold is left unfinished (RunPartial); each iteration then finishes
+// its group table, ordering every group by SUM DESC and boxing them all
+// (order-by), or keeping and boxing the first 10 (top-10).
+func BenchmarkGroupFinishWallclock(b *testing.B) {
+	sys := engine.MustSystem(engine.DefaultSystemConfig())
+	tbl := benchLineitem(b, sys)
+	root, err := sql.Compile(groupFinishSQL, tbl.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, all, err := engine.FromPlan(root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part, err := engine.RunPartial(&engine.RMEngine{Tbl: tbl, Sys: sys}, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups := len(engine.FinishPartial(part, q.Aggregates, engine.Sinks{}).Groups)
+	top := all
+	top.Limit, top.HasLimit = 10, true
+	for _, c := range []struct {
+		name string
+		sk   engine.Sinks
+		rows int
+	}{{"order-by", all, groups}, {"top-10", top, 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res := engine.FinishPartial(part, q.Aggregates, c.sk); len(res.Groups) != c.rows {
+					b.Fatalf("%d rows, want %d", len(res.Groups), c.rows)
+				}
+			}
+			b.ReportMetric(float64(groups), "groups")
+		})
+	}
+}
+
 // BenchmarkSequenceCold and BenchmarkSequenceWarm measure the group cache's
 // host-time effect on a repeated Q6-class scan: cold rebuilds the ephemeral
 // view every iteration (no cache), warm replays the resident group after one

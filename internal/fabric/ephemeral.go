@@ -72,8 +72,10 @@ type Ephemeral struct {
 
 	// gatherStrides is the per-row byte ranges the fabric reads: the MVCC
 	// header (when present), the geometry's columns, and any predicate-only
-	// columns, merged into contiguous runs.
+	// columns, merged into contiguous runs (GatherProgram); gatherBytes is
+	// what they request from DRAM per row.
 	gatherStrides []geometry.Stride
+	gatherBytes   int
 	// shipStrides is the subset of per-row ranges that are packed and
 	// shipped (geometry columns only, adjacent ones merged), in pack order.
 	shipStrides []geometry.Stride
@@ -202,48 +204,57 @@ func (ev *Ephemeral) buildStrides() {
 		ev.shipStrides = append(ev.shipStrides, geometry.Stride{Offset: rc.off, Width: rc.width})
 	}
 
-	// Gather strides: header + geometry + predicate columns, merged.
-	cols := map[int]bool{}
-	for _, c := range ev.geom.Columns() {
-		cols[c] = true
-	}
-	for _, c := range ev.opts.preds.Columns() {
-		cols[c] = true
-	}
+	// Gather strides: header + geometry + filter columns.
+	cols := append([]int(nil), ev.geom.Columns()...)
+	cols = append(cols, ev.opts.preds.Columns()...)
 	if ev.opts.semi != nil {
-		cols[ev.opts.semi.Col] = true
+		cols = append(cols, ev.opts.semi.Col)
 	}
 	for _, f := range ev.opts.dictFilters {
-		cols[f.Col] = true
+		cols = append(cols, f.Col)
 	}
-	type rng struct{ off, w int }
-	var ranges []rng
-	if ev.tbl.HasMVCC() {
-		ranges = append(ranges, rng{0, table.MVCCHeaderBytes})
+	ev.gatherStrides, ev.gatherBytes = GatherProgram(ev.tbl, cols, ev.eng.mem.BurstBytes())
+}
+
+// GatherProgram returns the byte ranges the fabric reads per row of tbl to
+// serve cols: the MVCC header (if any) and each column, in physical order,
+// coalescing ranges less than a burst apart as a gather engine programs its
+// AXI bursts. It also returns the DRAM bytes they request per row, each
+// range rounded out to whole bursts at its row-0 alignment. Views gather by
+// it and the optimizer prices RM by it.
+func GatherProgram(tbl *table.Table, cols []int, burst int) ([]geometry.Stride, int) {
+	sch := tbl.Schema()
+	read := make([]bool, sch.NumColumns())
+	for _, c := range cols {
+		read[c] = true
 	}
-	for c := 0; c < ev.tbl.Schema().NumColumns(); c++ {
-		if cols[c] {
-			rc := ev.colAt(c)
-			ranges = append(ranges, rng{rc.off, rc.width})
-		}
-	}
-	// ranges are in ascending offset order already (header first, then
-	// schema order). Coalesce ranges whose gap is smaller than one DRAM
-	// burst: fetching the hole costs no extra burst, and issuing one longer
-	// request is strictly cheaper than two — the same coalescing a real
-	// gather engine performs when programming its AXI bursts.
-	burst := ev.eng.mem.BurstBytes()
-	ev.gatherStrides = ev.gatherStrides[:0]
-	for _, r := range ranges {
-		if n := len(ev.gatherStrides); n > 0 {
-			prev := &ev.gatherStrides[n-1]
-			if gap := r.off - (prev.Offset + prev.Width); gap < burst {
-				prev.Width = r.off + r.w - prev.Offset
-				continue
+	var strides []geometry.Stride
+	add := func(off, w int) {
+		if n := len(strides); n > 0 {
+			if prev := &strides[n-1]; off-(prev.Offset+prev.Width) < burst {
+				prev.Width = off + w - prev.Offset
+				return
 			}
 		}
-		ev.gatherStrides = append(ev.gatherStrides, geometry.Stride{Offset: r.off, Width: r.w})
+		strides = append(strides, geometry.Stride{Offset: off, Width: w})
 	}
+	payload := 0
+	if tbl.HasMVCC() {
+		payload = table.MVCCHeaderBytes
+		add(0, payload)
+	}
+	for c, ok := range read {
+		if ok {
+			add(payload+sch.Offset(c), sch.Column(c).Width)
+		}
+	}
+	total := 0
+	for _, s := range strides {
+		first := s.Offset &^ (burst - 1)
+		last := (s.Offset + s.Width - 1) &^ (burst - 1)
+		total += last - first + burst
+	}
+	return strides, total
 }
 
 // Geometry returns the view's column group.
@@ -260,18 +271,7 @@ func (ev *Ephemeral) DeliveryBase() int64 { return ev.deliveryBase }
 
 // GatherBytesPerRow returns how many bytes the fabric requests from DRAM per
 // scanned row, after rounding each stride up to DRAM bursts.
-func (ev *Ephemeral) GatherBytesPerRow() int {
-	burst := ev.eng.mem.BurstBytes()
-	total := 0
-	for _, s := range ev.gatherStrides {
-		// A stride may start mid-burst; worst-case alignment covers
-		// one extra burst. Use the exact row-0 alignment.
-		first := s.Offset &^ (burst - 1)
-		last := (s.Offset + s.Width - 1) &^ (burst - 1)
-		total += last - first + burst
-	}
-	return total
-}
+func (ev *Ephemeral) GatherBytesPerRow() int { return ev.gatherBytes }
 
 // Reset repositions the view before the first row so it can be consumed
 // again (a fresh query over the same configuration).

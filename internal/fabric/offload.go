@@ -48,14 +48,11 @@ type DictFilter struct {
 type OffloadResult struct {
 	// Values holds the ungrouped results (one per spec); nil when grouped.
 	Values []table.Value
-	// Groups is the grouped fold's table: each group's encoded key, row
-	// count and one vec.AggState per AggSpec, in first-seen order; nil when
-	// ungrouped. The receiver finalizes the states (vec.AggState.Result).
+	// Groups is the grouped fold's table: each group's key (its GroupBy
+	// values, vec.GroupTable.KeyValue), row count and one vec.AggState per
+	// AggSpec, in first-seen order; nil when ungrouped. The receiver
+	// finalizes the states (vec.AggState.Result).
 	Groups *vec.GroupTable
-	// Keys holds the groups' decoded group-by values, len(GroupBy) per
-	// group in GroupBy order, groups in table order. Char bytes are
-	// copies, safe to retain after the view's buffer rotates.
-	Keys []table.Value
 	// RowsScanned and RowsQualified describe the scan behind the result.
 	RowsScanned   int
 	RowsQualified int
@@ -73,13 +70,14 @@ type OffloadResult struct {
 // with the same vec kernels as the CPU batch consumer — vec.GroupTable when
 // grouped, one vec.AggState per aggregate when not — and ships only the
 // reduced result: the finalized values (vec.AggState.Result) of an
-// ungrouped program, or a grouped program's table with its key values. An
-// ungrouped program is one group that exists even when no row qualifies.
+// ungrouped program, or a grouped program's table. An ungrouped program is
+// one group that exists even when no row qualifies.
 //
 // Charges: each chunk's ProducerCycles; a grouped program's key hashing and
 // routing at AggregateCycles per qualifying row on the fabric clock; and
 // AggregateCycles per (group, aggregate) for the final fold. ResultBytes is
-// the encoded group keys plus 8 bytes per (group, aggregate).
+// the group keys' wire size (wireKeyBytes) plus 8 bytes per (group,
+// aggregate).
 func (ev *Ephemeral) RunOffload(off *Offload) (*OffloadResult, error) {
 	if off == nil || len(off.Aggs) == 0 {
 		return nil, errors.New("fabric: offload program has no aggregates")
@@ -122,10 +120,7 @@ func (ev *Ephemeral) RunOffload(off *Offload) (*OffloadResult, error) {
 
 	groups, keyBytes := 1, 0
 	if grouped {
-		groups = f.groups.Len()
-		for g := 0; g < groups; g++ {
-			keyBytes += len(f.groups.Key(g))
-		}
+		groups, keyBytes = f.groups.Len(), f.wireKeyBytes()
 	}
 	// Result assembly: one fold per (group, aggregate) shipped at the end.
 	results := groups * len(off.Aggs)
@@ -146,8 +141,24 @@ func (ev *Ephemeral) RunOffload(off *Offload) (*OffloadResult, error) {
 		}
 		return out, nil
 	}
-	out.Groups, out.Keys = &f.groups, f.keyVals
+	out.Groups = &f.groups
 	return out, nil
+}
+
+// wireKeyBytes is the modeled wire size of the grouped result's keys: per
+// group, 8 bytes per integer or DOUBLE key column, and a CHAR key's
+// pad-trimmed bytes plus one terminator byte.
+func (f *offloadFold) wireKeyBytes() (n int) {
+	for g := 0; g < f.groups.Len(); g++ {
+		for k, c := range f.keys {
+			if c.typ == geometry.Char {
+				n += len(vec.TrimPad(f.groups.KeyValue(g, k).Bytes)) + 1
+			} else {
+				n += 8
+			}
+		}
+	}
+	return n
 }
 
 // foldCol is one group-by or aggregate-argument column of the packed rows
@@ -160,15 +171,14 @@ type foldCol struct {
 // offloadFold is an Offload program compiled against the view's packed rows,
 // with its running state.
 type offloadFold struct {
-	specs   []expr.AggSpec
-	keys    []foldCol
-	aggs    []foldCol      // aligned with specs; COUNT terms read no column
-	groups  vec.GroupTable // grouped programs
-	states  []vec.AggState // ungrouped programs, one per aggregate
-	keyVals []table.Value  // len(keys) decoded key values per group, in id order
-	kcols   []vec.KeyCol
-	sel     []int32 // the identity selection 0..BatchRows-1
-	ids     []int32
+	specs  []expr.AggSpec
+	keys   []foldCol
+	aggs   []foldCol      // aligned with specs; COUNT terms read no column
+	groups vec.GroupTable // grouped programs
+	states []vec.AggState // ungrouped programs, one per aggregate
+	kcols  []vec.KeyCol
+	sel    []int32 // the identity selection 0..BatchRows-1
+	ids    []int32
 }
 
 // compileFold validates the program against the view and locates its
@@ -193,17 +203,19 @@ func (ev *Ephemeral) compileFold(off *Offload) (*offloadFold, error) {
 		sel:    make([]int32, vec.BatchRows),
 		ids:    make([]int32, vec.BatchRows),
 	}
-	f.groups.Reset(len(off.Aggs))
 	for i := range f.sel {
 		f.sel[i] = int32(i)
 	}
+	var keyCols []geometry.Column
 	for _, c := range off.GroupBy {
 		k, err := packed(c, "group-by")
 		if err != nil {
 			return nil, err
 		}
 		f.keys = append(f.keys, k)
+		keyCols = append(keyCols, sch.Column(c))
 	}
+	f.groups.Reset(len(off.Aggs), keyCols)
 	for t, sp := range off.Aggs {
 		if err := sp.Validate(sch); err != nil {
 			return nil, err
@@ -230,12 +242,6 @@ func (f *offloadFold) block(data []byte, base, stride, n int) {
 			f.kcols = append(f.kcols, k.keyCol(&k.lane, data, base, stride, n))
 		}
 		f.groups.Assign(ids, f.kcols, sel)
-		for _, r := range f.groups.Created() {
-			row := data[base+int(r)*stride:]
-			for _, k := range f.keys {
-				f.keyVals = append(f.keyVals, table.DecodeColumn(geometry.Column{Type: k.typ, Width: k.width}, row[k.off:]))
-			}
-		}
 	}
 	for t, sp := range f.specs {
 		a := &f.aggs[t]

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
+
+	"rfabric/internal/geometry"
+	"rfabric/internal/table"
 )
 
 // Hash GROUP BY. A GroupTable maps each selected row's encoded group key to
@@ -14,26 +18,57 @@ import (
 // bit-identical. Once a batch's groups exist, assigning and folding it
 // allocates nothing.
 
-// The group-key encoding, shared with the engine's scalar consumer: integer
-// family values as 8 little-endian bytes of the sign-extended value, DOUBLE
-// as its IEEE-754 bits (so -0/+0 and distinct NaN payloads are distinct
-// groups), CHAR as its bytes with trailing NUL padding trimmed, followed by
-// a 0xff separator.
+// The group-key format is fixed-width and order-preserving: per key column,
+// an integer as 8 big-endian bytes with the sign bit flipped, a DOUBLE as 8
+// big-endian orderBits, a CHAR as its NUL-padded field; then each DOUBLE's
+// raw bits, little-endian, in column order. So bytes.Compare is the
+// canonical group order (columns in turn: integers by value, DOUBLE by
+// cmp.Compare, CHAR by pad-trimmed bytes; then the raw bits, which keep
+// -0/+0 and NaN payloads distinct groups), and a key decodes back to its
+// values bit for bit (KeyValue).
 
-// AppendKeyI64 appends the key encoding of an integer-family value.
-func AppendKeyI64(dst []byte, x int64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, uint64(x))
-}
-
-// AppendKeyF64 appends the key encoding of a DOUBLE value.
+// AppendKeyF64 appends a DOUBLE's raw IEEE-754 bits, little-endian: the
+// group key's tie-break suffix and, after -0 folding, the join key's form.
 func AppendKeyF64(dst []byte, x float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 }
 
-// AppendKeyChar appends the key encoding of a CHAR field.
-func AppendKeyChar(dst, b []byte) []byte {
-	dst = append(dst, TrimPad(b)...)
-	return append(dst, 0xff)
+// orderBits maps a DOUBLE to bits whose unsigned order is cmp.Compare's:
+// NaN is all zeros, -0 folds onto +0, a value >= 0 sets the top bit, and a
+// negative value inverts every bit.
+func orderBits(x float64) uint64 {
+	switch {
+	case x != x:
+		return 0
+	case x == 0:
+		return 1 << 63
+	case x > 0:
+		return math.Float64bits(x) | 1<<63
+	default:
+		return ^math.Float64bits(x)
+	}
+}
+
+// keyField is one key column's place in the table's keys: its ordered
+// field at off, width bytes, and for DOUBLE its raw bits at raw.
+type keyField struct {
+	typ        geometry.ColumnType
+	off, width int
+	raw        int
+}
+
+// put writes the column's value into key: x for an integer, y for a DOUBLE,
+// b for a CHAR.
+func (f *keyField) put(key []byte, x int64, y float64, b []byte) {
+	switch f.typ {
+	case geometry.Float64:
+		binary.BigEndian.PutUint64(key[f.off:], orderBits(y))
+		binary.LittleEndian.PutUint64(key[f.raw:], math.Float64bits(y))
+	case geometry.Char:
+		clear(key[f.off+copy(key[f.off:f.off+f.width], b) : f.off+f.width])
+	default:
+		binary.BigEndian.PutUint64(key[f.off:], uint64(x)^1<<63)
+	}
 }
 
 // KeyKind selects which KeyCol lane holds a key column.
@@ -59,23 +94,15 @@ type KeyCol struct {
 	Width  int
 }
 
-func (k *KeyCol) appendKey(dst []byte, r int32) []byte {
-	switch k.Kind {
-	case KeyInt:
-		return AppendKeyI64(dst, k.I64[r])
-	case KeyFloat:
-		return AppendKeyF64(dst, k.F64[r])
-	default:
-		o := k.Off + int(r)*k.Stride
-		return AppendKeyChar(dst, k.Src[o:o+k.Width])
-	}
-}
-
-// GroupTable maps encoded group keys to dense group ids through a KeyIndex
-// and keeps each group's row count and aggregate states. The zero value is
-// ready after Reset.
+// GroupTable maps group keys, in the format above for the key columns it
+// learns at Reset, to dense group ids through a KeyIndex, and keeps each
+// group's row count and aggregate states. The zero value is ready after
+// Reset.
 type GroupTable struct {
 	nAggs   int
+	cols    []geometry.Column
+	fields  []keyField
+	chars   int // bytes of CHAR fields per key
 	idx     KeyIndex
 	counts  []int64
 	states  []AggState // nAggs per group, group-major
@@ -83,14 +110,86 @@ type GroupTable struct {
 	buf     []byte
 }
 
-// Reset empties the table for a query with nAggs aggregate terms, keeping
-// its storage.
-func (t *GroupTable) Reset(nAggs int) {
+// Reset empties the table for a query with nAggs aggregate terms grouped
+// on keys (only Type and Width are read), keeping its storage.
+func (t *GroupTable) Reset(nAggs int, keys []geometry.Column) {
 	t.nAggs = nAggs
+	t.setKeys(keys)
 	t.idx.Reset()
 	t.counts = t.counts[:0]
 	t.states = t.states[:0]
 	t.created = t.created[:0]
+}
+
+// setKeys lays out the keys of columns cols: their ordered fields in turn,
+// then the DOUBLE columns' raw bits.
+func (t *GroupTable) setKeys(cols []geometry.Column) {
+	t.cols = append(t.cols[:0], cols...)
+	t.fields = t.fields[:0]
+	t.chars = 0
+	n := 0
+	for _, c := range cols {
+		f := keyField{typ: c.Type, off: n, width: 8}
+		if c.Type == geometry.Char {
+			f.width = c.Width
+			t.chars += c.Width
+		}
+		n += f.width
+		t.fields = append(t.fields, f)
+	}
+	for i := range t.fields {
+		if f := &t.fields[i]; f.typ == geometry.Float64 {
+			f.raw = n
+			n += 8
+		}
+	}
+	t.buf = slices.Grow(t.buf[:0], n)[:n]
+}
+
+// KeyColumns returns the key columns the table was Reset with.
+func (t *GroupTable) KeyColumns() []geometry.Column { return t.cols }
+
+// KeyLen returns the byte length of the table's keys.
+func (t *GroupTable) KeyLen() int { return len(t.buf) }
+
+// PutKey writes v, a value of key column k, into key, a buffer of KeyLen
+// bytes; once every column is written, key is the row's group key.
+func (t *GroupTable) PutKey(key []byte, k int, v table.Value) {
+	t.fields[k].put(key, v.Int, v.Float, v.Bytes)
+}
+
+// KeyValue returns key column k of group g, boxed as the scalar fetch
+// decodes it. A CHAR value is its NUL-padded field, a capacity-capped view
+// of the table's storage that the next Reset reuses.
+func (t *GroupTable) KeyValue(g, k int) table.Value {
+	f, key := &t.fields[k], t.Key(g)
+	v := table.Value{Type: f.typ}
+	switch f.typ {
+	case geometry.Float64:
+		v.Float = math.Float64frombits(binary.LittleEndian.Uint64(key[f.raw:]))
+	case geometry.Char:
+		v.Bytes = key[f.off : f.off+f.width : f.off+f.width]
+	default:
+		v.Int = int64(binary.BigEndian.Uint64(key[f.off:]) ^ 1<<63)
+	}
+	return v
+}
+
+// KeyValues sets dst[i*n+k], n key columns per group, to key column k of
+// group groups[i], as KeyValue does but with the CHAR values' bytes copied
+// into one slab, so they outlive the table's storage.
+func (t *GroupTable) KeyValues(dst []table.Value, groups []int32) {
+	n, slab := len(t.fields), make([]byte, 0, len(groups)*t.chars)
+	for i, g := range groups {
+		for k := 0; k < n; k++ {
+			v := t.KeyValue(int(g), k)
+			if v.Type == geometry.Char {
+				slab = append(slab, v.Bytes...)
+				v.Bytes = slab[len(slab)-len(v.Bytes) : len(slab) : len(slab)]
+			}
+			dst[i*n+k] = v
+		}
+	}
 }
 
 // Len returns the number of groups.
@@ -121,12 +220,19 @@ func (t *GroupTable) Created() []int32 { return t.created }
 // not seen before, and counts each row into its group.
 func (t *GroupTable) Assign(ids []int32, keys []KeyCol, sel []int32) {
 	t.created = t.created[:0]
+	b := t.buf
 	for j, r := range sel {
-		b := t.buf[:0]
 		for k := range keys {
-			b = keys[k].appendKey(b, r)
+			switch kc, f := &keys[k], &t.fields[k]; kc.Kind {
+			case KeyInt:
+				f.put(b, kc.I64[r], 0, nil)
+			case KeyFloat:
+				f.put(b, 0, kc.F64[r], nil)
+			default:
+				o := kc.Off + int(r)*kc.Stride
+				f.put(b, 0, 0, kc.Src[o:o+f.width])
+			}
 		}
-		t.buf = b
 		g, added := t.AssignKey(b)
 		if added {
 			t.created = append(t.created, r)
@@ -153,12 +259,16 @@ func (t *GroupTable) group(key []byte) (int32, bool) {
 	return g, added
 }
 
-// Merge folds src, a table of the same aggregate terms, into t in src's
-// group order: each group is found by its encoded key, created when new,
-// and its row count and states merged into t's (AggState.Merge). Merging
-// partitions' tables in partition order leaves the groups in first-seen
-// order over all their rows.
+// Merge folds src, a table of the same aggregate terms and key columns,
+// into t in src's group order: each group is found by its encoded key,
+// created when new, and its row count and states merged into t's
+// (AggState.Merge). A t that has no groups yet takes src's key columns.
+// Merging partitions' tables in partition order leaves the groups in
+// first-seen order over all their rows.
 func (t *GroupTable) Merge(src *GroupTable) {
+	if t.Len() == 0 {
+		t.setKeys(src.cols)
+	}
 	t.created = t.created[:0]
 	for sg := range src.counts {
 		g, added := t.group(src.Key(sg))
@@ -251,7 +361,9 @@ func (x *KeyIndex) grow() {
 	}
 }
 
-// hashKey mixes an encoded key 8 bytes at a time.
+// hashKey mixes an encoded key 8 bytes at a time. The final mix carries
+// high bits down to the ones the slot mask keeps: a big-endian group key
+// holds a small integer in the top bits of its word.
 func hashKey(b []byte) uint64 {
 	h := 0x9e3779b97f4a7c15 ^ uint64(len(b))
 	for len(b) >= 8 {
@@ -262,7 +374,8 @@ func hashKey(b []byte) uint64 {
 	for _, c := range b {
 		h = (h ^ uint64(c)) * fnvPrime
 	}
-	return h ^ h>>32
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 // FoldCount registers one row per id for a COUNT(*) term.

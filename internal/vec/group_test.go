@@ -1,11 +1,16 @@
 package vec
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 
 	"rfabric/internal/expr"
+	"rfabric/internal/geometry"
+	"rfabric/internal/table"
 )
 
 // groupBatch is one random batch with an integer, a float, and an in-place
@@ -50,10 +55,16 @@ func (b *groupBatch) keys() []KeyCol {
 	}
 }
 
+// groupKeyCols are groupBatch's key columns.
+var groupKeyCols = []geometry.Column{{Type: geometry.Int64}, {Type: geometry.Float64}, {Type: geometry.Char, Width: 6}}
+
+// encode is row r's group key: the three ordered fields, then the float's
+// raw bits.
 func (b *groupBatch) encode(r int32) string {
-	k := AppendKeyI64(nil, b.ints[r])
-	k = AppendKeyF64(k, b.floats[r])
-	return string(AppendKeyChar(k, b.chars[int(r)*10+2:int(r)*10+8]))
+	k := binary.BigEndian.AppendUint64(nil, uint64(b.ints[r])^1<<63)
+	k = binary.BigEndian.AppendUint64(k, orderBits(b.floats[r]))
+	k = append(k, b.chars[int(r)*10+2:int(r)*10+8]...)
+	return string(AppendKeyF64(k, b.floats[r]))
 }
 
 // TestGroupTableMatchesSequentialFold checks the hash-group kernel against a
@@ -71,7 +82,7 @@ func TestGroupTableMatchesSequentialFold(t *testing.T) {
 	refs := map[string]*ref{}
 	var order []string
 	var g GroupTable
-	g.Reset(2)
+	g.Reset(2, groupKeyCols)
 	for batch := 0; batch < 8; batch++ {
 		b := newGroupBatch(rng, 1+rng.Intn(BatchRows))
 		ids := make([]int32, len(b.sel))
@@ -121,7 +132,7 @@ func TestGroupTableMatchesSequentialFold(t *testing.T) {
 	}
 	// -0/+0 and the two NaN payloads are distinct float keys.
 	var floats GroupTable
-	floats.Reset(0)
+	floats.Reset(0, []geometry.Column{{Type: geometry.Float64}})
 	lane := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002), 0}
 	ids := make([]int32, len(lane))
 	floats.Assign(ids, []KeyCol{{Kind: KeyFloat, F64: lane}}, []int32{0, 1, 2, 3, 4})
@@ -139,7 +150,7 @@ func TestGroupTableSteadyStateDoesNotAllocate(t *testing.T) {
 	keys := b.keys()
 	ids := make([]int32, len(b.sel))
 	var g GroupTable
-	g.Reset(2)
+	g.Reset(2, groupKeyCols)
 	g.Assign(ids, keys, b.sel)
 	allocs := testing.AllocsPerRun(20, func() {
 		g.Assign(ids, keys, b.sel)
@@ -157,11 +168,10 @@ func TestGroupTableSteadyStateDoesNotAllocate(t *testing.T) {
 // TestAggStateMergeMatchesSequentialFold splits random sequences, heavy in
 // NaN, -0 and +0, at random points (empty parts included), folds each part
 // into its own state and merges the states in order: Count, Min, Max, Any
-// and NaNFirst equal one sequential fold of the whole sequence, bit for
-// bit, and Sum equals the in-order sum of the parts' sums (any NaN for a
-// NaN: which payload a sum of two NaNs keeps depends on operand order the
-// compiler picks). A NaN that leads a later part must not hide the
-// numbers after it.
+// and NaNFirst equal one sequential fold of the whole sequence, and so does
+// every kind's Result, bit for bit (a NaN sum finalizes to the one NaN
+// whatever payload its additions kept). A NaN that leads a later part must
+// not hide the numbers after it.
 func TestAggStateMergeMatchesSequentialFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pool := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000002), math.Copysign(0, -1), 0, -1.5, 2, math.Inf(1)}
@@ -188,19 +198,21 @@ func TestAggStateMergeMatchesSequentialFold(t *testing.T) {
 			}
 		}
 		var merged AggState
-		var sums float64
 		for p := 0; p+1 < len(cuts); p++ {
 			var part AggState
 			AddVals(&part, xs[cuts[p]:cuts[p+1]])
-			if part.Count > 0 {
-				sums += part.Sum
-			}
 			merged.Merge(part)
 		}
 		if merged.Count != seq.Count || merged.Any != seq.Any || merged.NaNFirst != seq.NaNFirst ||
-			!same(merged.Min, seq.Min) || !same(merged.Max, seq.Max) ||
-			!same(merged.Sum, sums) && !(math.IsNaN(merged.Sum) && math.IsNaN(sums)) {
-			t.Fatalf("trial %d: %v split at %v merges to %+v, want %+v with sum %v", trial, xs, cuts, merged, seq, sums)
+			!same(merged.Min, seq.Min) || !same(merged.Max, seq.Max) {
+			t.Fatalf("trial %d: %v split at %v merges to %+v, want %+v", trial, xs, cuts, merged, seq)
+		}
+		for _, kind := range []expr.AggKind{expr.Count, expr.Sum, expr.Avg, expr.Min, expr.Max} {
+			got, want := merged.Result(kind), seq.Result(kind)
+			if got.Int != want.Int || !same(got.Float, want.Float) {
+				t.Fatalf("trial %d: %v split at %v: merged %s = %v (%#x), sequential %v (%#x)", trial, xs, cuts,
+					kind, got, math.Float64bits(got.Float), want, math.Float64bits(want.Float))
+			}
 		}
 	}
 }
@@ -245,10 +257,10 @@ func TestGroupTableMergeMatchesOneTable(t *testing.T) {
 		split := rng.Intn(len(batches) + 1)
 		var whole, merged GroupTable
 		parts := []*GroupTable{new(GroupTable), new(GroupTable)}
-		whole.Reset(1)
-		merged.Reset(1)
+		whole.Reset(1, groupKeyCols)
+		merged.Reset(1, nil)
 		for _, p := range parts {
-			p.Reset(1)
+			p.Reset(1, groupKeyCols)
 		}
 		for i, b := range batches {
 			part := parts[0]
@@ -278,5 +290,186 @@ func TestGroupTableMergeMatchesOneTable(t *testing.T) {
 					merged.Key(g), merged.Count(g), a, whole.Key(g), whole.Count(g), b)
 			}
 		}
+	}
+}
+
+// refKeyCmp is the canonical group order's rule stated on values: key
+// columns in turn, DOUBLE by cmp.Compare (NaN first, -0 == +0), integers by
+// value, CHAR by its pad-trimmed bytes; rows equal on every column by those
+// rules are ordered by refKey.
+func refKeyCmp(cols []geometry.Column, a, b []table.Value) int {
+	for k, c := range cols {
+		var r int
+		switch c.Type {
+		case geometry.Float64:
+			r = cmp.Compare(a[k].Float, b[k].Float)
+		case geometry.Char:
+			r = bytes.Compare(TrimPad(a[k].Bytes), TrimPad(b[k].Bytes))
+		default:
+			r = cmp.Compare(a[k].Int, b[k].Int)
+		}
+		if r != 0 {
+			return r
+		}
+	}
+	return bytes.Compare(refKey(cols, a), refKey(cols, b))
+}
+
+// refKey is a variable-width encoding that is equal for two rows exactly
+// when they are the same group: integers as 8 little-endian bytes, DOUBLE
+// as its raw bits (so -0/+0 and NaN payloads differ), CHAR as its
+// pad-trimmed bytes and a 0xff separator.
+func refKey(cols []geometry.Column, vals []table.Value) []byte {
+	var k []byte
+	for i, c := range cols {
+		switch c.Type {
+		case geometry.Float64:
+			k = binary.LittleEndian.AppendUint64(k, math.Float64bits(vals[i].Float))
+		case geometry.Char:
+			k = append(append(k, TrimPad(vals[i].Bytes)...), 0xff)
+		default:
+			k = binary.LittleEndian.AppendUint64(k, uint64(vals[i].Int))
+		}
+	}
+	return k
+}
+
+// TestGroupKeyOrderMatchesReference holds the group-key format to the
+// canonical order's rule stated on values, over random key columns and
+// values heavy in corners (NaN payloads of both signs, ±0, ±Inf, extreme
+// integers, CHAR with embedded and trailing NULs and 0xff): bytes.Compare
+// on two rows' keys agrees in sign with refKeyCmp, and the keys are equal
+// exactly when refKey is. Batch (Assign) and boxed (PutKey, with CHAR
+// values given trimmed) encodings agree, every group decodes back to its
+// rows' values bit for bit with CHAR re-padded to width, and KeyValues'
+// copies outlive a Reset.
+func TestGroupKeyOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	floats := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000002), math.Float64frombits(0xfff8000000000001),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.5, -1.5, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	ints := []int64{math.MinInt64, math.MaxInt64, math.MinInt32, math.MaxInt32, -1, 0, 1, 255, 256}
+	types := []geometry.ColumnType{geometry.Int64, geometry.Int32, geometry.Date, geometry.Float64, geometry.Char}
+	for trial := 0; trial < 60; trial++ {
+		cols := make([]geometry.Column, 1+rng.Intn(3))
+		for i := range cols {
+			cols[i] = geometry.Column{Type: types[rng.Intn(len(types))]}
+			if cols[i].Type == geometry.Char {
+				cols[i].Width = 1 + rng.Intn(5)
+			}
+		}
+		n := 1 + rng.Intn(120)
+		rows := make([][]table.Value, n)
+		kcols := make([]KeyCol, len(cols))
+		for k, c := range cols {
+			kc := &kcols[k]
+			switch c.Type {
+			case geometry.Float64:
+				kc.Kind, kc.F64 = KeyFloat, make([]float64, n)
+			case geometry.Char:
+				kc.Kind, kc.Src, kc.Stride, kc.Width = KeyChar, make([]byte, n*c.Width), c.Width, c.Width
+			default:
+				kc.Kind, kc.I64 = KeyInt, make([]int64, n)
+			}
+		}
+		for r := range rows {
+			rows[r] = make([]table.Value, len(cols))
+			for k, c := range cols {
+				v := table.Value{Type: c.Type}
+				switch kc := &kcols[k]; c.Type {
+				case geometry.Float64:
+					v.Float = floats[rng.Intn(len(floats))]
+					kc.F64[r] = v.Float
+				case geometry.Char:
+					field := kc.Src[r*c.Width : (r+1)*c.Width]
+					for i := range field[:rng.Intn(c.Width+1)] {
+						field[i] = []byte{0, 'a', 'b', 0xff}[rng.Intn(4)]
+					}
+					v.Bytes = field
+				case geometry.Int64:
+					v.Int = ints[rng.Intn(len(ints))]
+					kc.I64[r] = v.Int
+				default:
+					v.Int = int64(int32(ints[rng.Intn(len(ints))]))
+					kc.I64[r] = v.Int
+				}
+				rows[r][k] = v
+			}
+		}
+
+		var g GroupTable
+		g.Reset(0, cols)
+		sel := make([]int32, n)
+		for i := range sel {
+			sel[i] = int32(i)
+		}
+		ids := make([]int32, n)
+		g.Assign(ids, kcols, sel)
+		keys := make([][]byte, n)
+		for r, row := range rows {
+			key := make([]byte, g.KeyLen())
+			for k, v := range row {
+				if v.Type == geometry.Char {
+					v.Bytes = TrimPad(v.Bytes)
+				}
+				g.PutKey(key, k, v)
+			}
+			if !bytes.Equal(key, g.Key(int(ids[r]))) {
+				t.Fatalf("trial %d row %d %v: PutKey gives %x, Assign's group has %x", trial, r, row, key, g.Key(int(ids[r])))
+			}
+			keys[r] = key
+			for k, want := range row {
+				got := g.KeyValue(int(ids[r]), k)
+				if got.Type != want.Type || got.Int != want.Int ||
+					math.Float64bits(got.Float) != math.Float64bits(want.Float) || !bytes.Equal(got.Bytes, want.Bytes) {
+					t.Fatalf("trial %d row %d column %d: decodes to %#v, want %#v", trial, r, k, got, want)
+				}
+			}
+		}
+		for a := range rows {
+			for b := range rows {
+				got, want := bytes.Compare(keys[a], keys[b]), refKeyCmp(cols, rows[a], rows[b])
+				if got != want {
+					t.Fatalf("trial %d: %v vs %v: bytes.Compare %d, reference %d", trial, rows[a], rows[b], got, want)
+				}
+				if sameKey, sameGroup := got == 0, bytes.Equal(refKey(cols, rows[a]), refKey(cols, rows[b])); sameKey != sameGroup {
+					t.Fatalf("trial %d: %v vs %v: equal keys %v, same group %v", trial, rows[a], rows[b], sameKey, sameGroup)
+				}
+			}
+		}
+
+		boxed := make([]table.Value, n*len(cols))
+		g.KeyValues(boxed, ids)
+		g.Reset(0, cols)
+		for i := range sel {
+			sel[i] = int32(n - 1 - i)
+		}
+		g.Assign(ids, kcols, sel)
+		for r, row := range rows {
+			for k, want := range row {
+				if got := boxed[r*len(cols)+k]; got.Type == geometry.Char && !bytes.Equal(got.Bytes, want.Bytes) {
+					t.Fatalf("trial %d row %d: boxed CHAR %q changed to %q after Reset", trial, r, want.Bytes, got.Bytes)
+				}
+			}
+		}
+	}
+}
+
+// TestHashKeySpreadsGroupKeys: a group key puts a small integer's bits at
+// the top of a big-endian word, and the index keeps only the hash's low
+// bits, so the hash must carry the high input bits down. 4096 consecutive
+// BIGINT keys must land on about as many distinct slots of 8192 as random
+// hashes would (about 3,200).
+func TestHashKeySpreadsGroupKeys(t *testing.T) {
+	var g GroupTable
+	g.Reset(0, []geometry.Column{{Type: geometry.Int64}})
+	slots := map[uint64]bool{}
+	key := make([]byte, g.KeyLen())
+	for x := int64(0); x < 4096; x++ {
+		g.PutKey(key, 0, table.I64(x))
+		slots[hashKey(key)&8191] = true
+	}
+	if len(slots) < 2800 {
+		t.Fatalf("4096 consecutive keys hash to %d of 8192 slots", len(slots))
 	}
 }

@@ -1,6 +1,9 @@
 package vec
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Hash join. A JoinTable indexes a build side's entries by encoded join key:
 // each distinct key heads a chain of entry ids in insertion order, so a
@@ -15,9 +18,12 @@ import "math"
 // BIGINT, and DATE keys join across widths), DOUBLE as its IEEE-754 bits
 // with -0 folded onto +0 (NaN never matches, per SQL equality), CHAR as its
 // bytes with trailing NUL padding trimmed (embedded NULs are significant).
+// Unlike the group key it need not order, and Bloom filters hash its bytes.
 
 // AppendJoinKeyI64 appends the join-key encoding of an integer-family value.
-func AppendJoinKeyI64(dst []byte, x int64) []byte { return AppendKeyI64(dst, x) }
+func AppendJoinKeyI64(dst []byte, x int64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, uint64(x))
+}
 
 // AppendJoinKeyF64 appends the join-key encoding of a DOUBLE value, or
 // reports false for NaN, which matches nothing.

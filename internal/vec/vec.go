@@ -173,31 +173,30 @@ func (a *AggState) Merge(o AggState) {
 // Result finalizes the state as an aggregate of kind. COUNT yields BIGINT,
 // every other kind DOUBLE; over zero rows SUM, AVG, MIN and MAX are 0. Every
 // fold finalizes through it, so a result cannot depend on where it was
-// folded.
+// folded; a NaN is always math.NaN(), as a sum's NaN payload depends on the
+// operand order the compiler picks at each fold site.
 func (a AggState) Result(kind expr.AggKind) table.Value {
+	var x float64
 	switch kind {
 	case expr.Count:
 		return table.I64(a.Count)
 	case expr.Sum:
-		return table.F64(a.Sum)
+		x = a.Sum
 	case expr.Avg:
-		if a.Count == 0 {
-			return table.F64(0)
+		if a.Count > 0 {
+			x = a.Sum / float64(a.Count)
 		}
-		return table.F64(a.Sum / float64(a.Count))
 	case expr.Min:
-		if a.NaNFirst {
-			return table.F64(math.NaN())
-		}
-		return table.F64(a.Min)
+		x = a.Min
 	case expr.Max:
-		if a.NaNFirst {
-			return table.F64(math.NaN())
-		}
-		return table.F64(a.Max)
+		x = a.Max
 	default:
 		panic(fmt.Sprintf("vec: unknown aggregate kind %d", uint8(kind)))
 	}
+	if x != x || a.NaNFirst && (kind == expr.Min || kind == expr.Max) {
+		x = math.NaN()
+	}
+	return table.F64(x)
 }
 
 // AddCount registers n qualifying rows for COUNT(*) terms.
