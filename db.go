@@ -348,9 +348,9 @@ func (db *DB) Query(query string) (*Result, error) {
 }
 
 // QueryOn parses, lowers, and executes the statement on the chosen path: the
-// statement becomes a physical plan chain (internal/plan), the chain splits
-// into the pipeline query plus its ORDER BY / LIMIT sinks, and the pipeline
-// runs on the selected Source. When a statement store or slow log is
+// statement becomes a physical plan chain (internal/plan), the chain lowers
+// to the pipeline query, its ORDER BY / LIMIT sinks included, and the
+// pipeline runs on the selected Source. When a statement store or slow log is
 // attached, the call also records under its normalized fingerprint.
 func (db *DB) QueryOn(kind EngineKind, query string) (*Result, error) {
 	res, _, err := db.query(kind, query, db.observe(query, nil))
@@ -360,7 +360,8 @@ func (db *DB) QueryOn(kind EngineKind, query string) (*Result, error) {
 // statement is the compiled form every façade entry point runs: the SQL
 // text, its lowered plan, the probe (or only) table, and either the
 // pipeline query of a single-table statement or the executable plan of a
-// join, plus the ORDER BY / LIMIT sinks.
+// join. Either query carries the ORDER BY / LIMIT sinks, which sk repeats
+// for the charge (applySinks).
 type statement struct {
 	text string
 	root *plan.Node
@@ -463,17 +464,17 @@ func (db *DB) exec(kind EngineKind, s *statement, c *stmtCtx) (*Result, *Trace, 
 	return res, ev.trace, nil
 }
 
-// dispatch executes the statement on the chosen path and applies its sinks:
-// the batch pipeline finishes ORDER BY / LIMIT on its group table, and
-// applySinks charges the sort (and finishes what it did not).
-// It is the one place a join and a single-table statement part ways.
+// dispatch executes the statement on the chosen path and charges its
+// sinks: every executor finishes ORDER BY / LIMIT on its group table, and
+// applySinks charges the sort. It is the one place a join and a
+// single-table statement part ways.
 func (db *DB) dispatch(kind EngineKind, s *statement, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
 	var res *Result
 	var err error
 	if s.jp != nil {
-		res, err = db.executeJoin(kind, s.t, s.jp, s.sk, tr)
+		res, err = db.executeJoin(kind, s.t, s.jp, tr)
 	} else {
-		res, err = db.execute(kind, s.t, s.q, s.sk, tr, c)
+		res, err = db.execute(kind, s.t, s.q, tr, c)
 	}
 	if err == nil {
 		applySinks(res, s.sk, tr)
@@ -506,8 +507,7 @@ func (db *DB) feedbackSel(c *stmtCtx) (float64, bool) {
 // the chosen source stamped in, and PAR, the morsel executor that runs the
 // RM source on private System clones. The statement context, when present,
 // carries the fingerprint the feedback loop keys observed selectivities on.
-// The sinks ride along to the batch pipeline, which finishes them.
-func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, sk engine.Sinks, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
+func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
 	switch kind {
 	case AUTO:
 		opt := db.optimizer(t)
@@ -531,7 +531,7 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, sk engine.Sin
 			sp.SetAttr("warm", "true")
 		}
 		tr.End()
-		return db.execute(EngineKind(p.Chosen), t, q, sk, tr, c)
+		return db.execute(EngineKind(p.Chosen), t, q, tr, c)
 	case PAR:
 		var cfg engine.ParallelConfig
 		if db.par != nil {
@@ -541,14 +541,14 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, sk engine.Sin
 		return e.Execute(q)
 	case RM:
 		if db.par != nil {
-			return db.execute(PAR, t, q, sk, tr, c)
+			return db.execute(PAR, t, q, tr, c)
 		}
 	}
 	src, err := db.source(kind, t, tr)
 	if err != nil {
 		return nil, err
 	}
-	return engine.RunSinks(src, q, sk)
+	return engine.Run(src, q)
 }
 
 // source builds the engine Source for one access path. Each engine struct is
@@ -623,7 +623,7 @@ func (db *DB) schemaLookup(name string) (*Schema, error) {
 // prices each side independently, and RM routes the probe to the morsel
 // executor once SetParallel is called (builds run once on the shared System
 // either way).
-func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, sk engine.Sinks, tr *obs.Tracer) (*Result, error) {
+func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, tr *obs.Tracer) (*Result, error) {
 	var err error
 	buildTs := make([]*dbTable, len(p.Stages))
 	for k := range p.Stages {
@@ -695,7 +695,7 @@ func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, 
 	if err != nil {
 		return nil, err
 	}
-	e := &engine.JoinExec{Plan: p, Probe: probe, Builds: builds, Sinks: sk}
+	e := &engine.JoinExec{Plan: p, Probe: probe, Builds: builds}
 	return e.Execute()
 }
 
@@ -756,9 +756,8 @@ func (db *DB) joinSource(kind EngineKind, t *dbTable, side *engine.JoinSide, tr 
 }
 
 // applySinks charges the plan's ORDER BY / LIMIT sinks to a finished result
-// (running them too where the batch pipeline did not) and, when the run is
-// traced, attributes the modeled sort cycles to a sink span so the root
-// still reconciles with Breakdown.TotalCycles.
+// and, when the run is traced, attributes the modeled sort cycles to a sink
+// span so the root still reconciles with Breakdown.TotalCycles.
 func applySinks(res *Result, sk engine.Sinks, tr *obs.Tracer) {
 	if sk.Empty() {
 		return

@@ -93,7 +93,7 @@ func (s *statement) tree() *plan.Node {
 	if s.jp != nil {
 		return s.root
 	}
-	return planChain(s.q, s.t.tbl.Name(), s.sk)
+	return engine.PlanOf(s.q, s.t.tbl.Name())
 }
 
 // priceRun prices what a finished run did, for EXPLAIN ANALYZE and the
@@ -267,20 +267,6 @@ func (db *DB) fillJoinEstimates(kind EngineKind, jp *engine.JoinPlan) {
 	for k := range jp.Stages {
 		fill(&jp.Stages[k].Side)
 	}
-}
-
-// planChain rebuilds the physical plan the run executes from the pipeline
-// query plus its sinks: a fresh copy of the lowered statement for the run to
-// stamp.
-func planChain(q engine.Query, table string, sk engine.Sinks) *plan.Node {
-	root := engine.PlanOf(q, table)
-	if len(sk.Keys) > 0 {
-		root = root.OrderBy(sk.Keys)
-	}
-	if sk.HasLimit {
-		root = root.Limit(sk.Limit)
-	}
-	return root
 }
 
 // ExplainPlan parses and lowers the statement and returns its physical plan

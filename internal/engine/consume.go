@@ -88,15 +88,15 @@ func (c *consumer) consumeRow(fetch func(col int) table.Value) {
 }
 
 // finish assembles the result shape (without the cost breakdown),
-// finishing the fold under sk or keeping it for a partition's merge (see
-// finishAggs).
-func (c *consumer) finish(engineName string, rowsScanned int64, sk Sinks, part bool) *Result {
+// finishing the fold under the query's sinks or keeping it for a
+// partition's merge (see finishAggs).
+func (c *consumer) finish(engineName string, rowsScanned int64, part bool) *Result {
 	r := &Result{
 		Engine:      engineName,
 		RowsScanned: rowsScanned,
 		RowsPassed:  c.rowsPassed,
 		Checksum:    c.checksum,
 	}
-	r.finishAggs(c.out, c.q.Aggregates, sk, part)
+	r.finishAggs(c.out, c.q, part)
 	return r
 }

@@ -137,7 +137,9 @@ func sideChain(n *plan.Node) (scan *plan.Node, sel expr.Conjunction, err error) 
 }
 
 // FromJoinPlan validates a join tree and lowers it to an executable
-// JoinPlan plus its sinks. lookup resolves a table name to its schema.
+// JoinPlan, whose consume query carries the sinks, and returns those sinks
+// again for the caller that charges them (ApplySinks). lookup resolves a
+// table name to its schema.
 func FromJoinPlan(root *plan.Node, lookup func(string) (*geometry.Schema, error)) (*JoinPlan, Sinks, error) {
 	var sk Sinks
 	if err := root.Validate(); err != nil {
@@ -200,6 +202,7 @@ func FromJoinPlan(root *plan.Node, lookup func(string) (*geometry.Schema, error)
 			p.Consume.Aggregates[i] = AggTerm{Kind: a.Kind, Arg: a.Arg}
 		}
 	}
+	p.Consume.Sinks = sk
 	if err := p.Consume.Validate(combined); err != nil {
 		return nil, sk, err
 	}
@@ -380,11 +383,6 @@ type JoinExec struct {
 	Plan   *JoinPlan
 	Probe  Source
 	Builds []Source // one per stage, in stage order
-
-	// Sinks, when set, are the statement's ORDER BY / LIMIT: a batch probe
-	// orders and cuts its groups before boxing them, and ApplySinks with
-	// the same sinks then only charges the sort.
-	Sinks Sinks
 }
 
 // Execute runs the join and returns the consumed result; RowsPassed is the
@@ -421,7 +419,7 @@ func (e *JoinExec) Execute() (*Result, error) {
 		return nil, err
 	}
 
-	res := probe.result(name, probeRes.RowsScanned, e.Sinks, false)
+	res := probe.result(name, probeRes.RowsScanned, false)
 	res.Breakdown = probeRes.Breakdown
 	res.Offload = probeRes.Offload
 	stampSideAct(p.Probe.Node, probeRes)
@@ -539,7 +537,7 @@ func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin,
 	if err != nil {
 		return nil, 0, err
 	}
-	part := probe.result("RM", probeRes.RowsScanned, Sinks{}, true)
+	part := probe.result("RM", probeRes.RowsScanned, true)
 	part.Breakdown = probeRes.Breakdown
 	part.MorselHW = sys.HW()
 	// The morsel's probe-side survivor count rides back separately: the

@@ -142,7 +142,7 @@ func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value
 		}
 		descend(0, prow)
 	}
-	return cons.finish("REF", 0, Sinks{}, false)
+	return cons.finish("REF", 0, false)
 }
 
 // q3ClassPlan builds fact ⋈ dim with a selection on each side and grouped

@@ -393,11 +393,11 @@ func (j *joinProbe) flush() {
 }
 
 // result is the join's consumed result — from whichever driver ran —
-// finished under sk, or kept unfinished for a partition's merge (see
-// finishAggs).
-func (j *joinProbe) result(name string, scanned int64, sk Sinks, part bool) *Result {
+// finished under the consume query's sinks, or kept unfinished for a
+// partition's merge (see finishAggs).
+func (j *joinProbe) result(name string, scanned int64, part bool) *Result {
 	if j.prog != nil {
-		return j.csc.result(name, j.p.Consume, j.acc, scanned, sk, part)
+		return j.csc.result(name, j.p.Consume, j.acc, scanned, part)
 	}
-	return j.cons.finish(name, scanned, sk, part)
+	return j.cons.finish(name, scanned, part)
 }

@@ -259,7 +259,8 @@ func finishParallelSpan(tr *obs.Tracer, sp *obs.Span, tracers partTracers, parts
 // the partitions' folds left (Result.part), never as finished values: per
 // term when ungrouped (vec.AggState.Merge), else on one group table that
 // finds each partition's groups by their own key encodings. The merged
-// states then finish once, groups in canonical order. The modeled time is
+// states then finish once under q.Sinks, so only the rows the statement
+// returns are boxed (see finishAggs). The modeled time is
 // the makespan of scheduling the partitions on `workers` executors plus a
 // per-partial merge charge; the clones' hardware counters sum in partition
 // order.
@@ -302,7 +303,7 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 	}
 	out.Breakdown.TotalCycles = scheduleCycles(partTotals, workers) +
 		uint64(len(parts))*mergeCyclesPerPartial
-	out.finishAggs(m, q.Aggregates, Sinks{}, false)
+	out.finishAggs(m, q, false)
 	return out, nil
 }
 

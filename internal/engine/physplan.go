@@ -8,13 +8,14 @@ import (
 
 // This file bridges the engine to the physical plan IR in internal/plan:
 // lowering a logical Query to an operator chain, extracting the executable
-// Query and sink operators back out, pricing a plan's access paths, and
-// running the sinks over grouped output.
+// Query back out, pricing a plan's access paths, and charging the sinks'
+// sort.
 
 // PlanOf lowers a logical Query to the physical plan IR: a Scan over the
-// columns the query touches, a Filter when it selects, and the consumption
-// shape (Project or Aggregate). The scan's source is left for the optimizer
-// (or the caller's dispatch) to stamp.
+// columns the query touches, a Filter when it selects, the consumption
+// shape (Project or Aggregate), and the sinks (OrderBy, Limit). The scan's
+// source is left for the optimizer (or the caller's dispatch) to stamp.
+// PlanOf and FromPlan are inverses.
 func PlanOf(q Query, table string) *plan.Node {
 	scan := plan.NewScan(table, "", q.NeededColumns())
 	scan.Snapshot = q.Snapshot
@@ -31,11 +32,18 @@ func PlanOf(q Query, table string) *plan.Node {
 	} else {
 		root = root.Project(q.Projection)
 	}
+	if len(q.Sinks.Keys) > 0 {
+		root = root.OrderBy(q.Sinks.Keys)
+	}
+	if q.Sinks.HasLimit {
+		root = root.Limit(q.Sinks.Limit)
+	}
 	return root
 }
 
 // Sinks are the plan operators that run over the pipeline's grouped output
-// rather than inside it: a deterministic sort and a row limit.
+// rather than inside it: a deterministic sort and a row limit. They ride on
+// the Query (Query.Sinks), and every executor's finisher applies them.
 type Sinks struct {
 	Keys     []plan.SortKey
 	Limit    int64
@@ -45,13 +53,13 @@ type Sinks struct {
 // Empty reports whether there is no sink work to do.
 func (s Sinks) Empty() bool { return len(s.Keys) == 0 && !s.HasLimit }
 
-// FromPlan validates an IR chain and splits it into the Query the pipeline
-// executes and the sinks that run over its output.
+// FromPlan validates an IR chain and returns the Query the pipeline
+// executes, sinks included, and those sinks again for the caller that
+// charges them (ApplySinks).
 func FromPlan(root *plan.Node) (Query, Sinks, error) {
 	var q Query
-	var sk Sinks
 	if err := root.Validate(); err != nil {
-		return q, sk, err
+		return q, Sinks{}, err
 	}
 	for cur := root; cur != nil; cur = cur.Input {
 		switch cur.Op {
@@ -68,13 +76,13 @@ func FromPlan(root *plan.Node) (Query, Sinks, error) {
 				q.Aggregates[i] = AggTerm{Kind: a.Kind, Arg: a.Arg}
 			}
 		case plan.OpOrderBy:
-			sk.Keys = cur.Keys
+			q.Sinks.Keys = cur.Keys
 		case plan.OpLimit:
-			sk.Limit = cur.N
-			sk.HasLimit = true
+			q.Sinks.Limit = cur.N
+			q.Sinks.HasLimit = true
 		}
 	}
-	return q, sk, nil
+	return q, q.Sinks, nil
 }
 
 // ChoosePlan prices the plan's access paths, stamps the winner — and the
@@ -102,32 +110,19 @@ func (o *Optimizer) ChoosePlan(root *plan.Node) (*Plan, error) {
 	return p, nil
 }
 
-// ApplySinks runs the sink operators over a grouped result in place: a
-// stable sort by the plan's keys (ties keep the pipeline's canonical group
-// order, so output order is reproducible across engines), then the limit
-// (see outputOrder). A result the batch pipeline already finished under the
-// same sinks (RunSinks, JoinExec.Sinks) keeps its rows. Either way it
-// charges n·⌈log₂n⌉·SortCmpCycles of modeled compute for the sort over the
-// n groups before the limit, adds it to the result's breakdown, and returns
-// the charge so traced runs can attribute it.
+// ApplySinks charges a finished result for its statement's sinks: every
+// executor already ordered and cut the groups on its group table
+// (finishAggs), so the result holds only the rows the statement returns.
+// It charges n·⌈log₂n⌉·SortCmpCycles of modeled compute for the sort over
+// the n groups before the limit, adds it to the result's breakdown, and
+// returns the charge so traced runs can attribute it.
 func ApplySinks(res *Result, sk Sinks) uint64 {
-	if sk.Empty() {
+	n := res.sunk
+	if len(sk.Keys) == 0 || n < 2 {
 		return 0
 	}
-	if res.sunk == 0 && len(res.Groups) > 0 {
-		res.sunk = len(res.Groups)
-		order := outputOrder(rowSet(res.Groups), len(res.Groups), sk, nil)
-		out := make([]GroupRow, len(order))
-		for i, g := range order {
-			out[i] = res.Groups[g]
-		}
-		res.Groups = out
-	}
-	var cycles uint64
-	if n := res.sunk; len(sk.Keys) > 0 && n > 1 {
-		cycles = uint64(n) * uint64(bits.Len(uint(n-1))) * SortCmpCycles
-		res.Breakdown.ComputeCycles += cycles
-		res.Breakdown.TotalCycles += cycles
-	}
+	cycles := uint64(n) * uint64(bits.Len(uint(n-1))) * SortCmpCycles
+	res.Breakdown.ComputeCycles += cycles
+	res.Breakdown.TotalCycles += cycles
 	return cycles
 }

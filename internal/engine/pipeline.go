@@ -213,7 +213,7 @@ func (s *scan) runScalar(q Query) (*Result, error) {
 	if s.sink != nil {
 		res = &Result{Engine: s.name, RowsScanned: scanned, RowsPassed: rowsSunk}
 	} else {
-		res = cons.finish(s.name, scanned, s.sinks, s.part)
+		res = cons.finish(s.name, scanned, s.part)
 	}
 	return s.finishRun(pr, res, pipeline, producer)
 }

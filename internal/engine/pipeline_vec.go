@@ -484,7 +484,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 	}
 
 	loads.stop() // the loop's last flush charged every load
-	res := sc.result(s.name, q, acc, scanned, s.sinks, s.part)
+	res := sc.result(s.name, q, acc, scanned, s.part)
 	return s.finishRun(pr, res, pipeline, producer)
 }
 

@@ -54,6 +54,11 @@ type Query struct {
 	// Snapshot, when non-nil, runs the query at that MVCC snapshot. Only
 	// meaningful for tables created with MVCC headers.
 	Snapshot *uint64
+	// Sinks are the statement's ORDER BY / LIMIT (grouped output only).
+	// Every executor finishes them on its group table, so a result holds
+	// only the rows the statement returns; ApplySinks then charges the
+	// sort.
+	Sinks Sinks
 }
 
 // Validate checks the query against a schema.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -58,7 +57,9 @@ type Result struct {
 	Checksum uint64
 	// Aggs holds scalar aggregation results (no GROUP BY).
 	Aggs []table.Value
-	// Groups holds grouped results sorted by key.
+	// Groups holds grouped results: in the canonical group order, or, under
+	// the statement's sinks, in ORDER BY order (ties in canonical order)
+	// and cut at the LIMIT.
 	Groups    []GroupRow
 	Breakdown Breakdown
 	// CacheWarm reports that the run consumed a resident column group out
@@ -79,9 +80,9 @@ type Result struct {
 	Morsels  int
 	MorselHW HWStats
 
-	// sunk is the group count before the limit once the statement's sinks
-	// have ordered and cut Groups (by ApplySinks, or by finishAggs), and 0
-	// before.
+	// sunk is the group count before the limit once finishAggs has
+	// ordered and cut Groups under the statement's sinks, and 0 when the
+	// statement has none (ApplySinks charges the sort over it).
 	sunk int
 	// part is a partition's unfinished aggregate output (see RunPartial),
 	// which Gather's merge reads in place of Aggs and Groups.
@@ -170,19 +171,6 @@ func (r *Result) String() string {
 // (-0 and +0, NaN payloads), by their raw DOUBLE bits, so the order is
 // strict and total.
 
-// groupSet reads a finished group set by group position: boxed rows
-// (rowSet) or a fold's group table (tableSet).
-type groupSet interface {
-	key(g int32, k int) table.Value
-	agg(g int32, t int) table.Value
-}
-
-// rowSet is boxed grouped output.
-type rowSet []GroupRow
-
-func (r rowSet) key(g int32, k int) table.Value { return r[g].Key[k] }
-func (r rowSet) agg(g int32, t int) table.Value { return r[g].Aggs[t] }
-
 // aggOut is an aggregation's unfinished output, the state its fold leaves:
 // one state per term when the statement is ungrouped; else the group table
 // its rows were assigned and folded on, whose keys hold the groups' values.
@@ -194,26 +182,26 @@ type aggOut struct {
 	groups *vec.GroupTable
 }
 
-// finishAggs finishes a fold's output into r. A partition of a gathered
+// finishAggs finishes q's fold output into r. A partition of a gathered
 // run keeps it unfinished for mergePartials. Otherwise ungrouped states
-// finalize into Aggs, and groups are ordered and cut under sk on their
-// table, so only the rows r returns are boxed.
-func (r *Result) finishAggs(out aggOut, terms []AggTerm, sk Sinks, part bool) {
+// finalize into Aggs, and groups are ordered and cut under q.Sinks on
+// their table, so only the rows r returns are boxed.
+func (r *Result) finishAggs(out aggOut, q Query, part bool) {
 	switch {
 	case part:
 		r.part = new(aggOut)
 		*r.part = out
 	case out.groups != nil:
-		ts := &tableSet{g: out.groups, aggs: terms}
+		ts := &tableSet{g: out.groups, aggs: q.Aggregates}
 		n := out.groups.Len()
-		r.Groups = ts.rows(outputOrder(ts, n, sk, ts.canon))
-		if !sk.Empty() {
+		r.Groups = ts.rows(outputOrder(ts, n, q.Sinks))
+		if !q.Sinks.Empty() {
 			r.sunk = n
 		}
 	case out.states != nil:
 		r.Aggs = make([]table.Value, len(out.states))
 		for i, st := range out.states {
-			r.Aggs[i] = st.Result(terms[i].Kind)
+			r.Aggs[i] = st.Result(q.Aggregates[i].Kind)
 		}
 	}
 }
@@ -230,20 +218,16 @@ func (m *aggOut) merge(p *aggOut) {
 	}
 }
 
-// outputOrder returns the positions of a group set's n groups in output
-// order: sorted by the sinks' keys with Value.Compare (negated for DESC),
-// ties broken by canon, then cut at the limit. canon is a strict total
-// order over positions; nil means the positions already run in canonical
-// order, so a tie keeps the earlier position. When the limit cuts and no
-// sort key is NaN, a bounded top-k picks the kept positions without sorting
-// the rest. A NaN sort key compares equal to everything, which leaves the
-// order to the sort algorithm, so then the positions are put in canonical
-// order and stably sorted by the keys alone, exactly as a stable sort of
-// canonically ordered rows would.
-func outputOrder(gs groupSet, n int, sk Sinks, canon func(a, b int32) int) []int32 {
-	if canon == nil {
-		canon = cmp.Compare[int32]
-	}
+// outputOrder returns the ids of a group table's n groups in output order:
+// sorted by the sinks' keys with Value.Compare (negated for DESC), ties
+// broken by the canonical group order, then cut at the limit. When the
+// limit cuts and no sort key is NaN, a bounded top-k picks the kept groups
+// without sorting the rest. A NaN sort key compares equal to everything,
+// which leaves the order to the sort algorithm, so then the ids are put in
+// canonical order and stably sorted by the keys alone, exactly as a stable
+// sort of canonically ordered rows would.
+func outputOrder(gs *tableSet, n int, sk Sinks) []int32 {
+	canon := gs.canon
 	limit := n
 	if sk.HasLimit && sk.Limit < int64(n) {
 		limit = int(sk.Limit)
@@ -289,7 +273,7 @@ func outputOrder(gs groupSet, n int, sk Sinks, canon func(a, b int32) int) []int
 }
 
 // sortKeysHaveNaN reports whether any group has a NaN in a sort key.
-func sortKeysHaveNaN(gs groupSet, n int, keys []plan.SortKey) bool {
+func sortKeysHaveNaN(gs *tableSet, n int, keys []plan.SortKey) bool {
 	for _, k := range keys {
 		for g := int32(0); g < int32(n); g++ {
 			var v table.Value

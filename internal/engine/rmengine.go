@@ -191,7 +191,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 		if off != nil {
 			sp.SetAttr("pushdown", "aggregation")
 			s.direct = func() (*Result, error) {
-				return s.runOffload(ev, off, q.Aggregates)
+				return s.runOffload(ev, off, q)
 			}
 			return s, nil
 		}

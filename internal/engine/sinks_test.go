@@ -112,7 +112,7 @@ func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 					return v
 				})
 			}
-			parts[p] = cons.finish("P", 0, Sinks{}, true)
+			parts[p] = cons.finish("P", 0, true)
 		}
 		res, err := mergePartials("PAR", qc, parts, 1)
 		if err != nil {
@@ -124,32 +124,39 @@ func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 	}
 }
 
-// TestApplySinksMatchesStableSortReference checks the typed stable sort and
-// the bounded top-k against sort.SliceStable plus truncation: same rows in
-// the same order, ties included, and the same modeled charge.
+// TestApplySinksMatchesStableSortReference checks the finisher's typed
+// stable sort and bounded top-k, run on a real group table, against
+// sort.SliceStable of the canonically ordered boxed groups plus the cut:
+// same rows in the same order, ties included, and the same modeled charge.
+// Each generated row carries its input position as its last group key, so
+// every row is its own group and the comparison sees exactly which row
+// landed where.
 func TestApplySinksMatchesStableSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// NaN sort keys take the full stable sort; the other trials take the
 	// bounded top-k whenever the limit cuts.
 	floats := []float64{-1, 0, math.Copysign(0, -1), 0.5, 2, math.NaN()}
-	genRows := func(n int, allEqual, withNaN bool) []GroupRow {
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "k0", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "k1", Type: geometry.Float64, Width: 8},
+		geometry.Column{Name: "a0", Type: geometry.Float64, Width: 8},
+		geometry.Column{Name: "a1", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "pos", Type: geometry.Int64, Width: 8},
+	)
+	q := Query{GroupBy: []int{0, 1, 4}, Aggregates: []AggTerm{
+		{Kind: expr.Sum, Arg: expr.ColRef{Col: 2}}, {Kind: expr.Max, Arg: expr.ColRef{Col: 3}}}}
+	genRows := func(n int, allEqual, withNaN bool) [][]table.Value {
 		pool := floats
 		if !withNaN {
 			pool = floats[:len(floats)-1]
 		}
-		rows := make([]GroupRow, n)
+		rows := make([][]table.Value, n)
 		for i := range rows {
 			k0, k1, a0 := int64(rng.Intn(3)), pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
 			if allEqual {
 				k0, k1, a0 = 1, 0.5, 2
 			}
-			// Count carries the input position so the comparison below
-			// sees exactly which row landed where.
-			rows[i] = GroupRow{
-				Key:   []table.Value{table.I64(k0), table.F64(k1)},
-				Aggs:  []table.Value{table.F64(a0), table.I64(int64(rng.Intn(4)))},
-				Count: int64(i),
-			}
+			rows[i] = []table.Value{table.I64(k0), table.F64(k1), table.F64(a0), table.I64(int64(rng.Intn(4))), table.I64(int64(i))}
 		}
 		return rows
 	}
@@ -162,31 +169,6 @@ func TestApplySinksMatchesStableSortReference(t *testing.T) {
 			}
 		}
 		return keys
-	}
-	reference := func(rows []GroupRow, sk Sinks) []GroupRow {
-		ref := append([]GroupRow(nil), rows...)
-		sort.SliceStable(ref, func(i, j int) bool {
-			a, b := &ref[i], &ref[j]
-			for _, k := range sk.Keys {
-				var c int
-				if k.Key >= 0 {
-					c = a.Key[k.Key].Compare(b.Key[k.Key])
-				} else {
-					c = a.Aggs[k.Agg].Compare(b.Aggs[k.Agg])
-				}
-				if k.Desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sk.HasLimit && int64(len(ref)) > sk.Limit {
-			ref = ref[:sk.Limit]
-		}
-		return ref
 	}
 
 	for trial := 0; trial < 400; trial++ {
@@ -201,26 +183,66 @@ func TestApplySinksMatchesStableSortReference(t *testing.T) {
 			sk.HasLimit, sk.Limit = true, int64(n+rng.Intn(3))
 		}
 		rows := genRows(n, trial%10 == 0, trial%8 >= 6)
-		want := reference(rows, sk)
-		res := &Result{Groups: append([]GroupRow(nil), rows...)}
+		want := foldRows(q, sch, rows)
+		wantCycles := stableSinks(want, sk)
+		sunk := q
+		sunk.Sinks = sk
+		res := foldRows(sunk, sch, rows)
 		cycles := ApplySinks(res, sk)
-		if len(res.Groups) != len(want) {
-			t.Fatalf("trial %d (n=%d, %+v): %d rows, want %d", trial, n, sk, len(res.Groups), len(want))
+		if len(res.Groups) != len(want.Groups) {
+			t.Fatalf("trial %d (n=%d, %+v): %d rows, want %d", trial, n, sk, len(res.Groups), len(want.Groups))
 		}
-		for i := range want {
-			if res.Groups[i].Count != want[i].Count {
-				t.Fatalf("trial %d (n=%d, %+v): row %d is input %d, want %d",
-					trial, n, sk, i, res.Groups[i].Count, want[i].Count)
+		for i := range want.Groups {
+			if got, want := res.Groups[i].Key[2].Int, want.Groups[i].Key[2].Int; got != want {
+				t.Fatalf("trial %d (n=%d, %+v): row %d is input %d, want %d", trial, n, sk, i, got, want)
 			}
 		}
-		var wantCycles uint64
+		var formula uint64
 		if n > 1 {
-			wantCycles = uint64(n) * uint64(bits.Len(uint(n-1))) * SortCmpCycles
+			formula = uint64(n) * uint64(bits.Len(uint(n-1))) * SortCmpCycles
 		}
-		if cycles != wantCycles || res.Breakdown.TotalCycles != wantCycles {
-			t.Fatalf("trial %d: charged %d (total %d), want %d", trial, cycles, res.Breakdown.TotalCycles, wantCycles)
+		if cycles != wantCycles || cycles != formula || res.Breakdown.TotalCycles != formula {
+			t.Fatalf("trial %d: charged %d (total %d), want %d", trial, cycles, res.Breakdown.TotalCycles, formula)
 		}
 	}
+}
+
+// stableSinks is the reference for a statement's sinks over a result run
+// without them, whose groups are in the canonical order: a stable sort by
+// the sort keys' boxed values (Value.Compare, negated for DESC), the cut at
+// the limit, and the n·⌈log₂n⌉·SortCmpCycles charge over the n groups
+// before the cut, added to the breakdown and returned.
+func stableSinks(res *Result, sk Sinks) uint64 {
+	rows := res.Groups
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := &rows[i], &rows[j]
+		for _, k := range sk.Keys {
+			var c int
+			if k.Key >= 0 {
+				c = a.Key[k.Key].Compare(b.Key[k.Key])
+			} else {
+				c = a.Aggs[k.Agg].Compare(b.Aggs[k.Agg])
+			}
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	n := len(rows)
+	if sk.HasLimit && int64(n) > sk.Limit {
+		res.Groups = rows[:sk.Limit]
+	}
+	if len(sk.Keys) == 0 || n < 2 {
+		return 0
+	}
+	cycles := uint64(n) * uint64(bits.Len(uint(n-1))) * SortCmpCycles
+	res.Breakdown.ComputeCycles += cycles
+	res.Breakdown.TotalCycles += cycles
+	return cycles
 }
 
 // TestTopNBoxesOnlyReturnedRows: on a warm engine, a LIMIT 10 top-N over
@@ -239,19 +261,19 @@ func TestTopNBoxesOnlyReturnedRows(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		tbl.MustAppend(0, table.I64(int64(i%groups)), table.F64(float64(i%977)))
 	}
-	q := Query{GroupBy: []int{0}, Aggregates: []AggTerm{{Kind: expr.Sum, Arg: expr.ColRef{Col: 1}}}}
-	all := Sinks{Keys: []plan.SortKey{{Key: -1, Agg: 0, Desc: true}}}
+	all := Query{GroupBy: []int{0}, Aggregates: []AggTerm{{Kind: expr.Sum, Arg: expr.ColRef{Col: 1}}},
+		Sinks: Sinks{Keys: []plan.SortKey{{Key: -1, Agg: 0, Desc: true}}}}
 	top := all
-	top.Limit, top.HasLimit = 10, true
+	top.Sinks.Limit, top.Sinks.HasLimit = 10, true
 
 	eng := &RowEngine{Tbl: tbl, Sys: sys}
-	bytesPerQuery := func(sk Sinks) uint64 {
+	bytesPerQuery := func(q Query) uint64 {
 		run := func() {
-			res, err := RunSinks(eng, q, sk)
+			res, err := Run(eng, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ApplySinks(res, sk)
+			ApplySinks(res, q.Sinks)
 		}
 		run() // warm the scratch
 		const runs = 5
@@ -275,10 +297,10 @@ func TestTopNBoxesOnlyReturnedRows(t *testing.T) {
 
 // TestScalarAndOffloadSinksMatchApplySinks holds the scalar consumer and
 // the fabric's offload fold to the finisher the batch pipeline uses: with
-// the statement's sinks handed to the run, it boxes no more rows than the
-// limit keeps, and rows, their order, the Breakdown and the sort charge
-// equal a run without sinks followed by ApplySinks over the full group
-// list. The table's keys are -0/+0 and two
+// the statement's sinks in the query, the run boxes no more rows than the
+// limit keeps, and rows, their order, the Breakdown and ApplySinks's sort
+// charge equal a run without sinks followed by the stable-sort reference
+// (stableSinks) over the full group list. The table's keys are -0/+0 and two
 // NaN payloads, CHAR keys with trailing and embedded NULs, and tied counts;
 // w's sums are NaN in a few groups. A Q3-class join with scalar sides
 // covers the scalar probe.
@@ -336,19 +358,23 @@ func TestScalarAndOffloadSinksMatchApplySinks(t *testing.T) {
 	}
 	for name, mk := range sources {
 		for i, c := range cases {
-			run := func(pushed Sinks) (*Result, uint64) {
+			run := func(sk Sinks) *Result {
 				sys.ResetState()
-				res, err := RunSinks(mk(), c.q, pushed)
+				q := c.q
+				q.Sinks = sk
+				res, err := Run(mk(), q)
 				if err != nil {
 					t.Fatalf("%s case %d: %v", name, i, err)
 				}
-				if pushed.HasLimit && int64(len(res.Groups)) > pushed.Limit {
-					t.Errorf("%s case %d boxed %d rows under LIMIT %d", name, i, len(res.Groups), pushed.Limit)
-				}
-				return res, ApplySinks(res, c.sk)
+				return res
 			}
-			got, gotCycles := run(c.sk)
-			want, wantCycles := run(Sinks{})
+			got := run(c.sk)
+			if c.sk.HasLimit && int64(len(got.Groups)) > c.sk.Limit {
+				t.Errorf("%s case %d boxed %d rows under LIMIT %d", name, i, len(got.Groups), c.sk.Limit)
+			}
+			gotCycles := ApplySinks(got, c.sk)
+			want := run(Sinks{})
+			wantCycles := stableSinks(want, c.sk)
 			if err := sameSunk(got, want, gotCycles, wantCycles); err != nil {
 				t.Errorf("%s case %d (%+v): %v", name, i, c.sk, err)
 			}
@@ -361,22 +387,25 @@ func TestScalarAndOffloadSinksMatchApplySinks(t *testing.T) {
 	f := newJoinPlanFixture(t, 2000, 60, 7)
 	p := q3ClassPlan(f, t)
 	for i, sk := range []Sinks{limit(5, agg(0, true)), limit(0, key(0, false)), Sinks{Keys: []plan.SortKey{agg(1, false)}}} {
-		run := func(pushed Sinks) (*Result, uint64) {
+		run := func(pushed Sinks) *Result {
 			f.sys.ResetState()
-			ex := &JoinExec{Plan: p, Sinks: pushed,
+			p.Consume.Sinks = pushed
+			ex := &JoinExec{Plan: p,
 				Probe:  &RowEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true},
 				Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}}}
 			res, err := ex.Execute()
 			if err != nil {
 				t.Fatalf("join case %d: %v", i, err)
 			}
-			if pushed.HasLimit && int64(len(res.Groups)) > pushed.Limit {
-				t.Errorf("scalar join case %d boxed %d rows under LIMIT %d", i, len(res.Groups), pushed.Limit)
-			}
-			return res, ApplySinks(res, sk)
+			return res
 		}
-		got, gotCycles := run(sk)
-		want, wantCycles := run(Sinks{})
+		got := run(sk)
+		if sk.HasLimit && int64(len(got.Groups)) > sk.Limit {
+			t.Errorf("scalar join case %d boxed %d rows under LIMIT %d", i, len(got.Groups), sk.Limit)
+		}
+		gotCycles := ApplySinks(got, sk)
+		want := run(Sinks{})
+		wantCycles := stableSinks(want, sk)
 		if err := sameSunk(got, want, gotCycles, wantCycles); err != nil {
 			t.Errorf("scalar join case %d (%+v): %v", i, sk, err)
 		}
@@ -443,7 +472,8 @@ func TestGroupKeysOutliveTheReusedTable(t *testing.T) {
 	top := Sinks{Keys: []plan.SortKey{{Key: -1, Agg: 0, Desc: true}}, Limit: 5, HasLimit: true}
 	for _, eng := range []Source{&RowEngine{Tbl: tbl, Sys: sys}, &RMEngine{Tbl: tbl, Sys: sys}} {
 		for _, sk := range []Sinks{{}, top} {
-			res, err := RunSinks(eng, first, sk)
+			first.Sinks, second.Sinks = sk, sk
+			res, err := Run(eng, first)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -451,7 +481,7 @@ func TestGroupKeysOutliveTheReusedTable(t *testing.T) {
 			for i, g := range res.Groups {
 				want[i] = [2]string{fmt.Sprintf("%q", g.Key[0].Bytes), fmt.Sprintf("%#x", math.Float64bits(g.Key[1].Float))}
 			}
-			if _, err := RunSinks(eng, second, sk); err != nil {
+			if _, err := Run(eng, second); err != nil {
 				t.Fatal(err)
 			}
 			for i, g := range res.Groups {

@@ -42,23 +42,19 @@ type Source interface {
 
 // Run executes q by opening the source's scan and driving it through the
 // shared pipeline. This is the single execution entry point behind every
-// engine's Execute method and the DB façade's dispatch.
-func Run(src Source, q Query) (*Result, error) { return RunSinks(src, q, Sinks{}) }
-
-// RunSinks is Run for a statement with ORDER BY / LIMIT sinks: the scan
-// orders and cuts its groups on its group table, boxing only the rows the
-// statement returns. The caller still calls ApplySinks with the same sinks,
-// which charges the sort.
-func RunSinks(src Source, q Query, sk Sinks) (*Result, error) { return runScan(src, q, sk, false) }
+// engine's Execute method and the DB façade's dispatch. The scan orders and
+// cuts its groups under q.Sinks on its group table, boxing only the rows
+// the statement returns; ApplySinks then charges the sort.
+func Run(src Source, q Query) (*Result, error) { return runScan(src, q, false) }
 
 // RunPartial runs q on src as one partition of a gathered run (see
 // Gather): the result carries its fold's unfinished aggregate state in
 // place of Aggs and Groups, which only Gather's merge reads and finishes.
 // The state may live in src's reusable batch scratch, so it holds until
 // src runs again; every partition runs on a source of its own.
-func RunPartial(src Source, q Query) (*Result, error) { return runScan(src, q, Sinks{}, true) }
+func RunPartial(src Source, q Query) (*Result, error) { return runScan(src, q, true) }
 
-func runScan(src Source, q Query, sk Sinks, part bool) (*Result, error) {
+func runScan(src Source, q Query, part bool) (*Result, error) {
 	sys, tr := src.sysTracer()
 	sp := beginEngineSpan(tr, src.Name(), src.tableLabel())
 	defer tr.End()
@@ -70,7 +66,6 @@ func runScan(src Source, q Query, sk Sinks, part bool) (*Result, error) {
 	s.sys = sys
 	s.tracer = tr
 	s.sp = sp
-	s.sinks = sk
 	s.part = part
 	if s.rewritten != nil {
 		q = *s.rewritten
@@ -158,11 +153,9 @@ type scan struct {
 
 	sch *geometry.Schema
 
-	// sinks are the statement's ORDER BY / LIMIT, finished on the scan's
-	// group table (empty when the caller applies them); part keeps the
-	// fold unfinished instead, for a partition's merge (RunPartial).
-	sinks Sinks
-	part  bool
+	// part keeps the fold unfinished, for a partition's merge
+	// (RunPartial).
+	part bool
 
 	// rewritten, when set, is the query the pipeline runs in place of the
 	// one the source was opened with (see countOverNarrowest).
@@ -270,7 +263,7 @@ func offloadProgram(q Query) (*fabric.Offload, bool) {
 // (finishAggs), so the Result is bit-identical to a CPU-side execution of
 // the same query. It leaves no partial state: the fabric finalizes an
 // ungrouped program itself, so an offloaded scan is never a partition.
-func (s *scan) runOffload(ev *fabric.Ephemeral, off *fabric.Offload, terms []AggTerm) (*Result, error) {
+func (s *scan) runOffload(ev *fabric.Ephemeral, off *fabric.Offload, q Query) (*Result, error) {
 	sys, sp := s.sys, s.sp
 	memStart := sys.Mem.Stats()
 	hierStart := sys.Hier.Stats()
@@ -289,7 +282,7 @@ func (s *scan) runOffload(ev *fabric.Ephemeral, off *fabric.Offload, terms []Agg
 	if !off.Grouped() {
 		res.Aggs = or.Values
 	} else {
-		res.finishAggs(aggOut{groups: or.Groups}, terms, s.sinks, false)
+		res.finishAggs(aggOut{groups: or.Groups}, q, false)
 	}
 	sp.SetAttr("offload", off.Describe())
 	res.Breakdown = pipelineBreakdown(sys, memStart, hierStart, 0, or.ProducerCycles, or.ProducerCycles, uint64(or.ResultBytes))

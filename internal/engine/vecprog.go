@@ -720,9 +720,9 @@ func (p *scanProg) slotIndex(col int) int32 {
 
 // result builds the run's Result, finishing its fold (finishAggs) under the
 // statement's sinks, or keeping it for a partition's merge.
-func (s *scanScratch) result(name string, q Query, acc *vecAcc, scanned int64, sk Sinks, part bool) *Result {
+func (s *scanScratch) result(name string, q Query, acc *vecAcc, scanned int64, part bool) *Result {
 	r := &Result{Engine: name, RowsScanned: scanned, RowsPassed: acc.passed, Checksum: acc.checksum}
-	r.finishAggs(acc.out, q.Aggregates, sk, part)
+	r.finishAggs(acc.out, q, part)
 	return r
 }
 

@@ -161,9 +161,8 @@ WHERE l_shipdate >= DATE '1996-06-01' GROUP BY l_suppkey ORDER BY 2 DESC LIMIT 1
 // BenchmarkGroupByWallclock measures hash GROUP BY on the scalar and batch
 // pipelines: the Q1-class query (4 groups, derived aggregates) and the
 // top-N query (~10k groups, sort and limit sinks), on ROW, RM, and COL. The
-// sinks run as the façade runs them: the batch pipeline finishes them on
-// its group table, the scalar pipeline's boxed groups go through
-// ApplySinks.
+// sinks run as the façade runs them: both pipelines finish them on their
+// group table, and ApplySinks charges the sort.
 func BenchmarkGroupByWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
@@ -179,15 +178,14 @@ func BenchmarkGroupByWallclock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	topN, topNSinks, err := engine.FromPlan(root)
+	topN, _, err := engine.FromPlan(root)
 	if err != nil {
 		b.Fatal(err)
 	}
 	queries := []struct {
-		name  string
-		q     engine.Query
-		sinks engine.Sinks
-	}{{"q1", compileBench(b, tpch.Q1SQL), engine.Sinks{}}, {"top-n", topN, topNSinks}}
+		name string
+		q    engine.Query
+	}{{"q1", compileBench(b, tpch.Q1SQL)}, {"top-n", topN}}
 	engines := []struct {
 		name  string
 		build func(forceScalar bool) engine.Source
@@ -210,11 +208,11 @@ func BenchmarkGroupByWallclock(b *testing.B) {
 						b.StopTimer()
 						sys.ResetState()
 						b.StartTimer()
-						res, err := engine.RunSinks(eng, qc.q, qc.sinks)
+						res, err := engine.Run(eng, qc.q)
 						if err != nil {
 							b.Fatal(err)
 						}
-						engine.ApplySinks(res, qc.sinks)
+						engine.ApplySinks(res, qc.q.Sinks)
 					}
 				})
 			}
@@ -238,7 +236,7 @@ func BenchmarkGroupFinishWallclock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, all, err := engine.FromPlan(root)
+	q, _, err := engine.FromPlan(root)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,18 +244,18 @@ func BenchmarkGroupFinishWallclock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	groups := len(engine.FinishPartial(part, q.Aggregates, engine.Sinks{}).Groups)
-	top := all
-	top.Limit, top.HasLimit = 10, true
+	groups := len(engine.FinishPartial(part, q).Groups)
+	top := q
+	top.Sinks.Limit, top.Sinks.HasLimit = 10, true
 	for _, c := range []struct {
 		name string
-		sk   engine.Sinks
+		q    engine.Query
 		rows int
-	}{{"order-by", all, groups}, {"top-10", top, 10}} {
+	}{{"order-by", q, groups}, {"top-10", top, 10}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res := engine.FinishPartial(part, q.Aggregates, c.sk); len(res.Groups) != c.rows {
+				if res := engine.FinishPartial(part, c.q); len(res.Groups) != c.rows {
 					b.Fatalf("%d rows, want %d", len(res.Groups), c.rows)
 				}
 			}

@@ -114,8 +114,8 @@ func (l *lab) builds(jp *engine.JoinPlan, path access) []engine.Source {
 }
 
 // run executes a lowered plan from cold state — a single-table plan through
-// engine.RunSinks, a join through JoinExec — with every side read through
-// path, its sinks finished as the façade finishes them.
+// engine.Run, a join through JoinExec — with every side read through path,
+// its sinks finished and charged as the façade does.
 func (l *lab) run(root *plan.Node, path access) (*engine.Result, error) {
 	var src engine.Source
 	var exec func() (*engine.Result, error)
@@ -126,14 +126,14 @@ func (l *lab) run(root *plan.Node, path access) (*engine.Result, error) {
 			return nil, err
 		}
 		src, sk = path(l.table(jp.Probe.Table)), s
-		exec = (&engine.JoinExec{Plan: jp, Probe: src, Builds: l.builds(jp, path), Sinks: sk}).Execute
+		exec = (&engine.JoinExec{Plan: jp, Probe: src, Builds: l.builds(jp, path)}).Execute
 	} else {
 		q, s, err := engine.FromPlan(root)
 		if err != nil {
 			return nil, err
 		}
 		src, sk = path(l.table(root.Scan().Table)), s
-		exec = func() (*engine.Result, error) { return engine.RunSinks(src, q, sk) }
+		exec = func() (*engine.Result, error) { return engine.Run(src, q) }
 	}
 	l.sys.ResetState()
 	r, err := exec()

@@ -171,8 +171,9 @@ func (t *Table) prune(lo, hi int64) []int {
 }
 
 // Execute compiles a single-table SQL statement over the sharded table and
-// runs it (see execute). JOIN statements and ORDER BY / LIMIT sinks are
-// rejected: the coordinator merges partial scans and aggregates only.
+// runs it (see execute). The merge finishes ORDER BY / LIMIT, and
+// ApplySinks charges their sort. JOIN statements are rejected: the
+// coordinator merges partial scans and aggregates only.
 func (t *Table) Execute(text string) (*engine.Result, error) {
 	st, err := sql.Parse(text)
 	if err != nil {
@@ -192,10 +193,12 @@ func (t *Table) Execute(text string) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !sk.Empty() {
-		return nil, errors.New("shard: ORDER BY and LIMIT are not supported")
+	res, err := t.execute(q)
+	if err != nil {
+		return nil, err
 	}
-	return t.execute(q)
+	engine.ApplySinks(res, sk)
+	return res, nil
 }
 
 // execute runs the query on the RM path of every shard the selection cannot

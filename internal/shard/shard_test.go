@@ -8,6 +8,7 @@ import (
 	"rfabric/internal/engine"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
+	"rfabric/internal/plan"
 	"rfabric/internal/table"
 )
 
@@ -559,8 +560,6 @@ func TestExecuteSQL(t *testing.T) {
 	}
 	for _, c := range []struct{ query, wantErr string }{
 		{"SELECT id FROM t JOIN u ON id = uid", "JOIN"},
-		{"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp", "ORDER BY"},
-		{"SELECT grp, COUNT(*) FROM t GROUP BY grp LIMIT 2", "LIMIT"},
 		{"SELECT id FROM other", `"other"`},
 		{"SELECT nope FROM t", "unknown column"},
 		{"SELECT id FROM", "expected table name"},
@@ -568,5 +567,41 @@ func TestExecuteSQL(t *testing.T) {
 		if _, err := st.Execute(c.query); err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("Execute(%q) error = %v, want substring %q", c.query, err, c.wantErr)
 		}
+	}
+}
+
+// TestShardedSinksBoxOnlyReturnedRows: the merge finishes the statement's
+// ORDER BY / LIMIT on the merged group table, so before ApplySinks a
+// sharded result holds at most LIMIT of its 1,000 groups, ordered by the
+// sort key; Execute then only adds the sort charge.
+func TestShardedSinksBoxOnlyReturnedRows(t *testing.T) {
+	st := newSharded(t, 2000)
+	q := engine.Query{
+		GroupBy:    []int{0},
+		Aggregates: []engine.AggTerm{{Kind: expr.Count}, {Kind: expr.Sum, Arg: expr.ColRef{Col: 2}}},
+		Sinks:      engine.Sinks{Keys: []plan.SortKey{{Key: -1, Agg: 1, Desc: true}}, Limit: 10, HasLimit: true},
+	}
+	res, err := st.execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Morsels != 4 || len(res.Groups) != 10 {
+		t.Fatalf("%d shards, %d groups; want 4 shards and the LIMIT's 10 groups", res.Morsels, len(res.Groups))
+	}
+	for i := 1; i < len(res.Groups); i++ {
+		if res.Groups[i-1].Aggs[1].Float < res.Groups[i].Aggs[1].Float {
+			t.Fatalf("groups %d and %d out of SUM DESC order: %v, %v", i-1, i, res.Groups[i-1].Aggs[1], res.Groups[i].Aggs[1])
+		}
+	}
+	before := res.Breakdown.TotalCycles
+	got, err := st.Execute("SELECT id, COUNT(*), SUM(amount) FROM t GROUP BY id ORDER BY 3 DESC LIMIT 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.EquivalentTo(res, 0); err != nil {
+		t.Errorf("SQL entry diverges from the query entry: %v", err)
+	}
+	if sort := engine.ApplySinks(res, q.Sinks); got.Breakdown.TotalCycles != before+sort || sort == 0 {
+		t.Errorf("Execute's total %d, want the merge's %d plus the sort charge %d", got.Breakdown.TotalCycles, before, sort)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
+	"sort"
 	"strings"
 	"testing"
 
@@ -81,11 +83,11 @@ var sinkStatements = []string{
 	"SELECT o_orderdate, COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderdate ORDER BY 2 DESC LIMIT 5",
 }
 
-// TestPipelineSinksMatchApplySinks holds the batch pipeline's ORDER BY /
-// LIMIT finisher to what it replaced: on every path, each statement's rows,
-// their order and their Breakdown, and the traced sink span's cycles,
-// equal a run of the same engine without pushed sinks followed by
-// ApplySinks over the full group list. Two databases run the statements in
+// TestPipelineSinksMatchApplySinks holds every path's ORDER BY / LIMIT
+// finisher to a reference: on every path, each statement's rows, their
+// order and their Breakdown, and the traced sink span's cycles, equal a run
+// of the same engine without sinks followed by a stable sort of the full
+// group list and the cut (stableSinks). Two databases run the statements in
 // lockstep, so each run starts from the same simulated machine state. The
 // single-table statements sum exact values, so every path must also return
 // ROW's rows bit for bit — PAR among them, whose merge finishes the
@@ -127,8 +129,9 @@ func TestPipelineSinksMatchApplySinks(t *testing.T) {
 	}
 }
 
-// unpushedSinks runs text on kind with no sinks handed to the engine, then
-// ApplySinks over the full group list, returning its sort charge.
+// unpushedSinks runs text on kind with the sinks cleared from its query,
+// then the reference sinks (stableSinks) over the full group list,
+// returning their sort charge.
 func unpushedSinks(db *DB, kind EngineKind, text string) (*Result, uint64, error) {
 	s, err := db.compile(text, nil)
 	if err != nil {
@@ -136,14 +139,121 @@ func unpushedSinks(db *DB, kind EngineKind, text string) (*Result, uint64, error
 	}
 	var res *Result
 	if s.jp != nil {
-		res, err = db.executeJoin(kind, s.t, s.jp, engine.Sinks{}, nil)
+		s.jp.Consume.Sinks = engine.Sinks{}
+		res, err = db.executeJoin(kind, s.t, s.jp, nil)
 	} else {
-		res, err = db.execute(kind, s.t, s.q, engine.Sinks{}, nil, nil)
+		s.q.Sinks = engine.Sinks{}
+		res, err = db.execute(kind, s.t, s.q, nil, nil)
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	return res, engine.ApplySinks(res, s.sk), nil
+	return res, stableSinks(res, s.sk), nil
+}
+
+// stableSinks is the reference for a statement's sinks over a result run
+// without them, whose groups are in the canonical order: a stable sort by
+// the sort keys' boxed values (Value.Compare, negated for DESC), the cut at
+// the limit, and the n·⌈log₂n⌉·SortCmpCycles charge over the n groups
+// before the cut, added to the breakdown and returned.
+func stableSinks(res *Result, sk engine.Sinks) uint64 {
+	rows := res.Groups
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := &rows[i], &rows[j]
+		for _, k := range sk.Keys {
+			var c int
+			if k.Key >= 0 {
+				c = a.Key[k.Key].Compare(b.Key[k.Key])
+			} else {
+				c = a.Aggs[k.Agg].Compare(b.Aggs[k.Agg])
+			}
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	n := len(rows)
+	if sk.HasLimit && int64(n) > sk.Limit {
+		res.Groups = rows[:sk.Limit]
+	}
+	if len(sk.Keys) == 0 || n < 2 {
+		return 0
+	}
+	cycles := uint64(n) * uint64(bits.Len(uint(n-1))) * engine.SortCmpCycles
+	res.Breakdown.ComputeCycles += cycles
+	res.Breakdown.TotalCycles += cycles
+	return cycles
+}
+
+// TestSinkStatementsPlanOfRoundTrip: for every single-table statement of
+// sinkStatements, the plan chain a traced run renders and stamps — PlanOf
+// over the compiled query, sinks included — is the lowered plan.
+func TestSinkStatementsPlanOfRoundTrip(t *testing.T) {
+	db := sinkDB(t)
+	for _, text := range sinkStatements {
+		s, err := db.compile(text, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		if s.jp != nil {
+			continue
+		}
+		sch := s.t.tbl.Schema()
+		if got, want := s.tree().Explain(sch), s.root.Explain(sch); got != want {
+			t.Errorf("%q: PlanOf(FromPlan) renders\n%s\nwant\n%s", text, got, want)
+		}
+	}
+}
+
+// TestPartitionedSinksBoxOnlyReturnedRows: PAR's merge finishes the
+// statement's sinks on the merged group table, so a PAR scan and a PAR
+// join hold at most LIMIT groups before ApplySinks runs, where the same
+// statements without LIMIT return more groups than that.
+func TestPartitionedSinksBoxOnlyReturnedRows(t *testing.T) {
+	db := tpchDB(t, 24000)
+	for _, c := range []struct {
+		text  string
+		limit int
+	}{
+		{"SELECT l_suppkey, SUM(l_extendedprice), COUNT(*) FROM lineitem GROUP BY l_suppkey ORDER BY 2 DESC LIMIT 10", 10},
+		{tpch.Q3SQL + " ORDER BY 2 DESC LIMIT 5", 5},
+	} {
+		s, err := db.compile(c.text, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", c.text, err)
+		}
+		run := func() *Result {
+			var res *Result
+			if s.jp != nil {
+				res, err = db.executeJoin(PAR, s.t, s.jp, nil)
+			} else {
+				res, err = db.execute(PAR, s.t, s.q, nil, nil)
+			}
+			if err != nil {
+				t.Fatalf("PAR %q: %v", c.text, err)
+			}
+			return res
+		}
+		res := run()
+		if res.Morsels < 2 {
+			t.Fatalf("PAR %q ran %d morsels; the merge needs several", c.text, res.Morsels)
+		}
+		if len(res.Groups) > c.limit {
+			t.Errorf("PAR %q boxed %d groups under LIMIT %d", c.text, len(res.Groups), c.limit)
+		}
+		if s.jp != nil {
+			s.jp.Consume.Sinks.HasLimit = false
+		} else {
+			s.q.Sinks.HasLimit = false
+		}
+		if all := run(); len(all.Groups) <= c.limit {
+			t.Fatalf("PAR %q without LIMIT returned %d groups; the check needs more than %d", c.text, len(all.Groups), c.limit)
+		}
+	}
 }
 
 // sameResult compares two results field by field, values bit for bit (so
@@ -187,4 +297,67 @@ func sameValues(a, b []Value) bool {
 		}
 	}
 	return true
+}
+
+// TestShardedSinksMatchROW: a sharded table's merge finishes ORDER BY /
+// LIMIT, so four shards over lineitem return the same groups, in the same
+// order and bit for bit, as a ROW façade database over the same rows: a
+// top-10, LIMIT 0, and an ORDER BY without LIMIT. SUM(l_quantity) sums
+// whole numbers, so the merged sums are exact and ties are real.
+func TestShardedSinksMatchROW(t *testing.T) {
+	const rows = 8000
+	db := tpchDB(t, rows)
+	li, err := db.lookup("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := li.tbl
+	sch := tbl.Schema()
+	var maxKey int64
+	for r := 0; r < tbl.NumRows(); r++ {
+		v, err := tbl.Get(r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxKey = max(maxKey, v.Int)
+	}
+	q := maxKey / 4
+	st, err := NewShardedTable("lineitem", sch, 0, []int64{q, 2 * q, 3 * q}, rows, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]Value, sch.NumColumns())
+	for r := 0; r < tbl.NumRows(); r++ {
+		for c := range vals {
+			if vals[c], err = tbl.Get(r, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Insert(vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const grouped = "SELECT l_suppkey, SUM(l_quantity), COUNT(*) FROM lineitem GROUP BY l_suppkey ORDER BY 2 DESC"
+	for _, c := range []struct {
+		text string
+		rows int // -1: every group
+	}{{grouped + " LIMIT 10", 10}, {grouped + " LIMIT 0", 0}, {grouped, -1}} {
+		want, err := db.QueryOn(ROW, c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Execute(c.text)
+		if err != nil {
+			t.Fatalf("sharded %q: %v", c.text, err)
+		}
+		if got.Morsels != 4 {
+			t.Errorf("sharded %q touched %d shards, want 4", c.text, got.Morsels)
+		}
+		if c.rows >= 0 && len(got.Groups) != c.rows || c.rows < 0 && len(got.Groups) <= 10 {
+			t.Errorf("sharded %q returned %d groups", c.text, len(got.Groups))
+		}
+		if err := sameGroups(got.Groups, want.Groups); err != nil {
+			t.Errorf("sharded %q differs from ROW: %v", c.text, err)
+		}
+	}
 }
