@@ -25,13 +25,13 @@ type ColEngine struct {
 	// that reconcile with the Breakdown. Nil means no tracing overhead.
 	Tracer *obs.Tracer
 
-	// ForceScalar pins execution to the value-at-a-time interpreter. The two
-	// paths charge identical modeled costs; the knob exists for equivalence
-	// tests and wall-clock benchmarks.
+	// ForceScalar is inert: every scan runs on the batch pipeline. The
+	// field stays only because the frozen façade benchmark's shadow
+	// (hostbench) still sets it; ROADMAP item 4 removes its last user.
 	ForceScalar bool
 
 	// scratch is the engine-owned batch workspace, allocated on first
-	// vectorized execution and reused so steady-state scans allocate nothing
+	// execution and reused so steady-state scans allocate nothing
 	// per batch.
 	scratch *scanScratch
 }
@@ -52,7 +52,7 @@ func (e *ColEngine) Execute(q Query) (*Result, error) { return Run(e, q) }
 // bitmap passes (the prepare hook), leaving the pipeline an explicit row-id
 // list (or, without a selection, every row) whose reconstruction touches
 // each consumed column per row.
-func (e *ColEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
+func (e *ColEngine) openScan(q *Query, _ *obs.Span) (*scan, error) {
 	if e.Store == nil || e.Sys == nil {
 		return nil, errors.New("engine: ColEngine needs a column store and a system")
 	}
@@ -69,20 +69,10 @@ func (e *ColEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 
 	store := e.Store
 	rows := store.NumRows()
-	s := &scan{
-		sch:         sch,
-		fetchCycles: VectorOpCycles,
-		tickPerRow:  true,
-		visit:       q.consumedColumns(),
-	}
-
-	// The passes run on the scan's pipeline: as kernels when it runs a batch
-	// program, value by value when it does not.
+	s := &scan{sch: sch, tickPerRow: true}
+	sel := q.Selection
 	s.prepare = func(pr *pipeRun) ([]int32, error) {
-		if s.prog != nil {
-			return colBitmapPasses(pr, e.Sys, s.scratch, store, sch, q.Selection), nil
-		}
-		return colBitmapSelect(pr, e.Sys, store, sch, q.Selection), nil
+		return colBitmapPasses(pr, e.Sys, s.scratch, store, sch, sel), nil
 	}
 	// One segment over the dense column arrays: the qualifying row ids, or
 	// every row when nothing is selected; every source row was scanned by
@@ -94,10 +84,10 @@ func (e *ColEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	s.segs = func(pr *pipeRun) segIter {
 		return oneShotIter(segment{cols: cols, rows: rows, ids: pr.ids, sourceRows: int64(rows)})
 	}
-	if !e.ForceScalar && rows <= vecRowLimit {
-		// Predicates run as bitmap passes outside the program, hence the
-		// empty selection.
-		s.attachVec(q, vecSpec{visit: s.visit, ch: colVecCharges}, &e.scratch)
+	// Predicates run as bitmap passes outside the program, hence the empty
+	// selection; reconstruction touches every consumed column per row.
+	if err := s.attachVec(q, rows, vecSpec{visit: q.consumedColumns(), ch: colVecCharges}, &e.scratch); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

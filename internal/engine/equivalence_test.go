@@ -285,18 +285,18 @@ func joinEquivalenceTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 	runs := []joinRun{
 		{"ROW", func(tr *obs.Tracer) (*Result, error) {
 			return (&JoinExec{Plan: jp,
-				Probe:  &RowEngine{Tbl: probeTbl, Sys: sys, Tracer: tr, ForceScalar: true},
-				Builds: []Source{&RowEngine{Tbl: buildTbl, Sys: sys, Tracer: tr, ForceScalar: true}}}).Execute()
+				Probe:  &RowEngine{Tbl: probeTbl, Sys: sys, Tracer: tr},
+				Builds: []Source{&RowEngine{Tbl: buildTbl, Sys: sys, Tracer: tr}}}).Execute()
 		}},
 		{"RM", func(tr *obs.Tracer) (*Result, error) {
 			return (&JoinExec{Plan: jp,
-				Probe:  &RMEngine{Tbl: probeTbl, Sys: sys, Tracer: tr, ForceScalar: true},
-				Builds: []Source{&RMEngine{Tbl: buildTbl, Sys: sys, Tracer: tr, ForceScalar: true}}}).Execute()
+				Probe:  &RMEngine{Tbl: probeTbl, Sys: sys, Tracer: tr},
+				Builds: []Source{&RMEngine{Tbl: buildTbl, Sys: sys, Tracer: tr}}}).Execute()
 		}},
 		{"PAR", func(tr *obs.Tracer) (*Result, error) {
 			return (&ParallelJoinExec{Plan: jp, ProbeTbl: probeTbl, Sys: sys,
 				Par:    ParallelConfig{Workers: workers, MorselRows: morselRows},
-				Builds: []Source{&RMEngine{Tbl: buildTbl, Sys: sys, Tracer: tr, ForceScalar: true}},
+				Builds: []Source{&RMEngine{Tbl: buildTbl, Sys: sys, Tracer: tr}},
 				Tracer: tr}).Execute()
 		}},
 	}
@@ -311,8 +311,8 @@ func joinEquivalenceTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 		}
 		runs = append(runs, joinRun{"COL", func(tr *obs.Tracer) (*Result, error) {
 			return (&JoinExec{Plan: jp,
-				Probe:  &ColEngine{Store: probeStore, Sys: sys, Tracer: tr, ForceScalar: true},
-				Builds: []Source{&ColEngine{Store: buildStore, Sys: sys, Tracer: tr, ForceScalar: true}}}).Execute()
+				Probe:  &ColEngine{Store: probeStore, Sys: sys, Tracer: tr},
+				Builds: []Source{&ColEngine{Store: buildStore, Sys: sys, Tracer: tr}}}).Execute()
 		}})
 	}
 

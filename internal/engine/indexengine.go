@@ -111,7 +111,7 @@ func (e *IndexEngine) Execute(q Query) (*Result, error) { return Run(e, q) }
 // heap's addressing, re-checking every predicate for correctness. The
 // candidates form one id-list segment over the strided heap, which the
 // batch executor gathers batch by batch.
-func (e *IndexEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
+func (e *IndexEngine) openScan(q *Query, _ *obs.Span) (*scan, error) {
 	if e.Tbl == nil || e.Sys == nil || e.Idx == nil {
 		return nil, errors.New("engine: IndexEngine needs a table, a system, and an index")
 	}
@@ -132,13 +132,7 @@ func (e *IndexEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	// equal-column predicates may be tighter than [lo,hi] alone — re-check
 	// everything for correctness). No per-row iterator overhead: candidates
 	// arrive as a materialized id list.
-	s := &scan{
-		sch:         sch,
-		predCycles:  PredEvalCycles,
-		fetchCycles: ExtractCycles,
-		tickPerRow:  true,
-		cpuSel:      q.Selection,
-	}
+	s := &scan{sch: sch, tickPerRow: true}
 	if e.Tbl.HasMVCC() {
 		s.mvccTbl = e.Tbl
 	}
@@ -151,8 +145,8 @@ func (e *IndexEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 		return oneShotIter(segment{cols: heapRegions(tbl), ids: pr.ids, sourceRows: int64(len(pr.ids))})
 	}
 
-	if tbl.NumRows() <= vecRowLimit {
-		s.attachVec(q, vecSpec{sel: q.Selection, ch: idxVecCharges}, &e.scratch)
+	if err := s.attachVec(q, tbl.NumRows(), vecSpec{sel: q.Selection, ch: idxVecCharges}, &e.scratch); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -57,8 +57,8 @@ func countJoin(t *testing.T, jp *JoinPlan, probe, build *table.Table, sys *Syste
 	t.Helper()
 	sys.ResetState()
 	res, err := (&JoinExec{Plan: jp,
-		Probe:  &RowEngine{Tbl: probe, Sys: sys, ForceScalar: true},
-		Builds: []Source{&RowEngine{Tbl: build, Sys: sys, ForceScalar: true}}}).Execute()
+		Probe:  &RowEngine{Tbl: probe, Sys: sys},
+		Builds: []Source{&RowEngine{Tbl: build, Sys: sys}}}).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestJoinZeroRowSides(t *testing.T) {
 		sys.ResetState()
 		res, err := (&ParallelJoinExec{Plan: jp, ProbeTbl: probe, Sys: sys,
 			Par:    ParallelConfig{Workers: 3, MorselRows: 8},
-			Builds: []Source{&RMEngine{Tbl: build, Sys: sys, ForceScalar: true}}}).Execute()
+			Builds: []Source{&RMEngine{Tbl: build, Sys: sys}}}).Execute()
 		if err != nil {
 			t.Fatalf("probe=%d build=%d: PAR: %v", tc.probeRows, tc.buildRows, err)
 		}
@@ -275,16 +275,16 @@ func TestJoinHTAPStress(t *testing.T) {
 				if parallel {
 					res, err = (&ParallelJoinExec{Plan: jp, ProbeTbl: probe, Sys: sys,
 						Par:    ParallelConfig{Workers: 3, MorselRows: 32},
-						Builds: []Source{&RMEngine{Tbl: build, Sys: sys, ForceScalar: true}}}).Execute()
+						Builds: []Source{&RMEngine{Tbl: build, Sys: sys}}}).Execute()
 				} else {
 					res, err = (&JoinExec{Plan: jp,
-						Probe:  &RowEngine{Tbl: probe, Sys: sys, ForceScalar: true},
-						Builds: []Source{&RowEngine{Tbl: build, Sys: sys, ForceScalar: true}}}).Execute()
+						Probe:  &RowEngine{Tbl: probe, Sys: sys},
+						Builds: []Source{&RowEngine{Tbl: build, Sys: sys}}}).Execute()
 				}
 				if err != nil {
 					return err
 				}
-				visible, err := Run(&RowEngine{Tbl: probe, Sys: sys, ForceScalar: true}, Query{
+				visible, err := Run(&RowEngine{Tbl: probe, Sys: sys}, Query{
 					Aggregates: []AggTerm{{Kind: expr.Count, Arg: expr.ColRef{Col: 0}}},
 					Snapshot:   &snap,
 				})

@@ -12,7 +12,6 @@ import (
 	"rfabric/internal/obs"
 	"rfabric/internal/plan"
 	"rfabric/internal/table"
-	"rfabric/internal/vec"
 )
 
 // Join execution over the shared pipeline. A plan.Node join tree lowers to
@@ -103,22 +102,6 @@ func keyFamily(t geometry.ColumnType) int {
 		return 2
 	default:
 		return 0
-	}
-}
-
-// joinKeyTo appends v's canonical join-key encoding, or reports false when
-// the value can never match (NaN, per SQL equality). The encoding is the
-// one the batch join's vec.JoinTable indexes: integral values by value,
-// floats by bits with -0 normalized to +0, CHAR by trailing-NUL-trimmed
-// bytes (embedded NULs are significant).
-func joinKeyTo(dst []byte, v table.Value) ([]byte, bool) {
-	switch v.Type {
-	case geometry.Float64:
-		return vec.AppendJoinKeyF64(dst, v.Float)
-	case geometry.Char:
-		return vec.AppendJoinKeyChar(dst, v.Bytes), true
-	default:
-		return vec.AppendJoinKeyI64(dst, v.Int), true
 	}
 }
 
@@ -334,7 +317,7 @@ func buildJoinTables(p *JoinPlan, builds []Source) ([]*joinBuild, []*Result, err
 			return nil, nil, fmt.Errorf("engine: stage %d build key %d missing from side projection", k, stage.BuildKey)
 		}
 		tbl := newJoinBuild(p.Schema, p.Offsets[k+1], proj, keySlot)
-		res, err := runJoinSide(builds[k], stage.Side.Query, fmt.Sprintf("build[%d]", k), tbl)
+		res, err := runJoinSide(builds[k], &stage.Side.Query, fmt.Sprintf("build[%d]", k), tbl)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -414,7 +397,7 @@ func (e *JoinExec) Execute() (*Result, error) {
 	}
 
 	probe := newJoinProbe(p, tables)
-	probeRes, err := runJoinSide(e.Probe, p.Probe.Query, "probe", probe)
+	probeRes, err := runJoinSide(e.Probe, &p.Probe.Query, "probe", probe)
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +516,7 @@ func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin,
 	}
 	src := &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, Offload: e.Offload, SemiJoin: semi}
 	probe := newJoinProbe(e.Plan, tables)
-	probeRes, err := runJoinSide(src, e.Plan.Probe.Query, "probe", probe)
+	probeRes, err := runJoinSide(src, &e.Plan.Probe.Query, "probe", probe)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -101,8 +101,8 @@ func materialize(tbl *table.Table) [][]table.Value {
 }
 
 // referenceJoin nested-loops the join plan over materialized tables and
-// folds the matches through the same consumer the engines use, producing
-// the ground-truth Result shape.
+// folds the matches with refFold, producing the ground-truth Result shape
+// (the plan's sinks are not applied).
 func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value) *Result {
 	passes := func(row []table.Value, sel expr.Conjunction) bool {
 		for _, pr := range sel {
@@ -112,17 +112,11 @@ func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value
 		}
 		return true
 	}
-	match := func(a, b table.Value) bool {
-		ka, okA := joinKeyTo(nil, a)
-		kb, okB := joinKeyTo(nil, b)
-		return okA && okB && string(ka) == string(kb)
-	}
-	var fold uint64
-	cons := newConsumer(p.Consume, p.Schema, &fold)
+	var matches [][]table.Value
 	var descend func(stage int, combined []table.Value)
 	descend = func(stage int, combined []table.Value) {
 		if stage == len(p.Stages) {
-			cons.consumeRow(func(c int) table.Value { return combined[c] })
+			matches = append(matches, combined)
 			return
 		}
 		st := p.Stages[stage]
@@ -130,7 +124,7 @@ func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value
 			if !passes(brow, st.Side.Query.Selection) {
 				continue
 			}
-			if !match(combined[st.ProbeKey], brow[st.BuildKey]) {
+			if !refKeysMatch(combined[st.ProbeKey], brow[st.BuildKey]) {
 				continue
 			}
 			descend(stage+1, append(combined[:len(combined):len(combined)], brow...))
@@ -142,7 +136,7 @@ func referenceJoin(p *JoinPlan, probe [][]table.Value, builds ...[][]table.Value
 		}
 		descend(0, prow)
 	}
-	return cons.finish("REF", 0, false)
+	return refFold(p.Consume, matches)
 }
 
 // q3ClassPlan builds fact ⋈ dim with a selection on each side and grouped
@@ -178,15 +172,15 @@ func TestJoinExecMatchesReference(t *testing.T) {
 	}
 
 	probes := map[string]func() Source{
-		"ROW": func() Source { return &RowEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true} },
-		"RM":  func() Source { return &RMEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true} },
+		"ROW": func() Source { return &RowEngine{Tbl: f.fact, Sys: f.sys} },
+		"RM":  func() Source { return &RMEngine{Tbl: f.fact, Sys: f.sys} },
 	}
 	for name, mk := range probes {
 		f.sys.ResetState()
 		ex := &JoinExec{
 			Plan:   p,
 			Probe:  mk(),
-			Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}},
+			Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys}},
 		}
 		got, err := ex.Execute()
 		if err != nil {
@@ -208,8 +202,8 @@ func TestJoinExecSpanReconciliation(t *testing.T) {
 	tr := obs.NewTracer("join")
 	ex := &JoinExec{
 		Plan:   p,
-		Probe:  &RowEngine{Tbl: f.fact, Sys: f.sys, Tracer: tr, ForceScalar: true},
-		Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, Tracer: tr, ForceScalar: true}},
+		Probe:  &RowEngine{Tbl: f.fact, Sys: f.sys, Tracer: tr},
+		Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, Tracer: tr}},
 	}
 	res, err := ex.Execute()
 	if err != nil {
@@ -227,8 +221,8 @@ func TestParallelJoinExecMatchesSerial(t *testing.T) {
 	f.sys.ResetState()
 	serial := &JoinExec{
 		Plan:   p,
-		Probe:  &RMEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true},
-		Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}},
+		Probe:  &RMEngine{Tbl: f.fact, Sys: f.sys},
+		Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys}},
 	}
 	want, err := serial.Execute()
 	if err != nil {
@@ -243,7 +237,7 @@ func TestParallelJoinExecMatchesSerial(t *testing.T) {
 			ProbeTbl: f.fact,
 			Sys:      f.sys,
 			Par:      ParallelConfig{Workers: workers, MorselRows: 512},
-			Builds:   []Source{&RMEngine{Tbl: f.dim, Sys: f.sys, Tracer: tr, ForceScalar: true}},
+			Builds:   []Source{&RMEngine{Tbl: f.dim, Sys: f.sys, Tracer: tr}},
 			Tracer:   tr,
 		}
 		got, err := par.Execute()
@@ -268,7 +262,7 @@ func TestParallelJoinExecMatchesSerial(t *testing.T) {
 		f.sys.ResetState()
 		r, err := (&ParallelJoinExec{Plan: p, ProbeTbl: f.fact, Sys: f.sys,
 			Par:    ParallelConfig{Workers: 4, MorselRows: 512},
-			Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}}}).Execute()
+			Builds: []Source{&RMEngine{Tbl: f.dim, Sys: f.sys}}}).Execute()
 		if err != nil {
 			t.Fatal(err)
 		}

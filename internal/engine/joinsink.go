@@ -5,27 +5,22 @@ import (
 	"slices"
 
 	"rfabric/internal/geometry"
-	"rfabric/internal/table"
 	"rfabric/internal/vec"
 )
 
 // Join sides stream through the shared pipeline with a sink in place of the
-// consumer. A side whose source compiled a batch program recompiles its pass
-// outcomes for the sink and runs on the batch pipeline; a scalar side (the
-// ForceScalar knob, or a shape the batch path cannot compile) hands the
-// sink one row at a time. Both drivers of a sink charge exactly what the
-// scalar join always charged, and build the same columnar hash tables, so
-// any mix of batched and scalar sides produces the same Result, Breakdown,
-// and hierarchy trajectory.
+// consumption: each side recompiles its scan's pass outcomes for its sink.
+// A build row charges HashBuildCycles and touches the side projection in
+// order. A probe row charges HashProbeCycles per stage it visits, touches
+// each stage's probe-side key in stage order up to the deepest stage it
+// reaches, and, per full match, the consumption's probe-side columns
+// (build-side values cost no load) and its fold charge.
 
 // sideSink consumes a join side's qualifying rows in place of the scan's
-// consumer.
+// consumption.
 type sideSink interface {
-	// passes returns the pass outcomes a surviving row can finish with on
-	// the batch pipeline; ok is false when the sink can only run scalar.
-	passes() ([]passOutcome, bool)
-	// row takes one row from the scalar pipeline.
-	row(pr *pipeRun, fetch func(col int) table.Value)
+	// passes returns the pass outcomes a surviving row can finish with.
+	passes() []passOutcome
 	// batch takes one batch's surviving selection from the batch pipeline,
 	// before the charge replay: it may set a row's outcome index in
 	// sc.fail[i] and its extra compute in sc.extra[i].
@@ -35,7 +30,7 @@ type sideSink interface {
 // runJoinSide streams one join side through the pipeline into sink. The
 // side's span and breakdown close like any scan's, so join phases reconcile
 // side by side.
-func runJoinSide(src Source, q Query, label string, sink sideSink) (*Result, error) {
+func runJoinSide(src Source, q *Query, label string, sink sideSink) (*Result, error) {
 	sys, tr := src.sysTracer()
 	sp := tr.Begin(label)
 	sp.SetAttr("engine", src.Name())
@@ -50,14 +45,7 @@ func runJoinSide(src Source, q Query, label string, sink sideSink) (*Result, err
 	if s.direct != nil {
 		return nil, errors.New("engine: join side requires a pipeline scan (the source computed its result directly)")
 	}
-	if s.prog != nil {
-		s.prog = nil
-		if passes, ok := sink.passes(); ok {
-			// Compilation fails only on a consumption shape, which a sink
-			// program does not have.
-			s.prog, _ = compileScanProg(q, s.sch, s.spec, passes)
-		}
-	}
+	s.prog = compileScanProg(q, s.sch, s.spec, sink.passes())
 	s.name = src.Name()
 	s.sys = sys
 	s.tracer = tr
@@ -78,16 +66,15 @@ type joinBuild struct {
 	tbl  vec.JoinTable
 
 	keyBuf []byte
-	vals   []table.Value // scalar rows' fetched projection
-	prog   *scanProg     // the batch program slots resolves against
-	slots  []int32       // batch rows' slot per proj entry
-	ins    []int32       // batch positions inserted
+	prog   *scanProg // the batch program slots resolves against
+	slots  []int32   // batch rows' slot per proj entry
+	ins    []int32   // batch positions inserted
 }
 
 // newJoinBuild readies the sink for a build side whose projection proj
 // indexes the side's table, found at offset off of the combined schema.
 func newJoinBuild(combined *geometry.Schema, off int, proj []int, key int) *joinBuild {
-	b := &joinBuild{proj: proj, key: key, cols: make([]valueCol, len(proj)), vals: make([]table.Value, len(proj))}
+	b := &joinBuild{proj: proj, key: key, cols: make([]valueCol, len(proj))}
 	for i, c := range proj {
 		col := combined.Column(off + c)
 		b.cols[i] = valueCol{typ: col.Type, width: col.Width}
@@ -95,24 +82,8 @@ func newJoinBuild(combined *geometry.Schema, off int, proj []int, key int) *join
 	return b
 }
 
-func (b *joinBuild) passes() ([]passOutcome, bool) {
-	return []passOutcome{{cols: b.proj, charge: HashBuildCycles}}, true
-}
-
-func (b *joinBuild) row(pr *pipeRun, fetch func(col int) table.Value) {
-	pr.compute += HashBuildCycles
-	for i, c := range b.proj {
-		b.vals[i] = fetch(c)
-	}
-	var ok bool
-	b.keyBuf, ok = joinKeyTo(b.keyBuf[:0], b.vals[b.key])
-	if !ok {
-		return // NaN keys never match
-	}
-	b.tbl.Insert(b.keyBuf)
-	for i := range b.cols {
-		b.cols[i].append(b.vals[i])
-	}
+func (b *joinBuild) passes() []passOutcome {
+	return []passOutcome{{cols: b.proj, charge: HashBuildCycles}}
 }
 
 func (b *joinBuild) batch(sc *scanScratch, prog *scanProg, sel []int32) {
@@ -138,20 +109,19 @@ func (b *joinBuild) batch(sc *scanScratch, prog *scanProg, sel []int32) {
 	}
 }
 
-// joinProbe is the probe side's sink. Each probe row walks the stages in
-// the scalar descend order — stage k looks its key up in build k and
-// recurses into every match, in insertion order — and every fully matched
-// combined row folds into the join's consumption: row by row through a
-// consumer on the scalar pipeline, batch by batch through the hash-group,
-// aggregate, and checksum kernels on the batch pipeline.
+// joinProbe is the probe side's sink. Each probe row walks the stages
+// depth first — stage k looks its key up in build k and recurses into
+// every match, in insertion order — and every fully matched combined row
+// folds into the join's consumption, batch by batch through the
+// hash-group, aggregate, and checksum kernels.
 //
-// The charges are the scalar prober's: HashProbeCycles per stage visit and
-// the consumer's fold charge per full match, plus the probe row's first
-// touches. Those touches depend only on the deepest stage the row reached —
-// stage keys first-touch in stage order, consumed probe columns only after
-// a full match, build-side values cost no load — so the batch program has
-// one pass outcome per reached depth (passes), and the batch sink records
-// each row's depth and its probe and match counts for the charge replay.
+// The charges are HashProbeCycles per stage visit and the consumption's
+// fold charge per full match, plus the probe row's first touches. Those
+// touches depend only on the deepest stage the row reached — stage keys
+// first-touch in stage order, consumed probe columns only after a full
+// match, build-side values cost no load — so the program has one pass
+// outcome per reached depth (passes), and the sink records each row's
+// depth and its probe and match counts for the charge replay.
 type joinProbe struct {
 	p       *JoinPlan
 	builds  []*joinBuild
@@ -160,14 +130,7 @@ type joinProbe struct {
 	cur     []int32 // the current entry of every stage
 	keyBuf  []byte
 
-	// Scalar rows.
-	cons     *consumer
-	fold     uint64
-	pr       *pipeRun
-	fetch    func(col int) table.Value
-	combined func(col int) table.Value
-
-	// Batch rows: cprog consumes combined rows over the plan's schema from
+	// cprog consumes combined rows over the plan's schema from
 	// csc's lanes into acc; each cprog slot is filled from a probe lane or
 	// a build column (srcs). Pending combined rows are a probe batch
 	// position plus one entry per stage.
@@ -206,35 +169,30 @@ type stageKey struct {
 func newJoinProbe(p *JoinPlan, builds []*joinBuild) *joinProbe {
 	colSide, colSlot := p.layout()
 	j := &joinProbe{p: p, builds: builds, colSide: colSide, colSlot: colSlot, cur: make([]int32, len(p.Stages))}
-	j.cons = newConsumer(p.Consume, p.Schema, &j.fold)
-	j.combined = j.combinedValue
-	if cprog, ok := compileScanProg(p.Consume, p.Schema, vecSpec{}, nil); ok {
-		j.cprog = cprog
-		_, j.foldCharge = consumeTouches(p.Consume)
-		for _, sl := range cprog.slots {
-			s := colSide[sl.col]
-			j.srcs = append(j.srcs, combinedSrc{stage: s - 1, col: colSlot[sl.col]})
-		}
-		j.keys = make([]stageKey, len(p.Stages))
-		for k, st := range p.Stages {
-			sk := stageKey{stage: colSide[st.ProbeKey] - 1}
-			if sk.stage >= 0 {
-				sk.col = builds[sk.stage].cols[colSlot[st.ProbeKey]].keyCol()
-			}
-			j.keys[k] = sk
-		}
-		j.ents = make([][]int32, len(p.Stages))
+	j.cprog = compileScanProg(&p.Consume, p.Schema, vecSpec{}, nil)
+	j.csc.ensure(j.cprog)
+	j.acc = j.csc.begin(j.cprog)
+	_, j.foldCharge = consumeTouches(&p.Consume)
+	for _, sl := range j.cprog.slots {
+		s := colSide[sl.col]
+		j.srcs = append(j.srcs, combinedSrc{stage: s - 1, col: colSlot[sl.col]})
 	}
+	j.keys = make([]stageKey, len(p.Stages))
+	for k, st := range p.Stages {
+		sk := stageKey{stage: colSide[st.ProbeKey] - 1}
+		if sk.stage >= 0 {
+			sk.col = builds[sk.stage].cols[colSlot[st.ProbeKey]].keyCol()
+		}
+		j.keys[k] = sk
+	}
+	j.ents = make([][]int32, len(p.Stages))
 	return j
 }
 
 // passes returns one outcome per reached depth d: stages 0..d's probe-side
 // keys for d below the stage count, every key and then the consumed probe
 // columns for a full match. The probe and fold charges ride in sc.extra.
-func (j *joinProbe) passes() ([]passOutcome, bool) {
-	if j.cprog == nil {
-		return nil, false
-	}
+func (j *joinProbe) passes() []passOutcome {
 	n := len(j.p.Stages)
 	out := make([]passOutcome, n+1)
 	var cols []int
@@ -244,48 +202,14 @@ func (j *joinProbe) passes() ([]passOutcome, bool) {
 		}
 		out[k].cols = slices.Clone(cols)
 	}
-	consumed, _ := consumeTouches(j.p.Consume)
+	consumed, _ := consumeTouches(&j.p.Consume)
 	for _, c := range consumed {
 		if j.colSide[c] == 0 {
 			cols = append(cols, c)
 		}
 	}
 	out[n].cols = cols
-	return out, true
-}
-
-// combinedValue is the scalar consumer's fetch over the combined namespace.
-func (j *joinProbe) combinedValue(col int) table.Value {
-	s := j.colSide[col]
-	if s == 0 {
-		return j.fetch(j.colSlot[col])
-	}
-	return j.builds[s-1].cols[j.colSlot[col]].value(j.cur[s-1])
-}
-
-func (j *joinProbe) row(pr *pipeRun, fetch func(col int) table.Value) {
-	j.pr, j.fetch = pr, fetch
-	j.descendRow(0)
-}
-
-func (j *joinProbe) descendRow(k int) {
-	if k == len(j.p.Stages) {
-		before := j.fold
-		j.cons.consumeRow(j.combined)
-		j.pr.compute += j.fold - before
-		return
-	}
-	j.pr.compute += HashProbeCycles
-	var ok bool
-	j.keyBuf, ok = joinKeyTo(j.keyBuf[:0], j.combined(j.p.Stages[k].ProbeKey))
-	if !ok {
-		return
-	}
-	t := &j.builds[k].tbl
-	for e := t.Find(j.keyBuf); e >= 0; e = t.Next(e) {
-		j.cur[k] = e
-		j.descendRow(k + 1)
-	}
+	return out
 }
 
 func (j *joinProbe) batch(sc *scanScratch, prog *scanProg, sel []int32) {
@@ -308,13 +232,8 @@ func (j *joinProbe) batch(sc *scanScratch, prog *scanProg, sel []int32) {
 	j.flush()
 }
 
-// bind resolves the probe program's slots and readies the batch
-// consumption on the first batch.
+// bind resolves the probe program's slots on the first batch.
 func (j *joinProbe) bind(prog *scanProg) {
-	if j.prog == nil {
-		j.csc.ensure(j.cprog)
-		j.acc = j.csc.begin(j.cprog)
-	}
 	j.prog = prog
 	for k := range j.keys {
 		if sk := &j.keys[k]; sk.stage < 0 {
@@ -328,7 +247,7 @@ func (j *joinProbe) bind(prog *scanProg) {
 	}
 }
 
-// descend is descendRow for probe batch position i: it records the depth,
+// descend walks stage k for probe batch position i: it records the depth,
 // stage visits, and full matches, and queues every combined row.
 func (j *joinProbe) descend(k int, i int32) {
 	j.depth = max(j.depth, k)
@@ -392,12 +311,9 @@ func (j *joinProbe) flush() {
 	}
 }
 
-// result is the join's consumed result — from whichever driver ran —
-// finished under the consume query's sinks, or kept unfinished for a
-// partition's merge (see finishAggs).
+// result is the join's consumed result, finished under the consume
+// query's sinks, or kept unfinished for a partition's merge (see
+// finishAggs).
 func (j *joinProbe) result(name string, scanned int64, part bool) *Result {
-	if j.prog != nil {
-		return j.csc.result(name, j.p.Consume, j.acc, scanned, part)
-	}
-	return j.cons.finish(name, scanned, part)
+	return j.csc.result(name, &j.p.Consume, j.acc, scanned, part)
 }

@@ -16,25 +16,10 @@ import (
 	"rfabric/internal/table"
 )
 
-// The batched join promises the scalar join's modeled execution exactly:
-// the same Result down to float bits, the same Breakdown, the same
-// DRAM/fabric/hierarchy trajectory, the same span tree and timeline. Every
-// comparison runs the scalar join (ForceScalar, or runScalar for IDX) on
-// one system and the batched join on an identically built twin, because RM
-// executions allocate delivery windows from the system arena.
-
-// scalarSource pins a source without a ForceScalar knob (IDX) to the
-// tuple-at-a-time pipeline: its opened scan drops the batch program, the
-// way the pipeline drives any scan whose program is absent.
-type scalarSource struct{ Source }
-
-func (s scalarSource) openScan(q Query, sp *obs.Span) (*scan, error) {
-	sc, err := s.Source.openScan(q, sp)
-	if err == nil {
-		sc.prog = nil
-	}
-	return sc, err
-}
+// The batched join's modeled execution is pinned by the execution goldens
+// (golden_test.go): the Result down to float bits, the Breakdown, the
+// DRAM/fabric/hierarchy counters, the span tree and the timeline of every
+// variant, recorded from the row-at-a-time join the batch sinks replaced.
 
 // joinTwin is one deterministic join fixture: tables by name (the probe
 // table with a B+tree on column 0, which must be integral), their column
@@ -66,7 +51,8 @@ func (f *joinTwin) lower(t *testing.T, idxBound *int64) *JoinPlan {
 	return jp
 }
 
-// twinRun is what one execution leaves behind for comparison.
+// twinRun is what one execution leaves behind for comparison: its Result,
+// its canonical span tree (spansJSON) and its timeline's JSON.
 type twinRun struct {
 	res      *Result
 	spans    string
@@ -81,41 +67,37 @@ const (
 	viaRM      joinVariant = "RM"
 	viaOffload joinVariant = "RM+offload"
 	viaCOL     joinVariant = "COL"
-	viaIDX     joinVariant = "IDX"   // IDX probe, ROW builds
-	viaMixed   joinVariant = "mixed" // scalar RM builds, probe per mode
+	viaIDX     joinVariant = "IDX" // IDX probe, ROW builds
+	// viaMixed runs RM sides like viaRM. Its golden runs were recorded
+	// with the builds on the row-at-a-time path and the probe batched, a
+	// mix whose output every all-batched run must still reproduce.
+	viaMixed joinVariant = "mixed"
 )
 
-// source builds one side's Source on sys for the variant; scalar pins it
-// to the tuple-at-a-time pipeline.
-func (f *joinTwin) source(sys *System, v joinVariant, name string, probe, scalar bool, tr *obs.Tracer) Source {
+// source builds one side's Source on sys for the variant.
+func (f *joinTwin) source(sys *System, v joinVariant, name string, probe bool, tr *obs.Tracer) Source {
 	tbl := f.tables[name]
 	switch v {
 	case viaROW:
-		return &RowEngine{Tbl: tbl, Sys: sys, Tracer: tr, ForceScalar: scalar}
-	case viaRM:
-		return &RMEngine{Tbl: tbl, Sys: sys, Tracer: tr, ForceScalar: scalar}
+		return &RowEngine{Tbl: tbl, Sys: sys, Tracer: tr}
+	case viaRM, viaMixed:
+		return &RMEngine{Tbl: tbl, Sys: sys, Tracer: tr}
 	case viaOffload:
-		return &RMEngine{Tbl: tbl, Sys: sys, Tracer: tr, ForceScalar: scalar, Offload: true}
+		return &RMEngine{Tbl: tbl, Sys: sys, Tracer: tr, Offload: true}
 	case viaCOL:
-		return &ColEngine{Store: f.stores[name], Sys: sys, Tracer: tr, ForceScalar: scalar}
+		return &ColEngine{Store: f.stores[name], Sys: sys, Tracer: tr}
 	case viaIDX:
 		if !probe {
-			return &RowEngine{Tbl: tbl, Sys: sys, Tracer: tr, ForceScalar: scalar}
+			return &RowEngine{Tbl: tbl, Sys: sys, Tracer: tr}
 		}
-		idx := &IndexEngine{Tbl: tbl, Sys: sys, Idx: f.idx, Tracer: tr}
-		if scalar {
-			return scalarSource{idx}
-		}
-		return idx
-	case viaMixed:
-		return &RMEngine{Tbl: tbl, Sys: sys, Tracer: tr, ForceScalar: scalar || !probe}
+		return &IndexEngine{Tbl: tbl, Sys: sys, Idx: f.idx, Tracer: tr}
 	}
 	panic("unknown join variant " + string(v))
 }
 
 // run executes jp once on the twin's system under a fresh tracer and
 // timeline.
-func (f *joinTwin) run(t *testing.T, jp *JoinPlan, v joinVariant, scalar bool) twinRun {
+func (f *joinTwin) run(t *testing.T, jp *JoinPlan, v joinVariant) twinRun {
 	t.Helper()
 	f.sys.ResetState()
 	tr := obs.NewTracer("query")
@@ -123,16 +105,16 @@ func (f *joinTwin) run(t *testing.T, jp *JoinPlan, v joinVariant, scalar bool) t
 	tr.AttachTimeline(tl)
 	f.sys.AttachTimeline(tl)
 	defer f.sys.DetachTimeline()
-	ex := &JoinExec{Plan: jp, Probe: f.source(f.sys, v, jp.Probe.Table, true, scalar, tr)}
+	ex := &JoinExec{Plan: jp, Probe: f.source(f.sys, v, jp.Probe.Table, true, tr)}
 	for _, st := range jp.Stages {
-		ex.Builds = append(ex.Builds, f.source(f.sys, v, st.Side.Table, false, scalar, tr))
+		ex.Builds = append(ex.Builds, f.source(f.sys, v, st.Side.Table, false, tr))
 	}
 	res, err := ex.Execute()
 	if err != nil {
-		t.Fatalf("%s scalar=%v: %v\nplan:\n%s", v, scalar, err, f.root.Explain(nil))
+		t.Fatalf("%s: %v\nplan:\n%s", v, err, f.root.Explain(nil))
 	}
 	tl.Finish(res.Breakdown.TotalCycles)
-	return twinRun{res: res, spans: mustJSON(t, tr.Root()), timeline: mustJSON(t, tl)}
+	return twinRun{res: res, spans: spansJSON(t, tr), timeline: mustJSON(t, tl)}
 }
 
 func mustJSON(t *testing.T, v any) string {
@@ -144,73 +126,56 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// requireTwinMatch compares a scalar run with its batched twin exactly.
-func requireTwinMatch(t *testing.T, name string, scalar, batched twinRun, scalarSys, batchedSys *System) {
+// compareTwins runs every applicable variant of f's join, plus each PAR
+// morsel's probe slice through JoinExec on a System clone, and checks the
+// runs against the subtest's golden entry.
+func compareTwins(t *testing.T, g *goldenFile, f *joinTwin, mvcc bool, morselRows int) {
 	t.Helper()
-	requireExactMatch(t, name, scalar.res, batched.res, scalarSys, batchedSys)
-	if got := batched.res.Breakdown.TotalCycles; scalar.res.Breakdown.TotalCycles != got {
-		t.Fatalf("%s: TotalCycles %d != %d", name, scalar.res.Breakdown.TotalCycles, got)
+	var runs []goldenRun
+	record := func(name string, r twinRun, sys *System) {
+		runs = append(runs, goldenRun{name: name, twinRun: r, hw: sys.HW()})
 	}
-	if scalar.spans != batched.spans {
-		t.Fatalf("%s: span trees differ\nscalar:  %s\nbatched: %s", name, scalar.spans, batched.spans)
-	}
-	if scalar.timeline != batched.timeline {
-		t.Fatalf("%s: timelines differ\nscalar:  %s\nbatched: %s", name, scalar.timeline, batched.timeline)
-	}
-}
-
-// compareTwins runs every applicable variant of the twins' join scalar on
-// a and batched on b, plus each PAR morsel's probe slice through JoinExec
-// on identical System clones.
-func compareTwins(t *testing.T, a, b *joinTwin, mvcc bool, morselRows int) {
-	t.Helper()
 	variants := []joinVariant{viaROW, viaRM, viaOffload, viaMixed}
 	if !mvcc {
 		variants = append(variants, viaCOL)
 	}
 	for _, v := range variants {
-		sa, sb := a.run(t, a.lower(t, nil), v, true), b.run(t, b.lower(t, nil), v, false)
-		requireTwinMatch(t, string(v), sa, sb, a.sys, b.sys)
+		record(string(v), f.run(t, f.lower(t, nil), v), f.sys)
 	}
-	if a.idx != nil {
-		lo, _ := a.idx.KeyRange()
+	if f.idx != nil {
+		lo, _ := f.idx.KeyRange()
 		bound := lo + 1
-		sa, sb := a.run(t, a.lower(t, &bound), viaIDX, true), b.run(t, b.lower(t, &bound), viaIDX, false)
-		requireTwinMatch(t, string(viaIDX), sa, sb, a.sys, b.sys)
+		record(string(viaIDX), f.run(t, f.lower(t, &bound), viaIDX), f.sys)
 	}
 
-	probe := a.tables[a.probe]
+	probe := f.tables[f.probe]
 	for i, lo := 0, 0; ; i, lo = i+1, lo+morselRows {
 		hi := min(lo+morselRows, probe.NumRows())
-		morsel := func(f *joinTwin, scalar bool) (twinRun, *System) {
-			f.sys.ResetState()
-			sys, err := f.sys.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			slice, err := f.tables[f.probe].Slice(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jp := f.lower(t, nil)
-			tr := obs.NewTracer("morsel")
-			ex := &JoinExec{Plan: jp, Probe: &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, ForceScalar: scalar, Offload: i%2 == 0}}
-			for _, st := range jp.Stages {
-				ex.Builds = append(ex.Builds, &RMEngine{Tbl: f.tables[st.Side.Table], Sys: sys, Tracer: tr, ForceScalar: scalar})
-			}
-			res, err := ex.Execute()
-			if err != nil {
-				t.Fatalf("morsel [%d,%d) scalar=%v: %v", lo, hi, scalar, err)
-			}
-			return twinRun{res: res, spans: mustJSON(t, tr.Root())}, sys
+		f.sys.ResetState()
+		sys, err := f.sys.Clone()
+		if err != nil {
+			t.Fatal(err)
 		}
-		sa, sysA := morsel(a, true)
-		sb, sysB := morsel(b, false)
-		requireTwinMatch(t, fmt.Sprintf("PAR morsel [%d,%d)", lo, hi), sa, sb, sysA, sysB)
+		slice, err := probe.Slice(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jp := f.lower(t, nil)
+		tr := obs.NewTracer("morsel")
+		ex := &JoinExec{Plan: jp, Probe: &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, Offload: i%2 == 0}}
+		for _, st := range jp.Stages {
+			ex.Builds = append(ex.Builds, &RMEngine{Tbl: f.tables[st.Side.Table], Sys: sys, Tracer: tr})
+		}
+		res, err := ex.Execute()
+		if err != nil {
+			t.Fatalf("morsel [%d,%d): %v", lo, hi, err)
+		}
+		record(fmt.Sprintf("PAR morsel [%d,%d)", lo, hi), twinRun{res: res, spans: spansJSON(t, tr)}, sys)
 		if hi == probe.NumRows() {
 			break
 		}
 	}
+	g.check(t, subtestKey(t), runs...)
 }
 
 // TestJoinBatchedMatchesScalarExactly is the join's charge-replay property
@@ -218,13 +183,13 @@ func compareTwins(t *testing.T, a, b *joinTwin, mvcc bool, morselRows int) {
 // frequent duplicate keys, empty sides, MVCC snapshots, pushed-down side
 // predicates, and every consumption shape.
 func TestJoinBatchedMatchesScalarExactly(t *testing.T) {
+	g := openGoldens(t, "join")
 	const plainTrials, mvccTrials = 40, 20
 	for i := 0; i < plainTrials+mvccTrials; i++ {
 		mvcc := i >= plainTrials
 		seed := int64(5150 + i)
 		t.Run(fmt.Sprintf("trial%03d", i), func(t *testing.T) {
-			a, b := randomJoinTwin(t, seed, mvcc), randomJoinTwin(t, seed, mvcc)
-			compareTwins(t, a, b, mvcc, 16+int(seed%5)*23)
+			compareTwins(t, g, randomJoinTwin(t, seed, mvcc), mvcc, 16+int(seed%5)*23)
 		})
 	}
 }
@@ -350,8 +315,8 @@ func boundaryTwin(t *testing.T, mvcc, emptyBuild, emptyProbe bool, root func() *
 	return f
 }
 
-// TestJoinBatchedBoundaries pins the batched join to the scalar join on the
-// join's corner cases, and checks the unversioned runs against the
+// TestJoinBatchedBoundaries pins the batched join to its golden entries on
+// the join's corner cases, and checks the unversioned runs against the
 // nested-loop reference.
 func TestJoinBatchedBoundaries(t *testing.T) {
 	aggs := []plan.Agg{{Kind: expr.Sum, Arg: expr.ColRef{Col: 4}}, {Kind: expr.Count}, {Kind: expr.Min, Arg: expr.ColRef{Col: 9}}}
@@ -394,6 +359,7 @@ func TestJoinBatchedBoundaries(t *testing.T) {
 				Aggregate(nil, []plan.Agg{{Kind: expr.Avg, Arg: expr.Binary{Op: expr.Mul, L: expr.ColRef{Col: 4}, R: expr.ColRef{Col: 9}}}, {Kind: expr.Max, Arg: expr.ColRef{Col: 3}}})
 		}, true},
 	}
+	g := openGoldens(t, "join_boundary")
 	for _, tc := range cases {
 		for _, shape := range []struct {
 			name                         string
@@ -405,21 +371,18 @@ func TestJoinBatchedBoundaries(t *testing.T) {
 					ts := uint64(1)
 					snap = &ts
 				}
-				mk := func() *joinTwin {
-					return boundaryTwin(t, shape.mvcc, shape.emptyBuild, shape.emptyProbe, func() *plan.Node { return tc.root(snap) })
-				}
-				a, b := mk(), mk()
-				compareTwins(t, a, b, shape.mvcc, 64)
+				f := boundaryTwin(t, shape.mvcc, shape.emptyBuild, shape.emptyProbe, func() *plan.Node { return tc.root(snap) })
+				compareTwins(t, g, f, shape.mvcc, 64)
 				if !tc.wantRef || shape.mvcc {
 					return
 				}
-				jp := b.lower(t, nil)
+				jp := f.lower(t, nil)
 				var builds [][][]table.Value
 				for _, st := range jp.Stages {
-					builds = append(builds, materialize(b.tables[st.Side.Table]))
+					builds = append(builds, materialize(f.tables[st.Side.Table]))
 				}
-				want := referenceJoin(jp, materialize(b.tables["fact"]), builds...)
-				got := b.run(t, jp, viaRM, false).res
+				want := referenceJoin(jp, materialize(f.tables["fact"]), builds...)
+				got := f.run(t, jp, viaRM).res
 				if err := want.EquivalentTo(got, 0); err != nil {
 					t.Fatalf("batched join disagrees with the nested-loop reference: %v", err)
 				}

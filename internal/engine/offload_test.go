@@ -235,8 +235,8 @@ func TestJoinBloomPrefilterMatchesUnfiltered(t *testing.T) {
 	f.sys.ResetState()
 	plain, err := (&JoinExec{
 		Plan:   p,
-		Probe:  &RMEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true},
-		Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}},
+		Probe:  &RMEngine{Tbl: f.fact, Sys: f.sys},
+		Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys}},
 	}).Execute()
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +245,8 @@ func TestJoinBloomPrefilterMatchesUnfiltered(t *testing.T) {
 	f.sys.ResetState()
 	filtered, err := (&JoinExec{
 		Plan:   p,
-		Probe:  &RMEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true, Offload: true},
-		Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}},
+		Probe:  &RMEngine{Tbl: f.fact, Sys: f.sys, Offload: true},
+		Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys}},
 	}).Execute()
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestJoinBloomPrefilterMatchesUnfiltered(t *testing.T) {
 	par, err := (&ParallelJoinExec{
 		Plan: p, ProbeTbl: f.fact, Sys: f.sys,
 		Par:     ParallelConfig{Workers: 4, MorselRows: 128},
-		Builds:  []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}},
+		Builds:  []Source{&RowEngine{Tbl: f.dim, Sys: f.sys}},
 		Offload: true,
 	}).Execute()
 	if err != nil {

@@ -66,10 +66,6 @@ type ParallelEngine struct {
 	Sys *System
 	Par ParallelConfig
 
-	// ForceScalar pins the per-morsel consumers to the tuple-at-a-time
-	// interpreter, like RMEngine's field.
-	ForceScalar bool
-
 	// Tracer, when set, receives a span whose schedule/merge leaves
 	// reconcile with the Breakdown; per-morsel sub-traces hang under a
 	// Detail subtree (their modeled time overlaps the makespan). Each
@@ -104,7 +100,7 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := &RMEngine{Tbl: slice, Sys: sys, Tracer: tracers.at(i), ForceScalar: e.ForceScalar}
+		eng := &RMEngine{Tbl: slice, Sys: sys, Tracer: tracers.at(i)}
 		res, err := RunPartial(eng, q)
 		if err != nil {
 			return nil, err

@@ -30,21 +30,11 @@ func TestFromPlanExtractsSinks(t *testing.T) {
 	}
 }
 
-// foldRows folds rows, one value per schema column, on the scalar
-// consumer and finishes them as a serial run does: grouped output on its
-// group table, under q.Sinks.
-func foldRows(q Query, sch *geometry.Schema, rows [][]table.Value) *Result {
-	var compute uint64
-	cons := newConsumer(q, sch, &compute)
-	for _, r := range rows {
-		cons.consumeRow(func(c int) table.Value { return r[c] })
-	}
-	return cons.finish("T", 0, false)
-}
-
-// sinkResult finishes three groups under sk: keys 1, 2, 3 with sums 10,
-// 30, 10 over 2, 1 and 3 rows.
-func sinkResult(sk Sinks) *Result {
+// sinkResult finishes three groups under sk, by a ROW run over their six
+// rows: keys 1, 2, 3 with sums 10, 30, 10 over 2, 1 and 3 rows. The run's
+// Breakdown is cleared, so what ApplySinks adds stands alone.
+func sinkResult(t *testing.T, sk Sinks) *Result {
+	t.Helper()
 	sch := geometry.MustSchema(
 		geometry.Column{Name: "k", Type: geometry.Int64, Width: 8},
 		geometry.Column{Name: "v", Type: geometry.Float64, Width: 8},
@@ -54,12 +44,18 @@ func sinkResult(sk Sinks) *Result {
 	for _, r := range [][2]float64{{3, 4}, {1, 5}, {2, 30}, {3, 3}, {1, 5}, {3, 3}} {
 		rows = append(rows, []table.Value{table.I64(int64(r[0])), table.F64(r[1])})
 	}
-	return foldRows(q, sch, rows)
+	sys := MustSystem(DefaultSystemConfig())
+	res, err := Run(&RowEngine{Tbl: buildJoinTable(t, sys, "s", sch, rows, false), Sys: sys}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Breakdown = Breakdown{}
+	return res
 }
 
 func TestApplySinksSortAndLimit(t *testing.T) {
 	sk := Sinks{Keys: []plan.SortKey{{Key: -1, Agg: 0, Desc: true}}}
-	res := sinkResult(sk)
+	res := sinkResult(t, sk)
 	cycles := ApplySinks(res, sk)
 	if cycles == 0 {
 		t.Errorf("sort over %d groups charged nothing", len(res.Groups))
@@ -79,7 +75,7 @@ func TestApplySinksSortAndLimit(t *testing.T) {
 	}
 
 	limit := Sinks{Limit: 1, HasLimit: true}
-	res2 := sinkResult(limit)
+	res2 := sinkResult(t, limit)
 	ApplySinks(res2, limit)
 	if len(res2.Groups) != 1 || res2.Groups[0].Key[0].Int != 1 {
 		t.Errorf("limit: groups = %+v", res2.Groups)
@@ -88,7 +84,7 @@ func TestApplySinksSortAndLimit(t *testing.T) {
 
 func TestApplySinksLimitZero(t *testing.T) {
 	sk := Sinks{Limit: 0, HasLimit: true}
-	res := sinkResult(sk)
+	res := sinkResult(t, sk)
 	cycles := ApplySinks(res, sk)
 	if cycles != 0 {
 		t.Errorf("LIMIT 0 charged %d cycles", cycles)
@@ -99,7 +95,7 @@ func TestApplySinksLimitZero(t *testing.T) {
 }
 
 func TestApplySinksEmptyNoCharge(t *testing.T) {
-	res := sinkResult(Sinks{})
+	res := sinkResult(t, Sinks{})
 	if cycles := ApplySinks(res, Sinks{}); cycles != 0 {
 		t.Errorf("empty sinks charged %d cycles", cycles)
 	}

@@ -12,28 +12,25 @@ import (
 	"rfabric/internal/vec"
 )
 
-// The batch executor: the vectorized twin of runScalar in pipeline.go.
-// It processes vecBatchRows rows per iteration in four stages — visibility,
-// bulk decode, selection refinement, charge replay — then consumes the
-// survivors through typed kernels. The charge-replay stage issues the exact
-// load sequence and compute charges of the scalar interpreter (the per-row
-// short-circuit outcome decided by the recorded fail depth selects a
-// precompiled load program), so modeled cycles, Breakdown, spans, and
-// timelines are byte-identical; only wall-clock time and allocations
-// change. The loads are recorded as strided runs and charged to the
-// hierarchy by the scan's replay goroutine (see loadBuf), so batch k's
-// cache simulation runs on another core while the pipeline decodes,
-// refines, sinks, and consumes batch k+1.
-// Like the scalar pipeline it is written once and parameterized by the
-// opened scan: ROW feeds it one strided segment (with MVCC replay and
-// per-row ticks), RM feeds it fabric chunks with pipeline accounting, IDX
-// feeds it its candidate row ids over the strided heap, and COL feeds it
-// the qualifying row ids of its bitmap selection passes (its prepare hook,
-// colBitmapPasses) over the column arrays, or every row when nothing is
-// selected. Each segment states where its columns live (segment.cols), so
-// decode, gather and load programs read one layout whatever the source.
+// The batch executor. It processes vecBatchRows rows per iteration in four
+// stages — visibility, bulk decode, selection refinement, charge replay —
+// then consumes the survivors through typed kernels. The charge-replay
+// stage issues, row by row, the loads and compute of the charge model in
+// pipeline.go: the per-row short-circuit outcome, decided by the recorded
+// fail depth, selects a precompiled load program. The loads are recorded
+// as strided runs and charged to the hierarchy by the scan's replay
+// goroutine (see loadBuf), so batch k's cache simulation runs on another
+// core while the pipeline decodes, refines, sinks, and consumes batch k+1.
+// It is written once and parameterized by the opened scan: ROW feeds it
+// one strided segment (with MVCC replay and per-row ticks), RM feeds it
+// fabric chunks with pipeline accounting, IDX feeds it its candidate row
+// ids over the strided heap, and COL feeds it the qualifying row ids of
+// its bitmap selection passes (its prepare hook, colBitmapPasses) over the
+// column arrays, or every row when nothing is selected. Each segment
+// states where its columns live (segment.cols), so decode, gather and load
+// programs read one layout whatever the source.
 
-// loadBuf collects the charge replay's loads as strided runs, in scalar
+// loadBuf collects the charge replay's loads as strided runs, in row
 // order, and hands them to the scan's replay goroutine, which charges each
 // submitted buffer to the hierarchy with LoadRuns, in FIFO order. The
 // replay records a row's loads as one step of a load program: a list of
@@ -341,7 +338,7 @@ func (b *loadBuf) colPrograms(sel expr.Conjunction, sch *geometry.Schema, store 
 // decoded in place, explicit row-id lists (IDX candidates, COL's qualifying
 // rows) are gathered batch by batch, each column from where the segment
 // says it lives.
-func (s *scan) runVec(q Query) (*Result, error) {
+func (s *scan) runVec(q *Query) (*Result, error) {
 	pr := s.begin()
 	prog := s.prog
 	sc := s.scratch
@@ -413,10 +410,10 @@ func (s *scan) runVec(q Query) (*Result, error) {
 			sel = sc.refine(prog, n, sel)
 			extra := sc.sinkBatch(s.sink, prog, sel, n)
 
-			// Charge replay, row-major like the scalar loop: tick, iterator
-			// overhead, then the outcome's load program (MVCC header touch
-			// first) and the sink's per-row charge. A per-row tick samples
-			// the hierarchy, so it flushes the loads of the rows before it.
+			// Charge replay, row-major: tick, iterator overhead, then the
+			// outcome's load program (MVCC header touch first) and the
+			// sink's per-row charge. A per-row tick samples the hierarchy,
+			// so it flushes the loads of the rows before it.
 			// Otherwise the charges are summed and the loads recorded a
 			// stretch of rows at a time, rows that run one program at
 			// successive indices; the batch's loads go to the replay
@@ -441,7 +438,7 @@ func (s *scan) runVec(q Query) (*Result, error) {
 					loads.flush()
 					pr.tk.advance(s.sys.Hier.Stats().Cycles - pr.hierStart.Cycles + pr.compute)
 				}
-				pr.compute += s.perRow
+				pr.compute += s.spec.ch.perRow
 				if snapped {
 					pr.compute += TSCheckSoftwareCycles
 				}
@@ -488,12 +485,18 @@ func (s *scan) runVec(q Query) (*Result, error) {
 	return s.finishRun(pr, res, pipeline, producer)
 }
 
-// colBitmapPasses is COL's batch prepare hook: colBitmapSelect's passes,
-// charges and load order, with each batch of a pass recorded as one run
-// (row by row under a timeline, whose per-row ticks flush) and compared by
-// bitmap kernels. Like colBitmapSelect it returns the qualifying row ids,
-// or nil when there is no selection, so reconstruction decodes dense
-// batches.
+// colBitmapPasses is COL's prepare hook, the decomposed layout's
+// selection: one full-column pass per predicate, MonetDB-style. Each pass
+// streams the entire column (dense, prefetch-friendly) and materializes a
+// full-length match bitmap, itself a memory-resident intermediate, which
+// the next pass ANDs into: the first pass only writes it (a streaming
+// store), later passes read-modify-write it and pay its load. Per row, a
+// pass ticks the timeline, loads the value (then the bitmap), and charges
+// VectorOpCycles + MaterializeCycles. Each batch of a pass is recorded as
+// one run (row by row under a timeline, whose per-row ticks flush) and
+// compared by bitmap kernels. It returns the qualifying row ids, or nil
+// when there is no selection (every row qualifies), so reconstruction
+// decodes dense batches.
 func colBitmapPasses(pr *pipeRun, sys *System, sc *scanScratch, store *colstore.Store, sch *geometry.Schema, selection expr.Conjunction) []int32 {
 	if len(selection) == 0 {
 		return nil
@@ -514,8 +517,8 @@ func colBitmapPasses(pr *pipeRun, sys *System, sc *scanScratch, store *colstore.
 		}
 		for base := 0; base < rows; base += vecBatchRows {
 			n := min(rows-base, vecBatchRows)
-			// Exact scalar pass order per row: tick, value load, bitmap
-			// load (later passes), charge.
+			// Pass order per row: tick, value load, bitmap load (later
+			// passes), charge.
 			if pr.tk.tl != nil {
 				for i := 0; i < n; i++ {
 					loads.flush()
@@ -560,8 +563,7 @@ func rowOutcome(fail []int16, vis []bool, snapped bool, last, i int) int {
 	return last
 }
 
-// vecRowLimit guards the int32 selection representation; ROW and RM tables
-// past it use the scalar paths. Segment id lists are int32 on both paths,
-// so COL and IDX assume tables below it (none of the reproduction's
-// workloads come close).
+// vecRowLimit guards the int32 row ids of segment id lists and selections:
+// a ROW, COL or IDX table past it fails at open (none of the
+// reproduction's workloads come close).
 const vecRowLimit = math.MaxInt32

@@ -5,8 +5,9 @@
 // (COL), a path over Relational Memory's ephemeral views (RM), and a B+tree
 // path for selections that pin an indexed column (IDX). Each Source
 // describes only where a query's bytes live and what each touched byte
-// costs; the scan and consume loops — scalar interpreter and vectorized
-// batch executor alike — live once, in pipeline.go and pipeline_vec.go. All
+// costs; the scan and consume loops live once, in the batch executor of
+// pipeline.go and pipeline_vec.go, which charges each row as the modeled
+// path would (a ROW row pays the volcano iterator's overhead). All
 // paths run the same logical queries, produce identical results, and charge
 // their work to a shared performance model (simulated CPU cycles + the
 // cache/DRAM hierarchy), so their relative execution times reproduce the

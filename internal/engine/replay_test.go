@@ -15,11 +15,12 @@ import (
 
 // The batch pipeline charges its loads to the cache hierarchy from a
 // per-scan replay goroutine (loadBuf). The hand-off must be invisible: every
-// access path, traced or not, must leave the same Result, Breakdown,
-// hierarchy, DRAM and fabric state, span tree and timeline as its scalar
-// twin, which charges every load inline, and no replay goroutine may
-// outlive its scan. Run under -race, the test also checks that nothing
-// touches the hierarchy or DRAM while the goroutine owns them.
+// access path, traced or not, must leave the Result, Breakdown, hierarchy,
+// DRAM and fabric state, span tree and timeline of its golden entry,
+// recorded from the row-at-a-time interpreter, which charged every load
+// inline; and no replay goroutine may outlive its scan. Run under -race,
+// the test also checks that nothing touches the hierarchy or DRAM while the
+// goroutine owns them.
 
 // replayCols is the narrow fixture schema: one column of each type.
 var replayCols = []geometry.Column{
@@ -109,6 +110,7 @@ func replayTwin(t *testing.T, sch *geometry.Schema, rows int, mvcc bool, buildRo
 }
 
 func TestReplayHandOffMatchesInline(t *testing.T) {
+	g := openGoldens(t, "replay")
 	narrow := geometry.MustSchema(replayCols...)
 	var wideCols []geometry.Column
 	for i := 0; i < 16; i++ {
@@ -139,7 +141,7 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 		allCols.Projection[i] = i
 	}
 
-	type run func(t *testing.T, f *joinTwin, tr *obs.Tracer, scalar bool) (*Result, error)
+	type run func(t *testing.T, f *joinTwin, tr *obs.Tracer) (*Result, error)
 
 	// A Q3-class join: probe (lineitem-like) against build (orders-like)
 	// on the key, each side filtered by its selection when it has one,
@@ -157,19 +159,19 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 		return li.Join(ord, 0, 0).Aggregate([]int{0, 7, 8}, []plan.Agg{{Kind: expr.Sum, Arg: revenue}, {Kind: expr.Count}})
 	}
 	q3Join := func(v joinVariant) run {
-		return func(t *testing.T, f *joinTwin, tr *obs.Tracer, fs bool) (*Result, error) {
+		return func(t *testing.T, f *joinTwin, tr *obs.Tracer) (*Result, error) {
 			jp := f.lower(t, nil)
-			ex := &JoinExec{Plan: jp, Probe: f.source(f.sys, v, jp.Probe.Table, true, fs, tr)}
+			ex := &JoinExec{Plan: jp, Probe: f.source(f.sys, v, jp.Probe.Table, true, tr)}
 			for _, st := range jp.Stages {
-				ex.Builds = append(ex.Builds, f.source(f.sys, v, st.Side.Table, false, fs, tr))
+				ex.Builds = append(ex.Builds, f.source(f.sys, v, st.Side.Table, false, tr))
 			}
 			return ex.Execute()
 		}
 	}
 
-	single := func(q Query, mk func(f *joinTwin, tr *obs.Tracer, scalar bool) Executor) run {
-		return func(t *testing.T, f *joinTwin, tr *obs.Tracer, scalar bool) (*Result, error) {
-			return mk(f, tr, scalar).Execute(q)
+	single := func(q Query, mk func(f *joinTwin, tr *obs.Tracer) Executor) run {
+		return func(t *testing.T, f *joinTwin, tr *obs.Tracer) (*Result, error) {
+			return mk(f, tr).Execute(q)
 		}
 	}
 	cases := []struct {
@@ -178,62 +180,54 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 		run  run
 	}{
 		{"ROW", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(projected, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			single(projected, func(f *joinTwin, tr *obs.Tracer) Executor {
+				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		{"COL", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(grouped, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			single(grouped, func(f *joinTwin, tr *obs.Tracer) Executor {
+				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		{"RM-chunks", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 24<<10) },
-			single(grouped, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			single(grouped, func(f *joinTwin, tr *obs.Tracer) Executor {
+				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		// Three bitmap passes over the column store: a first pass, then
 		// two refine passes that interleave the value and bitmap streams,
 		// then reconstruction of the scattered qualifying rows.
 		{"COL-refine", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(Query{Selection: threePreds, Projection: []int{0, 3, 5}}, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			single(Query{Selection: threePreds, Projection: []int{0, 3, 5}}, func(f *joinTwin, tr *obs.Tracer) Executor {
+				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		// No selection: reconstruction visits every row, one run per batch.
 		{"COL-dense", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(dense, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			single(dense, func(f *joinTwin, tr *obs.Tracer) Executor {
+				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		// A bare COUNT(*) reads no column: RM counts over the narrowest.
 		{"RM-count", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 24<<10) },
-			single(Query{Aggregates: []AggTerm{{Kind: expr.Count}}}, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			single(Query{Aggregates: []AggTerm{{Kind: expr.Count}}}, func(f *joinTwin, tr *obs.Tracer) Executor {
+				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		{"IDX", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
 			single(Query{Selection: expr.Conjunction{{Col: 0, Op: expr.Ge, Operand: table.I64(700)}}, Projection: []int{1, 3}},
-				func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-					e := &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
-					if fs {
-						return scalarExec{e}
-					}
-					return e
+				func(f *joinTwin, tr *obs.Tracer) Executor {
+					return &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
 				})},
 		// Index order scatters the row ids, so every row opens a run of
 		// five streams.
 		{"IDX-scatter", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
 			single(Query{Selection: expr.Conjunction{{Col: 0, Op: expr.Ge, Operand: table.I64(10)}}, Projection: []int{1, 2, 4, 5}},
-				func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-					e := &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
-					if fs {
-						return scalarExec{e}
-					}
-					return e
+				func(f *joinTwin, tr *obs.Tracer) Executor {
+					return &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
 				})},
 		{"MVCC", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, true, 0, 0) },
 			single(Query{Selection: twoPreds, Projection: []int{0, 3}, Snapshot: &snap},
-				func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-					return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+				func(f *joinTwin, tr *obs.Tracer) Executor {
+					return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 				})},
 		{"PAR", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(grouped, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-				return &ParallelEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs,
+			single(grouped, func(f *joinTwin, tr *obs.Tracer) Executor {
+				return &ParallelEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr,
 					Par: ParallelConfig{Workers: 2, MorselRows: 1500}}
 			})},
 		{"Q3-join", func(t *testing.T) *joinTwin {
@@ -254,8 +248,8 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 			return f
 		}, q3Join(viaCOL)},
 		{"wide", func(t *testing.T) *joinTwin { return replayTwin(t, wide, 3000, false, 0, 0) },
-			single(allCols, func(f *joinTwin, tr *obs.Tracer, fs bool) Executor {
-				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr, ForceScalar: fs}
+			single(allCols, func(f *joinTwin, tr *obs.Tracer) Executor {
+				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 			})},
 	}
 
@@ -267,37 +261,32 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
-				exec := func(scalar bool) (twinRun, *System) {
-					f := tc.fx(t)
-					tr := obs.NewTracer("query")
-					var tl *obs.Timeline
-					if timeline {
-						tl = obs.NewTimeline(997, f.sys.Cfg.DRAM.Banks)
-						tr.AttachTimeline(tl)
-						f.sys.AttachTimeline(tl)
-						defer f.sys.DetachTimeline()
-					}
-					res, err := tc.run(t, f, tr, scalar)
-					if err != nil {
-						t.Fatalf("scalar=%v: %v", scalar, err)
-					}
-					out := twinRun{res: res, spans: mustJSON(t, tr.Root())}
-					if tl != nil {
-						tl.Finish(res.Breakdown.TotalCycles)
-						out.timeline = mustJSON(t, tl)
-					}
-					return out, f.sys
+				f := tc.fx(t)
+				tr := obs.NewTracer("query")
+				var tl *obs.Timeline
+				if timeline {
+					tl = obs.NewTimeline(997, f.sys.Cfg.DRAM.Banks)
+					tr.AttachTimeline(tl)
+					f.sys.AttachTimeline(tl)
+					defer f.sys.DetachTimeline()
 				}
-				inline, inlineSys := exec(true)
-				handed, handedSys := exec(false)
-				requireTwinMatch(t, name, inline, handed, inlineSys, handedSys)
+				res, err := tc.run(t, f, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := twinRun{res: res, spans: spansJSON(t, tr)}
+				if tl != nil {
+					tl.Finish(res.Breakdown.TotalCycles)
+					out.timeline = mustJSON(t, tl)
+				}
+				g.check(t, name, goldenRun{name: tc.name, twinRun: out, hw: f.sys.HW()})
 				switch tc.name {
 				case "RM-chunks", "Q3-join":
-					if c := handedSys.Fab.Stats().Chunks; c < 3 {
+					if c := f.sys.Fab.Stats().Chunks; c < 3 {
 						t.Fatalf("%s ran %d fabric chunks, want several", name, c)
 					}
 				case "wide":
-					if per := int(handedSys.Hier.Stats().Loads / 3000); per*vecBatchRows <= replayBufLoads {
+					if per := int(f.sys.Hier.Stats().Loads / 3000); per*vecBatchRows <= replayBufLoads {
 						t.Fatalf("%d loads per row do not overflow a replay buffer within a batch", per)
 					}
 				}

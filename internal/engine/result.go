@@ -174,8 +174,8 @@ func (r *Result) String() string {
 // aggOut is an aggregation's unfinished output, the state its fold leaves:
 // one state per term when the statement is ungrouped; else the group table
 // its rows were assigned and folded on, whose keys hold the groups' values.
-// Every fold leaves one — the batch pipeline, the scalar consumer, the
-// fabric's offload fold, Gather's merge — and finishAggs is the one place
+// Every fold leaves one — the batch pipeline, the fabric's offload fold,
+// Gather's merge — and finishAggs is the one place
 // it is finalized and boxed.
 type aggOut struct {
 	states []vec.AggState

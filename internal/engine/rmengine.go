@@ -48,9 +48,9 @@ type RMEngine struct {
 	// that reconcile with the Breakdown. Nil means no tracing overhead.
 	Tracer *obs.Tracer
 
-	// ForceScalar pins the chunk consumer to the tuple-at-a-time
-	// interpreter. The two paths charge identical modeled costs; the knob
-	// exists for equivalence tests and wall-clock benchmarks.
+	// ForceScalar is inert: every scan runs on the batch pipeline. The
+	// field stays only because the frozen façade benchmark's shadow
+	// (hostbench) still sets it; ROADMAP item 4 removes its last user.
 	ForceScalar bool
 
 	// Cache, when set, makes column groups persistent across queries: a
@@ -61,7 +61,7 @@ type RMEngine struct {
 	Cache *fabric.GroupCache
 
 	// scratch is the engine-owned batch workspace, allocated on first
-	// vectorized execution and reused so steady-state scans allocate nothing
+	// execution and reused so steady-state scans allocate nothing
 	// per batch.
 	scratch *scanScratch
 }
@@ -84,7 +84,7 @@ func (e *RMEngine) Execute(q Query) (*Result, error) { return Run(e, q) }
 // openScan implements Source: configure the ephemeral view, then describe
 // the chunked pipeline — or, when the whole aggregation is pushable, hand
 // the pipeline a direct mode that ships only the aggregate results.
-func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
+func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 	if e.Tbl == nil || e.Sys == nil {
 		return nil, errors.New("engine: RMEngine needs a table and a system")
 	}
@@ -99,7 +99,9 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	cols := q.NeededColumns()
 	rewritten := len(cols) == 0
 	if rewritten {
-		q, cols = countOverNarrowest(q, sch)
+		var rq Query
+		rq, cols = countOverNarrowest(*q, sch)
+		q = &rq
 	}
 	geom, err := geometry.NewGeometry(sch, cols...)
 	if err != nil {
@@ -113,7 +115,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	// ungrouped aggregations both qualify; the program descriptor decides.
 	var off *fabric.Offload
 	if e.Offload {
-		off, _ = offloadProgram(q)
+		off, _ = offloadProgram(*q)
 	}
 
 	// The group cache key includes the predicates the fabric evaluated: a
@@ -128,7 +130,7 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 
 	s := &scan{sch: sch}
 	if rewritten {
-		s.rewritten = &q
+		s.rewritten = q
 	}
 	lineBytes := int64(e.Sys.Hier.LineBytes())
 
@@ -231,13 +233,11 @@ func (e *RMEngine) openScan(q Query, sp *obs.Span) (*scan, error) {
 	if pushSel {
 		cpuSel = nil
 	}
-	s.cpuSel = cpuSel
-	s.predCycles = VectorOpCycles
-	s.fetchCycles = VectorOpCycles
 	s.pipelined = true
-
-	if !e.ForceScalar {
-		s.attachVec(q, vecSpec{sel: cpuSel, ch: rmVecCharges}, &e.scratch)
+	// A segment is one fabric chunk, which the delivery buffer bounds far
+	// below the row limit.
+	if err := s.attachVec(q, 0, vecSpec{sel: cpuSel, ch: rmVecCharges}, &e.scratch); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -22,14 +22,13 @@ type RowEngine struct {
 	// that reconcile with the Breakdown. Nil means no tracing overhead.
 	Tracer *obs.Tracer
 
-	// ForceScalar pins execution to the tuple-at-a-time interpreter even for
-	// query shapes the batch path handles. The two paths charge identical
-	// modeled costs; the knob exists for equivalence tests and wall-clock
-	// benchmarks.
+	// ForceScalar is inert: every scan runs on the batch pipeline. The
+	// field stays only because the frozen façade benchmark's shadow
+	// (hostbench) still sets it; ROADMAP item 4 removes its last user.
 	ForceScalar bool
 
 	// scratch is the engine-owned batch workspace, allocated on first
-	// vectorized execution and reused so steady-state scans allocate nothing
+	// execution and reused so steady-state scans allocate nothing
 	// per batch.
 	scratch *scanScratch
 }
@@ -52,7 +51,7 @@ func (e *RowEngine) Execute(q Query) (*Result, error) { return Run(e, q) }
 // openScan implements Source: the base heap is one strided segment whose
 // per-row cost is the volcano iterator overhead plus an extract per touched
 // column, with the MVCC header touch when the table versions rows.
-func (e *RowEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
+func (e *RowEngine) openScan(q *Query, _ *obs.Span) (*scan, error) {
 	if e.Tbl == nil || e.Sys == nil {
 		return nil, errors.New("engine: RowEngine needs a table and a system")
 	}
@@ -64,14 +63,7 @@ func (e *RowEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 		return nil, fmt.Errorf("engine: snapshot query over table %q without MVCC", e.Tbl.Name())
 	}
 
-	s := &scan{
-		sch:         sch,
-		perRow:      VolcanoNextCycles,
-		predCycles:  PredEvalCycles,
-		fetchCycles: ExtractCycles,
-		tickPerRow:  true,
-		cpuSel:      q.Selection,
-	}
+	s := &scan{sch: sch, tickPerRow: true}
 	if e.Tbl.HasMVCC() {
 		s.mvccTbl = e.Tbl
 	}
@@ -80,8 +72,8 @@ func (e *RowEngine) openScan(q Query, _ *obs.Span) (*scan, error) {
 	seg := segment{cols: heapRegions(e.Tbl), rows: rows, sourceRows: int64(rows)}
 	s.segs = func(*pipeRun) segIter { return oneShotIter(seg) }
 
-	if !e.ForceScalar && rows <= vecRowLimit {
-		s.attachVec(q, vecSpec{sel: q.Selection, ch: rowVecCharges}, &e.scratch)
+	if err := s.attachVec(q, rows, vecSpec{sel: q.Selection, ch: rowVecCharges}, &e.scratch); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -46,6 +47,7 @@ func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 		all[r] = r
 	}
 	q := Query{GroupBy: []int{0, 1}, Aggregates: []AggTerm{{Kind: expr.Count}}}
+	boxed := materialize(tbl)
 
 	order := func(r *Result) string {
 		s := ""
@@ -67,7 +69,7 @@ func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 	}
 	var want string
 	for run := 0; run < 50; run++ {
-		res, err := (&RowEngine{Tbl: tbl, Sys: sys, ForceScalar: run%2 == 0}).Execute(q)
+		res, err := (&RowEngine{Tbl: tbl, Sys: sys}).Execute(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +86,8 @@ func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 
 	// The merge: the same rows spread over one to four partitions (some
 	// empty) in shuffled order, so each run's partitions see the groups
-	// first in a different order, on the scalar consumer's fold.
+	// first in a different order, each partition a ROW run over a table of
+	// its rows.
 	qc := Query{GroupBy: []int{2, 0}, Aggregates: []AggTerm{{Kind: expr.Count}}}
 	ref, err := (&RowEngine{Tbl: tbl, Sys: sys}).Execute(qc)
 	if err != nil {
@@ -101,18 +104,15 @@ func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 		}
 		sort.Ints(cuts)
 		for p := range parts {
-			var fold uint64
-			cons := newConsumer(qc, sch, &fold)
+			var rows [][]table.Value
 			for _, r := range all[cuts[p]:cuts[p+1]] {
-				cons.consumeRow(func(c int) table.Value {
-					v, err := tbl.Get(r, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return v
-				})
+				rows = append(rows, boxed[r])
 			}
-			parts[p] = cons.finish("P", 0, true)
+			part, err := RunPartial(&RowEngine{Tbl: buildJoinTable(t, sys, "part", sch, rows, false), Sys: sys}, qc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts[p] = part
 		}
 		res, err := mergePartials("PAR", qc, parts, 1)
 		if err != nil {
@@ -125,12 +125,12 @@ func TestSortGroupsDeterministicOnTiedKeys(t *testing.T) {
 }
 
 // TestApplySinksMatchesStableSortReference checks the finisher's typed
-// stable sort and bounded top-k, run on a real group table, against
-// sort.SliceStable of the canonically ordered boxed groups plus the cut:
-// same rows in the same order, ties included, and the same modeled charge.
-// Each generated row carries its input position as its last group key, so
-// every row is its own group and the comparison sees exactly which row
-// landed where.
+// stable sort and bounded top-k, run by ROW on a real group table, against
+// the reference fold's groups (refFold, in refKeyCmp's order) under
+// stableSinks: same rows in the same order, ties included, and the same
+// modeled charge. Each generated row carries its input position as its
+// last group key, so every row is its own group and the comparison sees
+// exactly which row landed where.
 func TestApplySinksMatchesStableSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// NaN sort keys take the full stable sort; the other trials take the
@@ -171,6 +171,7 @@ func TestApplySinksMatchesStableSortReference(t *testing.T) {
 		return keys
 	}
 
+	sys := MustSystem(DefaultSystemConfig())
 	for trial := 0; trial < 400; trial++ {
 		n := rng.Intn(40)
 		sk := Sinks{Keys: genKeys()}
@@ -183,11 +184,15 @@ func TestApplySinksMatchesStableSortReference(t *testing.T) {
 			sk.HasLimit, sk.Limit = true, int64(n+rng.Intn(3))
 		}
 		rows := genRows(n, trial%10 == 0, trial%8 >= 6)
-		want := foldRows(q, sch, rows)
+		want := refFold(q, rows)
 		wantCycles := stableSinks(want, sk)
 		sunk := q
 		sunk.Sinks = sk
-		res := foldRows(sunk, sch, rows)
+		res, err := Run(&RowEngine{Tbl: buildJoinTable(t, sys, "rows", sch, rows, false), Sys: sys}, sunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Breakdown = Breakdown{} // the sort's charge alone
 		cycles := ApplySinks(res, sk)
 		if len(res.Groups) != len(want.Groups) {
 			t.Fatalf("trial %d (n=%d, %+v): %d rows, want %d", trial, n, sk, len(res.Groups), len(want.Groups))
@@ -208,12 +213,14 @@ func TestApplySinksMatchesStableSortReference(t *testing.T) {
 }
 
 // stableSinks is the reference for a statement's sinks over a result run
-// without them, whose groups are in the canonical order: a stable sort by
-// the sort keys' boxed values (Value.Compare, negated for DESC), the cut at
-// the limit, and the n·⌈log₂n⌉·SortCmpCycles charge over the n groups
-// before the cut, added to the breakdown and returned.
+// without them: the groups in the canonical order of their boxed keys
+// (refKeyCmp), whatever order they came in, then a stable sort by the sort
+// keys' boxed values (Value.Compare, negated for DESC), the cut at the
+// limit, and the n·⌈log₂n⌉·SortCmpCycles charge over the n groups before
+// the cut, added to the breakdown and returned.
 func stableSinks(res *Result, sk Sinks) uint64 {
 	rows := res.Groups
+	slices.SortFunc(rows, func(a, b GroupRow) int { return refKeyCmp(a.Key, b.Key) })
 	sort.SliceStable(rows, func(i, j int) bool {
 		a, b := &rows[i], &rows[j]
 		for _, k := range sk.Keys {
@@ -295,15 +302,14 @@ func TestTopNBoxesOnlyReturnedRows(t *testing.T) {
 	}
 }
 
-// TestScalarAndOffloadSinksMatchApplySinks holds the scalar consumer and
-// the fabric's offload fold to the finisher the batch pipeline uses: with
-// the statement's sinks in the query, the run boxes no more rows than the
-// limit keeps, and rows, their order, the Breakdown and ApplySinks's sort
-// charge equal a run without sinks followed by the stable-sort reference
-// (stableSinks) over the full group list. The table's keys are -0/+0 and two
-// NaN payloads, CHAR keys with trailing and embedded NULs, and tied counts;
-// w's sums are NaN in a few groups. A Q3-class join with scalar sides
-// covers the scalar probe.
+// TestScalarAndOffloadSinksMatchApplySinks holds ROW and RM scans, the
+// fabric's offload fold, and a serial join's probe to the sinks'
+// reference: with the statement's sinks in the query, the run boxes no
+// more rows than the limit keeps, and rows, their order, the Breakdown and
+// ApplySinks's sort charge equal a run without sinks followed by the
+// stable-sort reference (stableSinks) over the full group list. The
+// table's keys are -0/+0 and two NaN payloads, CHAR keys with trailing and
+// embedded NULs, and tied counts; w's sums are NaN in a few groups.
 func TestScalarAndOffloadSinksMatchApplySinks(t *testing.T) {
 	sch := geometry.MustSchema(
 		geometry.Column{Name: "id", Type: geometry.Int64, Width: 8},
@@ -352,8 +358,8 @@ func TestScalarAndOffloadSinksMatchApplySinks(t *testing.T) {
 			limit(6, agg(1, true), agg(2, false))},
 	}
 	sources := map[string]func() Source{
-		"ROW scalar": func() Source { return &RowEngine{Tbl: tbl, Sys: sys, ForceScalar: true} },
-		"RM scalar":  func() Source { return &RMEngine{Tbl: tbl, Sys: sys, ForceScalar: true} },
+		"ROW":        func() Source { return &RowEngine{Tbl: tbl, Sys: sys} },
+		"RM":         func() Source { return &RMEngine{Tbl: tbl, Sys: sys} },
 		"RM offload": func() Source { return &RMEngine{Tbl: tbl, Sys: sys, Offload: true} },
 	}
 	for name, mk := range sources {
@@ -391,8 +397,8 @@ func TestScalarAndOffloadSinksMatchApplySinks(t *testing.T) {
 			f.sys.ResetState()
 			p.Consume.Sinks = pushed
 			ex := &JoinExec{Plan: p,
-				Probe:  &RowEngine{Tbl: f.fact, Sys: f.sys, ForceScalar: true},
-				Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys, ForceScalar: true}}}
+				Probe:  &RowEngine{Tbl: f.fact, Sys: f.sys},
+				Builds: []Source{&RowEngine{Tbl: f.dim, Sys: f.sys}}}
 			res, err := ex.Execute()
 			if err != nil {
 				t.Fatalf("join case %d: %v", i, err)
@@ -401,13 +407,13 @@ func TestScalarAndOffloadSinksMatchApplySinks(t *testing.T) {
 		}
 		got := run(sk)
 		if sk.HasLimit && int64(len(got.Groups)) > sk.Limit {
-			t.Errorf("scalar join case %d boxed %d rows under LIMIT %d", i, len(got.Groups), sk.Limit)
+			t.Errorf("join case %d boxed %d rows under LIMIT %d", i, len(got.Groups), sk.Limit)
 		}
 		gotCycles := ApplySinks(got, sk)
 		want := run(Sinks{})
 		wantCycles := stableSinks(want, sk)
 		if err := sameSunk(got, want, gotCycles, wantCycles); err != nil {
-			t.Errorf("scalar join case %d (%+v): %v", i, sk, err)
+			t.Errorf("join case %d (%+v): %v", i, sk, err)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"rfabric/internal/cache"
 	"rfabric/internal/expr"
 	"rfabric/internal/fabric"
@@ -11,23 +13,23 @@ import (
 
 // A Source is an access path: it knows where a query's bytes live and what
 // each touched byte costs — nothing else. Opening a source against a query
-// yields a scan plan (layout, per-touch charges, optional compiled batch
-// program) that the shared pipeline in pipeline.go / pipeline_vec.go
-// executes. The engines (ROW, COL, RM, IDX) are Sources; every scan and
-// consume loop lives once, in the pipeline, parameterized by the scan the
-// source opened.
+// yields a scan plan (layout, per-touch charges, compiled batch program)
+// that the shared pipeline in pipeline.go / pipeline_vec.go executes. The
+// engines (ROW, COL, RM, IDX) are Sources; every scan and consume loop
+// lives once, in the pipeline, parameterized by the scan the source
+// opened.
 //
 // The contract a source's openScan must honor:
 //
 //   - validate the query against its schema and fail without charging;
-//   - do all cost-free setup (fabric configuration, vectorized program
+//   - do all cost-free setup (fabric configuration, batch program
 //     compilation) before returning — the pipeline captures the hardware
 //     counters only after open succeeds;
-//   - describe every modeled charge declaratively: perRow / predCycles /
-//     fetchCycles constants, the segment iterator, whose segments state
-//     once where each column lives (segment.cols), and (for work that must
-//     run inside the measured window, like index descent or COL's bitmap
-//     passes) a prepare hook.
+//   - describe every modeled charge declaratively: its charge constants
+//     (one vecCharges, stated once through attachVec), the segment
+//     iterator, whose segments state once where each column lives
+//     (segment.cols), and (for work that must run inside the measured
+//     window, like index descent or COL's bitmap passes) a prepare hook.
 type Source interface {
 	// Name is the access path's short label (ROW, COL, RM, IDX).
 	Name() string
@@ -37,7 +39,7 @@ type Source interface {
 	// sysTracer exposes the simulated machine and the optional tracer.
 	sysTracer() (*System, *obs.Tracer)
 	// openScan validates q and builds the scan the pipeline will drive.
-	openScan(q Query, sp *obs.Span) (*scan, error)
+	openScan(q *Query, sp *obs.Span) (*scan, error)
 }
 
 // Run executes q by opening the source's scan and driving it through the
@@ -45,16 +47,16 @@ type Source interface {
 // engine's Execute method and the DB façade's dispatch. The scan orders and
 // cuts its groups under q.Sinks on its group table, boxing only the rows
 // the statement returns; ApplySinks then charges the sort.
-func Run(src Source, q Query) (*Result, error) { return runScan(src, q, false) }
+func Run(src Source, q Query) (*Result, error) { return runScan(src, &q, false) }
 
 // RunPartial runs q on src as one partition of a gathered run (see
 // Gather): the result carries its fold's unfinished aggregate state in
 // place of Aggs and Groups, which only Gather's merge reads and finishes.
 // The state may live in src's reusable batch scratch, so it holds until
 // src runs again; every partition runs on a source of its own.
-func RunPartial(src Source, q Query) (*Result, error) { return runScan(src, q, true) }
+func RunPartial(src Source, q Query) (*Result, error) { return runScan(src, &q, true) }
 
-func runScan(src Source, q Query, part bool) (*Result, error) {
+func runScan(src Source, q *Query, part bool) (*Result, error) {
 	sys, tr := src.sysTracer()
 	sp := beginEngineSpan(tr, src.Name(), src.tableLabel())
 	defer tr.End()
@@ -68,7 +70,7 @@ func runScan(src Source, q Query, part bool) (*Result, error) {
 	s.sp = sp
 	s.part = part
 	if s.rewritten != nil {
-		q = *s.rewritten
+		q = s.rewritten
 	}
 	return s.run(q)
 }
@@ -79,7 +81,7 @@ func runScan(src Source, q Query, part bool) (*Result, error) {
 type segment struct {
 	// cols is the segment's physical layout, indexed by schema column:
 	// where each column the scan touches lives. It is the one description
-	// the scalar fetch, the batch decode and the charge replay all read.
+	// the batch decode, the gathers and the charge replay all read.
 	cols []region
 
 	// rows is the dense row count; ids, when non-nil, is the explicit
@@ -105,12 +107,6 @@ type region struct {
 	off    int
 	addr   int64
 	stride int
-}
-
-// at returns row r's value bytes and their simulated address.
-func (g *region) at(r int) ([]byte, int64) {
-	o := r * g.stride
-	return g.data[g.off+o:], g.addr + int64(o)
 }
 
 // stream is the region's addresses as a load stream indexed by row.
@@ -140,10 +136,9 @@ func heapRegions(tbl *table.Table) []region {
 type segIter func() (segment, bool)
 
 // scan is an opened access path: everything the shared pipeline needs to
-// execute a query over one source. Exactly one of three modes applies:
+// execute a query over one source. Exactly one of two modes applies:
 // direct (the source computed the result itself, e.g. fabric aggregation
-// pushdown), batch (prog compiled — the vectorized executor replays the
-// scalar charge sequence), or scalar (the interpreted loop).
+// pushdown), or batch (prog compiled, run by runVec).
 type scan struct {
 	// Filled by Run.
 	name   string
@@ -165,14 +160,9 @@ type scan struct {
 	// its own accounting (it still runs inside the measured window).
 	direct func() (*Result, error)
 
-	// prog, when non-nil, routes execution to the batch path.
+	// prog is the compiled batch program, run over scratch.
 	prog    *scanProg
 	scratch *scanScratch
-
-	// Per-touch charge constants (the source's cost model).
-	perRow      uint64 // charged per visited row (volcano iterator overhead)
-	predCycles  uint64 // per predicate evaluation
-	fetchCycles uint64 // per first touch of a column in a row
 
 	// Behavior flags.
 	tickPerRow bool   // advance the timeline clock per row (demand paths)
@@ -185,12 +175,6 @@ type scan struct {
 	// check and skips invisible rows.
 	mvccTbl *table.Table
 
-	// cpuSel is the predicate set the pipeline evaluates (nil when the
-	// source pushed selection down); visit lists columns to touch before
-	// consumption (COL's explicit reconstruction order).
-	cpuSel expr.Conjunction
-	visit  []int
-
 	// prepare runs inside the measured window before iteration and may
 	// return an explicit row-id list for the (single) segment: index
 	// descent, COL's full-column bitmap selection passes.
@@ -200,34 +184,33 @@ type scan struct {
 	// window; RM resets the ephemeral view here).
 	segs func(pr *pipeRun) segIter
 
-	// spec is the batch compilation input prog was built from (set with
-	// prog by attachVec).
+	// spec is the batch compilation input prog was built from: the CPU
+	// predicates, the visit list and the source's charge constants (set
+	// with prog by attachVec).
 	spec vecSpec
 
-	// sink, when non-nil, replaces the consumer: every qualifying row is
-	// handed to it instead of being folded into a Result. The join executor
-	// streams each side this way — on the batch pipeline when the side
-	// compiled a program, through the scalar interpreter otherwise — so
-	// every build/probe byte still flows through Hier.Load and the side's
-	// span and breakdown reconcile like any other scan. Sink scans report
-	// RowsPassed (rows delivered) but no checksum/aggregates.
+	// sink, when non-nil, replaces the consumption: every qualifying row
+	// is handed to it instead of being folded into a Result. The join
+	// executor streams each side this way, so every build/probe byte still
+	// flows through Hier.Load and the side's span and breakdown reconcile
+	// like any other scan. Sink scans report RowsPassed (rows delivered)
+	// but no checksum/aggregates.
 	sink sideSink
 }
 
-// attachVec compiles q's batch program from the source's spec and routes
-// the scan to the batch executor, reusing the engine-owned scratch (created
-// on first use) so steady-state scans allocate nothing per batch. It
-// reports whether the query compiled.
-func (s *scan) attachVec(q Query, spec vecSpec, scratch **scanScratch) bool {
-	prog, ok := compileScanProg(q, s.sch, spec, nil)
-	if !ok {
-		return false
+// attachVec compiles q's batch program from the source's spec, reusing the
+// engine-owned scratch (created on first use) so steady-state scans
+// allocate nothing per batch. rows is the most rows one segment holds; a
+// source past vecRowLimit fails.
+func (s *scan) attachVec(q *Query, rows int, spec vecSpec, scratch **scanScratch) error {
+	if rows > vecRowLimit {
+		return fmt.Errorf("engine: %d rows exceed the batch pipeline's limit of %d", rows, vecRowLimit)
 	}
 	if *scratch == nil {
 		*scratch = &scanScratch{}
 	}
-	s.prog, s.scratch, s.spec = prog, *scratch, spec
-	return true
+	s.prog, s.scratch, s.spec = compileScanProg(q, s.sch, spec, nil), *scratch, spec
+	return nil
 }
 
 // offloadProgram converts a query's aggregation shape into a fabric operator
@@ -263,7 +246,7 @@ func offloadProgram(q Query) (*fabric.Offload, bool) {
 // (finishAggs), so the Result is bit-identical to a CPU-side execution of
 // the same query. It leaves no partial state: the fabric finalizes an
 // ungrouped program itself, so an offloaded scan is never a partition.
-func (s *scan) runOffload(ev *fabric.Ephemeral, off *fabric.Offload, q Query) (*Result, error) {
+func (s *scan) runOffload(ev *fabric.Ephemeral, off *fabric.Offload, q *Query) (*Result, error) {
 	sys, sp := s.sys, s.sp
 	memStart := sys.Mem.Stats()
 	hierStart := sys.Hier.Stats()
@@ -282,7 +265,7 @@ func (s *scan) runOffload(ev *fabric.Ephemeral, off *fabric.Offload, q Query) (*
 	if !off.Grouped() {
 		res.Aggs = or.Values
 	} else {
-		res.finishAggs(aggOut{groups: or.Groups}, q, false)
+		res.finishAggs(aggOut{groups: or.Groups}, *q, false)
 	}
 	sp.SetAttr("offload", off.Describe())
 	res.Breakdown = pipelineBreakdown(sys, memStart, hierStart, 0, or.ProducerCycles, or.ProducerCycles, uint64(or.ResultBytes))

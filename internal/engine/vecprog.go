@@ -10,21 +10,19 @@ import (
 	"rfabric/internal/vec"
 )
 
-// The vectorized scan path splits each engine's hot loop into batch stages:
+// The batch scan path splits each engine's hot loop into batch stages:
 // bulk decode of the touched columns into typed lanes, predicate kernels
 // that refine a selection vector (recording where each dropped row failed),
-// a charge-replay loop that issues the *exact* per-row Hier.Load sequence
-// and compute charges of the scalar interpreter, and consumption kernels
-// over the surviving selection. The modeled cost depends only on the
-// ordered Load sequence and the compute totals, and the replay reproduces
-// both — same order, same counts — so Breakdown, spans, and timelines are
-// unchanged; only wall-clock time and allocations drop.
+// a charge-replay loop that issues each row's Hier.Load sequence and
+// compute charges under the charge model (pipeline.go), and consumption
+// kernels over the surviving selection. The modeled cost depends only on
+// the ordered Load sequence and the compute totals.
 //
 // scanProg is the per-query compilation of that plan: the distinct columns
 // the scan touches ("slots", in first-touch order), the predicate operands
 // pre-unboxed per type, and — for every short-circuit outcome (failed at
-// predicate d, or passed) — the slots the scalar path would have loaded and
-// the constant compute charge it would have accumulated.
+// predicate d, or passed) — the slots a row with that outcome loads and
+// the constant compute it charges.
 
 // vecBatchRows is the engines' batch width.
 const vecBatchRows = vec.BatchRows
@@ -59,15 +57,15 @@ type vecPred struct {
 // vecAgg is one aggregate term. A COUNT counts the selected rows (columns
 // hold no NULLs, so its argument, loaded and charged like any other, never
 // changes the count); otherwise simple >= 0 folds straight from that
-// slot's lane, and else the term's scalar tree is evaluated over compacted
-// lanes.
+// slot's lane, and else the term's expression tree is evaluated over
+// compacted lanes.
 type vecAgg struct {
 	term   AggTerm
 	simple int
 }
 
-// vecCharges parameterizes the per-engine scalar cost constants the replay
-// reproduces.
+// vecCharges is a source's charge constants, the per-engine half of the
+// charge model.
 type vecCharges struct {
 	perRow   uint64 // charged per visited row (VolcanoNextCycles for ROW, 0 for RM/COL)
 	predEval uint64 // per predicate evaluation
@@ -92,7 +90,6 @@ type scanProg struct {
 	// column fetches + consumption for the pass case).
 	loadSlots [][]int32
 	charge    []uint64
-	perRow    uint64
 
 	// Consumption shape: projCols/projSlot enumerate projection entries
 	// (duplicates included — each entry is charged and folded); aggs hold
@@ -130,15 +127,12 @@ type passOutcome struct {
 }
 
 // compileScanProg builds the batch plan for a query over sch. With passes
-// nil the pass outcome is the query's own consumption: the projection in
-// order, or — grouped — the key columns first, in GroupBy order, then the
-// aggregate arguments (the order consumer.consumeRow fetches them), plus
-// the consumption charge. A join side passes its sink's outcomes instead
-// and gets no consumption shape. ok is false when an aggregate uses a
-// scalar expression form the lane evaluator does not know.
-func compileScanProg(q Query, sch *geometry.Schema, spec vecSpec, passes []passOutcome) (*scanProg, bool) {
+// nil the pass outcome is the query's own consumption (consumeTouches),
+// plus the consumption charge. A join side passes its sink's outcomes
+// instead and gets no consumption shape.
+func compileScanProg(q *Query, sch *geometry.Schema, spec vecSpec, passes []passOutcome) *scanProg {
 	ch := spec.ch
-	p := &scanProg{perRow: ch.perRow}
+	p := &scanProg{}
 
 	slotOf := make([]int, sch.NumColumns())
 	for i := range slotOf {
@@ -178,9 +172,7 @@ func compileScanProg(q Query, sch *geometry.Schema, spec vecSpec, passes []passO
 		for _, col := range cols {
 			addSlot(col)
 		}
-		if !p.compileConsume(q, addSlot) {
-			return nil, false
-		}
+		p.compileConsume(q, addSlot)
 		passes = []passOutcome{{cols: cols, charge: charge}}
 	}
 	outcomes := len(spec.sel) + len(passes)
@@ -188,9 +180,9 @@ func compileScanProg(q Query, sch *geometry.Schema, spec vecSpec, passes []passO
 	p.loadSlots = make([][]int32, 0, outcomes)
 	p.charge = make([]uint64, 0, outcomes)
 
-	// Each outcome's load program is the scalar first-touch sequence: the
-	// columns the short-circuit evaluated, then the visit list and the
-	// outcome's columns.
+	// Each outcome's load program is its first-touch sequence: the columns
+	// the short-circuit evaluated, then the visit list and the outcome's
+	// columns.
 	touched := make([]bool, sch.NumColumns())
 	var seq []int32
 	touch := func(col int) {
@@ -233,20 +225,20 @@ func compileScanProg(q Query, sch *geometry.Schema, spec vecSpec, passes []passO
 		}
 		emit(uint64(len(spec.sel))*ch.predEval + out.charge)
 	}
-	return p, true
+	return p
 }
 
 // compileConsume fills the program's consumption shape for q: projection
 // entries (duplicates included — each entry is charged and folded), or the
 // aggregate terms and GROUP BY key slots. Every consumed column already has
 // a slot.
-func (p *scanProg) compileConsume(q Query, addSlot func(col int) int) bool {
+func (p *scanProg) compileConsume(q *Query, addSlot func(col int) int) {
 	if len(q.Aggregates) == 0 {
 		for _, col := range q.Projection {
 			p.projCols = append(p.projCols, col)
 			p.projSlot = append(p.projSlot, int32(addSlot(col)))
 		}
-		return true
+		return
 	}
 	for _, col := range q.GroupBy {
 		si := addSlot(col)
@@ -259,21 +251,20 @@ func (p *scanProg) compileConsume(q Query, addSlot func(col int) int) bool {
 			if ref, ok := t.Arg.(expr.ColRef); ok {
 				a.simple = addSlot(ref.Col)
 			} else {
-				d, ok := scalarDepth(t.Arg)
-				if !ok {
-					return false
-				}
-				p.evalDepth = max(p.evalDepth, d)
+				p.evalDepth = max(p.evalDepth, scalarDepth(t.Arg))
 			}
 		}
 		p.aggs = append(p.aggs, a)
 	}
-	return true
 }
 
-// consumeTouches returns the columns consumer.consumeRow fetches for one
-// row, in fetch order (repeats included), and the compute it charges.
-func consumeTouches(q Query) ([]int, uint64) {
+// consumeTouches returns the columns the consumption of one row touches,
+// in touch order (repeats included), and the compute it charges: the
+// projection in order, each entry charged a checksum fold; or — grouped —
+// the key columns first, in GroupBy order, charged one hash, then each
+// aggregate's argument columns, each term charged its add and its
+// expression's operations.
+func consumeTouches(q *Query) ([]int, uint64) {
 	if len(q.Aggregates) == 0 {
 		return q.Projection, uint64(len(q.Projection)) * ChecksumCycles
 	}
@@ -293,26 +284,14 @@ func consumeTouches(q Query) ([]int, uint64) {
 	return cols, charge
 }
 
-// scalarDepth returns the scratch-lane depth a scalar tree needs, and
-// whether the lane evaluator understands every node.
-func scalarDepth(s expr.Scalar) (int, bool) {
-	switch t := s.(type) {
-	case expr.ColRef, expr.Const:
-		return 0, true
-	case expr.Binary:
-		dl, okL := scalarDepth(t.L)
-		dr, okR := scalarDepth(t.R)
-		if !okL || !okR {
-			return 0, false
-		}
-		d := dl
-		if dr > d {
-			d = dr
-		}
-		return d + 1, true
-	default:
-		return 0, false
+// scalarDepth returns the scratch-lane depth an expression tree needs: one
+// level per Binary node on its deepest path (ColRef and Const, expr's other
+// forms, need none).
+func scalarDepth(s expr.Scalar) int {
+	if b, ok := s.(expr.Binary); ok {
+		return max(scalarDepth(b.L), scalarDepth(b.R)) + 1
 	}
+	return 0
 }
 
 // scanScratch is the reusable per-engine batch workspace. Engines own one
@@ -486,8 +465,8 @@ func (s *scanScratch) refine(p *scanProg, n int, sel []int32) []int32 {
 }
 
 // vecAcc is one batch run's output: the projection checksum, or the
-// aggregation's fold — the scalar aggregate states, or the scratch's group
-// table.
+// aggregation's fold — the ungrouped aggregate states, or the scratch's
+// group table.
 type vecAcc struct {
 	passed   int64
 	checksum uint64
@@ -503,17 +482,6 @@ type valueCol struct {
 	i64   []int64
 	f64   []float64
 	chr   []byte
-}
-
-func (c *valueCol) append(v table.Value) {
-	switch c.typ {
-	case geometry.Float64:
-		c.f64 = append(c.f64, v.Float)
-	case geometry.Char:
-		c.chr = append(c.chr, v.Bytes[:c.width]...)
-	default:
-		c.i64 = append(c.i64, v.Int)
-	}
 }
 
 // appendRows appends the batch rows' values of a slot with the column's
@@ -540,22 +508,6 @@ func (c *valueCol) appendRows(s *scanScratch, sl *vecSlot, rows []int32) {
 			c.chr = append(c.chr, cl.src[o:o+c.width]...)
 		}
 	}
-}
-
-// value boxes value i the way the scalar fetch decodes it; a CHAR value's
-// bytes are a capacity-capped view of the column.
-func (c *valueCol) value(i int32) table.Value {
-	v := table.Value{Type: c.typ}
-	switch c.typ {
-	case geometry.Float64:
-		v.Float = c.f64[i]
-	case geometry.Char:
-		o := int(i) * c.width
-		v.Bytes = c.chr[o : o+c.width : o+c.width]
-	default:
-		v.Int = c.i64[i]
-	}
-	return v
 }
 
 // keyCol views the column as a hash-key column indexed by value position.
@@ -623,7 +575,7 @@ func (s *scanScratch) consume(p *scanProg, sel []int32, acc *vecAcc) {
 	}
 }
 
-// foldAggs folds sel into the scalar aggregate states.
+// foldAggs folds sel into the ungrouped aggregate states.
 func (s *scanScratch) foldAggs(p *scanProg, sel []int32, aggs []vec.AggState) {
 	for ti := range p.aggs {
 		a := &p.aggs[ti]
@@ -679,9 +631,9 @@ func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 	}
 }
 
-// evalScalar evaluates a derived scalar tree over the selection into dst,
-// compacted. Per-row operation order matches Scalar.EvalF (left subtree,
-// right subtree, combine) so float results are bit-identical.
+// evalScalar evaluates a derived expression tree over the selection into
+// dst, compacted. Per-row operation order matches Scalar.EvalF (left
+// subtree, right subtree, combine) so float results are bit-identical.
 func (s *scanScratch) evalScalar(p *scanProg, sc expr.Scalar, dst []float64, sel []int32, level int) {
 	switch t := sc.(type) {
 	case expr.ColRef:
@@ -720,9 +672,9 @@ func (p *scanProg) slotIndex(col int) int32 {
 
 // result builds the run's Result, finishing its fold (finishAggs) under the
 // statement's sinks, or keeping it for a partition's merge.
-func (s *scanScratch) result(name string, q Query, acc *vecAcc, scanned int64, part bool) *Result {
+func (s *scanScratch) result(name string, q *Query, acc *vecAcc, scanned int64, part bool) *Result {
 	r := &Result{Engine: name, RowsScanned: scanned, RowsPassed: acc.passed, Checksum: acc.checksum}
-	r.finishAggs(acc.out, q, part)
+	r.finishAggs(acc.out, *q, part)
 	return r
 }
 

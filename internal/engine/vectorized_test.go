@@ -14,13 +14,14 @@ import (
 	"rfabric/internal/table"
 )
 
-// The vectorized scan paths promise more than result equivalence: the
-// charge-replay loop must issue the exact Load sequence and compute charges
-// of the scalar interpreter, so the full modeled Breakdown and the cache
-// hierarchy statistics must match bit for bit. Because the RM path allocates
-// fabric delivery windows from the system arena per execution, comparing two
-// executions exactly requires two identically built (system, table) pairs —
-// a shared system would hand the second run different addresses.
+// The batch pipeline promises more than result equivalence: its charge
+// replay issues the charge model's exact Load sequence and compute
+// charges, so the full modeled Breakdown and the hierarchy, DRAM and
+// fabric counters are pinned, bit for bit, by the execution goldens
+// (golden_test.go). Each run gets its own identically built (system,
+// table) pair, because the RM path allocates fabric delivery windows from
+// the system arena per execution: the counters depend on the system's
+// history.
 
 // vecFixture is one deterministic (system, table, column store, index)
 // build.
@@ -84,109 +85,28 @@ func buildVecFixture(t *testing.T, seed int64, mvcc bool, rows int, variant stri
 	return fx
 }
 
-// scalarExec runs a source's opened scan on the tuple-at-a-time
-// interpreter: the scalar twin for sources without a ForceScalar knob.
-type scalarExec struct{ src Source }
-
-func (e scalarExec) Name() string { return e.src.Name() }
-
-func (e scalarExec) Execute(q Query) (*Result, error) {
-	sys, tr := e.src.sysTracer()
-	sp := beginEngineSpan(tr, e.src.Name(), e.src.tableLabel())
-	defer tr.End()
-	s, err := e.src.openScan(q, sp)
-	if err != nil {
-		return nil, err
-	}
-	s.name, s.sys, s.tracer, s.sp = e.src.Name(), sys, tr, sp
-	return s.runScalar(q)
-}
-
-// requireSameValue compares two values down to type, payload, and float
-// bits.
-func requireSameValue(a, b table.Value) bool {
-	return a.Type == b.Type && a.Int == b.Int &&
-		math.Float64bits(a.Float) == math.Float64bits(b.Float) && string(a.Bytes) == string(b.Bytes)
-}
-
-// requireExactMatch compares two results down to modeled cycles and float
-// bits, plus the two systems' cache hierarchy statistics.
-func requireExactMatch(t *testing.T, name string, scalar, vector *Result, scalarSys, vectorSys *System) {
-	t.Helper()
-	fail := func(format string, args ...any) {
-		t.Fatalf("%s: scalar/vectorized mismatch: %s", name, fmt.Sprintf(format, args...))
-	}
-	if scalar.RowsScanned != vector.RowsScanned {
-		fail("RowsScanned %d != %d", scalar.RowsScanned, vector.RowsScanned)
-	}
-	if scalar.RowsPassed != vector.RowsPassed {
-		fail("RowsPassed %d != %d", scalar.RowsPassed, vector.RowsPassed)
-	}
-	if scalar.Checksum != vector.Checksum {
-		fail("Checksum %#x != %#x", scalar.Checksum, vector.Checksum)
-	}
-	if len(scalar.Aggs) != len(vector.Aggs) {
-		fail("Aggs len %d != %d", len(scalar.Aggs), len(vector.Aggs))
-	}
-	for i := range scalar.Aggs {
-		if a, b := scalar.Aggs[i], vector.Aggs[i]; !requireSameValue(a, b) {
-			fail("Aggs[%d] %+v != %+v", i, a, b)
-		}
-	}
-	if len(scalar.Groups) != len(vector.Groups) {
-		fail("Groups len %d != %d", len(scalar.Groups), len(vector.Groups))
-	}
-	for g := range scalar.Groups {
-		a, b := scalar.Groups[g], vector.Groups[g]
-		if a.Count != b.Count || len(a.Key) != len(b.Key) || len(a.Aggs) != len(b.Aggs) {
-			fail("Groups[%d] %+v != %+v", g, a, b)
-		}
-		for i := range a.Key {
-			if !requireSameValue(a.Key[i], b.Key[i]) {
-				fail("Groups[%d].Key[%d] %+v != %+v", g, i, a.Key[i], b.Key[i])
-			}
-		}
-		for i := range a.Aggs {
-			if !requireSameValue(a.Aggs[i], b.Aggs[i]) {
-				fail("Groups[%d].Aggs[%d] %+v != %+v", g, i, a.Aggs[i], b.Aggs[i])
-			}
-		}
-	}
-	if scalar.Breakdown != vector.Breakdown {
-		fail("Breakdown\nscalar: %+v\nvector: %+v", scalar.Breakdown, vector.Breakdown)
-	}
-	if s, v := scalarSys.Hier.Stats(), vectorSys.Hier.Stats(); s != v {
-		fail("hierarchy stats\nscalar: %+v\nvector: %+v", s, v)
-	}
-	if s, v := scalarSys.Mem.Stats(), vectorSys.Mem.Stats(); s != v {
-		fail("DRAM stats\nscalar: %+v\nvector: %+v", s, v)
-	}
-	if s, v := scalarSys.Fab.Stats(), vectorSys.Fab.Stats(); s != v {
-		fail("fabric stats\nscalar: %+v\nvector: %+v", s, v)
-	}
-}
-
 // TestVectorizedMatchesScalarExactly is the charge-replay property test: for
 // randomized schemas, data, and queries, the batch path of every engine
-// produces the identical Result — checksum, float-bit-exact aggregates, and
-// the complete modeled Breakdown — and drives the cache hierarchy through the
-// identical state trajectory.
+// reproduces its golden entry — checksum, float-bit-exact aggregates, the
+// complete modeled Breakdown, and the hardware counters — recorded from
+// the row-at-a-time interpreter it replaced.
 func TestVectorizedMatchesScalarExactly(t *testing.T) {
+	g := openGoldens(t, "vectorized")
 	rng := rand.New(rand.NewSource(20230805))
 	const plainTrials, mvccTrials = 40, 30
 	for i := 0; i < plainTrials; i++ {
 		t.Run(fmt.Sprintf("plain/%03d", i), func(t *testing.T) {
-			vectorizedTrial(t, rng, false)
+			vectorizedTrial(t, g, rng, false)
 		})
 	}
 	for i := 0; i < mvccTrials; i++ {
 		t.Run(fmt.Sprintf("mvcc/%03d", i), func(t *testing.T) {
-			vectorizedTrial(t, rng, true)
+			vectorizedTrial(t, g, rng, true)
 		})
 	}
 }
 
-func vectorizedTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
+func vectorizedTrial(t *testing.T, g *goldenFile, rng *rand.Rand, mvcc bool) {
 	t.Helper()
 	seed := rng.Int63()
 	rows := 1 + rng.Intn(3000)
@@ -214,76 +134,67 @@ func vectorizedTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 
 	type variant struct {
 		name  string
-		build func(fx *vecFixture, forceScalar bool) Executor
+		build func(fx *vecFixture) Executor
 		// idx runs idxQ instead of q; warm runs the query once first and
-		// compares the second (group-cache warm) execution.
+		// records the second (group-cache warm) execution.
 		idx, warm bool
 	}
 	variants := []variant{
-		{name: "ROW", build: func(fx *vecFixture, fs bool) Executor {
-			return &RowEngine{Tbl: fx.tbl, Sys: fx.sys, ForceScalar: fs}
+		{name: "ROW", build: func(fx *vecFixture) Executor {
+			return &RowEngine{Tbl: fx.tbl, Sys: fx.sys}
 		}},
-		{name: "RM", build: func(fx *vecFixture, fs bool) Executor {
-			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys, ForceScalar: fs}
+		{name: "RM", build: func(fx *vecFixture) Executor {
+			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys}
 		}},
-		{name: "RM-push", build: func(fx *vecFixture, fs bool) Executor {
-			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys, PushSelection: true, ForceScalar: fs}
+		{name: "RM-push", build: func(fx *vecFixture) Executor {
+			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys, PushSelection: true}
 		}},
-		{name: "PAR", build: func(fx *vecFixture, fs bool) Executor {
-			return &ParallelEngine{Tbl: fx.tbl, Sys: fx.sys,
-				Par: ParallelConfig{Workers: 4, MorselRows: 256}, ForceScalar: fs}
+		{name: "PAR", build: func(fx *vecFixture) Executor {
+			return &ParallelEngine{Tbl: fx.tbl, Sys: fx.sys, Par: ParallelConfig{Workers: 4, MorselRows: 256}}
 		}},
-		{name: "IDX", idx: true, build: func(fx *vecFixture, fs bool) Executor {
-			e := &IndexEngine{Tbl: fx.tbl, Sys: fx.sys, Idx: fx.idx}
-			if fs {
-				return scalarExec{e}
-			}
-			return e
+		{name: "IDX", idx: true, build: func(fx *vecFixture) Executor {
+			return &IndexEngine{Tbl: fx.tbl, Sys: fx.sys, Idx: fx.idx}
 		}},
-		{name: "RM-warm", warm: true, build: func(fx *vecFixture, fs bool) Executor {
-			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys, ForceScalar: fs,
-				Cache: fabric.NewGroupCache(64<<20, fx.sys.Arena)}
+		{name: "RM-warm", warm: true, build: func(fx *vecFixture) Executor {
+			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys, Cache: fabric.NewGroupCache(64<<20, fx.sys.Arena)}
 		}},
 	}
 	if !mvcc {
-		variants = append(variants, variant{name: "COL", build: func(fx *vecFixture, fs bool) Executor {
-			return &ColEngine{Store: fx.store, Sys: fx.sys, ForceScalar: fs}
+		variants = append(variants, variant{name: "COL", build: func(fx *vecFixture) Executor {
+			return &ColEngine{Store: fx.store, Sys: fx.sys}
 		}})
 	}
 
+	var runs []goldenRun
 	for _, v := range variants {
 		vq := q
 		if v.idx {
 			vq = idxQ
 		}
-		// Fresh twin fixtures per variant: each Execute consumes arena
-		// addresses (fabric windows), so runs must not share a system.
-		scalarFx := buildVecFixture(t, seed, mvcc, rows, v.name)
-		vectorFx := buildVecFixture(t, seed, mvcc, rows, v.name)
-		es, ev := v.build(scalarFx, true), v.build(vectorFx, false)
-		runs := 1
+		fx := buildVecFixture(t, seed, mvcc, rows, v.name)
+		e := v.build(fx)
+		execs := 1
 		if v.warm {
-			runs = 2
+			execs = 2
 		}
-		var rs, rv *Result
-		for i := 0; i < runs; i++ {
+		var res *Result
+		for i := 0; i < execs; i++ {
 			var err error
-			if rs, err = es.Execute(vq); err != nil {
-				t.Fatalf("%s scalar: %v\nquery: %+v", v.name, err, vq)
-			}
-			if rv, err = ev.Execute(vq); err != nil {
-				t.Fatalf("%s vectorized: %v\nquery: %+v", v.name, err, vq)
+			if res, err = e.Execute(vq); err != nil {
+				t.Fatalf("%s: %v\nquery: %+v", v.name, err, vq)
 			}
 		}
-		if v.warm && !rv.CacheWarm {
+		if v.warm && !res.CacheWarm {
 			t.Fatalf("%s: second run did not replay the cached group", v.name)
 		}
-		requireExactMatch(t, v.name, rs, rv, scalarFx.sys, vectorFx.sys)
+		runs = append(runs, goldenRun{name: v.name, twinRun: twinRun{res: res}, hw: fx.sys.HW()})
 	}
+	g.check(t, subtestKey(t), runs...)
 }
 
 // TestVectorizedBoundaryValues drives the kernels through the value-domain
-// corners where scalar semantics are easy to miss: CHAR operands with
+// corners where a boxed value's semantics are easy to miss, against their
+// golden entries: CHAR operands with
 // trailing and embedded NULs, NaN floats on both sides of a predicate,
 // extreme integers, and negative 32-bit values (sign extension). The
 // grouped queries cover the key encoding's corners: -0 and +0 and two NaN
@@ -366,22 +277,16 @@ func TestVectorizedBoundaryValues(t *testing.T) {
 		}
 		return &vecFixture{sys: sys, tbl: tbl, store: store, idx: idx}
 	}
-	engines := map[string]func(fx *vecFixture, scalar bool) Executor{
-		"ROW": func(fx *vecFixture, fs bool) Executor { return &RowEngine{Tbl: fx.tbl, Sys: fx.sys, ForceScalar: fs} },
-		"RM":  func(fx *vecFixture, fs bool) Executor { return &RMEngine{Tbl: fx.tbl, Sys: fx.sys, ForceScalar: fs} },
-		"COL": func(fx *vecFixture, fs bool) Executor {
-			return &ColEngine{Store: fx.store, Sys: fx.sys, ForceScalar: fs}
-		},
-		"IDX": func(fx *vecFixture, fs bool) Executor {
-			e := &IndexEngine{Tbl: fx.tbl, Sys: fx.sys, Idx: fx.idx}
-			if fs {
-				return scalarExec{e}
-			}
-			return e
-		},
+	engines := map[string]func(fx *vecFixture) Executor{
+		"ROW": func(fx *vecFixture) Executor { return &RowEngine{Tbl: fx.tbl, Sys: fx.sys} },
+		"RM":  func(fx *vecFixture) Executor { return &RMEngine{Tbl: fx.tbl, Sys: fx.sys} },
+		"COL": func(fx *vecFixture) Executor { return &ColEngine{Store: fx.store, Sys: fx.sys} },
+		"IDX": func(fx *vecFixture) Executor { return &IndexEngine{Tbl: fx.tbl, Sys: fx.sys, Idx: fx.idx} },
 	}
 
+	g := openGoldens(t, "vectorized_boundary")
 	for qi, q := range queries {
+		var runs []goldenRun
 		for _, engineName := range []string{"ROW", "RM", "COL", "IDX"} {
 			eq := q
 			if engineName == "IDX" {
@@ -389,18 +294,14 @@ func TestVectorizedBoundaryValues(t *testing.T) {
 				eq.Selection = append(expr.Conjunction{
 					{Col: 0, Op: expr.Ge, Operand: table.I64(math.MinInt64)}}, q.Selection...)
 			}
-			scalarFx, vectorFx := build(), build()
-			rs, err := engines[engineName](scalarFx, true).Execute(eq)
+			fx := build()
+			res, err := engines[engineName](fx).Execute(eq)
 			if err != nil {
-				t.Fatalf("query %d %s scalar: %v", qi, engineName, err)
+				t.Fatalf("query %d %s: %v", qi, engineName, err)
 			}
-			rv, err := engines[engineName](vectorFx, false).Execute(eq)
-			if err != nil {
-				t.Fatalf("query %d %s vectorized: %v", qi, engineName, err)
-			}
-			requireExactMatch(t, fmt.Sprintf("query %d %s", qi, engineName),
-				rs, rv, scalarFx.sys, vectorFx.sys)
+			runs = append(runs, goldenRun{name: engineName, twinRun: twinRun{res: res}, hw: fx.sys.HW()})
 		}
+		g.check(t, fmt.Sprintf("query%02d", qi), runs...)
 	}
 }
 

@@ -12,17 +12,15 @@ import (
 	"rfabric/internal/tpch"
 )
 
-// Wall-clock benchmarks for the vectorized scan paths. The modeled cycles of
-// the scalar and batch paths are identical by construction (the charge-replay
-// equivalence tests enforce it); these benchmarks measure the thing that DID
-// change — host time and allocations per executed query. Run with:
+// Wall-clock benchmarks for the batch pipeline. The modeled cycles are
+// pinned by the execution goldens; these benchmarks measure what the
+// simulation costs on the host — time and allocations per executed query.
+// Run with:
 //
 //	go test ./internal/engine -run '^$' -bench Wallclock -benchmem
 //
-// Each sub-benchmark reports scalar/ and vectorized/ variants of the same
-// engine and query, so the speedup and the allocation reduction read directly
-// off the output. The benchmarks live in package engine_test so they can use
-// the TPC-H generator and the SQL front end, which both import engine.
+// The benchmarks live in package engine_test so they can use the TPC-H
+// generator and the SQL front end, which both import engine.
 
 const benchRows = 64 * 1024
 
@@ -52,9 +50,7 @@ func benchLineitem(b *testing.B, sys *engine.System) *table.Table {
 }
 
 // scanQuery is the full-table scan: every row passes and every column is
-// consumed. This is the shape where tuple-at-a-time interpretation pays the
-// most per row (one closure call, one boxed decode, and one hash per value),
-// so it is the benchmark the vectorized path is gated on.
+// consumed, so every value is decoded, charged and hashed.
 func scanQuery() engine.Query {
 	sch := tpch.LineitemSchema()
 	proj := make([]int, sch.NumColumns())
@@ -64,34 +60,25 @@ func scanQuery() engine.Query {
 	return engine.Query{Projection: proj}
 }
 
-func runWallclock(b *testing.B, q engine.Query, build func(forceScalar bool) engine.Executor, reset func()) {
+// runWallclock times eng executing q, with sys reset before each run.
+func runWallclock(b *testing.B, q engine.Query, eng engine.Executor, sys *engine.System) {
 	b.Helper()
-	for _, mode := range []struct {
-		name        string
-		forceScalar bool
-	}{{"scalar", true}, {"vectorized", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := build(mode.forceScalar)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				reset()
-				b.StartTimer()
-				if _, err := eng.Execute(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys.ResetState()
+		b.StartTimer()
+		if _, err := eng.Execute(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkRowScanWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
-	runWallclock(b, scanQuery(), func(fs bool) engine.Executor {
-		return &engine.RowEngine{Tbl: tbl, Sys: sys, ForceScalar: fs}
-	}, sys.ResetState)
+	runWallclock(b, scanQuery(), &engine.RowEngine{Tbl: tbl, Sys: sys}, sys)
 }
 
 // colScanSQL is a two-predicate projection: on COL, a first and a refine
@@ -107,50 +94,25 @@ func BenchmarkColScanWallclock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runWallclock(b, compileBench(b, colScanSQL), func(fs bool) engine.Executor {
-		return &engine.ColEngine{Store: store, Sys: sys, ForceScalar: fs}
-	}, sys.ResetState)
+	runWallclock(b, compileBench(b, colScanSQL), &engine.ColEngine{Store: store, Sys: sys}, sys)
 }
 
 func BenchmarkRMScanWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
-	runWallclock(b, scanQuery(), func(fs bool) engine.Executor {
-		return &engine.RMEngine{Tbl: tbl, Sys: sys, PushSelection: true, ForceScalar: fs}
-	}, sys.ResetState)
+	runWallclock(b, scanQuery(), &engine.RMEngine{Tbl: tbl, Sys: sys, PushSelection: true}, sys)
 }
 
 func BenchmarkQ6Wallclock(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		forceScalar bool
-	}{{"scalar", true}, {"vectorized", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := engine.MustSystem(engine.DefaultSystemConfig())
-			tbl := benchLineitem(b, sys)
-			eng := &engine.RowEngine{Tbl: tbl, Sys: sys, ForceScalar: mode.forceScalar}
-			q := compileBench(b, tpch.Q6SQL)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sys.ResetState()
-				b.StartTimer()
-				if _, err := eng.Execute(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	sys := engine.MustSystem(engine.DefaultSystemConfig())
+	tbl := benchLineitem(b, sys)
+	runWallclock(b, compileBench(b, tpch.Q6SQL), &engine.RowEngine{Tbl: tbl, Sys: sys}, sys)
 }
 
 func BenchmarkParScanWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
-	runWallclock(b, scanQuery(), func(fs bool) engine.Executor {
-		return &engine.ParallelEngine{Tbl: tbl, Sys: sys,
-			Par: engine.ParallelConfig{Workers: 8}, ForceScalar: fs}
-	}, sys.ResetState)
+	runWallclock(b, scanQuery(), &engine.ParallelEngine{Tbl: tbl, Sys: sys, Par: engine.ParallelConfig{Workers: 8}}, sys)
 }
 
 // topNSQL is the top-N shape: a GROUP BY with ~10k groups (one per
@@ -158,11 +120,11 @@ func BenchmarkParScanWallclock(b *testing.B) {
 const topNSQL = `SELECT l_suppkey, SUM(l_extendedprice), COUNT(*) FROM lineitem
 WHERE l_shipdate >= DATE '1996-06-01' GROUP BY l_suppkey ORDER BY 2 DESC LIMIT 10`
 
-// BenchmarkGroupByWallclock measures hash GROUP BY on the scalar and batch
-// pipelines: the Q1-class query (4 groups, derived aggregates) and the
-// top-N query (~10k groups, sort and limit sinks), on ROW, RM, and COL. The
-// sinks run as the façade runs them: both pipelines finish them on their
-// group table, and ApplySinks charges the sort.
+// BenchmarkGroupByWallclock measures hash GROUP BY: the Q1-class query (4
+// groups, derived aggregates) and the top-N query (~10k groups, sort and
+// limit sinks), on ROW, RM, and COL. The sinks run as the façade runs them:
+// the pipeline finishes them on its group table, and ApplySinks charges
+// the sort.
 func BenchmarkGroupByWallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	tbl := benchLineitem(b, sys)
@@ -187,35 +149,29 @@ func BenchmarkGroupByWallclock(b *testing.B) {
 		q    engine.Query
 	}{{"q1", compileBench(b, tpch.Q1SQL)}, {"top-n", topN}}
 	engines := []struct {
-		name  string
-		build func(forceScalar bool) engine.Source
+		name string
+		eng  engine.Source
 	}{
-		{"ROW", func(fs bool) engine.Source { return &engine.RowEngine{Tbl: tbl, Sys: sys, ForceScalar: fs} }},
-		{"RM", func(fs bool) engine.Source { return &engine.RMEngine{Tbl: tbl, Sys: sys, ForceScalar: fs} }},
-		{"COL", func(fs bool) engine.Source { return &engine.ColEngine{Store: store, Sys: sys, ForceScalar: fs} }},
+		{"ROW", &engine.RowEngine{Tbl: tbl, Sys: sys}},
+		{"RM", &engine.RMEngine{Tbl: tbl, Sys: sys}},
+		{"COL", &engine.ColEngine{Store: store, Sys: sys}},
 	}
 	for _, qc := range queries {
 		for _, ec := range engines {
-			for _, mode := range []struct {
-				name        string
-				forceScalar bool
-			}{{"scalar", true}, {"vectorized", false}} {
-				b.Run(qc.name+"/"+ec.name+"/"+mode.name, func(b *testing.B) {
-					eng := ec.build(mode.forceScalar)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						sys.ResetState()
-						b.StartTimer()
-						res, err := engine.Run(eng, qc.q)
-						if err != nil {
-							b.Fatal(err)
-						}
-						engine.ApplySinks(res, qc.q.Sinks)
+			b.Run(qc.name+"/"+ec.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					sys.ResetState()
+					b.StartTimer()
+					res, err := engine.Run(ec.eng, qc.q)
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					engine.ApplySinks(res, qc.q.Sinks)
+				}
+			})
 		}
 	}
 }
@@ -314,11 +270,8 @@ func BenchmarkSequenceWarm(b *testing.B) {
 // BenchmarkJoinQ3Wallclock measures the hash-join pipeline end to end on
 // RM sources: the Q3-class lineitem ⋈ orders query and the two-stage
 // Q10-class lineitem ⋈ orders ⋈ customer query, lowered from SQL, each
-// executed serially and under the morsel-parallel executor. The scalar/
-// variants pin every side the knob reaches to the tuple-at-a-time sinks;
-// the parallel executor's morsel probes have no knob and always run
-// batched, so parallel/scalar differs from parallel/batched only in its
-// build sides. Run with -benchmem to read the allocation drop.
+// executed serially and under the morsel-parallel executor. Run with
+// -benchmem to read the allocations.
 func BenchmarkJoinQ3Wallclock(b *testing.B) {
 	sys := engine.MustSystem(engine.DefaultSystemConfig())
 	li := benchLineitem(b, sys)
@@ -351,53 +304,48 @@ func BenchmarkJoinQ3Wallclock(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name        string
-			forceScalar bool
-		}{{"scalar", true}, {"batched", false}} {
-			builds := func() []engine.Source {
-				out := make([]engine.Source, len(jp.Stages))
-				for i, st := range jp.Stages {
-					out[i] = &engine.RMEngine{Tbl: tables[st.Side.Table], Sys: sys, ForceScalar: mode.forceScalar}
-				}
-				return out
+		builds := func() []engine.Source {
+			out := make([]engine.Source, len(jp.Stages))
+			for i, st := range jp.Stages {
+				out[i] = &engine.RMEngine{Tbl: tables[st.Side.Table], Sys: sys}
 			}
-			b.Run(q.name+"/serial/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					sys.ResetState()
-					b.StartTimer()
-					ex := &engine.JoinExec{
-						Plan:   jp,
-						Probe:  &engine.RMEngine{Tbl: li, Sys: sys, ForceScalar: mode.forceScalar},
-						Builds: builds(),
-					}
-					if _, err := ex.Execute(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(q.name+"/parallel/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					sys.ResetState()
-					b.StartTimer()
-					ex := &engine.ParallelJoinExec{
-						Plan:     jp,
-						ProbeTbl: li,
-						Sys:      sys,
-						Par:      engine.ParallelConfig{Workers: 8},
-						Builds:   builds(),
-					}
-					if _, err := ex.Execute(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			return out
 		}
+		b.Run(q.name+"/serial", func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys.ResetState()
+				b.StartTimer()
+				ex := &engine.JoinExec{
+					Plan:   jp,
+					Probe:  &engine.RMEngine{Tbl: li, Sys: sys},
+					Builds: builds(),
+				}
+				if _, err := ex.Execute(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(q.name+"/parallel", func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys.ResetState()
+				b.StartTimer()
+				ex := &engine.ParallelJoinExec{
+					Plan:     jp,
+					ProbeTbl: li,
+					Sys:      sys,
+					Par:      engine.ParallelConfig{Workers: 8},
+					Builds:   builds(),
+				}
+				if _, err := ex.Execute(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

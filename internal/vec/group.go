@@ -14,7 +14,7 @@ import (
 // a dense group id (first-seen order) and folds the rows' aggregate inputs
 // into per-group AggStates. Each group's states see that group's rows in
 // selection order, which is row order, so every float fold is the same
-// sequence of additions as the scalar consumer's and the results are
+// sequence of additions as a row-at-a-time fold's and the results are
 // bit-identical. Once a batch's groups exist, assigning and folding it
 // allocates nothing.
 
@@ -149,18 +149,9 @@ func (t *GroupTable) setKeys(cols []geometry.Column) {
 // KeyColumns returns the key columns the table was Reset with.
 func (t *GroupTable) KeyColumns() []geometry.Column { return t.cols }
 
-// KeyLen returns the byte length of the table's keys.
-func (t *GroupTable) KeyLen() int { return len(t.buf) }
-
-// PutKey writes v, a value of key column k, into key, a buffer of KeyLen
-// bytes; once every column is written, key is the row's group key.
-func (t *GroupTable) PutKey(key []byte, k int, v table.Value) {
-	t.fields[k].put(key, v.Int, v.Float, v.Bytes)
-}
-
-// KeyValue returns key column k of group g, boxed as the scalar fetch
-// decodes it. A CHAR value is its NUL-padded field, a capacity-capped view
-// of the table's storage that the next Reset reuses.
+// KeyValue returns key column k of group g, boxed as table.DecodeColumn
+// decodes the column's field. A CHAR value is its NUL-padded field, a
+// capacity-capped view of the table's storage that the next Reset reuses.
 func (t *GroupTable) KeyValue(g, k int) table.Value {
 	f, key := &t.fields[k], t.Key(g)
 	v := table.Value{Type: f.typ}

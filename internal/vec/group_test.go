@@ -339,10 +339,9 @@ func refKey(cols []geometry.Column, vals []table.Value) []byte {
 // values heavy in corners (NaN payloads of both signs, ±0, ±Inf, extreme
 // integers, CHAR with embedded and trailing NULs and 0xff): bytes.Compare
 // on two rows' keys agrees in sign with refKeyCmp, and the keys are equal
-// exactly when refKey is. Batch (Assign) and boxed (PutKey, with CHAR
-// values given trimmed) encodings agree, every group decodes back to its
-// rows' values bit for bit with CHAR re-padded to width, and KeyValues'
-// copies outlive a Reset.
+// exactly when refKey is. Every group decodes back to its rows' values bit
+// for bit with CHAR re-padded to width, and KeyValues' copies outlive a
+// Reset.
 func TestGroupKeyOrderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	floats := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000002), math.Float64frombits(0xfff8000000000001),
@@ -407,17 +406,7 @@ func TestGroupKeyOrderMatchesReference(t *testing.T) {
 		g.Assign(ids, kcols, sel)
 		keys := make([][]byte, n)
 		for r, row := range rows {
-			key := make([]byte, g.KeyLen())
-			for k, v := range row {
-				if v.Type == geometry.Char {
-					v.Bytes = TrimPad(v.Bytes)
-				}
-				g.PutKey(key, k, v)
-			}
-			if !bytes.Equal(key, g.Key(int(ids[r]))) {
-				t.Fatalf("trial %d row %d %v: PutKey gives %x, Assign's group has %x", trial, r, row, key, g.Key(int(ids[r])))
-			}
-			keys[r] = key
+			keys[r] = g.Key(int(ids[r]))
 			for k, want := range row {
 				got := g.KeyValue(int(ids[r]), k)
 				if got.Type != want.Type || got.Int != want.Int ||
@@ -463,11 +452,14 @@ func TestGroupKeyOrderMatchesReference(t *testing.T) {
 func TestHashKeySpreadsGroupKeys(t *testing.T) {
 	var g GroupTable
 	g.Reset(0, []geometry.Column{{Type: geometry.Int64}})
+	xs, sel := make([]int64, 4096), make([]int32, 4096)
+	for i := range xs {
+		xs[i], sel[i] = int64(i), int32(i)
+	}
+	g.Assign(make([]int32, len(sel)), []KeyCol{{Kind: KeyInt, I64: xs}}, sel)
 	slots := map[uint64]bool{}
-	key := make([]byte, g.KeyLen())
-	for x := int64(0); x < 4096; x++ {
-		g.PutKey(key, 0, table.I64(x))
-		slots[hashKey(key)&8191] = true
+	for i := 0; i < g.Len(); i++ {
+		slots[hashKey(g.Key(i))&8191] = true
 	}
 	if len(slots) < 2800 {
 		t.Fatalf("4096 consecutive keys hash to %d of 8192 slots", len(slots))

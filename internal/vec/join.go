@@ -7,13 +7,12 @@ import (
 
 // Hash join. A JoinTable indexes a build side's entries by encoded join key:
 // each distinct key heads a chain of entry ids in insertion order, so a
-// probe visits a key's matches in the order the build side produced them —
-// the order the scalar prober's per-key entry lists had. The entries'
-// column values live with the caller; the table holds only the key index
+// probe visits a key's matches in the order the build side produced them.
+// The entries' column values live with the caller; the table holds only the key index
 // and the chains. Lookups do not write, so probes on many goroutines may
 // share one built table.
 
-// The join-key encoding, shared with the engine's scalar join: integer
+// The join-key encoding: integer
 // family values as 8 little-endian bytes of the sign-extended value (so INT,
 // BIGINT, and DATE keys join across widths), DOUBLE as its IEEE-754 bits
 // with -0 folded onto +0 (NaN never matches, per SQL equality), CHAR as its

@@ -76,7 +76,7 @@ func GatherBytes(dst, src []byte, stride, width int, sel []int32) {
 // Filter kernels: selection-vector refinement. Each keeps the rows whose
 // lane value satisfies (op, operand) and records the failing predicate depth
 // in fail[row] for the rows it drops, so the engine's charge-replay loop can
-// reproduce the scalar short-circuit exactly. sel is refined in place (the
+// reproduce each row's predicate short-circuit exactly. sel is refined in place (the
 // surviving prefix is returned).
 
 // FilterI64 refines sel over an integer lane.
@@ -122,7 +122,7 @@ func FilterChar(src []byte, off, stride, width int, op expr.CmpOp, operand []byt
 
 // Bitmap compare kernels for the COL engine's full-column selection passes.
 // With refine=false every row is evaluated (first pass); with refine=true
-// only rows still true are re-evaluated, like the scalar read-modify-write.
+// only rows still true are re-evaluated, read-modify-writing the bitmap.
 
 // CmpBitmapI64 evaluates an integer lane into dst.
 func CmpBitmapI64(dst []bool, lane []int64, op expr.CmpOp, operand int64, refine bool) {
@@ -157,10 +157,10 @@ func CmpBitmapChar(dst []bool, src []byte, width, base int, op expr.CmpOp, opera
 }
 
 // Checksum kernels: fold the selected values of one projected column into
-// the order-insensitive FNV checksum, replicating the scalar consumer. The
-// hash of a value is mix8(mix8(offset, col), payload); the column premix is
-// constant across a kernel call, so each kernel computes it once and folds
-// only the payload per row.
+// the order-insensitive FNV checksum, as HashI64/HashF64/HashChar hash one
+// value. The hash of a value is mix8(mix8(offset, col), payload); the
+// column premix is constant across a kernel call, so each kernel computes
+// it once and folds only the payload per row.
 
 // ChecksumI64 folds selected integer lanes.
 func ChecksumI64(col int, lane []int64, sel []int32) uint64 {

@@ -1,14 +1,14 @@
 // Package vec implements the fixed-size columnar batch kernels behind the
-// engines' vectorized scan paths. A batch is BatchRows rows of one or more
+// engines' batch scan paths. A batch is BatchRows rows of one or more
 // typed lanes ([]int64 for BIGINT/INT/DATE, []float64 for DOUBLE; CHAR
 // columns are accessed in place in the source buffer), narrowed by a
-// selection vector of row indices. The kernels are pure wall-clock
-// optimizations: they carry no modeled cost of their own. The engines still
-// charge every PredEvalCycles/ExtractCycles/Hier.Load exactly as the scalar
-// interpreters do — the kernels only replace the per-row closure dispatch,
-// Value boxing, and per-value DecodeColumn calls with tight typed loops.
+// selection vector of row indices. The kernels carry no modeled cost of
+// their own: the engines charge every PredEvalCycles/ExtractCycles/
+// Hier.Load row by row under their charge model, and the kernels compute
+// over typed lanes in place of boxed Values and per-value DecodeColumn
+// calls.
 //
-// Every kernel replicates the corresponding scalar semantics bit for bit:
+// Every kernel follows the boxed values' semantics bit for bit:
 // comparisons follow table.Value.Compare (three-way compare, then
 // expr.CmpOp.Holds; CHAR compares with trailing-NUL padding stripped),
 // checksums follow the engine's FNV-1a value hash (CHAR hashes bytes up to
@@ -92,7 +92,7 @@ func CmpI64(a, b int64) int {
 }
 
 // CmpF64 is the three-way float compare of table.Value.Compare. NaN compares
-// as neither less nor greater — cmp 0 — exactly like the scalar path.
+// as neither less nor greater — cmp 0 — exactly like Value.Compare.
 func CmpF64(a, b float64) int {
 	switch {
 	case a < b:
@@ -109,8 +109,8 @@ func CmpChar(field, operand []byte) int {
 }
 
 // AggState is one aggregate term's running state, the only aggregate fold
-// there is: the engines' batch and scalar consumers, the fabric's offload
-// fold and the storage controller's fold all add to it, and partitioned
+// there is: the engines' batch consumption, the fabric's offload fold and
+// the storage controller's fold all add to it, and partitioned
 // runs merge their partitions' states (Merge) before finalizing once
 // (Result). MIN and MAX follow a sequential fold's rule, `x < Min` and
 // `x > Max` over the values in order, so the first of equal values (-0 and
@@ -203,7 +203,7 @@ func (a AggState) Result(kind expr.AggKind) table.Value {
 func (a *AggState) AddCount(n int64) { a.Count += n }
 
 // AddI64 folds the selected lanes of an integer lane, in selection order, so
-// float accumulation is sequential exactly like the scalar loop.
+// float accumulation is sequential in row order.
 func AddI64(a *AggState, lane []int64, sel []int32) {
 	for _, r := range sel {
 		a.Add(float64(lane[r]))

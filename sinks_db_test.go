@@ -2,9 +2,12 @@ package rfabric
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -152,12 +155,14 @@ func unpushedSinks(db *DB, kind EngineKind, text string) (*Result, uint64, error
 }
 
 // stableSinks is the reference for a statement's sinks over a result run
-// without them, whose groups are in the canonical order: a stable sort by
-// the sort keys' boxed values (Value.Compare, negated for DESC), the cut at
-// the limit, and the n·⌈log₂n⌉·SortCmpCycles charge over the n groups
-// before the cut, added to the breakdown and returned.
+// without them: the groups in the canonical order of their boxed keys
+// (refKeyCmp), whatever order they came in, then a stable sort by the sort
+// keys' boxed values (Value.Compare, negated for DESC), the cut at the
+// limit, and the n·⌈log₂n⌉·SortCmpCycles charge over the n groups before
+// the cut, added to the breakdown and returned.
 func stableSinks(res *Result, sk engine.Sinks) uint64 {
 	rows := res.Groups
+	slices.SortFunc(rows, func(a, b engine.GroupRow) int { return refKeyCmp(a.Key, b.Key) })
 	sort.SliceStable(rows, func(i, j int) bool {
 		a, b := &rows[i], &rows[j]
 		for _, k := range sk.Keys {
@@ -187,6 +192,39 @@ func stableSinks(res *Result, sk engine.Sinks) uint64 {
 	res.Breakdown.ComputeCycles += cycles
 	res.Breakdown.TotalCycles += cycles
 	return cycles
+}
+
+// refKeyCmp is the canonical group order's rule stated on boxed key values
+// (internal/vec's TestGroupKeyOrderMatchesReference holds the group-key
+// format to the same rule): key columns in turn, DOUBLE by cmp.Compare (NaN
+// first, -0 == +0), integers by value, CHAR by pad-trimmed bytes; keys
+// equal on every column by those rules are ordered by their DOUBLEs' raw
+// bits, little-endian, column by column.
+func refKeyCmp(a, b []Value) int {
+	for k := range a {
+		var r int
+		switch a[k].Type {
+		case Float64:
+			r = cmp.Compare(a[k].Float, b[k].Float)
+		case Char:
+			r = bytes.Compare(bytes.TrimRight(a[k].Bytes, "\x00"), bytes.TrimRight(b[k].Bytes, "\x00"))
+		default:
+			r = cmp.Compare(a[k].Int, b[k].Int)
+		}
+		if r != 0 {
+			return r
+		}
+	}
+	for k := range a {
+		if a[k].Type == Float64 {
+			x := binary.LittleEndian.AppendUint64(nil, math.Float64bits(a[k].Float))
+			y := binary.LittleEndian.AppendUint64(nil, math.Float64bits(b[k].Float))
+			if r := bytes.Compare(x, y); r != 0 {
+				return r
+			}
+		}
+	}
+	return 0
 }
 
 // TestSinkStatementsPlanOfRoundTrip: for every single-table statement of
