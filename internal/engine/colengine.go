@@ -86,7 +86,7 @@ func (e *ColEngine) openScan(q *Query, _ *obs.Span) (*scan, error) {
 	}
 	// Predicates run as bitmap passes outside the program, hence the empty
 	// selection; reconstruction touches every consumed column per row.
-	if err := s.attachVec(q, rows, vecSpec{visit: q.consumedColumns(), ch: colVecCharges}, &e.scratch); err != nil {
+	if err := s.attachVec(rows, vecSpec{visit: q.consumedColumns(), ch: colVecCharges}, &e.scratch); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -145,7 +145,7 @@ func (e *IndexEngine) openScan(q *Query, _ *obs.Span) (*scan, error) {
 		return oneShotIter(segment{cols: heapRegions(tbl), ids: pr.ids, sourceRows: int64(len(pr.ids))})
 	}
 
-	if err := s.attachVec(q, tbl.NumRows(), vecSpec{sel: q.Selection, ch: idxVecCharges}, &e.scratch); err != nil {
+	if err := s.attachVec(tbl.NumRows(), vecSpec{sel: q.Selection, ch: idxVecCharges}, &e.scratch); err != nil {
 		return nil, err
 	}
 	return s, nil

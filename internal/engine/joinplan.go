@@ -317,7 +317,7 @@ func buildJoinTables(p *JoinPlan, builds []Source) ([]*joinBuild, []*Result, err
 			return nil, nil, fmt.Errorf("engine: stage %d build key %d missing from side projection", k, stage.BuildKey)
 		}
 		tbl := newJoinBuild(p.Schema, p.Offsets[k+1], proj, keySlot)
-		res, err := runJoinSide(builds[k], &stage.Side.Query, fmt.Sprintf("build[%d]", k), tbl)
+		res, err := runScan(builds[k], &stage.Side.Query, fmt.Sprintf("build[%d]", k), tbl, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -377,7 +377,7 @@ func (e *JoinExec) Execute() (*Result, error) {
 	}
 	_, tr := e.Probe.sysTracer()
 	name := e.Probe.Name()
-	sp := beginEngineSpan(tr, name, p.Probe.Table)
+	sp := beginEngineSpan(tr, name+".execute", name, p.Probe.Table)
 	sp.SetAttr("join_stages", strconv.Itoa(len(p.Stages)))
 	defer tr.End()
 
@@ -397,7 +397,7 @@ func (e *JoinExec) Execute() (*Result, error) {
 	}
 
 	probe := newJoinProbe(p, tables)
-	probeRes, err := runJoinSide(e.Probe, &p.Probe.Query, "probe", probe)
+	probeRes, err := runScan(e.Probe, &p.Probe.Query, "probe", probe, false)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +455,7 @@ func (e *ParallelJoinExec) Execute() (*Result, error) {
 		return nil, errors.New("engine: ParallelJoinExec needs a plan, a probe table, and a system")
 	}
 	par := e.Par.normalized()
-	sp := beginEngineSpan(e.Tracer, "PAR", p.Probe.Table)
+	sp := beginEngineSpan(e.Tracer, "PAR.execute", "PAR", p.Probe.Table)
 	sp.SetAttr("join_stages", strconv.Itoa(len(p.Stages)))
 	defer e.Tracer.End()
 
@@ -516,7 +516,7 @@ func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin,
 	}
 	src := &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, Offload: e.Offload, SemiJoin: semi}
 	probe := newJoinProbe(e.Plan, tables)
-	probeRes, err := runJoinSide(src, &e.Plan.Probe.Query, "probe", probe)
+	probeRes, err := runScan(src, &e.Plan.Probe.Query, "probe", probe, false)
 	if err != nil {
 		return nil, 0, err
 	}

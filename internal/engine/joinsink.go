@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"slices"
 
 	"rfabric/internal/geometry"
@@ -9,7 +8,8 @@ import (
 )
 
 // Join sides stream through the shared pipeline with a sink in place of the
-// consumption: each side recompiles its scan's pass outcomes for its sink.
+// consumption: each side's program is compiled with its sink's pass
+// outcomes.
 // A build row charges HashBuildCycles and touches the side projection in
 // order. A probe row charges HashProbeCycles per stage it visits, touches
 // each stage's probe-side key in stage order up to the deepest stage it
@@ -27,42 +27,15 @@ type sideSink interface {
 	batch(sc *scanScratch, prog *scanProg, sel []int32)
 }
 
-// runJoinSide streams one join side through the pipeline into sink. The
-// side's span and breakdown close like any scan's, so join phases reconcile
-// side by side.
-func runJoinSide(src Source, q *Query, label string, sink sideSink) (*Result, error) {
-	sys, tr := src.sysTracer()
-	sp := tr.Begin(label)
-	sp.SetAttr("engine", src.Name())
-	if t := src.tableLabel(); t != "" {
-		sp.SetAttr("table", t)
-	}
-	defer tr.End()
-	s, err := src.openScan(q, sp)
-	if err != nil {
-		return nil, err
-	}
-	if s.direct != nil {
-		return nil, errors.New("engine: join side requires a pipeline scan (the source computed its result directly)")
-	}
-	s.prog = compileScanProg(q, s.sch, s.spec, sink.passes())
-	s.name = src.Name()
-	s.sys = sys
-	s.tracer = tr
-	s.sp = sp
-	s.sink = sink
-	return s.run(q)
-}
-
 // joinBuild is one stage's build side and its sink: every qualifying row
 // is charged HashBuildCycles and touches the side projection in order;
 // rows with a matchable key become entries — the projection's values,
 // column by column — indexed by their join-key encoding. NaN keys are
 // never inserted.
 type joinBuild struct {
-	proj []int      // the side projection (schema columns)
-	key  int        // index into proj of the build key
-	cols []valueCol // one per proj entry, indexed by entry id
+	proj []int     // the side projection (schema columns)
+	key  int       // index into proj of the build key
+	cols []vec.Col // one per proj entry, indexed by entry id
 	tbl  vec.JoinTable
 
 	keyBuf []byte
@@ -74,10 +47,9 @@ type joinBuild struct {
 // newJoinBuild readies the sink for a build side whose projection proj
 // indexes the side's table, found at offset off of the combined schema.
 func newJoinBuild(combined *geometry.Schema, off int, proj []int, key int) *joinBuild {
-	b := &joinBuild{proj: proj, key: key, cols: make([]valueCol, len(proj))}
+	b := &joinBuild{proj: proj, key: key, cols: make([]vec.Col, len(proj))}
 	for i, c := range proj {
-		col := combined.Column(off + c)
-		b.cols[i] = valueCol{typ: col.Type, width: col.Width}
+		b.cols[i] = vec.MakeCol(combined.Column(off+c), 0)
 	}
 	return b
 }
@@ -94,7 +66,7 @@ func (b *joinBuild) batch(sc *scanScratch, prog *scanProg, sel []int32) {
 			b.slots = append(b.slots, prog.slotIndex(c))
 		}
 	}
-	kc := sc.keyCol(&prog.slots[b.slots[b.key]])
+	kc := &sc.cols[b.slots[b.key]]
 	ins := b.ins[:0]
 	for _, r := range sel {
 		var ok bool
@@ -105,7 +77,7 @@ func (b *joinBuild) batch(sc *scanScratch, prog *scanProg, sel []int32) {
 	}
 	b.ins = ins
 	for i := range b.cols {
-		b.cols[i].appendRows(sc, &prog.slots[b.slots[i]], ins)
+		b.cols[i].Append(&sc.cols[b.slots[i]], ins)
 	}
 }
 
@@ -163,7 +135,7 @@ type combinedSrc struct {
 type stageKey struct {
 	stage int
 	slot  int32
-	col   vec.KeyCol
+	col   *vec.Col
 }
 
 func newJoinProbe(p *JoinPlan, builds []*joinBuild) *joinProbe {
@@ -181,7 +153,7 @@ func newJoinProbe(p *JoinPlan, builds []*joinBuild) *joinProbe {
 	for k, st := range p.Stages {
 		sk := stageKey{stage: colSide[st.ProbeKey] - 1}
 		if sk.stage >= 0 {
-			sk.col = builds[sk.stage].cols[colSlot[st.ProbeKey]].keyCol()
+			sk.col = &builds[sk.stage].cols[colSlot[st.ProbeKey]]
 		}
 		j.keys[k] = sk
 	}
@@ -219,7 +191,7 @@ func (j *joinProbe) batch(sc *scanScratch, prog *scanProg, sel []int32) {
 	j.sc = sc
 	for k := range j.keys {
 		if sk := &j.keys[k]; sk.stage < 0 {
-			sk.col = sc.keyCol(&prog.slots[sk.slot])
+			sk.col = &sc.cols[sk.slot]
 		}
 	}
 	base := int16(len(prog.preds))
@@ -287,21 +259,11 @@ func (j *joinProbe) flush() {
 		return
 	}
 	for si := range j.cprog.slots {
-		sl := &j.cprog.slots[si]
 		src := &j.srcs[si]
 		if src.stage >= 0 {
-			j.builds[src.stage].cols[src.col].take(&j.csc, sl, j.ents[src.stage])
-			continue
-		}
-		ps := &j.prog.slots[src.slot]
-		switch sl.kind {
-		case slotI64, slotI32:
-			vec.TakeI64(j.csc.i64[sl.lane], j.sc.i64[ps.lane], j.pidx)
-		case slotF64:
-			vec.TakeF64(j.csc.f64[sl.lane], j.sc.f64[ps.lane], j.pidx)
-		case slotChar:
-			c := &j.sc.chr[ps.lane]
-			j.csc.gatherChar(sl, c.src[c.off:], c.stride, j.pidx)
+			j.csc.cols[si].Take(&j.builds[src.stage].cols[src.col], j.ents[src.stage])
+		} else {
+			j.csc.cols[si].Take(&j.sc.cols[src.slot], j.pidx)
 		}
 	}
 	j.csc.consume(j.cprog, j.csc.iota[:m], j.acc)

@@ -72,10 +72,11 @@ func formatRatio(v float64) string {
 	return strconv.FormatFloat(v, 'f', 4, 64)
 }
 
-// beginEngineSpan opens an engine-dispatch span annotated with the engine
-// kind and table; the companion finish helpers close the attribution.
-func beginEngineSpan(tr *obs.Tracer, engine, tbl string) *obs.Span {
-	sp := tr.Begin(engine + ".execute")
+// beginEngineSpan opens an engine-dispatch span named label, annotated
+// with the engine kind and table; the companion finish helpers close the
+// attribution.
+func beginEngineSpan(tr *obs.Tracer, label, engine, tbl string) *obs.Span {
+	sp := tr.Begin(label)
 	sp.SetAttr("engine", engine)
 	if tbl != "" {
 		sp.SetAttr("table", tbl)

@@ -91,7 +91,7 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 
 	par := e.Par.normalized()
 	n, workers := par.split(e.Tbl.NumRows())
-	sp := beginEngineSpan(e.Tracer, e.Name(), e.Tbl.Name())
+	sp := beginEngineSpan(e.Tracer, e.Name()+".execute", e.Name(), e.Tbl.Name())
 	defer e.Tracer.End()
 	tracers := newPartTracers(sp, n)
 

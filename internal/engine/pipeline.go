@@ -39,11 +39,18 @@ type pipeRun struct {
 	loads     loadBuf // the charge replay
 }
 
-// run dispatches an opened scan to its execution mode.
+// run dispatches an opened scan to its execution mode. A batch scan
+// compiles its program here, once: from the sink's pass outcomes when a
+// join side streams into one, else from q's consumption.
 func (s *scan) run(q *Query) (*Result, error) {
 	if s.direct != nil {
 		return s.direct()
 	}
+	var passes []passOutcome
+	if s.sink != nil {
+		passes = s.sink.passes()
+	}
+	s.prog = compileScanProg(q, s.sch, s.spec, passes)
 	return s.runVec(q)
 }
 

@@ -14,7 +14,9 @@ import (
 
 // The batch executor. It processes vecBatchRows rows per iteration in four
 // stages — visibility, bulk decode, selection refinement, charge replay —
-// then consumes the survivors through typed kernels. The charge-replay
+// then consumes the survivors. Every stage that touches values works on
+// the scratch's batch columns, one vec.Col per slot, whose methods are the
+// only per-type code: decode, gather, filter, checksum, fold. The charge-replay
 // stage issues, row by row, the loads and compute of the charge model in
 // pipeline.go: the per-row short-circuit outcome, decided by the recorded
 // fail depth, selects a precompiled load program. The loads are recorded
@@ -510,11 +512,8 @@ func colBitmapPasses(pr *pipeRun, sys *System, sc *scanScratch, store *colstore.
 		cdef := sch.Column(p.Col)
 		w := cdef.Width
 		data := store.ColumnData(p.Col)
-		refinePass := pi > 0
-		var opB []byte
-		if cdef.Type == geometry.Char {
-			opB = vec.TrimPad(p.Operand.Bytes)
-		}
+		pred := vec.MakePred(p.Op, p.Operand)
+		sc.pass.Reset(cdef, vecBatchRows)
 		for base := 0; base < rows; base += vecBatchRows {
 			n := min(rows-base, vecBatchRows)
 			// Pass order per row: tick, value load, bitmap load (later
@@ -531,20 +530,8 @@ func colBitmapPasses(pr *pipeRun, sys *System, sc *scanScratch, store *colstore.
 				pr.compute += uint64(n) * (VectorOpCycles + MaterializeCycles)
 			}
 			loads.submit()
-			dst := bitmap[base : base+n]
-			switch cdef.Type {
-			case geometry.Int64:
-				vec.DecodeI64(sc.pred[:n], data, base*w, w, n)
-				vec.CmpBitmapI64(dst, sc.pred[:n], p.Op, p.Operand.Int, refinePass)
-			case geometry.Int32, geometry.Date:
-				vec.DecodeI32(sc.pred[:n], data, base*w, w, n)
-				vec.CmpBitmapI64(dst, sc.pred[:n], p.Op, p.Operand.Int, refinePass)
-			case geometry.Float64:
-				vec.DecodeF64(sc.out[:n], data, base*w, w, n)
-				vec.CmpBitmapF64(dst, sc.out[:n], p.Op, p.Operand.Float, refinePass)
-			case geometry.Char:
-				vec.CmpBitmapChar(dst, data, w, base, p.Op, opB, refinePass)
-			}
+			sc.pass.Decode(data, base*w, w, n)
+			sc.pass.Bitmap(bitmap[base:base+n], &pred, pi > 0)
 		}
 	}
 	return bitmapIDs(pr, bitmap)

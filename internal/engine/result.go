@@ -6,8 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"rfabric/internal/geometry"
-	"rfabric/internal/plan"
 	"rfabric/internal/table"
 	"rfabric/internal/vec"
 )
@@ -219,27 +217,33 @@ func (m *aggOut) merge(p *aggOut) {
 }
 
 // outputOrder returns the ids of a group table's n groups in output order:
-// sorted by the sinks' keys with Value.Compare (negated for DESC), ties
-// broken by the canonical group order, then cut at the limit. When the
-// limit cuts and no sort key is NaN, a bounded top-k picks the kept groups
-// without sorting the rest. A NaN sort key compares equal to everything,
-// which leaves the order to the sort algorithm, so then the ids are put in
-// canonical order and stably sorted by the keys alone, exactly as a stable
-// sort of canonically ordered rows would.
+// sorted by the sinks' keys with Value.Compare's rule (negated for DESC),
+// ties broken by the canonical group order, then cut at the limit. Each
+// sort key is finalized once per group, into a column the comparisons
+// read. When the limit cuts and no sort key is NaN, a bounded top-k picks
+// the kept groups without sorting the rest. A NaN sort key compares equal
+// to everything, which leaves the order to the sort algorithm, so then the
+// ids are put in canonical order and stably sorted by the keys alone,
+// exactly as a stable sort of canonically ordered rows would.
 func outputOrder(gs *tableSet, n int, sk Sinks) []int32 {
 	canon := gs.canon
 	limit := n
 	if sk.HasLimit && sk.Limit < int64(n) {
 		limit = int(sk.Limit)
 	}
+	cols := make([]vec.Col, len(sk.Keys))
+	nan := false
+	for i, k := range sk.Keys {
+		if k.Key >= 0 {
+			gs.g.DecodeKeyCol(&cols[i], k.Key)
+		} else {
+			gs.g.FinishAggCol(&cols[i], k.Agg, gs.aggs[k.Agg].Kind)
+		}
+		nan = nan || cols[i].HasNaN()
+	}
 	byKeys := func(a, b int32) int {
-		for _, k := range sk.Keys {
-			var c int
-			if k.Key >= 0 {
-				c = gs.key(a, k.Key).Compare(gs.key(b, k.Key))
-			} else {
-				c = gs.agg(a, k.Agg).Compare(gs.agg(b, k.Agg))
-			}
+		for i, k := range sk.Keys {
+			c := cols[i].Cmp(a, b)
 			if k.Desc {
 				c = -c
 			}
@@ -255,7 +259,6 @@ func outputOrder(gs *tableSet, n int, sk Sinks) []int32 {
 		}
 		return canon(a, b)
 	}
-	nan := sortKeysHaveNaN(gs, n, sk.Keys)
 	if limit < n && !nan {
 		return topK(n, limit, total)
 	}
@@ -270,27 +273,6 @@ func outputOrder(gs *tableSet, n int, sk Sinks) []int32 {
 		slices.SortFunc(order, total)
 	}
 	return order[:limit]
-}
-
-// sortKeysHaveNaN reports whether any group has a NaN in a sort key.
-func sortKeysHaveNaN(gs *tableSet, n int, keys []plan.SortKey) bool {
-	for _, k := range keys {
-		for g := int32(0); g < int32(n); g++ {
-			var v table.Value
-			if k.Key >= 0 {
-				v = gs.key(g, k.Key)
-			} else {
-				v = gs.agg(g, k.Agg)
-			}
-			if v.Type != geometry.Float64 {
-				break
-			}
-			if math.IsNaN(v.Float) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // topK returns the first k of the positions 0..n-1 in the order of cmp, a

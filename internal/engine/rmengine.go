@@ -236,7 +236,7 @@ func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 	s.pipelined = true
 	// A segment is one fabric chunk, which the delivery buffer bounds far
 	// below the row limit.
-	if err := s.attachVec(q, 0, vecSpec{sel: cpuSel, ch: rmVecCharges}, &e.scratch); err != nil {
+	if err := s.attachVec(0, vecSpec{sel: cpuSel, ch: rmVecCharges}, &e.scratch); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -72,7 +72,7 @@ func (e *RowEngine) openScan(q *Query, _ *obs.Span) (*scan, error) {
 	seg := segment{cols: heapRegions(e.Tbl), rows: rows, sourceRows: int64(rows)}
 	s.segs = func(*pipeRun) segIter { return oneShotIter(seg) }
 
-	if err := s.attachVec(q, rows, vecSpec{sel: q.Selection, ch: rowVecCharges}, &e.scratch); err != nil {
+	if err := s.attachVec(rows, vecSpec{sel: q.Selection, ch: rowVecCharges}, &e.scratch); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"rfabric/internal/cache"
@@ -13,7 +14,7 @@ import (
 
 // A Source is an access path: it knows where a query's bytes live and what
 // each touched byte costs — nothing else. Opening a source against a query
-// yields a scan plan (layout, per-touch charges, compiled batch program)
+// yields a scan plan (layout, per-touch charges, batch program spec)
 // that the shared pipeline in pipeline.go / pipeline_vec.go executes. The
 // engines (ROW, COL, RM, IDX) are Sources; every scan and consume loop
 // lives once, in the pipeline, parameterized by the scan the source
@@ -22,11 +23,14 @@ import (
 // The contract a source's openScan must honor:
 //
 //   - validate the query against its schema and fail without charging;
-//   - do all cost-free setup (fabric configuration, batch program
-//     compilation) before returning — the pipeline captures the hardware
-//     counters only after open succeeds;
-//   - describe every modeled charge declaratively: its charge constants
-//     (one vecCharges, stated once through attachVec), the segment
+//   - do all cost-free setup (fabric configuration) before returning —
+//     the pipeline captures the hardware counters only after open
+//     succeeds;
+//   - state the batch program's spec, not the program: the CPU
+//     predicates, the visit list and the charge constants (one vecSpec,
+//     stated once through attachVec). The pipeline compiles the program
+//     once per scan, for the query's consumption or a join side's sink;
+//   - describe every other modeled charge declaratively: the segment
 //     iterator, whose segments state once where each column lives
 //     (segment.cols), and (for work that must run inside the measured
 //     window, like index descent or COL's bitmap passes) a prepare hook.
@@ -47,27 +51,39 @@ type Source interface {
 // engine's Execute method and the DB façade's dispatch. The scan orders and
 // cuts its groups under q.Sinks on its group table, boxing only the rows
 // the statement returns; ApplySinks then charges the sort.
-func Run(src Source, q Query) (*Result, error) { return runScan(src, &q, false) }
+func Run(src Source, q Query) (*Result, error) {
+	return runScan(src, &q, src.Name()+".execute", nil, false)
+}
 
 // RunPartial runs q on src as one partition of a gathered run (see
 // Gather): the result carries its fold's unfinished aggregate state in
 // place of Aggs and Groups, which only Gather's merge reads and finishes.
 // The state may live in src's reusable batch scratch, so it holds until
 // src runs again; every partition runs on a source of its own.
-func RunPartial(src Source, q Query) (*Result, error) { return runScan(src, &q, true) }
+func RunPartial(src Source, q Query) (*Result, error) {
+	return runScan(src, &q, src.Name()+".execute", nil, true)
+}
 
-func runScan(src Source, q *Query, part bool) (*Result, error) {
+// runScan opens src's scan for q under a span named label and runs it.
+// With a sink, the scan is a join side: every qualifying row streams into
+// the sink in place of the consumption, and the side's span and breakdown
+// close like any scan's, so join phases reconcile side by side.
+func runScan(src Source, q *Query, label string, sink sideSink, part bool) (*Result, error) {
 	sys, tr := src.sysTracer()
-	sp := beginEngineSpan(tr, src.Name(), src.tableLabel())
+	sp := beginEngineSpan(tr, label, src.Name(), src.tableLabel())
 	defer tr.End()
 	s, err := src.openScan(q, sp)
 	if err != nil {
 		return nil, err
 	}
+	if sink != nil && s.direct != nil {
+		return nil, errors.New("engine: join side requires a pipeline scan (the source computed its result directly)")
+	}
 	s.name = src.Name()
 	s.sys = sys
 	s.tracer = tr
 	s.sp = sp
+	s.sink = sink
 	s.part = part
 	if s.rewritten != nil {
 		q = s.rewritten
@@ -160,7 +176,8 @@ type scan struct {
 	// its own accounting (it still runs inside the measured window).
 	direct func() (*Result, error)
 
-	// prog is the compiled batch program, run over scratch.
+	// prog is the compiled batch program (compiled by run from spec), run
+	// over scratch.
 	prog    *scanProg
 	scratch *scanScratch
 
@@ -184,9 +201,9 @@ type scan struct {
 	// window; RM resets the ephemeral view here).
 	segs func(pr *pipeRun) segIter
 
-	// spec is the batch compilation input prog was built from: the CPU
-	// predicates, the visit list and the source's charge constants (set
-	// with prog by attachVec).
+	// spec is the batch compilation input prog is built from: the CPU
+	// predicates, the visit list and the source's charge constants (set by
+	// attachVec).
 	spec vecSpec
 
 	// sink, when non-nil, replaces the consumption: every qualifying row
@@ -198,18 +215,19 @@ type scan struct {
 	sink sideSink
 }
 
-// attachVec compiles q's batch program from the source's spec, reusing the
-// engine-owned scratch (created on first use) so steady-state scans
-// allocate nothing per batch. rows is the most rows one segment holds; a
-// source past vecRowLimit fails.
-func (s *scan) attachVec(q *Query, rows int, spec vecSpec, scratch **scanScratch) error {
+// attachVec states the batch compilation input, the source's spec, and
+// hands the scan the engine-owned scratch (created on first use), so
+// steady-state scans allocate nothing per batch; run compiles the program
+// once, for the query's consumption or the scan's sink. rows is the most
+// rows one segment holds; a source past vecRowLimit fails.
+func (s *scan) attachVec(rows int, spec vecSpec, scratch **scanScratch) error {
 	if rows > vecRowLimit {
 		return fmt.Errorf("engine: %d rows exceed the batch pipeline's limit of %d", rows, vecRowLimit)
 	}
 	if *scratch == nil {
 		*scratch = &scanScratch{}
 	}
-	s.prog, s.scratch, s.spec = compileScanProg(q, s.sch, spec, nil), *scratch, spec
+	s.scratch, s.spec = *scratch, spec
 	return nil
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"slices"
 
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
@@ -11,53 +10,39 @@ import (
 )
 
 // The batch scan path splits each engine's hot loop into batch stages:
-// bulk decode of the touched columns into typed lanes, predicate kernels
-// that refine a selection vector (recording where each dropped row failed),
-// a charge-replay loop that issues each row's Hier.Load sequence and
-// compute charges under the charge model (pipeline.go), and consumption
-// kernels over the surviving selection. The modeled cost depends only on
+// bulk decode of the touched columns into batch columns (vec.Col),
+// predicate kernels that refine a selection vector (recording where each
+// dropped row failed), a charge-replay loop that issues each row's
+// Hier.Load sequence and compute charges under the charge model
+// (pipeline.go), and consumption kernels over the surviving selection. The modeled cost depends only on
 // the ordered Load sequence and the compute totals.
 //
 // scanProg is the per-query compilation of that plan: the distinct columns
 // the scan touches ("slots", in first-touch order), the predicate operands
-// pre-unboxed per type, and — for every short-circuit outcome (failed at
+// unboxed once (vec.Pred), and — for every short-circuit outcome (failed at
 // predicate d, or passed) — the slots a row with that outcome loads and
 // the constant compute it charges.
 
 // vecBatchRows is the engines' batch width.
 const vecBatchRows = vec.BatchRows
 
-type slotKind uint8
-
-const (
-	slotI64 slotKind = iota
-	slotI32
-	slotF64
-	slotChar
-)
-
-// vecSlot is one distinct column the scan touches.
+// vecSlot is one distinct column the scan touches; its batch values live
+// in the scratch's column of the same index.
 type vecSlot struct {
-	col   int
-	typ   geometry.ColumnType
-	kind  slotKind
-	width int
-	lane  int // index into the scratch lane pool of the slot's kind
+	col int
+	def geometry.Column
 }
 
-// vecPred is one predicate with its operand pre-unboxed.
+// vecPred is one predicate on a slot, its operand unboxed once.
 type vecPred struct {
 	slot int
-	op   expr.CmpOp
-	opI  int64
-	opF  float64
-	opB  []byte // TrimPad-ed CHAR operand
+	vec.Pred
 }
 
 // vecAgg is one aggregate term. A COUNT counts the selected rows (columns
 // hold no NULLs, so its argument, loaded and charged like any other, never
 // changes the count); otherwise simple >= 0 folds straight from that
-// slot's lane, and else the term's expression tree is evaluated over
+// slot's column, and else the term's expression tree is evaluated over
 // compacted lanes.
 type vecAgg struct {
 	term   AggTerm
@@ -101,16 +86,15 @@ type scanProg struct {
 	keySlots []int32
 	keyCols  []geometry.Column
 
-	nI64, nF64, nChr int // lane counts by type
-	evalDepth        int // scratch lanes needed by derived scalar evaluation
+	evalDepth int // scratch lanes needed by derived scalar evaluation
 }
 
 // vecSpec is a source's batch compilation input: the predicates the CPU
 // evaluates (empty when pushed down), an explicit visit list that overrides
 // the pass outcomes' column order (the COL engine touches every consumed
 // column before consuming; ROW and RM touch lazily in consumption order),
-// and the engine's charge constants. The scan keeps it so a join side can
-// recompile its pass outcomes for the build or probe sink.
+// and the engine's charge constants. The scan keeps it, and compiles its
+// program from it once, for the query's consumption or a join side's sink.
 type vecSpec struct {
 	sel   expr.Conjunction
 	visit []int
@@ -142,28 +126,8 @@ func compileScanProg(q *Query, sch *geometry.Schema, spec vecSpec, passes []pass
 		if si := slotOf[col]; si >= 0 {
 			return si
 		}
-		c := sch.Column(col)
-		s := vecSlot{col: col, typ: c.Type, width: c.Width}
-		switch c.Type {
-		case geometry.Int64:
-			s.kind = slotI64
-			s.lane = p.nI64
-			p.nI64++
-		case geometry.Int32, geometry.Date:
-			s.kind = slotI32
-			s.lane = p.nI64
-			p.nI64++
-		case geometry.Float64:
-			s.kind = slotF64
-			s.lane = p.nF64
-			p.nF64++
-		case geometry.Char:
-			s.kind = slotChar
-			s.lane = p.nChr
-			p.nChr++
-		}
 		slotOf[col] = len(p.slots)
-		p.slots = append(p.slots, s)
+		p.slots = append(p.slots, vecSlot{col: col, def: sch.Column(col)})
 		return len(p.slots) - 1
 	}
 
@@ -198,17 +162,7 @@ func compileScanProg(q *Query, sch *geometry.Schema, spec vecSpec, passes []pass
 	}
 	for d, pr := range spec.sel {
 		touch(pr.Col)
-		si := slotOf[pr.Col]
-		vp := vecPred{slot: si, op: pr.Op}
-		switch p.slots[si].kind {
-		case slotI64, slotI32:
-			vp.opI = pr.Operand.Int
-		case slotF64:
-			vp.opF = pr.Operand.Float
-		case slotChar:
-			vp.opB = vec.TrimPad(pr.Operand.Bytes)
-		}
-		p.preds = append(p.preds, vp)
+		p.preds = append(p.preds, vecPred{slot: slotOf[pr.Col], Pred: vec.MakePred(pr.Op, pr.Operand)})
 		emit(uint64(d+1) * ch.predEval)
 	}
 
@@ -243,7 +197,7 @@ func (p *scanProg) compileConsume(q *Query, addSlot func(col int) int) {
 	for _, col := range q.GroupBy {
 		si := addSlot(col)
 		p.keySlots = append(p.keySlots, int32(si))
-		p.keyCols = append(p.keyCols, geometry.Column{Type: p.slots[si].typ, Width: p.slots[si].width})
+		p.keyCols = append(p.keyCols, p.slots[si].def)
 	}
 	for _, t := range q.Aggregates {
 		a := vecAgg{term: t, simple: -1}
@@ -298,49 +252,34 @@ func scalarDepth(s expr.Scalar) int {
 // lazily and reuse it across executions, so the steady-state batch loop
 // allocates nothing.
 type scanScratch struct {
-	i64   [][]int64
-	f64   [][]float64
-	chr   []charLane  // CHAR slots' fields for the current batch
+	cols  []vec.Col   // the current batch's values, one column per slot
 	tmp   [][]float64 // derived-scalar evaluation lanes, one per tree level
 	out   []float64   // compacted derived-scalar results
-	pred  []int64     // integer decode buffer for COL bitmap passes
+	pass  vec.Col     // COL's bitmap-pass decode column
 	sel   []int32
 	fail  []int16
 	vis   []bool
 	iota  []int32  // identity selection for compacted kernels
 	gids  []int32  // group id of each selected row
 	extra []uint64 // a join sink's per-row compute on top of the outcome's charge
-	keys  []vec.KeyCol
+	keys  []vec.Col
 
 	groups vec.GroupTable
 }
 
-// charLane locates a CHAR slot's field for batch row i at
-// src[off+i*stride:]: in place in a strided segment, or in buf (grown on
-// first use) when the batch was gathered from scattered rows.
-type charLane struct {
-	src         []byte
-	off, stride int
-	buf         []byte
-}
-
-// ensure grows the scratch to fit prog.
+// ensure sizes the scratch for prog: one column per slot, of its type.
 func (s *scanScratch) ensure(p *scanProg) {
-	for len(s.i64) < p.nI64 {
-		s.i64 = append(s.i64, make([]int64, vecBatchRows))
+	for len(s.cols) < len(p.slots) {
+		s.cols = append(s.cols, vec.Col{})
 	}
-	for len(s.f64) < p.nF64 {
-		s.f64 = append(s.f64, make([]float64, vecBatchRows))
-	}
-	for len(s.chr) < p.nChr {
-		s.chr = append(s.chr, charLane{})
+	for i := range p.slots {
+		s.cols[i].Reset(p.slots[i].def, vecBatchRows)
 	}
 	for len(s.tmp) < p.evalDepth {
 		s.tmp = append(s.tmp, make([]float64, vecBatchRows))
 	}
 	if s.out == nil {
 		s.out = make([]float64, vecBatchRows)
-		s.pred = make([]int64, vecBatchRows)
 		s.sel = make([]int32, 0, vecBatchRows)
 		s.fail = make([]int16, vecBatchRows)
 		s.vis = make([]bool, vecBatchRows)
@@ -353,25 +292,12 @@ func (s *scanScratch) ensure(p *scanProg) {
 	}
 }
 
-// decodeSlots bulk-decodes every numeric slot's lane for the n dense rows
-// from row first on, each column from its region in cols; CHAR slots are
-// read in place.
+// decodeSlots bulk-decodes every slot's column for the n dense rows from
+// row first on, each from its region in cols.
 func (s *scanScratch) decodeSlots(p *scanProg, cols []region, first, n int) {
 	for i := range p.slots {
-		sl := &p.slots[i]
-		g := &cols[sl.col]
-		off := g.off + first*g.stride
-		switch sl.kind {
-		case slotI64:
-			vec.DecodeI64(s.i64[sl.lane][:n], g.data, off, g.stride, n)
-		case slotI32:
-			vec.DecodeI32(s.i64[sl.lane][:n], g.data, off, g.stride, n)
-		case slotF64:
-			vec.DecodeF64(s.f64[sl.lane][:n], g.data, off, g.stride, n)
-		case slotChar:
-			c := &s.chr[sl.lane]
-			c.src, c.off, c.stride = g.data, off, g.stride
-		}
+		g := &cols[p.slots[i].col]
+		s.cols[i].Decode(g.data, g.off+first*g.stride, g.stride, n)
 	}
 }
 
@@ -379,53 +305,9 @@ func (s *scanScratch) decodeSlots(p *scanProg, cols []region, first, n int) {
 // batch, each column from its region in cols.
 func (s *scanScratch) gatherSlots(p *scanProg, cols []region, rows []int32) {
 	for i := range p.slots {
-		sl := &p.slots[i]
-		g := &cols[sl.col]
-		s.gatherSlot(sl, g.data[g.off:], g.stride, rows)
+		g := &cols[p.slots[i].col]
+		s.cols[i].Gather(g.data[g.off:], g.stride, rows)
 	}
-}
-
-// gatherSlot compacts one slot's values of rows (row r's field at
-// src[r*stride:]) into its lane; CHAR fields are copied into the lane's
-// buffer.
-func (s *scanScratch) gatherSlot(sl *vecSlot, src []byte, stride int, rows []int32) {
-	m := len(rows)
-	switch sl.kind {
-	case slotI64:
-		vec.GatherI64(s.i64[sl.lane][:m], src, stride, rows)
-	case slotI32:
-		vec.GatherI32(s.i64[sl.lane][:m], src, stride, rows)
-	case slotF64:
-		vec.GatherF64(s.f64[sl.lane][:m], src, stride, rows)
-	case slotChar:
-		s.gatherChar(sl, src, stride, rows)
-	}
-}
-
-// gatherChar copies a CHAR slot's fields of rows (row r's field at
-// src[r*stride:]) into the lane's buffer, grown on first use.
-func (s *scanScratch) gatherChar(sl *vecSlot, src []byte, stride int, rows []int32) {
-	c := &s.chr[sl.lane]
-	if len(c.buf) < vecBatchRows*sl.width {
-		c.buf = make([]byte, vecBatchRows*sl.width)
-	}
-	vec.GatherBytes(c.buf, src, stride, sl.width, rows)
-	c.src, c.off, c.stride = c.buf, 0, sl.width
-}
-
-// keyCol views a slot's lane for the batch as a hash-key column.
-func (s *scanScratch) keyCol(sl *vecSlot) vec.KeyCol {
-	k := vec.KeyCol{Kind: vec.KeyInt, Width: sl.width}
-	switch sl.kind {
-	case slotI64, slotI32:
-		k.I64 = s.i64[sl.lane]
-	case slotF64:
-		k.Kind, k.F64 = vec.KeyFloat, s.f64[sl.lane]
-	case slotChar:
-		c := &s.chr[sl.lane]
-		k.Kind, k.Src, k.Off, k.Stride = vec.KeyChar, c.src, c.off, c.stride
-	}
-	return k
 }
 
 // sinkBatch hands a batch's surviving selection to a join sink and returns
@@ -450,16 +332,7 @@ func (s *scanScratch) refine(p *scanProg, n int, sel []int32) []int32 {
 	}
 	for k := range p.preds {
 		pr := &p.preds[k]
-		sl := &p.slots[pr.slot]
-		switch sl.kind {
-		case slotI64, slotI32:
-			sel = vec.FilterI64(s.i64[sl.lane][:n], pr.op, pr.opI, sel, fail, int16(k))
-		case slotF64:
-			sel = vec.FilterF64(s.f64[sl.lane][:n], pr.op, pr.opF, sel, fail, int16(k))
-		case slotChar:
-			c := &s.chr[sl.lane]
-			sel = vec.FilterChar(c.src, c.off, c.stride, sl.width, pr.op, pr.opB, sel, fail, int16(k))
-		}
+		sel = s.cols[pr.slot].Filter(&pr.Pred, sel, fail, int16(k))
 	}
 	return sel
 }
@@ -471,67 +344,6 @@ type vecAcc struct {
 	passed   int64
 	checksum uint64
 	out      aggOut
-}
-
-// valueCol is a column of values detached from their source buffers:
-// integer-family values in i64, DOUBLE in f64, CHAR fields back to back in
-// chr. Join build sides keep their values this way.
-type valueCol struct {
-	typ   geometry.ColumnType
-	width int
-	i64   []int64
-	f64   []float64
-	chr   []byte
-}
-
-// appendRows appends the batch rows' values of a slot with the column's
-// type.
-func (c *valueCol) appendRows(s *scanScratch, sl *vecSlot, rows []int32) {
-	switch sl.kind {
-	case slotI64, slotI32:
-		lane := s.i64[sl.lane]
-		c.i64 = slices.Grow(c.i64, len(rows))
-		for _, r := range rows {
-			c.i64 = append(c.i64, lane[r])
-		}
-	case slotF64:
-		lane := s.f64[sl.lane]
-		c.f64 = slices.Grow(c.f64, len(rows))
-		for _, r := range rows {
-			c.f64 = append(c.f64, lane[r])
-		}
-	case slotChar:
-		cl := &s.chr[sl.lane]
-		c.chr = slices.Grow(c.chr, len(rows)*c.width)
-		for _, r := range rows {
-			o := cl.off + int(r)*cl.stride
-			c.chr = append(c.chr, cl.src[o:o+c.width]...)
-		}
-	}
-}
-
-// keyCol views the column as a hash-key column indexed by value position.
-func (c *valueCol) keyCol() vec.KeyCol {
-	switch c.typ {
-	case geometry.Float64:
-		return vec.KeyCol{Kind: vec.KeyFloat, F64: c.f64}
-	case geometry.Char:
-		return vec.KeyCol{Kind: vec.KeyChar, Src: c.chr, Stride: c.width, Width: c.width}
-	default:
-		return vec.KeyCol{Kind: vec.KeyInt, I64: c.i64}
-	}
-}
-
-// take copies the values at positions idx into a slot's lane.
-func (c *valueCol) take(s *scanScratch, sl *vecSlot, idx []int32) {
-	switch sl.kind {
-	case slotI64, slotI32:
-		vec.TakeI64(s.i64[sl.lane], c.i64, idx)
-	case slotF64:
-		vec.TakeF64(s.f64[sl.lane], c.f64, idx)
-	case slotChar:
-		s.gatherChar(sl, c.chr, c.width, idx)
-	}
 }
 
 // begin resets the scratch's run state and returns the run's accumulator.
@@ -557,16 +369,7 @@ func (s *scanScratch) consume(p *scanProg, sel []int32, acc *vecAcc) {
 	switch {
 	case p.aggs == nil:
 		for i, col := range p.projCols {
-			sl := &p.slots[p.projSlot[i]]
-			switch sl.kind {
-			case slotI64, slotI32:
-				acc.checksum += vec.ChecksumI64(col, s.i64[sl.lane], sel)
-			case slotF64:
-				acc.checksum += vec.ChecksumF64(col, s.f64[sl.lane], sel)
-			case slotChar:
-				c := &s.chr[sl.lane]
-				acc.checksum += vec.ChecksumChar(col, c.src, c.off, c.stride, sl.width, sel)
-			}
+			acc.checksum += s.cols[p.projSlot[i]].Checksum(col, sel)
 		}
 	case p.keySlots == nil:
 		s.foldAggs(p, sel, acc.out.states)
@@ -584,12 +387,7 @@ func (s *scanScratch) foldAggs(p *scanProg, sel []int32, aggs []vec.AggState) {
 		case a.term.Kind == expr.Count:
 			st.AddCount(int64(len(sel)))
 		case a.simple >= 0:
-			sl := &p.slots[a.simple]
-			if sl.kind == slotF64 {
-				vec.AddF64(st, s.f64[sl.lane], sel)
-			} else {
-				vec.AddI64(st, s.i64[sl.lane], sel)
-			}
+			s.cols[a.simple].AddTo(st, sel)
 		default:
 			out := s.out[:len(sel)]
 			s.evalScalar(p, a.term.Arg, out, sel, 0)
@@ -601,15 +399,13 @@ func (s *scanScratch) foldAggs(p *scanProg, sel []int32, aggs []vec.AggState) {
 // foldGroups maps sel to group ids through the hash-group kernel and folds
 // every term into the selected rows' group states.
 func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
-	keys := s.keys[:0]
+	s.keys = s.keys[:0]
 	for _, si := range p.keySlots {
-		keys = append(keys, s.keyCol(&p.slots[si]))
+		s.keys = append(s.keys, s.cols[si])
 	}
-	s.keys = keys
-
 	g := &s.groups
 	ids := s.gids[:len(sel)]
-	g.Assign(ids, keys, sel)
+	g.Assign(ids, s.keys, sel)
 
 	for ti := range p.aggs {
 		a := &p.aggs[ti]
@@ -617,12 +413,7 @@ func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 		case a.term.Kind == expr.Count:
 			g.FoldCount(ti, ids)
 		case a.simple >= 0:
-			sl := &p.slots[a.simple]
-			if sl.kind == slotF64 {
-				g.FoldF64(ti, ids, s.f64[sl.lane], sel)
-			} else {
-				g.FoldI64(ti, ids, s.i64[sl.lane], sel)
-			}
+			s.cols[a.simple].Fold(g, ti, ids, sel)
 		default:
 			out := s.out[:len(sel)]
 			s.evalScalar(p, a.term.Arg, out, sel, 0)
@@ -637,12 +428,7 @@ func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 func (s *scanScratch) evalScalar(p *scanProg, sc expr.Scalar, dst []float64, sel []int32, level int) {
 	switch t := sc.(type) {
 	case expr.ColRef:
-		sl := &p.slots[p.slotIndex(t.Col)]
-		if sl.kind == slotF64 {
-			vec.CompactLaneF64(dst, s.f64[sl.lane], sel)
-		} else {
-			vec.CompactLaneI64(dst, s.i64[sl.lane], sel)
-		}
+		s.cols[p.slotIndex(t.Col)].Compact(dst, sel)
 	case expr.Const:
 		vec.FillF64(dst, t.V)
 	case expr.Binary:
@@ -685,12 +471,6 @@ type tableSet struct {
 	aggs []AggTerm
 }
 
-func (s *tableSet) key(g int32, k int) table.Value { return s.g.KeyValue(int(g), k) }
-
-func (s *tableSet) agg(g int32, t int) table.Value {
-	return s.g.State(int(g), t).Result(s.aggs[t].Kind)
-}
-
 // canon is the canonical group order over group ids.
 func (s *tableSet) canon(a, b int32) int {
 	return bytes.Compare(s.g.Key(int(a)), s.g.Key(int(b)))
@@ -711,7 +491,7 @@ func (s *tableSet) rows(order []int32) []GroupRow {
 		key := keyVals[i*nk : (i+1)*nk : (i+1)*nk]
 		aggs := vals[i*na : (i+1)*na : (i+1)*na]
 		for t := range aggs {
-			aggs[t] = s.agg(gi, t)
+			aggs[t] = s.g.State(int(gi), t).Result(s.aggs[t].Kind)
 		}
 		rows[i] = GroupRow{Key: key, Aggs: aggs, Count: s.g.Count(int(gi))}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rfabric/internal/expr"
+	"rfabric/internal/geometry"
 	"rfabric/internal/table"
 	"rfabric/internal/vec"
 )
@@ -28,7 +29,7 @@ func TestAccumulators(t *testing.T) {
 	}
 	for _, c := range cases {
 		var st vec.AggState
-		vec.AddI64(&st, lane, sel)
+		(&vec.Col{Type: geometry.Int64, I64: lane}).AddTo(&st, sel)
 		if got := st.Result(c.kind); !got.Equal(c.res) {
 			t.Errorf("%s = %s, want %s", c.kind, got, c.res)
 		}
@@ -45,7 +46,7 @@ func TestAccumulators(t *testing.T) {
 
 func TestAccumulatorFloat(t *testing.T) {
 	var st vec.AggState
-	vec.AddF64(&st, []float64{1.5, 2.25}, []int32{0, 1})
+	(&vec.Col{Type: geometry.Float64, F64: []float64{1.5, 2.25}}).AddTo(&st, []int32{0, 1})
 	if got := st.Result(expr.Sum); got.Float != 3.75 {
 		t.Errorf("float SUM = %s", got)
 	}

@@ -83,11 +83,12 @@ func (b *Bloom) MayContain(key []byte) bool {
 func (b *Bloom) Keys() int { return b.n }
 
 // SemiJoin pre-filters a view's rows against a build-side Bloom filter. The
-// fabric encodes row Col's join key straight from the raw row bytes with
-// vec.KeyCol.AppendJoinKey — the encoders the engine's hash join uses, so the
-// canonical encoding lives in one place and the filter can never produce a
-// false negative — and drops rows whose key cannot be in the filter. A key
-// that can never join (a NaN DOUBLE) drops its row too.
+// fabric decodes column Col of each block of raw rows into a vec.Col and
+// encodes its join keys with vec.Col.AppendJoinKey — the method the
+// engine's hash join uses, so the canonical encoding lives in one place
+// and the filter can never produce a false negative — and drops rows
+// whose key cannot be in the filter. A key that can never join (a NaN
+// DOUBLE) drops its row too.
 type SemiJoin struct {
 	Col    int
 	Filter *Bloom

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rfabric/internal/compress"
 	"rfabric/internal/dram"
 	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
@@ -80,20 +79,23 @@ type Ephemeral struct {
 	// shipped (geometry columns only, adjacent ones merged), in pack order.
 	shipStrides []geometry.Stride
 
-	// preds, dicts and semiKey are the pushed filters compiled against the
-	// physical row layout, evaluated block-at-a-time by filterBlock.
-	preds   []blockPred
-	dicts   []blockDict
-	semiKey rowCol
+	// preds are the pushed predicates' operands, unboxed once; filterBlock
+	// evaluates every filter block-at-a-time, decoding each filter's column
+	// into lane, which the filters share.
+	preds []vec.Pred
+	lane  vec.Col
 
 	// buf is the reusable chunk buffer. It is sized on first use to the
 	// chunk being packed — at most BufferBytes, as a chunk holds at most
 	// chunkRows rows — and regrown only if a later chunk is larger because
 	// the table grew.
-	buf     []byte
-	reqs    []dram.GatherReq
-	cursor  int // next source row to scan
-	scratch blockScratch
+	buf    []byte
+	reqs   []dram.GatherReq
+	cursor int // next source row to scan
+	sel    []int32
+	fail   []int16 // drop depths the filters record; unread here
+	vis    []bool
+	key    []byte
 
 	// pendingFabricCycles/pendingDecodes hold the one-time dictionary
 	// translation cost from WithDictFilter. They are consumed into the first
@@ -176,7 +178,9 @@ func (e *Engine) Configure(tbl *table.Table, geom *geometry.Geometry, opts ...Vi
 		ev.pendingDecodes += uint64(f.Entries)
 	}
 	ev.buildStrides()
-	ev.compileFilters()
+	for _, p := range o.preds {
+		ev.preds = append(ev.preds, vec.MakePred(p.Op, p.Operand))
+	}
 
 	ev.chunkRows = e.cfg.BufferBytes / ev.packed
 	if ev.chunkRows < 1 {
@@ -194,14 +198,14 @@ func (ev *Ephemeral) buildStrides() {
 	// the packed row and in the physical row copy as one range.
 	ev.shipStrides = ev.shipStrides[:0]
 	for _, c := range ev.geom.Columns() {
-		rc := ev.colAt(c)
+		off, w := ev.rowOffset(c), ev.tbl.Schema().Column(c).Width
 		if n := len(ev.shipStrides); n > 0 {
-			if prev := &ev.shipStrides[n-1]; prev.Offset+prev.Width == rc.off {
-				prev.Width += rc.width
+			if prev := &ev.shipStrides[n-1]; prev.Offset+prev.Width == off {
+				prev.Width += w
 				continue
 			}
 		}
-		ev.shipStrides = append(ev.shipStrides, geometry.Stride{Offset: rc.off, Width: rc.width})
+		ev.shipStrides = append(ev.shipStrides, geometry.Stride{Offset: off, Width: w})
 	}
 
 	// Gather strides: header + geometry + filter columns.
@@ -398,39 +402,6 @@ func (ev *Ephemeral) Materialize() []byte {
 	}
 }
 
-// rowCol locates one column inside a physical row of the view's table.
-type rowCol struct {
-	typ   geometry.ColumnType
-	off   int // byte offset from the row start, MVCC header included
-	width int
-}
-
-// blockPred is a pushed predicate compiled for filterBlock: its column's
-// location and its operand unboxed by type.
-type blockPred struct {
-	rowCol
-	op  expr.CmpOp
-	opI int64
-	opF float64
-	opB []byte // TrimPad-ed CHAR operand
-}
-
-// blockDict is a dictionary-code filter compiled for filterBlock.
-type blockDict struct {
-	rowCol
-	codes *compress.CodeSet
-}
-
-// blockScratch holds one block's selection vector and decoded lanes.
-type blockScratch struct {
-	sel  []int32
-	fail []int16 // drop depths the vec filter kernels record; unread here
-	vis  []bool
-	i64  []int64
-	f64  []float64
-	key  []byte
-}
-
 func isIntFamily(t geometry.ColumnType) bool {
 	return t == geometry.Int64 || t == geometry.Int32 || t == geometry.Date
 }
@@ -443,76 +414,22 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// colAt returns column c's location in a physical row.
-func (ev *Ephemeral) colAt(c int) rowCol {
-	col := ev.tbl.Schema().Column(c)
+// rowOffset returns column c's byte offset in a physical row, MVCC header
+// included.
+func (ev *Ephemeral) rowOffset(c int) int {
 	off := ev.tbl.Schema().Offset(c)
 	if ev.tbl.HasMVCC() {
 		off += table.MVCCHeaderBytes
 	}
-	return rowCol{typ: col.Type, off: off, width: col.Width}
+	return off
 }
 
-// compileFilters locates every pushed filter's column in the physical row
-// and unboxes the predicate operands.
-func (ev *Ephemeral) compileFilters() {
-	for _, p := range ev.opts.preds {
-		bp := blockPred{rowCol: ev.colAt(p.Col), op: p.Op, opI: p.Operand.Int, opF: p.Operand.Float}
-		if bp.typ == geometry.Char {
-			bp.opB = vec.TrimPad(p.Operand.Bytes)
-		}
-		ev.preds = append(ev.preds, bp)
-	}
-	for _, f := range ev.opts.dictFilters {
-		ev.dicts = append(ev.dicts, blockDict{rowCol: ev.colAt(f.Col), codes: f.Codes})
-	}
-	if sj := ev.opts.semi; sj != nil {
-		ev.semiKey = ev.colAt(sj.Col)
-	}
-}
-
-// decode decodes the column's n rows, the first at byte base of data, into
-// the scratch lane of its type: i64 for the integer family, f64 for DOUBLE.
-// CHAR columns are read in place and decode nothing.
-func (c rowCol) decode(s *blockScratch, data []byte, base, stride, n int) {
-	off := base + c.off
-	switch c.typ {
-	case geometry.Int64:
-		s.i64 = grow(s.i64, n)
-		vec.DecodeI64(s.i64, data, off, stride, n)
-	case geometry.Int32, geometry.Date:
-		s.i64 = grow(s.i64, n)
-		vec.DecodeI32(s.i64, data, off, stride, n)
-	case geometry.Float64:
-		s.f64 = grow(s.f64, n)
-		vec.DecodeF64(s.f64, data, off, stride, n)
-	}
-}
-
-// keyCol exposes the column of n rows from byte base as a join-key column.
-func (c rowCol) keyCol(s *blockScratch, data []byte, base, stride, n int) vec.KeyCol {
-	c.decode(s, data, base, stride, n)
-	switch c.typ {
-	case geometry.Float64:
-		return vec.KeyCol{Kind: vec.KeyFloat, F64: s.f64}
-	case geometry.Char:
-		return vec.KeyCol{Kind: vec.KeyChar, Src: data, Off: base + c.off, Stride: stride, Width: c.width}
-	default:
-		return vec.KeyCol{Kind: vec.KeyInt, I64: s.i64}
-	}
-}
-
-// filter narrows sel to the rows of the block at byte base that satisfy p.
-func (p *blockPred) filter(s *blockScratch, data []byte, base, stride, n int, sel []int32) []int32 {
-	p.decode(s, data, base, stride, n)
-	switch p.typ {
-	case geometry.Float64:
-		return vec.FilterF64(s.f64, p.op, p.opF, sel, s.fail, 0)
-	case geometry.Char:
-		return vec.FilterChar(data, base+p.off, stride, p.width, p.op, p.opB, sel, s.fail, 0)
-	default:
-		return vec.FilterI64(s.i64, p.op, p.opI, sel, s.fail, 0)
-	}
+// decode decodes column c of the n source rows from byte base of the
+// table's data into the filters' shared lane.
+func (ev *Ephemeral) decode(c, base, n int) *vec.Col {
+	ev.lane.Reset(ev.tbl.Schema().Column(c), n)
+	ev.lane.Decode(ev.tbl.Data(), base+ev.rowOffset(c), ev.tbl.RowStride(), n)
+	return &ev.lane
 }
 
 // filterBlock runs the view's filters over the n source rows from row b and
@@ -525,16 +442,15 @@ func (ev *Ephemeral) filterBlock(b, n int) (cycles, codeDropped, semiDropped uin
 	data := ev.tbl.Data()
 	stride := ev.tbl.RowStride()
 	base := b * stride
-	s := &ev.scratch
-	s.sel = grow(s.sel, n)
-	sel := s.sel[:0]
+	ev.sel = grow(ev.sel, n)
+	sel := ev.sel[:0]
 	if ev.tbl.HasMVCC() {
 		cycles += uint64(n * cfg.TSCheckCycles)
 	}
 	if ev.opts.hasSnap {
-		s.vis = grow(s.vis, n)
-		vec.VisibleMask(s.vis, data, stride, b, ev.opts.snapshotTS)
-		for i, ok := range s.vis {
+		ev.vis = grow(ev.vis, n)
+		vec.VisibleMask(ev.vis, data, stride, b, ev.opts.snapshotTS)
+		for i, ok := range ev.vis {
 			if ok {
 				sel = append(sel, int32(i))
 			}
@@ -546,19 +462,19 @@ func (ev *Ephemeral) filterBlock(b, n int) (cycles, codeDropped, semiDropped uin
 	}
 	if len(ev.preds) > 0 {
 		cycles += uint64(len(sel) * len(ev.preds) * cfg.PredicateCycles)
-		s.fail = grow(s.fail, n)
-		for i := range ev.preds {
-			sel = ev.preds[i].filter(s, data, base, stride, n, sel)
+		ev.fail = grow(ev.fail, n)
+		for i, p := range ev.opts.preds {
+			sel = ev.decode(p.Col, base, n).Filter(&ev.preds[i], sel, ev.fail, 0)
 		}
 	}
-	if len(ev.dicts) > 0 {
-		cycles += uint64(len(sel) * len(ev.dicts) * cfg.PredicateCycles)
+	if dicts := ev.opts.dictFilters; len(dicts) > 0 {
+		cycles += uint64(len(sel) * len(dicts) * cfg.PredicateCycles)
 		passed := len(sel)
-		for _, f := range ev.dicts {
-			f.decode(s, data, base, stride, n)
+		for _, f := range dicts {
+			codes := ev.decode(f.Col, base, n).I64
 			out := sel[:0]
 			for _, r := range sel {
-				if f.codes.Contains(int(s.i64[r])) {
+				if f.Codes.Contains(int(codes[r])) {
 					out = append(out, r)
 				}
 			}
@@ -569,15 +485,15 @@ func (ev *Ephemeral) filterBlock(b, n int) (cycles, codeDropped, semiDropped uin
 	if sj := ev.opts.semi; sj != nil {
 		cycles += uint64(len(sel) * cfg.PredicateCycles)
 		reached := len(sel)
-		key := ev.semiKey.keyCol(s, data, base, stride, n)
-		out, k := sel[:0], s.key
+		key := ev.decode(sj.Col, base, n)
+		out, k := sel[:0], ev.key
 		for _, r := range sel {
 			var ok bool
 			if k, ok = key.AppendJoinKey(k[:0], r); ok && sj.Filter.MayContain(k) {
 				out = append(out, r)
 			}
 		}
-		sel, s.key = out, k
+		sel, ev.key = out, k
 		semiDropped = uint64(reached - len(sel))
 	}
 	for _, r := range sel {

@@ -150,8 +150,8 @@ func (ev *Ephemeral) RunOffload(off *Offload) (*OffloadResult, error) {
 // pad-trimmed bytes plus one terminator byte.
 func (f *offloadFold) wireKeyBytes() (n int) {
 	for g := 0; g < f.groups.Len(); g++ {
-		for k, c := range f.keys {
-			if c.typ == geometry.Char {
+		for k := range f.keys {
+			if f.keys[k].Type == geometry.Char {
 				n += len(vec.TrimPad(f.groups.KeyValue(g, k).Bytes)) + 1
 			} else {
 				n += 8
@@ -161,23 +161,18 @@ func (f *offloadFold) wireKeyBytes() (n int) {
 	return n
 }
 
-// foldCol is one group-by or aggregate-argument column of the packed rows
-// with its own decode lane.
-type foldCol struct {
-	rowCol
-	lane blockScratch
-}
-
 // offloadFold is an Offload program compiled against the view's packed rows,
-// with its running state.
+// with its running state: one Col per group-by and aggregate-argument
+// column, decoded from the packed row at keyOff/aggOff.
 type offloadFold struct {
 	specs  []expr.AggSpec
-	keys   []foldCol
-	aggs   []foldCol      // aligned with specs; COUNT terms read no column
+	keys   []vec.Col
+	keyOff []int
+	aggs   []vec.Col // aligned with specs; COUNT terms read no column
+	aggOff []int
 	groups vec.GroupTable // grouped programs
 	states []vec.AggState // ungrouped programs, one per aggregate
-	kcols  []vec.KeyCol
-	sel    []int32 // the identity selection 0..BatchRows-1
+	sel    []int32        // the identity selection 0..BatchRows-1
 	ids    []int32
 }
 
@@ -186,19 +181,20 @@ type offloadFold struct {
 // message names it.
 func (ev *Ephemeral) compileFold(off *Offload) (*offloadFold, error) {
 	sch := ev.tbl.Schema()
-	packed := func(c int, what string) (foldCol, error) {
+	packed := func(c int, what string) (vec.Col, int, error) {
 		if c < 0 || c >= sch.NumColumns() {
-			return foldCol{}, fmt.Errorf("fabric: %s column %d out of range [0,%d)", what, c, sch.NumColumns())
+			return vec.Col{}, 0, fmt.Errorf("fabric: %s column %d out of range [0,%d)", what, c, sch.NumColumns())
 		}
 		col := sch.Column(c)
 		if !ev.geom.Contains(c) {
-			return foldCol{}, fmt.Errorf("fabric: %s column %q not in configured geometry %s", what, col.Name, ev.geom)
+			return vec.Col{}, 0, fmt.Errorf("fabric: %s column %q not in configured geometry %s", what, col.Name, ev.geom)
 		}
-		return foldCol{rowCol: rowCol{typ: col.Type, off: ev.geom.PackedOffset(ev.geom.Position(c)), width: col.Width}}, nil
+		return vec.MakeCol(col, vec.BatchRows), ev.geom.PackedOffset(ev.geom.Position(c)), nil
 	}
 	f := &offloadFold{
 		specs:  off.Aggs,
-		aggs:   make([]foldCol, len(off.Aggs)),
+		aggs:   make([]vec.Col, len(off.Aggs)),
+		aggOff: make([]int, len(off.Aggs)),
 		states: make([]vec.AggState, len(off.Aggs)),
 		sel:    make([]int32, vec.BatchRows),
 		ids:    make([]int32, vec.BatchRows),
@@ -208,11 +204,11 @@ func (ev *Ephemeral) compileFold(off *Offload) (*offloadFold, error) {
 	}
 	var keyCols []geometry.Column
 	for _, c := range off.GroupBy {
-		k, err := packed(c, "group-by")
+		k, o, err := packed(c, "group-by")
 		if err != nil {
 			return nil, err
 		}
-		f.keys = append(f.keys, k)
+		f.keys, f.keyOff = append(f.keys, k), append(f.keyOff, o)
 		keyCols = append(keyCols, sch.Column(c))
 	}
 	f.groups.Reset(len(off.Aggs), keyCols)
@@ -223,11 +219,11 @@ func (ev *Ephemeral) compileFold(off *Offload) (*offloadFold, error) {
 		if sp.Kind == expr.Count {
 			continue
 		}
-		a, err := packed(sp.Col, "aggregate")
+		a, o, err := packed(sp.Col, "aggregate")
 		if err != nil {
 			return nil, err
 		}
-		f.aggs[t] = a
+		f.aggs[t], f.aggOff[t] = a, o
 	}
 	return f, nil
 }
@@ -236,33 +232,24 @@ func (ev *Ephemeral) compileFold(off *Offload) (*offloadFold, error) {
 func (f *offloadFold) block(data []byte, base, stride, n int) {
 	sel, ids := f.sel[:n], f.ids[:n]
 	if f.keys != nil {
-		f.kcols = f.kcols[:0]
 		for i := range f.keys {
-			k := &f.keys[i]
-			f.kcols = append(f.kcols, k.keyCol(&k.lane, data, base, stride, n))
+			f.keys[i].Decode(data, base+f.keyOff[i], stride, n)
 		}
-		f.groups.Assign(ids, f.kcols, sel)
+		f.groups.Assign(ids, f.keys, sel)
 	}
 	for t, sp := range f.specs {
-		a := &f.aggs[t]
-		if sp.Kind == expr.Count {
-			if f.keys != nil {
-				f.groups.FoldCount(t, ids)
-			} else {
-				f.states[t].AddCount(int64(n))
-			}
-			continue
-		}
-		a.decode(&a.lane, data, base, stride, n)
-		switch {
-		case a.typ == geometry.Float64 && f.keys != nil:
-			f.groups.FoldF64(t, ids, a.lane.f64, sel)
-		case a.typ == geometry.Float64:
-			vec.AddF64(&f.states[t], a.lane.f64, sel)
-		case f.keys != nil:
-			f.groups.FoldI64(t, ids, a.lane.i64, sel)
+		switch a := &f.aggs[t]; {
+		case sp.Kind == expr.Count && f.keys != nil:
+			f.groups.FoldCount(t, ids)
+		case sp.Kind == expr.Count:
+			f.states[t].AddCount(int64(n))
 		default:
-			vec.AddI64(&f.states[t], a.lane.i64, sel)
+			a.Decode(data, base+f.aggOff[t], stride, n)
+			if f.keys != nil {
+				a.Fold(&f.groups, t, ids, sel)
+			} else {
+				a.AddTo(&f.states[t], sel)
+			}
 		}
 	}
 }

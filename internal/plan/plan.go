@@ -294,36 +294,27 @@ func (n *Node) Aggregation() *Node {
 	return nil
 }
 
-// Validate checks the tree's structure: operators in pipeline order, one
-// consumption shape (Project or Aggregate), sinks only above an Aggregate,
-// sort keys referencing its output. Join trees follow the join grammar
-// (validateJoinTree); linear chains keep the original straight-line check.
+// Validate checks the tree's structure against the one plan grammar:
+// [Limit] over [OrderBy] over exactly one Project or Aggregate, over a
+// left-deep spine of Joins whose sides are [Filter]→Scan chains — or, for a
+// single-table statement (the zero-join case), over one [Filter]→Scan
+// chain. Sinks need grouped aggregation output and sort keys reference its
+// output. Predicates live on the sides: a Filter directly above a Join is
+// out of order, because the lowering pushes every conjunct to the side that
+// owns its column.
 func (n *Node) Validate() error {
-	if n.HasJoin() {
-		return n.validateJoinTree()
+	cur := n
+	var lim, ob *Node
+	if cur.Op == OpLimit {
+		lim, cur = cur, cur.Input
 	}
-	// Collect outermost-first, then check the order against the grammar
-	// Scan [Filter] (Project|Aggregate) [OrderBy] [Limit].
-	var buf [6]*Node
-	ops := buf[:0]
-	for c := n; c != nil; c = c.Input {
-		ops = append(ops, c)
+	if cur != nil && cur.Op == OpOrderBy {
+		ob, cur = cur, cur.Input
 	}
-	i := len(ops) - 1
-	if ops[i].Op != OpScan {
-		return fmt.Errorf("plan: chain must start at a Scan, found %s", ops[i].Op)
+	if cur == nil || (cur.Op != OpProject && cur.Op != OpAggregate) {
+		return errors.New("plan: statement needs exactly one Project or Aggregate under its sinks")
 	}
-	if ops[i].Table == "" {
-		return errors.New("plan: Scan has no table")
-	}
-	i--
-	if i >= 0 && ops[i].Op == OpFilter {
-		i--
-	}
-	if i < 0 || (ops[i].Op != OpProject && ops[i].Op != OpAggregate) {
-		return errors.New("plan: chain needs exactly one Project or Aggregate above the Scan")
-	}
-	consume := ops[i]
+	consume := cur
 	if consume.Op == OpAggregate {
 		if len(consume.Aggs) == 0 {
 			return errors.New("plan: Aggregate with no aggregate terms")
@@ -331,10 +322,9 @@ func (n *Node) Validate() error {
 	} else if len(consume.Cols) == 0 {
 		return errors.New("plan: Project with no columns")
 	}
-	i--
-	if i >= 0 && ops[i].Op == OpOrderBy {
-		ob := ops[i]
-		if consume.Op != OpAggregate || len(consume.GroupBy) == 0 {
+	grouped := consume.Op == OpAggregate && len(consume.GroupBy) > 0
+	if ob != nil {
+		if !grouped {
 			return errors.New("plan: OrderBy requires grouped aggregation output")
 		}
 		if len(ob.Keys) == 0 {
@@ -354,81 +344,19 @@ func (n *Node) Validate() error {
 				return errors.New("plan: sort key must name exactly one of group key or aggregate")
 			}
 		}
-		i--
 	}
-	if i >= 0 && ops[i].Op == OpLimit {
-		lim := ops[i]
-		if consume.Op != OpAggregate || len(consume.GroupBy) == 0 {
+	if lim != nil {
+		if !grouped {
 			return errors.New("plan: Limit requires grouped aggregation output")
 		}
 		if lim.N < 0 {
 			return fmt.Errorf("plan: negative Limit %d", lim.N)
 		}
-		i--
 	}
-	if i >= 0 {
-		return fmt.Errorf("plan: operator %s out of pipeline order", ops[i].Op)
+	if in := consume.Input; in != nil && in.Op == OpJoin {
+		return validateJoinNode(in)
 	}
-	return nil
-}
-
-// validateJoinTree checks the join grammar: [Limit] over [OrderBy] over
-// exactly one Project or Aggregate, sitting directly on a left-deep spine
-// of Joins whose sides are [Filter]→Scan chains. Predicates live on the
-// sides — a Filter directly above a Join is out of order, because the
-// lowering pushes every conjunct to the side that owns its column.
-func (n *Node) validateJoinTree() error {
-	cur := n
-	if cur.Op == OpLimit {
-		if cur.N < 0 {
-			return fmt.Errorf("plan: negative Limit %d", cur.N)
-		}
-		cur = cur.Input
-	}
-	var ob *Node
-	if cur != nil && cur.Op == OpOrderBy {
-		ob = cur
-		cur = cur.Input
-	}
-	if cur == nil || (cur.Op != OpProject && cur.Op != OpAggregate) {
-		return errors.New("plan: join tree needs exactly one Project or Aggregate above its topmost Join")
-	}
-	consume := cur
-	if consume.Op == OpAggregate {
-		if len(consume.Aggs) == 0 {
-			return errors.New("plan: Aggregate with no aggregate terms")
-		}
-	} else if len(consume.Cols) == 0 {
-		return errors.New("plan: Project with no columns")
-	}
-	if n.Op == OpLimit || ob != nil {
-		if consume.Op != OpAggregate || len(consume.GroupBy) == 0 {
-			return errors.New("plan: sinks over a join require grouped aggregation output")
-		}
-	}
-	if ob != nil {
-		if len(ob.Keys) == 0 {
-			return errors.New("plan: OrderBy with no keys")
-		}
-		for _, k := range ob.Keys {
-			switch {
-			case k.Key >= 0 && k.Agg < 0:
-				if k.Key >= len(consume.GroupBy) {
-					return fmt.Errorf("plan: sort key references group key %d of %d", k.Key, len(consume.GroupBy))
-				}
-			case k.Agg >= 0 && k.Key < 0:
-				if k.Agg >= len(consume.Aggs) {
-					return fmt.Errorf("plan: sort key references aggregate %d of %d", k.Agg, len(consume.Aggs))
-				}
-			default:
-				return errors.New("plan: sort key must name exactly one of group key or aggregate")
-			}
-		}
-	}
-	if consume.Input == nil || consume.Input.Op != OpJoin {
-		return errors.New("plan: join tree consumption must sit directly on its topmost Join")
-	}
-	return validateJoinNode(consume.Input)
+	return validateSideChain(consume.Input, "table")
 }
 
 // validateJoinNode checks one Join and recurses down the probe spine.
@@ -452,11 +380,11 @@ func validateJoinNode(j *Node) error {
 	return validateSideChain(probe, "probe")
 }
 
-// validateSideChain checks one join side: an optional Filter over a Scan of
-// a base table.
+// validateSideChain checks one join side, or a single-table statement's
+// input: an optional Filter over a Scan of a base table.
 func validateSideChain(n *Node, side string) error {
 	cur := n
-	if cur.Op == OpFilter {
+	if cur != nil && cur.Op == OpFilter {
 		if len(cur.Preds) == 0 {
 			return fmt.Errorf("plan: %s-side Filter with no predicates", side)
 		}

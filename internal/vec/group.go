@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"slices"
 
+	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/table"
 )
@@ -57,43 +57,6 @@ type keyField struct {
 	raw        int
 }
 
-// put writes the column's value into key: x for an integer, y for a DOUBLE,
-// b for a CHAR.
-func (f *keyField) put(key []byte, x int64, y float64, b []byte) {
-	switch f.typ {
-	case geometry.Float64:
-		binary.BigEndian.PutUint64(key[f.off:], orderBits(y))
-		binary.LittleEndian.PutUint64(key[f.raw:], math.Float64bits(y))
-	case geometry.Char:
-		clear(key[f.off+copy(key[f.off:f.off+f.width], b) : f.off+f.width])
-	default:
-		binary.BigEndian.PutUint64(key[f.off:], uint64(x)^1<<63)
-	}
-}
-
-// KeyKind selects which KeyCol lane holds a key column.
-type KeyKind uint8
-
-// Key column kinds.
-const (
-	KeyInt   KeyKind = iota // I64 lane: BIGINT, INT, DATE
-	KeyFloat                // F64 lane: DOUBLE
-	KeyChar                 // in-place CHAR fields
-)
-
-// KeyCol is one group-key column of a batch, indexed by the selection's
-// row positions: I64[r], F64[r], or the CHAR field
-// Src[Off+r*Stride : Off+r*Stride+Width].
-type KeyCol struct {
-	Kind   KeyKind
-	I64    []int64
-	F64    []float64
-	Src    []byte
-	Off    int
-	Stride int
-	Width  int
-}
-
 // GroupTable maps group keys, in the format above for the key columns it
 // learns at Reset, to dense group ids through a KeyIndex, and keeps each
 // group's row count and aggregate states. The zero value is ready after
@@ -107,7 +70,8 @@ type GroupTable struct {
 	counts  []int64
 	states  []AggState // nAggs per group, group-major
 	created []int32
-	buf     []byte
+	keyLen  int
+	batch   []byte // a batch's keys, keyLen bytes per row
 }
 
 // Reset empties the table for a query with nAggs aggregate terms grouped
@@ -143,7 +107,7 @@ func (t *GroupTable) setKeys(cols []geometry.Column) {
 			n += 8
 		}
 	}
-	t.buf = slices.Grow(t.buf[:0], n)[:n]
+	t.keyLen = n
 }
 
 // KeyColumns returns the key columns the table was Reset with.
@@ -207,37 +171,24 @@ func (t *GroupTable) States(g int) []AggState {
 // Len()-len(Created()).
 func (t *GroupTable) Created() []int32 { return t.created }
 
-// Assign sets ids[j] to the group of row sel[j], creating groups for keys
-// not seen before, and counts each row into its group.
-func (t *GroupTable) Assign(ids []int32, keys []KeyCol, sel []int32) {
+// Assign sets ids[j] to the group of row sel[j] of the key columns,
+// creating groups for keys not seen before, and counts each row into its
+// group. The batch's keys are encoded column by column, then looked up.
+func (t *GroupTable) Assign(ids []int32, keys []Col, sel []int32) {
+	n := t.keyLen
+	t.batch = grow(t.batch, max(len(sel), BatchRows)*n)
+	for k := range keys {
+		keys[k].putKeys(t.batch, n, &t.fields[k], sel)
+	}
 	t.created = t.created[:0]
-	b := t.buf
 	for j, r := range sel {
-		for k := range keys {
-			switch kc, f := &keys[k], &t.fields[k]; kc.Kind {
-			case KeyInt:
-				f.put(b, kc.I64[r], 0, nil)
-			case KeyFloat:
-				f.put(b, 0, kc.F64[r], nil)
-			default:
-				o := kc.Off + int(r)*kc.Stride
-				f.put(b, 0, 0, kc.Src[o:o+f.width])
-			}
-		}
-		g, added := t.AssignKey(b)
+		g, added := t.group(t.batch[j*n : (j+1)*n])
 		if added {
 			t.created = append(t.created, r)
 		}
+		t.counts[g]++
 		ids[j] = g
 	}
-}
-
-// AssignKey is Assign for one row given its encoded key: it returns the
-// row's group, reporting whether the key created it, and counts the row.
-func (t *GroupTable) AssignKey(key []byte) (g int32, added bool) {
-	g, added = t.group(key)
-	t.counts[g]++
-	return g, added
 }
 
 // group returns the group of an encoded key, creating it when new.
@@ -376,23 +327,44 @@ func (t *GroupTable) FoldCount(term int, ids []int32) {
 	}
 }
 
-// FoldI64 folds lane[sel[j]] into group ids[j]'s state for term.
-func (t *GroupTable) FoldI64(term int, ids []int32, lane []int64, sel []int32) {
-	for j, r := range sel {
-		t.states[int(ids[j])*t.nAggs+term].Add(float64(lane[r]))
-	}
-}
-
-// FoldF64 folds lane[sel[j]] into group ids[j]'s state for term.
-func (t *GroupTable) FoldF64(term int, ids []int32, lane []float64, sel []int32) {
-	for j, r := range sel {
-		t.states[int(ids[j])*t.nAggs+term].Add(lane[r])
-	}
-}
-
 // FoldVals folds the compacted xs[j] into group ids[j]'s state for term.
 func (t *GroupTable) FoldVals(term int, ids []int32, xs []float64) {
 	for j, x := range xs {
 		t.states[int(ids[j])*t.nAggs+term].Add(x)
+	}
+}
+
+// DecodeKeyCol sets dst to key column k of every group, in group order, as the
+// group table's keys hold it: a CHAR column reads its fields in place.
+func (t *GroupTable) DecodeKeyCol(dst *Col, k int) {
+	f, n := &t.fields[k], t.Len()
+	dst.Reset(t.cols[k], n)
+	keys := t.idx.keys
+	switch dst.Type {
+	case geometry.Float64:
+		dst.Decode(keys, f.raw, t.keyLen, n)
+	case geometry.Char:
+		dst.Src, dst.Off, dst.Stride = keys, f.off, t.keyLen
+	default:
+		for g := range dst.I64 {
+			dst.I64[g] = int64(binary.BigEndian.Uint64(keys[g*t.keyLen+f.off:]) ^ 1<<63)
+		}
+	}
+}
+
+// FinishAggCol sets dst to every group's result for aggregate term, finalized as
+// kind (AggState.Result): BIGINT for COUNT, DOUBLE otherwise.
+func (t *GroupTable) FinishAggCol(dst *Col, term int, kind expr.AggKind) {
+	n := t.Len()
+	if kind == expr.Count {
+		dst.Reset(geometry.Column{Type: geometry.Int64, Width: 8}, n)
+		for g := range dst.I64 {
+			dst.I64[g] = t.State(g, term).Count
+		}
+		return
+	}
+	dst.Reset(geometry.Column{Type: geometry.Float64, Width: 8}, n)
+	for g := range dst.F64 {
+		dst.F64[g] = t.State(g, term).Float(kind)
 	}
 }

@@ -47,13 +47,16 @@ func newGroupBatch(rng *rand.Rand, n int) *groupBatch {
 	return b
 }
 
-func (b *groupBatch) keys() []KeyCol {
-	return []KeyCol{
-		{Kind: KeyInt, I64: b.ints},
-		{Kind: KeyFloat, F64: b.floats},
-		{Kind: KeyChar, Src: b.chars, Off: 2, Stride: 10, Width: 6},
+func (b *groupBatch) keys() []Col {
+	return []Col{
+		{Type: geometry.Int64, I64: b.ints},
+		{Type: geometry.Float64, F64: b.floats},
+		{Type: geometry.Char, Src: b.chars, Off: 2, Stride: 10, Width: 6},
 	}
 }
+
+// valCol is the aggregate input lane as a column.
+func (b *groupBatch) valCol() *Col { return &Col{Type: geometry.Float64, F64: b.vals} }
 
 // groupKeyCols are groupBatch's key columns.
 var groupKeyCols = []geometry.Column{{Type: geometry.Int64}, {Type: geometry.Float64}, {Type: geometry.Char, Width: 6}}
@@ -93,7 +96,7 @@ func TestGroupTableMatchesSequentialFold(t *testing.T) {
 				t.Fatalf("batch %d: created group %d has key %q, its row encodes %q", batch, firstNew+i, got, want)
 			}
 		}
-		g.FoldF64(0, ids, b.vals, b.sel)
+		b.valCol().Fold(&g, 0, ids, b.sel)
 		g.FoldCount(1, ids)
 
 		for j, r := range b.sel {
@@ -135,7 +138,7 @@ func TestGroupTableMatchesSequentialFold(t *testing.T) {
 	floats.Reset(0, []geometry.Column{{Type: geometry.Float64}})
 	lane := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002), 0}
 	ids := make([]int32, len(lane))
-	floats.Assign(ids, []KeyCol{{Kind: KeyFloat, F64: lane}}, []int32{0, 1, 2, 3, 4})
+	floats.Assign(ids, []Col{{Type: geometry.Float64, F64: lane}}, []int32{0, 1, 2, 3, 4})
 	if floats.Len() != 4 || ids[4] != ids[0] {
 		t.Fatalf("float keys: %d groups, ids %v; want 4 groups with rows 0 and 4 together", floats.Len(), ids)
 	}
@@ -147,14 +150,14 @@ func TestGroupTableMatchesSequentialFold(t *testing.T) {
 func TestGroupTableSteadyStateDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := newGroupBatch(rng, BatchRows)
-	keys := b.keys()
+	keys, vals := b.keys(), b.valCol()
 	ids := make([]int32, len(b.sel))
 	var g GroupTable
 	g.Reset(2, groupKeyCols)
 	g.Assign(ids, keys, b.sel)
 	allocs := testing.AllocsPerRun(20, func() {
 		g.Assign(ids, keys, b.sel)
-		g.FoldF64(0, ids, b.vals, b.sel)
+		vals.Fold(&g, 0, ids, b.sel)
 		g.FoldVals(1, ids, b.vals[:len(ids)])
 	})
 	if allocs != 0 {
@@ -270,7 +273,7 @@ func TestGroupTableMergeMatchesOneTable(t *testing.T) {
 			for _, g := range []*GroupTable{&whole, part} {
 				ids := make([]int32, len(b.sel))
 				g.Assign(ids, b.keys(), b.sel)
-				g.FoldF64(0, ids, b.vals, b.sel)
+				b.valCol().Fold(g, 0, ids, b.sel)
 			}
 		}
 		var created int
@@ -359,16 +362,17 @@ func TestGroupKeyOrderMatchesReference(t *testing.T) {
 		}
 		n := 1 + rng.Intn(120)
 		rows := make([][]table.Value, n)
-		kcols := make([]KeyCol, len(cols))
+		kcols := make([]Col, len(cols))
 		for k, c := range cols {
 			kc := &kcols[k]
+			kc.Type, kc.Width = c.Type, c.Width
 			switch c.Type {
 			case geometry.Float64:
-				kc.Kind, kc.F64 = KeyFloat, make([]float64, n)
+				kc.F64 = make([]float64, n)
 			case geometry.Char:
-				kc.Kind, kc.Src, kc.Stride, kc.Width = KeyChar, make([]byte, n*c.Width), c.Width, c.Width
+				kc.Src, kc.Stride = make([]byte, n*c.Width), c.Width
 			default:
-				kc.Kind, kc.I64 = KeyInt, make([]int64, n)
+				kc.I64 = make([]int64, n)
 			}
 		}
 		for r := range rows {
@@ -456,7 +460,7 @@ func TestHashKeySpreadsGroupKeys(t *testing.T) {
 	for i := range xs {
 		xs[i], sel[i] = int64(i), int32(i)
 	}
-	g.Assign(make([]int32, len(sel)), []KeyCol{{Kind: KeyInt, I64: xs}}, sel)
+	g.Assign(make([]int32, len(sel)), []Col{{Type: geometry.Int64, I64: xs}}, sel)
 	slots := map[uint64]bool{}
 	for i := 0; i < g.Len(); i++ {
 		slots[hashKey(g.Key(i))&8191] = true

@@ -39,20 +39,6 @@ func AppendJoinKeyF64(dst []byte, x float64) ([]byte, bool) {
 // AppendJoinKeyChar appends the join-key encoding of a CHAR field.
 func AppendJoinKeyChar(dst, b []byte) []byte { return append(dst, TrimPad(b)...) }
 
-// AppendJoinKey appends the join-key encoding of row r of the column, or
-// reports false when the value can never match.
-func (k *KeyCol) AppendJoinKey(dst []byte, r int32) ([]byte, bool) {
-	switch k.Kind {
-	case KeyInt:
-		return AppendJoinKeyI64(dst, k.I64[r]), true
-	case KeyFloat:
-		return AppendJoinKeyF64(dst, k.F64[r])
-	default:
-		o := k.Off + int(r)*k.Stride
-		return AppendJoinKeyChar(dst, k.Src[o:o+k.Width]), true
-	}
-}
-
 // JoinTable is a build side's key index: distinct join keys in first-seen
 // order, each with the chain of entry ids inserted under it. The zero value
 // is an empty table.
@@ -95,17 +81,3 @@ func (t *JoinTable) Find(key []byte) int32 {
 
 // Next returns the entry inserted under the same key after e, or -1.
 func (t *JoinTable) Next(e int32) int32 { return t.next[e] }
-
-// TakeI64 sets dst[j] = src[idx[j]].
-func TakeI64(dst, src []int64, idx []int32) {
-	for j, i := range idx {
-		dst[j] = src[i]
-	}
-}
-
-// TakeF64 sets dst[j] = src[idx[j]].
-func TakeF64(dst, src []float64, idx []int32) {
-	for j, i := range idx {
-		dst[j] = src[i]
-	}
-}

@@ -1,12 +1,16 @@
 // Package vec implements the fixed-size columnar batch kernels behind the
-// engines' batch scan paths. A batch is BatchRows rows of one or more
-// typed lanes ([]int64 for BIGINT/INT/DATE, []float64 for DOUBLE; CHAR
-// columns are accessed in place in the source buffer), narrowed by a
-// selection vector of row indices. The kernels carry no modeled cost of
-// their own: the engines charge every PredEvalCycles/ExtractCycles/
-// Hier.Load row by row under their charge model, and the kernels compute
-// over typed lanes in place of boxed Values and per-value DecodeColumn
-// calls.
+// engines' batch scan paths and the fabric's filters and offload fold. A
+// batch is up to BatchRows rows of one or more columns, each a Col in its
+// lane format ([]int64 for BIGINT/INT/DATE, []float64 for DOUBLE, CHAR as
+// fixed-width fields read in place in the source buffer or gathered into
+// the Col's own), narrowed by a selection vector of row indices. Col is the
+// one place that switches on a column's type for batch work: decode,
+// gather, take and append, filter against a Pred, checksum, aggregate add
+// and group fold, compaction for derived scalars, group and join keys. The
+// kernels carry no modeled cost of their own: the engines charge every
+// PredEvalCycles/ExtractCycles/Hier.Load row by row under their charge
+// model, and the kernels compute over typed lanes in place of boxed Values
+// and per-value DecodeColumn calls.
 //
 // Every kernel follows the boxed values' semantics bit for bit:
 // comparisons follow table.Value.Compare (three-way compare, then
@@ -59,15 +63,7 @@ func HashF64(col int, x float64) uint64 {
 
 // HashChar hashes one CHAR field: bytes up to (excluding) the first NUL.
 func HashChar(col int, b []byte) uint64 {
-	h := mix8(fnvOffset, uint64(col))
-	for _, c := range b {
-		if c == 0 {
-			break
-		}
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
+	return hashCharSeeded(mix8(fnvOffset, uint64(col)), b)
 }
 
 // TrimPad strips trailing NUL padding, mirroring table.Value's CHAR
@@ -78,29 +74,6 @@ func TrimPad(b []byte) []byte {
 		end--
 	}
 	return b[:end]
-}
-
-// CmpI64 is the three-way integer compare of table.Value.Compare.
-func CmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// CmpF64 is the three-way float compare of table.Value.Compare. NaN compares
-// as neither less nor greater — cmp 0 — exactly like Value.Compare.
-func CmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // CmpChar compares a padded CHAR field against a pre-trimmed operand.
@@ -171,15 +144,22 @@ func (a *AggState) Merge(o AggState) {
 }
 
 // Result finalizes the state as an aggregate of kind. COUNT yields BIGINT,
-// every other kind DOUBLE; over zero rows SUM, AVG, MIN and MAX are 0. Every
-// fold finalizes through it, so a result cannot depend on where it was
-// folded; a NaN is always math.NaN(), as a sum's NaN payload depends on the
-// operand order the compiler picks at each fold site.
+// every other kind DOUBLE (Float); over zero rows SUM, AVG, MIN and MAX are
+// 0. Every fold finalizes through it, so a result cannot depend on where it
+// was folded.
 func (a AggState) Result(kind expr.AggKind) table.Value {
+	if kind == expr.Count {
+		return table.I64(a.Count)
+	}
+	return table.F64(a.Float(kind))
+}
+
+// Float finalizes the state as a SUM, AVG, MIN or MAX. A NaN is always
+// math.NaN(), as a sum's NaN payload depends on the operand order the
+// compiler picks at each fold site.
+func (a AggState) Float(kind expr.AggKind) float64 {
 	var x float64
 	switch kind {
-	case expr.Count:
-		return table.I64(a.Count)
 	case expr.Sum:
 		x = a.Sum
 	case expr.Avg:
@@ -191,31 +171,16 @@ func (a AggState) Result(kind expr.AggKind) table.Value {
 	case expr.Max:
 		x = a.Max
 	default:
-		panic(fmt.Sprintf("vec: unknown aggregate kind %d", uint8(kind)))
+		panic(fmt.Sprintf("vec: no float result for aggregate kind %d", uint8(kind)))
 	}
 	if x != x || a.NaNFirst && (kind == expr.Min || kind == expr.Max) {
 		x = math.NaN()
 	}
-	return table.F64(x)
+	return x
 }
 
 // AddCount registers n qualifying rows for COUNT(*) terms.
 func (a *AggState) AddCount(n int64) { a.Count += n }
-
-// AddI64 folds the selected lanes of an integer lane, in selection order, so
-// float accumulation is sequential in row order.
-func AddI64(a *AggState, lane []int64, sel []int32) {
-	for _, r := range sel {
-		a.Add(float64(lane[r]))
-	}
-}
-
-// AddF64 folds the selected lanes of a float lane in selection order.
-func AddF64(a *AggState, lane []float64, sel []int32) {
-	for _, r := range sel {
-		a.Add(lane[r])
-	}
-}
 
 // AddVals folds an already-compacted value vector in order.
 func AddVals(a *AggState, xs []float64) {
