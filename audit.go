@@ -18,8 +18,8 @@ import (
 // actually did. The report answers the accountability questions the
 // statement store raises — where is the cost model wrong (q-error), did
 // AUTO pick the path that actually won, and would it have chosen
-// differently with the selectivity it observed instead of the textbook
-// heuristic it assumed.
+// differently with the index path priced at the selectivity it observed
+// instead of the B+tree statistics it assumed.
 
 // AuditEngines is the audit's replay order. COL runs before AUTO so the
 // columnar copy it materializes is an access path AUTO can price, matching
@@ -58,8 +58,8 @@ type AuditQuery struct {
 	AutoChose   string `json:"auto_chose,omitempty"`
 	BestSerial  string `json:"best_serial,omitempty"`
 	AutoOptimal bool   `json:"auto_optimal"`
-	// Rechoice is what AUTO would pick re-priced with the selectivity the
-	// run observed (SelOverride) instead of the textbook heuristic.
+	// Rechoice is what AUTO would pick with the index path re-priced at
+	// the selectivity the run observed (SelOverride).
 	Rechoice string `json:"rechoice_with_observed_sel,omitempty"`
 	// AutoAfterFeedback is AUTO's choice re-planned with the mean observed
 	// selectivity the statement store accumulated for this fingerprint over
@@ -238,9 +238,9 @@ func (db *DB) auditOne(kind EngineKind, text string) AuditRun {
 }
 
 // rechoice re-runs the constructive optimizer with the observed selectivity
-// substituted for the heuristic (SelOverride) and returns the path it would
-// now choose. For joins the probe side is re-priced — it dominates the cost
-// and is where the heuristic's error concentrates.
+// substituted for the index statistics (SelOverride) and returns the path
+// it would now choose. For joins the probe side is re-priced — it
+// dominates the cost.
 func (db *DB) rechoice(text string, observedSel float64) string {
 	s, err := db.compile(text, nil)
 	if err != nil {

@@ -324,8 +324,8 @@ const (
 	// the table into a columnar copy (the duplication the paper removes).
 	COL EngineKind = "COL"
 	// AUTO runs the constructive optimizer (§III-B): it prices the access
-	// paths with the model's cost formulas and takes the cheapest. A
-	// columnar copy is considered only if one already exists.
+	// paths by running them on the table's first rows and takes the
+	// cheapest. A columnar copy is considered only if one already exists.
 	AUTO EngineKind = "AUTO"
 	// PAR is the morsel-parallel executor: the table's row range splits
 	// into fixed-size morsels that workers run on the RM path of private
@@ -515,8 +515,9 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Trace
 		root := engine.PlanOf(q, t.tbl.Name())
 		sp := tr.Begin("plan")
 		// Feedback: with the group cache on and history for this statement
-		// fingerprint, plan with the observed selectivity instead of the
-		// textbook heuristics — the StatStore half of the replanning loop.
+		// fingerprint, price the index path with the observed selectivity
+		// instead of its statistics — the StatStore half of the replanning
+		// loop.
 		if sel, ok := db.feedbackSel(c); ok {
 			opt.SelOverride = sel
 			sp.SetAttr("feedback_sel", fmt.Sprintf("%.3f", sel))
@@ -700,8 +701,8 @@ func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, 
 }
 
 // priceJoinSide runs the constructive optimizer over one side's query in
-// isolation: the side is a complete scan-shaped subplan, so the single-table
-// cost formulas apply directly. The winning estimate is copied onto the
+// isolation: the side is a complete scan-shaped subplan, so single-table
+// pricing applies directly. The winning estimate is copied onto the
 // side's own Scan node — the node EXPLAIN ANALYZE renders — so the pricing
 // survives the throwaway tree ChoosePlan stamps it on.
 func (db *DB) priceJoinSide(t *dbTable, side *engine.JoinSide) (EngineKind, error) {

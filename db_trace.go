@@ -226,8 +226,8 @@ func annotatePlanSpans(pairs []opSpan, res *Result, sch *Schema) {
 // really replayed a warm group, since pricing after the run would otherwise
 // see the group the run itself just installed, mislabel a cold run as warm,
 // and poison the q-error feedback. A positive sel is the statement's
-// feedback selectivity, so a converged estimate stops paying the
-// heuristics' misprediction. Returns nil when the path cannot be priced
+// feedback selectivity, so a converged IDX estimate stops paying the
+// index statistics' misprediction. Returns nil when the path cannot be priced
 // (e.g. IDX with no usable index).
 func (db *DB) estimateObserved(t *dbTable, q engine.Query, eng string, warm bool, sel float64) *plan.Est {
 	opt := db.optimizer(t)

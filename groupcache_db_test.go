@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"rfabric/internal/plan"
 )
 
 // TestGroupCacheWarmMatchesCold pins the cache's core contract: with the
@@ -253,8 +255,8 @@ func TestFeedbackEvictsMispricedPlan(t *testing.T) {
 	db := demoDB(t, 2000)
 	db.SetStatements(NewStatStore())
 	db.SetGroupCache(GroupCacheConfig{CapacityBytes: 64 << 20, QErrorEvictThreshold: 1.0001})
-	// Heuristic selectivity for a range predicate is 1/3; the actual pass
-	// rate of grp < 1 is 1/10 — guaranteed q-error above the threshold.
+	// RM's estimate scales a run over the first 1,024 rows to all 2,000;
+	// the scaled price misses the run by more than the 1.0001 threshold.
 	const q = "SELECT id, price FROM items WHERE grp < 1"
 
 	p, err := db.Prepare(q)
@@ -354,5 +356,39 @@ func TestFeedbackRechoosesPlan(t *testing.T) {
 	}
 	if err := second.EquivalentTo(first, 0); err != nil {
 		t.Fatalf("re-chosen plan diverged: %v", err)
+	}
+}
+
+// TestWarmEstimateUsesRMCacheKey: with offload on, RM pushes the selection
+// into the fabric and keys the resident group on the pushed predicates.
+// The optimizer's warm probe must look the group up under that same key, so
+// a warm rerun is priced warm and close to what it measured.
+func TestWarmEstimateUsesRMCacheKey(t *testing.T) {
+	db := demoDB(t, 4000)
+	db.SetGroupCache(DefaultGroupCacheConfig())
+	db.SetOffload(true)
+	const q = "SELECT id, price FROM items WHERE grp < 4"
+	if _, err := db.QueryOn(RM, q); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := db.QueryOn(RM, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.CacheWarm {
+		t.Fatal("second run did not replay the resident group")
+	}
+	s, err := db.compile(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := db.estimateObserved(s.t, s.q, "RM", true, 0)
+	if est == nil {
+		t.Fatal("RM not priced")
+	}
+	qe := plan.QError(est.Cycles, float64(warm.Breakdown.TotalCycles))
+	if !est.Warm || qe > 1.5 {
+		t.Errorf("warm rerun priced warm=%v at %.0f cycles against %d measured (q-error %.2f), want warm within 1.5x",
+			est.Warm, est.Cycles, warm.Breakdown.TotalCycles, qe)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"rfabric/internal/expr"
 	"rfabric/internal/index"
@@ -46,49 +45,6 @@ func (e *IndexEngine) tableLabel() string {
 
 func (e *IndexEngine) sysTracer() (*System, *obs.Tracer) { return e.Sys, e.Tracer }
 
-// indexBounds extracts the [lo, hi] range the selection imposes on the
-// indexed column; ok is false when the selection does not constrain it.
-func indexBounds(sel expr.Conjunction, col int) (lo, hi int64, ok bool) {
-	lo, hi = math.MinInt64, math.MaxInt64
-	for _, p := range sel {
-		if p.Col != col {
-			continue
-		}
-		v := p.Operand.Int
-		switch p.Op {
-		case expr.Eq:
-			if v > lo {
-				lo = v
-			}
-			if v < hi {
-				hi = v
-			}
-			ok = true
-		case expr.Ge:
-			if v > lo {
-				lo = v
-			}
-			ok = true
-		case expr.Gt:
-			if v+1 > lo {
-				lo = v + 1
-			}
-			ok = true
-		case expr.Le:
-			if v < hi {
-				hi = v
-			}
-			ok = true
-		case expr.Lt:
-			if v-1 < hi {
-				hi = v - 1
-			}
-			ok = true
-		}
-	}
-	return lo, hi, ok
-}
-
 // IndexApplicable reports whether a selection constrains the indexed
 // column — the precondition for routing a scan through IndexEngine. The DB
 // façade uses it to decide per join side whether the index path applies or
@@ -97,7 +53,7 @@ func IndexApplicable(idx *index.BTree, sel expr.Conjunction) bool {
 	if idx == nil {
 		return false
 	}
-	_, _, ok := indexBounds(sel, idx.Column())
+	_, _, ok := sel.KeyRange(idx.Column())
 	return ok
 }
 
@@ -122,7 +78,7 @@ func (e *IndexEngine) openScan(q *Query, _ *obs.Span) (*scan, error) {
 	if q.Snapshot != nil && !e.Tbl.HasMVCC() {
 		return nil, fmt.Errorf("engine: snapshot query over table %q without MVCC", e.Tbl.Name())
 	}
-	lo, hi, ok := indexBounds(q.Selection, e.Idx.Column())
+	lo, hi, ok := q.Selection.KeyRange(e.Idx.Column())
 	if !ok {
 		return nil, fmt.Errorf("engine: selection does not constrain indexed column %q",
 			sch.Column(e.Idx.Column()).Name)
@@ -157,24 +113,23 @@ func (o *Optimizer) estimateIDX(q Query) plan.Est {
 	if o.Index == nil {
 		return plan.Est{Engine: "IDX", Available: false, Reason: "no index exists on this table"}
 	}
-	if _, _, ok := indexBounds(q.Selection, o.Index.Column()); !ok {
+	lo, hi, ok := q.Selection.KeyRange(o.Index.Column())
+	if !ok {
 		return plan.Est{Engine: "IDX", Available: false,
 			Reason: "selection does not constrain the indexed column"}
 	}
 	cfg := o.Sys.Cfg
 	n := float64(o.Tbl.NumRows())
 
-	// The index's own statistics give a far better candidate estimate than
-	// the generic heuristics: equality hits entries/distinct rows; a range
-	// hits its fraction of the key span.
-	lo, hi, _ := indexBounds(q.Selection, o.Index.Column())
+	// The index's own statistics estimate the candidates: equality hits
+	// entries/distinct rows; a range hits its fraction of the key span.
 	keyLo, keyHi := o.Index.KeyRange()
 	lo, hi = max(lo, keyLo), min(hi, keyHi)
 	var candidates float64
 	switch {
 	case o.SelOverride > 0:
-		// Observed-selectivity override (the audit's feedback hook) replaces
-		// the index statistics the same way it replaces the heuristics.
+		// Observed-selectivity override (the feedback hook) replaces the
+		// index statistics.
 		candidates = o.SelOverride * n
 	case lo > hi:
 		candidates = 0
@@ -195,6 +150,7 @@ func (o *Optimizer) estimateIDX(q Query) plan.Est {
 	perRow := float64(cfg.Cache.OverlapMissCycles + cfg.Cache.L2.HitCycles)
 	perRow += float64(len(q.consumedColumns())+len(q.Selection)) * (ExtractCycles + PredEvalCycles)
 	cost += candidates * perRow
-	cost += candidates * consumeCostPerRow(q)
+	_, consume := consumeTouches(&q)
+	cost += candidates * float64(consume)
 	return plan.Est{Engine: "IDX", Cycles: cost, Selectivity: sel, Available: true}
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"rfabric/internal/expr"
+	"rfabric/internal/geometry"
 	"rfabric/internal/index"
 	"rfabric/internal/table"
 )
@@ -90,5 +92,42 @@ func TestOptimizerRoutesPointQueriesToIndex(t *testing.T) {
 	}
 	if plan.Chosen == "IDX" {
 		t.Errorf("full scan routed to the index (%s)", plan)
+	}
+}
+
+// TestIndexEngineKeyEdges: on a BIGINT key holding both int64 extremes,
+// k > MaxInt64 and k < MinInt64 walk no candidate (one past either end
+// must not wrap around to the whole tree), while k >= MaxInt64 and
+// k <= MinInt64 find their one row each.
+func TestIndexEngineKeyEdges(t *testing.T) {
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "k", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "v", Type: geometry.Int32, Width: 4},
+	)
+	sys := MustSystem(DefaultSystemConfig())
+	keys := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	tbl := table.MustNew("edges", sch, table.WithBaseAddr(sys.Arena.Alloc(int64(len(keys)*sch.RowBytes()))))
+	for i, k := range keys {
+		tbl.MustAppend(0, table.I64(k), table.I32(int32(i)))
+	}
+	idx, err := index.Build(tbl, 0, sys.Arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		op   expr.CmpOp
+		key  int64
+		want int64
+	}{
+		{expr.Gt, math.MaxInt64, 0},
+		{expr.Lt, math.MinInt64, 0},
+		{expr.Ge, math.MaxInt64, 1},
+		{expr.Le, math.MinInt64, 1},
+	} {
+		q := Query{Projection: []int{1}, Selection: expr.Conjunction{{Col: 0, Op: c.op, Operand: table.I64(c.key)}}}
+		res := mustExec(t, &IndexEngine{Tbl: tbl, Sys: sys, Idx: idx}, q)
+		if res.RowsScanned != c.want || res.RowsPassed != c.want {
+			t.Errorf("k %s %d: %d candidates, %d passed; want %d", c.op, c.key, res.RowsScanned, res.RowsPassed, c.want)
+		}
 	}
 }

@@ -79,7 +79,7 @@ func invariantTrial(t *testing.T, rng *rand.Rand) {
 			return (&RMEngine{Tbl: tbl, Sys: sys, Offload: true, Tracer: tr}).Execute(q)
 		}},
 	}
-	if _, _, constrained := indexBounds(q.Selection, 0); constrained {
+	if _, _, constrained := q.Selection.KeyRange(0); constrained {
 		idx, err := index.Build(tbl, 0, sys.Arena)
 		if err != nil {
 			t.Fatal(err)

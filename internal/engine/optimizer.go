@@ -1,14 +1,16 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"rfabric/internal/colstore"
 	"rfabric/internal/expr"
 	"rfabric/internal/fabric"
-	"rfabric/internal/geometry"
 	"rfabric/internal/index"
 	"rfabric/internal/plan"
 	"rfabric/internal/table"
@@ -19,8 +21,12 @@ import (
 // any geometry is available on demand, the optimizer merely prices the
 // access paths and takes the cheapest (§III-B "instead of solving a
 // combinatorial problem, we can now construct the fastest solution"). This
-// file implements that constructive optimizer: closed-form cost formulas
-// derived from the performance model, evaluated without executing anything.
+// file implements that constructive optimizer. The simulator is the cost
+// model: ROW, COL and RM (and PAR, priced as RM) are priced by running that
+// path's own Source over the table's first sampleRows rows on a fresh
+// machine and scaling the run's cycles to the table; the selectivity is the
+// one the run observed. IDX keeps a formula over its B+tree's statistics,
+// because a tree descent is a per-query cost a row sample cannot scale.
 
 // Plan is the optimizer's decision.
 type Plan struct {
@@ -28,77 +34,29 @@ type Plan struct {
 	Estimates []plan.Est // sorted by predicted cycles, available paths first
 }
 
-// estimateSelectivity applies the classic textbook heuristics: equality
-// selects 10 %, a range predicate a third, conjuncts multiply, floored so a
-// plan never assumes a free scan.
-func estimateSelectivity(q Query) float64 {
-	sel := 1.0
-	for _, p := range q.Selection {
-		switch p.Op {
-		case expr.Eq:
-			sel *= 0.1
-		case expr.Ne:
-			sel *= 0.9
-		default: // range comparisons
-			sel *= 1.0 / 3.0
-		}
-	}
-	if sel < 0.005 {
-		sel = 0.005
-	}
-	return sel
-}
-
-// consumeCostPerRow prices the consumer work shared by every engine:
-// checksum folding or aggregation, including group hashing.
-func consumeCostPerRow(q Query) float64 {
-	if len(q.Aggregates) == 0 {
-		return float64(len(q.Projection) * ChecksumCycles)
-	}
-	c := 0.0
-	if len(q.GroupBy) > 0 {
-		c += HashGroupCycles
-	}
-	for _, a := range q.Aggregates {
-		c += AggAddCycles
-		if a.Arg != nil {
-			c += float64(a.Arg.Ops() * ScalarOpCycles)
-		}
-	}
-	return c
-}
-
 // Optimizer prices access paths for one table on one system configuration.
 type Optimizer struct {
 	Tbl *table.Table
 	Sys *System
-	// Store is the columnar copy, if one happens to exist.
+	// Store is the columnar copy, if one happens to exist. COL is priced
+	// only when it does; the sample runs over a columnar copy of its rows.
 	Store *colstore.Store
 	// Index is a B+tree over one of the table's columns, if one exists.
 	Index *index.BTree
-	// SelOverride, when positive, replaces the textbook selectivity
-	// heuristics with an observed value — the feedback hook the optimizer
-	// audit uses to ask "what would you have chosen knowing the real
-	// selectivity?". Zero means use the heuristics.
+	// SelOverride, when positive, replaces the index statistics' candidate
+	// estimate with an observed selectivity — the feedback hook the
+	// statement store and the optimizer audit use to ask "what would you
+	// have chosen knowing the real selectivity?". The sampled paths
+	// observe their own selectivity and ignore it.
 	SelOverride float64
-	// Cache, when set, lets the RM formula price a resident column group
-	// as warm: the producer streams packed bytes out of the persistent
-	// buffer instead of gathering from DRAM. Nil always prices cold.
+	// Cache, when set, lets RM price a resident column group as warm: the
+	// producer streams packed bytes out of the persistent buffer instead
+	// of gathering from DRAM. Nil always prices cold.
 	Cache *fabric.GroupCache
-	// Offload, when set, prices RM's operator-offload path for queries whose
-	// aggregation shape the fabric can run (offloadProgram): the consumer
-	// collapses to reading the reduced result. The same Source-contract
-	// predicate gates execution, so pricing and dispatch cannot disagree.
+	// Offload prices RM as the DB runs it with the offload layer on: the
+	// sample runs on an RMEngine with Offload set, so pricing and dispatch
+	// share every offload decision.
 	Offload bool
-}
-
-// selectivity returns the selectivity this optimizer plans with: the
-// observed override when one is set, the textbook heuristics otherwise.
-func (o *Optimizer) selectivity(q Query) float64 {
-	if o.SelOverride > 0 {
-		return o.SelOverride
-	}
-	return estimateSelectivity(q)
 }
 
 // Choose prices every path and returns the constructed plan.
@@ -128,9 +86,9 @@ func (o *Optimizer) Choose(q Query) (*Plan, error) {
 // EstimateFor prices one specific access path — the counterpart of Choose
 // for runs where the caller (not the optimizer) picked the engine, so
 // EXPLAIN ANALYZE and the statement store can still report estimated-vs-
-// actual for ROW/COL/RM/IDX/PAR runs. PAR prices with the RM formulas: the
-// optimizer prices the access path (where the bytes come from), not the
-// parallel schedule, so PAR's q-error exposes exactly the speedup the
+// actual for ROW/COL/RM/IDX/PAR runs. PAR prices as RM: the optimizer
+// prices the access path (where the bytes come from), not the parallel
+// schedule, so PAR's q-error exposes exactly the speedup the
 // morsel executor achieves over the single-stream model. AUTO returns the
 // cheapest path, as Choose would.
 func (o *Optimizer) EstimateFor(engine string, q Query) (plan.Est, bool) {
@@ -156,13 +114,8 @@ func (o *Optimizer) EstimateFor(engine string, q Query) (plan.Est, bool) {
 func (o *Optimizer) estimate(engine string, q Query) plan.Est {
 	var e plan.Est
 	switch engine {
-	case "ROW":
-		e = o.estimateROW(q)
-	case "COL":
-		e = o.estimateCOL(q)
-	case "RM", "PAR":
-		e = o.estimateRM(q)
-		e.Engine = engine
+	case "ROW", "COL", "RM", "PAR":
+		e = o.estimateSampled(engine, q)
 	case "IDX":
 		e = o.estimateIDX(q)
 	default:
@@ -172,155 +125,196 @@ func (o *Optimizer) estimate(engine string, q Query) plan.Est {
 	return e
 }
 
-func (o *Optimizer) estimateROW(q Query) plan.Est {
-	cfg := o.Sys.Cfg
-	n := float64(o.Tbl.NumRows())
-	sel := o.selectivity(q)
-	lineBytes := float64(cfg.Cache.L1.LineBytes)
-	rowStride := float64(o.Tbl.RowStride())
-
-	// CPU: volcano overhead, predicate evaluation, per-column extraction on
-	// survivors, consumption.
-	cpu := n * VolcanoNextCycles
-	cpu += n * float64(len(q.Selection)) * (PredEvalCycles + ExtractCycles + float64(cfg.Cache.L1.HitCycles))
-	consumed := float64(len(q.consumedColumns()))
-	cpu += n * sel * consumed * (ExtractCycles + float64(cfg.Cache.L1.HitCycles))
-	cpu += n * sel * consumeCostPerRow(q)
-	if o.Tbl.HasMVCC() {
-		cpu += n * TSCheckSoftwareCycles
+// estimateSampled prices ROW, COL or RM (PAR as RM) from the path's sample
+// run, scaled from the sample's rows to the table's. A warm RM estimate
+// replaces the run's producer with the resident group's replay, chunk by
+// chunk as ReplayChunk charges it, against the consumer the sample
+// measured.
+func (o *Optimizer) estimateSampled(engine string, q Query) plan.Est {
+	path := engine
+	if path == "PAR" {
+		path = "RM"
 	}
-
-	// Memory: the scan streams the whole heap; the prefetcher covers the
-	// single stream, so line transitions cost ~an L2 hit.
-	linesPerRow := rowStride / lineBytes
-	mem := n * linesPerRow * float64(cfg.Cache.L2.HitCycles)
-
-	floor := n * rowStride / cfg.DRAM.BandwidthBytesPerCycle
-	return plan.Est{Engine: "ROW", Cycles: max(cpu+mem, floor), Selectivity: sel, Available: true}
+	if path == "COL" {
+		if o.Store == nil {
+			return plan.Est{Engine: engine,
+				Reason: "no columnar copy exists (the duplication Relational Fabric removes)"}
+		}
+		if q.Snapshot != nil {
+			return plan.Est{Engine: engine, Reason: "columnar copy has no version history"}
+		}
+	}
+	sp := o.Sys.price(o.Tbl, q, path, o.Offload && path == "RM")
+	if sp.err != nil {
+		return plan.Est{Engine: engine, Reason: sp.err.Error()}
+	}
+	scale := 0.0
+	if sp.rows > 0 {
+		scale = float64(o.Tbl.NumRows()) / float64(sp.rows)
+	}
+	e := plan.Est{Engine: engine, Cycles: sp.cycles*scale + sp.fold, Selectivity: sp.sel,
+		Available: true, Offloaded: sp.offloaded}
+	if path != "RM" || o.Cache == nil || sp.offloaded {
+		return e
+	}
+	rp, err := (&RMEngine{Tbl: o.Tbl, Offload: o.Offload}).scanPlan(&q)
+	if err != nil {
+		return e
+	}
+	if chunks, ok := o.Cache.Peek(o.Tbl, rp.geom, q.Snapshot, rp.pushed); ok {
+		var producer uint64
+		for _, ch := range chunks {
+			producer += o.Sys.Cfg.Fabric.ReplayCycles(ch.Len)
+		}
+		e.Cycles, e.Warm = max(sp.consumer*scale, float64(producer)), true
+	}
+	return e
 }
 
-func (o *Optimizer) estimateCOL(q Query) plan.Est {
-	if o.Store == nil {
-		return plan.Est{Engine: "COL", Available: false,
-			Reason: "no columnar copy exists (the duplication Relational Fabric removes)"}
+// sampleRows is how many leading rows of a table a sample run prices, and
+// priceMemoCap how many prices a System keeps (a full memo starts over).
+const sampleRows, priceMemoCap = 1024, 1024
+
+// samplePrice is one access path's run over a table's first rows rows.
+type samplePrice struct {
+	rows      int
+	cycles    float64 // the run's modeled cycles, fold excluded
+	fold      float64 // an offloaded aggregation's final fold: one per result, so it grows with the groups, not the rows
+	consumer  float64 // the CPU side: compute plus the memory latency exposed
+	sel       float64 // rows passed per row scanned
+	offloaded bool    // the fabric ran the whole aggregation
+	err       error
+}
+
+// priceMemo memoizes sample prices per table and (sample size, path,
+// offload, query). A price is a pure function of these, so it never
+// depends on when it was computed: appends leave a table's first rows as
+// they are and change only the row count the price is scaled to.
+type priceMemo struct {
+	mu  sync.Mutex
+	m   map[priceKey]samplePrice
+	buf []byte // the lookup key's bytes, reused under mu
+}
+
+type priceKey struct {
+	tbl *table.Table
+	key string // appendPriceKey's encoding
+}
+
+// price returns path's sample price for q over tbl, running the sample on
+// a miss. The run never touches s: it builds its own machine from s.Cfg.
+func (s *System) price(tbl *table.Table, q Query, path string, offload bool) samplePrice {
+	q.Sinks = Sinks{} // they charge nothing inside a run
+	m := min(tbl.NumRows(), sampleRows)
+	memo := &s.prices
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	memo.buf = appendPriceKey(memo.buf[:0], m, path, offload, &q)
+	if sp, ok := memo.m[priceKey{tbl, string(memo.buf)}]; ok {
+		return sp
+	}
+	sp, err := runSample(s.Cfg, tbl, m, q, path, offload)
+	sp.err = err
+	if memo.m == nil || len(memo.m) >= priceMemoCap {
+		memo.m = map[priceKey]samplePrice{}
+	}
+	memo.m[priceKey{tbl, string(memo.buf)}] = sp
+	return sp
+}
+
+// runSample runs q on path over tbl's first m rows, on a cold machine built
+// from cfg whose arena starts right after those rows. COL runs over a
+// columnar copy of the sample, RM with the given offload setting.
+func runSample(cfg SystemConfig, tbl *table.Table, m int, q Query, path string, offload bool) (samplePrice, error) {
+	sp := samplePrice{rows: m}
+	view, err := tbl.Slice(0, m)
+	if err != nil {
+		return sp, err
+	}
+	sys, err := newSystemAt(cfg, tbl.RowAddr(m))
+	if err != nil {
+		return sp, err
+	}
+	var src Source = &RMEngine{Tbl: view, Sys: sys, Offload: offload}
+	switch path {
+	case "ROW":
+		src = &RowEngine{Tbl: view, Sys: sys}
+	case "COL":
+		store, err := colstore.FromTable(view, sys.Arena)
+		if err != nil {
+			return sp, err
+		}
+		src = &ColEngine{Store: store, Sys: sys}
+	}
+	res, err := Run(src, q)
+	if err != nil {
+		return sp, err
+	}
+	b := res.Breakdown
+	sp.consumer = float64(b.ComputeCycles + b.MemDemandCycles)
+	if res.RowsScanned > 0 {
+		sp.sel = float64(res.RowsPassed) / float64(res.RowsScanned)
+	}
+	if sp.offloaded = res.Offload != ""; sp.offloaded {
+		sp.fold = float64(cfg.Fabric.FoldCycles(sys.Fab.Stats().Aggregates))
+	}
+	sp.cycles = float64(b.TotalCycles) - sp.fold
+	return sp, nil
+}
+
+// appendPriceKey encodes what a sample price depends on besides its table:
+// the path (ROW, COL and RM: no name prefixes another), the sample size,
+// offload, and every part of q a run reads, each list length-prefixed, so
+// distinct inputs never share a key.
+func appendPriceKey(b []byte, m int, path string, offload bool, q *Query) []byte {
+	u := func(vs ...uint64) {
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+	}
+	ints := func(xs []int) {
+		u(uint64(len(xs)))
+		for _, x := range xs {
+			u(uint64(x))
+		}
+	}
+	off := uint64(0)
+	if offload {
+		off = 1
+	}
+	b = append(b, path...)
+	u(off, uint64(m), uint64(len(q.Selection)))
+	for _, p := range q.Selection {
+		v := p.Operand
+		u(uint64(p.Col), uint64(p.Op), uint64(v.Type), uint64(v.Int), math.Float64bits(v.Float), uint64(len(v.Bytes)))
+		b = append(b, v.Bytes...)
+	}
+	ints(q.Projection)
+	ints(q.GroupBy)
+	u(uint64(len(q.Aggregates)))
+	for _, a := range q.Aggregates {
+		b = appendScalar(append(b, byte(a.Kind)), a.Arg)
 	}
 	if q.Snapshot != nil {
-		return plan.Est{Engine: "COL", Available: false, Reason: "columnar copy has no version history"}
+		u(*q.Snapshot)
 	}
-	sch := o.Store.Schema()
-	cfg := o.Sys.Cfg
-	n := float64(o.Store.NumRows())
-	sel := o.selectivity(q)
-	lineBytes := float64(cfg.Cache.L1.LineBytes)
-
-	// Selection: full-column passes with bitmap intermediates.
-	cpu := 0.0
-	var bytesTouched float64
-	for i, p := range q.Selection {
-		w := float64(sch.Column(p.Col).Width)
-		cpu += n * (VectorOpCycles + MaterializeCycles + float64(cfg.Cache.L1.HitCycles))
-		cpu += n * (w / lineBytes) * float64(cfg.Cache.L2.HitCycles) // prefetched stream
-		bytesTouched += n * w
-		if i > 0 {
-			cpu += n * float64(cfg.Cache.L1.HitCycles) // bitmap read-modify-write
-		}
-	}
-
-	// Reconstruction: row-major gather across consumed arrays on survivors.
-	consumed := q.consumedColumns()
-	streams := len(consumed)
-	perLine := float64(cfg.Cache.L2.HitCycles) // covered by prefetch
-	if streams > cfg.Cache.Prefetch.Streams {
-		perLine = float64(cfg.Cache.OverlapMissCycles + cfg.Cache.L2.HitCycles)
-	}
-	for _, c := range consumed {
-		w := float64(sch.Column(c).Width)
-		cpu += n * sel * (VectorOpCycles + float64(cfg.Cache.L1.HitCycles))
-		cpu += n * sel * (w / lineBytes) * perLine
-		bytesTouched += n * sel * w
-	}
-	cpu += n * sel * consumeCostPerRow(q)
-
-	floor := bytesTouched / cfg.DRAM.BandwidthBytesPerCycle
-	return plan.Est{Engine: "COL", Cycles: max(cpu, floor), Selectivity: sel, Available: true}
+	return b
 }
 
-func (o *Optimizer) estimateRM(q Query) plan.Est {
-	sch := o.Tbl.Schema()
-	cfg := o.Sys.Cfg
-	n := float64(o.Tbl.NumRows())
-	sel := o.selectivity(q)
-	lineBytes := float64(cfg.Cache.L1.LineBytes)
-
-	cols := q.NeededColumns()
-	if len(cols) == 0 {
-		q, cols = countOverNarrowest(q, sch)
+// appendScalar encodes an aggregate argument's expression tree in prefix
+// order (nil is COUNT(*)).
+func appendScalar(b []byte, s expr.Scalar) []byte {
+	switch s := s.(type) {
+	case nil:
+		return append(b, 0)
+	case expr.ColRef:
+		return binary.AppendUvarint(append(b, 1), uint64(s.Col))
+	case expr.Const:
+		return binary.AppendUvarint(append(b, 2), math.Float64bits(s.V))
+	case expr.Binary:
+		return appendScalar(appendScalar(append(b, 3, byte(s.Op)), s.L), s.R)
 	}
-	geom, err := geometry.NewGeometry(sch, cols...)
-	if err != nil {
-		return plan.Est{Engine: "RM", Available: false, Reason: err.Error()}
-	}
-	_, gatherBytes := fabric.GatherProgram(o.Tbl, geom.Columns(), cfg.DRAM.BurstBytes)
-	gatherPerRow := float64(gatherBytes)
-
-	// Producer: datapath row/beat rate plus refill handshakes, floored by
-	// fabric-port bandwidth.
-	ratio := float64(cfg.Fabric.ClockRatio)
-	rowRate := n / float64(cfg.Fabric.RowsPerCycle) * ratio
-	beatRate := n * gatherPerRow / float64(cfg.Fabric.BeatBytes) * ratio
-	producer := max(rowRate, beatRate)
-	packed := float64(geom.PackedWidth())
-	chunks := n * packed / float64(cfg.Fabric.BufferBytes)
-	producer += (chunks + 1) * float64(cfg.Fabric.RefillCycles)
-	fabricFloor := n * gatherPerRow / (cfg.DRAM.BandwidthBytesPerCycle * float64(cfg.DRAM.FabricPorts))
-
-	// Offloaded scans ship no column group, so they bypass the cache both
-	// here and in dispatch.
-	offloaded := false
-	if o.Offload {
-		_, offloaded = offloadProgram(q)
-	}
-
-	// Warm pricing: with the group resident, the producer replays already
-	// packed bytes across the datapath at beat rate plus one refill
-	// handshake per cached chunk — no DRAM gathers, no row-rate packing,
-	// no fabric-port bandwidth floor. The DB's RM path never pushes
-	// selection, so the probe keys on projection geometry alone.
-	warm := false
-	if o.Cache != nil && !offloaded {
-		if info, ok := o.Cache.Peek(o.Tbl, geom, q.Snapshot, nil); ok {
-			warm = true
-			producer = float64(info.Bytes)/float64(cfg.Fabric.BeatBytes)*ratio +
-				float64(info.Chunks)*float64(cfg.Fabric.RefillCycles)
-			fabricFloor = 0
-		}
-	}
-
-	// Consumer: vectorized over packed rows; selection short-circuits on
-	// the first failing predicate (assume ~1.3 evaluated on average when
-	// selective), survivors consume.
-	evalPerRow := float64(len(q.Selection))
-	if evalPerRow > 1 && sel < 0.5 {
-		evalPerRow = 1.3
-	}
-	consumer := n * evalPerRow * (2*VectorOpCycles + float64(cfg.Cache.L1.HitCycles))
-	consumer += n * sel * float64(len(q.consumedColumns())) * (VectorOpCycles + float64(cfg.Cache.L1.HitCycles))
-	consumer += n * sel * consumeCostPerRow(q)
-	consumer += n * packed / lineBytes * float64(cfg.Cache.L2.HitCycles+cfg.Cache.FabricHitCycles)
-
-	// Offload pricing: selection and the whole fold run fabric-side; the
-	// grouping datapath serializes at AggregateCycles per qualifying row,
-	// and the CPU only reads the reduced result — the packed-line shipping
-	// term (bytes-to-CPU) disappears entirely.
-	if offloaded {
-		if len(q.GroupBy) > 0 {
-			producer += n * sel * float64(cfg.Fabric.AggregateCycles) * ratio
-		}
-		consumer = float64(len(q.GroupBy)+len(q.Aggregates)) * float64(cfg.Cache.L1.HitCycles)
-	}
-
-	cycles := max(producer, consumer, fabricFloor)
-	return plan.Est{Engine: "RM", Cycles: cycles, Selectivity: sel, Available: true, Warm: warm, Offloaded: offloaded}
+	return fmt.Appendf(append(b, 4), "%T%#v;", s, s)
 }
 
 // String renders the plan for diagnostics.

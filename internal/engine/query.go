@@ -101,56 +101,35 @@ func (q Query) Validate(s *geometry.Schema) error {
 // ascending order grouped as: projection (in declared order), then
 // selection, group-by, and aggregate-argument columns not already present.
 // This is the geometry the RM engine configures.
-func (q Query) NeededColumns() []int {
-	seen := map[int]bool{}
-	var out []int
-	add := func(c int) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	for _, c := range q.Projection {
-		add(c)
-	}
-	for _, c := range q.Selection.Columns() {
-		add(c)
-	}
-	for _, c := range q.GroupBy {
-		add(c)
-	}
-	for _, a := range q.Aggregates {
-		if a.Arg != nil {
-			for _, c := range a.Arg.Columns() {
-				add(c)
-			}
-		}
-	}
-	return out
-}
+func (q Query) NeededColumns() []int { return q.columns(true) }
 
 // consumedColumns returns the columns read after selection passes:
 // projection plus group-by plus aggregate arguments.
-func (q Query) consumedColumns() []int {
+func (q Query) consumedColumns() []int { return q.columns(false) }
+
+// columns lists the distinct columns of the projection, the selection
+// (withSel), the group-by and the aggregate arguments, in that order.
+func (q Query) columns(withSel bool) []int {
 	seen := map[int]bool{}
 	var out []int
-	add := func(c int) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
+	add := func(cs ...int) {
+		for _, c := range cs {
+			if !seen[c] {
+				seen[c] = true
+				out = append(out, c)
+			}
 		}
 	}
-	for _, c := range q.Projection {
-		add(c)
+	add(q.Projection...)
+	if withSel {
+		for _, p := range q.Selection {
+			add(p.Col)
+		}
 	}
-	for _, c := range q.GroupBy {
-		add(c)
-	}
+	add(q.GroupBy...)
 	for _, a := range q.Aggregates {
 		if a.Arg != nil {
-			for _, c := range a.Arg.Columns() {
-				add(c)
-			}
+			add(a.Arg.Columns()...)
 		}
 	}
 	return out

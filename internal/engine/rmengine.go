@@ -96,42 +96,20 @@ func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 		return nil, fmt.Errorf("engine: snapshot query over table %q without MVCC", e.Tbl.Name())
 	}
 
-	cols := q.NeededColumns()
-	rewritten := len(cols) == 0
-	if rewritten {
-		var rq Query
-		rq, cols = countOverNarrowest(*q, sch)
-		q = &rq
-	}
-	geom, err := geometry.NewGeometry(sch, cols...)
+	rp, err := e.scanPlan(q)
 	if err != nil {
 		return nil, err
 	}
-
-	pushSel := e.PushSelection || e.Offload
-
-	// A whole-query offload ships only reduced results — there is no column
-	// group to cache or replay, so it bypasses the group cache. Grouped and
-	// ungrouped aggregations both qualify; the program descriptor decides.
-	var off *fabric.Offload
-	if e.Offload {
-		off, _ = offloadProgram(*q)
-	}
-
-	// The group cache key includes the predicates the fabric evaluated: a
-	// pushed selection changes which rows the packed group contains. Semi-
-	// join and dictionary filters change the shipped row set the same way
-	// but are per-query state, so filtered scans bypass the cache too.
-	var pushedPreds expr.Conjunction
-	if pushSel && len(q.Selection) > 0 {
-		pushedPreds = q.Selection
-	}
-	filtered := e.SemiJoin != nil || len(e.DictFilters) > 0
-
 	s := &scan{sch: sch}
-	if rewritten {
-		s.rewritten = q
+	if rp.q != q {
+		s.rewritten = rp.q
 	}
+	q, geom, off, pushedPreds := rp.q, rp.geom, rp.off, rp.pushed
+
+	// Semi-join and dictionary filters change the shipped row set like a
+	// pushed selection but are per-query state, so filtered scans bypass
+	// the group cache.
+	filtered := e.SemiJoin != nil || len(e.DictFilters) > 0
 	lineBytes := int64(e.Sys.Hier.LineBytes())
 
 	var entry *fabric.GroupEntry
@@ -230,7 +208,7 @@ func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 	// When selection is pushed down the CPU sees only qualifying rows and
 	// evaluates no predicates.
 	cpuSel := q.Selection
-	if pushSel {
+	if len(pushedPreds) > 0 {
 		cpuSel = nil
 	}
 	s.pipelined = true
@@ -240,6 +218,44 @@ func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// rmScanPlan is RM's scan decisions for one query, made once for the
+// executor and the optimizer's warm probe alike: the query the fabric runs
+// (a rewrite when it reads no column, see countOverNarrowest), its column
+// group, the offload program of a whole aggregation (which ships only
+// reduced results, so there is no group to cache or replay), and the
+// predicates the fabric evaluates. The group cache keys a column group on
+// the table, the group, the snapshot and those predicates, since a pushed
+// selection changes which rows the packed group holds.
+type rmScanPlan struct {
+	q      *Query
+	geom   *geometry.Geometry
+	off    *fabric.Offload
+	pushed expr.Conjunction
+}
+
+// scanPlan makes e's scan decisions for q (see rmScanPlan).
+func (e *RMEngine) scanPlan(q *Query) (rmScanPlan, error) {
+	sch := e.Tbl.Schema()
+	rp := rmScanPlan{q: q}
+	cols := q.NeededColumns()
+	if len(cols) == 0 {
+		rq, narrow := countOverNarrowest(*q, sch)
+		rp.q, cols = &rq, narrow
+	}
+	geom, err := geometry.NewGeometry(sch, cols...)
+	if err != nil {
+		return rp, err
+	}
+	rp.geom = geom
+	if e.Offload {
+		rp.off, _ = offloadProgram(*rp.q)
+	}
+	if (e.PushSelection || e.Offload) && len(rp.q.Selection) > 0 {
+		rp.pushed = rp.q.Selection
+	}
+	return rp, nil
 }
 
 // delivery turns a column group's packed chunks, warm replays and cold

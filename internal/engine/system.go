@@ -39,10 +39,17 @@ type System struct {
 	// replay is the batch pipeline's replay hand-off, kept between the
 	// System's scans (see loadBuf.lease); nil while a scan holds it.
 	replay *replayer
+
+	// prices memoizes the optimizer's sample runs over this machine's
+	// tables (see price); they run on machines of their own.
+	prices priceMemo
 }
 
 // NewSystem builds a machine from cfg.
-func NewSystem(cfg SystemConfig) (*System, error) {
+func NewSystem(cfg SystemConfig) (*System, error) { return newSystemAt(cfg, 0) }
+
+// newSystemAt builds a machine from cfg whose arena starts at base.
+func newSystemAt(cfg SystemConfig, base int64) (*System, error) {
 	mem, err := dram.New(cfg.DRAM)
 	if err != nil {
 		return nil, err
@@ -51,7 +58,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	arena, err := dram.NewArena(0, int64(cfg.DRAM.LineBytes))
+	arena, err := dram.NewArena(base, int64(cfg.DRAM.LineBytes))
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"rfabric/internal/geometry"
@@ -122,6 +123,36 @@ func (c Conjunction) Columns() []int {
 		}
 	}
 	return out
+}
+
+// KeyRange returns the inclusive range [lo, hi] of integer keys that the
+// conjunction's predicates on column col admit (an index's key column, a
+// shard key); ok is false when none of them bounds col (<> bounds
+// nothing). An empty range has lo > hi: col > MaxInt64 and col < MinInt64
+// admit no key.
+func (c Conjunction) KeyRange(col int) (lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	for _, p := range c {
+		v := p.Operand.Int
+		switch {
+		case p.Col != col || p.Op == Ne:
+			continue
+		case p.Op == Gt && v == math.MaxInt64, p.Op == Lt && v == math.MinInt64:
+			return math.MaxInt64, math.MinInt64, true
+		case p.Op == Gt:
+			v++
+		case p.Op == Lt:
+			v--
+		}
+		ok = true
+		if p.Op != Lt && p.Op != Le {
+			lo = max(lo, v)
+		}
+		if p.Op != Gt && p.Op != Ge {
+			hi = min(hi, v)
+		}
+	}
+	return lo, hi, ok
 }
 
 // Format renders the conjunction for diagnostics.

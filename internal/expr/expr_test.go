@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,5 +170,33 @@ func TestPredicatePartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKeyRange pins the key range a conjunction admits on one column,
+// exact at the int64 edges, where one past either end is empty.
+func TestKeyRange(t *testing.T) {
+	p := func(col int, op CmpOp, v int64) Predicate { return Predicate{Col: col, Op: op, Operand: table.I64(v)} }
+	for _, c := range []struct {
+		sel    Conjunction
+		lo, hi int64
+		ok     bool
+	}{
+		{nil, math.MinInt64, math.MaxInt64, false},
+		{Conjunction{p(0, Ne, 3), p(1, Eq, 3)}, math.MinInt64, math.MaxInt64, false},
+		{Conjunction{p(0, Eq, 7)}, 7, 7, true},
+		{Conjunction{p(0, Gt, 3), p(0, Le, 9)}, 4, 9, true},
+		{Conjunction{p(0, Ge, 3), p(0, Lt, 9), p(0, Gt, 1)}, 3, 8, true},
+		{Conjunction{p(0, Gt, math.MaxInt64)}, math.MaxInt64, math.MinInt64, true},
+		{Conjunction{p(0, Lt, math.MinInt64)}, math.MaxInt64, math.MinInt64, true},
+		{Conjunction{p(0, Ge, math.MaxInt64)}, math.MaxInt64, math.MaxInt64, true},
+		{Conjunction{p(0, Le, math.MinInt64)}, math.MinInt64, math.MinInt64, true},
+		{Conjunction{p(0, Gt, math.MaxInt64-1)}, math.MaxInt64, math.MaxInt64, true},
+		{Conjunction{p(0, Lt, math.MinInt64+1)}, math.MinInt64, math.MinInt64, true},
+	} {
+		lo, hi, ok := c.sel.KeyRange(0)
+		if lo != c.lo || hi != c.hi || ok != c.ok {
+			t.Errorf("%v: got [%d, %d] %v, want [%d, %d] %v", c.sel, lo, hi, ok, c.lo, c.hi, c.ok)
+		}
 	}
 }

@@ -71,7 +71,7 @@ type Ephemeral struct {
 
 	// gatherStrides is the per-row byte ranges the fabric reads: the MVCC
 	// header (when present), the geometry's columns, and any predicate-only
-	// columns, merged into contiguous runs (GatherProgram); gatherBytes is
+	// columns, merged into contiguous runs (gatherProgram); gatherBytes is
 	// what they request from DRAM per row.
 	gatherStrides []geometry.Stride
 	gatherBytes   int
@@ -217,16 +217,15 @@ func (ev *Ephemeral) buildStrides() {
 	for _, f := range ev.opts.dictFilters {
 		cols = append(cols, f.Col)
 	}
-	ev.gatherStrides, ev.gatherBytes = GatherProgram(ev.tbl, cols, ev.eng.mem.BurstBytes())
+	ev.gatherStrides, ev.gatherBytes = gatherProgram(ev.tbl, cols, ev.eng.mem.BurstBytes())
 }
 
-// GatherProgram returns the byte ranges the fabric reads per row of tbl to
+// gatherProgram returns the byte ranges the fabric reads per row of tbl to
 // serve cols: the MVCC header (if any) and each column, in physical order,
 // coalescing ranges less than a burst apart as a gather engine programs its
 // AXI bursts. It also returns the DRAM bytes they request per row, each
-// range rounded out to whole bursts at its row-0 alignment. Views gather by
-// it and the optimizer prices RM by it.
-func GatherProgram(tbl *table.Table, cols []int, burst int) ([]geometry.Stride, int) {
+// range rounded out to whole bursts at its row-0 alignment.
+func gatherProgram(tbl *table.Table, cols []int, burst int) ([]geometry.Stride, int) {
 	sch := tbl.Schema()
 	read := make([]bool, sch.NumColumns())
 	for _, c := range cols {

@@ -87,6 +87,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// ReplayCycles is the producer time of replaying one cached chunk of
+// chunkBytes packed bytes (ReplayChunk): its beats across the datapath, in
+// CPU cycles, plus one refill handshake.
+func (c Config) ReplayCycles(chunkBytes int) uint64 {
+	beats := uint64((chunkBytes + c.BeatBytes - 1) / c.BeatBytes)
+	return beats*uint64(c.ClockRatio) + uint64(c.RefillCycles)
+}
+
+// FoldCycles is the CPU-cycle charge of an offloaded aggregation's final
+// fold over results (group, aggregate) values: one fold each, shipped at
+// the end of the program (RunOffload).
+func (c Config) FoldCycles(results uint64) uint64 {
+	return results * uint64(c.AggregateCycles) * uint64(c.ClockRatio)
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.BufferBytes <= 0 {
@@ -196,9 +211,8 @@ func (e *Engine) computeCPUCycles(fabricCycles uint64) uint64 {
 // bytes/lines/rows and compute advance, gather- and scan-side counters do
 // not.
 func (e *Engine) ReplayChunk(rows, chunkBytes int) uint64 {
-	beats := uint64((chunkBytes + e.cfg.BeatBytes - 1) / e.cfg.BeatBytes)
-	compute := e.computeCPUCycles(beats)
-	producer := compute + uint64(e.cfg.RefillCycles)
+	producer := e.cfg.ReplayCycles(chunkBytes)
+	compute := producer - uint64(e.cfg.RefillCycles)
 	e.tl.FabricChunk(compute, producer-compute)
 	e.stats.RowsShipped += uint64(rows)
 	e.stats.BytesShipped += uint64(chunkBytes)

@@ -217,33 +217,22 @@ func (c *GroupCache) Release(e *GroupEntry) {
 	c.mu.Unlock()
 }
 
-// GroupInfo is the pricing view of a resident group: what a warm replay
-// would deliver, without acquiring or perturbing the hit/miss counters.
-type GroupInfo struct {
-	Bytes  int64 // packed bytes to stream out of the buffer
-	Chunks int   // refill handshakes a replay pays
-	Rows   int   // packed rows the group delivers
-}
-
 // Peek reports whether the group is resident and fresh — the optimizer's
-// warm-vs-cold probe. It does not count as a hit or a miss and does not pin.
-func (c *GroupCache) Peek(tbl *table.Table, geom *geometry.Geometry, snap *uint64, preds expr.Conjunction) (GroupInfo, bool) {
+// warm-vs-cold probe — and returns its chunk directory (read-only), what a
+// warm replay would deliver. It does not count as a hit or a miss and does
+// not pin.
+func (c *GroupCache) Peek(tbl *table.Table, geom *geometry.Geometry, snap *uint64, preds expr.Conjunction) ([]CachedChunk, bool) {
 	if c == nil {
-		return GroupInfo{}, false
+		return nil, false
 	}
 	key := makeGroupKey(tbl, geom, snap, preds)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok || c.stale(e) {
-		return GroupInfo{}, false
+		return nil, false
 	}
-	info := GroupInfo{Chunks: len(e.chunks)}
-	for _, ch := range e.chunks {
-		info.Bytes += int64(ch.Len)
-		info.Rows += ch.Rows
-	}
-	return info, true
+	return e.chunks, true
 }
 
 // Invalidate bumps tbl's epoch and drops every resident group over it. The

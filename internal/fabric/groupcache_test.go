@@ -75,8 +75,8 @@ func TestGroupCacheHitAndRelease(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Installs != 1 || st.Entries != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if info, ok := c.Peek(tbl, geom, nil, nil); !ok || info.Bytes != 256 || info.Chunks != 1 {
-		t.Fatalf("peek: %+v ok=%v", info, ok)
+	if chunks, ok := c.Peek(tbl, geom, nil, nil); !ok || len(chunks) != 1 || chunks[0].Len != 256 {
+		t.Fatalf("peek: %+v ok=%v", chunks, ok)
 	}
 	if got := c.Stats(); got.Hits != 1 || got.Misses != 1 {
 		t.Fatalf("Peek perturbed counters: %+v", got)

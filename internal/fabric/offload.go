@@ -124,7 +124,7 @@ func (ev *Ephemeral) RunOffload(off *Offload) (*OffloadResult, error) {
 	}
 	// Result assembly: one fold per (group, aggregate) shipped at the end.
 	results := groups * len(off.Aggs)
-	finalFold := e.computeCPUCycles(uint64(results) * uint64(e.cfg.AggregateCycles))
+	finalFold := e.cfg.FoldCycles(uint64(results))
 	e.stats.ComputeCycles += finalFold
 	e.stats.Aggregates += uint64(results)
 

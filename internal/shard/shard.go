@@ -16,11 +16,9 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"rfabric/internal/engine"
-	"rfabric/internal/expr"
 	"rfabric/internal/geometry"
 	"rfabric/internal/sql"
 	"rfabric/internal/table"
@@ -118,44 +116,6 @@ func (t *Table) Insert(vals ...table.Value) error {
 	return err
 }
 
-// keyRange extracts the [lo, hi] bounds the conjunction imposes on the
-// sharding key; open ends are ±inf.
-func (t *Table) keyRange(sel expr.Conjunction) (lo, hi int64) {
-	lo, hi = math.MinInt64, math.MaxInt64
-	for _, p := range sel {
-		if p.Col != t.keyCol {
-			continue
-		}
-		v := p.Operand.Int
-		switch p.Op {
-		case expr.Eq:
-			if v > lo {
-				lo = v
-			}
-			if v < hi {
-				hi = v
-			}
-		case expr.Ge:
-			if v > lo {
-				lo = v
-			}
-		case expr.Gt:
-			if v+1 > lo {
-				lo = v + 1
-			}
-		case expr.Le:
-			if v < hi {
-				hi = v
-			}
-		case expr.Lt:
-			if v-1 < hi {
-				hi = v - 1
-			}
-		}
-	}
-	return lo, hi
-}
-
 // prune returns the shards whose key range intersects [lo, hi].
 func (t *Table) prune(lo, hi int64) []int {
 	if lo > hi {
@@ -212,7 +172,8 @@ func (t *Table) execute(q engine.Query) (*engine.Result, error) {
 	if err := q.Validate(t.schema); err != nil {
 		return nil, err
 	}
-	touched := t.prune(t.keyRange(q.Selection))
+	lo, hi, _ := q.Selection.KeyRange(t.keyCol)
+	touched := t.prune(lo, hi)
 	// Shard touched[i] appears once, so its node's System is driven only by
 	// the worker holding partition i.
 	res, _, err := engine.Gather("SHARD", q, len(touched), t.Workers, func(i int) (*engine.Result, error) {

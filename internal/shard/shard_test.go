@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -158,6 +159,25 @@ func TestPruneToNothing(t *testing.T) {
 	}
 	if res.Morsels != 0 || res.RowsPassed != 0 {
 		t.Errorf("contradictory range executed: %+v", res)
+	}
+}
+
+// TestPruneAtKeyEdges: id > MaxInt64 and id < MinInt64 admit no key, so
+// pruning keeps no shard (one past either end must not wrap around).
+func TestPruneAtKeyEdges(t *testing.T) {
+	st := newSharded(t, 100)
+	for _, p := range []expr.Predicate{
+		{Col: 0, Op: expr.Gt, Operand: table.I64(math.MaxInt64)},
+		{Col: 0, Op: expr.Lt, Operand: table.I64(math.MinInt64)},
+	} {
+		res, err := st.execute(engine.Query{Projection: []int{0}, Selection: expr.Conjunction{p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Morsels != 0 || res.RowsScanned != 0 {
+			t.Errorf("id %s %d touched %d shards and scanned %d rows, want none",
+				p.Op, p.Operand.Int, res.Morsels, res.RowsScanned)
+		}
 	}
 }
 

@@ -77,10 +77,13 @@ type Comparison struct {
 	Lit    Literal
 }
 
-// Literal is a typed constant.
+// Literal is a typed constant. A number keeps its text, signed, next to
+// its float value: a comparison on an integer column lowers from the text,
+// exactly.
 type Literal struct {
 	Kind   LitKind
 	Num    float64
+	Text   string
 	Str    string
 	IsDate bool
 }
@@ -452,7 +455,7 @@ func (p *parser) parseLiteral() (Literal, error) {
 		if err != nil {
 			return Literal{}, p.errf("bad number %q", t.text)
 		}
-		return Literal{Kind: LitNumber, Num: v}, nil
+		return Literal{Kind: LitNumber, Num: v, Text: t.text}, nil
 	case t.kind == tokSymbol && t.text == "-":
 		p.pos++
 		lit, err := p.parseLiteral()
@@ -463,6 +466,11 @@ func (p *parser) parseLiteral() (Literal, error) {
 			return Literal{}, p.errf("cannot negate a non-numeric literal")
 		}
 		lit.Num = -lit.Num
+		if neg, ok := strings.CutPrefix(lit.Text, "-"); ok {
+			lit.Text = neg
+		} else {
+			lit.Text = "-" + lit.Text
+		}
 		return lit, nil
 	case t.kind == tokString:
 		p.pos++

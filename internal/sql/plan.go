@@ -3,6 +3,8 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/big"
 	"slices"
 	"strings"
 	"time"
@@ -157,49 +159,72 @@ func planComparison(cmp Comparison, res *colResolver) (expr.Predicate, error) {
 	if !ok {
 		return expr.Predicate{}, fmt.Errorf("sql: unknown comparison %q", cmp.Op)
 	}
-	operand, err := planLiteral(cmp.Lit, res.sch.Column(c))
+	col := res.sch.Column(c)
+	var p expr.Predicate
+	if cmp.Lit.Kind == LitNumber && col.Type != geometry.Float64 && col.Type != geometry.Char {
+		p, err = intPredicate(c, op, cmp.Lit.Text, col.Type)
+	} else {
+		p.Col, p.Op = c, op
+		p.Operand, err = planLiteral(cmp.Lit, col)
+	}
 	if err != nil {
 		return expr.Predicate{}, fmt.Errorf("sql: column %q: %w", cmp.Column, err)
 	}
-	return expr.Predicate{Col: c, Op: op, Operand: operand}, nil
+	return p, nil
 }
 
-// planLiteral coerces a literal to the column's type.
-func planLiteral(lit Literal, col geometry.Column) (table.Value, error) {
-	switch col.Type {
-	case geometry.Int64:
-		if lit.Kind != LitNumber {
-			return table.Value{}, fmt.Errorf("expected number for BIGINT, got %q", lit.Str)
-		}
-		return table.I64(int64(lit.Num)), nil
-	case geometry.Int32:
-		if lit.Kind != LitNumber {
-			return table.Value{}, fmt.Errorf("expected number for INT, got %q", lit.Str)
-		}
-		return table.I32(int32(lit.Num)), nil
-	case geometry.Float64:
-		if lit.Kind != LitNumber {
-			return table.Value{}, fmt.Errorf("expected number for DOUBLE, got %q", lit.Str)
-		}
-		return table.F64(lit.Num), nil
-	case geometry.Char:
-		if lit.Kind != LitString {
-			return table.Value{}, fmt.Errorf("expected string for CHAR, got %g", lit.Num)
-		}
-		return table.Str(lit.Str), nil
-	case geometry.Date:
-		switch lit.Kind {
-		case LitNumber:
-			return table.DateV(int32(lit.Num)), nil
-		case LitString:
-			day, err := ParseDate(lit.Str)
-			if err != nil {
-				return table.Value{}, err
-			}
-			return table.DateV(day), nil
-		}
+// intPredicate lowers `column op x`, x a numeric literal, on a BIGINT, INT
+// or DATE column to the predicate that holds for exactly the column values
+// the comparison holds for: a fractional x moves to the integer on the
+// side the operator keeps (k < 2.5 is k < 3, k = 2.5 holds for no value),
+// and an x past the column's range leaves a predicate that every value
+// passes (k >= min) or none does (k < min).
+func intPredicate(c int, op expr.CmpOp, text string, typ geometry.ColumnType) (expr.Predicate, error) {
+	x, ok := new(big.Rat).SetString(text)
+	if !ok {
+		return expr.Predicate{}, fmt.Errorf("bad number %q", text)
 	}
-	return table.Value{}, fmt.Errorf("unsupported column type %s", col.Type)
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	if typ != geometry.Int64 {
+		lo, hi = math.MinInt32, math.MaxInt32
+	}
+	// k op x is k op floor(x) for <= and >, k op ceil(x) for < and >=.
+	k := new(big.Int).Div(x.Num(), x.Denom()) // Euclidean, so the floor: the denominator is positive
+	if !x.IsInt() && (op == expr.Lt || op == expr.Ge) {
+		k.Add(k, big.NewInt(1))
+	}
+	below, above := k.Cmp(big.NewInt(lo)) < 0, k.Cmp(big.NewInt(hi)) > 0
+	var all bool
+	switch {
+	case (op == expr.Eq || op == expr.Ne) && (!x.IsInt() || below || above): // x is no column value
+		all = op == expr.Ne
+	case below || above:
+		all = above == (op == expr.Lt || op == expr.Le)
+	default:
+		return expr.Predicate{Col: c, Op: op, Operand: table.Value{Type: typ, Int: k.Int64()}}, nil
+	}
+	p := expr.Predicate{Col: c, Op: expr.Lt, Operand: table.Value{Type: typ, Int: lo}}
+	if all {
+		p.Op = expr.Ge
+	}
+	return p, nil
+}
+
+// planLiteral coerces a literal to the column's type; intPredicate lowers a
+// number compared with an integer column.
+func planLiteral(lit Literal, col geometry.Column) (table.Value, error) {
+	switch {
+	case col.Type == geometry.Float64 && lit.Kind == LitNumber:
+		return table.F64(lit.Num), nil
+	case col.Type == geometry.Char && lit.Kind == LitString:
+		return table.Str(lit.Str), nil
+	case col.Type == geometry.Date && lit.Kind == LitString:
+		day, err := ParseDate(lit.Str)
+		return table.DateV(day), err
+	case lit.Kind == LitString:
+		return table.Value{}, fmt.Errorf("expected number for %s, got %q", col.Type, lit.Str)
+	}
+	return table.Value{}, fmt.Errorf("expected string for %s, got %s", col.Type, lit.Text)
 }
 
 // ParseDate converts 'YYYY-MM-DD' into days since 1970-01-01.
