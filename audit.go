@@ -14,12 +14,10 @@ import (
 )
 
 // Optimizer accuracy audit: replay a statement set across every execution
-// path, comparing the cost model's estimates against what each path
-// actually did. The report answers the accountability questions the
-// statement store raises — where is the cost model wrong (q-error), did
-// AUTO pick the path that actually won, and would it have chosen
-// differently with the index path priced at the selectivity it observed
-// instead of the B+tree statistics it assumed.
+// path, each run on a cold machine, comparing the cost model's estimates
+// against what each path actually did. The report answers the
+// accountability questions the statement store raises — where is the cost
+// model wrong (q-error), and did AUTO pick the path that actually won.
 
 // AuditEngines is the audit's replay order. COL runs before AUTO so the
 // columnar copy it materializes is an access path AUTO can price, matching
@@ -55,18 +53,10 @@ type AuditQuery struct {
 	Runs        []AuditRun `json:"runs"`
 	// AutoChose is the path AUTO resolved to; BestSerial the serial path
 	// with the lowest actual cycles. They disagree on a misprediction.
-	AutoChose   string `json:"auto_chose,omitempty"`
-	BestSerial  string `json:"best_serial,omitempty"`
-	AutoOptimal bool   `json:"auto_optimal"`
-	// Rechoice is what AUTO would pick with the index path re-priced at
-	// the selectivity the run observed (SelOverride).
-	Rechoice string `json:"rechoice_with_observed_sel,omitempty"`
-	// AutoAfterFeedback is AUTO's choice re-planned with the mean observed
-	// selectivity the statement store accumulated for this fingerprint over
-	// the replay — the automatic feedback path (StatStore → SelOverride)
-	// rather than Rechoice's single-run injection.
-	AutoAfterFeedback string  `json:"auto_after_feedback,omitempty"`
-	MaxQError         float64 `json:"max_q_error,omitempty"`
+	AutoChose   string  `json:"auto_chose,omitempty"`
+	BestSerial  string  `json:"best_serial,omitempty"`
+	AutoOptimal bool    `json:"auto_optimal"`
+	MaxQError   float64 `json:"max_q_error,omitempty"`
 }
 
 // AuditReport is the full audit artifact (rfbench -audit).
@@ -168,8 +158,10 @@ func (db *DB) Audit(set []AuditStatement, lineitemRows int, seed int64) (*AuditR
 		_, fp := sql.Fingerprint(stmt.SQL)
 		aq := AuditQuery{Name: stmt.Name, SQL: stmt.SQL, Fingerprint: fmt.Sprintf("%016x", fp)}
 		bestCycles := uint64(math.MaxUint64)
-		var autoSel float64
 		for _, kind := range AuditEngines {
+			// Every path starts cold, so no run inherits the caches an
+			// earlier replay warmed and each q-error compares like with like.
+			db.sys.ResetState()
 			run := db.auditOne(kind, stmt.SQL)
 			aq.Runs = append(aq.Runs, run)
 			if run.Error != "" {
@@ -186,18 +178,11 @@ func (db *DB) Audit(set []AuditStatement, lineitemRows int, seed int64) (*AuditR
 				}
 			case AUTO:
 				aq.AutoChose = run.Ran
-				autoSel = run.ActSel
 			}
 		}
 		aq.AutoOptimal = aq.AutoChose != "" && aq.AutoChose == aq.BestSerial
 		if !aq.AutoOptimal {
 			rep.Mispredictions++
-		}
-		if autoSel > 0 {
-			aq.Rechoice = db.rechoice(stmt.SQL, autoSel)
-		}
-		if sel, ok := stats.FeedbackSelectivity(fp); ok {
-			aq.AutoAfterFeedback = db.rechoice(stmt.SQL, sel)
 		}
 		if aq.MaxQError > rep.MaxQError {
 			rep.MaxQError = aq.MaxQError
@@ -237,28 +222,6 @@ func (db *DB) auditOne(kind EngineKind, text string) AuditRun {
 	return run
 }
 
-// rechoice re-runs the constructive optimizer with the observed selectivity
-// substituted for the index statistics (SelOverride) and returns the path
-// it would now choose. For joins the probe side is re-priced — it
-// dominates the cost.
-func (db *DB) rechoice(text string, observedSel float64) string {
-	s, err := db.compile(text, nil)
-	if err != nil {
-		return ""
-	}
-	q := s.q
-	if s.jp != nil {
-		q = s.jp.Probe.Query
-	}
-	opt := db.optimizer(s.t)
-	opt.SelOverride = observedSel
-	p, err := opt.Choose(q)
-	if err != nil {
-		return ""
-	}
-	return p.Chosen
-}
-
 // WriteJSON emits the report as indented JSON.
 func (r *AuditReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -286,14 +249,7 @@ func (r *AuditReport) WriteTable(w io.Writer) {
 		if !q.AutoOptimal {
 			verdict = fmt.Sprintf("MISPREDICTED (best serial: %s)", q.BestSerial)
 		}
-		fmt.Fprintf(w, "  AUTO chose %s — %s", q.AutoChose, verdict)
-		if q.Rechoice != "" && q.Rechoice != q.AutoChose {
-			fmt.Fprintf(w, "; with observed selectivity it would choose %s", q.Rechoice)
-		}
-		fmt.Fprintln(w)
-		if q.AutoAfterFeedback != "" {
-			fmt.Fprintf(w, "  after StatStore feedback AUTO plans %s\n", q.AutoAfterFeedback)
-		}
+		fmt.Fprintf(w, "  AUTO chose %s — %s\n", q.AutoChose, verdict)
 	}
 }
 

@@ -40,17 +40,9 @@ func TestAuditReplaysAllEnginesAndStatements(t *testing.T) {
 		if q.MaxQError < 1 {
 			t.Errorf("%s: no q-error recorded", q.Name)
 		}
-		// Every replay recorded its observed selectivity, so the feedback
-		// repricing must have produced a verdict for every statement.
-		switch q.AutoAfterFeedback {
-		case "ROW", "COL", "RM", "IDX":
-		default:
-			t.Errorf("%s: AutoAfterFeedback = %q, want a serial engine name", q.Name, q.AutoAfterFeedback)
-		}
 	}
-	// The statement store saw one fingerprint per audit statement (each
-	// replayed len(AuditEngines) times, plus the rechoice repricings which
-	// don't execute and so don't record).
+	// The statement store saw one fingerprint per audit statement, each
+	// replayed len(AuditEngines) times.
 	if len(rep.Statements) != len(DefaultAuditSet()) {
 		t.Errorf("statement store holds %d fingerprints, want %d: %+v",
 			len(rep.Statements), len(DefaultAuditSet()), rep.Statements)
@@ -84,14 +76,40 @@ func TestAuditReplaysAllEnginesAndStatements(t *testing.T) {
 	}
 }
 
-// TestAuditRechoice pins the SelOverride re-pricing path: with the observed
-// selectivity substituted, the optimizer still returns a valid engine name.
+// TestAuditRechoice pins that the audit replays every path cold: q6's ROW
+// run inside the full replay — after the projection and q1 runs have warmed
+// the hierarchy over a lineitem table that fits the modeled L2 — costs
+// exactly what the same statement costs as the first query on a fresh
+// database.
 func TestAuditRechoice(t *testing.T) {
-	db := tpchDB(t, 2000)
-	got := db.rechoice(`SELECT l_orderkey FROM lineitem WHERE l_shipdate < DATE '1995-06-17'`, 0.4)
-	switch got {
-	case "ROW", "COL", "RM", "IDX":
-	default:
-		t.Fatalf("rechoice returned %q, want a serial engine name", got)
+	const rows = 6000
+	var q6 string
+	for _, st := range DefaultAuditSet() {
+		if st.Name == "q6" {
+			q6 = st.SQL
+		}
+	}
+	rep, err := RunAudit(DefaultConfig(), rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var audited uint64
+	for _, q := range rep.Queries {
+		for _, run := range q.Runs {
+			if q.Name == "q6" && run.Engine == "ROW" {
+				audited = run.ActCycles
+			}
+		}
+	}
+	fresh, err := NewTPCHDB(DefaultConfig(), rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fresh.QueryOn(ROW, q6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if audited == 0 || audited != res.Breakdown.TotalCycles {
+		t.Fatalf("audited q6/ROW ran %d cycles, a fresh database %d", audited, res.Breakdown.TotalCycles)
 	}
 }

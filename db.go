@@ -57,10 +57,8 @@ type DB struct {
 
 	// gcache is the sequence-aware column-group cache (nil: off, the
 	// paper's per-query ephemeral behaviour). Set by SetGroupCache; guarded
-	// by mu alongside the catalog it caches over. gcfg carries the feedback
-	// knobs that ride along with it.
+	// by mu alongside the catalog it caches over.
 	gcache *fabric.GroupCache
-	gcfg   GroupCacheConfig
 
 	// offload enables the fabric operator-offload layer (selection,
 	// projection, grouped aggregation, and Bloom-filtered join probes run
@@ -102,36 +100,26 @@ func Open(cfg Config) (*DB, error) {
 // lower-level APIs).
 func (db *DB) System() *System { return db.sys }
 
-// GroupCacheConfig parameterizes the sequence-aware column-group cache and
-// the feedback loop that rides along with it.
+// GroupCacheConfig parameterizes the sequence-aware column-group cache.
 type GroupCacheConfig struct {
 	// CapacityBytes bounds the cache by modeled packed bytes (LRU
 	// eviction of unpinned entries). Zero or negative disables the cache.
 	CapacityBytes int64
-	// QErrorEvictThreshold evicts a prepared statement's cached plan when
-	// a run's cycle q-error exceeds it, so mispriced plans are re-planned
-	// with observed-selectivity feedback. Zero or negative disarms
-	// feedback eviction.
-	QErrorEvictThreshold float64
 }
 
-// DefaultGroupCacheConfig is a 64 MB cache with feedback eviction at
-// q-error 2 (estimate off by more than 2x in either direction).
+// DefaultGroupCacheConfig is a 64 MB cache.
 func DefaultGroupCacheConfig() GroupCacheConfig {
-	return GroupCacheConfig{CapacityBytes: 64 << 20, QErrorEvictThreshold: 2}
+	return GroupCacheConfig{CapacityBytes: 64 << 20}
 }
 
 // SetGroupCache turns the sequence-aware column-group cache on (or, with a
 // non-positive capacity, off). With the cache on, RM scans keep their packed
-// column groups resident and replay them on later same-shaped queries, AUTO
-// prices resident groups as warm, observed selectivities feed back into
-// planning per statement fingerprint, and mispriced prepared plans are
-// evicted by q-error. Default is off: execution and modeled costs are
-// byte-identical to the per-query ephemeral behaviour.
+// column groups resident and replay them on later same-shaped queries, and
+// AUTO prices resident groups as warm. Default is off: execution and modeled
+// costs are byte-identical to the per-query ephemeral behaviour.
 func (db *DB) SetGroupCache(cfg GroupCacheConfig) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.gcfg = cfg
 	if cfg.CapacityBytes <= 0 {
 		db.gcache = nil
 		return
@@ -166,17 +154,6 @@ func (db *DB) groupCache() *fabric.GroupCache {
 	gc := db.gcache
 	db.mu.RUnlock()
 	return gc
-}
-
-// feedbackThreshold returns the armed q-error eviction threshold, or 0 when
-// feedback is off (no group cache, or threshold disarmed).
-func (db *DB) feedbackThreshold() float64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.gcache == nil || db.gcfg.QErrorEvictThreshold <= 0 {
-		return 0
-	}
-	return db.gcfg.QErrorEvictThreshold
 }
 
 // GroupCacheStats snapshots the group cache's counters and occupancy.
@@ -429,7 +406,7 @@ func (db *DB) exec(kind EngineKind, s *statement, c *stmtCtx) (*Result, *Trace, 
 	defer db.execMu.Unlock()
 	if c == nil {
 		// Nothing observes the statement: no bracket, no event.
-		res, err := db.dispatch(kind, s, nil, nil)
+		res, err := db.dispatch(kind, s, nil)
 		return res, nil, err
 	}
 	var tree *plan.Node
@@ -444,12 +421,12 @@ func (db *DB) exec(kind EngineKind, s *statement, c *stmtCtx) (*Result, *Trace, 
 		}
 	}
 	hw0 := db.sys.HW()
-	res, err := db.dispatch(kind, s, c.tr, c)
+	res, err := db.dispatch(kind, s, c.tr)
 	hw := db.sys.HW().Delta(hw0)
 	if err == nil {
 		hw = hw.Add(res.MorselHW)
 		if c.price {
-			c.est, c.act = db.priceRun(kind, s, tree, res, c)
+			c.est, c.act = db.priceRun(kind, s, tree, res)
 		}
 		if c.tr != nil {
 			annotatePlanSpans(pairs, res, s.t.tbl.Schema())
@@ -468,13 +445,13 @@ func (db *DB) exec(kind EngineKind, s *statement, c *stmtCtx) (*Result, *Trace, 
 // sinks: every executor finishes ORDER BY / LIMIT on its group table, and
 // applySinks charges the sort. It is the one place a join and a
 // single-table statement part ways.
-func (db *DB) dispatch(kind EngineKind, s *statement, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
+func (db *DB) dispatch(kind EngineKind, s *statement, tr *obs.Tracer) (*Result, error) {
 	var res *Result
 	var err error
 	if s.jp != nil {
 		res, err = db.executeJoin(kind, s.t, s.jp, tr)
 	} else {
-		res, err = db.execute(kind, s.t, s.q, tr, c)
+		res, err = db.execute(kind, s.t, s.q, tr)
 	}
 	if err == nil {
 		applySinks(res, s.sk, tr)
@@ -484,44 +461,25 @@ func (db *DB) dispatch(kind EngineKind, s *statement, tr *obs.Tracer, c *stmtCtx
 
 // optimizer returns the constructive optimizer over t's current access
 // paths: its columnar copy and index, read under the lock. Callers add the
-// group cache, offload, and feedback inputs their pricing needs.
+// group cache and offload inputs their pricing needs.
 func (db *DB) optimizer(t *dbTable) *engine.Optimizer {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return &engine.Optimizer{Tbl: t.tbl, Sys: db.sys, Store: t.col, Index: t.idx}
 }
 
-// feedbackSel returns the statement's observed selectivity when the
-// feedback loop is armed: the group cache is on and the statement store has
-// history for the statement's fingerprint.
-func (db *DB) feedbackSel(c *stmtCtx) (float64, bool) {
-	if c == nil || !c.record || db.groupCache() == nil {
-		return 0, false
-	}
-	return db.stats.FeedbackSelectivity(c.fp)
-}
-
 // execute dispatches by selecting a Source for the chosen access path and
 // handing it to the shared pipeline (engine.Run). Only two paths sit outside
 // that shape: AUTO, which prices the physical plan first and recurses with
 // the chosen source stamped in, and PAR, the morsel executor that runs the
-// RM source on private System clones. The statement context, when present,
-// carries the fingerprint the feedback loop keys observed selectivities on.
-func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Tracer, c *stmtCtx) (*Result, error) {
+// RM source on private System clones.
+func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Tracer) (*Result, error) {
 	switch kind {
 	case AUTO:
 		opt := db.optimizer(t)
 		opt.Cache, opt.Offload = db.groupCache(), db.offloadOn()
 		root := engine.PlanOf(q, t.tbl.Name())
 		sp := tr.Begin("plan")
-		// Feedback: with the group cache on and history for this statement
-		// fingerprint, price the index path with the observed selectivity
-		// instead of its statistics — the StatStore half of the replanning
-		// loop.
-		if sel, ok := db.feedbackSel(c); ok {
-			opt.SelOverride = sel
-			sp.SetAttr("feedback_sel", fmt.Sprintf("%.3f", sel))
-		}
 		p, err := opt.ChoosePlan(root)
 		if err != nil {
 			tr.End()
@@ -532,7 +490,7 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Trace
 			sp.SetAttr("warm", "true")
 		}
 		tr.End()
-		return db.execute(EngineKind(p.Chosen), t, q, tr, c)
+		return db.execute(EngineKind(p.Chosen), t, q, tr)
 	case PAR:
 		var cfg engine.ParallelConfig
 		if db.par != nil {
@@ -542,7 +500,7 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Trace
 		return e.Execute(q)
 	case RM:
 		if db.par != nil {
-			return db.execute(PAR, t, q, tr, c)
+			return db.execute(PAR, t, q, tr)
 		}
 	}
 	src, err := db.source(kind, t, tr)

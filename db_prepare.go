@@ -1,10 +1,6 @@
 package rfabric
 
-import (
-	"errors"
-
-	"rfabric/internal/sql"
-)
+import "errors"
 
 // Plan caching. §III-B observes that with the fabric there are no buffered
 // data layouts to manage, so the evaluation engine "can buffer more code
@@ -22,11 +18,9 @@ const CompileCycles = 25_000
 type Prepared struct {
 	db   *DB
 	stmt *statement
-	// fp is the statement's normalized fingerprint — the key feedback
-	// eviction matches against. epoch is the catalog epoch the fragment
-	// compiled under; a moved epoch means the catalog changed (DDL or a
-	// write) and the cached fragment is stale.
-	fp    uint64
+	// epoch is the catalog epoch the fragment compiled under; a moved epoch
+	// means the catalog changed (DDL or a write) and the cached fragment is
+	// stale.
 	epoch uint64
 }
 
@@ -41,10 +35,6 @@ type PlanCacheStats struct {
 	// Invalidations counts stale fragments dropped because the catalog
 	// epoch moved under them (DDL or write paths).
 	Invalidations uint64
-	// FeedbackEvictions counts fragments evicted because a run's cycle
-	// q-error exceeded the configured threshold — the replanning half of
-	// the feedback loop.
-	FeedbackEvictions uint64
 }
 
 type planCache struct {
@@ -87,32 +77,12 @@ func (db *DB) Prepare(query string) (*Prepared, error) {
 		// A join plan is stamped per run, so it cannot be shared.
 		return nil, errors.New("rfabric: Prepare does not support JOIN statements")
 	}
-	_, fp := sql.Fingerprint(query)
-	p := &Prepared{db: db, stmt: s, fp: fp, epoch: epoch}
+	p := &Prepared{db: db, stmt: s, epoch: epoch}
 	db.mu.Lock()
 	db.plans.frags[query] = p
 	db.plans.stats.Resident = len(db.plans.frags)
 	db.mu.Unlock()
 	return p, nil
-}
-
-// evictPlan drops every cached fragment with the given statement
-// fingerprint — feedback eviction for plans whose pricing proved wrong. The
-// next Prepare recompiles, and AUTO replans it with observed-selectivity
-// feedback from the statement store.
-func (db *DB) evictPlan(fp uint64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.plans == nil {
-		return
-	}
-	for text, p := range db.plans.frags {
-		if p.fp == fp {
-			delete(db.plans.frags, text)
-			db.plans.stats.FeedbackEvictions++
-		}
-	}
-	db.plans.stats.Resident = len(db.plans.frags)
 }
 
 // Run executes the fragment on the chosen path. Runs record into the DB's

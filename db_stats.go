@@ -12,10 +12,10 @@ import (
 
 // Observability of the DB façade: each statement reports one queryEvent,
 // and publish hands it to every attached sink — the metrics registry, the
-// sliding windows, the statement store (pg_stat_statements-style, with
-// feedback eviction), the slow-query log, and LastTrace. With nothing
-// attached, or only disabled sinks, and no trace asked for, a statement
-// pays a few atomic loads and builds no event.
+// sliding windows, the statement store (pg_stat_statements-style), the
+// slow-query log, and LastTrace. With nothing attached, or only disabled
+// sinks, and no trace asked for, a statement pays a few atomic loads and
+// builds no event.
 
 // SetStatements attaches a statement-statistics store. Every subsequent SQL
 // query records under its normalized fingerprint: calls, errors, modeled
@@ -149,8 +149,8 @@ func (db *DB) seal(c *stmtCtx, ev *queryEvent) *queryEvent {
 }
 
 // publish hands a statement's event to every sink, in a fixed order: the
-// metrics registry, the sliding windows, the statement store and feedback
-// eviction, the slow log, and LastTrace.
+// metrics registry, the sliding windows, the statement store, the slow log,
+// and LastTrace.
 func (db *DB) publish(ev *queryEvent) {
 	c, res := ev.stmt, ev.res
 	var cycles uint64
@@ -240,14 +240,6 @@ func (db *DB) publish(ev *queryEvent) {
 			}
 		}
 		db.stats.Record(sm)
-		// Feedback eviction: a run whose pricing missed by more than the
-		// armed q-error threshold drops the statement's cached plan, so the
-		// next Prepare replans with observed-selectivity feedback.
-		if ev.err == nil && sm.EstCycles > 0 && cycles > 0 {
-			if th := db.feedbackThreshold(); th > 0 && plan.QError(sm.EstCycles, float64(cycles)) > th {
-				db.evictPlan(c.fp)
-			}
-		}
 	}
 
 	if isSlow && db.slow != nil {

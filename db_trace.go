@@ -103,7 +103,7 @@ func (s *statement) tree() *plan.Node {
 // onto the traced chain's Scan (tree is nil when untraced). A join's
 // estimate is the sum of its sides' pricings, each stamped on its own Scan;
 // its selectivities are the probe side's.
-func (db *DB) priceRun(kind EngineKind, s *statement, tree *plan.Node, res *Result, c *stmtCtx) (*plan.Est, *plan.Act) {
+func (db *DB) priceRun(kind EngineKind, s *statement, tree *plan.Node, res *Result) (*plan.Est, *plan.Act) {
 	if s.jp != nil {
 		db.fillJoinEstimates(kind, s.jp)
 		probe := s.jp.Probe.Node
@@ -120,8 +120,7 @@ func (db *DB) priceRun(kind EngineKind, s *statement, tree *plan.Node, res *Resu
 		}
 		return est, probe.Act
 	}
-	sel, _ := db.feedbackSel(c)
-	est := db.estimateObserved(s.t, s.q, res.Engine, res.CacheWarm, sel)
+	est := db.estimateObserved(s.t, s.q, res.Engine, res.CacheWarm)
 	act := &plan.Act{
 		RowsScanned: res.RowsScanned,
 		RowsPassed:  res.RowsPassed,
@@ -225,13 +224,11 @@ func annotatePlanSpans(pairs []opSpan, res *Result, sch *Schema) {
 // the planner saw. warm consults the group cache; pass it only when the run
 // really replayed a warm group, since pricing after the run would otherwise
 // see the group the run itself just installed, mislabel a cold run as warm,
-// and poison the q-error feedback. A positive sel is the statement's
-// feedback selectivity, so a converged IDX estimate stops paying the
-// index statistics' misprediction. Returns nil when the path cannot be priced
+// and misreport its q-error. Returns nil when the path cannot be priced
 // (e.g. IDX with no usable index).
-func (db *DB) estimateObserved(t *dbTable, q engine.Query, eng string, warm bool, sel float64) *plan.Est {
+func (db *DB) estimateObserved(t *dbTable, q engine.Query, eng string, warm bool) *plan.Est {
 	opt := db.optimizer(t)
-	opt.Offload, opt.SelOverride = db.offloadOn(), sel
+	opt.Offload = db.offloadOn()
 	if warm {
 		opt.Cache = db.groupCache()
 	}
@@ -243,9 +240,9 @@ func (db *DB) estimateObserved(t *dbTable, q engine.Query, eng string, warm bool
 }
 
 // fillJoinEstimates prices any join side still missing an estimate after a
-// run (AUTO stamps its own during pricing), cold and with no feedback. Each
-// side is priced for the access path it actually got — its Scan node's stamped Source — so sides
-// that fell back (IDX without a usable index runs ROW) and paths only
+// run (AUTO stamps its own during pricing), cold. Each side is priced for
+// the access path it actually got — its Scan node's stamped Source — so
+// sides that fell back (IDX without a usable index runs ROW) and paths only
 // priceable after the run (the first COL query materializes the columnar
 // copy it is priced against) still report estimated-vs-actual.
 func (db *DB) fillJoinEstimates(kind EngineKind, jp *engine.JoinPlan) {
@@ -261,7 +258,7 @@ func (db *DB) fillJoinEstimates(kind EngineKind, jp *engine.JoinPlan) {
 		if eng == "" {
 			eng = string(kind)
 		}
-		side.Node.Est = db.estimateObserved(t, side.Query, eng, false, 0)
+		side.Node.Est = db.estimateObserved(t, side.Query, eng, false)
 	}
 	fill(&jp.Probe)
 	for k := range jp.Stages {

@@ -248,114 +248,136 @@ func TestPlanCacheConcurrentPrepareDDL(t *testing.T) {
 	}
 }
 
-// TestFeedbackEvictsMispricedPlan pins the q-error feedback loop: with an
-// aggressive threshold every real estimation error fires, dropping the
-// prepared fragment so the next preparation replans.
+// TestFeedbackEvictsMispricedPlan pins that a run's pricing error never
+// drops a prepared fragment: the fragment holds no plan (AUTO re-prices on
+// every run), so a run whose estimate misses its cycles — RM's price scales
+// a run over the first 1,024 rows to all 2,000 — leaves the fragment
+// resident, and the next Prepare returns the same one.
 func TestFeedbackEvictsMispricedPlan(t *testing.T) {
 	db := demoDB(t, 2000)
 	db.SetStatements(NewStatStore())
-	db.SetGroupCache(GroupCacheConfig{CapacityBytes: 64 << 20, QErrorEvictThreshold: 1.0001})
-	// RM's estimate scales a run over the first 1,024 rows to all 2,000;
-	// the scaled price misses the run by more than the 1.0001 threshold.
+	db.SetGroupCache(DefaultGroupCacheConfig())
 	const q = "SELECT id, price FROM items WHERE grp < 1"
 
 	p, err := db.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := db.PlanCache(); st.Resident != 1 {
-		t.Fatalf("fragment not resident: %+v", st)
-	}
-	if _, err := p.Run(RM); err != nil {
+	res, err := p.Run(RM)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := db.PlanCache()
-	if st.FeedbackEvictions == 0 {
-		t.Fatalf("mispriced plan survived: %+v", st)
+	s, err := db.compile(q, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Resident != 0 {
-		t.Fatalf("evicted fragment still resident: %+v", st)
+	est := db.estimateObserved(s.t, s.q, "RM", false)
+	if est == nil || est.Cycles == float64(res.Breakdown.TotalCycles) {
+		t.Fatalf("run not mispriced: estimate %+v against %d cycles", est, res.Breakdown.TotalCycles)
+	}
+	if st := db.PlanCache(); st.Resident != 1 {
+		t.Fatalf("mispriced run dropped its fragment: %+v", st)
 	}
 	p2, err := db.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 == p {
-		t.Fatal("evicted fragment served again")
-	}
-
-	// Without the group cache the threshold is disarmed: no evictions.
-	db2 := demoDB(t, 2000)
-	db2.SetStatements(NewStatStore())
-	p3, err := db2.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p3.Run(RM); err != nil {
-		t.Fatal(err)
-	}
-	if st := db2.PlanCache(); st.FeedbackEvictions != 0 || st.Resident != 1 {
-		t.Fatalf("feedback fired with the cache off: %+v", st)
+	if p2 != p {
+		t.Fatal("Prepare recompiled a resident fragment")
 	}
 }
 
-// TestFeedbackRechoosesPlan is the end-to-end feedback loop with injected
-// selectivity skew: the index's uniform key-range statistics price
-// `val <= 1000` as touching ~0.1% of a table whose keys span [0, 1e6], but
-// the distribution is skewed — every row except one has val = 0, so the
-// predicate actually passes nearly everything. The first AUTO run falls for
-// it and picks IDX; the observed selectivity lands in the statement store,
-// and the next AUTO run plans with the real value and abandons the index.
+// TestFeedbackRechoosesPlan: an index whose keys are skewed — every row but
+// one has val = 0, and the last stretches the key span to 1e6 — makes
+// `val <= 1000` pass nearly every row. The index path counts its own key
+// range, so AUTO prices that exactly and avoids IDX from the first run,
+// with the group cache on or off.
 func TestFeedbackRechoosesPlan(t *testing.T) {
-	db, err := Open(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch, err := NewSchema(
-		Column{Name: "id", Type: Int64, Width: 8},
-		Column{Name: "val", Type: Int64, Width: 8},
-		Column{Name: "price", Type: Float64, Width: 8},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rows = 4000
-	if _, err := db.CreateTable("skew", sch, rows); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rows; i++ {
-		val := int64(0)
-		if i == rows-1 {
-			val = 1_000_000 // stretches the index key span
-		}
-		if err := db.Insert("skew", I64(int64(i)), I64(val), F64(float64(i))); err != nil {
+	for _, cached := range []bool{false, true} {
+		db, err := Open(DefaultConfig())
+		if err != nil {
 			t.Fatal(err)
 		}
+		sch, err := NewSchema(
+			Column{Name: "id", Type: Int64, Width: 8},
+			Column{Name: "val", Type: Int64, Width: 8},
+			Column{Name: "price", Type: Float64, Width: 8},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const rows = 4000
+		if _, err := db.CreateTable("skew", sch, rows); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			val := int64(0)
+			if i == rows-1 {
+				val = 1_000_000
+			}
+			if err := db.Insert("skew", I64(int64(i)), I64(val), F64(float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.SetStatements(NewStatStore())
+		if cached {
+			db.SetGroupCache(DefaultGroupCacheConfig())
+		}
+		if _, err := db.CreateIndex("skew", "val"); err != nil {
+			t.Fatal(err)
+		}
+		const q = "SELECT id, price FROM skew WHERE val <= 1000"
+
+		var first *Result
+		for run := 0; run < 2; run++ {
+			res, err := db.QueryOn(AUTO, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Engine == "IDX" {
+				t.Fatalf("cache=%v run %d: AUTO chose IDX for a predicate passing %d of %d rows",
+					cached, run, res.RowsPassed, rows)
+			}
+			if first == nil {
+				first = res
+			} else if err := res.EquivalentTo(first, 0); err != nil {
+				t.Fatalf("cache=%v: rerun diverged: %v", cached, err)
+			}
+		}
+	}
+}
+
+// TestAutoKeepsIndexUnderGroupCache: with the group cache on and a
+// statement store attached, repeated AUTO q6 runs, each from a cold
+// machine, stay on the index path at one cost — no selectivity observed on
+// another basis (passed over candidates) re-prices the index away.
+func TestAutoKeepsIndexUnderGroupCache(t *testing.T) {
+	db, err := NewTPCHDB(DefaultConfig(), 24000, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	db.SetStatements(NewStatStore())
 	db.SetGroupCache(DefaultGroupCacheConfig())
-	if _, err := db.CreateIndex("skew", "val"); err != nil {
-		t.Fatal(err)
+	var q6 string
+	for _, st := range DefaultAuditSet() {
+		if st.Name == "q6" {
+			q6 = st.SQL
+		}
 	}
-	const q = "SELECT id, price FROM skew WHERE val <= 1000"
-
-	first, err := db.QueryOn(AUTO, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Engine != "IDX" {
-		t.Fatalf("index stats did not mis-price the skew: first run chose %s", first.Engine)
-	}
-	second, err := db.QueryOn(AUTO, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Engine == "IDX" {
-		t.Fatalf("feedback did not re-choose: still on IDX after observing selectivity %.3f",
-			float64(first.RowsPassed)/float64(first.RowsScanned))
-	}
-	if err := second.EquivalentTo(first, 0); err != nil {
-		t.Fatalf("re-chosen plan diverged: %v", err)
+	var cycles uint64
+	for run := 0; run < 4; run++ {
+		db.sys.ResetState()
+		res, err := db.QueryOn(AUTO, q6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Engine != "IDX" {
+			t.Fatalf("run %d: AUTO chose %s at %d cycles, want IDX", run, res.Engine, res.Breakdown.TotalCycles)
+		}
+		if run > 0 && res.Breakdown.TotalCycles != cycles {
+			t.Fatalf("run %d: %d cycles, first run %d", run, res.Breakdown.TotalCycles, cycles)
+		}
+		cycles = res.Breakdown.TotalCycles
 	}
 }
 
@@ -382,7 +404,7 @@ func TestWarmEstimateUsesRMCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := db.estimateObserved(s.t, s.q, "RM", true, 0)
+	est := db.estimateObserved(s.t, s.q, "RM", true)
 	if est == nil {
 		t.Fatal("RM not priced")
 	}

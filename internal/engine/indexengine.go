@@ -108,7 +108,8 @@ func (e *IndexEngine) openScan(q *Query, _ *obs.Span) (*scan, error) {
 }
 
 // estimateIDX prices the index path for the optimizer: tree descent plus a
-// scattered fetch per candidate row.
+// scattered fetch per candidate row, with the candidates counted exactly by
+// the tree's own uncharged leaf walk.
 func (o *Optimizer) estimateIDX(q Query) plan.Est {
 	if o.Index == nil {
 		return plan.Est{Engine: "IDX", Available: false, Reason: "no index exists on this table"}
@@ -120,25 +121,7 @@ func (o *Optimizer) estimateIDX(q Query) plan.Est {
 	}
 	cfg := o.Sys.Cfg
 	n := float64(o.Tbl.NumRows())
-
-	// The index's own statistics estimate the candidates: equality hits
-	// entries/distinct rows; a range hits its fraction of the key span.
-	keyLo, keyHi := o.Index.KeyRange()
-	lo, hi = max(lo, keyLo), min(hi, keyHi)
-	var candidates float64
-	switch {
-	case o.SelOverride > 0:
-		// Observed-selectivity override (the feedback hook) replaces the
-		// index statistics.
-		candidates = o.SelOverride * n
-	case lo > hi:
-		candidates = 0
-	case lo == hi:
-		candidates = float64(o.Index.Entries()) / float64(max(o.Index.DistinctKeys(), 1))
-	default:
-		span := float64(keyHi-keyLo) + 1
-		candidates = float64(o.Index.Entries()) * (float64(hi-lo) + 1) / span
-	}
+	candidates := float64(o.Index.Count(lo, hi))
 	sel := candidates / max(n, 1)
 
 	// Descent: height * ~3 node lines, mostly L2-resident after warmup;

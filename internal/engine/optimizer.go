@@ -25,8 +25,9 @@ import (
 // model: ROW, COL and RM (and PAR, priced as RM) are priced by running that
 // path's own Source over the table's first sampleRows rows on a fresh
 // machine and scaling the run's cycles to the table; the selectivity is the
-// one the run observed. IDX keeps a formula over its B+tree's statistics,
-// because a tree descent is a per-query cost a row sample cannot scale.
+// one the run observed. IDX keeps a formula over the candidates its B+tree
+// counts in the selection's key range, because a tree descent is a
+// per-query cost a row sample cannot scale.
 
 // Plan is the optimizer's decision.
 type Plan struct {
@@ -43,11 +44,10 @@ type Optimizer struct {
 	Store *colstore.Store
 	// Index is a B+tree over one of the table's columns, if one exists.
 	Index *index.BTree
-	// SelOverride, when positive, replaces the index statistics' candidate
-	// estimate with an observed selectivity — the feedback hook the
-	// statement store and the optimizer audit use to ask "what would you
-	// have chosen knowing the real selectivity?". The sampled paths
-	// observe their own selectivity and ignore it.
+	// SelOverride is inert: every path prices its own rows (IDX counts its
+	// key range exactly). The field stays only because the frozen façade
+	// benchmark's shadow (hostbench) still sets it; ROADMAP item 4 removes
+	// its last user.
 	SelOverride float64
 	// Cache, when set, lets RM price a resident column group as warm: the
 	// producer streams packed bytes out of the persistent buffer instead

@@ -36,12 +36,6 @@ type BTree struct {
 	height int
 	nodes  int
 	arena  *dram.Arena
-
-	// Statistics maintained for the constructive optimizer.
-	entries  int
-	distinct int
-	minKey   int64
-	maxKey   int64
 }
 
 type node struct {
@@ -105,18 +99,6 @@ func Build(tbl *table.Table, col int, arena *dram.Arena) (*BTree, error) {
 		}
 		return pairs[i].r < pairs[j].r
 	})
-	t.entries = len(pairs)
-	for i, p := range pairs {
-		if i == 0 {
-			t.minKey, t.maxKey = p.k, p.k
-			t.distinct = 1
-			continue
-		}
-		if p.k != pairs[i-1].k {
-			t.distinct++
-		}
-		t.maxKey = p.k
-	}
 
 	// Build the leaf level.
 	var leaves []*node
@@ -179,17 +161,6 @@ func (t *BTree) Height() int { return t.height }
 
 // Nodes returns the node count (the index's space cost: nodes * 1 KiB).
 func (t *BTree) Nodes() int { return t.nodes }
-
-// Entries returns the number of indexed (key, row) pairs.
-func (t *BTree) Entries() int { return t.entries }
-
-// DistinctKeys returns the number of distinct keys — the cardinality
-// statistic the optimizer uses to price equality lookups.
-func (t *BTree) DistinctKeys() int { return t.distinct }
-
-// KeyRange returns the smallest and largest indexed keys (both zero when
-// the index is empty).
-func (t *BTree) KeyRange() (min, max int64) { return t.minKey, t.maxKey }
 
 // SizeBytes returns the simulated footprint.
 func (t *BTree) SizeBytes() int { return t.nodes * nodeBytes }
@@ -257,16 +228,24 @@ func (t *BTree) Lookup(h *cache.Hierarchy, key int64) []int {
 	return out
 }
 
+// Count returns the number of entries with lo <= key <= hi, counted by a
+// leaf walk that charges nothing — the optimizer's exact candidate count
+// for the index path.
+func (t *BTree) Count(lo, hi int64) int {
+	n := 0
+	t.rangeWalk(nil, lo, hi, func(int) { n++ })
+	return n
+}
+
 // Range returns the row indices with lo <= key <= hi in key order (nil
-// when there are none), allocated at their final length: a first leaf walk
-// that charges nothing counts them, then the filling walk charges the
-// descent and every leaf it reaches to h.
+// when there are none), allocated at their final length (Count), then
+// filled by a walk that charges the descent and every leaf it reaches to h.
+// An empty range (lo > hi) charges nothing.
 func (t *BTree) Range(h *cache.Hierarchy, lo, hi int64) []int32 {
 	if lo > hi {
 		return nil
 	}
-	n := 0
-	t.rangeWalk(nil, lo, hi, func(int) { n++ })
+	n := t.Count(lo, hi)
 	var out []int32
 	if n > 0 {
 		out = make([]int32, 0, n)
@@ -297,21 +276,6 @@ func (t *BTree) rangeWalk(h *cache.Hierarchy, lo, hi int64, visit func(row int))
 // Insert adds one (key, row) entry. Nodes split top-down on the way back
 // up; the tree stays balanced.
 func (t *BTree) Insert(h *cache.Hierarchy, key int64, row int) {
-	if t.entries == 0 {
-		t.minKey, t.maxKey = key, key
-		t.distinct = 1
-	} else {
-		if key < t.minKey {
-			t.minKey = key
-		}
-		if key > t.maxKey {
-			t.maxKey = key
-		}
-		if len(t.Lookup(nil, key)) == 0 {
-			t.distinct++
-		}
-	}
-	t.entries++
 	promoted, sibling := t.insertInto(h, t.root, key, row)
 	if sibling != nil {
 		newRoot := t.newNode(false)

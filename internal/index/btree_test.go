@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -216,4 +217,63 @@ func TestLookupRangeProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestCountMatchesBruteForce holds Count to a linear count over random keys
+// whose duplicate runs span several leaves (fanout is 64), after the bulk
+// load and again after random inserts, at inverted and extreme bounds, and
+// requires Range to return exactly Count rows.
+func TestCountMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var keys []int64
+	for len(keys) < 4000 {
+		k, run := int64(rng.Intn(400)-200), 1+rng.Intn(200)
+		for i := 0; i < run; i++ {
+			keys = append(keys, k)
+		}
+	}
+	keys = append(keys, math.MinInt64, math.MaxInt64, math.MaxInt64)
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	idx, _, h := buildFixture(t, keys)
+
+	check := func(stage string) {
+		t.Helper()
+		bounds := [][2]int64{
+			{math.MinInt64, math.MaxInt64}, {math.MinInt64, -150}, {90, math.MaxInt64},
+			{math.MinInt64, math.MinInt64}, {math.MaxInt64, math.MaxInt64},
+			{10, 5}, {math.MaxInt64, math.MinInt64}, {0, 0}, {-1000, -900},
+		}
+		for i := 0; i < 200; i++ {
+			lo := int64(rng.Intn(500) - 250)
+			bounds = append(bounds, [2]int64{lo, lo + int64(rng.Intn(120)) - 10})
+		}
+		for _, b := range bounds {
+			want := 0
+			for _, k := range keys {
+				if k >= b[0] && k <= b[1] {
+					want++
+				}
+			}
+			got := idx.Count(b[0], b[1])
+			if got != want {
+				t.Fatalf("%s: Count(%d, %d) = %d, want %d", stage, b[0], b[1], got, want)
+			}
+			if n := len(idx.Range(h, b[0], b[1])); n != got {
+				t.Fatalf("%s: Range(%d, %d) returned %d rows, Count %d", stage, b[0], b[1], n, got)
+			}
+		}
+	}
+	check("after Build")
+	for i := 0; i < 3000; i++ {
+		k := keys[rng.Intn(len(keys))]
+		if i%3 == 0 {
+			k = int64(rng.Intn(600) - 300)
+		}
+		idx.Insert(h, k, len(keys))
+		keys = append(keys, k)
+	}
+	if err := idx.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Insert")
 }

@@ -17,8 +17,8 @@ import (
 // cycle and wall-clock latency histograms, rows returned and scanned, bytes
 // moved per hierarchy level (DRAM-side and CPU-side), the engines the
 // statement actually ran on, and the optimizer-accountability numbers — the
-// cycle q-error and estimated-vs-observed selectivity — that feedback-driven
-// optimization consumes.
+// cycle q-error and estimated-vs-observed selectivity — that the audit and
+// dashboards read.
 //
 // Record takes one mutex per query (not per row), so the store is safe for
 // concurrent publish and read. A disabled store reduces Record to a single
@@ -173,9 +173,10 @@ func qError(est, act float64) float64 {
 }
 
 // FeedbackSelectivity returns the mean observed selectivity recorded for a
-// statement fingerprint — the value feedback-driven planning feeds into the
-// optimizer's SelOverride. ok is false when the store is nil/disabled or no
-// call for this fingerprint carried a selectivity observation.
+// statement fingerprint. ok is false when the store is nil/disabled or no
+// call for this fingerprint carried a selectivity observation. Only the
+// frozen façade benchmark's shadow (hostbench) calls it, to set the inert
+// Optimizer.SelOverride; ROADMAP item 4 removes that last caller.
 func (s *StatStore) FeedbackSelectivity(fp uint64) (float64, bool) {
 	if s == nil || s.disabled.Load() {
 		return 0, false

@@ -146,7 +146,7 @@ func unpushedSinks(db *DB, kind EngineKind, text string) (*Result, uint64, error
 		res, err = db.executeJoin(kind, s.t, s.jp, nil)
 	} else {
 		s.q.Sinks = engine.Sinks{}
-		res, err = db.execute(kind, s.t, s.q, nil, nil)
+		res, err = db.execute(kind, s.t, s.q, nil)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -269,7 +269,7 @@ func TestPartitionedSinksBoxOnlyReturnedRows(t *testing.T) {
 			if s.jp != nil {
 				res, err = db.executeJoin(PAR, s.t, s.jp, nil)
 			} else {
-				res, err = db.execute(PAR, s.t, s.q, nil, nil)
+				res, err = db.execute(PAR, s.t, s.q, nil)
 			}
 			if err != nil {
 				t.Fatalf("PAR %q: %v", c.text, err)
