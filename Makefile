@@ -27,9 +27,11 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Host wall-clock and allocations per query of the batch pipeline on the
-# TPC-H scan benchmarks, plus the warm/cold group-cache pair.
+# TPC-H scan benchmarks, plus the warm/cold group-cache pair, and the group
+# table's fold into fresh state lanes (bytes per statement's GROUP BY).
 bench-wallclock:
 	$(GO) test ./internal/engine -run '^$$' -bench 'Wallclock|Sequence' -benchmem
+	$(GO) test ./internal/vec -run '^$$' -bench GroupFold -benchmem
 
 # Run every example program. Each checks itself: htap exits through
 # log.Fatal when a snapshot's fabric-folded balance breaks its invariant.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rfabric/internal/expr"
 	"rfabric/internal/obs"
 	"rfabric/internal/table"
 	"rfabric/internal/vec"
@@ -267,7 +268,11 @@ func mergePartials(name string, q Query, parts []*Result, workers int) (*Result,
 	case len(q.Aggregates) == 0:
 	case len(q.GroupBy) > 0:
 		m.groups = new(vec.GroupTable)
-		m.groups.Reset(len(q.Aggregates), nil) // Merge takes the partitions' key columns
+		kinds := make([]expr.AggKind, len(q.Aggregates))
+		for i, t := range q.Aggregates {
+			kinds[i] = t.Kind
+		}
+		m.groups.Reset(kinds, nil) // Merge takes the partitions' key columns
 	default:
 		m.states = make([]vec.AggState, len(q.Aggregates))
 	}

@@ -237,7 +237,7 @@ func outputOrder(gs *tableSet, n int, sk Sinks) []int32 {
 		if k.Key >= 0 {
 			gs.g.DecodeKeyCol(&cols[i], k.Key)
 		} else {
-			gs.g.FinishAggCol(&cols[i], k.Agg, gs.aggs[k.Agg].Kind)
+			gs.g.FinishAggCol(&cols[i], k.Agg)
 		}
 		nan = nan || cols[i].HasNaN()
 	}

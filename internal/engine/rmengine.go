@@ -128,7 +128,7 @@ func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 		sp.SetAttr("group_cache", "hit")
 		setGroupAttrs(sp, geom, d.packed)
 		s.warm = true
-		cache, data, base := e.Cache, entry.Data(), entry.BaseAddr()
+		cache, base := e.Cache, entry.BaseAddr()
 		chunks := entry.Chunks()
 		s.segs = func(*pipeRun) segIter {
 			i := 0
@@ -144,7 +144,7 @@ func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 				ch := chunks[i]
 				i++
 				producer := e.Sys.Fab.ReplayChunk(ch.Rows, ch.Len)
-				return d.segment(data[ch.Off:ch.Off+ch.Len], base+int64(ch.Off), ch.Rows, ch.SourceRows, producer), true
+				return d.segment(ch.Data, base+int64(ch.Off), ch.Rows, ch.SourceRows, producer), true
 			}
 		}
 	} else {
@@ -185,8 +185,8 @@ func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 		}
 
 		// Each fabric chunk is one pipeline segment. Chunk data overlays
-		// one rotating delivery window, so the recorder copies each chunk
-		// before the next overwrites it.
+		// one rotating delivery window, so the recorder keeps each chunk
+		// (Ephemeral.Keep) before the next overwrites it.
 		s.segs = func(*pipeRun) segIter {
 			ev.Reset()
 			return func() (segment, bool) {
@@ -195,7 +195,9 @@ func (e *RMEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 					rec.Install()
 					return segment{}, false
 				}
-				rec.Add(ch.Data, ch.Rows, ch.SourceRows)
+				if rec != nil {
+					rec.Add(ev.Keep(), ch.Rows, ch.SourceRows)
+				}
 				return d.segment(ch.Data, ch.BaseAddr, ch.Rows, ch.SourceRows, ch.ProducerCycles), true
 			}
 		}

@@ -79,10 +79,11 @@ type scanProg struct {
 	// Consumption shape: projCols/projSlot enumerate projection entries
 	// (duplicates included — each entry is charged and folded); aggs hold
 	// aggregate terms; keySlots, when set, are the GROUP BY columns' slots
-	// in GroupBy order, and keyCols their columns.
+	// in GroupBy order, keyCols their columns and kinds the terms' kinds.
 	projCols []int
 	projSlot []int32
 	aggs     []vecAgg
+	kinds    []expr.AggKind
 	keySlots []int32
 	keyCols  []geometry.Column
 
@@ -194,11 +195,17 @@ func (p *scanProg) compileConsume(q *Query, addSlot func(col int) int) {
 		}
 		return
 	}
+	if len(q.GroupBy) > 0 {
+		p.keySlots = make([]int32, 0, len(q.GroupBy))
+		p.keyCols = make([]geometry.Column, 0, len(q.GroupBy))
+		p.kinds = make([]expr.AggKind, 0, len(q.Aggregates))
+	}
 	for _, col := range q.GroupBy {
 		si := addSlot(col)
 		p.keySlots = append(p.keySlots, int32(si))
 		p.keyCols = append(p.keyCols, p.slots[si].def)
 	}
+	p.aggs = make([]vecAgg, 0, len(q.Aggregates))
 	for _, t := range q.Aggregates {
 		a := vecAgg{term: t, simple: -1}
 		if t.Arg != nil {
@@ -209,6 +216,9 @@ func (p *scanProg) compileConsume(q *Query, addSlot func(col int) int) {
 			}
 		}
 		p.aggs = append(p.aggs, a)
+		if p.kinds != nil {
+			p.kinds = append(p.kinds, t.Kind)
+		}
 	}
 }
 
@@ -351,7 +361,7 @@ func (s *scanScratch) begin(p *scanProg) *vecAcc {
 	acc := &vecAcc{}
 	switch {
 	case p.keySlots != nil:
-		s.groups.Reset(len(p.aggs), p.keyCols)
+		s.groups.Reset(p.kinds, p.keyCols)
 		acc.out.groups = &s.groups
 	case len(p.aggs) > 0:
 		acc.out.states = make([]vec.AggState, len(p.aggs))
@@ -410,8 +420,7 @@ func (s *scanScratch) foldGroups(p *scanProg, sel []int32, acc *vecAcc) {
 	for ti := range p.aggs {
 		a := &p.aggs[ti]
 		switch {
-		case a.term.Kind == expr.Count:
-			g.FoldCount(ti, ids)
+		case a.term.Kind == expr.Count: // the group's row count
 		case a.simple >= 0:
 			s.cols[a.simple].Fold(g, ti, ids, sel)
 		default:

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"rfabric/internal/colstore"
@@ -418,6 +420,115 @@ func TestUntracedRMScanAllocs(t *testing.T) {
 			})
 			if !raceEnabled && allocs > tc.budget {
 				t.Errorf("untraced RM scan allocates %.0f times, want <= %.0f", allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// TestColdRecordedScanKeepsItsChunk: a cold RM scan that records its
+// column group for the group cache keeps the view's chunk buffer instead
+// of copying it, so a one-chunk scan allocates one chunk buffer, not two.
+// The recorded run may allocate at most half a chunk more than the same
+// cold scan without a cache (the entry's directory, not its bytes). The
+// comparison is withheld under -race.
+func TestColdRecordedScanKeepsItsChunk(t *testing.T) {
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "k", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "v", Type: geometry.Float64, Width: 8},
+	)
+	const rows = 32768 // 512 KB packed: one chunk, well under the buffer
+	sys := MustSystem(DefaultSystemConfig())
+	tbl := table.MustNew("c", sch, table.WithCapacity(rows),
+		table.WithBaseAddr(sys.Arena.Alloc(int64(rows*sch.RowBytes()))))
+	for i := 0; i < rows; i++ {
+		tbl.MustAppend(0, table.I64(int64(i%61)), table.F64(float64(i%977)))
+	}
+	q := Query{GroupBy: []int{0}, Aggregates: []AggTerm{{Kind: expr.Sum, Arg: expr.ColRef{Col: 1}}}}
+	cache := fabric.NewGroupCache(64<<20, sys.Arena)
+	bytesPerRun := func(eng *RMEngine) uint64 {
+		run := func() {
+			cache.Invalidate(tbl) // every run is cold and records
+			res, err := Run(eng, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheWarm {
+				t.Fatal("cold run replayed a cached group")
+			}
+		}
+		run() // warm the scratch
+		const runs = 5
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	plain := bytesPerRun(&RMEngine{Tbl: tbl, Sys: sys})
+	recorded := bytesPerRun(&RMEngine{Tbl: tbl, Sys: sys, Cache: cache})
+	if _, ok := cache.Peek(tbl, geometry.MustGeometry(sch, 0, 1), nil, nil); !ok {
+		t.Fatal("the cold run installed no group")
+	}
+	const chunk = rows * 16
+	t.Logf("bytes per cold run: %d without a cache, %d recording (chunk %d)", plain, recorded, chunk)
+	if raceEnabled {
+		return
+	}
+	if recorded >= plain+chunk/2 {
+		t.Errorf("recording a one-chunk scan allocates %d bytes more than the plain scan, want < %d (half a chunk)",
+			recorded-plain, chunk/2)
+	}
+}
+
+// TestWarmReplayOfChunkedGroupMatchesCold records column groups that span
+// many fabric chunks (a 4 KB delivery buffer) and replays them warm: the
+// warm run returns the cold run's rows, checksum, aggregates and groups.
+// Full chunks are kept by handing over the view's buffer and shorter ones
+// (a pushed selection's) by copying, so a recording that aliased the
+// buffer the view packs its next chunk into would replay the wrong rows.
+func TestWarmReplayOfChunkedGroupMatchesCold(t *testing.T) {
+	sch := geometry.MustSchema(
+		geometry.Column{Name: "k", Type: geometry.Int64, Width: 8},
+		geometry.Column{Name: "v", Type: geometry.Float64, Width: 8},
+	)
+	cfg := DefaultSystemConfig()
+	cfg.Fabric.BufferBytes = 4 << 10
+	sys := MustSystem(cfg)
+	const rows = 3000
+	tbl := table.MustNew("w", sch, table.WithCapacity(rows),
+		table.WithBaseAddr(sys.Arena.Alloc(int64(rows*sch.RowBytes()))))
+	for i := 0; i < rows; i++ {
+		tbl.MustAppend(0, table.I64(int64(i*7%41)), table.F64(float64(i%977)-300.5))
+	}
+	agg := []AggTerm{{Kind: expr.Sum, Arg: expr.ColRef{Col: 1}}, {Kind: expr.Min, Arg: expr.ColRef{Col: 1}}, {Kind: expr.Count}}
+	half := expr.Conjunction{{Col: 1, Op: expr.Lt, Operand: table.F64(150)}}
+	for _, c := range []struct {
+		name string
+		q    Query
+	}{
+		{"grouped", Query{GroupBy: []int{0}, Aggregates: agg}},
+		{"projection", Query{Projection: []int{0, 1}}},
+		{"pushed-selection", Query{GroupBy: []int{0}, Aggregates: agg, Selection: half}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := &RMEngine{Tbl: tbl, Sys: sys, PushSelection: true, Cache: fabric.NewGroupCache(64<<20, sys.Arena)}
+			cold, err := Run(eng, c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := Run(eng, c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.CacheWarm || !warm.CacheWarm {
+				t.Fatalf("cold run warm=%v, second run warm=%v", cold.CacheWarm, warm.CacheWarm)
+			}
+			got, want := canonResult(warm), canonResult(cold)
+			got.Breakdown, want.Breakdown, got.CacheWarm, want.CacheWarm = Breakdown{}, Breakdown{}, false, false
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("warm replay differs from the cold run:\nwarm %+v\ncold %+v", got, want)
 			}
 		})
 	}

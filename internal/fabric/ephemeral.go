@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -383,6 +384,20 @@ func (ev *Ephemeral) Next() (Chunk, bool) {
 		ProducerCycles: producer,
 		SourceRows:     srcRows,
 	}, true
+}
+
+// Keep returns the last chunk's packed bytes for the caller to keep past
+// the next Next. A chunk that fills its buffer hands the buffer over, and
+// the view packs its next chunk into a new one; a shorter chunk (a pushed
+// selection's, a snapshot's) is copied, so what the caller keeps holds no
+// unused capacity.
+func (ev *Ephemeral) Keep() []byte {
+	if len(ev.buf) < cap(ev.buf) {
+		return bytes.Clone(ev.buf)
+	}
+	b := ev.buf
+	ev.buf = nil
+	return b
 }
 
 // Materialize consumes the whole view and returns every packed row as a

@@ -50,21 +50,22 @@ func makeGroupKey(tbl *table.Table, geom *geometry.Geometry, snap *uint64, preds
 	return k
 }
 
-// CachedChunk is one buffer refill's worth of packed rows inside an entry's
-// backing store, addressed relative to the entry's base.
+// CachedChunk is one buffer refill's worth of packed rows inside an entry,
+// addressed relative to the entry's base.
 type CachedChunk struct {
-	Off        int // byte offset into the entry's data (line-aligned)
-	Len        int // packed bytes (Rows * PackedWidth)
-	Rows       int // packed rows delivered by this chunk
-	SourceRows int // source row versions the cold run scanned for it
+	Off        int    // byte offset in the entry (line-aligned)
+	Len        int    // packed bytes (Rows * PackedWidth)
+	Rows       int    // packed rows delivered by this chunk
+	SourceRows int    // source row versions the cold run scanned for it
+	Data       []byte // the packed bytes (read-only), Len of them
 }
 
 // GroupEntry is one resident column group: the packed bytes of every chunk
-// the cold run delivered, pinned at a stable simulated address so replayed
-// chunks fill the same hierarchy lines on every hit.
+// the cold run delivered, laid out at line-aligned offsets from a stable
+// simulated address so replayed chunks fill the same hierarchy lines on
+// every hit.
 type GroupEntry struct {
 	key      groupKey
-	data     []byte
 	chunks   []CachedChunk
 	packed   int
 	baseAddr int64
@@ -78,10 +79,7 @@ type GroupEntry struct {
 // Chunks returns the entry's chunk directory.
 func (e *GroupEntry) Chunks() []CachedChunk { return e.chunks }
 
-// Data returns the entry's packed backing store (read-only).
-func (e *GroupEntry) Data() []byte { return e.data }
-
-// BaseAddr returns the simulated address of Data[0].
+// BaseAddr returns the simulated address of offset 0.
 func (e *GroupEntry) BaseAddr() int64 { return e.baseAddr }
 
 // PackedWidth returns bytes per packed row.
@@ -298,7 +296,7 @@ type GroupRecorder struct {
 	version uint64
 	packed  int
 	align   int
-	data    []byte
+	size    int // bytes recorded: the chunks at their line-aligned offsets
 	chunks  []CachedChunk
 	done    bool
 }
@@ -322,17 +320,18 @@ func (c *GroupCache) NewRecorder(tbl *table.Table, geom *geometry.Geometry, snap
 	}
 }
 
-// Add copies one delivered chunk into the recording. Nil-safe.
+// Add records one delivered chunk at the next line-aligned offset. The
+// recording keeps data, which the caller hands over (Ephemeral.Keep).
+// Nil-safe.
 func (r *GroupRecorder) Add(data []byte, rows, sourceRows int) {
 	if r == nil || r.done {
 		return
 	}
-	if pad := len(r.data) % r.align; pad != 0 {
-		r.data = append(r.data, make([]byte, r.align-pad)...)
+	if pad := r.size % r.align; pad != 0 {
+		r.size += r.align - pad
 	}
-	off := len(r.data)
-	r.data = append(r.data, data...)
-	r.chunks = append(r.chunks, CachedChunk{Off: off, Len: len(data), Rows: rows, SourceRows: sourceRows})
+	r.chunks = append(r.chunks, CachedChunk{Off: r.size, Len: len(data), Rows: rows, SourceRows: sourceRows, Data: data})
+	r.size += len(data)
 }
 
 // Install publishes the recording as a resident entry, evicting LRU unpinned
@@ -344,7 +343,7 @@ func (r *GroupRecorder) Install() {
 	}
 	r.done = true
 	c := r.cache
-	size := int64(len(r.data))
+	size := int64(r.size)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if size > c.capacity {
@@ -359,7 +358,6 @@ func (r *GroupRecorder) Install() {
 	}
 	e := &GroupEntry{
 		key:      r.key,
-		data:     r.data,
 		chunks:   r.chunks,
 		packed:   r.packed,
 		baseAddr: c.arena.Alloc(size),

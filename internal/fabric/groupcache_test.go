@@ -138,8 +138,8 @@ func TestGroupCachePinBlocksEviction(t *testing.T) {
 		t.Fatal("install succeeded despite a pinned cache-full entry")
 	}
 	// The pinned holder keeps consistent data regardless.
-	if len(e.Data()) != 1024 {
-		t.Fatalf("pinned data length %d", len(e.Data()))
+	if ch := e.Chunks(); len(ch) != 1 || len(ch[0].Data) != 1024 {
+		t.Fatalf("pinned chunks %+v", ch)
 	}
 	c.Release(e)
 	gcInstall(t, c, tbl, g1, 512)
@@ -207,7 +207,7 @@ func TestGroupCacheConcurrentAcquireRelease(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				g := geoms[(w+i)%len(geoms)]
 				if e, ok := c.Acquire(tbl, g, nil, nil); ok {
-					_ = e.Data()
+					_ = e.Chunks()[0].Data
 					c.Release(e)
 				} else {
 					rec := c.NewRecorder(tbl, g, nil, nil, 4, 64)

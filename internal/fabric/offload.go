@@ -211,7 +211,11 @@ func (ev *Ephemeral) compileFold(off *Offload) (*offloadFold, error) {
 		f.keys, f.keyOff = append(f.keys, k), append(f.keyOff, o)
 		keyCols = append(keyCols, sch.Column(c))
 	}
-	f.groups.Reset(len(off.Aggs), keyCols)
+	kinds := make([]expr.AggKind, len(off.Aggs))
+	for t, sp := range off.Aggs {
+		kinds[t] = sp.Kind
+	}
+	f.groups.Reset(kinds, keyCols)
 	for t, sp := range off.Aggs {
 		if err := sp.Validate(sch); err != nil {
 			return nil, err
@@ -239,17 +243,15 @@ func (f *offloadFold) block(data []byte, base, stride, n int) {
 	}
 	for t, sp := range f.specs {
 		switch a := &f.aggs[t]; {
-		case sp.Kind == expr.Count && f.keys != nil:
-			f.groups.FoldCount(t, ids)
-		case sp.Kind == expr.Count:
-			f.states[t].AddCount(int64(n))
-		default:
+		case sp.Kind != expr.Count:
 			a.Decode(data, base+f.aggOff[t], stride, n)
 			if f.keys != nil {
 				a.Fold(&f.groups, t, ids, sel)
 			} else {
 				a.AddTo(&f.states[t], sel)
 			}
+		case f.keys == nil: // a grouped COUNT is its group's row count
+			f.states[t].AddCount(int64(n))
 		}
 	}
 }

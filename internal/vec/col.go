@@ -284,19 +284,13 @@ func (c *Col) AddTo(a *AggState, sel []int32) {
 	}
 }
 
-// Fold folds row sel[j]'s value into group ids[j]'s state for term.
+// Fold folds row sel[j]'s value into group ids[j]'s lane for term.
 func (c *Col) Fold(g *GroupTable, term int, ids, sel []int32) {
 	if c.Type == geometry.Float64 {
 		fold(g, term, ids, c.F64, sel)
 		return
 	}
 	fold(g, term, ids, c.I64, sel)
-}
-
-func fold[T int64 | float64](g *GroupTable, term int, ids []int32, lane []T, sel []int32) {
-	for j, r := range sel {
-		g.states[int(ids[j])*g.nAggs+term].Add(float64(lane[r]))
-	}
 }
 
 // Compact widens the selected values into dst, compacted, for derived

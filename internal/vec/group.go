@@ -12,11 +12,11 @@ import (
 
 // Hash GROUP BY. A GroupTable maps each selected row's encoded group key to
 // a dense group id (first-seen order) and folds the rows' aggregate inputs
-// into per-group AggStates. Each group's states see that group's rows in
-// selection order, which is row order, so every float fold is the same
-// sequence of additions as a row-at-a-time fold's and the results are
-// bit-identical. Once a batch's groups exist, assigning and folding it
-// allocates nothing.
+// into per-group state lanes that hold only what each term's kind reads.
+// Each group's lanes see that group's rows in selection order, which is
+// row order, so every float fold is the same sequence of additions as a
+// row-at-a-time fold's and the results are bit-identical. Once a batch's
+// groups exist, assigning and folding it allocates nothing.
 
 // The group-key format is fixed-width and order-preserving: per key column,
 // an integer as 8 big-endian bytes with the sign bit flipped, a DOUBLE as 8
@@ -59,30 +59,67 @@ type keyField struct {
 
 // GroupTable maps group keys, in the format above for the key columns it
 // learns at Reset, to dense group ids through a KeyIndex, and keeps each
-// group's row count and aggregate states. The zero value is ready after
-// Reset.
+// group's aggregate state in lanes by kind: AggState's fields that the
+// term's kind reads, and no others. A group's words are its row count,
+// which is every COUNT's result and every AVG's divisor (columns hold no
+// NULLs); then one float64, by its bits, per SUM, AVG, MIN or MAX term, in
+// term order; then the MIN and MAX terms' flag bytes (extAny,
+// extNaNFirst), eight to a word. A COUNT term keeps nothing more. The
+// words are group-major in one slice, so all of a group's state grows
+// with one append. The zero value is ready after Reset.
 type GroupTable struct {
-	nAggs   int
+	kinds   []expr.AggKind // the caller's, kept from Reset
+	nVals   int            // values per group: one per non-COUNT term
+	width   int            // words per group: count, values, flag words
 	cols    []geometry.Column
 	fields  []keyField
 	chars   int // bytes of CHAR fields per key
 	idx     KeyIndex
-	counts  []int64
-	states  []AggState // nAggs per group, group-major
+	words   []uint64 // width per group, group-major
 	created []int32
 	keyLen  int
 	batch   []byte // a batch's keys, keyLen bytes per row
 }
 
-// Reset empties the table for a query with nAggs aggregate terms grouped
-// on keys (only Type and Width are read), keeping its storage.
-func (t *GroupTable) Reset(nAggs int, keys []geometry.Column) {
-	t.nAggs = nAggs
+// Reset empties the table for a query whose aggregate terms have kinds,
+// grouped on keys (only Type and Width are read), keeping its storage. The
+// table keeps kinds, which must not change while it is in use.
+func (t *GroupTable) Reset(kinds []expr.AggKind, keys []geometry.Column) {
+	t.kinds = kinds
+	vals, flags := stateOf(kinds)
+	t.nVals, t.width = vals, 1+vals+(flags+7)/8
 	t.setKeys(keys)
 	t.idx.Reset()
-	t.counts = t.counts[:0]
-	t.states = t.states[:0]
+	t.words = t.words[:0]
 	t.created = t.created[:0]
+}
+
+// stateOf counts the values and the flag bytes that terms of kinds keep.
+func stateOf(kinds []expr.AggKind) (vals, flags int) {
+	for _, k := range kinds {
+		if k != expr.Count {
+			vals++
+		}
+		if k == expr.Min || k == expr.Max {
+			flags++
+		}
+	}
+	return vals, flags
+}
+
+// lane locates term's state in a group's words: its value word, and for a
+// MIN or MAX term its flag word and the flag byte's shift in it.
+func (t *GroupTable) lane(term int) (val, flagWord int, shift uint) {
+	vals, flags := stateOf(t.kinds[:term])
+	return 1 + vals, 1 + t.nVals + flags/8, uint(8 * (flags % 8))
+}
+
+// flagAt returns the flag byte at shift of word w.
+func flagAt(w uint64, shift uint) uint8 { return uint8(w >> shift) }
+
+// withFlag returns word w with its flag byte at shift set to f.
+func withFlag(w uint64, shift uint, f uint8) uint64 {
+	return w&^(0xff<<shift) | uint64(f)<<shift
 }
 
 // setKeys lays out the keys of columns cols: their ordered fields in turn,
@@ -148,22 +185,31 @@ func (t *GroupTable) KeyValues(dst []table.Value, groups []int32) {
 }
 
 // Len returns the number of groups.
-func (t *GroupTable) Len() int { return len(t.counts) }
+func (t *GroupTable) Len() int { return len(t.words) / t.width }
 
 // Count returns group g's row count.
-func (t *GroupTable) Count(g int) int64 { return t.counts[g] }
+func (t *GroupTable) Count(g int) int64 { return int64(t.words[g*t.width]) }
 
-// State returns group g's state for aggregate term.
-func (t *GroupTable) State(g, term int) AggState { return t.states[g*t.nAggs+term] }
+// State returns group g's state for aggregate term as an AggState that
+// finalizes (Result) as the term's kind: its Count, and the one value and
+// flags the kind keeps.
+func (t *GroupTable) State(g, term int) AggState {
+	row := t.words[g*t.width : (g+1)*t.width]
+	a := AggState{Count: int64(row[0])}
+	v, fw, sh := t.lane(term)
+	switch t.kinds[term] {
+	case expr.Sum, expr.Avg:
+		a.Sum = math.Float64frombits(row[v])
+	case expr.Min:
+		a.Min, a.flags = math.Float64frombits(row[v]), flagAt(row[fw], sh)
+	case expr.Max:
+		a.Max, a.flags = math.Float64frombits(row[v]), flagAt(row[fw], sh)
+	}
+	return a
+}
 
 // Key returns group g's encoded key.
 func (t *GroupTable) Key(g int) []byte { return t.idx.Key(g) }
-
-// States returns group g's states, one per aggregate term, for folding in
-// place.
-func (t *GroupTable) States(g int) []AggState {
-	return t.states[g*t.nAggs : (g+1)*t.nAggs : (g+1)*t.nAggs]
-}
 
 // Created returns what created new groups in the last Assign or Merge, in
 // group-id order: the selection positions of Assign's rows, or the ids in
@@ -186,41 +232,62 @@ func (t *GroupTable) Assign(ids []int32, keys []Col, sel []int32) {
 		if added {
 			t.created = append(t.created, r)
 		}
-		t.counts[g]++
+		t.words[int(g)*t.width]++
 		ids[j] = g
 	}
 }
 
-// group returns the group of an encoded key, creating it when new.
+// group returns the group of an encoded key, creating it when new. The
+// words double when they fill, so a statement's growing table copies and
+// allocates about twice its final state, not the five times append's
+// gentler growth of large slices costs.
 func (t *GroupTable) group(key []byte) (int32, bool) {
 	g, added := t.idx.Lookup(key, true)
 	if added {
-		t.counts = append(t.counts, 0)
-		t.states = append(t.states, make([]AggState, t.nAggs)...)
+		n := len(t.words)
+		if n+t.width > cap(t.words) {
+			t.words = append(make([]uint64, 0, 2*(n+t.width)), t.words...)
+		}
+		t.words = t.words[:n+t.width]
+		clear(t.words[n:])
 	}
 	return g, added
 }
 
-// Merge folds src, a table of the same aggregate terms and key columns,
+// Merge folds src, a table of the same aggregate kinds and key columns,
 // into t in src's group order: each group is found by its encoded key,
-// created when new, and its row count and states merged into t's
-// (AggState.Merge). A t that has no groups yet takes src's key columns.
-// Merging partitions' tables in partition order leaves the groups in
-// first-seen order over all their rows.
+// created when new, and its row count and lanes merged into t's by
+// AggState.Merge's rules. A t that has no groups yet takes src's key
+// columns. Merging partitions' tables in partition order leaves the
+// groups in first-seen order over all their rows.
 func (t *GroupTable) Merge(src *GroupTable) {
 	if t.Len() == 0 {
 		t.setKeys(src.cols)
 	}
 	t.created = t.created[:0]
-	for sg := range src.counts {
+	for sg := range src.Len() {
 		g, added := t.group(src.Key(sg))
 		if added {
 			t.created = append(t.created, int32(sg))
 		}
-		t.counts[g] += src.counts[sg]
-		dst := t.States(int(g))
-		for a, st := range src.States(sg) {
-			dst[a].Merge(st)
+		t.mergeGroup(t.words[int(g)*t.width:(int(g)+1)*t.width], src.words[sg*t.width:(sg+1)*t.width])
+	}
+}
+
+// mergeGroup folds a src group's words o into a group's words w: counts
+// and sums add, and MIN and MAX merge by mergeExt.
+func (t *GroupTable) mergeGroup(w, o []uint64) {
+	w[0] += o[0]
+	for term, kind := range t.kinds {
+		switch kind {
+		case expr.Sum, expr.Avg:
+			v, _, _ := t.lane(term)
+			w[v] = math.Float64bits(math.Float64frombits(w[v]) + math.Float64frombits(o[v]))
+		case expr.Min, expr.Max:
+			v, fw, sh := t.lane(term)
+			m, f := mergeExt(math.Float64frombits(w[v]), flagAt(w[fw], sh),
+				math.Float64frombits(o[v]), flagAt(o[fw], sh), kind == expr.Max)
+			w[v], w[fw] = math.Float64bits(m), withFlag(w[fw], sh, f)
 		}
 	}
 }
@@ -320,17 +387,42 @@ func hashKey(b []byte) uint64 {
 	return h ^ h>>33
 }
 
-// FoldCount registers one row per id for a COUNT(*) term.
-func (t *GroupTable) FoldCount(term int, ids []int32) {
-	for _, g := range ids {
-		t.states[int(g)*t.nAggs+term].Count++
+// FoldVals folds the compacted xs[j] into group ids[j]'s lane for term.
+func (t *GroupTable) FoldVals(term int, ids []int32, xs []float64) {
+	for len(xs) > 0 {
+		n := min(len(xs), BatchRows)
+		fold(t, term, ids[:n], xs[:n], identity[:n])
+		ids, xs = ids[n:], xs[n:]
 	}
 }
 
-// FoldVals folds the compacted xs[j] into group ids[j]'s state for term.
-func (t *GroupTable) FoldVals(term int, ids []int32, xs []float64) {
-	for j, x := range xs {
-		t.states[int(ids[j])*t.nAggs+term].Add(x)
+// identity is the selection 0..BatchRows-1, for folding compacted values.
+var identity = func() []int32 {
+	s := make([]int32, BatchRows)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// fold folds row sel[j]'s value of lane into group ids[j]'s lane for term,
+// one loop per kind; a COUNT term keeps nothing beyond the group's count.
+func fold[T int64 | float64](t *GroupTable, term int, ids []int32, lane []T, sel []int32) {
+	words, w := t.words, t.width
+	v, fw, sh := t.lane(term)
+	switch kind := t.kinds[term]; kind {
+	case expr.Sum, expr.Avg:
+		for j, r := range sel {
+			i := int(ids[j])*w + v
+			words[i] = math.Float64bits(math.Float64frombits(words[i]) + float64(lane[r]))
+		}
+	case expr.Min, expr.Max:
+		max := kind == expr.Max
+		for j, r := range sel {
+			g := int(ids[j]) * w
+			m, f := foldExt(math.Float64frombits(words[g+v]), flagAt(words[g+fw], sh), float64(lane[r]), max)
+			words[g+v], words[g+fw] = math.Float64bits(m), withFlag(words[g+fw], sh, f)
+		}
 	}
 }
 
@@ -352,19 +444,32 @@ func (t *GroupTable) DecodeKeyCol(dst *Col, k int) {
 	}
 }
 
-// FinishAggCol sets dst to every group's result for aggregate term, finalized as
-// kind (AggState.Result): BIGINT for COUNT, DOUBLE otherwise.
-func (t *GroupTable) FinishAggCol(dst *Col, term int, kind expr.AggKind) {
-	n := t.Len()
+// FinishAggCol sets dst to every group's result for aggregate term,
+// finalized as its kind by AggState.Result's rules: BIGINT for COUNT,
+// DOUBLE otherwise.
+func (t *GroupTable) FinishAggCol(dst *Col, term int) {
+	n, kind, words, w := t.Len(), t.kinds[term], t.words, t.width
 	if kind == expr.Count {
 		dst.Reset(geometry.Column{Type: geometry.Int64, Width: 8}, n)
 		for g := range dst.I64 {
-			dst.I64[g] = t.State(g, term).Count
+			dst.I64[g] = int64(words[g*w])
 		}
 		return
 	}
 	dst.Reset(geometry.Column{Type: geometry.Float64, Width: 8}, n)
-	for g := range dst.F64 {
-		dst.F64[g] = t.State(g, term).Float(kind)
+	v, fw, sh := t.lane(term)
+	switch kind {
+	case expr.Sum:
+		for g := range dst.F64 {
+			dst.F64[g] = finishSum(math.Float64frombits(words[g*w+v]))
+		}
+	case expr.Avg:
+		for g := range dst.F64 {
+			dst.F64[g] = finishAvg(math.Float64frombits(words[g*w+v]), int64(words[g*w]))
+		}
+	default:
+		for g := range dst.F64 {
+			dst.F64[g] = finishExt(math.Float64frombits(words[g*w+v]), flagAt(words[g*w+fw], sh))
+		}
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"rfabric/internal/expr"
@@ -14,18 +17,26 @@ import (
 )
 
 // groupBatch is one random batch with an integer, a float, and an in-place
-// CHAR key column (stride 10, field width 6, at offset 2), plus a float
-// aggregate input lane. The small domains make groups repeat and hit the
-// encoding's corners: -0/+0, NaN payloads, trailing vs embedded NUL.
+// CHAR key column (stride 10, field width 6, at offset 2), plus a DOUBLE
+// and a BIGINT aggregate input lane. The small domains make groups repeat
+// and hit the encoding's corners: -0/+0, NaN payloads, trailing vs
+// embedded NUL. The input lanes are heavy in the aggregates' corners: NaN
+// (two payloads) first in a group and after its numbers, -0/+0, ±Inf, and
+// the int64 extremes.
 type groupBatch struct {
 	ints   []int64
 	floats []float64
 	chars  []byte
 	vals   []float64
+	ivals  []int64
 	sel    []int32
 }
 
 var groupCharPool = []string{"", "oak", "oak\x00", "oak\x00x", "ash"}
+
+// aggValPool holds the DOUBLE aggregate inputs' corners.
+var aggValPool = []float64{math.NaN(), math.Float64frombits(0x7ff8000000000002), math.Copysign(0, -1), 0,
+	math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 2.5}
 
 func newGroupBatch(rng *rand.Rand, n int) *groupBatch {
 	b := &groupBatch{
@@ -33,6 +44,7 @@ func newGroupBatch(rng *rand.Rand, n int) *groupBatch {
 		floats: make([]float64, n),
 		chars:  make([]byte, n*10),
 		vals:   make([]float64, n),
+		ivals:  make([]int64, n),
 	}
 	floatKeys := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002), 2.5}
 	for i := 0; i < n; i++ {
@@ -40,6 +52,10 @@ func newGroupBatch(rng *rand.Rand, n int) *groupBatch {
 		b.floats[i] = floatKeys[rng.Intn(len(floatKeys))]
 		copy(b.chars[i*10+2:i*10+8], groupCharPool[rng.Intn(len(groupCharPool))])
 		b.vals[i] = randF64(rng)
+		if rng.Intn(2) == 0 {
+			b.vals[i] = aggValPool[rng.Intn(len(aggValPool))]
+		}
+		b.ivals[i] = randI64(rng)
 		if rng.Intn(4) != 0 {
 			b.sel = append(b.sel, int32(i))
 		}
@@ -55,7 +71,7 @@ func (b *groupBatch) keys() []Col {
 	}
 }
 
-// valCol is the aggregate input lane as a column.
+// valCol is the DOUBLE aggregate input lane as a column.
 func (b *groupBatch) valCol() *Col { return &Col{Type: geometry.Float64, F64: b.vals} }
 
 // groupKeyCols are groupBatch's key columns.
@@ -70,22 +86,118 @@ func (b *groupBatch) encode(r int32) string {
 	return string(AppendKeyF64(k, b.floats[r]))
 }
 
+// groupTerms are the aggregate terms the group tests fold: every kind over
+// the DOUBLE lane and over the BIGINT lane, and COUNT, then more MIN and
+// MAX terms, so the flag bytes fill more than one word. Even terms fold
+// through Col.Fold, odd ones through Compact and GroupTable.FoldVals.
+var groupTerms = []struct {
+	kind expr.AggKind
+	ints bool
+}{
+	{expr.Sum, false}, {expr.Avg, false}, {expr.Min, false}, {expr.Max, false}, {expr.Count, false},
+	{expr.Sum, true}, {expr.Avg, true}, {expr.Min, true}, {expr.Max, true},
+	{expr.Max, false}, {expr.Min, true}, {expr.Min, false}, {expr.Max, true}, {expr.Max, false},
+}
+
+func groupKinds() []expr.AggKind {
+	kinds := make([]expr.AggKind, len(groupTerms))
+	for i, a := range groupTerms {
+		kinds[i] = a.kind
+	}
+	return kinds
+}
+
+// fold folds every term of the batch's selected rows into g, their groups
+// ids.
+func (b *groupBatch) fold(g *GroupTable, ids []int32) {
+	in := [2]Col{*b.valCol(), {Type: geometry.Int64, I64: b.ivals}}
+	xs := make([]float64, len(b.sel))
+	for term, a := range groupTerms {
+		c := &in[0]
+		if a.ints {
+			c = &in[1]
+		}
+		switch {
+		case a.kind == expr.Count:
+		case term%2 == 0:
+			c.Fold(g, term, ids, b.sel)
+		default:
+			c.Compact(xs, b.sel)
+			g.FoldVals(term, ids, xs)
+		}
+	}
+}
+
+// add folds row r into a group's reference states, one per term, with
+// AggState.Add (AddCount for COUNT).
+func (b *groupBatch) add(states []AggState, r int32) {
+	for term, a := range groupTerms {
+		switch {
+		case a.kind == expr.Count:
+			states[term].AddCount(1)
+		case a.ints:
+			states[term].Add(float64(b.ivals[r]))
+		default:
+			states[term].Add(b.vals[r])
+		}
+	}
+}
+
+// checkTerms holds every group's lanes to its reference states: State's
+// Result and FinishAggCol's column equal AggState.Result, bit for bit, for
+// every term, and the group's count equals the COUNT term's.
+func checkTerms(t *testing.T, g *GroupTable, want [][]AggState, what string) {
+	t.Helper()
+	if g.Len() != len(want) {
+		t.Fatalf("%s: %d groups, want %d", what, g.Len(), len(want))
+	}
+	var col Col
+	for term, a := range groupTerms {
+		g.FinishAggCol(&col, term)
+		for gi, states := range want {
+			w := states[term].Result(a.kind)
+			if got := g.State(gi, term).Result(a.kind); !sameValue(got, w) {
+				t.Fatalf("%s: group %d %s term %d: State %v (%#x), want %v (%#x)", what, gi, a.kind, term,
+					got, math.Float64bits(got.Float), w, math.Float64bits(w.Float))
+			}
+			if got := colValue(&col, int32(gi)); !sameValue(got, w) {
+				t.Fatalf("%s: group %d %s term %d: FinishAggCol %v (%#x), want %v (%#x)", what, gi, a.kind, term,
+					got, math.Float64bits(got.Float), w, math.Float64bits(w.Float))
+			}
+			if a.kind == expr.Count && g.Count(gi) != w.Int {
+				t.Fatalf("%s: group %d count %d, want %d", what, gi, g.Count(gi), w.Int)
+			}
+		}
+	}
+}
+
+// corners counts the reference groups whose DOUBLE MIN saw a NaN first,
+// and those that saw a NaN after a number, so a test can require both.
+func corners(want [][]AggState, nanAfter map[int]bool) (first, after int) {
+	for gi, states := range want {
+		if states[2].flags&extNaNFirst != 0 {
+			first++
+		}
+		if nanAfter[gi] {
+			after++
+		}
+	}
+	return first, after
+}
+
 // TestGroupTableMatchesSequentialFold checks the hash-group kernel against a
 // row-at-a-time reference over several batches: a map from the encoded key
-// to a count and sequentially folded states. Groups, their first-seen
-// order, counts, and every aggregate field match bit for bit.
+// to a group id and one AggState per term folded with AggState.Add. Groups,
+// their first-seen order and counts match, and every term of every kind,
+// over DOUBLE and BIGINT lanes, finalizes bit for bit as the reference.
 func TestGroupTableMatchesSequentialFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	type ref struct {
-		id     int32
-		count  int64
-		sum    AggState
-		count2 AggState
-	}
-	refs := map[string]*ref{}
+	refs := map[string]int{}
 	var order []string
+	var want [][]AggState
+	nanAfter := map[int]bool{}
 	var g GroupTable
-	g.Reset(2, groupKeyCols)
+	g.Reset(groupKinds(), groupKeyCols)
 	for batch := 0; batch < 8; batch++ {
 		b := newGroupBatch(rng, 1+rng.Intn(BatchRows))
 		ids := make([]int32, len(b.sel))
@@ -96,46 +208,38 @@ func TestGroupTableMatchesSequentialFold(t *testing.T) {
 				t.Fatalf("batch %d: created group %d has key %q, its row encodes %q", batch, firstNew+i, got, want)
 			}
 		}
-		b.valCol().Fold(&g, 0, ids, b.sel)
-		g.FoldCount(1, ids)
+		b.fold(&g, ids)
 
 		for j, r := range b.sel {
 			k := b.encode(r)
-			e, ok := refs[k]
+			id, ok := refs[k]
 			if !ok {
-				e = &ref{id: int32(len(order))}
-				refs[k] = e
+				id = len(order)
+				refs[k] = id
 				order = append(order, k)
+				want = append(want, make([]AggState, len(groupTerms)))
 			}
-			if ids[j] != e.id {
-				t.Fatalf("batch %d row %d: group id %d, want %d", batch, r, ids[j], e.id)
+			if ids[j] != int32(id) {
+				t.Fatalf("batch %d row %d: group id %d, want %d", batch, r, ids[j], id)
 			}
-			e.count++
-			e.sum.Add(b.vals[r])
-			e.count2.AddCount(1)
+			if x := b.vals[r]; x != x && want[id][2].flags&extAny != 0 {
+				nanAfter[id] = true
+			}
+			b.add(want[id], r)
 		}
-	}
-	if g.Len() != len(order) {
-		t.Fatalf("%d groups, want %d", g.Len(), len(order))
-	}
-	same := func(a, b AggState) bool {
-		return a.Count == b.Count && a.Any == b.Any &&
-			math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
-			math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
-			math.Float64bits(a.Max) == math.Float64bits(b.Max)
 	}
 	for gi, k := range order {
-		e := refs[k]
-		if string(g.Key(gi)) != k || g.Count(gi) != e.count {
-			t.Fatalf("group %d: key %q count %d, want %q %d", gi, g.Key(gi), g.Count(gi), k, e.count)
+		if string(g.Key(gi)) != k {
+			t.Fatalf("group %d: key %q, want %q", gi, g.Key(gi), k)
 		}
-		if !same(g.State(gi, 0), e.sum) || !same(g.State(gi, 1), e.count2) {
-			t.Fatalf("group %d states %+v %+v, want %+v %+v", gi, g.State(gi, 0), g.State(gi, 1), e.sum, e.count2)
-		}
+	}
+	checkTerms(t, &g, want, "sequential")
+	if first, after := corners(want, nanAfter); first == 0 || after == 0 {
+		t.Fatalf("lanes miss a corner: %d groups with a NaN first, %d with a NaN after a number", first, after)
 	}
 	// -0/+0 and the two NaN payloads are distinct float keys.
 	var floats GroupTable
-	floats.Reset(0, []geometry.Column{{Type: geometry.Float64}})
+	floats.Reset(nil, []geometry.Column{{Type: geometry.Float64}})
 	lane := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000002), 0}
 	ids := make([]int32, len(lane))
 	floats.Assign(ids, []Col{{Type: geometry.Float64, F64: lane}}, []int32{0, 1, 2, 3, 4})
@@ -153,7 +257,7 @@ func TestGroupTableSteadyStateDoesNotAllocate(t *testing.T) {
 	keys, vals := b.keys(), b.valCol()
 	ids := make([]int32, len(b.sel))
 	var g GroupTable
-	g.Reset(2, groupKeyCols)
+	g.Reset([]expr.AggKind{expr.Sum, expr.Max}, groupKeyCols)
 	g.Assign(ids, keys, b.sel)
 	allocs := testing.AllocsPerRun(20, func() {
 		g.Assign(ids, keys, b.sel)
@@ -168,10 +272,88 @@ func TestGroupTableSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestGroupTableStateBytesPerGroup: folding 9,000 groups of {SUM, COUNT}
+// into a fresh table allocates at most 64 bytes of aggregate state per
+// group, counted as the bytes it allocates beyond the same fold with no
+// aggregate terms (whose keys, index and counts are the same). A SUM keeps
+// one float64 and a COUNT nothing beyond the group's count, so lanes that
+// grow by appending stay under 64; two 40-byte AggStates do not.
+func TestGroupTableStateBytesPerGroup(t *testing.T) {
+	const groups, rows = 9000, 4 * 9000
+	keys := Col{Type: geometry.Int64, I64: make([]int64, rows)}
+	vals := Col{Type: geometry.Float64, F64: make([]float64, rows)}
+	for i := range keys.I64 {
+		keys.I64[i], vals.F64[i] = int64(i*7919%groups), float64(i%97)
+	}
+	ids := make([]int32, BatchRows)
+	fold := func(kinds []expr.AggKind) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		g := new(GroupTable)
+		g.Reset(kinds, []geometry.Column{{Type: geometry.Int64, Width: 8}})
+		for start := 0; start < rows; start += BatchRows {
+			sel := identity[:min(BatchRows, rows-start)]
+			batch := []Col{{Type: geometry.Int64, I64: keys.I64[start:]}}
+			g.Assign(ids[:len(sel)], batch, sel)
+			if len(kinds) > 0 {
+				(&Col{Type: geometry.Float64, F64: vals.F64[start:]}).Fold(g, 0, ids[:len(sel)], sel)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		if g.Len() != groups {
+			t.Fatalf("%d groups, want %d", g.Len(), groups)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	fold(nil) // first use of the runtime's size classes
+	bare, agg := fold(nil), fold([]expr.AggKind{expr.Sum, expr.Count})
+	perGroup := float64(int64(agg)-int64(bare)) / groups
+	t.Logf("%d bytes without terms, %d with {SUM, COUNT}: %.1f bytes of state per group", bare, agg, perGroup)
+	if perGroup > 64 {
+		t.Errorf("{SUM, COUNT} state allocates %.1f bytes per group, want at most 64", perGroup)
+	}
+}
+
+// BenchmarkGroupFold folds 36,864 rows over 9,000 BIGINT groups into a
+// fresh table per operation, as a statement does: {SUM, COUNT} and
+// {MIN, MAX} over a DOUBLE lane. Run with -benchmem: bytes per operation
+// are the key index plus the terms' state lanes.
+func BenchmarkGroupFold(b *testing.B) {
+	const groups, rows = 9000, 36 * BatchRows
+	rng := rand.New(rand.NewSource(9))
+	keys, vals := make([]int64, rows), make([]float64, rows)
+	for i := range keys {
+		keys[i], vals[i] = int64(rng.Intn(groups)), rng.NormFloat64()
+	}
+	ids := make([]int32, BatchRows)
+	for _, bc := range []struct {
+		name  string
+		kinds []expr.AggKind
+	}{
+		{"sum-count", []expr.AggKind{expr.Sum, expr.Count}},
+		{"min-max", []expr.AggKind{expr.Min, expr.Max}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := new(GroupTable)
+				g.Reset(bc.kinds, []geometry.Column{{Type: geometry.Int64, Width: 8}})
+				for start := 0; start < rows; start += BatchRows {
+					g.Assign(ids, []Col{{Type: geometry.Int64, I64: keys[start:]}}, identity)
+					val := Col{Type: geometry.Float64, F64: vals[start:]}
+					for term := range bc.kinds {
+						val.Fold(g, term, ids, identity)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestAggStateMergeMatchesSequentialFold splits random sequences, heavy in
 // NaN, -0 and +0, at random points (empty parts included), folds each part
-// into its own state and merges the states in order: Count, Min, Max, Any
-// and NaNFirst equal one sequential fold of the whole sequence, and so does
+// into its own state and merges the states in order: Count, Min, Max and the
+// flags equal one sequential fold of the whole sequence, and so does
 // every kind's Result, bit for bit (a NaN sum finalizes to the one NaN
 // whatever payload its additions kept). A NaN that leads a later part must
 // not hide the numbers after it.
@@ -206,7 +388,7 @@ func TestAggStateMergeMatchesSequentialFold(t *testing.T) {
 			AddVals(&part, xs[cuts[p]:cuts[p+1]])
 			merged.Merge(part)
 		}
-		if merged.Count != seq.Count || merged.Any != seq.Any || merged.NaNFirst != seq.NaNFirst ||
+		if merged.Count != seq.Count || merged.flags != seq.flags ||
 			!same(merged.Min, seq.Min) || !same(merged.Max, seq.Max) {
 			t.Fatalf("trial %d: %v split at %v merges to %+v, want %+v", trial, xs, cuts, merged, seq)
 		}
@@ -247,33 +429,48 @@ func TestAggStateResultKeepsTheSequentialRule(t *testing.T) {
 }
 
 // TestGroupTableMergeMatchesOneTable folds random batches into one table
-// and, split at a random batch, into two tables merged in order: the
-// merged table has the same groups in the same first-seen order, with the
-// same counts and, per state, the same Count, Min, Max and flags.
+// and, split at random batches, into up to four partition tables merged in
+// partition order. The merged table has the whole table's groups in the
+// same first-seen order and counts, and every term of every kind, over
+// DOUBLE and BIGINT lanes, finalizes bit for bit as the reference: per
+// partition one AggState per group and term folded with AggState.Add, the
+// partitions' states merged in order with AggState.Merge.
 func TestGroupTableMergeMatchesOneTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {
-		batches := make([]*groupBatch, 1+rng.Intn(4))
+		batches := make([]*groupBatch, 1+rng.Intn(6))
 		for i := range batches {
 			batches[i] = newGroupBatch(rng, 1+rng.Intn(300))
 		}
-		split := rng.Intn(len(batches) + 1)
+		nParts := 1 + rng.Intn(4)
+		cuts := make([]int, len(batches))
+		for i := range cuts {
+			cuts[i] = rng.Intn(nParts)
+		}
+		slices.Sort(cuts) // batch i goes to partition cuts[i]; some may be empty
 		var whole, merged GroupTable
-		parts := []*GroupTable{new(GroupTable), new(GroupTable)}
-		whole.Reset(1, groupKeyCols)
-		merged.Reset(1, nil)
-		for _, p := range parts {
-			p.Reset(1, groupKeyCols)
+		parts := make([]*GroupTable, nParts)
+		partRefs := make([]map[string][]AggState, nParts)
+		whole.Reset(groupKinds(), groupKeyCols)
+		merged.Reset(groupKinds(), nil)
+		for p := range parts {
+			parts[p] = new(GroupTable)
+			parts[p].Reset(groupKinds(), groupKeyCols)
+			partRefs[p] = map[string][]AggState{}
 		}
 		for i, b := range batches {
-			part := parts[0]
-			if i >= split {
-				part = parts[1]
-			}
-			for _, g := range []*GroupTable{&whole, part} {
+			p := cuts[i]
+			for _, g := range []*GroupTable{&whole, parts[p]} {
 				ids := make([]int32, len(b.sel))
 				g.Assign(ids, b.keys(), b.sel)
-				b.valCol().Fold(g, 0, ids, b.sel)
+				b.fold(g, ids)
+			}
+			for _, r := range b.sel {
+				k := b.encode(r)
+				if partRefs[p][k] == nil {
+					partRefs[p][k] = make([]AggState, len(groupTerms))
+				}
+				b.add(partRefs[p][k], r)
 			}
 		}
 		var created int
@@ -284,15 +481,21 @@ func TestGroupTableMergeMatchesOneTable(t *testing.T) {
 		if merged.Len() != whole.Len() || created != whole.Len() {
 			t.Fatalf("trial %d: %d merged groups (%d created), want %d", trial, merged.Len(), created, whole.Len())
 		}
-		for g := 0; g < whole.Len(); g++ {
-			a, b := merged.State(g, 0), whole.State(g, 0)
-			if string(merged.Key(g)) != string(whole.Key(g)) || merged.Count(g) != whole.Count(g) ||
-				a.Count != b.Count || a.Any != b.Any || a.NaNFirst != b.NaNFirst ||
-				math.Float64bits(a.Min) != math.Float64bits(b.Min) || math.Float64bits(a.Max) != math.Float64bits(b.Max) {
-				t.Fatalf("trial %d group %d: %q %d %+v, want %q %d %+v", trial, g,
-					merged.Key(g), merged.Count(g), a, whole.Key(g), whole.Count(g), b)
+		want := make([][]AggState, whole.Len())
+		for gi := range want {
+			k := string(whole.Key(gi))
+			if string(merged.Key(gi)) != k || merged.Count(gi) != whole.Count(gi) {
+				t.Fatalf("trial %d group %d: %q count %d, want %q %d", trial, gi,
+					merged.Key(gi), merged.Count(gi), k, whole.Count(gi))
+			}
+			want[gi] = make([]AggState, len(groupTerms))
+			for p := range parts {
+				for term, st := range partRefs[p][k] {
+					want[gi][term].Merge(st)
+				}
 			}
 		}
+		checkTerms(t, &merged, want, fmt.Sprintf("trial %d merged", trial))
 	}
 }
 
@@ -401,7 +604,7 @@ func TestGroupKeyOrderMatchesReference(t *testing.T) {
 		}
 
 		var g GroupTable
-		g.Reset(0, cols)
+		g.Reset(nil, cols)
 		sel := make([]int32, n)
 		for i := range sel {
 			sel[i] = int32(i)
@@ -433,7 +636,7 @@ func TestGroupKeyOrderMatchesReference(t *testing.T) {
 
 		boxed := make([]table.Value, n*len(cols))
 		g.KeyValues(boxed, ids)
-		g.Reset(0, cols)
+		g.Reset(nil, cols)
 		for i := range sel {
 			sel[i] = int32(n - 1 - i)
 		}
@@ -455,7 +658,7 @@ func TestGroupKeyOrderMatchesReference(t *testing.T) {
 // hashes would (about 3,200).
 func TestHashKeySpreadsGroupKeys(t *testing.T) {
 	var g GroupTable
-	g.Reset(0, []geometry.Column{{Type: geometry.Int64}})
+	g.Reset(nil, []geometry.Column{{Type: geometry.Int64}})
 	xs, sel := make([]int64, 4096), make([]int32, 4096)
 	for i := range xs {
 		xs[i], sel[i] = int64(i), int32(i)

@@ -16,8 +16,10 @@
 // comparisons follow table.Value.Compare (three-way compare, then
 // expr.CmpOp.Holds; CHAR compares with trailing-NUL padding stripped),
 // checksums follow the engine's FNV-1a value hash (CHAR hashes bytes up to
-// the first NUL), and aggregation folds every value in row order through
-// one AggState so float results stay bit-identical.
+// the first NUL), and aggregation folds every value in row order by
+// AggState's rules — into one AggState per ungrouped term, or into a
+// GroupTable's per-kind lanes per group — so float results stay
+// bit-identical.
 package vec
 
 import (
@@ -81,72 +83,121 @@ func CmpChar(field, operand []byte) int {
 	return bytes.Compare(TrimPad(field), operand)
 }
 
-// AggState is one aggregate term's running state, the only aggregate fold
-// there is: the engines' batch consumption, the fabric's offload fold and
-// the storage controller's fold all add to it, and partitioned
-// runs merge their partitions' states (Merge) before finalizing once
-// (Result). MIN and MAX follow a sequential fold's rule, `x < Min` and
-// `x > Max` over the values in order, so the first of equal values (-0 and
-// +0) is kept and a NaN never displaces a number; a NaN that comes first
-// makes both NaN. Min and Max therefore track only the numbers (Any reports
-// one was folded), and NaNFirst records a leading NaN, which lets two
-// states merge exactly.
+// AggState is one aggregate term's running state and the definition of
+// each aggregate rule: the engines' ungrouped batch consumption, the
+// fabric's ungrouped offload fold and the storage controller's fold add to
+// it, partitioned runs merge their partitions' states (Merge) before
+// finalizing once (Result), and a GroupTable's per-kind lanes fold, merge
+// and finish through the same rule code (foldExt, mergeExt, finishExt,
+// finishSum, finishAvg). MIN and MAX follow a sequential fold's rule,
+// `x < Min` and `x > Max` over the values in order, so the first of equal
+// values (-0 and +0) is kept and a NaN never displaces a number; a NaN
+// that comes first makes both NaN. Min and Max therefore track only the
+// numbers (extAny records that one was folded), and extNaNFirst records a
+// leading NaN, which lets two states merge exactly.
 type AggState struct {
-	Count    int64
-	Sum      float64
-	Min      float64
-	Max      float64
-	Any      bool
-	NaNFirst bool
+	Count int64
+	Sum   float64
+	Min   float64
+	Max   float64
+	flags uint8 // MIN and MAX's, shared (extAny, extNaNFirst)
+}
+
+// Flags of a MIN or MAX state: a number was folded (the state's value
+// holds the extreme), and the first value was a NaN. Every fold sets one,
+// so a state with no flags has seen no value.
+const (
+	extAny uint8 = 1 << iota
+	extNaNFirst
+)
+
+// foldExt folds x into a MIN (max false) or MAX state, value m and flags f,
+// by the sequential rule: a number replaces m only when strictly less
+// (greater), so the first of equal values stays and a NaN never displaces
+// a number; the first number sets m; a NaN that comes first is recorded.
+func foldExt(m float64, f uint8, x float64, max bool) (float64, uint8) {
+	switch {
+	case f&extAny != 0:
+		if max && x > m || !max && x < m {
+			m = x
+		}
+	case x == x:
+		m, f = x, f|extAny
+	case f == 0:
+		f = extNaNFirst
+	}
+	return m, f
+}
+
+// mergeExt folds the state (om, of) of the rows that follow into (m, f):
+// o's extreme folds in by foldExt's rule, and a state that has seen
+// nothing takes o's flags, its leading NaN included.
+func mergeExt(m float64, f uint8, om float64, of uint8, max bool) (float64, uint8) {
+	if of&extAny != 0 && (f&extAny == 0 || max && om > m || !max && om < m) {
+		m = om
+	}
+	if f == 0 {
+		return m, of
+	}
+	return m, f | of&extAny
+}
+
+// finishExt finalizes a MIN or MAX state: NaN when a NaN came first, else
+// the extreme of the numbers (0 when none was folded).
+func finishExt(m float64, f uint8) float64 {
+	if f&extNaNFirst != 0 {
+		return math.NaN()
+	}
+	return m
+}
+
+// finishSum finalizes a SUM: a NaN is always math.NaN(), as a sum's NaN
+// payload depends on the operand order the compiler picks at each fold
+// site.
+func finishSum(x float64) float64 {
+	if x != x {
+		return math.NaN()
+	}
+	return x
+}
+
+// finishAvg finalizes an AVG over n rows, 0 over none.
+func finishAvg(sum float64, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return finishSum(sum / float64(n))
 }
 
 // Add folds one value.
 func (a *AggState) Add(x float64) {
 	a.Count++
 	a.Sum += x
-	switch {
-	case a.Any:
-		if x < a.Min {
-			a.Min = x
-		}
-		if x > a.Max {
-			a.Max = x
-		}
-	case x == x:
-		a.Min, a.Max, a.Any = x, x, true
-	case a.Count == 1:
-		a.NaNFirst = true
-	}
+	f := a.flags
+	a.Min, a.flags = foldExt(a.Min, f, x, false)
+	a.Max, _ = foldExt(a.Max, f, x, true)
 }
 
 // Merge folds o, the state of the rows that follow a's, into a: counts and
-// sums add, and o's Min and Max fold in by Add's rule (`!Any || x < Min`).
-// An empty o changes nothing. Count, Min and Max then equal one sequential
-// fold of both row sequences; Sum is a's sum plus o's.
+// sums add, and o's Min and Max fold in by Add's rule (mergeExt). An empty
+// o changes nothing. Count, Min and Max then equal one sequential fold of
+// both row sequences; Sum is a's sum plus o's.
 func (a *AggState) Merge(o AggState) {
 	if o.Count == 0 {
 		return
 	}
-	if a.Count == 0 {
-		a.NaNFirst = o.NaNFirst
-	}
 	a.Count += o.Count
 	a.Sum += o.Sum
-	if o.Any {
-		if !a.Any || o.Min < a.Min {
-			a.Min = o.Min
-		}
-		if !a.Any || o.Max > a.Max {
-			a.Max = o.Max
-		}
-		a.Any = true
-	}
+	f := a.flags
+	a.Min, a.flags = mergeExt(a.Min, f, o.Min, o.flags, false)
+	a.Max, _ = mergeExt(a.Max, f, o.Max, o.flags, true)
 }
 
 // Result finalizes the state as an aggregate of kind. COUNT yields BIGINT,
 // every other kind DOUBLE (Float); over zero rows SUM, AVG, MIN and MAX are
-// 0. Every fold finalizes through it, so a result cannot depend on where it
-// was folded.
+// 0. Every fold finalizes through it or its lane twin
+// (GroupTable.FinishAggCol), so a result cannot depend on where it was
+// folded.
 func (a AggState) Result(kind expr.AggKind) table.Value {
 	if kind == expr.Count {
 		return table.I64(a.Count)
@@ -154,29 +205,19 @@ func (a AggState) Result(kind expr.AggKind) table.Value {
 	return table.F64(a.Float(kind))
 }
 
-// Float finalizes the state as a SUM, AVG, MIN or MAX. A NaN is always
-// math.NaN(), as a sum's NaN payload depends on the operand order the
-// compiler picks at each fold site.
+// Float finalizes the state as a SUM, AVG, MIN or MAX.
 func (a AggState) Float(kind expr.AggKind) float64 {
-	var x float64
 	switch kind {
 	case expr.Sum:
-		x = a.Sum
+		return finishSum(a.Sum)
 	case expr.Avg:
-		if a.Count > 0 {
-			x = a.Sum / float64(a.Count)
-		}
+		return finishAvg(a.Sum, a.Count)
 	case expr.Min:
-		x = a.Min
+		return finishExt(a.Min, a.flags)
 	case expr.Max:
-		x = a.Max
-	default:
-		panic(fmt.Sprintf("vec: no float result for aggregate kind %d", uint8(kind)))
+		return finishExt(a.Max, a.flags)
 	}
-	if x != x || a.NaNFirst && (kind == expr.Min || kind == expr.Max) {
-		x = math.NaN()
-	}
-	return x
+	panic(fmt.Sprintf("vec: no float result for aggregate kind %d", uint8(kind)))
 }
 
 // AddCount registers n qualifying rows for COUNT(*) terms.

@@ -170,7 +170,7 @@ func (f *refFold) add(x float64) {
 
 func (f *refFold) matches(a AggState) bool {
 	return a.Count == f.count && math.Float64bits(a.Sum) == math.Float64bits(f.sum) &&
-		a.Any == f.any && a.NaNFirst == f.nanFirst &&
+		(a.flags&extAny != 0) == f.any && (a.flags&extNaNFirst != 0) == f.nanFirst &&
 		(!f.any || math.Float64bits(a.Min) == math.Float64bits(f.min) && math.Float64bits(a.Max) == math.Float64bits(f.max))
 }
 
@@ -415,22 +415,35 @@ func TestDecodeKernels(t *testing.T) {
 				t.Fatalf("%s AddTo = %+v, want %+v", def.Type, st, want)
 			}
 
+			// Three groups, keyed by row position mod 3: each kind's lane
+			// finalizes as a sequential AggState fold of the group's values.
+			kinds := []expr.AggKind{expr.Sum, expr.Avg, expr.Min, expr.Max, expr.Count}
 			var g GroupTable
-			g.Reset(1, []geometry.Column{{Type: geometry.Int64, Width: 8}})
+			g.Reset(kinds, []geometry.Column{{Type: geometry.Int64, Width: 8}})
 			gids := make([]int32, n)
 			all := make([]int32, n)
 			for i := range all {
 				all[i] = int32(i)
 			}
 			g.Assign(gids, []Col{keys}, all)
-			dense.Fold(&g, 0, gids, all)
-			for grp := 0; grp < g.Len(); grp++ {
-				var want refFold
-				for i := grp; i < n; i += 3 {
-					want.add(asFloat(rows[i][c]))
-				}
-				if st := g.State(grp, 0); !want.matches(st) {
-					t.Fatalf("%s Fold group %d = %+v, want %+v", def.Type, grp, st, want)
+			for term := range kinds {
+				dense.Fold(&g, term, gids, all)
+			}
+			var fin Col
+			for term, kind := range kinds {
+				g.FinishAggCol(&fin, term)
+				for grp := 0; grp < g.Len(); grp++ {
+					var want AggState
+					for i := grp; i < n; i += 3 {
+						want.Add(asFloat(rows[i][c]))
+					}
+					w := want.Result(kind)
+					if got := g.State(grp, term).Result(kind); !sameValue(got, w) {
+						t.Fatalf("%s Fold %s group %d = %v, want %v", def.Type, kind, grp, got, w)
+					}
+					if got := colValue(&fin, int32(grp)); !sameValue(got, w) {
+						t.Fatalf("%s FinishAggCol %s group %d = %v, want %v", def.Type, kind, grp, got, w)
+					}
 				}
 			}
 		}
@@ -505,7 +518,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	out := make([]float64, n)
 	gids := make([]int32, n)
 	var g GroupTable
-	g.Reset(colSchema.NumColumns(), nil)
+	g.Reset([]expr.AggKind{expr.Sum, expr.Min, expr.Max, expr.Avg, expr.Count}, nil)
 	g.Assign(gids, nil, ids)
 	var st AggState
 	type cols struct{ dense, gathered, took Col }
