@@ -61,7 +61,7 @@ func runCompare(oldPath, newPath string, tolerancePct float64) error {
 		return err
 	}
 	if len(regs) == 0 {
-		fmt.Printf("compare: OK — no cycle metric regressed more than %.1f%%, no bytes/rows/groups/checksum metric changed (%s vs %s)\n",
+		fmt.Printf("compare: OK — no cycle metric moved more than %.1f%%, no bytes/rows/groups/checksum metric changed (%s vs %s)\n",
 			tolerancePct, oldPath, newPath)
 		return nil
 	}

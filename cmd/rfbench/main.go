@@ -38,8 +38,8 @@
 //	                regression gating
 //	-bench-name s   record name for -bench output (default tier1)
 //	-compare        gate new.json against old.json; exits non-zero when any
-//	                cycle metric grew past -tolerance percent
-//	-tolerance T    percent cycle growth -compare tolerates (default 5)
+//	                cycle metric moved past -tolerance percent, either way
+//	-tolerance T    percent cycle change -compare tolerates (default 5)
 //	-cpuprofile f   write a pprof CPU profile of the run to f
 //	-memprofile f   write a pprof heap profile at exit to f
 package main
@@ -66,7 +66,7 @@ func main() {
 	benchOut := flag.Bool("bench", false, "record experiments into BENCH_<name>.json for regression gating")
 	benchName := flag.String("bench-name", "tier1", "record name for -bench output")
 	compare := flag.Bool("compare", false, "compare two BENCH_*.json records: rfbench -compare old.json new.json")
-	tolerance := flag.Float64("tolerance", 5, "percent cycle growth -compare tolerates before failing")
+	tolerance := flag.Float64("tolerance", 5, "percent cycle change, either way, -compare tolerates before failing")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()

@@ -304,7 +304,7 @@ const (
 	// paths by running them on the table's first rows and takes the
 	// cheapest. A columnar copy is considered only if one already exists.
 	AUTO EngineKind = "AUTO"
-	// PAR is the morsel-parallel executor: the table's row range splits
+	// PAR is the morsel-parallel access path: the table's row range splits
 	// into fixed-size morsels that workers run on the RM path of private
 	// System clones, merged deterministically. RM queries route here
 	// automatically once SetParallel is called.
@@ -426,7 +426,7 @@ func (db *DB) exec(kind EngineKind, s *statement, c *stmtCtx) (*Result, *Trace, 
 	if err == nil {
 		hw = hw.Add(res.MorselHW)
 		if c.price {
-			c.est, c.act = db.priceRun(kind, s, tree, res)
+			c.est, c.act = db.priceRun(s, tree, res)
 		}
 		if c.tr != nil {
 			annotatePlanSpans(pairs, res, s.t.tbl.Schema())
@@ -469,10 +469,9 @@ func (db *DB) optimizer(t *dbTable) *engine.Optimizer {
 }
 
 // execute dispatches by selecting a Source for the chosen access path and
-// handing it to the shared pipeline (engine.Run). Only two paths sit outside
-// that shape: AUTO, which prices the physical plan first and recurses with
-// the chosen source stamped in, and PAR, the morsel executor that runs the
-// RM source on private System clones.
+// handing it to the shared pipeline (engine.Run). Only AUTO sits outside
+// that shape: it prices the physical plan first and recurses with the
+// chosen source stamped in. RM runs on PAR once SetParallel is called.
 func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Tracer) (*Result, error) {
 	switch kind {
 	case AUTO:
@@ -491,16 +490,9 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Trace
 		}
 		tr.End()
 		return db.execute(EngineKind(p.Chosen), t, q, tr)
-	case PAR:
-		var cfg engine.ParallelConfig
-		if db.par != nil {
-			cfg = *db.par
-		}
-		e := &engine.ParallelEngine{Tbl: t.tbl, Sys: db.sys, Par: cfg, Tracer: tr}
-		return e.Execute(q)
 	case RM:
 		if db.par != nil {
-			return db.execute(PAR, t, q, tr)
+			kind = PAR
 		}
 	}
 	src, err := db.source(kind, t, tr)
@@ -511,12 +503,19 @@ func (db *DB) execute(kind EngineKind, t *dbTable, q engine.Query, tr *obs.Trace
 }
 
 // source builds the engine Source for one access path. Each engine struct is
-// only a Source now — the scan/consume loop lives in the shared pipeline.
+// only a Source — the scan/consume loop lives in the shared pipeline, and
+// PAR's morsels each stream an RM source of their own.
 func (db *DB) source(kind EngineKind, t *dbTable, tr *obs.Tracer) (engine.Source, error) {
 	switch kind {
 	case RM:
 		return &engine.RMEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr, Cache: db.groupCache(),
 			Offload: db.offloadOn()}, nil
+	case PAR:
+		var cfg engine.ParallelConfig
+		if db.par != nil {
+			cfg = *db.par
+		}
+		return &engine.ParallelEngine{Tbl: t.tbl, Sys: db.sys, Par: cfg, Offload: db.offloadOn(), Tracer: tr}, nil
 	case ROW:
 		return &engine.RowEngine{Tbl: t.tbl, Sys: db.sys, Tracer: tr}, nil
 	case "IDX":
@@ -579,9 +578,8 @@ func (db *DB) schemaLookup(name string) (*Schema, error) {
 
 // executeJoin dispatches a join plan. Every side is its own Source, so each
 // runs on its own access path: the chosen kind applies to all sides, AUTO
-// prices each side independently, and RM routes the probe to the morsel
-// executor once SetParallel is called (builds run once on the shared System
-// either way).
+// prices each side independently, and an RM probe runs on PAR once
+// SetParallel is called (builds run once on the shared System either way).
 func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, tr *obs.Tracer) (*Result, error) {
 	var err error
 	buildTs := make([]*dbTable, len(p.Stages))
@@ -621,31 +619,6 @@ func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, 
 	if probeKind == RM && db.par != nil {
 		probeKind = PAR
 	}
-
-	if probeKind == PAR {
-		// The morsel executor probes on RM clones; build sides keep their
-		// chosen kinds over the shared System.
-		for k := range buildKinds {
-			if buildKinds[k] == PAR {
-				buildKinds[k] = RM
-			}
-		}
-		builds, err := db.joinBuildSources(buildKinds, buildTs, p, tr)
-		if err != nil {
-			return nil, err
-		}
-		if p.Probe.Node != nil {
-			p.Probe.Node.Source = string(PAR)
-		}
-		var cfg engine.ParallelConfig
-		if db.par != nil {
-			cfg = *db.par
-		}
-		e := &engine.ParallelJoinExec{Plan: p, ProbeTbl: probeT.tbl, Sys: db.sys,
-			Par: cfg, Builds: builds, Offload: db.offloadOn(), Tracer: tr}
-		return e.Execute()
-	}
-
 	probe, err := db.joinSource(probeKind, probeT, &p.Probe, tr)
 	if err != nil {
 		return nil, err
@@ -654,8 +627,7 @@ func (db *DB) executeJoin(kind EngineKind, probeT *dbTable, p *engine.JoinPlan, 
 	if err != nil {
 		return nil, err
 	}
-	e := &engine.JoinExec{Plan: p, Probe: probe, Builds: builds}
-	return e.Execute()
+	return (&engine.JoinExec{Plan: p, Probe: probe, Builds: builds}).Execute()
 }
 
 // priceJoinSide runs the constructive optimizer over one side's query in
@@ -677,11 +649,16 @@ func (db *DB) priceJoinSide(t *dbTable, side *engine.JoinSide) (EngineKind, erro
 	return EngineKind(pc.Chosen), nil
 }
 
-// joinBuildSources builds one Source per build stage.
+// joinBuildSources builds one Source per build stage. A PAR build reads as
+// RM: builds run once on the shared System, and only the probe splits into
+// morsels.
 func (db *DB) joinBuildSources(kinds []EngineKind, ts []*dbTable, p *engine.JoinPlan, tr *obs.Tracer) ([]engine.Source, error) {
 	builds := make([]engine.Source, len(p.Stages))
-	for k := range p.Stages {
-		src, err := db.joinSource(kinds[k], ts[k], &p.Stages[k].Side, tr)
+	for k, kind := range kinds {
+		if kind == PAR {
+			kind = RM
+		}
+		src, err := db.joinSource(kind, ts[k], &p.Stages[k].Side, tr)
 		if err != nil {
 			return nil, err
 		}

@@ -103,9 +103,9 @@ func (s *statement) tree() *plan.Node {
 // onto the traced chain's Scan (tree is nil when untraced). A join's
 // estimate is the sum of its sides' pricings, each stamped on its own Scan;
 // its selectivities are the probe side's.
-func (db *DB) priceRun(kind EngineKind, s *statement, tree *plan.Node, res *Result) (*plan.Est, *plan.Act) {
+func (db *DB) priceRun(s *statement, tree *plan.Node, res *Result) (*plan.Est, *plan.Act) {
 	if s.jp != nil {
-		db.fillJoinEstimates(kind, s.jp)
+		db.fillJoinEstimates(s.jp)
 		probe := s.jp.Probe.Node
 		if probe.Est == nil {
 			return nil, probe.Act
@@ -120,7 +120,10 @@ func (db *DB) priceRun(kind EngineKind, s *statement, tree *plan.Node, res *Resu
 		}
 		return est, probe.Act
 	}
-	est := db.estimateObserved(s.t, s.q, res.Engine, res.CacheWarm)
+	// A PAR scan's morsels never offload (an offloaded aggregation leaves
+	// no partial state to merge), so it is priced as they run.
+	offload := db.offloadOn() && res.Engine != string(PAR)
+	est := db.estimateObserved(s.t, s.q, res.Engine, res.CacheWarm, offload)
 	act := &plan.Act{
 		RowsScanned: res.RowsScanned,
 		RowsPassed:  res.RowsPassed,
@@ -221,14 +224,15 @@ func annotatePlanSpans(pairs []opSpan, res *Result, sch *Schema) {
 }
 
 // estimateObserved prices access path eng for q on t under the conditions
-// the planner saw. warm consults the group cache; pass it only when the run
-// really replayed a warm group, since pricing after the run would otherwise
-// see the group the run itself just installed, mislabel a cold run as warm,
-// and misreport its q-error. Returns nil when the path cannot be priced
-// (e.g. IDX with no usable index).
-func (db *DB) estimateObserved(t *dbTable, q engine.Query, eng string, warm bool) *plan.Est {
+// the run saw: offload says whether it ran with the offload layer on. warm
+// consults the group cache; pass it only when the run really replayed a
+// warm group, since pricing after the run would otherwise see the group the
+// run itself just installed, mislabel a cold run as warm, and misreport its
+// q-error. Returns nil when the path cannot be priced (e.g. IDX with no
+// usable index).
+func (db *DB) estimateObserved(t *dbTable, q engine.Query, eng string, warm, offload bool) *plan.Est {
 	opt := db.optimizer(t)
-	opt.Offload = db.offloadOn()
+	opt.Offload = offload
 	if warm {
 		opt.Cache = db.groupCache()
 	}
@@ -244,8 +248,10 @@ func (db *DB) estimateObserved(t *dbTable, q engine.Query, eng string, warm bool
 // the access path it actually got — its Scan node's stamped Source — so
 // sides that fell back (IDX without a usable index runs ROW) and paths only
 // priceable after the run (the first COL query materializes the columnar
-// copy it is priced against) still report estimated-vs-actual.
-func (db *DB) fillJoinEstimates(kind EngineKind, jp *engine.JoinPlan) {
+// copy it is priced against) still report estimated-vs-actual. A PAR
+// probe's morsels offload like RM, so every side prices under the DB's
+// offload setting.
+func (db *DB) fillJoinEstimates(jp *engine.JoinPlan) {
 	fill := func(side *engine.JoinSide) {
 		if side.Node == nil || side.Node.Est != nil {
 			return
@@ -254,11 +260,7 @@ func (db *DB) fillJoinEstimates(kind EngineKind, jp *engine.JoinPlan) {
 		if err != nil {
 			return
 		}
-		eng := side.Node.Source
-		if eng == "" {
-			eng = string(kind)
-		}
-		side.Node.Est = db.estimateObserved(t, side.Query, eng, false)
+		side.Node.Est = db.estimateObserved(t, side.Query, side.Node.Source, false, db.offloadOn())
 	}
 	fill(&jp.Probe)
 	for k := range jp.Stages {

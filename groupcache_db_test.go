@@ -271,7 +271,7 @@ func TestFeedbackEvictsMispricedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := db.estimateObserved(s.t, s.q, "RM", false)
+	est := db.estimateObserved(s.t, s.q, "RM", false, false)
 	if est == nil || est.Cycles == float64(res.Breakdown.TotalCycles) {
 		t.Fatalf("run not mispriced: estimate %+v against %d cycles", est, res.Breakdown.TotalCycles)
 	}
@@ -404,7 +404,7 @@ func TestWarmEstimateUsesRMCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := db.estimateObserved(s.t, s.q, "RM", true)
+	est := db.estimateObserved(s.t, s.q, "RM", true, true)
 	if est == nil {
 		t.Fatal("RM not priced")
 	}

@@ -1,5 +1,5 @@
 // Package bench records experiment results as flat metric maps and gates
-// cycle regressions between two records — the machinery behind
+// cycle changes between two records — the machinery behind
 // `rfbench -bench` / `rfbench -compare` and the CI regression gate.
 //
 // A Record is deliberately schema-free: every numeric leaf of an
@@ -12,6 +12,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -78,13 +79,14 @@ func flatten(prefix string, v any, out map[string]float64) {
 	}
 }
 
-// Regression is one gated metric that got worse than the tolerance allows,
-// or an exactly gated metric that changed at all.
+// Regression is one gated metric that moved further than the tolerance
+// allows, in either direction, or an exactly gated metric that changed at
+// all.
 type Regression struct {
 	Key     string  // dotted metric path
 	Old     float64 // baseline value
 	New     float64 // current value
-	Percent float64 // relative growth, e.g. 10.0 for +10%
+	Percent float64 // relative change, e.g. 10.0 for +10%, -10.0 for -10%
 	Exact   bool    // the metric is gated for exact equality
 }
 
@@ -95,7 +97,7 @@ func (g Regression) String() string {
 	case g.Exact:
 		return fmt.Sprintf("%s: %.0f -> %.0f (must not change)", g.Key, g.Old, g.New)
 	}
-	return fmt.Sprintf("%s: %.0f -> %.0f (+%.1f%%)", g.Key, g.Old, g.New, g.Percent)
+	return fmt.Sprintf("%s: %.0f -> %.0f (%+.1f%%)", g.Key, g.Old, g.New, g.Percent)
 }
 
 // exactGated reports whether a metric is a logical outcome of the workload
@@ -112,7 +114,9 @@ func exactGated(key string) bool {
 }
 
 // Compare gates cur against base. Every baseline metric whose path contains
-// "cycles" must not have grown by more than tolerancePct percent; every one
+// "cycles" must not have moved by more than tolerancePct percent either way
+// (a drop the baseline does not record is a change to re-record, not a free
+// pass; at tolerance 0 any change fails); every one
 // whose path contains "bytes", "rows", "groups", or "checksum" must be
 // exactly equal; both kinds must still exist. Other metrics (speedups,
 // ratios) are carried for context but not gated. Records taken at
@@ -154,9 +158,9 @@ func Compare(base, cur *Record, tolerancePct float64) ([]Regression, error) {
 		if old <= 0 {
 			continue
 		}
-		growth := (now - old) / old * 100
-		if growth > tolerancePct {
-			regs = append(regs, Regression{Key: k, Old: old, New: now, Percent: growth})
+		change := (now - old) / old * 100
+		if math.Abs(change) > tolerancePct {
+			regs = append(regs, Regression{Key: k, Old: old, New: now, Percent: change})
 		}
 	}
 	return regs, nil

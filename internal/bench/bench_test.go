@@ -103,15 +103,33 @@ func TestCompareDetectsInjectedRegression(t *testing.T) {
 	}
 }
 
-func TestCompareIgnoresImprovementsAndNonCycles(t *testing.T) {
+// TestCompareGatesCycleDropsAndIgnoresNonCycles: the cycle gate is
+// two-sided. A drop past the tolerance fails like a rise (claiming it means
+// re-recording the baseline), a drop within it passes, tolerance 0 fails
+// any change, and a non-cycle metric is never gated.
+func TestCompareGatesCycleDropsAndIgnoresNonCycles(t *testing.T) {
 	base := record(t, 1000)
-	faster := record(t, 900) // -10%: improvements never gate
+	faster := record(t, 900) // -10% on every RM cycle metric
 	regs, err := Compare(base, faster, 5)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
-	if len(regs) != 0 {
-		t.Errorf("improvement flagged as regression: %v", regs)
+	if len(regs) != 2 {
+		t.Fatalf("got %d flagged drops, want 2 (both RM points): %v", len(regs), regs)
+	}
+	for _, g := range regs {
+		if !strings.Contains(g.Key, "cycles.rm") || g.Percent > -9.9 || g.Percent < -10.1 {
+			t.Errorf("flagged %q at %.2f%%, want an RM cycle metric at ~-10%%", g.Key, g.Percent)
+		}
+		if !strings.Contains(g.String(), "(-10.0%)") {
+			t.Errorf("drop renders as %q, want a signed -10.0%%", g)
+		}
+	}
+	if regs, _ = Compare(base, faster, 15); len(regs) != 0 {
+		t.Errorf("15%% gate flagged a 10%% drop: %v", regs)
+	}
+	if regs, _ = Compare(base, record(t, 999), 0); len(regs) != 2 {
+		t.Errorf("tolerance 0 flagged %v, want both RM points' one-cycle drops", regs)
 	}
 
 	// A non-cycle metric blowing up is not gated.

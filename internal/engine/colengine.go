@@ -36,7 +36,7 @@ type ColEngine struct {
 	scratch *scanScratch
 }
 
-// Name implements Executor.
+// Name implements Source.
 func (e *ColEngine) Name() string { return "COL" }
 
 // The columnar copy is derived from a base table; the engine span carries

@@ -59,7 +59,7 @@ func TestValidationErrorsAcrossEngines(t *testing.T) {
 	}
 	for i, q := range bad {
 		for _, e := range engines(f) {
-			if _, err := e.Execute(q); err == nil {
+			if _, err := Run(e, q); err == nil {
 				t.Errorf("query %d accepted by %s", i, e.Name())
 			}
 		}
@@ -177,7 +177,7 @@ func TestEnginesAgreeProperty(t *testing.T) {
 		}
 		for _, e := range engines(f) {
 			f.sys.ResetState()
-			r, err := e.Execute(q)
+			r, err := Run(e, q)
 			if err != nil {
 				return false
 			}

@@ -76,8 +76,8 @@ func relocate(t *testing.T, src *table.Table, base int64) *table.Table {
 	return dst
 }
 
-func engines(f *testFixture) []Executor {
-	return []Executor{
+func engines(f *testFixture) []Source {
+	return []Source{
 		&RowEngine{Tbl: f.tbl, Sys: f.sys},
 		&ColEngine{Store: f.store, Sys: f.sys},
 		&RMEngine{Tbl: f.tbl, Sys: f.sys},
@@ -85,9 +85,9 @@ func engines(f *testFixture) []Executor {
 	}
 }
 
-func mustExec(t *testing.T, e Executor, q Query) *Result {
+func mustExec(t *testing.T, e Source, q Query) *Result {
 	t.Helper()
-	r, err := e.Execute(q)
+	r, err := Run(e, q)
 	if err != nil {
 		t.Fatalf("%s.Execute: %v", e.Name(), err)
 	}

@@ -74,7 +74,7 @@ func equivalenceTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 		t.Fatalf("generated query invalid: %v\nquery: %+v", err, q)
 	}
 
-	engines := []Executor{
+	engines := []Source{
 		&RowEngine{Tbl: tbl, Sys: sys},
 		&RMEngine{Tbl: tbl, Sys: sys},
 		&RMEngine{Tbl: tbl, Sys: sys, PushSelection: true},
@@ -95,7 +95,7 @@ func equivalenceTrial(t *testing.T, rng *rand.Rand, mvcc bool) {
 	var baseline *Result
 	for _, e := range engines {
 		sys.ResetState()
-		r, err := e.Execute(q)
+		r, err := Run(e, q)
 		if err != nil {
 			t.Fatalf("%s: %v\nquery: %+v", e.Name(), err, q)
 		}

@@ -33,7 +33,7 @@ type IndexEngine struct {
 	scratch *scanScratch
 }
 
-// Name implements Executor.
+// Name implements Source.
 func (e *IndexEngine) Name() string { return "IDX" }
 
 func (e *IndexEngine) tableLabel() string {

@@ -357,11 +357,12 @@ func addBreakdown(dst *Breakdown, b Breakdown) {
 	dst.TotalCycles += b.TotalCycles
 }
 
-// JoinExec executes a JoinPlan single-goroutine: build phases run first,
-// then the probe side streams once — never materialized — through the
-// multi-stage prober. Every side is a Source, so RM can feed either side a
-// packed column group while ROW probes the base heap, and each phase's span
-// reconciles with its share of the summed Breakdown.
+// JoinExec is the join executor: build phases run first, then the probe
+// side streams once — never materialized — through the multi-stage prober.
+// Every side is a Source, so RM can feed either side a packed column group
+// while ROW probes the base heap, and each phase's span reconciles with its
+// share of the summed Breakdown. A PAR probe streams each morsel into its
+// own prober over the shared, read-only build tables.
 type JoinExec struct {
 	Plan   *JoinPlan
 	Probe  Source
@@ -386,32 +387,68 @@ func (e *JoinExec) Execute() (*Result, error) {
 		return nil, err
 	}
 
-	// An offloaded RM probe gets the build side's Bloom filter pushed into
-	// the fabric: probe chunks are pre-filtered near data, so rows that
-	// cannot join never cross to the CPU.
-	if rm, ok := e.Probe.(*RMEngine); ok && rm.Offload && rm.SemiJoin == nil {
-		if semi := probeSemiJoin(p, tables); semi != nil {
-			rm.SemiJoin = semi
+	// An offloaded RM or PAR probe gets the build side's Bloom filter
+	// pushed into the fabric: probe chunks are pre-filtered near data, so
+	// rows that cannot join never cross to the CPU. The filter is built
+	// once; every morsel's fabric shares it read-only.
+	rm, _ := e.Probe.(*RMEngine)
+	par, _ := e.Probe.(*ParallelEngine)
+	var semi *fabric.SemiJoin
+	if (rm != nil && rm.Offload && rm.SemiJoin == nil) || (par != nil && par.Offload) {
+		if semi = probeSemiJoin(p, tables); semi != nil {
 			sp.SetAttr("probe_filter", "bloom")
 		}
 	}
 
-	probe := newJoinProbe(p, tables)
-	probeRes, err := runScan(e.Probe, &p.Probe.Query, "probe", probe, false)
-	if err != nil {
-		return nil, err
+	var res *Result
+	act := &plan.Act{}
+	if par != nil {
+		var built uint64
+		for _, br := range buildRes {
+			built += br.Breakdown.TotalCycles
+		}
+		res, act.RowsPassed, err = par.morsels(p.Consume, sp, built, func(src *RMEngine) (*Result, int64, error) {
+			src.Offload, src.SemiJoin = par.Offload, semi
+			return probeJoin(p, tables, src, true)
+		})
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		if semi != nil {
+			rm.SemiJoin = semi
+		}
+		if res, act.RowsPassed, err = probeJoin(p, tables, e.Probe, false); err != nil {
+			return nil, err
+		}
 	}
-
-	res := probe.result(name, probeRes.RowsScanned, false)
-	res.Breakdown = probeRes.Breakdown
-	res.Offload = probeRes.Offload
-	stampSideAct(p.Probe.Node, probeRes)
+	act.RowsScanned, act.Cycles = res.RowsScanned, res.Breakdown.TotalCycles
+	if p.Probe.Node != nil {
+		p.Probe.Node.Act = act
+	}
 	for k, br := range buildRes {
 		res.RowsScanned += br.RowsScanned
 		addBreakdown(&res.Breakdown, br.Breakdown)
 		stampSideAct(p.Stages[k].Side.Node, br)
 	}
 	return res, nil
+}
+
+// probeJoin streams src's probe scan through a prober over the build tables
+// and returns the consumed result (a partial, for a morsel's merge, when
+// part is set) and how many probe rows passed the side's selection. The
+// result's RowsPassed is the join cardinality, not the probe side's own
+// selectivity, so the latter rides back separately.
+func probeJoin(p *JoinPlan, tables []*joinBuild, src Source, part bool) (*Result, int64, error) {
+	probe := newJoinProbe(p, tables)
+	probeRes, err := runScan(src, &p.Probe.Query, "probe", probe, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	res := probe.result(src.Name(), probeRes.RowsScanned, part)
+	res.Breakdown = probeRes.Breakdown
+	res.Offload = probeRes.Offload
+	return res, probeRes.RowsPassed, nil
 }
 
 // stampSideAct records what one join side actually did onto its Scan node,
@@ -427,12 +464,9 @@ func stampSideAct(n *plan.Node, r *Result) {
 	}
 }
 
-// ParallelJoinExec is the morsel-parallel join: build sides run once on the
-// shared System, then the probe table's row range splits into fixed-size
-// morsels that workers stream on RM sources of private System clones,
-// probing the shared read-only hash tables. Partials merge in morsel order,
-// so results are deterministic for any worker count, exactly like
-// ParallelEngine.
+// ParallelJoinExec is the morsel-parallel join: a JoinExec whose probe is
+// a ParallelEngine over ProbeTbl. Build sides run once on the shared System;
+// the probe's morsels stream on RM sources of private System clones.
 type ParallelJoinExec struct {
 	Plan     *JoinPlan
 	ProbeTbl *table.Table
@@ -450,82 +484,6 @@ type ParallelJoinExec struct {
 
 // Execute runs the parallel join and returns the merged result.
 func (e *ParallelJoinExec) Execute() (*Result, error) {
-	p := e.Plan
-	if p == nil || e.ProbeTbl == nil || e.Sys == nil {
-		return nil, errors.New("engine: ParallelJoinExec needs a plan, a probe table, and a system")
-	}
-	par := e.Par.normalized()
-	sp := beginEngineSpan(e.Tracer, "PAR.execute", "PAR", p.Probe.Table)
-	sp.SetAttr("join_stages", strconv.Itoa(len(p.Stages)))
-	defer e.Tracer.End()
-
-	tables, buildRes, err := buildJoinTables(p, e.Builds)
-	if err != nil {
-		return nil, err
-	}
-
-	// The Bloom filter is built once and shared read-only by every worker's
-	// fabric; the Key closure is stateless, so concurrent probes are safe.
-	var semi *fabric.SemiJoin
-	if e.Offload {
-		if semi = probeSemiJoin(p, tables); semi != nil {
-			sp.SetAttr("probe_filter", "bloom")
-		}
-	}
-
-	n, workers := par.split(e.ProbeTbl.NumRows())
-	tracers := newPartTracers(sp, n)
-	passed := make([]int64, n) // per-morsel probe rows surviving selection
-	res, parts, err := Gather("PAR", p.Consume, n, workers, func(i int) (*Result, error) {
-		part, probePassed, err := e.runMorsel(tables, semi, i, par.MorselRows, tracers.at(i))
-		passed[i] = probePassed
-		return part, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Offload = parts[0].Offload
-	probeTotal := res.Breakdown.TotalCycles
-	if p.Probe.Node != nil {
-		var probePassed int64
-		for _, n := range passed {
-			probePassed += n
-		}
-		p.Probe.Node.Act = &plan.Act{
-			RowsScanned: res.RowsScanned,
-			RowsPassed:  probePassed,
-			Cycles:      probeTotal,
-		}
-	}
-	for k, br := range buildRes {
-		res.RowsScanned += br.RowsScanned
-		addBreakdown(&res.Breakdown, br.Breakdown)
-		stampSideAct(p.Stages[k].Side.Node, br)
-	}
-	finishParallelSpan(e.Tracer, sp, tracers, parts, workers, par.MorselRows, probeTotal, res.Breakdown.TotalCycles)
-	return res, nil
-}
-
-// runMorsel probes one probe-table slice on a fresh System clone, folding
-// matches into a morsel-private consumer whose unfinished fold the
-// coordinator merges in morsel order.
-func (e *ParallelJoinExec) runMorsel(tables []*joinBuild, semi *fabric.SemiJoin, i, morselRows int, tr *obs.Tracer) (*Result, int64, error) {
-	slice, sys, err := morsel(e.ProbeTbl, e.Sys, i, morselRows)
-	if err != nil {
-		return nil, 0, err
-	}
-	src := &RMEngine{Tbl: slice, Sys: sys, Tracer: tr, Offload: e.Offload, SemiJoin: semi}
-	probe := newJoinProbe(e.Plan, tables)
-	probeRes, err := runScan(src, &e.Plan.Probe.Query, "probe", probe, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	part := probe.result("RM", probeRes.RowsScanned, true)
-	part.Breakdown = probeRes.Breakdown
-	part.MorselHW = sys.HW()
-	// The morsel's probe-side survivor count rides back separately: the
-	// partial's RowsPassed is the join output cardinality, not the probe
-	// side's own selectivity, and the coordinator stamps the summed probe
-	// actuals onto the probe Scan node after the barrier.
-	return part, probeRes.RowsPassed, nil
+	probe := &ParallelEngine{Tbl: e.ProbeTbl, Sys: e.Sys, Par: e.Par, Offload: e.Offload, Tracer: e.Tracer}
+	return (&JoinExec{Plan: e.Plan, Probe: probe, Builds: e.Builds}).Execute()
 }

@@ -89,21 +89,13 @@ func (o *Optimizer) Choose(q Query) (*Plan, error) {
 // actual for ROW/COL/RM/IDX/PAR runs. PAR prices as RM: the optimizer
 // prices the access path (where the bytes come from), not the parallel
 // schedule, so PAR's q-error exposes exactly the speedup the
-// morsel executor achieves over the single-stream model. AUTO returns the
-// cheapest path, as Choose would.
+// morsel-parallel path achieves over the single-stream model.
 func (o *Optimizer) EstimateFor(engine string, q Query) (plan.Est, bool) {
 	if o.Tbl == nil || o.Sys == nil {
 		return plan.Est{}, false
 	}
 	if err := q.Validate(o.Tbl.Schema()); err != nil {
 		return plan.Est{}, false
-	}
-	if engine == "AUTO" {
-		p, err := o.Choose(q)
-		if err != nil {
-			return plan.Est{}, false
-		}
-		return p.Estimates[0], true
 	}
 	e := o.estimate(engine, q)
 	return e, e.Available

@@ -39,13 +39,13 @@ func TestOptimizerTracksMeasuredBest(t *testing.T) {
 		}
 
 		measured := map[string]uint64{}
-		for _, e := range []Executor{
+		for _, e := range []Source{
 			&RowEngine{Tbl: f.tbl, Sys: f.sys},
 			&ColEngine{Store: f.store, Sys: f.sys},
 			&RMEngine{Tbl: f.tbl, Sys: f.sys},
 		} {
 			f.sys.ResetState()
-			r, err := e.Execute(q)
+			r, err := Run(e, q)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, e.Name(), err)
 			}

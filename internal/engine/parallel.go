@@ -47,10 +47,14 @@ func (c ParallelConfig) normalized() ParallelConfig {
 	return c
 }
 
-// ParallelEngine executes a query morsel-at-a-time: the table's row range is
-// split into fixed-size morsels, workers pull morsels from a shared counter
-// and run each on the RM path of a worker-private System clone, and the
-// coordinator merges the partial results in morsel order.
+// ParallelEngine is the morsel-parallel access path: the table's row range
+// splits into fixed-size morsels, workers pull morsels from a shared counter
+// and stream each on the RM source of a worker-private System clone, and the
+// coordinator merges the partial results in morsel order. A horizontal
+// partition is one more range the fabric serves a column group over
+// (§III-A), so PAR is a Source like the others: a scan's morsels compute its
+// result directly, and a join whose probe is PAR (JoinExec) streams each
+// morsel into its own probe over the shared build tables.
 //
 // Determinism: morsel boundaries depend only on MorselRows, every morsel
 // runs on an identically-initialized machine clone, and the merge folds
@@ -61,11 +65,17 @@ func (c ParallelConfig) normalized() ParallelConfig {
 // Race-cleanness: each goroutine clones the parent System per morsel and
 // never shares simulated hardware; the parent System and table are only
 // read. Callers that mutate the table concurrently must serialize against
-// Execute (e.g. via mvcc.Manager.ReadView).
+// the run (e.g. via mvcc.Manager.ReadView).
 type ParallelEngine struct {
 	Tbl *table.Table
 	Sys *System
 	Par ParallelConfig
+
+	// Offload runs a join probe's morsels in offload mode, with the build
+	// side's Bloom filter pushed into each morsel's fabric. A scan's
+	// morsels never offload: an offloaded aggregation leaves no partial
+	// state to merge.
+	Offload bool
 
 	// Tracer, when set, receives a span whose schedule/merge leaves
 	// reconcile with the Breakdown; per-morsel sub-traces hang under a
@@ -75,11 +85,24 @@ type ParallelEngine struct {
 	Tracer *obs.Tracer
 }
 
-// Name implements Executor.
+// Name implements Source.
 func (e *ParallelEngine) Name() string { return "PAR" }
 
+func (e *ParallelEngine) tableLabel() string {
+	if e.Tbl == nil {
+		return ""
+	}
+	return e.Tbl.Name()
+}
+
+func (e *ParallelEngine) sysTracer() (*System, *obs.Tracer) { return e.Sys, e.Tracer }
+
 // Execute runs q across morsels and returns the merged result.
-func (e *ParallelEngine) Execute(q Query) (*Result, error) {
+func (e *ParallelEngine) Execute(q Query) (*Result, error) { return Run(e, q) }
+
+// openScan implements Source: the morsels compute the merged result, so the
+// scan is direct.
+func (e *ParallelEngine) openScan(q *Query, sp *obs.Span) (*scan, error) {
 	if e.Tbl == nil || e.Sys == nil {
 		return nil, errors.New("engine: ParallelEngine needs a table and a system")
 	}
@@ -89,31 +112,54 @@ func (e *ParallelEngine) Execute(q Query) (*Result, error) {
 	if q.Snapshot != nil && !e.Tbl.HasMVCC() {
 		return nil, fmt.Errorf("engine: snapshot query over table %q without MVCC", e.Tbl.Name())
 	}
+	return &scan{direct: func() (*Result, error) {
+		res, _, err := e.morsels(*q, sp, 0, func(src *RMEngine) (*Result, int64, error) {
+			part, err := RunPartial(src, *q)
+			return part, 0, err
+		})
+		return res, err
+	}}, nil
+}
 
+// morsels is the one morsel loop, behind PAR scans and PAR join probes: it
+// streams each morsel of e.Tbl through run on an RM source over the
+// morsel's slice and its own System clone, merges the partials under q
+// (Gather), and lays the traced run out under sp. run returns the morsel's
+// partial and how many rows its scan passed; morsels returns the merged
+// result and those rows summed. base is the cycles the coordinator's
+// timeline already carries (a join's builds).
+func (e *ParallelEngine) morsels(q Query, sp *obs.Span, base uint64, run func(src *RMEngine) (*Result, int64, error)) (*Result, int64, error) {
+	if e.Tbl == nil || e.Sys == nil {
+		return nil, 0, errors.New("engine: ParallelEngine needs a table and a system")
+	}
 	par := e.Par.normalized()
 	n, workers := par.split(e.Tbl.NumRows())
-	sp := beginEngineSpan(e.Tracer, e.Name()+".execute", e.Name(), e.Tbl.Name())
-	defer e.Tracer.End()
 	tracers := newPartTracers(sp, n)
-
+	passed := make([]int64, n)
 	res, parts, err := Gather(e.Name(), q, n, workers, func(i int) (*Result, error) {
 		slice, sys, err := morsel(e.Tbl, e.Sys, i, par.MorselRows)
 		if err != nil {
 			return nil, err
 		}
-		eng := &RMEngine{Tbl: slice, Sys: sys, Tracer: tracers.at(i)}
-		res, err := RunPartial(eng, q)
+		part, rows, err := run(&RMEngine{Tbl: slice, Sys: sys, Tracer: tracers.at(i)})
 		if err != nil {
 			return nil, err
 		}
-		res.MorselHW = sys.HW()
-		return res, nil
+		part.MorselHW = sys.HW()
+		passed[i] = rows
+		return part, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	finishParallelSpan(e.Tracer, sp, tracers, parts, workers, par.MorselRows, res.Breakdown.TotalCycles, res.Breakdown.TotalCycles)
-	return res, nil
+	res.Offload = parts[0].Offload
+	total := res.Breakdown.TotalCycles
+	finishParallelSpan(e.Tracer, sp, tracers, parts, workers, par.MorselRows, total, base+total)
+	var rows int64
+	for _, r := range passed {
+		rows += r
+	}
+	return res, rows, nil
 }
 
 // split returns how many morsels a rows-row table splits into (at least

@@ -169,9 +169,9 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 		}
 	}
 
-	single := func(q Query, mk func(f *joinTwin, tr *obs.Tracer) Executor) run {
+	single := func(q Query, mk func(f *joinTwin, tr *obs.Tracer) Source) run {
 		return func(t *testing.T, f *joinTwin, tr *obs.Tracer) (*Result, error) {
-			return mk(f, tr).Execute(q)
+			return Run(mk(f, tr), q)
 		}
 	}
 	cases := []struct {
@@ -180,53 +180,53 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 		run  run
 	}{
 		{"ROW", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(projected, func(f *joinTwin, tr *obs.Tracer) Executor {
+			single(projected, func(f *joinTwin, tr *obs.Tracer) Source {
 				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		{"COL", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(grouped, func(f *joinTwin, tr *obs.Tracer) Executor {
+			single(grouped, func(f *joinTwin, tr *obs.Tracer) Source {
 				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		{"RM-chunks", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 24<<10) },
-			single(grouped, func(f *joinTwin, tr *obs.Tracer) Executor {
+			single(grouped, func(f *joinTwin, tr *obs.Tracer) Source {
 				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		// Three bitmap passes over the column store: a first pass, then
 		// two refine passes that interleave the value and bitmap streams,
 		// then reconstruction of the scattered qualifying rows.
 		{"COL-refine", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(Query{Selection: threePreds, Projection: []int{0, 3, 5}}, func(f *joinTwin, tr *obs.Tracer) Executor {
+			single(Query{Selection: threePreds, Projection: []int{0, 3, 5}}, func(f *joinTwin, tr *obs.Tracer) Source {
 				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		// No selection: reconstruction visits every row, one run per batch.
 		{"COL-dense", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(dense, func(f *joinTwin, tr *obs.Tracer) Executor {
+			single(dense, func(f *joinTwin, tr *obs.Tracer) Source {
 				return &ColEngine{Store: f.stores["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		// A bare COUNT(*) reads no column: RM counts over the narrowest.
 		{"RM-count", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 24<<10) },
-			single(Query{Aggregates: []AggTerm{{Kind: expr.Count}}}, func(f *joinTwin, tr *obs.Tracer) Executor {
+			single(Query{Aggregates: []AggTerm{{Kind: expr.Count}}}, func(f *joinTwin, tr *obs.Tracer) Source {
 				return &RMEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 			})},
 		{"IDX", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
 			single(Query{Selection: expr.Conjunction{{Col: 0, Op: expr.Ge, Operand: table.I64(700)}}, Projection: []int{1, 3}},
-				func(f *joinTwin, tr *obs.Tracer) Executor {
+				func(f *joinTwin, tr *obs.Tracer) Source {
 					return &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
 				})},
 		// Index order scatters the row ids, so every row opens a run of
 		// five streams.
 		{"IDX-scatter", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
 			single(Query{Selection: expr.Conjunction{{Col: 0, Op: expr.Ge, Operand: table.I64(10)}}, Projection: []int{1, 2, 4, 5}},
-				func(f *joinTwin, tr *obs.Tracer) Executor {
+				func(f *joinTwin, tr *obs.Tracer) Source {
 					return &IndexEngine{Tbl: f.tables["probe"], Sys: f.sys, Idx: f.idx, Tracer: tr}
 				})},
 		{"MVCC", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, true, 0, 0) },
 			single(Query{Selection: twoPreds, Projection: []int{0, 3}, Snapshot: &snap},
-				func(f *joinTwin, tr *obs.Tracer) Executor {
+				func(f *joinTwin, tr *obs.Tracer) Source {
 					return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 				})},
 		{"PAR", func(t *testing.T) *joinTwin { return replayTwin(t, narrow, rows, false, 0, 0) },
-			single(grouped, func(f *joinTwin, tr *obs.Tracer) Executor {
+			single(grouped, func(f *joinTwin, tr *obs.Tracer) Source {
 				return &ParallelEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr,
 					Par: ParallelConfig{Workers: 2, MorselRows: 1500}}
 			})},
@@ -248,7 +248,7 @@ func TestReplayHandOffMatchesInline(t *testing.T) {
 			return f
 		}, q3Join(viaCOL)},
 		{"wide", func(t *testing.T) *joinTwin { return replayTwin(t, wide, 3000, false, 0, 0) },
-			single(allCols, func(f *joinTwin, tr *obs.Tracer) Executor {
+			single(allCols, func(f *joinTwin, tr *obs.Tracer) Source {
 				return &RowEngine{Tbl: f.tables["probe"], Sys: f.sys, Tracer: tr}
 			})},
 	}

@@ -66,7 +66,7 @@ type RMEngine struct {
 	scratch *scanScratch
 }
 
-// Name implements Executor.
+// Name implements Source.
 func (e *RMEngine) Name() string { return "RM" }
 
 func (e *RMEngine) tableLabel() string {

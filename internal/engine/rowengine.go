@@ -33,7 +33,7 @@ type RowEngine struct {
 	scratch *scanScratch
 }
 
-// Name implements Executor.
+// Name implements Source.
 func (e *RowEngine) Name() string { return "ROW" }
 
 func (e *RowEngine) tableLabel() string {

@@ -16,7 +16,7 @@ import (
 // each touched byte costs — nothing else. Opening a source against a query
 // yields a scan plan (layout, per-touch charges, batch program spec)
 // that the shared pipeline in pipeline.go / pipeline_vec.go executes. The
-// engines (ROW, COL, RM, IDX) are Sources; every scan and consume loop
+// engines (ROW, COL, RM, IDX, PAR) are Sources; every scan and consume loop
 // lives once, in the pipeline, parameterized by the scan the source
 // opened.
 //
@@ -35,7 +35,7 @@ import (
 //     (segment.cols), and (for work that must run inside the measured
 //     window, like index descent or COL's bitmap passes) a prepare hook.
 type Source interface {
-	// Name is the access path's short label (ROW, COL, RM, IDX).
+	// Name is the access path's short label (ROW, COL, RM, IDX, PAR).
 	Name() string
 	// tableLabel names the base table for the engine span ("" when the
 	// path reads a derived structure with no table of its own).
@@ -45,6 +45,14 @@ type Source interface {
 	// openScan validates q and builds the scan the pipeline will drive.
 	openScan(q *Query, sp *obs.Span) (*scan, error)
 }
+
+var (
+	_ Source = (*RowEngine)(nil)
+	_ Source = (*ColEngine)(nil)
+	_ Source = (*RMEngine)(nil)
+	_ Source = (*IndexEngine)(nil)
+	_ Source = (*ParallelEngine)(nil)
+)
 
 // Run executes q by opening the source's scan and driving it through the
 // shared pipeline. This is the single execution entry point behind every

@@ -136,33 +136,33 @@ func vectorizedTrial(t *testing.T, g *goldenFile, rng *rand.Rand, mvcc bool) {
 
 	type variant struct {
 		name  string
-		build func(fx *vecFixture) Executor
+		build func(fx *vecFixture) Source
 		// idx runs idxQ instead of q; warm runs the query once first and
 		// records the second (group-cache warm) execution.
 		idx, warm bool
 	}
 	variants := []variant{
-		{name: "ROW", build: func(fx *vecFixture) Executor {
+		{name: "ROW", build: func(fx *vecFixture) Source {
 			return &RowEngine{Tbl: fx.tbl, Sys: fx.sys}
 		}},
-		{name: "RM", build: func(fx *vecFixture) Executor {
+		{name: "RM", build: func(fx *vecFixture) Source {
 			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys}
 		}},
-		{name: "RM-push", build: func(fx *vecFixture) Executor {
+		{name: "RM-push", build: func(fx *vecFixture) Source {
 			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys, PushSelection: true}
 		}},
-		{name: "PAR", build: func(fx *vecFixture) Executor {
+		{name: "PAR", build: func(fx *vecFixture) Source {
 			return &ParallelEngine{Tbl: fx.tbl, Sys: fx.sys, Par: ParallelConfig{Workers: 4, MorselRows: 256}}
 		}},
-		{name: "IDX", idx: true, build: func(fx *vecFixture) Executor {
+		{name: "IDX", idx: true, build: func(fx *vecFixture) Source {
 			return &IndexEngine{Tbl: fx.tbl, Sys: fx.sys, Idx: fx.idx}
 		}},
-		{name: "RM-warm", warm: true, build: func(fx *vecFixture) Executor {
+		{name: "RM-warm", warm: true, build: func(fx *vecFixture) Source {
 			return &RMEngine{Tbl: fx.tbl, Sys: fx.sys, Cache: fabric.NewGroupCache(64<<20, fx.sys.Arena)}
 		}},
 	}
 	if !mvcc {
-		variants = append(variants, variant{name: "COL", build: func(fx *vecFixture) Executor {
+		variants = append(variants, variant{name: "COL", build: func(fx *vecFixture) Source {
 			return &ColEngine{Store: fx.store, Sys: fx.sys}
 		}})
 	}
@@ -182,7 +182,7 @@ func vectorizedTrial(t *testing.T, g *goldenFile, rng *rand.Rand, mvcc bool) {
 		var res *Result
 		for i := 0; i < execs; i++ {
 			var err error
-			if res, err = e.Execute(vq); err != nil {
+			if res, err = Run(e, vq); err != nil {
 				t.Fatalf("%s: %v\nquery: %+v", v.name, err, vq)
 			}
 		}
@@ -279,11 +279,11 @@ func TestVectorizedBoundaryValues(t *testing.T) {
 		}
 		return &vecFixture{sys: sys, tbl: tbl, store: store, idx: idx}
 	}
-	engines := map[string]func(fx *vecFixture) Executor{
-		"ROW": func(fx *vecFixture) Executor { return &RowEngine{Tbl: fx.tbl, Sys: fx.sys} },
-		"RM":  func(fx *vecFixture) Executor { return &RMEngine{Tbl: fx.tbl, Sys: fx.sys} },
-		"COL": func(fx *vecFixture) Executor { return &ColEngine{Store: fx.store, Sys: fx.sys} },
-		"IDX": func(fx *vecFixture) Executor { return &IndexEngine{Tbl: fx.tbl, Sys: fx.sys, Idx: fx.idx} },
+	engines := map[string]func(fx *vecFixture) Source{
+		"ROW": func(fx *vecFixture) Source { return &RowEngine{Tbl: fx.tbl, Sys: fx.sys} },
+		"RM":  func(fx *vecFixture) Source { return &RMEngine{Tbl: fx.tbl, Sys: fx.sys} },
+		"COL": func(fx *vecFixture) Source { return &ColEngine{Store: fx.store, Sys: fx.sys} },
+		"IDX": func(fx *vecFixture) Source { return &IndexEngine{Tbl: fx.tbl, Sys: fx.sys, Idx: fx.idx} },
 	}
 
 	g := openGoldens(t, "vectorized_boundary")
@@ -297,7 +297,7 @@ func TestVectorizedBoundaryValues(t *testing.T) {
 					{Col: 0, Op: expr.Ge, Operand: table.I64(math.MinInt64)}}, q.Selection...)
 			}
 			fx := build()
-			res, err := engines[engineName](fx).Execute(eq)
+			res, err := Run(engines[engineName](fx), eq)
 			if err != nil {
 				t.Fatalf("query %d %s: %v", qi, engineName, err)
 			}
@@ -334,7 +334,7 @@ func TestVectorizedScanAllocsConstant(t *testing.T) {
 	}
 	sel := expr.Conjunction{{Col: 0, Op: expr.Lt, Operand: table.I64(50)}}
 	twoPreds := append(sel[:1:1], expr.Predicate{Col: 0, Op: expr.Ge, Operand: table.I64(10)})
-	col := func(t *testing.T, sys *System, tbl *table.Table) Executor {
+	col := func(t *testing.T, sys *System, tbl *table.Table) Source {
 		store, err := colstore.FromTable(tbl, sys.Arena)
 		if err != nil {
 			t.Fatal(err)
@@ -344,12 +344,12 @@ func TestVectorizedScanAllocsConstant(t *testing.T) {
 	cases := []struct {
 		name string
 		q    Query
-		mk   func(t *testing.T, sys *System, tbl *table.Table) Executor
+		mk   func(t *testing.T, sys *System, tbl *table.Table) Source
 	}{
-		{"ROW", Query{Projection: []int{0}, Selection: sel}, func(_ *testing.T, sys *System, tbl *table.Table) Executor {
+		{"ROW", Query{Projection: []int{0}, Selection: sel}, func(_ *testing.T, sys *System, tbl *table.Table) Source {
 			return &RowEngine{Tbl: tbl, Sys: sys}
 		}},
-		{"RM", Query{Projection: []int{0, 1}, Selection: sel}, func(_ *testing.T, sys *System, tbl *table.Table) Executor {
+		{"RM", Query{Projection: []int{0, 1}, Selection: sel}, func(_ *testing.T, sys *System, tbl *table.Table) Source {
 			return &RMEngine{Tbl: tbl, Sys: sys}
 		}},
 		{"COL", Query{Projection: []int{0, 1}, Selection: twoPreds}, col},
@@ -360,12 +360,12 @@ func TestVectorizedScanAllocsConstant(t *testing.T) {
 			measure := func(rows int) float64 {
 				sys, tbl := build(rows)
 				eng := tc.mk(t, sys, tbl)
-				if _, err := eng.Execute(tc.q); err != nil { // warm the scratch
+				if _, err := Run(eng, tc.q); err != nil { // warm the scratch
 					t.Fatal(err)
 				}
 				return testing.AllocsPerRun(5, func() {
 					sys.ResetState()
-					if _, err := eng.Execute(tc.q); err != nil {
+					if _, err := Run(eng, tc.q); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -61,7 +61,7 @@ func scanQuery() engine.Query {
 }
 
 // runWallclock times eng executing q, with sys reset before each run.
-func runWallclock(b *testing.B, q engine.Query, eng engine.Executor, sys *engine.System) {
+func runWallclock(b *testing.B, q engine.Query, eng engine.Source, sys *engine.System) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -69,7 +69,7 @@ func runWallclock(b *testing.B, q engine.Query, eng engine.Executor, sys *engine
 		b.StopTimer()
 		sys.ResetState()
 		b.StartTimer()
-		if _, err := eng.Execute(q); err != nil {
+		if _, err := engine.Run(eng, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ type JoinParallelPoint struct {
 
 // JoinResult is the hash-join experiment: the Q3-class lineitem ⋈ orders
 // query lowered from SQL and executed through every serial access path plus
-// the morsel-parallel executor. All paths must produce the same groups; the
+// a morsel-parallel (PAR) probe. All paths must produce the same groups; the
 // cycle map records how the layouts compare when every build and probe byte
 // is charged through the memory hierarchy.
 type JoinResult struct {
@@ -32,8 +32,8 @@ type JoinResult struct {
 
 // JoinQ3 builds lineitem and orders in one simulated system, lowers
 // tpch.Q3SQL through the catalog lowerer, and runs the resulting JoinPlan
-// with ROW, RM, and COL sources serially and RM sources under the
-// morsel-parallel executor for each entry of workers.
+// with ROW, RM, and COL sources serially and with a PAR probe over RM builds
+// for each entry of workers.
 func JoinQ3(opt Options, rows int, workers []int) (*JoinResult, error) {
 	l, err := tpchLab(opt, rows)
 	if err != nil {
@@ -83,13 +83,8 @@ func JoinQ3(opt Options, rows int, workers []int) (*JoinResult, error) {
 	for _, w := range workers {
 		l.sys.ResetState()
 		start := time.Now()
-		r, err := (&engine.ParallelJoinExec{
-			Plan:     jp,
-			ProbeTbl: l.table(jp.Probe.Table),
-			Sys:      l.sys,
-			Par:      engine.ParallelConfig{Workers: w},
-			Builds:   l.builds(jp, l.rm),
-		}).Execute()
+		probe := &engine.ParallelEngine{Tbl: l.table(jp.Probe.Table), Sys: l.sys, Par: engine.ParallelConfig{Workers: w}}
+		r, err := (&engine.JoinExec{Plan: jp, Probe: probe, Builds: l.builds(jp, l.rm)}).Execute()
 		if err != nil {
 			return nil, fmt.Errorf("join par %d workers: %w", w, err)
 		}

@@ -141,14 +141,6 @@ func NewGroupCache(capacityBytes int64, arena *dram.Arena) *GroupCache {
 	}
 }
 
-// Capacity returns the configured byte bound.
-func (c *GroupCache) Capacity() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.capacity
-}
-
 // Stats returns a snapshot of the counters and occupancy gauges. Nil-safe.
 func (c *GroupCache) Stats() GroupCacheStats {
 	if c == nil {
@@ -234,7 +226,7 @@ func (c *GroupCache) Peek(tbl *table.Table, geom *geometry.Geometry, snap *uint6
 }
 
 // Invalidate bumps tbl's epoch and drops every resident group over it. The
-// DB façade calls this on writes; DDL goes through InvalidateAll.
+// DB façade calls this on writes.
 func (c *GroupCache) Invalidate(tbl *table.Table) {
 	if c == nil {
 		return
@@ -247,19 +239,6 @@ func (c *GroupCache) Invalidate(tbl *table.Table) {
 			c.dropLocked(e)
 			c.stats.Invalidations++
 		}
-	}
-}
-
-// InvalidateAll drops every resident group (catalog-wide DDL).
-func (c *GroupCache) InvalidateAll() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		c.dropLocked(e)
-		c.stats.Invalidations++
 	}
 }
 

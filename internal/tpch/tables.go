@@ -225,19 +225,6 @@ func NewCustomer(n int, seed int64, opts ...table.Option) (*table.Table, error) 
 	return tbl, nil
 }
 
-// NewPart creates and populates a part table of n rows.
-func NewPart(n int, seed int64, opts ...table.Option) (*table.Table, error) {
-	opts = append(opts, table.WithCapacity(n))
-	tbl, err := table.New("part", PartSchema(), opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := GeneratePart(tbl, n, seed); err != nil {
-		return nil, err
-	}
-	return tbl, nil
-}
-
 // Q3SQL is the Q3-class shipping-priority query over lineitem ⋈ orders:
 // revenue per order for orders placed before the cutoff whose items shipped
 // after it. (The official Q3 adds the customer segment filter — Q10SQL

@@ -166,13 +166,13 @@ func TestQ1AllEnginesAgree(t *testing.T) {
 	if ref.RowsPassed == ref.RowsScanned {
 		t.Error("Q1 predicate filtered nothing")
 	}
-	for _, e := range []engine.Executor{
+	for _, e := range []engine.Source{
 		&engine.ColEngine{Store: store, Sys: sys},
 		&engine.RMEngine{Tbl: tbl, Sys: sys},
 		&engine.RMEngine{Tbl: tbl, Sys: sys, PushSelection: true},
 	} {
 		sys.ResetState()
-		got, err := e.Execute(q)
+		got, err := engine.Run(e, q)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

@@ -101,24 +101,45 @@ func TestExplainJoin(t *testing.T) {
 }
 
 // TestJoinOnParallelDB checks the RM→PAR rerouting: with SetParallel active,
-// a default Query on a join statement lands on the morsel executor and still
-// matches the serial result.
+// a default Query on a join statement probes on PAR and still matches the
+// serial result, with the offload layer off and on. With offload on, every
+// morsel's probe runs behind the build side's Bloom filter (semi-join). The
+// probe's Scan is stamped PAR, and the traced root reconciles.
 func TestJoinOnParallelDB(t *testing.T) {
-	db := tpchDB(t, 3000)
-	ref, err := db.QueryOn(ROW, tpch.Q3SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetParallel(ParallelConfig{Workers: 4, MorselRows: 512})
-	res, err := db.Query(tpch.Q3SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != "PAR" {
-		t.Errorf("parallel DB routed join to %s, want PAR", res.Engine)
-	}
-	if err := ref.EquivalentTo(res, 1e-6); err != nil {
-		t.Errorf("PAR join diverges from ROW: %v", err)
+	queries := map[string]string{"Q3": tpch.Q3SQL, "Q5": tpch.Q5SQL, "Q10": tpch.Q10SQL}
+	for _, offload := range []bool{false, true} {
+		db := tpchDB(t, 3000)
+		db.SetOffload(offload)
+		db.SetParallel(ParallelConfig{Workers: 4, MorselRows: 512})
+		for name, q := range queries {
+			ref, err := db.QueryOn(ROW, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, trace, err := db.QueryTraced(q)
+			if err != nil {
+				t.Fatalf("%s offload=%v: %v", name, offload, err)
+			}
+			if res.Engine != "PAR" {
+				t.Errorf("%s offload=%v: parallel DB routed join to %s, want PAR", name, offload, res.Engine)
+			}
+			if err := ref.EquivalentTo(res, 1e-6); err != nil {
+				t.Errorf("%s offload=%v: PAR join diverges from ROW: %v", name, offload, err)
+			}
+			if want := map[bool]string{true: "semi-join"}[offload]; res.Offload != want {
+				t.Errorf("%s offload=%v: Result.Offload = %q, want %q", name, offload, res.Offload, want)
+			}
+			// attachPlanSpans renders each join's build chain before its
+			// input, so the probe's Scan is the last op.scan.
+			scans := scanSpans(trace.Root)
+			if src, _ := scans[len(scans)-1].Attr("source"); src != "PAR" {
+				t.Errorf("%s offload=%v: probe Scan source = %q, want PAR", name, offload, src)
+			}
+			if got := trace.Root.AttributedCycles(); got != res.Breakdown.TotalCycles {
+				t.Errorf("%s offload=%v: span tree attributes %d cycles, Breakdown.TotalCycles is %d",
+					name, offload, got, res.Breakdown.TotalCycles)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package rfabric
 
 import (
+	"strings"
 	"testing"
 
 	"rfabric/internal/obs"
@@ -83,6 +84,45 @@ func TestExplainAnalyzeActualsReconcile(t *testing.T) {
 		if got := attrInt(t, filter, "act_rows"); got != res.RowsPassed {
 			t.Errorf("%s: op.filter act_rows=%d, Result.RowsPassed=%d", kind, got, res.RowsPassed)
 		}
+	}
+}
+
+// TestParallelScanPricedWithoutOffload: a PAR scan's morsels never offload
+// (an offloaded aggregation leaves no partial state to merge), so with the
+// offload layer on its estimate must be the one priced with offload off, not
+// RM's offloaded price. RM itself, on the same DB, does offload.
+func TestParallelScanPricedWithoutOffload(t *testing.T) {
+	const q = `SELECT SUM(l_quantity), COUNT(*) FROM lineitem WHERE l_quantity < 24`
+	scan := func(offload bool, kind EngineKind) (*Result, *obs.Span) {
+		t.Helper()
+		db := tpchDB(t, 6000)
+		db.SetOffload(offload)
+		if kind == PAR {
+			db.SetParallel(ParallelConfig{Workers: 2})
+		}
+		res, trace, err := db.QueryTraced(q, OnEngine(kind))
+		if err != nil {
+			t.Fatalf("%s offload=%v: %v", kind, offload, err)
+		}
+		sp := trace.Root.Find("op.scan")
+		if sp == nil {
+			t.Fatalf("%s offload=%v: no op.scan span", kind, offload)
+		}
+		return res, sp
+	}
+	par, parScan := scan(true, PAR)
+	if par.Offload != "" {
+		t.Fatalf("PAR scan ran offloaded (%q); its morsels should not", par.Offload)
+	}
+	if expr, _ := parScan.Attr("expr"); strings.Contains(expr, " offload]") {
+		t.Errorf("PAR scan priced as offloaded: %s", expr)
+	}
+	_, cpuScan := scan(false, PAR)
+	if got, want := attrInt(t, parScan, "est_cycles"), attrInt(t, cpuScan, "est_cycles"); got != want {
+		t.Errorf("PAR est_cycles with offload on = %d, with it off = %d", got, want)
+	}
+	if rm, rmScan := scan(true, RM); rm.Offload == "" || attrInt(t, rmScan, "est_cycles") == attrInt(t, parScan, "est_cycles") {
+		t.Errorf("RM with offload on: Offload=%q, est_cycles equal to PAR's; the query no longer offloads", rm.Offload)
 	}
 }
 
